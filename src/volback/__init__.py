@@ -63,7 +63,6 @@ from .charkernels import (
 from .gapcascade import (
     GammaKey,
     GapCoefficientFamily,
-    GapPolynomial,
     assemble_kernel,
     assemble_kernel_polynomial,
     cascade,
@@ -76,7 +75,6 @@ from .inversion import (
     InversionConfig,
     choose_radius,
     frechet_dk,
-    frechet_profile,
     invert,
     lipschitz_check,
 )
@@ -85,7 +83,6 @@ from .simulator import (
     SimulationRecord,
     feedback,
     mild_solution_residual,
-    rhs_pdae,
     simulate,
     stability_constants,
     target_semigroup,
@@ -118,7 +115,6 @@ __all__ = [
     "pdae_closed_forms",
     "GammaKey",
     "GapCoefficientFamily",
-    "GapPolynomial",
     "assemble_kernel",
     "assemble_kernel_polynomial",
     "cascade",
@@ -129,14 +125,12 @@ __all__ = [
     "InversionConfig",
     "choose_radius",
     "frechet_dk",
-    "frechet_profile",
     "invert",
     "lipschitz_check",
     "SimConfig",
     "SimulationRecord",
     "feedback",
     "mild_solution_residual",
-    "rhs_pdae",
     "simulate",
     "stability_constants",
     "target_semigroup",

@@ -95,84 +95,6 @@ def _block_splits(total: int, first_size: int):
     return tuple(ordered_splits(tuple(range(total)), first_size))
 
 
-class GapPolynomial:
-    """Exact polynomial in the gaps (and optionally x), divided-power basis.
-
-    ``terms`` maps ``(sigma, gvec)`` to the rational coefficient of
-    x**sigma/sigma! * prod_r Delta_r**gvec[r]/gvec[r]!.  Zero
-    coefficients are never stored.  Multiplication follows the
-    divided-power rule, so structure constants are binomial.
-    """
-
-    __slots__ = ("n_gaps", "terms")
-
-    def __init__(self, n_gaps: int, terms: Mapping | None = None) -> None:
-        self.n_gaps = int(n_gaps)
-        clean: Dict[tuple[int, MultiIndex], Fraction] = {}
-        for (sigma, gvec), c in (terms or {}).items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            gvec = tuple(int(g) for g in gvec)
-            if len(gvec) != self.n_gaps:
-                raise FamilyConfigError(
-                    f"gap vector {gvec} has wrong length for {self.n_gaps} gaps"
-                )
-            key = (int(sigma), gvec)
-            clean[key] = clean.get(key, Fraction(0)) + c
-        self.terms = {k: v for k, v in clean.items() if v != 0}
-
-    @staticmethod
-    def phi(P: MultiIndex) -> "GapPolynomial":
-        """The basis element Phi_P itself."""
-        P = tuple(int(v) for v in P)
-        return GapPolynomial(len(P), {(0, P): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GapPolynomial") -> "GapPolynomial":
-        if self.n_gaps != other.n_gaps:
-            raise FamilyConfigError("gap count mismatch in addition")
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, Fraction(0)) + c
-        return GapPolynomial(self.n_gaps, merged)
-
-    def scale(self, c) -> "GapPolynomial":
-        c = Fraction(c)
-        return GapPolynomial(self.n_gaps, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other: "GapPolynomial") -> "GapPolynomial":
-        if self.n_gaps != other.n_gaps:
-            raise FamilyConfigError("gap count mismatch in product")
-        out: Dict[tuple[int, MultiIndex], Fraction] = {}
-        for (s1, g1), c1 in self.terms.items():
-            for (s2, g2), c2 in other.terms.items():
-                coeff = c1 * c2 * math.comb(s1 + s2, s1)
-                gv = tuple(a + b for a, b in zip(g1, g2))
-                for a, b in zip(g1, g2):
-                    coeff *= math.comb(a + b, a)
-                key = (s1 + s2, gv)
-                out[key] = out.get(key, Fraction(0)) + coeff
-        return GapPolynomial(self.n_gaps, out)
-
-    def eval(self, x: float, gaps: Sequence[float]) -> float:
-        if len(gaps) != self.n_gaps:
-            raise FamilyConfigError(f"expected {self.n_gaps} gaps, got {len(gaps)}")
-        total = 0.0
-        for (sigma, gvec), c in self.terms.items():
-            val = float(c) * x**sigma / math.factorial(sigma)
-            for g, p in zip(gaps, gvec):
-                if p:
-                    val *= g**p / math.factorial(p)
-            total += val
-        return total
-
-    def __repr__(self) -> str:
-        return f"GapPolynomial(n_gaps={self.n_gaps}, terms={len(self.terms)})"
-
-
 @dataclass
 class GapCoefficientFamily:
     """Scalar coefficient functions of a gap-basis expansion.

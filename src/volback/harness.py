@@ -72,6 +72,7 @@ from .simulator import (
 from .verification import run_all
 from .volterra import (
     GridFunction,
+    SeriesDefinitionError,
     VolterraKernelSeries,
     build_gains,
     gain_ell,
@@ -188,7 +189,11 @@ def parse_plant(path: str | Path) -> ParsedPlant:
         key = (n, p_vec)
         entries[key] = entries[key] + poly if key in entries else poly
     family = GapCoefficientFamily(entries, "plant-b", metadata=metadata or None)
-    return ParsedPlant(family, _family_series(family, metadata), str(path))
+    try:
+        series = _family_series(family, metadata)
+    except SeriesDefinitionError as exc:
+        raise ConfigError(f"plant file {path}: {exc}") from None
+    return ParsedPlant(family, series, str(path))
 
 
 def _family_series(
@@ -535,7 +540,8 @@ def cmd_kernels(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    rows = list(csv.reader(open(args.input)))
+    with open(args.input, newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows or len(rows) < 3:
         raise ConfigError(f"input {args.input} has too few rows")
     header = rows[0]
@@ -543,8 +549,10 @@ def cmd_invert(args) -> int:
         w_col = header.index("w")
     except ValueError:
         w_col = 1
-    values = np.array([float(r[w_col]) for r in rows[1:]])
-    w = GridFunction(values)
+    try:
+        w = GridFunction(np.array([float(r[w_col]) for r in rows[1:]]))
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"input {args.input}: bad w value: {exc}") from None
     _, _, series, gains, icfg = _pdae_gain_data()
     result = invert_with_info(w, series, icfg)
     out_dir = output_root(args.output) / "invert"

@@ -29,7 +29,9 @@ from .simplex import QuadratureRule, SimplexPoint, simplex_nodes
 from .volterra import (
     GainFunctions,
     GridFunction,
+    MeshCascade,
     VolterraKernelSeries,
+    _monomial_map,
     gain_ell,
     gain_k,
     linearized_profile,
@@ -157,16 +159,6 @@ def invert(
     return invert_with_info(w, series, config, rule).u
 
 
-def frechet_profile(
-    series: VolterraKernelSeries,
-    u: GridFunction,
-    h: GridFunction,
-    rule: QuadratureRule | None = None,
-) -> GridFunction:
-    """Profile of DK[u] h on the mesh of u."""
-    return linearized_profile(series, u, h, rule)
-
-
 def frechet_dk(
     series: VolterraKernelSeries,
     u: GridFunction,
@@ -199,14 +191,28 @@ def frechet_dk(
 def dk_matrix(
     series: VolterraKernelSeries, u: GridFunction, rule: QuadratureRule | None = None
 ) -> np.ndarray:
-    """Dense mesh matrix of h -> DK[u] h (columns are basis responses)."""
+    """Dense mesh matrix of h -> DK[u] h (columns are basis responses).
+
+    For polynomial kernels each slot is one cascade call on all basis
+    vectors at once (rows of the identity, memory O(M^2) per trie node);
+    otherwise every column is a quadrature-path linearized profile.
+    """
     m = u.size
-    out = np.empty((m, m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        out[:, i] = linearized_profile(series, u, GridFunction(e), rule).values
-    return out
+    monomials = [_monomial_map(k) for k in series.kernels.values()]
+    if None in monomials:
+        out = np.empty((m, m))
+        for i in range(m):
+            e = np.zeros(m)
+            e[i] = 1.0
+            out[:, i] = linearized_profile(series, u, GridFunction(e), rule).values
+        return out
+    basis = np.eye(m)
+    rows = np.zeros((m, m))
+    for n, mono in zip(series.kernels, monomials):
+        cascade = MeshCascade(mono, u.mesh)
+        for slot in range(n):
+            rows += cascade.profile([basis if i == slot else u.values for i in range(n)])
+    return np.ascontiguousarray(rows.T)
 
 
 def neumann_norm_estimate(

@@ -255,28 +255,3 @@ def integrate_simplex(
     else:
         vals = np.array([integrand(SimplexPoint(x, tuple(row))) for row in pts])
     return float(np.dot(vals, w))
-
-
-def vectorize_integrand(func: Callable[[float, np.ndarray], np.ndarray]) -> Callable:
-    """Mark ``func(x, points)`` as array-aware for :func:`integrate_simplex`."""
-    func.vectorized = True  # type: ignore[attr-defined]
-    return func
-
-
-def gauss_panels(lo: float, hi: float, panels: int, order: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [lo, hi].
-
-    ``panels`` subintervals of equal width, ``order`` nodes per panel.
-    Returns empty arrays when the interval is degenerate.
-    """
-    if panels < 1:
-        raise QuadratureConfigError(f"panel count must be positive, got {panels}")
-    if hi <= lo:
-        return np.zeros(0), np.zeros(0)
-    t, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mids[:, None] + half * t[None, :]).ravel()
-    weights = np.broadcast_to(half * w[None, :], (panels, len(w))).ravel()
-    return nodes, weights.copy()

@@ -23,16 +23,15 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .charkernels import is_pdae_plant
 from .simplex import QuadratureRule
 from .volterra import (
     GridFunction,
+    MeshCascade,
     VolterraKernelSeries,
     _monomial_map,
     _order_value,
-    _poly_profile,
     series_profile,
 )
 
@@ -152,12 +151,6 @@ def _advection(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def rhs_pdae(u: GridFunction) -> GridFunction:
-    """Right-hand side u_x + v^2/2 with v the running integral of u."""
-    v = cumulative_trapezoid(u.values, dx=u.dx, initial=0.0)
-    return GridFunction(_advection(u.values, u.dx) + 0.5 * v**2)
-
-
 def _normalize_kernels(kernels) -> Dict[int, Callable]:
     if kernels is None:
         return {}
@@ -222,11 +215,14 @@ def feedback(
     kernels,
     order_cap: int | None = None,
     rule: QuadratureRule | None = None,
+    cascades: Mapping[int, MeshCascade] | None = None,
 ) -> float:
     """Boundary value K[u](1) summed over kernel orders up to the cap.
 
     Polynomial kernels are integrated by the mesh-aligned nested
-    trapezoid cascade.  Every order 2..order_cap must be present in
+    trapezoid cascade; ``cascades`` may supply prebuilt ones for the
+    mesh of ``u`` (``simulate`` builds them once per run), else each
+    call builds its own.  Every order 2..order_cap must be present in
     ``kernels`` (pass the zero kernel explicitly if an order genuinely
     vanishes).
     """
@@ -238,14 +234,19 @@ def feedback(
         if n not in table:
             raise MissingKernelError(f"feedback needs the order-{n} kernel")
         kern = table[n]
-        mono = _monomial_map(kern)
-        if mono is not None:
-            total += float(_poly_profile(mono, [u.values] * n, u.mesh)[-1])
+        cascade = (cascades or {}).get(n) or _cascade_of(kern, u.mesh)
+        if cascade is not None:
+            total += float(cascade.endpoint([u.values] * n))
         elif rule is not None:
             total += _order_value(kern, n, u, 1.0, rule)
         else:
             total += _mesh_tensor_value(kern, n, u)
     return total
+
+
+def _cascade_of(kern: Callable, mesh: np.ndarray) -> MeshCascade | None:
+    mono = _monomial_map(kern)
+    return None if mono is None else MeshCascade(mono, mesh)
 
 
 def _controller_cap(controller: str, table: Dict[int, Callable]) -> int | None:
@@ -288,7 +289,8 @@ def simulate(
             if n not in table:
                 raise MissingKernelError(f"controller needs the order-{n} kernel")
 
-    nonlinearity = _plant_nonlinearity(plant, rule)
+    nonlinearity = _plant_nonlinearity(plant, rule, mesh)
+    cascades = {n: _cascade_of(table[n], mesh) for n in range(2, (cap or 1) + 1)}
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = _advection(values, dx)
@@ -299,7 +301,7 @@ def simulate(
     def boundary(values: np.ndarray) -> float:
         if cap is None:
             return 0.0
-        return feedback(GridFunction(values), table, cap, rule)
+        return feedback(GridFunction(values), table, cap, rule, cascades)
 
     n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-12)))
     frame_ids = set(
@@ -359,15 +361,15 @@ def _l2(values: np.ndarray, dx: float) -> float:
 
 
 def _plant_nonlinearity(
-    plant: VolterraKernelSeries | None, rule: QuadratureRule | None
+    plant: VolterraKernelSeries | None, rule: QuadratureRule | None, mesh: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray] | None:
     if plant is None or plant.is_zero():
         return None
     if is_pdae_plant(plant):
+        running = MeshCascade({(0, (0,)): 1}, mesh)  # v(x) = int_0^x u
 
         def quadratic(values: np.ndarray) -> np.ndarray:
-            v = cumulative_trapezoid(values, dx=1.0 / (len(values) - 1), initial=0.0)
-            return 0.5 * v**2
+            return 0.5 * running.profile([values]) ** 2
 
         return quadratic
 

@@ -11,9 +11,12 @@ and its inverse, so one module serves all three.
 Evaluation comes in two flavours.  :func:`eval_series` integrates at a
 single ``x`` with any quadrature rule.  :func:`series_profile` returns
 the whole profile ``x -> F[u](x)`` on the mesh of ``u``; for polynomial
-kernels it uses an exact-in-structure cascade of cumulative trapezoid
-sums (each nested integral collapses to one pass over the mesh), which
-is what makes the simulator and the Picard iteration affordable.
+kernels it uses :class:`MeshCascade`, a cascade of cumulative trapezoid
+sums (each nested integral collapses to one pass over the mesh) that
+shares the inner passes between monomials with equal trailing
+exponents.  The simulator builds one cascade per controller order once
+per run and evaluates only its x = 1 endpoint at every stage; this is
+what makes the simulator and the Picard iteration affordable.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -33,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .polynomial import SimplexPolyKernel
 from .simplex import (
@@ -228,32 +230,85 @@ def _order_value(
     return float(np.dot(vals * uprod, w))
 
 
-def _poly_profile(
-    monomials: Mapping, factors: Sequence[np.ndarray], mesh: np.ndarray
-) -> np.ndarray:
-    """Profile of one multilinear term with polynomial kernel.
+def _sum_from_zero(terms: np.ndarray, axis: int) -> np.ndarray:
+    """0.0 + t_0 + t_1 + ... along ``axis``, left to right.
 
-    ``factors[i]`` is the mesh sample of the function occupying slot i
-    of the product (all equal to ``u`` for a plain evaluation).  The
-    nested simplex integral is computed innermost-first, each level one
-    cumulative trapezoid pass, which is exactly the mesh-aligned nested
-    trapezoid rule.
+    cumsum adds sequentially.  Starting it from 0.0 would change only the
+    sign of partial sums that are zero, which the final ``0.0 +`` clears,
+    so the bits equal those of a loop that starts from 0.0.
     """
-    dx = mesh[1] - mesh[0]
-    out = np.zeros_like(mesh)
-    for (e, alphas), c in monomials.items():
-        inner: np.ndarray | None = None
-        for i in reversed(range(len(alphas))):
-            g = factors[i] * mesh**alphas[i] if alphas[i] else factors[i].copy()
-            if inner is not None:
-                g *= inner
-            inner = cumulative_trapezoid(g, dx=dx, initial=0.0)
-        assert inner is not None
-        term = float(c) * inner
-        if e:
-            term = term * mesh**e
-        out += term
-    return out
+    return 0.0 + terms.cumsum(axis).take(-1, axis)
+
+
+class MeshCascade:
+    """Nested trapezoid sums of one polynomial multilinear term on a mesh.
+
+    Built once from a kernel's monomials ``{(e, alphas): c}`` and the
+    uniform mesh, it evaluates
+
+        sum c x**e int_0^x xi_1**a_1 f_1(xi_1) int_0^xi_1 ... f_n(xi_n) dxi
+
+    innermost slot first, each level one cumulative trapezoid pass
+    (exactly the mesh-aligned nested trapezoid rule).  Monomials with
+    equal trailing exponents share their inner passes: the exponent
+    tuples form a suffix trie, and each trie level is one batched
+    ``cumsum`` over its distinct suffixes.  ``factors[i]`` is the mesh
+    sample in slot i; factors may carry leading batch axes.
+    """
+
+    def __init__(self, monomials: Mapping, mesh: np.ndarray) -> None:
+        self.dx = mesh[1] - mesh[0]
+        self.size = mesh.size
+        keys = list(monomials)
+        exps = {e for e, _ in keys}.union(*(alphas for _, alphas in keys))
+        pw = {a: mesh**a for a in exps}
+        # Trie levels, innermost slot first: (x**alpha per node, parent node per node).
+        self.levels: list[tuple[np.ndarray, np.ndarray | None]] = []
+        index: Dict[tuple, int] = {}
+        for i in reversed(range(len(keys[0][1]) if keys else 0)):
+            nodes: Dict[tuple, int] = {}
+            for _, alphas in keys:
+                nodes.setdefault(alphas[i:], len(nodes))
+            parent = np.array([index[s[1:]] for s in nodes]) if index else None
+            self.levels.append((np.array([pw[s[0]] for s in nodes]), parent))
+            index = nodes
+        self.nodes = np.array([index[a] for _, a in keys], dtype=int)
+        self.coef = np.array([float(c) for c in monomials.values()])
+        self.e_pows = np.array([pw[e] for e, _ in keys])
+        self.e_ends = np.array([pw[e][-1] for e, _ in keys])
+
+    def _outer_terms(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """Trapezoid terms of the outermost level, shape (..., nodes, M-1)."""
+        trap = None
+        for (pows, parent), f in zip(self.levels, reversed(factors)):
+            g = f[..., None, :] * pows
+            if trap is not None:
+                g = g * self._integrate(trap).take(parent, -2)
+            # dx * (g[1:] + g[:-1]) / 2.0: stored outputs are pinned to its rounding.
+            trap = g[..., 1:] + g[..., :-1]
+            trap *= self.dx
+            trap /= 2.0
+        return trap
+
+    @staticmethod
+    def _integrate(trap: np.ndarray) -> np.ndarray:
+        out = np.zeros(trap.shape[:-1] + (trap.shape[-1] + 1,))
+        trap.cumsum(-1, out=out[..., 1:])
+        return out
+
+    def profile(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """The term on the whole mesh, shape (..., M)."""
+        if not self.levels:
+            return np.zeros(self.size)
+        inner = self._integrate(self._outer_terms(factors)).take(self.nodes, -2)
+        return _sum_from_zero(self.coef[:, None] * inner * self.e_pows, -2)
+
+    def endpoint(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
+        """The term at x = 1 only; equals ``profile(factors)[..., -1]`` bit for bit."""
+        if not self.levels:
+            return 0.0
+        ends = self._outer_terms(factors).cumsum(-1)[..., -1].take(self.nodes, -1)
+        return _sum_from_zero(self.coef * ends * self.e_ends, -1)
 
 
 def series_profile(
@@ -263,7 +318,8 @@ def series_profile(
 ) -> GridFunction:
     """The full profile x -> F[u](x) on the mesh of ``u``.
 
-    Polynomial kernels go through the cumulative-trapezoid cascade.  A
+    Polynomial kernels go through a :class:`MeshCascade` built for this
+    call (its set-up cost does not depend on the mesh size).  A
     non-polynomial kernel needs an explicit ``rule`` and falls back to
     per-node quadrature, which is orders of magnitude slower.
     """
@@ -272,7 +328,7 @@ def series_profile(
     for n, kern in series.kernels.items():
         mono = _monomial_map(kern)
         if mono is not None:
-            out += _poly_profile(mono, [u.values] * n, mesh)
+            out += MeshCascade(mono, mesh).profile([u.values] * n)
             continue
         if rule is None:
             raise SeriesDefinitionError(
@@ -307,9 +363,9 @@ def linearized_profile(
             for j in range(len(mesh)):
                 out[j] += _linearized_at_point(kern, n, u, h, float(mesh[j]), rule)
             continue
+        cascade = MeshCascade(mono, mesh)
         for slot in range(n):
-            factors = [h.values if i == slot else u.values for i in range(n)]
-            out += _poly_profile(mono, factors, mesh)
+            out += cascade.profile([h.values if i == slot else u.values for i in range(n)])
     return GridFunction(out)
 
 

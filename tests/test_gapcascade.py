@@ -10,7 +10,6 @@ from volback.gapcascade import (
     FamilyConfigError,
     GammaCapError,
     GapCoefficientFamily,
-    GapPolynomial,
     assemble_kernel,
     assemble_kernel_polynomial,
     cascade,
@@ -50,24 +49,6 @@ class TestPhi:
     def test_order_mismatch_rejected(self):
         with pytest.raises(FamilyConfigError):
             phi_eval((1, 0), SimplexPoint(1.0, (0.5, 0.3, 0.1)))
-
-
-class TestGapPolynomial:
-    def test_product_merges_divided_powers(self):
-        a = GapPolynomial.phi((1, 0))
-        prod = a * a
-        # (d0/1!)^2 = 2 * d0^2/2!
-        assert prod.terms == {(0, (2, 0)): Fr(2)}
-
-    def test_x_power_product_binomial(self):
-        a = GapPolynomial(2, {(1, (0, 0)): Fr(1)})  # x/1!
-        prod = a * a
-        assert prod.terms == {(2, (0, 0)): Fr(2)}
-
-    def test_eval(self):
-        poly = GapPolynomial.phi((0, 2, 0))
-        pt = SimplexPoint(1.0, (0.8, 0.3, 0.1))
-        assert poly.eval(pt.x, pt.gaps) == pytest.approx(0.125)
 
 
 class TestFamilyValidation:

@@ -200,6 +200,19 @@ class TestMain:
         plant.write_text("2 0,0 1\n")
         assert main(["kernels", "--plant", str(plant), "--order", "3"]) == 0
 
+    def test_plant_without_order_2_exits_2(self, out_root, tmp_path, capsys):
+        plant = tmp_path / "plant.txt"
+        plant.write_text("3 0,0,0 1\n")
+        assert main(["kernels", "--plant", str(plant), "--order", "3"]) == 2
+        assert "lowest order present must be 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["abc", "nan"])
+    def test_invert_non_numeric_w_exits_2(self, out_root, tmp_path, capsys, cell):
+        target = tmp_path / "target.csv"
+        target.write_text(f"x,w\n0,0\n0.5,{cell}\n1,0\n")
+        assert main(["invert", "--input", str(target)]) == 2
+        assert "bad w value" in capsys.readouterr().err
+
     def test_explicit_output_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VOLBACK_OUTPUT_ROOT", str(tmp_path / "ignored"))
         chosen = tmp_path / "chosen"

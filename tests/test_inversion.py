@@ -12,7 +12,6 @@ from volback.inversion import (
     choose_radius,
     dk_matrix,
     frechet_dk,
-    frechet_profile,
     invert,
     invert_with_info,
     lipschitz_check,
@@ -119,7 +118,7 @@ class TestDerivative:
         rng = np.random.default_rng(11)
         u = smooth_profile(rng, mesh, 0.3)
         h = smooth_profile(rng, mesh, 0.2)
-        prof = frechet_profile(kernel_series, u, h, gl8)
+        prof = linearized_profile(kernel_series, u, h, gl8)
         # trapezoid cascade vs interpolated quadrature: both O(dx^2)
         for x in (0.25, 0.5, 1.0):
             direct = frechet_dk(kernel_series, u, h, x, gl8)
@@ -132,7 +131,7 @@ class TestDerivative:
         for _ in range(5):
             u = smooth_profile(rng, mesh, 0.3)
             h = smooth_profile(rng, mesh, 0.25)
-            lin = frechet_profile(kernel_series, u, h, gl8)
+            lin = linearized_profile(kernel_series, u, h, gl8)
             plus = series_profile(kernel_series, u + h.scale(eps), gl8)
             minus = series_profile(kernel_series, u - h.scale(eps), gl8)
             fd = (plus - minus).scale(1.0 / (2.0 * eps))

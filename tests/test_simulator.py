@@ -15,10 +15,11 @@ from volback.simulator import (
     SimConfig,
     SimConfigError,
     SimulationRecord,
+    _advection,
+    _plant_nonlinearity,
     cubic_pulse,
     feedback,
     mild_solution_residual,
-    rhs_pdae,
     simulate,
     stability_constants,
     target_semigroup,
@@ -84,18 +85,24 @@ class TestRecordValidation:
 
 
 class TestPlantRhs:
+    """u_x + v^2/2, v the running integral of u: what simulate steps for the builtin plant."""
+
+    @staticmethod
+    def rhs(values):
+        mesh = np.linspace(0.0, 1.0, values.size)
+        quadratic = _plant_nonlinearity(pdae_plant(), None, mesh)
+        return _advection(values, mesh[1]) + quadratic(values)
+
     def test_constant_state(self):
         mesh = np.linspace(0.0, 1.0, 401)
-        u = GridFunction(np.ones_like(mesh))
-        out = rhs_pdae(u).values
+        out = self.rhs(np.ones_like(mesh))
         # advection of a constant vanishes; forcing is (x)^2 / 2... no:
         # v(x) = int_0^x 1 = x, forcing = x^2/2
         assert out[:-1] == pytest.approx(0.5 * mesh[:-1] ** 2, abs=1e-10)
 
     def test_linear_state(self):
         mesh = np.linspace(0.0, 1.0, 801)
-        u = GridFunction(mesh.copy())
-        out = rhs_pdae(u).values
+        out = self.rhs(mesh.copy())
         want = 1.0 + 0.125 * mesh**4
         assert out[1:-1] == pytest.approx(want[1:-1], abs=1e-6)
 

@@ -1,16 +1,25 @@
 """Series operator evaluation, kernel norms, and gain functions."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volback
 from volback.charkernels import pdae_plant
+from volback.harness import build_kernel_table, load_plant
+from volback.inversion import dk_matrix
 from volback.polynomial import pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError
 from volback.volterra import (
     GainFunctions,
     GridFunction,
+    MeshCascade,
     SeriesDefinitionError,
     VolterraKernelSeries,
     build_gains,
@@ -218,3 +227,104 @@ class TestCouplingBound:
     def test_bad_orders_rejected(self):
         with pytest.raises(ValueError):
             coupling_bound_check(2, 3, 1.0, 1.0, 1.0)
+
+
+def reference_profile(monomials, factors, mesh):
+    """One monomial at a time, no shared passes: the nested trapezoid rule
+    written out, innermost slot first, each level a cumulative trapezoid
+    ``dx * (g[1:] + g[:-1]) / 2.0`` summed from 0."""
+    dx = mesh[1] - mesh[0]
+    out = np.zeros_like(mesh)
+    for (e, alphas), c in monomials.items():
+        inner = None
+        for i in reversed(range(len(alphas))):
+            g = factors[i] * mesh ** alphas[i]
+            if inner is not None:
+                g = g * inner
+            inner = np.concatenate([[0.0], np.cumsum(dx * (g[1:] + g[:-1]) / 2.0)])
+        out += float(c) * inner * mesh**e
+    return out
+
+
+def random_monomials(rng, n, count):
+    """Small exponents, so many monomials share trailing exponents."""
+    mono = {}
+    for _ in range(count):
+        key = (int(rng.integers(0, 4)), tuple(int(a) for a in rng.integers(0, 3, n)))
+        mono[key] = Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 7)))
+    return mono
+
+
+class TestMeshCascade:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_reference_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        mono = random_monomials(rng, n, 12)
+        assert any(e > 0 for e, _ in mono)
+        assert len({a[1:] for _, a in mono}) < len(mono)  # some suffix is shared
+        for m in (3, 57, 201):
+            mesh = np.linspace(0.0, 1.0, m)
+            factors = [rng.standard_normal(m) for _ in range(n)]
+            want = reference_profile(mono, factors, mesh)
+            cascade = MeshCascade(mono, mesh)
+            assert np.array_equal(cascade.profile(factors), want)
+            assert cascade.endpoint(factors) == want[-1]
+
+    def test_builtin_order4_kernel(self):
+        mono = build_kernel_table(load_plant("pdae"), 4)[4].polynomial.monomials
+        mesh = np.linspace(0.0, 1.0, 101)
+        u = 0.7 * np.sin(math.pi * mesh) + mesh
+        cascade = MeshCascade(mono, mesh)
+        want = reference_profile(mono, [u] * 4, mesh)
+        assert np.array_equal(cascade.profile([u] * 4), want)
+        assert cascade.endpoint([u] * 4) == want[-1]
+
+    @pytest.mark.parametrize("slots", [(0,), (2,), (0, 1, 2)])
+    def test_batched_factor(self, slots):
+        rng = np.random.default_rng(5)
+        mono = random_monomials(rng, 3, 10)
+        mesh = np.linspace(0.0, 1.0, 41)
+        factors = [
+            rng.standard_normal((4, 41)) if i in slots else rng.standard_normal(41)
+            for i in range(3)
+        ]
+        cascade = MeshCascade(mono, mesh)
+        prof = cascade.profile(factors)
+        ends = cascade.endpoint(factors)
+        assert prof.shape == (4, 41) and ends.shape == (4,)
+        for b in range(4):
+            row = [f[b] if f.ndim == 2 else f for f in factors]
+            want = reference_profile(mono, row, mesh)
+            assert np.array_equal(prof[b], want)
+            assert ends[b] == want[-1]
+
+    def test_zero_kernel(self):
+        mesh = np.linspace(0.0, 1.0, 11)
+        cascade = MeshCascade({}, mesh)
+        assert np.array_equal(cascade.profile([mesh, mesh]), np.zeros(11))
+        assert cascade.endpoint([mesh, mesh]) == 0.0
+
+    def test_batched_dk_matrix_equals_columns(self, kernel_series):
+        kernels = dict(kernel_series.kernels)
+        kernels[4] = build_kernel_table(load_plant("pdae"), 4)[4]
+        series = VolterraKernelSeries(kernels)
+        m = 31
+        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, m)) + 0.1)
+        columns = [
+            linearized_profile(series, u, GridFunction(e)).values for e in np.eye(m)
+        ]
+        assert np.array_equal(dk_matrix(series, u), np.column_stack(columns))
+
+
+def test_import_leaves_scipy_out():
+    """Importing the package must not pull in scipy (about 0.5 s of import time)."""
+    src = str(Path(volback.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, volback; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert out.stdout.strip() == "False"
