@@ -55,7 +55,6 @@ from .volterra import (
 from .charkernels import (
     KernelNode,
     build_controller_kernels,
-    enumerate_shuffles,
     eval_B,
     kernel_characteristic,
     pdae_closed_forms,
@@ -109,7 +108,6 @@ __all__ = [
     "series_profile",
     "KernelNode",
     "build_controller_kernels",
-    "enumerate_shuffles",
     "eval_B",
     "kernel_characteristic",
     "pdae_closed_forms",

@@ -21,8 +21,7 @@ with f_m.  Writing xi_0 = x, its value at (x, xi_1, ..., xi_n) is
 
 where (A, B) runs over all order-preserving distributions of the
 trailing coordinates (xi_j, ..., xi_n) into a k-block of size p - j and
-an f-block of size m.  The same enumeration of two-block distributions,
-indexed abstractly, is exposed as :func:`enumerate_shuffles`.
+an f-block of size m, enumerated by :func:`volback.simplex.ordered_splits`.
 
 All 1-D integrals use composite Gauss-Legendre (5 nodes per panel,
 configurable panel count, default 32).  The integrands are smooth for
@@ -32,17 +31,14 @@ the per-panel degree suffices.
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Dict, Iterable, Mapping, Sequence
+from typing import Callable, Dict, Iterable, Mapping
 
 import numpy as np
 
 from .polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
-from .simplex import QuadratureRule, SimplexPoint
+from .simplex import QuadratureRule, SimplexPoint, ordered_splits
 from .volterra import VolterraKernelSeries, check_growth_assumption
 
 PROVENANCES = ("closed-form", "characteristic-recursion", "gap-cascade")
@@ -65,64 +61,6 @@ class KernelConfigError(ValueError):
 
 class PlantAssumptionError(ValueError):
     """The plant failed its growth-assumption sampling check."""
-
-
-def ordered_splits(
-    elements: Sequence, first_size: int
-) -> list[tuple[tuple, tuple]]:
-    """All distributions of ``elements`` into two order-preserving blocks.
-
-    Returns ``(first, second)`` pairs where ``first`` has ``first_size``
-    elements; both blocks keep the relative order of ``elements``.  The
-    count is binomial(len(elements), first_size).
-    """
-    if not (0 <= first_size <= len(elements)):
-        raise KernelConfigError(
-            f"block size {first_size} out of range for {len(elements)} elements"
-        )
-    out = []
-    idx = range(len(elements))
-    for chosen in combinations(idx, first_size):
-        chosen_set = set(chosen)
-        first = tuple(elements[i] for i in chosen)
-        second = tuple(elements[i] for i in idx if i not in chosen_set)
-        out.append((first, second))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _split_indices(total: int, first_size: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    return tuple(ordered_splits(tuple(range(total)), first_size))
-
-
-@dataclass(frozen=True)
-class ShuffleTuple:
-    """One order-preserving two-block arrangement of trailing indices.
-
-    ``k_block`` holds the indices routed to the lower kernel's argument
-    list, ``f_block`` those routed to the plant kernel.  Indices refer to
-    the abstract trailing positions j+1, ..., p+m-1.
-    """
-
-    k_block: tuple[int, ...]
-    f_block: tuple[int, ...]
-
-
-def enumerate_shuffles(p: int, m: int, j: int) -> list[ShuffleTuple]:
-    """Enumerate the two-block arrangements for insertion leg j.
-
-    The p+m-1-j abstract elements (positions j+1 through p+m-1) are
-    distributed into a k-block of size p-j and an f-block of size m-1,
-    both order-preserving; the count is binomial(p+m-1-j, m-1).
-    """
-    if p < 1 or m < 2 or not (1 <= j <= p):
-        raise KernelConfigError(
-            f"shuffle indices out of bounds: p={p}, m={m}, j={j}"
-        )
-    elements = tuple(range(j + 1, p + m))
-    return [
-        ShuffleTuple(kb, fb) for kb, fb in ordered_splits(elements, p - j)
-    ]
 
 
 @lru_cache(maxsize=None)
@@ -252,7 +190,7 @@ def _eval_B_rows(
         x_flat = np.repeat(x_arr, s_count)
         s_flat = s_nodes.ravel()
         leg = np.zeros(rows * s_count)
-        for k_idx, f_idx in _split_indices(n - j + 1, p - j):
+        for k_idx, f_idx in ordered_splits(n - j + 1, p - j):
             k_args = np.empty((rows, s_count, p))
             if j > 1:
                 k_args[:, :, : j - 1] = xi_mat[:, None, : j - 1]

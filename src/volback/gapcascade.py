@@ -47,14 +47,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .charkernels import ordered_splits
 from .polynomial import RationalPoly, SimplexPolyKernel
-from .simplex import SimplexPoint
+from .simplex import SimplexPoint, compositions, ordered_splits
 
 MultiIndex = Tuple[int, ...]
 
@@ -69,30 +67,12 @@ class FamilyConfigError(ValueError):
     """A coefficient family violates the requirements of an operation."""
 
 
-def _compositions(total: int, slots: int) -> list[MultiIndex]:
-    """All multi-indices of the given length summing to ``total``."""
-    if slots == 0:
-        return [()] if total == 0 else []
-    out = []
-    for bars in combinations_with_replacement(range(slots), total):
-        vec = [0] * slots
-        for b in bars:
-            vec[b] += 1
-        out.append(tuple(vec))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _multi_indices_up_to(slots: int, cap: int) -> tuple[MultiIndex, ...]:
     out: list[MultiIndex] = []
     for total in range(cap + 1):
-        out.extend(_compositions(total, slots))
+        out.extend(compositions(total, slots))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _block_splits(total: int, first_size: int):
-    return tuple(ordered_splits(tuple(range(total)), first_size))
 
 
 @dataclass
@@ -199,7 +179,7 @@ def _segment_sum_power(
     coefficient exactly 1.
     """
     out: Dict[MultiIndex, int] = {}
-    for comp in _compositions(power, len(segment)):
+    for comp in compositions(power, len(segment)):
         vec = [0] * n_gaps
         for g, p in zip(segment, comp):
             vec[g] = p
@@ -277,7 +257,7 @@ def gamma_table(
         # original gap j-1 once s is integrated out.
         trailing = tuple(range(j, n + 1))
         sigma_upper = list(range(j))
-        for a_pos_rel, b_pos_rel in _block_splits(len(trailing), p - j):
+        for a_pos_rel, b_pos_rel in ordered_splits(len(trailing), p - j):
             a_positions = [trailing[i] + 1 for i in a_pos_rel]
             b_positions = [trailing[i] + 1 for i in b_pos_rel]
             k_chain = [0] + list(range(1, j)) + [j] + a_positions
@@ -305,7 +285,7 @@ def gamma_table(
                             for w in range(0, min(tau, w_room) + 1):
                                 w_sign = -1 if w % 2 else 1
                                 sign = sigma_sign * tau_sign * w_sign
-                                for alpha_hat in _compositions(w, len(eta_upper)):
+                                for alpha_hat in compositions(w, len(eta_upper)):
                                     avec = [0] * n_ext
                                     for g, pw in zip(eta_upper, alpha_hat):
                                         avec[g] = pw

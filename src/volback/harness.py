@@ -56,7 +56,7 @@ from .gapcascade import (
     family_to_json,
     pdae_b_family,
 )
-from .inversion import InversionConfig, choose_radius, invert_with_info
+from .inversion import InversionDomainError, choose_radius, invert_with_info
 from .polynomial import RationalPoly
 from .simplex import QuadratureRule
 from .simulator import (
@@ -117,8 +117,6 @@ class ExperimentSpec:
     overrides: Dict = field(default_factory=dict)
     output_dir: str | None = None
     check_kernels: bool = False
-    check_gains: bool = False
-    check_inversion: bool = False
     check_mild_solution: bool = False
 
     def sim_config(self) -> SimConfig:
@@ -471,12 +469,7 @@ def parse_config(path: str | Path) -> ExperimentSpec:
         raise ConfigError(f"config file {path} does not exist")
     spec = ExperimentSpec()
     overrides: Dict = {}
-    bool_keys = {
-        "check_kernels",
-        "check_gains",
-        "check_inversion",
-        "check_mild_solution",
-    }
+    bool_keys = {"check_kernels", "check_mild_solution"}
     float_keys = {"cfl", "t_end", "blow_up_threshold", "initial_scale"}
     int_keys = {"mesh_points", "snapshot_count"}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -545,14 +538,15 @@ def cmd_invert(args) -> int:
     if not rows or len(rows) < 3:
         raise ConfigError(f"input {args.input} has too few rows")
     header = rows[0]
-    try:
-        w_col = header.index("w")
-    except ValueError:
-        w_col = 1
-    try:
-        w = GridFunction(np.array([float(r[w_col]) for r in rows[1:]]))
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"input {args.input}: bad w value: {exc}") from None
+    if "w" not in header:
+        raise ConfigError(f"input {args.input} has no 'w' column; found {header}")
+    w = GridFunction(_csv_column(rows, header.index("w"), args.input))
+    if "x" in header:
+        x = _csv_column(rows, header.index("x"), args.input)
+        if np.max(np.abs(x - w.mesh)) > 1e-9:
+            raise ConfigError(
+                f"input {args.input}: the x column is not the uniform mesh on [0, 1]"
+            )
     _, _, series, gains, icfg = _pdae_gain_data()
     result = invert_with_info(w, series, icfg)
     out_dir = output_root(args.output) / "invert"
@@ -571,6 +565,17 @@ def cmd_invert(args) -> int:
     (out_dir / "metadata.json").write_text(json.dumps(doc, indent=2))
     print(f"invert: residual {residual:.3e} in {result.iterations} iterations")
     return 0 if result.converged else 1
+
+
+def _csv_column(rows: List[List[str]], col: int, path: str) -> np.ndarray:
+    name = rows[0][col]
+    try:
+        vals = np.array([float(r[col]) for r in rows[1:]])
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"input {path}: bad {name} value: {exc}") from None
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"input {path}: bad {name} value: not finite")
+    return vals
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -610,7 +615,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "invert":
             return cmd_invert(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, SimConfigError) as exc:
+    except (ConfigError, SimConfigError, InversionDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

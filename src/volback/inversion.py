@@ -20,21 +20,19 @@ and (I - DK[u]) has a Neumann-series inverse with norm at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import QuadratureRule, SimplexPoint, simplex_nodes
+from .simplex import QuadratureRule
 from .volterra import (
     GainFunctions,
     GridFunction,
-    MeshCascade,
+    QuadratureNode,
     VolterraKernelSeries,
-    _monomial_map,
     gain_ell,
     gain_k,
-    linearized_profile,
+    linearized_values,
     series_profile,
 )
 
@@ -174,17 +172,9 @@ def frechet_dk(
     u._check_mesh(h)
     total = 0.0
     for n, kern in series.kernels.items():
-        pts, wts = simplex_nodes(n, x, rule)
-        if len(wts) == 0:
-            continue
-        kvals = np.asarray(kern(x, pts), dtype=float)
-        uvals = u.interp(pts)
-        hvals = h.interp(pts)
+        node = QuadratureNode(kern, n, x, rule, u.mesh)
         for slot in range(n):
-            prod = np.prod(
-                np.where(np.arange(n)[None, :] == slot, hvals, uvals), axis=1
-            )
-            total += float(np.dot(kvals * prod, wts))
+            total += float(node.value([h.values if i == slot else u.values for i in range(n)]))
     return total
 
 
@@ -193,26 +183,11 @@ def dk_matrix(
 ) -> np.ndarray:
     """Dense mesh matrix of h -> DK[u] h (columns are basis responses).
 
-    For polynomial kernels each slot is one cascade call on all basis
-    vectors at once (rows of the identity, memory O(M^2) per trie node);
-    otherwise every column is a quadrature-path linearized profile.
+    One batched linearized profile of all basis vectors at once (rows of
+    the identity, memory O(M^2) per cascade trie node or quadrature
+    node); non-polynomial kernels need ``rule``.
     """
-    m = u.size
-    monomials = [_monomial_map(k) for k in series.kernels.values()]
-    if None in monomials:
-        out = np.empty((m, m))
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = 1.0
-            out[:, i] = linearized_profile(series, u, GridFunction(e), rule).values
-        return out
-    basis = np.eye(m)
-    rows = np.zeros((m, m))
-    for n, mono in zip(series.kernels, monomials):
-        cascade = MeshCascade(mono, u.mesh)
-        for slot in range(n):
-            rows += cascade.profile([basis if i == slot else u.values for i in range(n)])
-    return np.ascontiguousarray(rows.T)
+    return np.ascontiguousarray(linearized_values(series, u, np.eye(u.size), rule).T)
 
 
 def neumann_norm_estimate(

@@ -14,6 +14,11 @@ which together with ``x`` determine the point (the innermost coordinate
 is ``x - sum(gaps)``).  Gap coordinates are the natural variables for the
 divided-power calculus in :mod:`volback.gapcascade`.
 
+Two cached enumerators serve the kernel constructions: the
+order-preserving splits of trailing positions into two blocks
+(:func:`ordered_splits`) and the multi-indices of a given weight
+(:func:`compositions`).
+
 Three quadrature rules are provided, all returning nodes strictly inside
 the simplex description:
 
@@ -33,6 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable
 
 import numpy as np
@@ -255,3 +262,37 @@ def integrate_simplex(
     else:
         vals = np.array([integrand(SimplexPoint(x, tuple(row))) for row in pts])
     return float(np.dot(vals, w))
+
+
+@lru_cache(maxsize=None)
+def ordered_splits(
+    total: int, first_size: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """All splits of the positions 0..total-1 into two order-preserving blocks.
+
+    Returns ``(first, second)`` pairs with ``first_size`` positions in
+    ``first``; both blocks are ascending.  The count is
+    binomial(total, first_size).
+    """
+    if not (0 <= first_size <= total):
+        raise SimplexDomainError(
+            f"block size {first_size} out of range for {total} positions"
+        )
+    return tuple(
+        (chosen, tuple(i for i in range(total) if i not in chosen))
+        for chosen in combinations(range(total), first_size)
+    )
+
+
+@lru_cache(maxsize=None)
+def compositions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
+    """All multi-indices of length ``slots`` whose entries sum to ``total``."""
+    if slots == 0:
+        return ((),) if total == 0 else ()
+    out = []
+    for bars in combinations_with_replacement(range(slots), total):
+        vec = [0] * slots
+        for b in bars:
+            vec[b] += 1
+        out.append(tuple(vec))
+    return tuple(out)

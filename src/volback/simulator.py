@@ -8,6 +8,13 @@ with dt = CFL * dx, and the boundary node is refreshed with the feedback
 value at every stage so the scheme stays consistent with the
 time-varying boundary condition.
 
+Each kernel order of the controller, and of any plant other than the
+builtin quadratic one, is evaluated by its
+:func:`~volback.volterra.term_evaluator`, built once per run: the mesh
+cascade for polynomial kernels, simplex quadrature for every other
+kernel, which needs an explicit ``rule``.  The builtin plant keeps its
+closed form (int_0^x u)^2 / 2.
+
 Also here: the target semigroup (pure left transport with zero inflow,
 which annihilates any profile in finite time 1), the closed-loop
 stability constants, and the mild-solution residual that measures how
@@ -29,10 +36,12 @@ from .simplex import QuadratureRule
 from .volterra import (
     GridFunction,
     MeshCascade,
+    QuadratureTerm,
     VolterraKernelSeries,
-    _monomial_map,
-    _order_value,
+    profile_of,
     series_profile,
+    series_terms,
+    term_evaluator,
 )
 
 CONTROLLERS = ("open-loop", "order-2", "order-3", "full-N_max")
@@ -161,70 +170,22 @@ def _normalize_kernels(kernels) -> Dict[int, Callable]:
     return {node.order: node for node in kernels}
 
 
-def _mesh_tensor_value(kern: Callable, n: int, u: GridFunction) -> float:
-    """Mesh-aligned nested trapezoid for a non-polynomial kernel at x = 1.
-
-    Materializes the kernel on the full triangular mesh tensor, so it is
-    only practical for n <= 3; polynomial kernels never come here.
-    """
-    if n > 3:
-        raise MissingKernelError(
-            "mesh-aligned feedback for non-polynomial kernels supports orders <= 3"
-        )
-    mesh = u.mesh
-    m = u.size
-    dx = u.dx
-    wt = np.full(m, dx)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
-
-    if n == 2:
-        x1, x2 = np.meshgrid(mesh, mesh, indexing="ij")
-        pts = np.stack([x1.ravel(), x2.ravel()], axis=1)
-        kv = np.asarray(kern(1.0, pts), dtype=float).reshape(m, m)
-        uu = u.values
-        inner = np.zeros(m)
-        for j in range(1, m):
-            wrow = np.full(j + 1, dx)
-            wrow[0] *= 0.5
-            wrow[-1] *= 0.5
-            inner[j] = float(np.dot(kv[j, : j + 1] * uu[: j + 1], wrow))
-        return float(np.dot(inner * uu, wt))
-    x1, x2, x3 = np.meshgrid(mesh, mesh, mesh, indexing="ij")
-    pts = np.stack([x1.ravel(), x2.ravel(), x3.ravel()], axis=1)
-    kv = np.asarray(kern(1.0, pts), dtype=float).reshape(m, m, m)
-    uu = u.values
-    total = 0.0
-    for j in range(1, m):
-        inner2 = np.zeros(j + 1)
-        for i in range(1, j + 1):
-            wrow = np.full(i + 1, dx)
-            wrow[0] *= 0.5
-            wrow[-1] *= 0.5
-            inner2[i] = float(np.dot(kv[j, i, : i + 1] * uu[: i + 1], wrow))
-        wmid = np.full(j + 1, dx)
-        wmid[0] *= 0.5
-        wmid[-1] *= 0.5
-        outerw = wt[j]
-        total += outerw * uu[j] * float(np.dot(inner2 * uu[: j + 1], wmid))
-    return total
-
-
 def feedback(
     u: GridFunction,
     kernels,
     order_cap: int | None = None,
     rule: QuadratureRule | None = None,
-    cascades: Mapping[int, MeshCascade] | None = None,
+    terms: Mapping[int, MeshCascade | QuadratureTerm] | None = None,
 ) -> float:
     """Boundary value K[u](1) summed over kernel orders up to the cap.
 
-    Polynomial kernels are integrated by the mesh-aligned nested
-    trapezoid cascade; ``cascades`` may supply prebuilt ones for the
-    mesh of ``u`` (``simulate`` builds them once per run), else each
-    call builds its own.  Every order 2..order_cap must be present in
-    ``kernels`` (pass the zero kernel explicitly if an order genuinely
-    vanishes).
+    Each order is the x = 1 endpoint of its :func:`term_evaluator`: the
+    mesh-aligned nested trapezoid cascade for polynomial kernels, else
+    simplex quadrature with ``rule`` (required then).  ``terms`` may
+    supply prebuilt evaluators for the mesh of ``u`` (``simulate``
+    builds them once per run), else each call builds its own.  Every
+    order 2..order_cap must be present in ``kernels`` (pass the zero
+    kernel explicitly if an order genuinely vanishes).
     """
     table = _normalize_kernels(kernels)
     if order_cap is None:
@@ -233,20 +194,9 @@ def feedback(
     for n in range(2, order_cap + 1):
         if n not in table:
             raise MissingKernelError(f"feedback needs the order-{n} kernel")
-        kern = table[n]
-        cascade = (cascades or {}).get(n) or _cascade_of(kern, u.mesh)
-        if cascade is not None:
-            total += float(cascade.endpoint([u.values] * n))
-        elif rule is not None:
-            total += _order_value(kern, n, u, 1.0, rule)
-        else:
-            total += _mesh_tensor_value(kern, n, u)
+        term = (terms or {}).get(n) or term_evaluator(table[n], n, u.mesh, rule)
+        total += float(term.endpoint([u.values] * n))
     return total
-
-
-def _cascade_of(kern: Callable, mesh: np.ndarray) -> MeshCascade | None:
-    mono = _monomial_map(kern)
-    return None if mono is None else MeshCascade(mono, mesh)
 
 
 def _controller_cap(controller: str, table: Dict[int, Callable]) -> int | None:
@@ -270,7 +220,9 @@ def simulate(
     ``plant`` may be None (pure transport, the target system) or a
     kernel series; the quadratic integral example is recognised and uses
     its closed-form nonlinearity.  ``kernels`` supplies the controller
-    kernels for the non-open-loop controllers.  Halts early when the sup
+    kernels for the non-open-loop controllers; ``rule`` is the quadrature
+    rule for non-polynomial kernels (without one they are rejected before
+    the first step).  Halts early when the sup
     norm passes the blow-up threshold or any value goes non-finite, and
     records that time.
     """
@@ -280,17 +232,12 @@ def simulate(
     dt = cfg.cfl * dx
     table = _normalize_kernels(kernels)
     cap = _controller_cap(cfg.controller, table)
-    if cfg.controller != "open-loop":
-        if not table:
-            raise MissingKernelError(
-                f"controller {cfg.controller!r} needs kernels"
-            )
-        for n in range(2, (cap or 1) + 1):
-            if n not in table:
-                raise MissingKernelError(f"controller needs the order-{n} kernel")
+    if cfg.controller != "open-loop" and not table:
+        raise MissingKernelError(f"controller {cfg.controller!r} needs kernels")
 
     nonlinearity = _plant_nonlinearity(plant, rule, mesh)
-    cascades = {n: _cascade_of(table[n], mesh) for n in range(2, (cap or 1) + 1)}
+    # A missing order up to the cap is rejected by the first feedback call.
+    terms = {n: term_evaluator(k, n, mesh, rule) for n, k in table.items() if n <= (cap or 1)}
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = _advection(values, dx)
@@ -301,7 +248,7 @@ def simulate(
     def boundary(values: np.ndarray) -> float:
         if cap is None:
             return 0.0
-        return feedback(GridFunction(values), table, cap, rule, cascades)
+        return feedback(GridFunction(values), table, cap, rule, terms)
 
     n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-12)))
     frame_ids = set(
@@ -373,10 +320,8 @@ def _plant_nonlinearity(
 
         return quadratic
 
-    def generic(values: np.ndarray) -> np.ndarray:
-        return series_profile(plant, GridFunction(values), rule).values
-
-    return generic
+    terms = series_terms(plant, mesh, rule)
+    return lambda values: profile_of(terms, values)
 
 
 def target_semigroup(w0: GridFunction, t: float) -> GridFunction:

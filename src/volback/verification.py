@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from .charkernels import (
-    KernelNode,
     _eval_B_rows,
     build_controller_kernels,
     pdae_plant,
@@ -41,7 +40,7 @@ from .gapcascade import (
 )
 from .inversion import choose_radius, lipschitz_check
 from .polynomial import RationalPoly
-from .simplex import QuadratureRule, SimplexPoint, integrate_simplex
+from .simplex import QuadratureRule, SimplexPoint, compositions, integrate_simplex
 from .volterra import (
     VolterraKernelSeries,
     build_gains,
@@ -133,7 +132,7 @@ def check_transport_invariance(seed: int = 0) -> CheckResult:
     indices = [
         p
         for total in range(0, 5)
-        for p in _compositions_upto(total, n)
+        for p in compositions(total, n)
     ]
     pts = []
     while len(pts) < 20:
@@ -153,16 +152,6 @@ def check_transport_invariance(seed: int = 0) -> CheckResult:
         passed,
         f"max |directional derivative| {worst:.2e} over {len(indices)} indices",
     )
-
-
-def _compositions_upto(total: int, slots: int) -> List[MultiIndex]:
-    if slots == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions_upto(total - first, slots - 1):
-            out.append((first,) + rest)
-    return out
 
 
 def _random_family(rng: np.random.Generator, n: int) -> Dict[MultiIndex, RationalPoly]:

@@ -8,15 +8,19 @@ with the order-n kernel f_n defined on the ordered simplex T_n(x).  The
 same shape describes the plant nonlinearity, the state transformation,
 and its inverse, so one module serves all three.
 
-Evaluation comes in two flavours.  :func:`eval_series` integrates at a
-single ``x`` with any quadrature rule.  :func:`series_profile` returns
-the whole profile ``x -> F[u](x)`` on the mesh of ``u``; for polynomial
-kernels it uses :class:`MeshCascade`, a cascade of cumulative trapezoid
-sums (each nested integral collapses to one pass over the mesh) that
-shares the inner passes between monomials with equal trailing
-exponents.  The simulator builds one cascade per controller order once
-per run and evaluates only its x = 1 endpoint at every stage; this is
-what makes the simulator and the Picard iteration affordable.
+Each multilinear term is evaluated on a mesh by one of two evaluators
+with the same interface (``profile`` for the whole mesh, ``endpoint``
+for x = 1 only; factors may carry leading batch axes), chosen by
+:func:`term_evaluator`.  Polynomial kernels get a :class:`MeshCascade`,
+cumulative trapezoid sums (each nested integral is one pass over the
+mesh) that share the inner passes between monomials with equal trailing
+exponents.  Every other kernel gets a :class:`QuadratureTerm`: simplex
+quadrature at each mesh node with an explicit rule, the factors
+interpolated linearly; without a rule such a kernel is a
+:class:`SeriesDefinitionError`.  Profiles, derivatives, the derivative
+matrix and the simulator all go through this choice;
+:func:`eval_series` and the point derivative use the single-x
+:class:`QuadratureNode` directly.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -32,8 +36,9 @@ times ``k``'s coefficient for s**n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -212,22 +217,63 @@ def eval_series(
     if x == 0.0 or series.is_zero():
         return 0.0
     return sum(
-        _order_value(kern, n, u, x, rule) for n, kern in series.kernels.items()
+        float(QuadratureNode(kern, n, x, rule, u.mesh).value([u.values] * n))
+        for n, kern in series.kernels.items()
     )
 
 
-def _order_value(
-    kern: Callable, n: int, u: GridFunction, x: float, rule: QuadratureRule
-) -> float:
-    """Quadrature of one multilinear term at a single upper limit."""
-    if x == 0.0:
-        return 0.0
-    pts, w = simplex_nodes(n, x, rule)
-    if len(w) == 0:
-        return 0.0
-    vals = np.asarray(kern(x, pts), dtype=float)
-    uprod = np.prod(u.interp(pts), axis=1)
-    return float(np.dot(vals * uprod, w))
+class QuadratureNode:
+    """One multilinear term at a single upper limit ``x``, by simplex quadrature.
+
+    ``value(factors)`` is int_{T_n(x)} kern(x, xi) prod_i factors[i](xi_i) dxi
+    over the nodes of ``rule``, each factor a mesh sample interpolated
+    linearly exactly as ``np.interp`` does.  The nodes, weights, kernel
+    values and bracketing mesh cells are computed once; factors may
+    carry leading batch axes.
+    """
+
+    def __init__(
+        self, kern: Callable, n: int, x: float, rule: QuadratureRule, mesh: np.ndarray
+    ) -> None:
+        pts, self.weights = simplex_nodes(n, x, rule)
+        self.kvals = np.asarray(kern(x, pts), dtype=float) if len(pts) else np.zeros(0)
+        lo = np.clip(np.searchsorted(mesh, pts, side="right") - 1, 0, mesh.size - 1)
+        hi = np.minimum(lo + 1, mesh.size - 1)
+        span = np.where(hi > lo, mesh[hi] - mesh[lo], 1.0)  # the last node: its sample
+        offset = pts - mesh[lo]
+        self.cells = [(lo[:, i], hi[:, i], span[:, i], offset[:, i]) for i in range(n)]
+
+    def value(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
+        prod = 1.0
+        for f, (lo, hi, span, offset) in zip(factors, self.cells):
+            low = f[..., lo]
+            prod = prod * ((f[..., hi] - low) / span * offset + low)
+        return np.dot(self.kvals * prod, self.weights)
+
+
+class QuadratureTerm:
+    """Per-node simplex quadrature of one multilinear term on a mesh.
+
+    The evaluator for kernels without monomials: one
+    :class:`QuadratureNode` per mesh node, built on first use, so
+    ``endpoint`` evaluates the kernel at x = 1 only.
+    """
+
+    def __init__(
+        self, kern: Callable, n: int, mesh: np.ndarray, rule: QuadratureRule
+    ) -> None:
+        self.size = mesh.size
+        self.node = lru_cache(maxsize=None)(
+            lambda j: QuadratureNode(kern, n, float(mesh[j]), rule, mesh)
+        )
+
+    def profile(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """The term on the whole mesh, shape (..., M)."""
+        return np.stack([self.node(j).value(factors) for j in range(self.size)], axis=-1)
+
+    def endpoint(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
+        """The term at x = 1 only."""
+        return self.node(self.size - 1).value(factors)
 
 
 def _sum_from_zero(terms: np.ndarray, axis: int) -> np.ndarray:
@@ -311,6 +357,38 @@ class MeshCascade:
         return _sum_from_zero(self.coef * ends * self.e_ends, -1)
 
 
+def term_evaluator(
+    kern: Callable, n: int, mesh: np.ndarray, rule: QuadratureRule | None = None
+) -> MeshCascade | QuadratureTerm:
+    """The mesh evaluator of one order-n term: the cascade if ``kern``
+    is polynomial, else per-node quadrature with ``rule``."""
+    mono = _monomial_map(kern)
+    if mono is not None:
+        return MeshCascade(mono, mesh)
+    if rule is None:
+        raise SeriesDefinitionError(
+            f"order-{n} kernel is not polynomial; evaluating it needs a quadrature rule"
+        )
+    return QuadratureTerm(kern, n, mesh, rule)
+
+
+def series_terms(
+    series: VolterraKernelSeries, mesh: np.ndarray, rule: QuadratureRule | None = None
+) -> Dict[int, MeshCascade | QuadratureTerm]:
+    """One :func:`term_evaluator` per order of ``series``."""
+    return {n: term_evaluator(kern, n, mesh, rule) for n, kern in series.kernels.items()}
+
+
+def profile_of(
+    terms: Mapping[int, MeshCascade | QuadratureTerm], values: np.ndarray
+) -> np.ndarray:
+    """Sum of the term profiles at the mesh samples ``values``."""
+    out = np.zeros(values.size)
+    for n, term in terms.items():
+        out += term.profile([values] * n)
+    return out
+
+
 def series_profile(
     series: VolterraKernelSeries,
     u: GridFunction,
@@ -318,25 +396,29 @@ def series_profile(
 ) -> GridFunction:
     """The full profile x -> F[u](x) on the mesh of ``u``.
 
-    Polynomial kernels go through a :class:`MeshCascade` built for this
-    call (its set-up cost does not depend on the mesh size).  A
-    non-polynomial kernel needs an explicit ``rule`` and falls back to
-    per-node quadrature, which is orders of magnitude slower.
+    The evaluators are built for this call (a cascade's set-up cost does
+    not depend on the mesh size); non-polynomial kernels need ``rule``.
     """
-    mesh = u.mesh
-    out = np.zeros_like(mesh)
-    for n, kern in series.kernels.items():
-        mono = _monomial_map(kern)
-        if mono is not None:
-            out += MeshCascade(mono, mesh).profile([u.values] * n)
-            continue
-        if rule is None:
-            raise SeriesDefinitionError(
-                f"order-{n} kernel is not polynomial; series_profile needs a quadrature rule"
-            )
-        for j, xj in enumerate(mesh):
-            out[j] += _order_value(kern, n, u, float(xj), rule)
-    return GridFunction(out)
+    return GridFunction(profile_of(series_terms(series, u.mesh, rule), u.values))
+
+
+def linearized_values(
+    series: VolterraKernelSeries,
+    u: GridFunction,
+    h: np.ndarray,
+    rule: QuadratureRule | None = None,
+) -> np.ndarray:
+    """The derivative of F at ``u`` applied to the mesh samples ``h``.
+
+    The derivative of an order-n term replaces one ``u`` factor by ``h``
+    in each of the n slots and sums the results.  ``h`` may carry
+    leading batch axes (the result then has them too).
+    """
+    out = np.zeros(h.shape[:-1] + (u.size,))
+    for n, term in series_terms(series, u.mesh, rule).items():
+        for slot in range(n):
+            out += term.profile([h if i == slot else u.values for i in range(n)])
+    return out
 
 
 def linearized_profile(
@@ -345,46 +427,9 @@ def linearized_profile(
     h: GridFunction,
     rule: QuadratureRule | None = None,
 ) -> GridFunction:
-    """Profile of the derivative of F at ``u`` applied to ``h``.
-
-    The derivative of an order-n term replaces one ``u`` factor by ``h``
-    in each of the n slots and sums the results.
-    """
+    """Profile of the derivative of F at ``u`` applied to ``h``."""
     u._check_mesh(h)
-    mesh = u.mesh
-    out = np.zeros_like(mesh)
-    for n, kern in series.kernels.items():
-        mono = _monomial_map(kern)
-        if mono is None:
-            if rule is None:
-                raise SeriesDefinitionError(
-                    f"order-{n} kernel is not polynomial; linearized_profile needs a quadrature rule"
-                )
-            for j in range(len(mesh)):
-                out[j] += _linearized_at_point(kern, n, u, h, float(mesh[j]), rule)
-            continue
-        cascade = MeshCascade(mono, mesh)
-        for slot in range(n):
-            out += cascade.profile([h.values if i == slot else u.values for i in range(n)])
-    return GridFunction(out)
-
-
-def _linearized_at_point(
-    kern: Callable, n: int, u: GridFunction, h: GridFunction, x: float, rule: QuadratureRule
-) -> float:
-    if x == 0.0:
-        return 0.0
-    pts, w = simplex_nodes(n, x, rule)
-    if len(w) == 0:
-        return 0.0
-    kvals = np.asarray(kern(x, pts), dtype=float)
-    uvals = u.interp(pts)
-    hvals = h.interp(pts)
-    total = 0.0
-    for slot in range(n):
-        prod = np.prod(np.where(np.arange(n)[None, :] == slot, hvals, uvals), axis=1)
-        total += float(np.dot(kvals * prod, w))
-    return total
+    return GridFunction(linearized_values(series, u, h.values, rule))
 
 
 def kernel_l2_sq(series: VolterraKernelSeries, n: int, rule: QuadratureRule) -> float:

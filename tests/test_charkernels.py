@@ -10,7 +10,6 @@ from volback.charkernels import (
     KernelNode,
     PlantAssumptionError,
     build_controller_kernels,
-    enumerate_shuffles,
     eval_B,
     is_pdae_plant,
     kernel_characteristic,
@@ -18,47 +17,50 @@ from volback.charkernels import (
     pdae_plant,
 )
 from volback.polynomial import pdae_k2, pdae_k3
-from volback.simplex import SimplexPoint
+from volback.simplex import SimplexDomainError, SimplexPoint, ordered_splits
 from volback.volterra import VolterraKernelSeries
 
 from conftest import random_simplex_points
 
 
 class TestShuffles:
+    """The coupling operator's two-block splits for leg j of B[n, m], p = n - m + 1:
+    ordered_splits(p + m - 1 - j, p - j), the k-block first."""
+
     def test_single_element_goes_to_f_block(self):
-        tuples = enumerate_shuffles(1, 2, 1)
-        assert len(tuples) == 1
-        assert tuples[0].k_block == ()
-        assert len(tuples[0].f_block) == 1
+        splits = ordered_splits(1, 0)
+        assert len(splits) == 1
+        assert splits[0][0] == ()
+        assert len(splits[0][1]) == 1
 
     def test_two_element_case(self):
-        tuples = enumerate_shuffles(2, 2, 1)
-        assert len(tuples) == 2
-        seen = {(t.k_block, t.f_block) for t in tuples}
-        assert len(seen) == 2
+        splits = ordered_splits(2, 1)
+        assert len(splits) == 2
+        assert len(set(splits)) == 2
 
     def test_last_leg(self):
-        assert len(enumerate_shuffles(3, 2, 3)) == 1
+        assert len(ordered_splits(1, 0)) == 1
 
     @pytest.mark.parametrize("p", range(1, 6))
     @pytest.mark.parametrize("m", range(2, 5))
     def test_counts_match_binomial(self, p, m):
         for j in range(1, p + 1):
-            got = len(enumerate_shuffles(p, m, j))
+            got = len(ordered_splits(p + m - 1 - j, p - j))
             assert got == math.comb(p + m - 1 - j, m - 1)
 
     def test_blocks_preserve_order(self):
-        for t in enumerate_shuffles(4, 3, 1):
-            assert list(t.k_block) == sorted(t.k_block)
-            assert list(t.f_block) == sorted(t.f_block)
+        for k_block, f_block in ordered_splits(6, 3):
+            assert list(k_block) == sorted(k_block)
+            assert list(f_block) == sorted(f_block)
+            assert sorted(k_block + f_block) == list(range(6))
 
     def test_bounds_validated(self):
-        with pytest.raises(KernelConfigError):
-            enumerate_shuffles(0, 2, 1)
-        with pytest.raises(KernelConfigError):
-            enumerate_shuffles(2, 1, 1)
-        with pytest.raises(KernelConfigError):
-            enumerate_shuffles(2, 2, 3)
+        with pytest.raises(SimplexDomainError):
+            ordered_splits(2, 3)
+        with pytest.raises(SimplexDomainError):
+            ordered_splits(2, -1)
+        with pytest.raises(SimplexDomainError):
+            ordered_splits(-1, 0)
 
 
 class TestEvalB:

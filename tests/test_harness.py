@@ -213,6 +213,38 @@ class TestMain:
         assert main(["invert", "--input", str(target)]) == 2
         assert "bad w value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["check_gains", "check_inversion"])
+    def test_dropped_check_keys_exit_2(self, out_root, tmp_path, capsys, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"plant = pdae\ncontroller = order-2\nmesh_points = 51\n{key} = true\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    def test_invert_with_mesh_column(self, out_root, tmp_path):
+        target = tmp_path / "target.csv"
+        rows = [f"{x:.12g},{0.05 * np.sin(np.pi * x):.12g}" for x in np.linspace(0, 1, 21)]
+        target.write_text("x,w\n" + "\n".join(rows) + "\n")
+        assert main(["invert", "--input", str(target)]) == 0
+        assert (out_root / "invert" / "result.csv").exists()
+
+    def test_invert_without_w_column_exits_2(self, out_root, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("x,v\n0,0\n0.5,0.01\n1,0\n")
+        assert main(["invert", "--input", str(target)]) == 2
+        assert "no 'w' column; found ['x', 'v']" in capsys.readouterr().err
+
+    def test_invert_nonuniform_x_exits_2(self, out_root, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("x,w\n0,0\n0.4,0.01\n1,0\n")
+        assert main(["invert", "--input", str(target)]) == 2
+        assert "not the uniform mesh" in capsys.readouterr().err
+
+    def test_invert_outside_certified_ball_exits_2(self, out_root, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("x,w\n0,0\n0.5,5\n1,0\n")
+        assert main(["invert", "--input", str(target)]) == 2
+        assert "is not below rho_L" in capsys.readouterr().err
+
     def test_explicit_output_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VOLBACK_OUTPUT_ROOT", str(tmp_path / "ignored"))
         chosen = tmp_path / "chosen"

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from volback import simulator, volterra
 from volback.charkernels import pdae_plant
+from volback.harness import build_kernel_table, load_plant
 from volback.simulator import (
     CONTROLLERS,
     MissingKernelError,
@@ -27,7 +29,7 @@ from volback.simulator import (
     write_series_csv,
     write_snapshots_csv,
 )
-from volback.volterra import GridFunction
+from volback.volterra import GridFunction, SeriesDefinitionError, VolterraKernelSeries
 
 
 class TestConfig:
@@ -126,15 +128,53 @@ class TestFeedback:
         with pytest.raises(MissingKernelError):
             feedback(u, only3, order_cap=3)
 
-    def test_mesh_tensor_path_agrees_with_cascade(self, kernel_table):
+    @staticmethod
+    def opaque(kernel_table, orders):
+        """The kernels behind plain callables, so no monomials are visible."""
+        return {n: (lambda x, pts, _k=kernel_table[n]: _k(x, pts)) for n in orders}
+
+    def test_quadrature_path_agrees_with_cascade(self, kernel_table, gl8):
         mesh = np.linspace(0.0, 1.0, 81)
         u = GridFunction(0.8 * np.sin(math.pi * mesh))
-        poly = feedback(u, {2: kernel_table[2]}, order_cap=2)
-        # wrap the kernel so the monomial fast path cannot recognise it
-        raw = kernel_table[2]
-        opaque = {2: lambda x, pts: raw(x, pts)}
-        tensor = feedback(u, opaque, order_cap=2)
-        assert tensor == pytest.approx(poly, abs=1e-6)
+        for cap in (2, 3):
+            poly = feedback(u, kernel_table, order_cap=cap)
+            quad = feedback(u, self.opaque(kernel_table, (2, 3)), order_cap=cap, rule=gl8)
+            assert quad == pytest.approx(poly, abs=5e-5)
+
+    def test_opaque_kernel_needs_rule(self, plant, kernel_table, monkeypatch):
+        u = GridFunction(np.ones(51))
+        opaque = self.opaque(kernel_table, (2, 3))
+        with pytest.raises(SeriesDefinitionError):
+            feedback(u, opaque, order_cap=3)
+
+        def no_step(values, dx):
+            raise AssertionError("simulate stepped before rejecting the kernel")
+
+        monkeypatch.setattr(simulator, "_advection", no_step)
+        cfg = SimConfig(controller="order-3", t_end=0.1, mesh_points=51)
+        with pytest.raises(SeriesDefinitionError):
+            simulate(cfg, plant, opaque)
+        opaque_plant = VolterraKernelSeries({2: lambda p: 1.0})
+        with pytest.raises(SeriesDefinitionError):
+            simulate(cfg, opaque_plant, kernel_table)
+
+    def test_file_plant_builds_each_cascade_once(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counting(volterra.MeshCascade):
+            def __init__(self, monomials, mesh):
+                built.append(len(next(iter(monomials))[1]) if monomials else 0)
+                super().__init__(monomials, mesh)
+
+        monkeypatch.setattr(volterra, "MeshCascade", Counting)
+        path = tmp_path / "plant.txt"
+        path.write_text("2 0,1 1\n")
+        plant = load_plant(str(path))
+        kernels = build_kernel_table(plant, 3)
+        cfg = SimConfig(controller="order-3", t_end=0.2, mesh_points=51)
+        rec = simulate(cfg, plant.series, kernels)
+        assert rec.blow_up is None
+        assert sorted(built) == [2, 2, 3]
 
 
 class TestSimulate:

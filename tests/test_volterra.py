@@ -15,11 +15,13 @@ from volback.charkernels import pdae_plant
 from volback.harness import build_kernel_table, load_plant
 from volback.inversion import dk_matrix
 from volback.polynomial import pdae_k2, pdae_k3
-from volback.simplex import QuadratureRule, SimplexDomainError
+from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
 from volback.volterra import (
     GainFunctions,
     GridFunction,
     MeshCascade,
+    QuadratureNode,
+    QuadratureTerm,
     SeriesDefinitionError,
     VolterraKernelSeries,
     build_gains,
@@ -315,6 +317,71 @@ class TestMeshCascade:
             linearized_profile(series, u, GridFunction(e)).values for e in np.eye(m)
         ]
         assert np.array_equal(dk_matrix(series, u), np.column_stack(columns))
+
+
+def opaque_series():
+    """The builtin order-2 and order-3 kernels behind plain callables (no monomials)."""
+    kernels = {}
+    for n, poly in ((2, pdae_k2()), (3, pdae_k3())):
+        kernels[n] = lambda x, pts, _p=poly: _p(x, pts)
+        kernels[n].vectorized = True
+    return VolterraKernelSeries(kernels)
+
+
+class TestQuadratureTerm:
+    def test_node_is_interp_quadrature(self):
+        """A node equals np.interp factors, np.prod and np.dot bit for bit,
+        also with quadrature points on the last mesh node (trapezoid rule)."""
+        mesh = np.linspace(0.0, 1.0, 21)
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, mesh.size))
+        firsts = np.concatenate([np.eye(mesh.size), rng.standard_normal((10, mesh.size))])
+
+        def kern(x, pts):
+            return np.cos(x + pts @ [1.0, 2.0, 3.0])
+
+        for rule in (GL8, QuadratureRule.trapezoid(5)):
+            for x in (0.3, 1.0):
+                pts, w = simplex_nodes(3, x, rule)
+                node = QuadratureNode(kern, 3, x, rule, mesh)
+                for first in firsts:
+                    factors = [first, a, b]
+                    vals = [np.interp(pts[:, i], mesh, f) for i, f in enumerate(factors)]
+                    want = np.dot(kern(x, pts) * np.prod(np.stack(vals, axis=1), axis=1), w)
+                    assert node.value(factors) == want
+
+    def test_batched_profile_and_endpoint(self):
+        mesh = np.linspace(0.0, 1.0, 21)
+        term = QuadratureTerm(opaque_series().kernel(3), 3, mesh, GL8)
+        rng = np.random.default_rng(5)
+        batch = rng.standard_normal((3, mesh.size))
+        u = np.sin(mesh)
+        prof = term.profile([u, batch, u])
+        assert prof.shape == (3, mesh.size) and prof[:, 0].tolist() == [0.0] * 3
+        for b in range(3):
+            row = term.profile([u, batch[b], u])
+            assert np.allclose(prof[b], row, rtol=1e-12, atol=1e-15)
+            assert term.endpoint([u, batch[b], u]) == row[-1]
+
+    def test_opaque_kernels_need_a_rule(self):
+        series = opaque_series()
+        u = GridFunction(np.ones(11))
+        with pytest.raises(SeriesDefinitionError):
+            series_profile(series, u)
+        with pytest.raises(SeriesDefinitionError):
+            linearized_profile(series, u, u)
+        with pytest.raises(SeriesDefinitionError):
+            dk_matrix(series, u)
+
+    def test_dk_matrix_equals_columns(self):
+        series = opaque_series()
+        m = 21
+        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, m)) + 0.1)
+        columns = [
+            linearized_profile(series, u, GridFunction(e), GL8).values for e in np.eye(m)
+        ]
+        assert np.allclose(dk_matrix(series, u, GL8), np.column_stack(columns),
+                           rtol=1e-12, atol=1e-15)
 
 
 def test_import_leaves_scipy_out():
