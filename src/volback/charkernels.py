@@ -23,10 +23,19 @@ where (A, B) runs over all order-preserving distributions of the
 trailing coordinates (xi_j, ..., xi_n) into a k-block of size p - j and
 an f-block of size m, enumerated by :func:`volback.simplex.ordered_splits`.
 
-All 1-D integrals use composite Gauss-Legendre (5 nodes per panel,
-configurable panel count, default 32).  The integrands are smooth for
-every plant in scope, and polynomial plants are integrated exactly once
-the per-panel degree suffices.
+Every 1-D integral is one Gauss-Legendre rule on [0, 1] whose node
+count is worked out from polynomial degrees, so the recursion
+reproduces the polynomial kernels up to rounding.  The plant kernels
+must be polynomial (:class:`~volback.polynomial.SimplexPolyKernel`).
+B[n, m] has degree at most deg k_p + deg f_m + 1 and the characteristic
+integral adds one degree, so the order-n kernel has degree at most
+
+    D_n = 1 + max(deg f_n, max_m (1 + D_{n-m+1} + deg f_m)).
+
+An integral whose value has degree D has an integrand of degree at most
+D - 1 in the reference variable, and ceil(D / 2) Gauss-Legendre nodes
+integrate degree 2 ceil(D / 2) - 1 >= D - 1 exactly (Golub & Welsch,
+Math. Comp. 23 (1969) 221-230).
 """
 
 from __future__ import annotations
@@ -38,16 +47,13 @@ from typing import Callable, Dict, Iterable, Mapping
 import numpy as np
 
 from .polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
-from .simplex import QuadratureRule, SimplexPoint, ordered_splits
+from .simplex import SimplexPoint, ordered_splits
 from .volterra import VolterraKernelSeries, check_growth_assumption
 
 PROVENANCES = ("closed-form", "characteristic-recursion", "gap-cascade")
 
-GL_NODES_PER_PANEL = 5
-DEFAULT_PANELS = 32
-
 # Rows per chunk in recursive evaluation, chosen so one chunk expanded by
-# the per-row quadrature grid stays comfortably in cache-friendly sizes.
+# the per-row quadrature nodes stays comfortably in cache-friendly sizes.
 _CHUNK_BUDGET = 1 << 18
 # Batches larger than this skip the memo cache: quantizing and hashing
 # hundreds of thousands of rows costs more than recomputing them.
@@ -64,23 +70,11 @@ class PlantAssumptionError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _panel_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on the reference [0, 1]."""
-    t, w = np.polynomial.legendre.leggauss(GL_NODES_PER_PANEL)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    offsets = np.arange(panels) / panels
-    nodes = (offsets[:, None] + t[None, :] / panels).ravel()
-    weights = np.broadcast_to(w[None, :] / panels, (panels, len(w))).ravel()
-    return nodes, weights.copy()
-
-
-def _panel_count(rule) -> int:
-    if rule is None:
-        return DEFAULT_PANELS
-    if isinstance(rule, QuadratureRule):
-        return rule.resolution
-    return int(rule)
+def _gauss_grid(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [0, 1] for an integral whose value
+    has degree ``degree``: ceil(degree / 2) nodes, at least one."""
+    t, w = np.polynomial.legendre.leggauss(max(1, (degree + 1) // 2))
+    return 0.5 * (t + 1.0), 0.5 * w
 
 
 class KernelNode:
@@ -93,6 +87,9 @@ class KernelNode:
     large batch evaluations bypass the memo, and polynomial-backed nodes
     never need it.  The cache is lock-protected, so concurrent
     evaluation is safe; nodes are immutable otherwise.
+
+    ``degree`` bounds the kernel's total degree; a node without one
+    cannot be a lower kernel of the recursion.
     """
 
     vectorized = True
@@ -103,6 +100,7 @@ class KernelNode:
         evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray],
         provenance: str,
         polynomial: SimplexPolyKernel | None = None,
+        degree: int | None = None,
     ) -> None:
         if provenance not in PROVENANCES:
             raise KernelConfigError(f"unknown provenance {provenance!r}")
@@ -111,6 +109,7 @@ class KernelNode:
         self.order = order
         self.provenance = provenance
         self.polynomial = polynomial
+        self.degree = polynomial.max_degree() if polynomial is not None else degree
         self._evaluator = evaluator
         self.cache: Dict[tuple, float] = {}
         self._lock = threading.Lock()
@@ -164,6 +163,51 @@ def _as_node_map(lower: Iterable[KernelNode] | Mapping[int, KernelNode]) -> Dict
     return {node.order: node for node in lower}
 
 
+def _degree(kern: Callable, what: str) -> int:
+    """Total degree bound of a polynomial kernel or a kernel node."""
+    if isinstance(kern, SimplexPolyKernel):
+        return kern.max_degree()
+    if isinstance(kern, KernelNode) and kern.degree is not None:
+        return kern.degree
+    raise KernelConfigError(
+        f"{what} has no monomials; the recursion works its quadrature out "
+        "from polynomial degrees"
+    )
+
+
+def _coupling_degree(n: int, m: int, k_lower: Callable, f_m: Callable) -> int:
+    """Degree bound of B[n, m]: deg k_p + deg f_m + 1."""
+    return (
+        _degree(k_lower, f"order-{n - m + 1} lower kernel")
+        + _degree(f_m, f"order-{m} plant kernel")
+        + 1
+    )
+
+
+def _recursion_degree(
+    n: int, plant_kernels: Mapping[int, Callable], lower: Mapping[int, KernelNode]
+) -> int:
+    """The degree bound D_n of the module docstring; 0 when no plant order
+    contributes.  Raises :class:`KernelConfigError` for a plant kernel
+    without monomials or a missing lower kernel."""
+    degrees = []
+    f_n = plant_kernels.get(n)
+    if f_n is not None:
+        degrees.append(_degree(f_n, f"order-{n} plant kernel"))
+    for m in range(2, n):
+        f_m = plant_kernels.get(m)
+        if f_m is None:
+            continue
+        p = n - m + 1
+        node = lower.get(p)
+        if node is None:
+            raise KernelConfigError(
+                f"order-{n} kernel needs the order-{p} kernel for its m={m} coupling"
+            )
+        degrees.append(_coupling_degree(n, m, node, f_m))
+    return 1 + max(degrees) if degrees else 0
+
+
 def _eval_B_rows(
     n: int,
     m: int,
@@ -171,12 +215,11 @@ def _eval_B_rows(
     f_m: Callable,
     x_arr: np.ndarray,
     xi_mat: np.ndarray,
-    panels: int,
 ) -> np.ndarray:
     """Vectorized coupling-operator values for a batch of points."""
     p = n - m + 1
     rows = xi_mat.shape[0]
-    t_ref, w_ref = _panel_grid(panels)
+    t_ref, w_ref = _gauss_grid(_coupling_degree(n, m, k_lower, f_m))
     s_count = len(t_ref)
     chain = np.concatenate([x_arr[:, None], xi_mat], axis=1)
     total = np.zeros(rows)
@@ -217,13 +260,13 @@ def eval_B(
     k_lower: KernelNode | Callable | None,
     f_m: Callable,
     point: SimplexPoint,
-    rule=None,
 ) -> float:
     """Value of the coupling operator B[n, m] at one simplex point.
 
     Requires 2 <= m <= n and a lower kernel of order n - m + 1.  The
     m = n case pairs with the identically-zero first-order kernel and
-    returns 0 without touching ``k_lower``.
+    returns 0 without touching ``k_lower``.  Both kernels must carry a
+    degree (a polynomial or a :class:`KernelNode` with ``degree``).
     """
     if not (2 <= m <= n):
         raise KernelConfigError(f"need 2 <= m <= n, got n={n}, m={m}")
@@ -240,10 +283,9 @@ def eval_B(
         raise KernelConfigError(
             f"lower kernel has order {order}, expected {n - m + 1}"
         )
-    panels = _panel_count(rule)
     x_arr = np.array([point.x])
     xi_mat = np.asarray(point.xi, dtype=float)[None, :]
-    return float(_eval_B_rows(n, m, k_lower, f_m, x_arr, xi_mat, panels)[0])
+    return float(_eval_B_rows(n, m, k_lower, f_m, x_arr, xi_mat)[0])
 
 
 def _characteristic_rows(
@@ -252,11 +294,15 @@ def _characteristic_rows(
     lower: Mapping[int, KernelNode],
     x_arr: np.ndarray,
     xi_mat: np.ndarray,
-    panels: int,
+    degree: int,
 ) -> np.ndarray:
-    """Characteristic-integral kernel values for a batch of points."""
+    """Characteristic-integral kernel values for a batch of points.
+
+    ``degree`` is :func:`_recursion_degree` of this order, which also
+    checks that ``lower`` has every kernel the couplings need.
+    """
     rows = xi_mat.shape[0]
-    t_ref, w_ref = _panel_grid(panels)
+    t_ref, w_ref = _gauss_grid(degree)
     s_count = len(t_ref)
     xi_n = xi_mat[:, -1]
     s_nodes = xi_n[:, None] * t_ref[None, :]
@@ -276,13 +322,7 @@ def _characteristic_rows(
         f_m = plant_kernels.get(m)
         if f_m is None:
             continue
-        p = n - m + 1
-        node = lower.get(p)
-        if node is None:
-            raise KernelConfigError(
-                f"order-{n} kernel needs the order-{p} kernel for its m={m} coupling"
-            )
-        integrand -= _eval_B_rows(n, m, node, f_m, x_sh, coords_flat, panels)
+        integrand -= _eval_B_rows(n, m, lower[n - m + 1], f_m, x_sh, coords_flat)
     return -(integrand.reshape(rows, s_count) * s_weights).sum(axis=1)
 
 
@@ -291,7 +331,6 @@ def kernel_characteristic(
     plant: VolterraKernelSeries,
     lower: Iterable[KernelNode] | Mapping[int, KernelNode],
     point: SimplexPoint,
-    rule=None,
 ) -> float:
     """Order-n kernel value from the characteristic integral at one point.
 
@@ -306,11 +345,11 @@ def kernel_characteristic(
     if point.xi[-1] == 0.0:
         return 0.0
     lower_map = _as_node_map(lower)
-    panels = _panel_count(rule)
+    degree = _recursion_degree(n, plant.kernels, lower_map)
     x_arr = np.array([point.x])
     xi_mat = np.asarray(point.xi, dtype=float)[None, :]
     return float(
-        _characteristic_rows(n, plant.kernels, lower_map, x_arr, xi_mat, panels)[0]
+        _characteristic_rows(n, plant.kernels, lower_map, x_arr, xi_mat, degree)[0]
     )
 
 
@@ -318,17 +357,16 @@ def _recursion_evaluator(
     n: int,
     plant: VolterraKernelSeries,
     lower: Dict[int, KernelNode],
-    panels: int,
+    degree: int,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    s_count = panels * GL_NODES_PER_PANEL
-    chunk = max(1, _CHUNK_BUDGET // s_count)
+    chunk = max(1, _CHUNK_BUDGET // len(_gauss_grid(degree)[0]))
 
     def evaluate(x_arr: np.ndarray, xi_mat: np.ndarray) -> np.ndarray:
         out = np.empty(xi_mat.shape[0])
         for start in range(0, xi_mat.shape[0], chunk):
             stop = start + chunk
             out[start:stop] = _characteristic_rows(
-                n, plant.kernels, lower, x_arr[start:stop], xi_mat[start:stop], panels
+                n, plant.kernels, lower, x_arr[start:stop], xi_mat[start:stop], degree
             )
         return out
 
@@ -338,7 +376,6 @@ def _recursion_evaluator(
 def build_controller_kernels(
     plant: VolterraKernelSeries,
     n_max: int,
-    rule=None,
     closed_forms: Mapping[int, SimplexPolyKernel] | None = None,
 ) -> list[KernelNode]:
     """Build the kernel hierarchy for orders 2..n_max.
@@ -350,7 +387,8 @@ def build_controller_kernels(
     automatically when the plant is recognised as that example.
 
     If the plant carries growth metadata, it is sampled first and a
-    failing check aborts the build.
+    failing check aborts the build.  A recursion order whose plant
+    kernels have no monomials raises :class:`KernelConfigError`.
     """
     if n_max < 2:
         raise KernelConfigError(f"n_max must be at least 2, got {n_max}")
@@ -362,16 +400,18 @@ def build_controller_kernels(
             )
     if closed_forms is None:
         closed_forms = pdae_closed_forms() if is_pdae_plant(plant) else {}
-    panels = _panel_count(rule)
     nodes: Dict[int, KernelNode] = {}
     for n in range(2, n_max + 1):
         if n in closed_forms:
             nodes[n] = KernelNode.from_polynomial(closed_forms[n], "closed-form")
         else:
+            lower = dict(nodes)
+            degree = _recursion_degree(n, plant.kernels, lower)
             nodes[n] = KernelNode(
                 n,
-                _recursion_evaluator(n, plant, dict(nodes), panels),
+                _recursion_evaluator(n, plant, lower, degree),
                 "characteristic-recursion",
+                degree=degree,
             )
     return [nodes[n] for n in sorted(nodes)]
 

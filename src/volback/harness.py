@@ -44,6 +44,7 @@ import numpy as np
 from . import __version__
 from .charkernels import (
     KernelNode,
+    PlantAssumptionError,
     build_controller_kernels,
     pdae_closed_forms,
     pdae_plant,
@@ -57,7 +58,7 @@ from .gapcascade import (
     pdae_b_family,
 )
 from .inversion import InversionDomainError, choose_radius, invert_with_info
-from .polynomial import RationalPoly
+from .polynomial import RationalPoly, SimplexPolyKernel
 from .simplex import QuadratureRule
 from .simulator import (
     SimConfig,
@@ -227,14 +228,24 @@ def build_kernel_table(
     recursion (available whenever the plant is a finite gap table);
     ``recursion`` integrates the characteristic representation instead.
     """
-    if n_max < 2:
-        raise ConfigError(f"kernel order cap must be at least 2, got {n_max}")
+    _check_order_cap(n_max)
     if route == "recursion":
-        nodes = build_controller_kernels(plant.series, n_max, rule=8, closed_forms={})
+        nodes = build_controller_kernels(plant.series, n_max, closed_forms={})
         return {node.order: node for node in nodes}
     if route != "cascade":
         raise ConfigError(f"unknown kernel route {route!r}")
-    a_family = cascade(plant.family, n_max)
+    return _cascade_kernels(cascade(plant.family, n_max), n_max)
+
+
+def _check_order_cap(n_max: int) -> None:
+    if n_max < 2:
+        raise ConfigError(f"kernel order cap must be at least 2, got {n_max}")
+
+
+def _cascade_kernels(
+    a_family: GapCoefficientFamily, n_max: int
+) -> Dict[int, KernelNode]:
+    """Kernel nodes of orders 2..n_max assembled from a cascade family."""
     return {
         n: KernelNode.from_polynomial(
             assemble_kernel_polynomial(a_family, n), provenance="gap-cascade"
@@ -276,7 +287,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
         "plant": plant.source,
         "controller": spec.controller,
         "seed": DEFAULT_SEED,
-        "quadrature": {"gain_rule": GAIN_RULE.resolution, "recursion_panels": 8},
+        "quadrature": {"gain_rule": GAIN_RULE.resolution},
     }
     checks: Dict[str, Dict] = {}
     failures = []
@@ -287,7 +298,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
         else:
             checks["mild_solution_residual"] = {"skipped": "blow-up record"}
     if spec.check_kernels:
-        checks["kernel_cross_check"] = _kernel_cross_check(plant, kernel_cap or 3)
+        gap = kernels if kernels is not None else build_kernel_table(plant, 3)
+        checks["kernel_cross_check"] = _kernel_cross_check(plant, gap)
         if not checks["kernel_cross_check"]["passed"]:
             failures.append("kernel_cross_check")
     if checks:
@@ -300,10 +312,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     return meta
 
 
-def _kernel_cross_check(plant: ParsedPlant, n_max: int, points: int = 200) -> Dict:
+def _kernel_cross_check(
+    plant: ParsedPlant, gap: Dict[int, KernelNode], points: int = 200
+) -> Dict:
+    """The recursion against the cascade-built table ``gap`` (orders 2..n_max)."""
+    n_max = max(gap)
     rng = np.random.default_rng(DEFAULT_SEED)
     rec = build_kernel_table(plant, n_max, route="recursion")
-    gap = build_kernel_table(plant, n_max, route="cascade")
     worst = 0.0
     for n in range(2, n_max + 1):
         pts = np.sort(rng.uniform(0.0, 1.0, size=(points, n)), axis=1)[:, ::-1]
@@ -321,25 +336,38 @@ def _pdae_gain_data():
     return plant, kernels, series, gains, icfg
 
 
-def preset_kernels(out_dir: Path) -> int:
-    plant = load_plant("pdae")
-    a_family = cascade(plant.family, 3)
+def _write_kernels(
+    plant: ParsedPlant,
+    n_max: int,
+    out_dir: Path,
+    closed_forms: Dict[int, SimplexPolyKernel] | None = None,
+) -> Dict:
+    """Run the cascade once, cross-check the recursion (and any closed
+    forms) against its kernels, and write a_family.json, samples.csv and
+    consistency.json; returns the consistency report."""
+    _check_order_cap(n_max)
+    a_family = cascade(plant.family, n_max)
+    gap = _cascade_kernels(a_family, n_max)
+    report = _kernel_cross_check(plant, gap)
+    if closed_forms:
+        rng = np.random.default_rng(DEFAULT_SEED)
+        worst_closed = 0.0
+        for n, poly in closed_forms.items():
+            pts = np.sort(rng.uniform(0.0, 1.0, size=(200, n)), axis=1)[:, ::-1]
+            diff = np.max(np.abs(poly(1.0, pts) - gap[n](1.0, pts)))
+            worst_closed = max(worst_closed, float(diff))
+        report["max_abs_vs_closed_form"] = worst_closed
+        report["passed"] = report["passed"] and worst_closed < 1e-10
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "a_family.json").write_text(family_to_json(a_family))
-    report = _kernel_cross_check(plant, 3)
-    closed = pdae_closed_forms()
-    rng = np.random.default_rng(DEFAULT_SEED)
-    worst_closed = 0.0
-    gap = build_kernel_table(plant, 3)
-    for n, poly in closed.items():
-        pts = np.sort(rng.uniform(0.0, 1.0, size=(200, n)), axis=1)[:, ::-1]
-        diff = np.max(np.abs(poly(1.0, pts) - gap[n](1.0, pts)))
-        worst_closed = max(worst_closed, float(diff))
-    report["max_abs_vs_closed_form"] = worst_closed
-    report["passed"] = report["passed"] and worst_closed < 1e-10
     _write_kernel_samples(gap, out_dir / "samples.csv")
     doc = {"version": __version__, "seed": DEFAULT_SEED, "consistency": report}
     (out_dir / "consistency.json").write_text(json.dumps(doc, indent=2))
+    return report
+
+
+def preset_kernels(out_dir: Path) -> int:
+    report = _write_kernels(load_plant("pdae"), 3, out_dir, pdae_closed_forms())
     print(f"kernel consistency: max diff {report['max_abs_difference']:.3e}")
     return 0 if report["passed"] else 1
 
@@ -516,15 +544,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_kernels(args) -> int:
     plant = load_plant(args.plant)
-    out_dir = output_root(args.output) / "kernels"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    a_family = cascade(plant.family, args.order)
-    (out_dir / "a_family.json").write_text(family_to_json(a_family))
-    table = build_kernel_table(plant, args.order)
-    _write_kernel_samples(table, out_dir / "samples.csv")
-    report = _kernel_cross_check(plant, args.order)
-    doc = {"version": __version__, "seed": DEFAULT_SEED, "consistency": report}
-    (out_dir / "consistency.json").write_text(json.dumps(doc, indent=2))
+    report = _write_kernels(plant, args.order, output_root(args.output) / "kernels")
     print(
         f"kernels up to order {args.order}: cross-check max diff "
         f"{report['max_abs_difference']:.3e}"
@@ -615,7 +635,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "invert":
             return cmd_invert(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, SimConfigError, InversionDomainError) as exc:
+    except (ConfigError, SimConfigError, InversionDomainError, PlantAssumptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -33,7 +33,8 @@ from .volterra import (
     gain_ell,
     gain_k,
     linearized_values,
-    series_profile,
+    profile_of,
+    series_terms,
 )
 
 
@@ -132,12 +133,13 @@ def invert_with_info(
         raise InversionDomainError(
             f"target norm^2 {w.l2_norm()**2:.4g} is not below rho_L {config.rho_L:.4g}"
         )
+    terms = series_terms(series, w.mesh, rule)
     u = w
     residuals: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        nxt = w + series_profile(series, u, rule)
+        nxt = w + GridFunction(profile_of(terms, u.values))
         step = (nxt - u).l2_norm()
         residuals.append(step)
         u = nxt
@@ -254,6 +256,7 @@ def lipschitz_check(
     """
     rng = np.random.default_rng(seed)
     mesh = np.linspace(0.0, 1.0, mesh_points)
+    terms = series_terms(series, mesh, rule)
     threshold = math.sqrt(gain_ell(gains, s))
     worst = 0.0
     for _ in range(trials):
@@ -273,6 +276,6 @@ def lipschitz_check(
         du = (u - v).l2_norm()
         if du == 0:
             continue
-        dk = (series_profile(series, u, rule) - series_profile(series, v, rule)).l2_norm()
+        dk = GridFunction(profile_of(terms, u.values) - profile_of(terms, v.values)).l2_norm()
         worst = max(worst, dk / du)
     return LipschitzReport(worst, threshold, worst <= threshold + tol, trials, seed)

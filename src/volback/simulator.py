@@ -39,7 +39,6 @@ from .volterra import (
     QuadratureTerm,
     VolterraKernelSeries,
     profile_of,
-    series_profile,
     series_terms,
     term_evaluator,
 )
@@ -376,12 +375,13 @@ def mild_solution_residual(
         )
     table = _normalize_kernels(kernels)
     series = VolterraKernelSeries(table)
+    terms = series_terms(series, record.mesh, rule)
     u0 = GridFunction(record.snapshots[0])
-    w0 = u0 - series_profile(series, u0, rule)
+    w0 = u0 - GridFunction(profile_of(terms, u0.values))
     worst = 0.0
     for t in sample_times:
         t_snap, u_t = record.snapshot_at(t)
-        w_t = u_t - series_profile(series, u_t, rule)
+        w_t = u_t - GridFunction(profile_of(terms, u_t.values))
         target = target_semigroup(w0, t_snap)
         worst = max(worst, (w_t - target).l2_norm())
     return worst

@@ -80,7 +80,7 @@ def check_coupling_bound(seed: int = 0) -> CheckResult:
     (4, 2), the two orders with a nonzero operator.
     """
     plant = pdae_plant()
-    nodes = build_controller_kernels(plant, 3, rule=8)
+    nodes = build_controller_kernels(plant, 3)
     table = {nd.order: nd for nd in nodes}
     series = VolterraKernelSeries({nd.order: nd for nd in nodes})
     rule = QuadratureRule.gauss(8)
@@ -91,7 +91,7 @@ def check_coupling_bound(seed: int = 0) -> CheckResult:
         f_m = plant.kernel(m)
 
         def b_sq(x, xi, _k=k_lower, _f=f_m, _n=n, _m=m):
-            vals = _eval_B_rows(_n, _m, _k, _f, np.broadcast_to(x, (len(xi),)), xi, 8)
+            vals = _eval_B_rows(_n, _m, _k, _f, np.broadcast_to(x, (len(xi),)), xi)
             return vals**2
 
         b_sq.vectorized = True
@@ -106,7 +106,7 @@ def check_coupling_bound(seed: int = 0) -> CheckResult:
 def check_lipschitz(seed: int = 0) -> CheckResult:
     """Series operator Lipschitz constant at the balanced radius."""
     plant = pdae_plant()
-    nodes = build_controller_kernels(plant, 3, rule=8)
+    nodes = build_controller_kernels(plant, 3)
     series = VolterraKernelSeries({nd.order: nd for nd in nodes})
     gains = build_gains(series, QuadratureRule.gauss(12))
     cfg = choose_radius(gains)
@@ -284,7 +284,7 @@ def check_support_sparsity() -> CheckResult:
 def check_dual_construction(seed: int = 0, points: int = 200) -> CheckResult:
     """Both kernel constructions agree pointwise on random simplex points."""
     plant = pdae_plant()
-    nodes = build_controller_kernels(plant, 3, rule=8, closed_forms={})
+    nodes = build_controller_kernels(plant, 3, closed_forms={})
     table = {nd.order: nd for nd in nodes}
     a = cascade(pdae_b_family(), 3)
     rng = np.random.default_rng(seed)

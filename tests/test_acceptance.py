@@ -45,7 +45,7 @@ def _emit(capsys, num, ok, detail, elapsed, budget):
 
 
 def _recursion_kernels(n_max):
-    nodes = build_controller_kernels(pdae_plant(), n_max, rule=8, closed_forms={})
+    nodes = build_controller_kernels(pdae_plant(), n_max, closed_forms={})
     return {node.order: node for node in nodes}
 
 

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from volback import harness
 from volback.gapcascade import pdae_b_family
 from volback.harness import (
+    ExperimentSpec,
     ConfigError,
     PlantParseError,
     build_kernel_table,
@@ -14,6 +16,7 @@ from volback.harness import (
     main,
     parse_config,
     parse_plant,
+    run_experiment,
     run_preset,
 )
 from volback.simplex import SimplexPoint
@@ -206,6 +209,22 @@ class TestMain:
         assert main(["kernels", "--plant", str(plant), "--order", "3"]) == 2
         assert "lowest order present must be 2" in capsys.readouterr().err
 
+    def test_kernels_order_4_cross_check_passes(self, out_root):
+        assert main(["kernels", "--plant", "pdae", "--order", "4"]) == 0
+        doc = json.loads((out_root / "kernels" / "consistency.json").read_text())
+        assert doc["consistency"]["passed"]
+
+    def test_kernels_order_below_2_exits_2(self, out_root, capsys):
+        assert main(["kernels", "--plant", "pdae", "--order", "1"]) == 2
+        assert "order cap must be at least 2, got 1" in capsys.readouterr().err
+
+    def test_plant_failing_growth_check_exits_2(self, out_root, tmp_path, capsys):
+        plant = tmp_path / "plant.txt"
+        plant.write_text("D = 0.001\nrho = 1\n2 0,0 5\n")
+        assert main(["kernels", "--plant", str(plant)]) == 2
+        assert "plant growth check failed" in capsys.readouterr().err
+        assert not (out_root / "kernels").exists()
+
     @pytest.mark.parametrize("cell", ["abc", "nan"])
     def test_invert_non_numeric_w_exits_2(self, out_root, tmp_path, capsys, cell):
         target = tmp_path / "target.csv"
@@ -251,6 +270,42 @@ class TestMain:
         assert main(["--output", str(chosen), "run", "gains"]) == 0
         assert (chosen / "gains" / "gains.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestCascadeOncePerCommand:
+    """A kernels command runs the coefficient cascade once and cross-checks
+    the recursion against the table built from it."""
+
+    @pytest.fixture()
+    def cascades(self, monkeypatch):
+        calls = []
+
+        def counting(family, n_max):
+            calls.append(n_max)
+            return cascade(family, n_max)
+
+        cascade = harness.cascade
+        monkeypatch.setattr(harness, "cascade", counting)
+        return calls
+
+    def test_kernels_subcommand(self, out_root, cascades):
+        assert main(["kernels", "--plant", "pdae", "--order", "3"]) == 0
+        assert cascades == [3]
+
+    def test_kernels_preset(self, out_root, cascades):
+        assert run_preset("kernels") == 0
+        assert cascades == [3]
+
+    def test_experiment_kernel_check(self, tmp_path, cascades):
+        spec = ExperimentSpec(
+            controller="order-2",
+            overrides={"mesh_points": 51, "t_end": 0.1},
+            check_kernels=True,
+        )
+        meta = run_experiment(spec, tmp_path / "run")
+        assert meta["checks"]["kernel_cross_check"]["passed"]
+        assert "recursion_panels" not in meta["quadrature"]
+        assert cascades == [2]
 
 
 class TestDeterminism:

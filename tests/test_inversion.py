@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from volback import inversion
 from volback.inversion import (
     InversionConfig,
     InversionDomainError,
@@ -181,3 +182,34 @@ class TestLipschitzSampling:
         assert report.passed
         assert report.worst_ratio <= report.threshold + 1e-6
         assert report.threshold == pytest.approx(math.sqrt(0.5), abs=1e-6)
+
+
+class TestEvaluatorsBuiltOnce:
+    """Loops over one mesh build the series evaluators once per call."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        original = inversion.series_terms
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].size)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(inversion, "series_terms", counting)
+        return calls
+
+    def test_picard_matches_per_iteration_profiles(self, kernel_series, config, mesh, builds):
+        rng = np.random.default_rng(4)
+        w = smooth_profile(rng, mesh, 0.6 * math.sqrt(config.rho_L))
+        res = invert_with_info(w, kernel_series, config)
+        assert builds == [mesh.size]
+        u = w
+        for _ in range(res.iterations):
+            u = w + series_profile(kernel_series, u)
+        assert np.array_equal(u.values, res.u.values)
+
+    def test_lipschitz_pairs_share_evaluators(self, kernel_series, gains, config, builds):
+        report = lipschitz_check(kernel_series, gains, config.s, trials=4, mesh_points=51)
+        assert report.passed
+        assert builds == [51]

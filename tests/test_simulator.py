@@ -282,6 +282,22 @@ class TestMildResidual:
         # dominated by the O(dx) upwind error; about 0.07 at this mesh
         assert res < 0.1
 
+    def test_evaluators_built_once(self, plant, kernel_table, monkeypatch):
+        cfg = SimConfig(
+            controller="order-2", t_end=1.0, mesh_points=51, initial_scale=0.1
+        )
+        rec = simulate(cfg, plant, kernel_table)
+        builds = []
+        original = simulator.series_terms
+
+        def counting(*args, **kwargs):
+            builds.append(args[1].size)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "series_terms", counting)
+        mild_solution_residual(rec, kernel_table, [0.25, 0.5, 0.75])
+        assert builds == [51]
+
     def test_late_time_residual_is_state_norm(self, plant, kernel_table):
         cfg = SimConfig(
             controller="order-3", t_end=1.6, mesh_points=101, initial_scale=0.1
