@@ -26,18 +26,25 @@ rational arithmetic: c_P assembles as
     c_P(x) = sum_m sum_keys Gamma * x**(tau-|alpha|)/(tau-|alpha|)!
              * d^tau/dx^tau a_q(x) * d^sigma/dx^sigma b_q'(x)
 
-with plant-independent integer structure constants Gamma produced once
-per (n, m) by a symbolic expansion (:func:`gamma_table`), and the
-cascade integrates the scalar ODEs order by order (:func:`cascade`).
+with plant-independent integer structure constants Gamma from a
+symbolic expansion, and the cascade integrates the scalar ODEs order by
+order (:func:`cascade`).  The expansion is demand-driven:
+:func:`coupling_c` walks only the keys its families can use (q in
+supp a, tau <= deg a_q, q' in supp b, sigma <= deg b_q'; derivatives
+past those degrees vanish), sums the Gamma of keys that share
+(P, q, tau, q', sigma, tau-|alpha|) as integers, and so forms each
+product d^tau a_q * d^sigma b_q' once.  No table is kept.
+:func:`gamma_table` runs the same walk over every multi-index up to
+given caps and is the reference the tests compare against.
 
-The expansion behind ``gamma_table`` substitutes the ansatz for the
-lower kernel into the coupling operator, Taylor-expands the coefficient
-functions at x (finite for polynomials), rewrites every appearance of
-the integration variable through the extended gap chain, integrates in
-s with the Beta identity (coefficient exactly 1 in divided powers), and
-projects onto Phi_P.  All structure constants along the way are
-binomial, so the Gamma values are integers by construction; that is the
-reason for storing everything in the divided-power normalization.
+The expansion substitutes the ansatz for the lower kernel into the
+coupling operator, Taylor-expands the coefficient functions at x
+(finite for polynomials), rewrites every appearance of the integration
+variable through the extended gap chain, integrates in s with the Beta
+identity (coefficient exactly 1 in divided powers), and projects onto
+Phi_P.  All structure constants along the way are binomial, so the
+Gamma values are integers by construction; that is the reason for
+storing everything in the divided-power normalization.
 """
 
 from __future__ import annotations
@@ -47,7 +54,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
+from operator import add
+from typing import Dict, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +68,8 @@ FAMILY_ROLES = ("plant-b", "cascade-a", "coupling-c")
 
 
 class GammaCapError(ValueError):
-    """A structure-constant table was requested with insufficient caps."""
+    """A structure-constant table was requested for an order pair with no
+    coupling term, or with caps below 1."""
 
 
 class FamilyConfigError(ValueError):
@@ -215,41 +224,56 @@ def _collapse(vec: MultiIndex, j: int) -> MultiIndex:
 _GAMMA_CACHE: Dict[tuple[int, int, int, int], Dict[GammaKey, int]] = {}
 
 
-def gamma_table(
-    n: int, m: int, p_degree_cap: int, tau_cap: int
-) -> Dict[GammaKey, int]:
-    """Integer structure constants for the (n, m) coupling term.
+@lru_cache(maxsize=None)
+def _alpha_placements(
+    n_ext: int, upper: int, j: int, w: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], MultiIndex], ...]:
+    """The |alpha| = w powers over extended gaps 0..upper-1.
 
-    The table is complete for keys with |P| <= p_degree_cap and
-    tau <= tau_cap; every returned value is a plain integer, and every
-    key satisfies |q| + |q'| + sigma + |alpha| = |P| - 1 with
-    |alpha| <= tau.
-
-    The computation walks the coupling operator symbolically, once per
-    insertion leg j and order-preserving split of the trailing
-    coordinates: the lower kernel's ansatz difference is Taylor-expanded
-    at x (index tau), its last argument's powers are rewritten in the
-    gaps above it (index alpha), the plant coefficient is Taylor-expanded
-    at x (index sigma), the basis factors of both kernels are expanded
-    over the extended gap chain containing the integration variable s,
-    the s-integral is performed by the Beta identity (which carries
-    coefficient 1 in divided powers and merges the two gaps adjacent to
-    s), and the result is read off against Phi_P.
+    Each entry is (the nonzero (gap, power) pairs, alpha collapsed at
+    the split pair (j-1, j)).
     """
-    if not (2 <= m <= n - 1):
-        raise GammaCapError(
-            f"coupling terms exist for 2 <= m <= n-1, got n={n}, m={m}"
-        )
-    if p_degree_cap < 1 or tau_cap < 1:
-        raise GammaCapError("caps must be at least 1")
-    cache_key = (n, m, p_degree_cap, tau_cap)
-    if cache_key in _GAMMA_CACHE:
-        return _GAMMA_CACHE[cache_key]
+    out = []
+    for alpha_hat in compositions(w, upper):
+        avec = tuple(alpha_hat) + (0,) * (n_ext - upper)
+        nonzero = tuple((g, pw) for g, pw in enumerate(alpha_hat) if pw)
+        out.append((nonzero, _collapse(avec, j)))
+    return tuple(out)
 
+
+def _gamma_walk(
+    n: int,
+    m: int,
+    q_taus: Sequence[tuple[MultiIndex, int]],
+    qp_sigmas: Sequence[tuple[MultiIndex, int]],
+    weight_cap: int | None = None,
+) -> Iterator[
+    tuple[MultiIndex, MultiIndex, int, int, Dict[tuple[MultiIndex, MultiIndex], int]]
+]:
+    """Walk the (n, m) coupling operator symbolically.
+
+    ``q_taus`` lists the lower-kernel indices q with the largest tau to
+    cover, ``qp_sigmas`` the plant indices q' with the largest sigma,
+    and ``weight_cap``, when given, bounds |P| - 1.  Yields
+    ``(q, qp, sigma, w, terms)``, where ``terms`` maps (P, alpha) with
+    |alpha| = w to an integer; the structure constant of the key with
+    that (P, q, q', sigma, tau, alpha) collects (-1)**(tau+1) times
+    these integers, for every tau from max(w, 1) up to q's bound.
+
+    The walk runs once per insertion leg j and order-preserving split of
+    the trailing coordinates: the lower kernel's ansatz difference is
+    Taylor-expanded at x (index tau), its last argument's powers are
+    rewritten in the gaps above it (index alpha), the plant coefficient
+    is Taylor-expanded at x (index sigma), the basis factors of both
+    kernels are expanded over the extended gap chain containing the
+    integration variable s, the s-integral is performed by the Beta
+    identity (which carries coefficient 1 in divided powers and merges
+    the two gaps adjacent to s), and the result is read off against
+    Phi_P.
+    """
+    limit = math.inf if weight_cap is None else weight_cap
     p = n - m + 1
     n_ext = n + 1
-    table: Dict[GammaKey, int] = {}
-
     for j in range(1, p + 1):
         # Extended chain: x @ 0, xi_1..xi_{j-1} @ 1..j-1, s @ j,
         # xi_j..xi_n @ j+1..n+1.  Extended gap g sits between chain
@@ -263,15 +287,15 @@ def gamma_table(
             k_chain = [0] + list(range(1, j)) + [j] + a_positions
             f_chain = [j] + b_positions
             eta_last_pos = k_chain[-1]
-            eta_upper = list(range(eta_last_pos))
-            for q in _multi_indices_up_to(p, p_degree_cap - 1):
-                phi_q = _chain_expansion(n_ext, k_chain, q)
+            for q, tau_max in q_taus:
                 deg_q = sum(q)
-                for qp in _multi_indices_up_to(m, p_degree_cap - 1 - deg_q):
-                    phi_qp = _chain_expansion(n_ext, f_chain, qp)
-                    base_qq = _dp_mul_gap(phi_q, phi_qp)
+                phi_q = _chain_expansion(n_ext, k_chain, q)
+                for qp, sigma_max in qp_sigmas:
                     deg_qq = deg_q + sum(qp)
-                    for sigma in range(p_degree_cap - deg_qq):
+                    if deg_qq > limit:
+                        continue
+                    base_qq = _dp_mul_gap(phi_q, _chain_expansion(n_ext, f_chain, qp))
+                    for sigma in range(min(sigma_max, limit - deg_qq) + 1):
                         if sigma == 0:
                             base = base_qq
                         else:
@@ -279,37 +303,56 @@ def gamma_table(
                             base = _dp_mul_gap(base_qq, factor)
                         sigma_sign = -1 if sigma % 2 else 1
                         deg_base = deg_qq + sigma
-                        w_room = p_degree_cap - 1 - deg_base
-                        for tau in range(1, tau_cap + 1):
-                            tau_sign = 1 if tau % 2 else -1
-                            for w in range(0, min(tau, w_room) + 1):
-                                w_sign = -1 if w % 2 else 1
-                                sign = sigma_sign * tau_sign * w_sign
-                                for alpha_hat in compositions(w, len(eta_upper)):
-                                    avec = [0] * n_ext
-                                    for g, pw in zip(eta_upper, alpha_hat):
-                                        avec[g] = pw
-                                    alpha = _collapse(tuple(avec), j)
-                                    for gvec, cbase in base.items():
-                                        coeff = sign * cbase
-                                        tot = list(gvec)
-                                        for g_idx in range(n_ext):
-                                            av = avec[g_idx]
-                                            if av:
-                                                coeff *= math.comb(
-                                                    tot[g_idx] + av, av
-                                                )
-                                                tot[g_idx] += av
-                                        P = _collapse(tuple(tot), j)
-                                        P = (
-                                            P[: j - 1]
-                                            + (P[j - 1] + 1,)
-                                            + P[j:]
-                                        )
-                                        key = GammaKey(
-                                            n, m, P, q, qp, sigma, tau, alpha
-                                        )
-                                        table[key] = table.get(key, 0) + coeff
+                        for w in range(min(tau_max, limit - deg_base) + 1):
+                            sign = -sigma_sign if w % 2 else sigma_sign
+                            terms: Dict[tuple[MultiIndex, MultiIndex], int] = {}
+                            placements = _alpha_placements(n_ext, eta_last_pos, j, w)
+                            for gvec, cbase in base.items():
+                                # P = collapse(gvec + alpha_hat) + e_{j-1}
+                                lifted = list(_collapse(gvec, j))
+                                lifted[j - 1] += 1
+                                signed = sign * cbase
+                                for nonzero, alpha in placements:
+                                    coeff = signed
+                                    for g_idx, av in nonzero:
+                                        coeff *= math.comb(gvec[g_idx] + av, av)
+                                    slot = (tuple(map(add, lifted, alpha)), alpha)
+                                    terms[slot] = terms.get(slot, 0) + coeff
+                            yield q, qp, sigma, w, terms
+
+
+def gamma_table(
+    n: int, m: int, p_degree_cap: int, tau_cap: int
+) -> Dict[GammaKey, int]:
+    """Integer structure constants for the (n, m) coupling term.
+
+    The table is complete for keys with |P| <= p_degree_cap and
+    tau <= tau_cap; every returned value is a plain integer, and every
+    key satisfies |q| + |q'| + sigma + |alpha| = |P| - 1 with
+    |alpha| <= tau.  It enumerates every multi-index up to the caps, so
+    it is the reference for :func:`coupling_c`, which walks only the
+    keys its families can use.
+    """
+    if not (2 <= m <= n - 1):
+        raise GammaCapError(
+            f"coupling terms exist for 2 <= m <= n-1, got n={n}, m={m}"
+        )
+    if p_degree_cap < 1 or tau_cap < 1:
+        raise GammaCapError("caps must be at least 1")
+    cache_key = (n, m, p_degree_cap, tau_cap)
+    if cache_key in _GAMMA_CACHE:
+        return _GAMMA_CACHE[cache_key]
+
+    top = p_degree_cap - 1
+    q_taus = [(q, tau_cap) for q in _multi_indices_up_to(n - m + 1, top)]
+    qp_sigmas = [(qp, top) for qp in _multi_indices_up_to(m, top)]
+    table: Dict[GammaKey, int] = {}
+    for q, qp, sigma, w, terms in _gamma_walk(n, m, q_taus, qp_sigmas, top):
+        for tau in range(max(w, 1), tau_cap + 1):
+            tau_sign = 1 if tau % 2 else -1
+            for (P, alpha), coeff in terms.items():
+                key = GammaKey(n, m, P, q, qp, sigma, tau, alpha)
+                table[key] = table.get(key, 0) + tau_sign * coeff
 
     table = {k: v for k, v in table.items() if v}
     for key in table:
@@ -319,78 +362,65 @@ def gamma_table(
     return table
 
 
-def _required_caps(
-    a_entries: Mapping[MultiIndex, RationalPoly],
-    b_entries: Mapping[MultiIndex, RationalPoly],
-) -> tuple[int, int]:
-    tau_need = max(1, max((poly.degree for poly in a_entries.values()), default=1))
-    sigma_max = max((poly.degree for poly in b_entries.values()), default=0)
-    q_max = max((sum(q) for q in a_entries), default=0)
-    qp_max = max((sum(qp) for qp in b_entries), default=0)
-    p_cap = 1 + q_max + qp_max + sigma_max + tau_need
-    return p_cap, tau_need
-
-
 def coupling_c(
-    n: int,
-    a_family: GapCoefficientFamily,
-    b_family: GapCoefficientFamily,
-    p_degree_cap: int | None = None,
-    tau_cap: int | None = None,
+    n: int, a_family: GapCoefficientFamily, b_family: GapCoefficientFamily
 ) -> GapCoefficientFamily:
     """The coupling coefficients c_P at order n, as an exact family.
 
     Sums the contributions of every plant order m = 2..n-1 whose lower
     cascade family (order n-m+1) is present.  For n = 2 the result is
-    identically zero.  Explicit caps smaller than what the polynomial
-    degrees require raise :class:`GammaCapError` naming the needed caps.
+    identically zero.  The structure constants are walked only for the
+    keys the families use: q in supp a_{n-m+1} with tau <= deg a_q, and
+    q' in supp b_m with sigma <= deg b_q' (higher derivatives vanish).
+    Keys that share (P, q, tau, q', sigma, tau - |alpha|) are summed as
+    integers first, so each product d^tau a_q * d^sigma b_q' is formed
+    once and no table is kept.
     """
-    out: Dict[tuple[int, MultiIndex], RationalPoly] = {}
+    a_all = a_family.entries.values()
+    b_all = b_family.entries.values()
+    # Every product d^tau a_q * d^sigma b_q' has coefficients in
+    # (1/(lcm_a*lcm_b)) Z, and x**(tau-w)/(tau-w)! in (1/(max deg a)!) Z[x],
+    # so c_P sums in integers over one denominator, reduced once per entry.
+    lcm_a = math.lcm(1, *(c.denominator for poly in a_all for c in poly.coeffs))
+    lcm_b = math.lcm(1, *(c.denominator for poly in b_all for c in poly.coeffs))
+    scale = lcm_a * lcm_b
+    fact_top = math.factorial(max((poly.degree for poly in a_all), default=0))
+    acc: Dict[MultiIndex, list[int]] = {}
     for m in range(2, n - 1 + 1):
-        p = n - m + 1
+        a_entries = a_family.at_order(n - m + 1)
         b_entries = b_family.at_order(m)
-        a_entries = a_family.at_order(p)
         if not b_entries or not a_entries:
             continue
-        p_need, tau_need = _required_caps(a_entries, b_entries)
-        use_p = p_degree_cap if p_degree_cap is not None else p_need
-        use_tau = tau_cap if tau_cap is not None else tau_need
-        if use_p < p_need or use_tau < tau_need:
-            raise GammaCapError(
-                f"coupling (n={n}, m={m}) needs p_degree_cap >= {p_need} "
-                f"and tau_cap >= {tau_need}, got ({use_p}, {use_tau})"
-            )
-        table = gamma_table(n, m, use_p, use_tau)
-        a_derivs: Dict[tuple[MultiIndex, int], RationalPoly] = {}
-        b_derivs: Dict[tuple[MultiIndex, int], RationalPoly] = {}
-        for key, gamma in table.items():
-            a_poly = a_entries.get(key.q)
-            if a_poly is None:
-                continue
-            b_poly = b_entries.get(key.qp)
-            if b_poly is None:
-                continue
-            da = a_derivs.get((key.q, key.tau))
-            if da is None:
-                da = a_poly.derivative(key.tau)
-                a_derivs[(key.q, key.tau)] = da
-            if da.is_zero():
-                continue
-            db = b_derivs.get((key.qp, key.sigma))
-            if db is None:
-                db = b_poly.derivative(key.sigma)
-                b_derivs[(key.qp, key.sigma)] = db
-            if db.is_zero():
-                continue
-            xpow = key.tau - sum(key.alpha)
-            lead = RationalPoly.monomial(
-                Fraction(gamma, math.factorial(xpow)), xpow
-            )
-            term = lead * da * db
-            slot = (n, key.P)
-            out[slot] = out.get(slot, RationalPoly()) + term
+        q_taus = [(q, poly.degree) for q, poly in sorted(a_entries.items())]
+        qp_sigmas = [(qp, poly.degree) for qp, poly in sorted(b_entries.items())]
+        # sums[(q, q', sigma)][|alpha|][P]: Gamma summed over alpha and
+        # over the walk's legs and splits, before the tau sign.
+        sums: Dict[tuple, Dict[int, Dict[MultiIndex, int]]] = {}
+        for q, qp, sigma, w, terms in _gamma_walk(n, m, q_taus, qp_sigmas):
+            bucket = sums.setdefault((q, qp, sigma), {}).setdefault(w, {})
+            for (P, _), coeff in terms.items():
+                bucket[P] = bucket.get(P, 0) + coeff
+        for (q, qp, sigma), by_w in sums.items():
+            db = b_entries[qp].derivative(sigma)
+            for tau in range(1, a_entries[q].degree + 1):
+                prod = a_entries[q].derivative(tau) * db
+                coeffs = [c.numerator * (scale // c.denominator) for c in prod.coeffs]
+                for w in range(tau + 1):
+                    xpow = tau - w
+                    unit = fact_top // math.factorial(xpow)
+                    if tau % 2 == 0:
+                        unit = -unit
+                    for P, gamma in by_w.get(w, {}).items():
+                        row = acc.setdefault(P, [])
+                        if len(row) < xpow + len(coeffs):
+                            row.extend([0] * (xpow + len(coeffs) - len(row)))
+                        weight = unit * gamma
+                        for k, c in enumerate(coeffs, start=xpow):
+                            row[k] += weight * c
+    den = scale * fact_top
     return GapCoefficientFamily(
-        {k: v for k, v in out.items() if not v.is_zero()}, "coupling-c"
+        {(n, P): RationalPoly(Fraction(v, den) for v in row) for P, row in acc.items()},
+        "coupling-c",
     )
 
 

@@ -142,11 +142,9 @@ def parse_plant(path: str | Path) -> ParsedPlant:
     rejected with the offending line number.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"plant file {path} does not exist")
     entries: Dict[tuple[int, tuple[int, ...]], RationalPoly] = {}
     metadata: Dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(path, "plant file"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -154,7 +152,7 @@ def parse_plant(path: str | Path) -> ParsedPlant:
             key, _, value = line.partition("=")
             try:
                 metadata[key.strip()] = float(Fraction(value.strip()))
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise PlantParseError(f"line {lineno}: bad metadata value: {exc}")
             continue
         tokens = line.split()
@@ -180,7 +178,9 @@ def parse_plant(path: str | Path) -> ParsedPlant:
             )
         try:
             coeffs = [Fraction(tok) for tok in tokens[2:]]
-        except (ValueError, ZeroDivisionError) as exc:
+            for c in coeffs:
+                float(c)  # the kernels are evaluated in floating point
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise PlantParseError(f"line {lineno}: bad coefficient: {exc}")
         poly = RationalPoly(coeffs)
         if poly.is_zero():
@@ -193,6 +193,15 @@ def parse_plant(path: str | Path) -> ParsedPlant:
     except SeriesDefinitionError as exc:
         raise ConfigError(f"plant file {path}: {exc}") from None
     return ParsedPlant(family, series, str(path))
+
+
+def _read_lines(path: Path, what: str) -> List[str]:
+    if not path.exists():
+        raise ConfigError(f"{what} {path} does not exist")
+    try:
+        return path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc}") from None
 
 
 def _family_series(
@@ -242,16 +251,38 @@ def _check_order_cap(n_max: int) -> None:
         raise ConfigError(f"kernel order cap must be at least 2, got {n_max}")
 
 
+# The cross-check integrates the characteristic recursion, whose cost
+# climbs steeply with the order: for pdae on a 2-core x86-64 VM, 200
+# points take about 2-4 s at order 5, while at order 6 one point takes
+# about 10 s and five points did not finish in about 4 minutes.
+CROSS_CHECK_MAX_ORDER = 5
+
+
+def _check_cross_check_order(n_max: int) -> None:
+    if n_max > CROSS_CHECK_MAX_ORDER:
+        raise ConfigError(
+            f"the kernel cross-check runs the characteristic recursion, which "
+            f"does not finish at order {n_max}; it supports orders up to "
+            f"{CROSS_CHECK_MAX_ORDER}"
+        )
+
+
 def _cascade_kernels(
     a_family: GapCoefficientFamily, n_max: int
 ) -> Dict[int, KernelNode]:
     """Kernel nodes of orders 2..n_max assembled from a cascade family."""
-    return {
-        n: KernelNode.from_polynomial(
-            assemble_kernel_polynomial(a_family, n), provenance="gap-cascade"
-        )
-        for n in range(2, n_max + 1)
-    }
+    nodes = {}
+    for n in range(2, n_max + 1):
+        poly = assemble_kernel_polynomial(a_family, n)
+        try:
+            for c in poly.monomials.values():
+                float(c)  # the kernels are evaluated in floating point
+        except OverflowError:
+            raise ConfigError(
+                f"the order-{n} kernel has coefficients beyond the floating-point range"
+            ) from None
+        nodes[n] = KernelNode.from_polynomial(poly, provenance="gap-cascade")
+    return nodes
 
 
 def _controller_order(controller: str, n_max_available: int) -> int | None:
@@ -276,6 +307,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     plant = load_plant(spec.plant)
     cfg = spec.sim_config()
     kernel_cap = _controller_order(spec.controller, max(plant.n_max, 3))
+    if spec.check_kernels:
+        _check_cross_check_order(kernel_cap or 3)
     kernels = None
     if kernel_cap is not None:
         kernels = build_kernel_table(plant, kernel_cap)
@@ -346,6 +379,7 @@ def _write_kernels(
     forms) against its kernels, and write a_family.json, samples.csv and
     consistency.json; returns the consistency report."""
     _check_order_cap(n_max)
+    _check_cross_check_order(n_max)
     a_family = cascade(plant.family, n_max)
     gap = _cascade_kernels(a_family, n_max)
     report = _kernel_cross_check(plant, gap)
@@ -493,14 +527,13 @@ def run_preset(name: str, out_root: Path | None = None) -> int:
 def parse_config(path: str | Path) -> ExperimentSpec:
     """Read a key = value experiment config."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     spec = ExperimentSpec()
     overrides: Dict = {}
+    text_keys = {"plant", "controller", "output_dir"}
     bool_keys = {"check_kernels", "check_mild_solution"}
     float_keys = {"cfl", "t_end", "blow_up_threshold", "initial_scale"}
     int_keys = {"mesh_points", "snapshot_count"}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(path, "config file"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -509,22 +542,18 @@ def parse_config(path: str | Path) -> ExperimentSpec:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key not in text_keys | bool_keys | float_keys | int_keys:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key == "plant":
-                spec.plant = value
-            elif key == "controller":
-                spec.controller = value
-            elif key == "output_dir":
-                spec.output_dir = value
+            if key in text_keys:
+                setattr(spec, key, value)
             elif key in bool_keys:
                 setattr(spec, key, value.lower() in ("1", "true", "yes", "on"))
             elif key in float_keys:
                 overrides[key] = float(Fraction(value))
-            elif key in int_keys:
-                overrides[key] = int(value)
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, ZeroDivisionError) as exc:
+                overrides[key] = int(value)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}")
     spec.overrides = overrides
     return spec

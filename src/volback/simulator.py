@@ -247,7 +247,11 @@ def simulate(
     def boundary(values: np.ndarray) -> float:
         if cap is None:
             return 0.0
-        return feedback(GridFunction(values), table, cap, rule, terms)
+        try:
+            state = GridFunction(values)
+        except ValueError:  # non-finite values; the blow-up check stops the run
+            return math.nan
+        return feedback(state, table, cap, rule, terms)
 
     n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-12)))
     frame_ids = set(

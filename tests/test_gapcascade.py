@@ -1,11 +1,14 @@
 """Gap-basis cascade: exact coefficient recursion and kernel assembly."""
 
+import hashlib
+import math
 from collections import defaultdict
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
+from volback import gapcascade
 from volback.gapcascade import (
     FamilyConfigError,
     GammaCapError,
@@ -121,9 +124,83 @@ class TestCoupling:
         got = {P: c3.get(3, P).coeffs for P in c3.support(3)}
         assert got == want
 
-    def test_insufficient_caps_reported(self, b_family, a_family):
-        with pytest.raises(GammaCapError):
-            coupling_c(3, a_family, b_family, p_degree_cap=1, tau_cap=1)
+
+def ks_shaped_family():
+    """A plant of the kernel-synthesis benchmark's shape: two constant
+    order-2 entries and two degree-1 order-3 entries, |P| <= 1."""
+    return GapCoefficientFamily(
+        {
+            (2, (0, 0)): RationalPoly([Fr(-3, 2)]),
+            (2, (0, 1)): RationalPoly([Fr(1, 2)]),
+            (3, (1, 0, 0)): RationalPoly([Fr(1), Fr(-1, 4)]),
+            (3, (0, 0, 1)): RationalPoly([Fr(-4, 3), Fr(-3, 2)]),
+        },
+        "plant-b",
+    )
+
+
+def coupling_from_full_table(n, a_family, b_family):
+    """c_P assembled term by term from the full ``gamma_table``, at the
+    smallest caps the families' indices and degrees need."""
+    out = {}
+    for m in range(2, n):
+        a_entries = a_family.at_order(n - m + 1)
+        b_entries = b_family.at_order(m)
+        if not a_entries or not b_entries:
+            continue
+        tau_cap = max(poly.degree for poly in a_entries.values())
+        p_cap = (
+            1
+            + max(sum(q) for q in a_entries)
+            + max(sum(qp) for qp in b_entries)
+            + max(poly.degree for poly in b_entries.values())
+            + tau_cap
+        )
+        for key, gamma in gamma_table(n, m, p_cap, tau_cap).items():
+            if key.q not in a_entries or key.qp not in b_entries:
+                continue
+            xpow = key.tau - sum(key.alpha)
+            lead = RationalPoly.monomial(Fr(gamma, math.factorial(xpow)), xpow)
+            term = (
+                lead
+                * a_entries[key.q].derivative(key.tau)
+                * b_entries[key.qp].derivative(key.sigma)
+            )
+            out[(n, key.P)] = out.get((n, key.P), RationalPoly()) + term
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+class TestCouplingOracle:
+    """The demand-driven walk against the full structure-constant table."""
+
+    @pytest.mark.parametrize("plant", ["pdae", "ks-shaped"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_full_table(self, plant, n):
+        b = pdae_b_family() if plant == "pdae" else ks_shaped_family()
+        a = cascade(b, n - 1)
+        want = coupling_from_full_table(n, a, b)
+        assert want
+        assert coupling_c(n, a, b).entries == want
+
+    def test_cascade_builds_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cascade must not build a full gamma table")
+
+        monkeypatch.setattr(gapcascade, "gamma_table", refuse)
+        assert cascade(ks_shaped_family(), 4).at_order(4)
+
+    @pytest.mark.parametrize(
+        "plant, n, digest",
+        [
+            ("pdae", 4, "df0adcd0ba5c324e81441f2a00227bdb8471d9b12bd365371289fdd150627bc2"),
+            ("pdae", 5, "5d46b8e751b4a3ae745a4fd32309e5ec57506540653d9cd7a95a86a8218dd1cf"),
+            ("ks-shaped", 4, "fad0ead8aa57106b07878e5630d6227375cfd3c4b51c1723b8176a62ae4c586c"),
+        ],
+    )
+    def test_cascade_snapshot(self, plant, n, digest):
+        b = pdae_b_family() if plant == "pdae" else ks_shaped_family()
+        text = family_to_json(cascade(b, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCascade:

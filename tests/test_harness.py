@@ -296,6 +296,27 @@ class TestCascadeOncePerCommand:
         assert run_preset("kernels") == 0
         assert cascades == [3]
 
+    def test_kernels_above_cross_check_order_exit_2(self, out_root, cascades, capsys):
+        assert main(["kernels", "--plant", "pdae", "--order", "6"]) == 2
+        assert "supports orders up to 5" in capsys.readouterr().err
+        assert not (out_root / "kernels").exists()
+        assert cascades == []
+
+    def test_experiment_kernel_check_above_limit_exits_2(
+        self, out_root, tmp_path, cascades, capsys
+    ):
+        plant = tmp_path / "plant.txt"
+        plant.write_text("2 0,0 1\n6 0,0,0,0,0,0 1/2\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"plant = {plant}\ncontroller = full-N_max\nmesh_points = 21\n"
+            "check_kernels = true\noutput_dir = high\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "does not finish at order 6" in capsys.readouterr().err
+        assert not (out_root / "high").exists()
+        assert cascades == []
+
     def test_experiment_kernel_check(self, tmp_path, cascades):
         spec = ExperimentSpec(
             controller="order-2",
