@@ -477,70 +477,68 @@ def assemble_kernel(a_family: GapCoefficientFamily, n: int, point: SimplexPoint)
     return float(total)
 
 
-def _phi_monomials(P: MultiIndex) -> Dict[tuple[int, MultiIndex], Fraction]:
-    """Monomial expansion of Phi_P over the variables (x, xi_1..xi_n)."""
-    n = len(P)
-    # Chain symbols: index 0 is x, index i >= 1 is xi_i.  A monomial is
-    # (x power, xi powers).
-    terms: Dict[tuple[int, MultiIndex], Fraction] = {(0, tuple([0] * n)): Fraction(1)}
+def _phi_monomials(P: MultiIndex) -> Dict[MultiIndex, int]:
+    """P! Phi_P = prod_r Delta_r**P_r as integer monomials over (x, xi_1..xi_n)."""
+    # Chain index 0 is x, index i >= 1 is xi_i; gap r = chain_r - chain_{r+1}.
+    terms: Dict[MultiIndex, int] = {(0,) * (len(P) + 1): 1}
     for r, pw in enumerate(P):
         if pw == 0:
             continue
-        inv = Fraction(1, math.factorial(pw))
-        new: Dict[tuple[int, MultiIndex], Fraction] = {}
+        new: Dict[MultiIndex, int] = {}
         for i in range(pw + 1):
-            coeff = inv * math.comb(pw, i) * (-1) ** (pw - i)
-            # gap r = chain_r - chain_{r+1}: upper entry to power i,
-            # lower entry to power pw - i.
-            for (e, alphas), c in terms.items():
-                e2, al2 = e, list(alphas)
-                if r == 0:
-                    e2 += i
-                else:
-                    al2[r - 1] += i
-                al2[r] += pw - i
-                key = (e2, tuple(al2))
-                new[key] = new.get(key, Fraction(0)) + c * coeff
-        terms = {k: v for k, v in new.items() if v != 0}
+            coeff = math.comb(pw, i) * (-1) ** (pw - i)
+            for vec, c in terms.items():
+                key = vec[:r] + (vec[r] + i, vec[r + 1] + pw - i) + vec[r + 2 :]
+                new[key] = new.get(key, 0) + c * coeff
+        terms = {k: v for k, v in new.items() if v}
     return terms
 
 
-def family_plant_kernel(family: GapCoefficientFamily, n: int) -> SimplexPolyKernel:
-    """The order-n plant kernel sum_P b_P(x) Phi_P as an explicit polynomial."""
-    out = SimplexPolyKernel(n, {})
-    for P, poly in family.at_order(n).items():
+def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> SimplexPolyKernel:
+    """sum_P c_P(x) Phi_P as monomials, where c_P(x) is a_P(x) - a_P(x - xi_n)
+    when ``shifted`` and the family's coefficient otherwise.
+
+    Sums integers over L = lcm of denominator(coefficient) * P! and drops
+    a key whose running sum reaches zero, as ``SimplexPolyKernel.add_term``
+    would: keys, values and insertion order equal the Fraction expansion's.
+    """
+    entries = family.at_order(n)
+    pfact = {P: math.prod(map(math.factorial, P)) for P in entries}
+    den = math.lcm(1, *(c.denominator * pfact[P] for P, p in entries.items() for c in p.coeffs))
+    acc: Dict[MultiIndex, int] = {}
+    for P, poly in entries.items():
         phi = _phi_monomials(P)
         for k, ck in enumerate(poly.coeffs):
             if ck == 0:
                 continue
-            for (e, alphas), c in phi.items():
-                out.add_term(ck * c, e + k, alphas)
-    return out
+            unit = ck.numerator * (den // (ck.denominator * pfact[P]))
+            # + ck x^k Phi_P, then (shifted) - ck (x - xi_n)^k Phi_P binomially.
+            parts = [(unit, k, 0)]
+            for i in range(k + 1) if shifted else ():
+                parts.append((-unit * math.comb(k, i) * (-1) ** (k - i), i, k - i))
+            for scale, de, dxi in parts:
+                for vec, c in phi.items():
+                    key = (vec[0] + de,) + vec[1:-1] + (vec[-1] + dxi,)
+                    cur = acc.get(key, 0) + scale * c
+                    if cur:
+                        acc[key] = cur
+                    else:
+                        del acc[key]
+    return SimplexPolyKernel(n, {(v[0], v[1:]): Fraction(c, den) for v, c in acc.items()})
+
+
+def family_plant_kernel(family: GapCoefficientFamily, n: int) -> SimplexPolyKernel:
+    """The order-n plant kernel sum_P b_P(x) Phi_P as an explicit polynomial."""
+    return _expand_kernel(family, n, shifted=False)
 
 
 def assemble_kernel_polynomial(a_family: GapCoefficientFamily, n: int) -> SimplexPolyKernel:
     """The assembled order-n kernel as an explicit polynomial in (x, xi).
 
-    Expands sum_P [a_P(x) - a_P(x - xi_n)] Phi_P monomial by monomial,
-    exactly.  The result is what the fast mesh cascades consume.
+    Expands sum_P [a_P(x) - a_P(x - xi_n)] Phi_P exactly, in integers over
+    one common denominator.  The result is what the mesh cascades consume.
     """
-    out = SimplexPolyKernel(n, {})
-    for P, poly in a_family.at_order(n).items():
-        phi = _phi_monomials(P)
-        for k, ck in enumerate(poly.coeffs):
-            if ck == 0:
-                continue
-            # a_P(x) contribution: + ck x^k Phi_P
-            for (e, alphas), c in phi.items():
-                out.add_term(ck * c, e + k, alphas)
-            # a_P(x - xi_n) contribution: - ck (x - xi_n)^k Phi_P
-            for i in range(k + 1):
-                bcoeff = math.comb(k, i) * Fraction(-1) ** (k - i)
-                for (e, alphas), c in phi.items():
-                    al2 = list(alphas)
-                    al2[n - 1] += k - i
-                    out.add_term(-ck * bcoeff * c, e + i, tuple(al2))
-    return out
+    return _expand_kernel(a_family, n, shifted=True)
 
 
 def dp_norm(

@@ -45,6 +45,12 @@ from .volterra import (
 
 CONTROLLERS = ("open-loop", "order-2", "order-3", "full-N_max")
 
+# Largest n_steps * mesh_points one run may ask for: about ten times the
+# M = 1601, t_end = 2, CFL 0.5 run (6400 steps).  `simulate` refuses a
+# larger run before its first step, so a mistyped cfl, t_end or
+# mesh_points fails at once instead of running for hours.
+MAX_GRID_UPDATES = 10**8
+
 
 class SimConfigError(ValueError):
     """A simulation configuration failed validation."""
@@ -221,14 +227,22 @@ def simulate(
     its closed-form nonlinearity.  ``kernels`` supplies the controller
     kernels for the non-open-loop controllers; ``rule`` is the quadrature
     rule for non-polynomial kernels (without one they are rejected before
-    the first step).  Halts early when the sup
-    norm passes the blow-up threshold or any value goes non-finite, and
-    records that time.
+    the first step).  A run whose steps times mesh points exceed
+    ``MAX_GRID_UPDATES`` is a :class:`SimConfigError`, also raised before
+    the first step.  Halts early when the sup norm passes the blow-up
+    threshold or any value goes non-finite, and records that time.
     """
     m = cfg.mesh_points
     mesh = np.linspace(0.0, 1.0, m)
     dx = 1.0 / (m - 1)
     dt = cfg.cfl * dx
+    steps = cfg.t_end / dt
+    if not steps * m <= MAX_GRID_UPDATES:  # also refuses a NaN or infinite estimate
+        raise SimConfigError(
+            f"the run needs about {steps:.1e} steps x {m} mesh points = "
+            f"{steps * m:.1e} grid updates, above MAX_GRID_UPDATES = {MAX_GRID_UPDATES:.0e}; "
+            "raise cfl or lower t_end or mesh_points"
+        )
     table = _normalize_kernels(kernels)
     cap = _controller_cap(cfg.controller, table)
     if cfg.controller != "open-loop" and not table:

@@ -172,7 +172,11 @@ def _random_family(rng: np.random.Generator, n: int) -> Dict[MultiIndex, Rationa
 
 
 def check_dp_submultiplicative(seed: int = 0, trials: int = 20) -> CheckResult:
-    """Divided-power product norm is bounded by the product of norms."""
+    """Divided-power product norm is bounded by the product of norms.
+
+    Every norm is :func:`dp_norm`'s sampled sup, a lower bound of the true
+    norm, so a pass is evidence, not a certificate.
+    """
     rng = np.random.default_rng(seed)
     r, big_r = 0.9, 1.7
     worst_margin = -math.inf
@@ -191,12 +195,16 @@ def check_dp_submultiplicative(seed: int = 0, trials: int = 20) -> CheckResult:
     return CheckResult(
         "dp-product-norm",
         passed,
+        "sampled sup (lower bound): "
         f"worst excess {worst_margin:.3e} over {trials} random pairs",
     )
 
 
 def check_split_gap_bound(seed: int = 0, trials: int = 20) -> CheckResult:
-    """Split-gap integration contracts the norm by a factor r."""
+    """Split-gap integration contracts the norm by a factor r.
+
+    Compares sampled sups (lower bounds), as :func:`check_dp_submultiplicative`.
+    """
     rng = np.random.default_rng(seed)
     r, big_r = 0.9, 1.7
     worst_margin = -math.inf
@@ -225,6 +233,7 @@ def check_split_gap_bound(seed: int = 0, trials: int = 20) -> CheckResult:
     return CheckResult(
         "split-gap-integration-norm",
         passed,
+        "sampled sup (lower bound): "
         f"worst excess {worst_margin:.3e} over {trials} random families",
     )
 

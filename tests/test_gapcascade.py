@@ -4,6 +4,7 @@ import hashlib
 import math
 from collections import defaultdict
 from fractions import Fraction as Fr
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from volback.gapcascade import (
     phi_eval,
     split_gap_integration,
 )
-from volback.polynomial import RationalPoly, pdae_k2, pdae_k3
+from volback.polynomial import RationalPoly, SimplexPolyKernel, pdae_k2, pdae_k3
 from volback.simplex import SimplexPoint
 
 from conftest import random_simplex_points
@@ -255,6 +256,104 @@ class TestAssembly:
         kern = family_plant_kernel(b_family, 2)
         pts = np.array([[0.5, 0.2], [0.9, 0.1]])
         assert kern(1.0, pts) == pytest.approx([1.0, 1.0])
+
+
+def mixed_denominator_family():
+    """A plant whose coefficients have unrelated denominators, so the
+    expansion's common denominator is a nontrivial lcm."""
+    return GapCoefficientFamily(
+        {
+            (2, (0, 0)): RationalPoly([Fr(1, 3)]),
+            (2, (1, 0)): RationalPoly([Fr(2, 7), Fr(1, 5)]),
+            (3, (0, 1, 0)): RationalPoly([Fr(-5, 6), Fr(1, 9)]),
+        },
+        "plant-b",
+    )
+
+
+PLANTS = {"pdae": pdae_b_family, "ks-shaped": ks_shaped_family, "mixed": mixed_denominator_family}
+
+
+@lru_cache(maxsize=None)
+def cascade_of(plant, n_max):
+    return cascade(PLANTS[plant](), n_max)
+
+
+def fraction_phi_monomials(P):
+    """Phi_P over (x, xi_1..xi_n), expanded gap by gap in Fractions."""
+    n = len(P)
+    terms = {(0, (0,) * n): Fr(1)}
+    for r, pw in enumerate(P):
+        if pw == 0:
+            continue
+        new = {}
+        for i in range(pw + 1):
+            coeff = Fr(math.comb(pw, i) * (-1) ** (pw - i), math.factorial(pw))
+            for (e, alphas), c in terms.items():
+                al2 = list(alphas)
+                if r == 0:
+                    e += i
+                else:
+                    al2[r - 1] += i
+                al2[r] += pw - i
+                key = (e, tuple(al2))
+                new[key] = new.get(key, Fr(0)) + c * coeff
+        terms = {k: v for k, v in new.items() if v != 0}
+    return terms
+
+
+def fraction_expansion(family, n, shifted):
+    """Reference kernel: sum_P c_P(x) Phi_P added term by term through
+    ``add_term``, with c_P(x) = a_P(x) - a_P(x - xi_n) when ``shifted``."""
+    out = SimplexPolyKernel(n, {})
+    for P, poly in family.at_order(n).items():
+        phi = fraction_phi_monomials(P)
+        for k, ck in enumerate(poly.coeffs):
+            if ck == 0:
+                continue
+            for (e, alphas), c in phi.items():
+                out.add_term(ck * c, e + k, alphas)
+            if not shifted:
+                continue
+            for i in range(k + 1):
+                bcoeff = math.comb(k, i) * Fr(-1) ** (k - i)
+                for (e, alphas), c in phi.items():
+                    al2 = alphas[:-1] + (alphas[-1] + k - i,)
+                    out.add_term(-ck * bcoeff * c, e + i, al2)
+    return out
+
+
+EXPANSION_CASES = (
+    [("pdae", n) for n in range(2, 6)]
+    + [("ks-shaped", n) for n in range(2, 5)]
+    + [("mixed", n) for n in range(2, 5)]
+)
+
+
+class TestIntegerExpansion:
+    """The integer expander reproduces the Fraction expansion exactly:
+    same keys, same values, same insertion order (the mesh cascades sum
+    monomials in that order)."""
+
+    @pytest.mark.parametrize("plant, n", EXPANSION_CASES)
+    def test_assembly_matches_fraction_expansion(self, plant, n):
+        a = cascade_of(plant, n)
+        got = list(assemble_kernel_polynomial(a, n).monomials.items())
+        assert got == list(fraction_expansion(a, n, shifted=True).monomials.items())
+        assert all(type(v) is Fr for _, v in got)
+
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    def test_plant_kernel_matches_fraction_expansion(self, plant):
+        b = PLANTS[plant]()
+        for n in b.orders():
+            got = list(family_plant_kernel(b, n).monomials.items())
+            assert got == list(fraction_expansion(b, n, shifted=False).monomials.items())
+
+    @pytest.mark.parametrize("plant, n", [("pdae", 4), ("ks-shaped", 3), ("mixed", 3)])
+    def test_unshifted_expansion_of_cascade_family(self, plant, n):
+        a = cascade_of(plant, n)
+        got = list(family_plant_kernel(a, n).monomials.items())
+        assert got == list(fraction_expansion(a, n, shifted=False).monomials.items())
 
 
 class TestNorms:

@@ -192,6 +192,15 @@ class TestMain:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unbounded_run_exits_2_before_stepping(self, out_root, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "plant = pdae\ncontroller = order-2\nmesh_points = 21\ncfl = 1/1000000000\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "4.0e+10 steps" in err and "MAX_GRID_UPDATES" in err
+
     def test_missing_plant_exits_2(self, out_root, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("plant = /no/such/file\n")

@@ -12,6 +12,7 @@ from volback.charkernels import pdae_plant
 from volback.harness import build_kernel_table, load_plant
 from volback.simulator import (
     CONTROLLERS,
+    MAX_GRID_UPDATES,
     MissingKernelError,
     NotApplicableError,
     SimConfig,
@@ -63,6 +64,15 @@ class TestConfig:
         mesh = np.linspace(0.0, 1.0, 11)
         cfg = SimConfig(initial=lambda x: x**2)
         assert cfg.initial_values(mesh) == pytest.approx(mesh**2)
+
+    def test_grid_budget_admits_the_finest_protocol_mesh(self):
+        # M = 1601 at t_end = 2 and CFL 0.5 takes 6400 steps.
+        assert 6400 * 1601 * 5 < MAX_GRID_UPDATES
+
+    @pytest.mark.parametrize("t_end", [1e6, 1e307])  # the second overflows to inf
+    def test_run_over_grid_budget_refused(self, t_end):
+        with pytest.raises(SimConfigError, match="MAX_GRID_UPDATES"):
+            simulate(SimConfig(t_end=t_end, mesh_points=21), None)
 
     def test_describe_round_trips_through_json(self):
         doc = json.dumps(SimConfig().describe())
