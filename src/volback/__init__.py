@@ -14,7 +14,7 @@ design:
     gain functions built from kernel norms,
 ``charkernels``
     the characteristic-line recursion that produces the controller
-    kernels order by order,
+    kernels order by order, in exact rational arithmetic,
 ``gapcascade``
     the divided-power (gap polynomial) representation and the scalar
     ODE cascade that produces the same kernels symbolically,

@@ -41,15 +41,26 @@ from .volterra import (
     profile_of,
     series_terms,
     term_evaluator,
+    trie_nodes,
 )
 
 CONTROLLERS = ("open-loop", "order-2", "order-3", "full-N_max")
 
-# Largest n_steps * mesh_points one run may ask for: about ten times the
-# M = 1601, t_end = 2, CFL 0.5 run (6400 steps).  `simulate` refuses a
-# larger run before its first step, so a mistyped cfl, t_end or
-# mesh_points fails at once instead of running for hours.
-MAX_GRID_UPDATES = 10**8
+# Largest cost one run may ask for, in grid updates weighted by the work
+# each one does: n_steps * (STEP_COST + mesh_points * (1 + the
+# suffix-trie nodes of the mesh cascades the run evaluates)).  STEP_COST
+# is the fixed work of a time step in the same units: on a 2-core x86-64
+# VM an open-loop step takes about 120 us for every M up to 800, and a
+# trie node about 0.05 us per mesh point.  The builtin plant's order-3
+# controller has 16 nodes (order 4: 88, order 5: 569) and the plant
+# itself 1, so the order-3 run at M = 1601, t_end = 2, CFL 0.5 (6400
+# steps) costs 2.0e8, a tenth of the budget.  `simulate` refuses a
+# costlier run before its first step, so a mistyped cfl, t_end or
+# mesh_points, or a high-order controller on a fine mesh, fails at once
+# instead of running for hours.  Quadrature terms of kernels without
+# monomials are not counted.
+STEP_COST = 2500
+MAX_GRID_UPDATES = 2 * 10**9
 
 
 class SimConfigError(ValueError):
@@ -227,8 +238,8 @@ def simulate(
     its closed-form nonlinearity.  ``kernels`` supplies the controller
     kernels for the non-open-loop controllers; ``rule`` is the quadrature
     rule for non-polynomial kernels (without one they are rejected before
-    the first step).  A run whose steps times mesh points exceed
-    ``MAX_GRID_UPDATES`` is a :class:`SimConfigError`, also raised before
+    the first step).  A run whose cost estimate (see ``MAX_GRID_UPDATES``)
+    exceeds that budget is a :class:`SimConfigError`, also raised before
     the first step.  Halts early when the sup norm passes the blow-up
     threshold or any value goes non-finite, and records that time.
     """
@@ -237,20 +248,24 @@ def simulate(
     dx = 1.0 / (m - 1)
     dt = cfg.cfl * dx
     steps = cfg.t_end / dt
-    if not steps * m <= MAX_GRID_UPDATES:  # also refuses a NaN or infinite estimate
-        raise SimConfigError(
-            f"the run needs about {steps:.1e} steps x {m} mesh points = "
-            f"{steps * m:.1e} grid updates, above MAX_GRID_UPDATES = {MAX_GRID_UPDATES:.0e}; "
-            "raise cfl or lower t_end or mesh_points"
-        )
     table = _normalize_kernels(kernels)
     cap = _controller_cap(cfg.controller, table)
+    controller = {n: k for n, k in table.items() if n <= (cap or 1)}
+    nodes = _plant_trie_nodes(plant) + sum(map(trie_nodes, controller.values()))
+    cost = steps * (STEP_COST + m * (1 + nodes))
+    if not cost <= MAX_GRID_UPDATES:  # also refuses a NaN or infinite estimate
+        raise SimConfigError(
+            f"the run needs about {steps:.1e} steps x ({STEP_COST} + {m} mesh points x "
+            f"(1 + {nodes} suffix-trie nodes)) = {cost:.1e} grid updates, above "
+            f"MAX_GRID_UPDATES = {MAX_GRID_UPDATES:.0e}; raise cfl or lower t_end, "
+            "mesh_points or the controller order"
+        )
     if cfg.controller != "open-loop" and not table:
         raise MissingKernelError(f"controller {cfg.controller!r} needs kernels")
 
     nonlinearity = _plant_nonlinearity(plant, rule, mesh)
     # A missing order up to the cap is rejected by the first feedback call.
-    terms = {n: term_evaluator(k, n, mesh, rule) for n, k in table.items() if n <= (cap or 1)}
+    terms = {n: term_evaluator(k, n, mesh, rule) for n, k in controller.items()}
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = _advection(values, dx)
@@ -322,6 +337,16 @@ def simulate(
 
 def _l2(values: np.ndarray, dx: float) -> float:
     return float(np.sqrt(np.trapezoid(values**2, dx=dx)))
+
+
+def _plant_trie_nodes(plant: VolterraKernelSeries | None) -> int:
+    """Suffix-trie nodes of the plant's mesh cascades (one for the
+    builtin plant's running integral)."""
+    if plant is None or plant.is_zero():
+        return 0
+    if is_pdae_plant(plant):
+        return 1
+    return sum(map(trie_nodes, plant.kernels.values()))
 
 
 def _plant_nonlinearity(

@@ -357,6 +357,14 @@ class MeshCascade:
         return _sum_from_zero(self.coef * ends * self.e_ends, -1)
 
 
+def trie_nodes(kern: Callable) -> int:
+    """Nodes of the suffix trie a :class:`MeshCascade` of ``kern`` builds
+    (its distinct trailing exponent tuples); 0 for a kernel without
+    monomials."""
+    mono = _monomial_map(kern) or {}
+    return len({alphas[i:] for _, alphas in mono for i in range(len(alphas))})
+
+
 def term_evaluator(
     kern: Callable, n: int, mesh: np.ndarray, rule: QuadratureRule | None = None
 ) -> MeshCascade | QuadratureTerm:

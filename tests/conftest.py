@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from volback.charkernels import KernelNode, pdae_closed_forms, pdae_plant
+from volback.charkernels import pdae_closed_forms, pdae_plant
 from volback.gapcascade import cascade, pdae_b_family
 from volback.simplex import QuadratureRule
 from volback.volterra import VolterraKernelSeries
@@ -31,7 +31,7 @@ def closed_forms():
 
 @pytest.fixture(scope="session")
 def kernel_table(closed_forms):
-    return {n: KernelNode.from_polynomial(p) for n, p in closed_forms.items()}
+    return dict(closed_forms)
 
 
 @pytest.fixture(scope="session")

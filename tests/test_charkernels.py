@@ -1,6 +1,7 @@
 """Coupling operator, shuffle enumeration, and the kernel recursion."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,13 +72,12 @@ class TestEvalB:
         assert eval_B(2, 2, None, plant.kernel(2), pt) == 0.0
 
     def test_closed_form_value(self, plant):
-        k2n = KernelNode.from_polynomial(pdae_k2())
         pt = SimplexPoint(1.0, (0.5, 0.25, 0.0))
-        val = eval_B(3, 2, k2n, plant.kernel(2), pt)
+        val = eval_B(3, 2, pdae_k2(), plant.kernel(2), pt)
         assert val == pytest.approx(-0.46875, abs=1e-10)
 
     def test_closed_form_everywhere(self, plant):
-        k2n = KernelNode.from_polynomial(pdae_k2())
+        k2n = KernelNode(pdae_k2(), "gap-cascade")
         rng = np.random.default_rng(11)
         for row in random_simplex_points(rng, 3, 20):
             x1, x2, x3 = row
@@ -86,14 +86,12 @@ class TestEvalB:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_order_mismatch_rejected(self, plant):
-        k3n = KernelNode.from_polynomial(pdae_k3())
         with pytest.raises(KernelConfigError):
-            eval_B(3, 2, k3n, plant.kernel(2), SimplexPoint(1.0, (0.5, 0.25, 0.1)))
+            eval_B(3, 2, pdae_k3(), plant.kernel(2), SimplexPoint(1.0, (0.5, 0.25, 0.1)))
 
     def test_opaque_forcing_rejected(self):
-        k2n = KernelNode.from_polynomial(pdae_k2())
         with pytest.raises(KernelConfigError, match="order-2 plant kernel"):
-            eval_B(3, 2, k2n, lambda x, xi: np.ones(len(xi)), SimplexPoint(1.0, (0.5, 0.25, 0.1)))
+            eval_B(3, 2, pdae_k2(), lambda x, xi: np.ones(len(xi)), SimplexPoint(1.0, (0.5, 0.25, 0.1)))
 
     def test_m_out_of_range_rejected(self, plant):
         with pytest.raises(KernelConfigError):
@@ -110,13 +108,13 @@ class TestCharacteristicRecursion:
 
     def test_zero_tail_is_exact_zero(self, plant):
         pt = SimplexPoint(1.0, (0.5, 0.25, 0.0))
-        nodes = build_controller_kernels(plant, 3, closed_forms={})
+        nodes = build_controller_kernels(plant, 3)
         table = {nd.order: nd for nd in nodes}
         val = kernel_characteristic(3, plant, table, pt)
         assert val == 0.0
 
     def test_order3_frozen_point(self, plant):
-        nodes = build_controller_kernels(plant, 3, closed_forms={})
+        nodes = build_controller_kernels(plant, 3)
         table = {nd.order: nd for nd in nodes}
         pt = SimplexPoint(1.0, (0.5, 0.25, 0.2))
         val = kernel_characteristic(3, plant, table, pt)
@@ -131,7 +129,6 @@ class TestCharacteristicRecursion:
         # directional derivative of k3 along (1,1,1,1) equals the
         # order-(3,2) coupling term when the order-3 forcing vanishes
         k3 = pdae_k3()
-        k2n = KernelNode.from_polynomial(pdae_k2())
         rng = np.random.default_rng(5)
         h = 1e-5
         count = 0
@@ -145,42 +142,35 @@ class TestCharacteristicRecursion:
             up = k3(x + h, np.array([xi + h]))[0]
             dn = k3(x - h, np.array([xi - h]))[0]
             fd = (up - dn) / (2 * h)
-            b = eval_B(3, 2, k2n, plant.kernel(2), SimplexPoint(x, tuple(xi)))
+            b = eval_B(3, 2, pdae_k2(), plant.kernel(2), SimplexPoint(x, tuple(xi)))
             assert fd == pytest.approx(b, abs=1e-6)
 
 
 class TestBuildControllerKernels:
-    def test_closed_forms_preferred(self, plant):
+    def test_recursion_route(self, plant, closed_forms):
         nodes = build_controller_kernels(plant, 3)
-        provenances = {nd.order: nd.provenance for nd in nodes}
-        assert provenances == {2: "closed-form", 3: "closed-form"}
-
-    def test_recursion_route(self, plant):
-        nodes = build_controller_kernels(plant, 3, closed_forms={})
         assert [nd.order for nd in nodes] == [2, 3]
         assert all(nd.provenance == "characteristic-recursion" for nd in nodes)
-        rng = np.random.default_rng(7)
-        pts = random_simplex_points(rng, 3, 50)
-        closed = pdae_k3()
-        got = nodes[1](1.0, pts)
-        want = closed(1.0, pts)
-        assert np.max(np.abs(got - want)) < 1e-6
+        for nd in nodes:
+            assert nd.polynomial.monomials == closed_forms[nd.order].monomials
 
     def test_zero_plant_gives_zero_kernels(self):
         zero = VolterraKernelSeries({})
         nodes = build_controller_kernels(zero, 3)
+        assert [nd.order for nd in nodes] == [2, 3]
         rng = np.random.default_rng(0)
         for nd in nodes:
+            assert nd.polynomial.is_zero()
             pts = random_simplex_points(rng, nd.order, 10)
             assert np.max(np.abs(nd(1.0, pts))) == 0.0
 
     def test_inflow_condition(self, plant):
-        nodes = build_controller_kernels(plant, 3, closed_forms={})
+        nodes = build_controller_kernels(plant, 5)
         rng = np.random.default_rng(9)
         for nd in nodes:
             pts = random_simplex_points(rng, nd.order, 20)
             pts[:, -1] = 0.0
-            assert np.max(np.abs(nd(1.0, pts))) < 1e-12
+            assert np.max(np.abs(nd(1.0, pts))) == 0.0
 
     def test_cap_below_two_rejected(self, plant):
         with pytest.raises(KernelConfigError):
@@ -193,52 +183,51 @@ class TestBuildControllerKernels:
 
 
 class TestDegreeRule:
-    """The recursion's Gauss rule comes from the kernel degrees, so without
-    closed forms it reproduces the cascade's polynomials up to rounding."""
+    """The recursion's polynomials, degrees included, equal the cascade's
+    monomial for monomial."""
 
     PLANT = "2 0,0 3/2 1/2\n2 1,0 -1/3 0 2\n3 1,0,0 1/2 -2/3\n3 0,1,1 -3/4 1\n"
+    # Shaped like the kernel-synthesis benchmark's plants.
+    KS_SHAPED = "2 0,0 -3/2\n2 0,1 1/2\n3 1,0,0 1 -1/4\n3 0,0,1 -4/3 -3/2\n"
+    MIXED = "2 0,0 1/3\n2 1,0 2/7 1/5\n3 0,1,0 -5/6 1/9\n"
 
     @staticmethod
-    def worst_gap(series, b_family, n_max):
-        nodes = build_controller_kernels(series, n_max, closed_forms={})
+    def assert_equal_to_cascade(series, b_family, n_max):
+        nodes = build_controller_kernels(series, n_max)
         a_family = cascade(b_family, n_max)
-        rng = np.random.default_rng(3)
-        worst = 0.0
+        assert [nd.order for nd in nodes] == list(range(2, n_max + 1))
         for node in nodes:
-            pts = random_simplex_points(rng, node.order, 200)
-            poly = assemble_kernel_polynomial(a_family, node.order)
-            worst = max(worst, float(np.max(np.abs(node(1.0, pts) - poly(1.0, pts)))))
-        return worst
+            want = assemble_kernel_polynomial(a_family, node.order).monomials
+            assert node.polynomial.monomials == want, f"order {node.order}"
 
-    @pytest.mark.parametrize("n_max", [2, 3, 4])
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 5])
     def test_pdae_recursion_matches_cascade(self, plant, n_max):
-        assert self.worst_gap(plant, pdae_b_family(), n_max) <= 1e-12
+        self.assert_equal_to_cascade(plant, pdae_b_family(), n_max)
 
     def test_file_plant_recursion_matches_cascade(self, tmp_path):
         path = tmp_path / "plant.txt"
         path.write_text(self.PLANT)
         parsed = parse_plant(path)
-        assert self.worst_gap(parsed.series, parsed.family, 3) <= 1e-12
+        self.assert_equal_to_cascade(parsed.series, parsed.family, 3)
+
+    @pytest.mark.parametrize("text, n_max", [(KS_SHAPED, 4), (MIXED, 3)], ids=["ks-shaped", "mixed"])
+    def test_more_file_plants_match_cascade(self, tmp_path, text, n_max):
+        path = tmp_path / "plant.txt"
+        path.write_text(text)
+        parsed = parse_plant(path)
+        self.assert_equal_to_cascade(parsed.series, parsed.family, n_max)
 
     def test_degree_bound_is_the_pdae_degree(self, plant):
-        nodes = build_controller_kernels(plant, 5, closed_forms={})
-        assert [nd.degree for nd in nodes] == [1, 3, 5, 7]
-        a_family = cascade(pdae_b_family(), 4)
-        for nd in nodes[:3]:
-            assert nd.degree == assemble_kernel_polynomial(a_family, nd.order).max_degree()
+        nodes = build_controller_kernels(plant, 5)
+        assert [nd.polynomial.max_degree() for nd in nodes] == [1, 3, 5, 7]
 
     def test_rule_exact_for_forcing_that_moves_along_characteristics(self):
         # x^2 + xi_2^2 is not constant along (1, 1, 1), unlike the gap
-        # monomials, so the characteristic integrand has its full degree 2.
+        # monomials: k_2 = -(x^3 - (x - xi_2)^3 + xi_2^3) / 3.
         f2 = SimplexPolyKernel(2, {(2, (0, 0)): 1, (0, (0, 2)): 1})
         (node,) = build_controller_kernels(VolterraKernelSeries({2: f2}), 2)
-        assert node.degree == 3
-        pts = random_simplex_points(np.random.default_rng(8), 2, 50)
-        want = -(1.0 - (1.0 - pts[:, 1]) ** 3 + pts[:, 1] ** 3) / 3.0
-        assert np.max(np.abs(node(1.0, pts) - want)) <= 1e-14
-
-    def test_polynomial_node_degree(self):
-        assert KernelNode.from_polynomial(pdae_k3()).degree == pdae_k3().max_degree() == 3
+        want = {(2, (0, 1)): -1, (1, (0, 2)): 1, (0, (0, 3)): Fraction(-2, 3)}
+        assert node.polynomial.monomials == want
 
     @pytest.mark.parametrize("opaque_order", [2, 3])
     def test_opaque_plant_kernel_rejected(self, opaque_order):
@@ -246,32 +235,24 @@ class TestDegreeRule:
         kernels[opaque_order] = lambda pt: 1.0
         series = VolterraKernelSeries(kernels)
         with pytest.raises(KernelConfigError, match=f"order-{opaque_order} plant kernel"):
-            build_controller_kernels(series, 3, closed_forms={})
+            build_controller_kernels(series, 3)
         pt = SimplexPoint(1.0, (0.5, 0.25, 0.2)[:opaque_order])
-        lower = build_controller_kernels(series, 2, closed_forms={2: pdae_k2()})
         with pytest.raises(KernelConfigError, match=f"order-{opaque_order} plant kernel"):
-            kernel_characteristic(opaque_order, series, lower, pt)
+            kernel_characteristic(opaque_order, series, {2: pdae_k2()}, pt)
 
 
 class TestKernelNode:
     def test_column_count_validated(self):
-        node = KernelNode.from_polynomial(pdae_k2())
+        node = KernelNode(pdae_k2(), "gap-cascade")
         with pytest.raises(KernelConfigError):
             node(1.0, np.zeros((3, 3)))
 
     def test_provenance_validated(self):
         with pytest.raises(KernelConfigError):
-            KernelNode(2, lambda x, xi: np.zeros(len(xi)), "guesswork")
-
-    def test_memoized_eval_is_stable(self, plant):
-        nodes = build_controller_kernels(plant, 2, closed_forms={})
-        pt = np.array([[0.6, 0.3]])
-        first = nodes[0](1.0, pt)[0]
-        second = nodes[0](1.0, pt)[0]
-        assert first == second
+            KernelNode(pdae_k2(), "guesswork")
 
     def test_eval_point_api(self):
-        node = KernelNode.from_polynomial(pdae_k2())
+        node = KernelNode(pdae_k2(), "gap-cascade")
         assert node.eval_point(SimplexPoint(1.0, (0.6, 0.3))) == pytest.approx(-0.3)
 
 

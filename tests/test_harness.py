@@ -306,8 +306,8 @@ class TestCascadeOncePerCommand:
         assert cascades == [3]
 
     def test_kernels_above_cross_check_order_exit_2(self, out_root, cascades, capsys):
-        assert main(["kernels", "--plant", "pdae", "--order", "6"]) == 2
-        assert "supports orders up to 5" in capsys.readouterr().err
+        assert main(["kernels", "--plant", "pdae", "--order", "7"]) == 2
+        assert "supports orders up to 6" in capsys.readouterr().err
         assert not (out_root / "kernels").exists()
         assert cascades == []
 
@@ -315,14 +315,14 @@ class TestCascadeOncePerCommand:
         self, out_root, tmp_path, cascades, capsys
     ):
         plant = tmp_path / "plant.txt"
-        plant.write_text("2 0,0 1\n6 0,0,0,0,0,0 1/2\n")
+        plant.write_text("2 0,0 1\n7 0,0,0,0,0,0,0 1/2\n")
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             f"plant = {plant}\ncontroller = full-N_max\nmesh_points = 21\n"
             "check_kernels = true\noutput_dir = high\n"
         )
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert "does not finish at order 6" in capsys.readouterr().err
+        assert "at order 7; it supports orders up to 6" in capsys.readouterr().err
         assert not (out_root / "high").exists()
         assert cascades == []
 

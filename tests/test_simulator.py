@@ -13,6 +13,7 @@ from volback.harness import build_kernel_table, load_plant
 from volback.simulator import (
     CONTROLLERS,
     MAX_GRID_UPDATES,
+    STEP_COST,
     MissingKernelError,
     NotApplicableError,
     SimConfig,
@@ -66,8 +67,36 @@ class TestConfig:
         assert cfg.initial_values(mesh) == pytest.approx(mesh**2)
 
     def test_grid_budget_admits_the_finest_protocol_mesh(self):
-        # M = 1601 at t_end = 2 and CFL 0.5 takes 6400 steps.
-        assert 6400 * 1601 * 5 < MAX_GRID_UPDATES
+        # M = 1601 at t_end = 2 and CFL 0.5 takes 6400 steps; each grid
+        # update costs 1 + the order-3 controller's trie nodes + the
+        # plant's one.
+        kernels = build_kernel_table(load_plant("pdae"), 3)
+        nodes = sum(map(volterra.trie_nodes, kernels.values()))
+        assert nodes == 16
+        assert 9 * 6400 * (STEP_COST + 1601 * (1 + nodes + 1)) < MAX_GRID_UPDATES
+
+    def test_trie_nodes_are_the_cascade_levels(self):
+        mesh = np.linspace(0.0, 1.0, 11)
+        for kern in build_kernel_table(load_plant("pdae"), 4).values():
+            levels = volterra.MeshCascade(kern.polynomial.monomials, mesh).levels
+            assert volterra.trie_nodes(kern) == sum(len(pows) for pows, _ in levels)
+
+    def test_controller_cost_counts_in_the_budget(self, plant, monkeypatch):
+        # The blow-up threshold stops the order-3 run after its first step.
+        cfg = SimConfig(controller="full-N_max", mesh_points=1601, blow_up_threshold=1e-9)
+        pdae = load_plant("pdae")
+        rec = simulate(cfg, plant, build_kernel_table(pdae, 3))
+        assert rec.blow_up is not None
+        order5 = build_kernel_table(pdae, 5)
+
+        def no_evaluators(*args):
+            raise AssertionError("the refused run built its evaluators")
+
+        monkeypatch.setattr(simulator, "term_evaluator", no_evaluators)
+        with pytest.raises(
+            SimConfigError, match=r"\(1 \+ 570 suffix-trie nodes\)\) = 5\.9e\+09 grid updates"
+        ):
+            simulate(cfg, plant, order5)
 
     @pytest.mark.parametrize("t_end", [1e6, 1e307])  # the second overflows to inf
     def test_run_over_grid_budget_refused(self, t_end):
