@@ -33,7 +33,6 @@ from .volterra import (
     gain_ell,
     gain_k,
     linearized_values,
-    profile_of,
     series_terms,
 )
 
@@ -139,7 +138,7 @@ def invert_with_info(
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        nxt = w + GridFunction(profile_of(terms, u.values))
+        nxt = w + GridFunction(terms.profile(u.values))
         step = (nxt - u).l2_norm()
         residuals.append(step)
         u = nxt
@@ -201,8 +200,9 @@ def neumann_norm_estimate(
 ) -> float:
     """L2 operator norm of (I - DK[u])^{-1}, estimated on the mesh.
 
-    Builds the dense derivative matrix, then runs power iteration on
-    the symmetrized inverse in the trapezoid-weighted inner product.
+    Builds the dense derivative matrix, inverts it once, then runs power
+    iteration on the symmetrized inverse in the trapezoid-weighted inner
+    product.
     """
     m = u.size
     a = np.eye(m) - dk_matrix(series, u, rule)
@@ -212,13 +212,13 @@ def neumann_norm_estimate(
     sq = np.sqrt(wts)
     # Similarity transform makes the weighted norm the euclidean norm.
     a_w = sq[:, None] * a / sq[None, :]
+    inv = np.linalg.inv(a_w)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(m)
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(iters):
-        y = np.linalg.solve(a_w, v)
-        z = np.linalg.solve(a_w.T, y)
+        z = inv.T @ (inv @ v)
         nz = np.linalg.norm(z)
         if nz == 0:
             return 0.0
@@ -276,6 +276,6 @@ def lipschitz_check(
         du = (u - v).l2_norm()
         if du == 0:
             continue
-        dk = GridFunction(profile_of(terms, u.values) - profile_of(terms, v.values)).l2_norm()
+        dk = GridFunction(terms.profile(u.values) - terms.profile(v.values)).l2_norm()
         worst = max(worst, dk / du)
     return LipschitzReport(worst, threshold, worst <= threshold + tol, trials, seed)

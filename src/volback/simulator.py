@@ -8,12 +8,12 @@ with dt = CFL * dx, and the boundary node is refreshed with the feedback
 value at every stage so the scheme stays consistent with the
 time-varying boundary condition.
 
-Each kernel order of the controller, and of any plant other than the
-builtin quadratic one, is evaluated by its
-:func:`~volback.volterra.term_evaluator`, built once per run: the mesh
-cascade for polynomial kernels, simplex quadrature for every other
-kernel, which needs an explicit ``rule``.  The builtin plant keeps its
-closed form (int_0^x u)^2 / 2.
+The controller, and any plant other than the builtin quadratic one, is
+evaluated by one :class:`~volback.volterra.SeriesTerms` built per run:
+a single mesh cascade for all polynomial orders, simplex quadrature for
+every other kernel, which needs an explicit ``rule``.  The builtin
+plant keeps its closed form (int_0^x u)^2 / 2, its running integral a
+one-node mesh cascade.
 
 Also here: the target semigroup (pure left transport with zero inflow,
 which annihilates any profile in finite time 1), the closed-loop
@@ -36,11 +36,9 @@ from .simplex import QuadratureRule
 from .volterra import (
     GridFunction,
     MeshCascade,
-    QuadratureTerm,
+    SeriesTerms,
     VolterraKernelSeries,
-    profile_of,
     series_terms,
-    term_evaluator,
     trie_nodes,
 )
 
@@ -48,17 +46,20 @@ CONTROLLERS = ("open-loop", "order-2", "order-3", "full-N_max")
 
 # Largest cost one run may ask for, in grid updates weighted by the work
 # each one does: n_steps * (STEP_COST + mesh_points * (1 + the
-# suffix-trie nodes of the mesh cascades the run evaluates)).  STEP_COST
-# is the fixed work of a time step in the same units: on a 2-core x86-64
-# VM an open-loop step takes about 120 us for every M up to 800, and a
-# trie node about 0.05 us per mesh point.  The builtin plant's order-3
-# controller has 16 nodes (order 4: 88, order 5: 569) and the plant
-# itself 1, so the order-3 run at M = 1601, t_end = 2, CFL 0.5 (6400
-# steps) costs 2.0e8, a tenth of the budget.  `simulate` refuses a
-# costlier run before its first step, so a mistyped cfl, t_end or
-# mesh_points, or a high-order controller on a fine mesh, fails at once
-# instead of running for hours.  Quadrature terms of kernels without
-# monomials are not counted.
+# suffix-trie nodes of each kernel order alone)).  The controller's one
+# cascade shares suffixes between orders, so that count bounds its nodes
+# from above.  STEP_COST is the fixed work of a time step in the same
+# units: on a 2-core x86-64 VM an open-loop step takes 50-110 us for
+# every M up to 800 (the VM's speed swings about 2x), and a trie node
+# 0.02 us (order 5) to 0.05 us (order 3) per mesh point.  The builtin
+# plant's order-3 controller is charged 16 nodes (it has 14; order 4:
+# 88 for 72, order 5: 569 for 481) and the plant itself 1, so the
+# order-3 run at M = 1601, t_end = 2, CFL 0.5 (6400 steps) costs 2.0e8,
+# a tenth of the budget.  `simulate` refuses a costlier run before it
+# builds its mesh, so a mistyped cfl, t_end or mesh_points, or a
+# high-order controller on a fine mesh, fails at once instead of
+# running for hours or running out of memory.  Quadrature terms of
+# kernels without monomials are not counted.
 STEP_COST = 2500
 MAX_GRID_UPDATES = 2 * 10**9
 
@@ -172,7 +173,7 @@ def _advection(values: np.ndarray, dx: float) -> np.ndarray:
     """One-sided difference toward x = 1 (backward fill at the last node)."""
     out = np.empty_like(values)
     out[:-1] = (values[1:] - values[:-1]) / dx
-    out[-1] = (values[-1] - values[-2]) / dx
+    out[-1] = out[-2]
     return out
 
 
@@ -186,33 +187,29 @@ def _normalize_kernels(kernels) -> Dict[int, Callable]:
     return {node.order: node for node in kernels}
 
 
-def feedback(
-    u: GridFunction,
-    kernels,
-    order_cap: int | None = None,
-    rule: QuadratureRule | None = None,
-    terms: Mapping[int, MeshCascade | QuadratureTerm] | None = None,
-) -> float:
-    """Boundary value K[u](1) summed over kernel orders up to the cap.
+def controller_terms(
+    kernels, order_cap: int, mesh: np.ndarray, rule: QuadratureRule | None = None
+) -> SeriesTerms:
+    """The evaluator of the controller's orders 2..order_cap on ``mesh``.
 
-    Each order is the x = 1 endpoint of its :func:`term_evaluator`: the
-    mesh-aligned nested trapezoid cascade for polynomial kernels, else
-    simplex quadrature with ``rule`` (required then).  ``terms`` may
-    supply prebuilt evaluators for the mesh of ``u`` (``simulate``
-    builds them once per run), else each call builds its own.  Every
-    order 2..order_cap must be present in ``kernels`` (pass the zero
-    kernel explicitly if an order genuinely vanishes).
+    One mesh cascade for the polynomial kernels, simplex quadrature with
+    ``rule`` (required then) for every other kernel; see
+    :class:`~volback.volterra.SeriesTerms`.  Every order up to the cap
+    must be present in ``kernels`` (pass the zero kernel explicitly if
+    an order genuinely vanishes).
     """
     table = _normalize_kernels(kernels)
-    if order_cap is None:
-        order_cap = max(table) if table else 1
-    total = 0.0
     for n in range(2, order_cap + 1):
         if n not in table:
             raise MissingKernelError(f"feedback needs the order-{n} kernel")
-        term = (terms or {}).get(n) or term_evaluator(table[n], n, u.mesh, rule)
-        total += float(term.endpoint([u.values] * n))
-    return total
+    return SeriesTerms({n: table[n] for n in range(2, order_cap + 1)}, mesh, rule)
+
+
+def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
+    """Boundary value K[u](1) of the state sampled at ``values``, from
+    the prebuilt :func:`controller_terms` (``simulate`` builds it once
+    per run): each order's x = 1 endpoint, added in increasing order."""
+    return controller.endpoint(values)
 
 
 def _controller_cap(controller: str, table: Dict[int, Callable]) -> int | None:
@@ -244,14 +241,14 @@ def simulate(
     threshold or any value goes non-finite, and records that time.
     """
     m = cfg.mesh_points
-    mesh = np.linspace(0.0, 1.0, m)
     dx = 1.0 / (m - 1)
     dt = cfg.cfl * dx
     steps = cfg.t_end / dt
     table = _normalize_kernels(kernels)
     cap = _controller_cap(cfg.controller, table)
-    controller = {n: k for n, k in table.items() if n <= (cap or 1)}
-    nodes = _plant_trie_nodes(plant) + sum(map(trie_nodes, controller.values()))
+    nodes = _plant_trie_nodes(plant) + sum(
+        trie_nodes(k) for n, k in table.items() if n <= (cap or 1)
+    )
     cost = steps * (STEP_COST + m * (1 + nodes))
     if not cost <= MAX_GRID_UPDATES:  # also refuses a NaN or infinite estimate
         raise SimConfigError(
@@ -263,36 +260,32 @@ def simulate(
     if cfg.controller != "open-loop" and not table:
         raise MissingKernelError(f"controller {cfg.controller!r} needs kernels")
 
+    mesh = np.linspace(0.0, 1.0, m)
     nonlinearity = _plant_nonlinearity(plant, rule, mesh)
-    # A missing order up to the cap is rejected by the first feedback call.
-    terms = {n: term_evaluator(k, n, mesh, rule) for n, k in controller.items()}
+    controller = None if cap is None else controller_terms(table, cap, mesh, rule)
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = _advection(values, dx)
         if nonlinearity is not None:
-            out = out + nonlinearity(values)
+            out += nonlinearity(values)
         return out
 
     def boundary(values: np.ndarray) -> float:
-        if cap is None:
+        if controller is None:
             return 0.0
-        try:
-            state = GridFunction(values)
-        except ValueError:  # non-finite values; the blow-up check stops the run
+        if not np.isfinite(values).all():  # the blow-up check stops the run
             return math.nan
-        return feedback(state, table, cap, rule, terms)
+        return feedback(values, controller)
 
     n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-12)))
-    frame_ids = set(
-        int(i) for i in np.round(np.linspace(0, n_steps, cfg.snapshot_count))
-    )
+    frame_ids = _frame_ids(n_steps, cfg.snapshot_count)
 
     u = cfg.initial_values(mesh).astype(float)
     u[-1] = boundary(u)
 
     times = [0.0]
     l2 = [_l2(u, dx)]
-    sup = [float(np.max(np.abs(u)))]
+    sup = [_sup(u)]
     controls = [u[-1]]
     snap_times = [0.0]
     snaps = [u.copy()]
@@ -309,13 +302,13 @@ def simulate(
         nxt[-1] = boundary(nxt)
         t += step
         u = nxt
-        bad = not np.all(np.isfinite(u)) or np.max(np.abs(u)) > cfg.blow_up_threshold
-        if bad:
+        peak = _sup(u)  # nan or inf exactly when some value is not finite
+        if not math.isfinite(peak) or peak > cfg.blow_up_threshold:
             blow_up = t
             break
         times.append(t)
         l2.append(_l2(u, dx))
-        sup.append(float(np.max(np.abs(u))))
+        sup.append(peak)
         controls.append(u[-1])
         if k in frame_ids:
             snap_times.append(t)
@@ -335,8 +328,24 @@ def simulate(
     )
 
 
+def _frame_ids(n_steps: int, count: int) -> set[int]:
+    """The steps nearest to ``count`` evenly spaced times in 0..n_steps.
+
+    Past n_steps + 1 points every step is already nearest to one, so the
+    set is built from at most that many points.
+    """
+    points = np.linspace(0, n_steps, min(count, n_steps + 1))
+    return set(int(i) for i in np.round(points))
+
+
 def _l2(values: np.ndarray, dx: float) -> float:
-    return float(np.sqrt(np.trapezoid(values**2, dx=dx)))
+    """sqrt(np.trapezoid(values**2, dx=dx)), the same operations inline."""
+    sq = values**2
+    return float(np.sqrt((dx * (sq[1:] + sq[:-1]) / 2.0).sum(-1)))
+
+
+def _sup(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values)))
 
 
 def _plant_trie_nodes(plant: VolterraKernelSeries | None) -> int:
@@ -355,15 +364,14 @@ def _plant_nonlinearity(
     if plant is None or plant.is_zero():
         return None
     if is_pdae_plant(plant):
-        running = MeshCascade({(0, (0,)): 1}, mesh)  # v(x) = int_0^x u
+        running = MeshCascade({1: {(0, (0,)): 1}}, mesh)  # v(x) = int_0^x u
 
         def quadratic(values: np.ndarray) -> np.ndarray:
             return 0.5 * running.profile([values]) ** 2
 
         return quadratic
 
-    terms = series_terms(plant, mesh, rule)
-    return lambda values: profile_of(terms, values)
+    return series_terms(plant, mesh, rule).profile
 
 
 def target_semigroup(w0: GridFunction, t: float) -> GridFunction:
@@ -420,11 +428,11 @@ def mild_solution_residual(
     series = VolterraKernelSeries(table)
     terms = series_terms(series, record.mesh, rule)
     u0 = GridFunction(record.snapshots[0])
-    w0 = u0 - GridFunction(profile_of(terms, u0.values))
+    w0 = u0 - GridFunction(terms.profile(u0.values))
     worst = 0.0
     for t in sample_times:
         t_snap, u_t = record.snapshot_at(t)
-        w_t = u_t - GridFunction(profile_of(terms, u_t.values))
+        w_t = u_t - GridFunction(terms.profile(u_t.values))
         target = target_semigroup(w0, t_snap)
         worst = max(worst, (w_t - target).l2_norm())
     return worst

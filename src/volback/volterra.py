@@ -17,10 +17,16 @@ mesh) that share the inner passes between monomials with equal trailing
 exponents.  Every other kernel gets a :class:`QuadratureTerm`: simplex
 quadrature at each mesh node with an explicit rule, the factors
 interpolated linearly; without a rule such a kernel is a
-:class:`SeriesDefinitionError`.  Profiles, derivatives, the derivative
-matrix and the simulator all go through this choice;
-:func:`eval_series` and the point derivative use the single-x
-:class:`QuadratureNode` directly.
+:class:`SeriesDefinitionError`.
+
+Where every slot carries the same state (series profiles, the Picard
+and Lipschitz loops, the simulator's plant and controller),
+:class:`SeriesTerms` evaluates all orders at once: one cascade for all
+polynomial orders, whose trie shares suffixes between orders, and a
+quadrature term for each other order.  The derivative and the
+derivative matrix put a different factor in one slot, so they keep one
+evaluator per order.  :func:`eval_series` and the point derivative use
+the single-x :class:`QuadratureNode` directly.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -277,90 +283,187 @@ class QuadratureTerm:
 
 
 def _sum_from_zero(terms: np.ndarray, axis: int) -> np.ndarray:
-    """0.0 + t_0 + t_1 + ... along ``axis``, left to right.
+    """0.0 + t_0 + t_1 + ... along ``axis``, left to right; ``terms`` is
+    overwritten with its running sums.
 
     cumsum adds sequentially.  Starting it from 0.0 would change only the
     sign of partial sums that are zero, which the final ``0.0 +`` clears,
     so the bits equal those of a loop that starts from 0.0.
     """
-    return 0.0 + terms.cumsum(axis).take(-1, axis)
+    return 0.0 + terms.cumsum(axis, out=terms).take(-1, axis)
 
 
 class MeshCascade:
-    """Nested trapezoid sums of one polynomial multilinear term on a mesh.
+    """Nested trapezoid sums of polynomial multilinear terms on a mesh.
 
-    Built once from a kernel's monomials ``{(e, alphas): c}`` and the
-    uniform mesh, it evaluates
+    Built once from the monomials of one or several orders
+    ``{n: {(e, alphas): c}}`` and the uniform mesh, it evaluates for
+    every order n
 
         sum c x**e int_0^x xi_1**a_1 f_1(xi_1) int_0^xi_1 ... f_n(xi_n) dxi
 
     innermost slot first, each level one cumulative trapezoid pass
     (exactly the mesh-aligned nested trapezoid rule).  Monomials with
     equal trailing exponents share their inner passes: the exponent
-    tuples form a suffix trie, and each trie level is one batched
-    ``cumsum`` over its distinct suffixes.  ``factors[i]`` is the mesh
-    sample in slot i; factors may carry leading batch axes.
+    tuples of all orders form one suffix trie, level j holding the
+    length-(j+1) suffixes, and each level is one batched ``cumsum`` over
+    its nodes.  Order n reads its sums at level n - 1.
+
+    ``factors`` has one mesh sample per level, outermost first; level j
+    reads ``factors[-1 - j]``, so for a single order ``factors[i]`` is
+    slot i, and an order below the deepest reads the last n factors.
+    Orders share a suffix only in value, so a cascade of several orders
+    is meant for equal factors in every slot.  Factors may carry leading
+    batch axes.  The work arrays are one block, allocated again only when
+    the batch axes change its size; each call overwrites them, and no
+    result aliases them.
     """
 
-    def __init__(self, monomials: Mapping, mesh: np.ndarray) -> None:
+    def __init__(self, orders: Mapping[int, Mapping], mesh: np.ndarray) -> None:
         self.dx = mesh[1] - mesh[0]
         self.size = mesh.size
-        keys = list(monomials)
+        orders = {n: orders[n] for n in sorted(orders) if orders[n]}
+        keys = [key for mono in orders.values() for key in mono]
         exps = {e for e, _ in keys}.union(*(alphas for _, alphas in keys))
         pw = {a: mesh**a for a in exps}
         # Trie levels, innermost slot first: (x**alpha per node, parent node per node).
         self.levels: list[tuple[np.ndarray, np.ndarray | None]] = []
+        # Per order: its monomials' nodes at level n - 1, their
+        # coefficients and x**e on the mesh.
+        self.reads: Dict[int, tuple[np.ndarray, ...]] = {}
         index: Dict[tuple, int] = {}
-        for i in reversed(range(len(keys[0][1]) if keys else 0)):
+        for j in range(max(orders, default=0)):
             nodes: Dict[tuple, int] = {}
             for _, alphas in keys:
-                nodes.setdefault(alphas[i:], len(nodes))
+                if len(alphas) > j:
+                    nodes.setdefault(alphas[-1 - j :], len(nodes))
             parent = np.array([index[s[1:]] for s in nodes]) if index else None
             self.levels.append((np.array([pw[s[0]] for s in nodes]), parent))
             index = nodes
-        self.nodes = np.array([index[a] for _, a in keys], dtype=int)
-        self.coef = np.array([float(c) for c in monomials.values()])
-        self.e_pows = np.array([pw[e] for e, _ in keys])
-        self.e_ends = np.array([pw[e][-1] for e, _ in keys])
+            if j + 1 in orders:
+                mono = orders[j + 1]
+                self.reads[j + 1] = (
+                    np.array([nodes[a] for _, a in mono], dtype=int),
+                    np.array([float(c) for c in mono.values()]),
+                    np.array([pw[e] for e, _ in mono]),
+                )
+        self._batch: list | None = None
+        self._block = np.empty(0)
+        self._work: list[tuple[np.ndarray, ...]] = []
+        self._terms: Dict[int, np.ndarray] = {}
+        self._totals: list[np.ndarray] = []
 
-    def _outer_terms(self, factors: Sequence[np.ndarray]) -> np.ndarray:
-        """Trapezoid terms of the outermost level, shape (..., nodes, M-1)."""
-        trap = None
-        for (pows, parent), f in zip(self.levels, reversed(factors)):
-            g = f[..., None, :] * pows
-            if trap is not None:
-                g = g * self._integrate(trap).take(parent, -2)
-            # dx * (g[1:] + g[:-1]) / 2.0: stored outputs are pinned to its rounding.
-            trap = g[..., 1:] + g[..., :-1]
-            trap *= self.dx
-            trap /= 2.0
-        return trap
+    def _buffers(self, factors: Sequence[np.ndarray]) -> list:
+        """Per level, for the batch shapes of ``factors``: the integrals
+        (..., nodes, M) with views of their flat memory (the gathered
+        parent integrals at its start, the trapezoid terms from its
+        second slot on) and of their columns past the first, and g, a
+        view of a scratch area that the levels share.  Per order, a view
+        of the same scratch area for its monomial terms.
 
-    @staticmethod
-    def _integrate(trap: np.ndarray) -> np.ndarray:
-        out = np.zeros(trap.shape[:-1] + (trap.shape[-1] + 1,))
-        trap.cumsum(-1, out=out[..., 1:])
+        All of it lies in one block, sized as if every level carried the
+        batch axes of all factors, so the calls of a linearization,
+        which move the batched factor from slot to slot, reuse one block
+        instead of fragmenting the heap."""
+        batch = [f.shape for f in factors]
+        if batch == self._batch:
+            return self._work
+        shapes, shape = [], ()
+        for (pows, _), f in zip(self.levels, reversed(factors)):
+            prev, shape = shape, np.broadcast_shapes(shape, f.shape[:-1])
+            shapes.append((prev + pows.shape, shape + pows.shape))
+        rows = [len(pows) for pows, _ in self.levels]
+        scratch_rows = max(rows + [len(e) for _, _, e in self.reads.values()], default=0)
+        width = math.prod(shape) * self.size  # one row with every batch axis
+        if self._block.size != width * (scratch_rows + sum(rows)):
+            self._block = np.empty(width * (scratch_rows + sum(rows)))
+        scratch = self._block[: width * scratch_rows]
+        start = scratch.size
+        self._batch, self._work = batch, []
+        for gathered_shape, level_shape in shapes:
+            size = math.prod(level_shape)
+            flat = self._block[start : start + size]
+            start += size
+            total = flat.reshape(level_shape)
+            g = scratch[:size].reshape(level_shape)
+            gathered = flat[: math.prod(gathered_shape)].reshape(gathered_shape)
+            self._work.append((total, gathered, flat[1:], total[..., 1:], g, g.reshape(-1)))
+        self._terms = {}
+        for n, (_, _, e_pows) in self.reads.items():
+            terms_shape = shapes[n - 1][1][:-2] + e_pows.shape
+            self._terms[n] = scratch[: math.prod(terms_shape)].reshape(terms_shape)
+        self._totals = [w[0] for w in self._work]
+        return self._work
+
+    def _integrals(self, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Every level's cumulative integrals, shape (..., nodes, M)."""
+        work = self._buffers(factors)
+        prev = None
+        for (pows, parent), f, (total, gathered, flat, sums, g, flat_g) in zip(
+            self.levels, reversed(factors), work
+        ):
+            np.multiply(f[..., None, :], pows, out=g)
+            if prev is not None:
+                g *= prev.take(parent, -2, gathered, "clip")
+            # dx * (g[1:] + g[:-1]) / 2.0 per node: stored outputs are pinned
+            # to its rounding (halving by * 0.5 rounds as / 2.0 does).  Formed
+            # over the flat arrays, so each node's first column holds a term
+            # mixing two nodes; it is reset to the integral from 0 to 0.
+            np.add(flat_g[1:], flat_g[:-1], out=flat)
+            flat *= self.dx
+            flat *= 0.5
+            total[..., 0] = 0.0
+            sums.cumsum(-1, out=sums)
+            prev = total
+        return self._totals
+
+    def profiles(self, factors: Sequence[np.ndarray]) -> Dict[int, np.ndarray]:
+        """Each order's term on the whole mesh, shape (..., M)."""
+        totals = self._integrals(factors)
+        out = {}
+        for n, (ids, coef, e_pows) in self.reads.items():
+            terms = totals[n - 1].take(ids, -2, self._terms[n], "clip")
+            terms *= coef[:, None]
+            terms *= e_pows
+            out[n] = _sum_from_zero(terms, -2)
         return out
 
+    def endpoints(self, factors: Sequence[np.ndarray]) -> Dict[int, np.ndarray]:
+        """Each order's term at x = 1 only; equals its profile's last value
+        bit for bit (x**e is 1 there, and multiplying by 1 is exact)."""
+        totals = self._integrals(factors)
+        return {
+            n: _sum_from_zero(coef * totals[n - 1][..., -1].take(ids, -1), -1)
+            for n, (ids, coef, _) in self.reads.items()
+        }
+
     def profile(self, factors: Sequence[np.ndarray]) -> np.ndarray:
-        """The term on the whole mesh, shape (..., M)."""
-        if not self.levels:
-            return np.zeros(self.size)
-        inner = self._integrate(self._outer_terms(factors)).take(self.nodes, -2)
-        return _sum_from_zero(self.coef[:, None] * inner * self.e_pows, -2)
+        """The sum of the orders on the whole mesh, shape (..., M)."""
+        parts = self.profiles(factors)
+        return _in_order(parts) if parts else np.zeros(self.size)
 
     def endpoint(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
-        """The term at x = 1 only; equals ``profile(factors)[..., -1]`` bit for bit."""
-        if not self.levels:
-            return 0.0
-        ends = self._outer_terms(factors).cumsum(-1)[..., -1].take(self.nodes, -1)
-        return _sum_from_zero(self.coef * ends * self.e_ends, -1)
+        """The sum of the orders at x = 1 only."""
+        parts = self.endpoints(factors)
+        return _in_order(parts) if parts else 0.0
+
+
+def _in_order(parts: Mapping[int, np.ndarray]):
+    """The parts added in increasing order of their keys, as a loop over
+    per-order evaluators adds them to 0.0.  Each part is a sum from 0.0,
+    so none is -0.0, and starting from the first part instead of 0.0
+    changes no bit."""
+    total = None
+    for n in sorted(parts):
+        total = parts[n] if total is None else total + parts[n]
+    return total
 
 
 def trie_nodes(kern: Callable) -> int:
-    """Nodes of the suffix trie a :class:`MeshCascade` of ``kern`` builds
-    (its distinct trailing exponent tuples); 0 for a kernel without
-    monomials."""
+    """Nodes of the suffix trie a :class:`MeshCascade` of ``kern`` alone
+    builds (its distinct trailing exponent tuples); 0 for a kernel
+    without monomials.  A cascade of several orders shares suffixes
+    between them, so it has at most the sum over its orders."""
     mono = _monomial_map(kern) or {}
     return len({alphas[i:] for _, alphas in mono for i in range(len(alphas))})
 
@@ -372,7 +475,7 @@ def term_evaluator(
     is polynomial, else per-node quadrature with ``rule``."""
     mono = _monomial_map(kern)
     if mono is not None:
-        return MeshCascade(mono, mesh)
+        return MeshCascade({n: mono}, mesh)
     if rule is None:
         raise SeriesDefinitionError(
             f"order-{n} kernel is not polynomial; evaluating it needs a quadrature rule"
@@ -380,21 +483,57 @@ def term_evaluator(
     return QuadratureTerm(kern, n, mesh, rule)
 
 
+class SeriesTerms:
+    """Every order of a kernel series on one mesh, at one state.
+
+    The polynomial orders share one :class:`MeshCascade`, so a suffix
+    common to several orders is integrated once; every other order is a
+    :class:`QuadratureTerm` with ``rule`` (required then).  ``profile``
+    and ``endpoint`` add the orders in increasing order, each formed as
+    its own evaluator forms it, so they round as a loop over per-order
+    evaluators would.
+    """
+
+    def __init__(
+        self,
+        kernels: Mapping[int, Callable],
+        mesh: np.ndarray,
+        rule: QuadratureRule | None = None,
+    ) -> None:
+        self.size = mesh.size
+        polynomial: Dict[int, Mapping] = {}
+        self.quadrature: Dict[int, QuadratureTerm] = {}
+        for n, kern in kernels.items():
+            mono = _monomial_map(kern)
+            if mono is not None:
+                polynomial[n] = mono
+            else:
+                self.quadrature[n] = term_evaluator(kern, n, mesh, rule)
+        self.cascade = MeshCascade(polynomial, mesh)
+
+    def _parts(self, values: np.ndarray, at_end: bool) -> Dict[int, np.ndarray]:
+        factors = [values] * len(self.cascade.levels)
+        parts = (self.cascade.endpoints if at_end else self.cascade.profiles)(factors)
+        for n, term in self.quadrature.items():
+            parts[n] = 0.0 + (term.endpoint if at_end else term.profile)([values] * n)
+        return parts
+
+    def profile(self, values: np.ndarray) -> np.ndarray:
+        """F[u] on the whole mesh at the mesh samples ``values`` of u."""
+        parts = self._parts(values, at_end=False)
+        return _in_order(parts) if parts else np.zeros(self.size)
+
+    def endpoint(self, values: np.ndarray) -> float:
+        """F[u](1) at the mesh samples ``values`` of u."""
+        parts = self._parts(values, at_end=True)
+        return float(_in_order(parts)) if parts else 0.0
+
+
 def series_terms(
     series: VolterraKernelSeries, mesh: np.ndarray, rule: QuadratureRule | None = None
-) -> Dict[int, MeshCascade | QuadratureTerm]:
-    """One :func:`term_evaluator` per order of ``series``."""
-    return {n: term_evaluator(kern, n, mesh, rule) for n, kern in series.kernels.items()}
-
-
-def profile_of(
-    terms: Mapping[int, MeshCascade | QuadratureTerm], values: np.ndarray
-) -> np.ndarray:
-    """Sum of the term profiles at the mesh samples ``values``."""
-    out = np.zeros(values.size)
-    for n, term in terms.items():
-        out += term.profile([values] * n)
-    return out
+) -> SeriesTerms:
+    """The :class:`SeriesTerms` of every order of ``series``."""
+    return SeriesTerms(series.kernels, mesh, rule)
 
 
 def series_profile(
@@ -407,7 +546,7 @@ def series_profile(
     The evaluators are built for this call (a cascade's set-up cost does
     not depend on the mesh size); non-polynomial kernels need ``rule``.
     """
-    return GridFunction(profile_of(series_terms(series, u.mesh, rule), u.values))
+    return GridFunction(series_terms(series, u.mesh, rule).profile(u.values))
 
 
 def linearized_values(
@@ -423,7 +562,8 @@ def linearized_values(
     leading batch axes (the result then has them too).
     """
     out = np.zeros(h.shape[:-1] + (u.size,))
-    for n, term in series_terms(series, u.mesh, rule).items():
+    for n, kern in series.kernels.items():
+        term = term_evaluator(kern, n, u.mesh, rule)
         for slot in range(n):
             out += term.profile([h if i == slot else u.values for i in range(n)])
     return out

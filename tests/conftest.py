@@ -48,3 +48,20 @@ def random_simplex_points(rng, n, count, x=1.0):
     """Descending-sorted uniform tuples inside T_n(x)."""
     pts = np.sort(rng.uniform(0.0, x, size=(count, n)), axis=1)[:, ::-1]
     return np.ascontiguousarray(pts)
+
+
+def reference_profile(monomials, factors, mesh):
+    """One monomial at a time, no shared passes: the nested trapezoid rule
+    written out, innermost slot first, each level a cumulative trapezoid
+    ``dx * (g[1:] + g[:-1]) / 2.0`` summed from 0."""
+    dx = mesh[1] - mesh[0]
+    out = np.zeros_like(mesh)
+    for (e, alphas), c in monomials.items():
+        inner = None
+        for i in reversed(range(len(alphas))):
+            g = factors[i] * mesh ** alphas[i]
+            if inner is not None:
+                g = g * inner
+            inner = np.concatenate([[0.0], np.cumsum(dx * (g[1:] + g[:-1]) / 2.0)])
+        out += float(c) * inner * mesh**e
+    return out

@@ -89,6 +89,10 @@ config_line = (
 @example(lines=["plant = ."])  # a directory, not a plant file
 @example(lines=["zeta = 1"])  # unknown key
 @example(lines=["initial_scale = 1e200"])  # state overflows inside a step
+# Refused by the run budget before any mesh array is built.
+@example(lines=["plant = pdae", "controller = order-2", "mesh_points = 10000000000"])
+# Far more frames than steps: every step is a frame.
+@example(lines=["plant = pdae", "controller = order-2", "snapshot_count = 1000000000"])
 def test_config_files_keep_the_exit_contract(tmp_path, lines):
     path = tmp_path / "exp.cfg"
     # Keep each run short: fuzzed lines may override these.

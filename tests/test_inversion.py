@@ -173,6 +173,34 @@ class TestNeumannEstimate:
         est = neumann_norm_estimate(kernel_series, u, gl8)
         assert est == pytest.approx(1.0, abs=1e-9)
 
+    @staticmethod
+    def solve_each_step(series, u, iters=60, seed=0):
+        """The power iteration with two linear solves per step, no inverse."""
+        m = u.size
+        a = np.eye(m) - dk_matrix(series, u)
+        wts = np.full(m, u.dx)
+        wts[0] *= 0.5
+        wts[-1] *= 0.5
+        sq = np.sqrt(wts)
+        a_w = sq[:, None] * a / sq[None, :]
+        v = np.random.default_rng(seed).standard_normal(m)
+        v /= np.linalg.norm(v)
+        for _ in range(iters):
+            z = np.linalg.solve(a_w.T, np.linalg.solve(a_w, v))
+            est = math.sqrt(np.linalg.norm(z))
+            v = z / np.linalg.norm(z)
+        return est
+
+    def test_inverse_once_matches_solving_each_step(self, kernel_series, config):
+        mesh = np.linspace(0.0, 1.0, 61)
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            coeffs = rng.standard_normal(3)
+            vals = sum(c * np.sin((k + 1) * math.pi * mesh) for k, c in enumerate(coeffs))
+            u = GridFunction(0.5 * math.sqrt(config.s) * vals / np.abs(vals).max())
+            want = self.solve_each_step(kernel_series, u)
+            assert neumann_norm_estimate(kernel_series, u) == pytest.approx(want, rel=1e-12)
+
 
 class TestLipschitzSampling:
     def test_report_passes_on_certified_ball(self, kernel_series, gains, config, gl8):

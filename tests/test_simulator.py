@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_profile
 from volback import simulator, volterra
-from volback.charkernels import pdae_plant
+from volback.charkernels import is_pdae_plant, pdae_plant
 from volback.harness import build_kernel_table, load_plant
 from volback.simulator import (
     CONTROLLERS,
@@ -20,7 +21,9 @@ from volback.simulator import (
     SimConfigError,
     SimulationRecord,
     _advection,
+    _frame_ids,
     _plant_nonlinearity,
+    controller_terms,
     cubic_pulse,
     feedback,
     mild_solution_residual,
@@ -76,10 +79,18 @@ class TestConfig:
         assert 9 * 6400 * (STEP_COST + 1601 * (1 + nodes + 1)) < MAX_GRID_UPDATES
 
     def test_trie_nodes_are_the_cascade_levels(self):
+        # Each order alone has trie_nodes nodes; the controller's one
+        # cascade shares suffixes between orders, so the per-order sum
+        # that the budget charges bounds it.
         mesh = np.linspace(0.0, 1.0, 11)
-        for kern in build_kernel_table(load_plant("pdae"), 4).values():
-            levels = volterra.MeshCascade(kern.polynomial.monomials, mesh).levels
+        kernels = build_kernel_table(load_plant("pdae"), 4)
+        orders = {n: kern.polynomial.monomials for n, kern in kernels.items()}
+        for n, kern in kernels.items():
+            levels = volterra.MeshCascade({n: orders[n]}, mesh).levels
             assert volterra.trie_nodes(kern) == sum(len(pows) for pows, _ in levels)
+        merged = volterra.MeshCascade(orders, mesh).levels
+        assert sum(len(pows) for pows, _ in merged) == 72
+        assert sum(map(volterra.trie_nodes, kernels.values())) == 88
 
     def test_controller_cost_counts_in_the_budget(self, plant, monkeypatch):
         # The blow-up threshold stops the order-3 run after its first step.
@@ -92,7 +103,7 @@ class TestConfig:
         def no_evaluators(*args):
             raise AssertionError("the refused run built its evaluators")
 
-        monkeypatch.setattr(simulator, "term_evaluator", no_evaluators)
+        monkeypatch.setattr(simulator, "controller_terms", no_evaluators)
         with pytest.raises(
             SimConfigError, match=r"\(1 \+ 570 suffix-trie nodes\)\) = 5\.9e\+09 grid updates"
         ):
@@ -149,23 +160,26 @@ class TestPlantRhs:
 
 
 class TestFeedback:
+    @staticmethod
+    def boundary(kernels, cap, values, rule=None):
+        mesh = np.linspace(0.0, 1.0, values.size)
+        return feedback(values, controller_terms(kernels, cap, mesh, rule))
+
     def test_order2_constant_state(self, kernel_table):
-        mesh = np.linspace(0.0, 1.0, 201)
-        u = GridFunction(np.ones_like(mesh))
-        val = feedback(u, kernel_table, order_cap=2)
+        val = self.boundary(kernel_table, 2, np.ones(201))
         assert val == pytest.approx(-1.0 / 6.0, abs=1e-4)
 
     def test_order3_constant_state(self, kernel_table):
-        mesh = np.linspace(0.0, 1.0, 201)
-        u = GridFunction(np.ones_like(mesh))
-        val = feedback(u, kernel_table, order_cap=3)
+        val = self.boundary(kernel_table, 3, np.ones(201))
         assert val == pytest.approx(-1.0 / 6.0 - 1.0 / 80.0, abs=2e-4)
 
-    def test_missing_order_raises(self, kernel_table):
-        u = GridFunction(np.ones(51))
+    def test_missing_order_raises(self, kernel_table, plant):
         only3 = {3: kernel_table[3]}
         with pytest.raises(MissingKernelError):
-            feedback(u, only3, order_cap=3)
+            controller_terms(only3, 3, np.linspace(0.0, 1.0, 51))
+        cfg = SimConfig(controller="order-3", t_end=0.1, mesh_points=51)
+        with pytest.raises(MissingKernelError):
+            simulate(cfg, plant, only3)
 
     @staticmethod
     def opaque(kernel_table, orders):
@@ -174,17 +188,23 @@ class TestFeedback:
 
     def test_quadrature_path_agrees_with_cascade(self, kernel_table, gl8):
         mesh = np.linspace(0.0, 1.0, 81)
-        u = GridFunction(0.8 * np.sin(math.pi * mesh))
+        u = 0.8 * np.sin(math.pi * mesh)
+        opaque = self.opaque(kernel_table, (2, 3))
         for cap in (2, 3):
-            poly = feedback(u, kernel_table, order_cap=cap)
-            quad = feedback(u, self.opaque(kernel_table, (2, 3)), order_cap=cap, rule=gl8)
+            poly = self.boundary(kernel_table, cap, u)
+            quad = self.boundary(opaque, cap, u, rule=gl8)
             assert quad == pytest.approx(poly, abs=5e-5)
+        # An opaque order after a polynomial one: the orders add up in order.
+        mixed = {2: kernel_table[2], 3: opaque[3]}
+        want = 0.0
+        for n, kern in mixed.items():
+            want += float(volterra.term_evaluator(kern, n, mesh, gl8).endpoint([u] * n))
+        assert self.boundary(mixed, 3, u, gl8) == want
 
     def test_opaque_kernel_needs_rule(self, plant, kernel_table, monkeypatch):
-        u = GridFunction(np.ones(51))
         opaque = self.opaque(kernel_table, (2, 3))
         with pytest.raises(SeriesDefinitionError):
-            feedback(u, opaque, order_cap=3)
+            controller_terms(opaque, 3, np.linspace(0.0, 1.0, 51))
 
         def no_step(values, dx):
             raise AssertionError("simulate stepped before rejecting the kernel")
@@ -198,12 +218,13 @@ class TestFeedback:
             simulate(cfg, opaque_plant, kernel_table)
 
     def test_file_plant_builds_each_cascade_once(self, tmp_path, monkeypatch):
+        # One cascade for the plant's orders and one for the controller's.
         built = []
 
         class Counting(volterra.MeshCascade):
-            def __init__(self, monomials, mesh):
-                built.append(len(next(iter(monomials))[1]) if monomials else 0)
-                super().__init__(monomials, mesh)
+            def __init__(self, orders, mesh):
+                built.append(sorted(orders))
+                super().__init__(orders, mesh)
 
         monkeypatch.setattr(volterra, "MeshCascade", Counting)
         path = tmp_path / "plant.txt"
@@ -213,7 +234,98 @@ class TestFeedback:
         cfg = SimConfig(controller="order-3", t_end=0.2, mesh_points=51)
         rec = simulate(cfg, plant.series, kernels)
         assert rec.blow_up is None
-        assert sorted(built) == [2, 2, 3]
+        assert sorted(built) == [[2], [2, 3]]
+
+
+def reference_run(cfg, plant, kernels, cap):
+    """The step loop with each order evaluated alone, one monomial at a
+    time (``reference_profile``), the orders added in increasing order:
+    (controls, L2 norms, snapshots)."""
+    m = cfg.mesh_points
+    mesh = np.linspace(0.0, 1.0, m)
+    dx = 1.0 / (m - 1)
+    dt = cfg.cfl * dx
+
+    def term(kern, n, values):
+        mono = getattr(kern, "polynomial", kern).monomials
+        return reference_profile(mono, [values] * n, mesh)
+
+    def rhs(values):
+        out = np.empty_like(values)
+        out[:-1] = (values[1:] - values[:-1]) / dx
+        out[-1] = (values[-1] - values[-2]) / dx
+        if is_pdae_plant(plant):
+            return out + 0.5 * reference_profile({(0, (0,)): 1}, [values], mesh) ** 2
+        forcing = np.zeros(m)
+        for n, kern in plant.kernels.items():
+            forcing += term(kern, n, values)
+        return out + forcing
+
+    def boundary(values):
+        total = 0.0
+        for n in range(2, cap + 1):
+            total += float(term(kernels[n], n, values)[-1])
+        return total
+
+    n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-12)))
+    frames = set(int(i) for i in np.round(np.linspace(0, n_steps, cfg.snapshot_count)))
+    u = cfg.initial_values(mesh).astype(float)
+    u[-1] = boundary(u)
+    controls, l2, snaps = [u[-1]], [np.sqrt(np.trapezoid(u**2, dx=dx))], [u.copy()]
+    t = 0.0
+    for k in range(1, n_steps + 1):
+        step = min(dt, cfg.t_end - t)
+        f1 = rhs(u)
+        pred = u + step * f1
+        pred[-1] = boundary(pred)
+        f2 = rhs(pred)
+        u = u + 0.5 * step * (f1 + f2)
+        u[-1] = boundary(u)
+        t += step
+        controls.append(u[-1])
+        l2.append(np.sqrt(np.trapezoid(u**2, dx=dx)))
+        if k in frames:
+            snaps.append(u.copy())
+    return np.array(controls), np.array(l2), np.array(snaps)
+
+
+class TestFrames:
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 40, 160])
+    def test_capped_point_count_keeps_the_frames(self, n_steps):
+        for count in list(range(2, 3 * n_steps + 8)) + [10**4, 10**5]:
+            full = set(int(i) for i in np.round(np.linspace(0, n_steps, count)))
+            assert _frame_ids(n_steps, count) == full
+
+    def test_huge_count_builds_no_huge_array(self):
+        assert _frame_ids(40, 10**9) == set(range(41))
+
+
+class TestAgainstReferenceLoop:
+    """simulate's records equal, bit for bit, those of the step loop that
+    evaluates every order alone."""
+
+    @staticmethod
+    def check(cfg, plant, kernels, cap):
+        rec = simulate(cfg, plant, kernels)
+        assert rec.blow_up is None
+        controls, l2, snaps = reference_run(cfg, plant, kernels, cap)
+        assert np.array_equal(rec.controls, controls)
+        assert np.array_equal(rec.l2_norms, l2)
+        assert np.array_equal(rec.snapshots, snaps)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_pdae_controllers(self, order):
+        kernels = build_kernel_table(load_plant("pdae"), order)
+        cfg = SimConfig(controller="full-N_max", mesh_points=41, t_end=0.3, snapshot_count=7)
+        self.check(cfg, pdae_plant(), kernels, order)
+
+    def test_file_plant(self, tmp_path):
+        path = tmp_path / "plant.txt"
+        path.write_text("2 0,1 1\n3 0,0,1 1/2\n")
+        plant = load_plant(str(path))
+        kernels = build_kernel_table(plant, 3)
+        cfg = SimConfig(controller="order-3", mesh_points=33, t_end=0.4, snapshot_count=5)
+        self.check(cfg, plant.series, kernels, 3)
 
 
 class TestSimulate:

@@ -16,6 +16,7 @@ from volback.harness import build_kernel_table, load_plant
 from volback.inversion import dk_matrix
 from volback.polynomial import pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
+from conftest import reference_profile
 from volback.volterra import (
     GainFunctions,
     GridFunction,
@@ -231,23 +232,6 @@ class TestCouplingBound:
             coupling_bound_check(2, 3, 1.0, 1.0, 1.0)
 
 
-def reference_profile(monomials, factors, mesh):
-    """One monomial at a time, no shared passes: the nested trapezoid rule
-    written out, innermost slot first, each level a cumulative trapezoid
-    ``dx * (g[1:] + g[:-1]) / 2.0`` summed from 0."""
-    dx = mesh[1] - mesh[0]
-    out = np.zeros_like(mesh)
-    for (e, alphas), c in monomials.items():
-        inner = None
-        for i in reversed(range(len(alphas))):
-            g = factors[i] * mesh ** alphas[i]
-            if inner is not None:
-                g = g * inner
-            inner = np.concatenate([[0.0], np.cumsum(dx * (g[1:] + g[:-1]) / 2.0)])
-        out += float(c) * inner * mesh**e
-    return out
-
-
 def random_monomials(rng, n, count):
     """Small exponents, so many monomials share trailing exponents."""
     mono = {}
@@ -269,7 +253,7 @@ class TestMeshCascade:
             mesh = np.linspace(0.0, 1.0, m)
             factors = [rng.standard_normal(m) for _ in range(n)]
             want = reference_profile(mono, factors, mesh)
-            cascade = MeshCascade(mono, mesh)
+            cascade = MeshCascade({n: mono}, mesh)
             assert np.array_equal(cascade.profile(factors), want)
             assert cascade.endpoint(factors) == want[-1]
 
@@ -277,7 +261,7 @@ class TestMeshCascade:
         mono = build_kernel_table(load_plant("pdae"), 4)[4].polynomial.monomials
         mesh = np.linspace(0.0, 1.0, 101)
         u = 0.7 * np.sin(math.pi * mesh) + mesh
-        cascade = MeshCascade(mono, mesh)
+        cascade = MeshCascade({4: mono}, mesh)
         want = reference_profile(mono, [u] * 4, mesh)
         assert np.array_equal(cascade.profile([u] * 4), want)
         assert cascade.endpoint([u] * 4) == want[-1]
@@ -291,7 +275,7 @@ class TestMeshCascade:
             rng.standard_normal((4, 41)) if i in slots else rng.standard_normal(41)
             for i in range(3)
         ]
-        cascade = MeshCascade(mono, mesh)
+        cascade = MeshCascade({3: mono}, mesh)
         prof = cascade.profile(factors)
         ends = cascade.endpoint(factors)
         assert prof.shape == (4, 41) and ends.shape == (4,)
@@ -303,9 +287,78 @@ class TestMeshCascade:
 
     def test_zero_kernel(self):
         mesh = np.linspace(0.0, 1.0, 11)
-        cascade = MeshCascade({}, mesh)
+        cascade = MeshCascade({2: {}}, mesh)
         assert np.array_equal(cascade.profile([mesh, mesh]), np.zeros(11))
         assert cascade.endpoint([mesh, mesh]) == 0.0
+
+    @staticmethod
+    def mixed_orders(rng):
+        """Orders 2 to 5 whose suffixes overlap across orders."""
+        orders = {n: random_monomials(rng, n, 10) for n in (2, 3, 4, 5)}
+        suffixes = [{a[i:] for _, a in mono for i in range(n)} for n, mono in orders.items()]
+        assert len(set().union(*suffixes)) < sum(map(len, suffixes))
+        return orders
+
+    @staticmethod
+    def each_order_alone(orders, u, mesh):
+        """Each order's reference profile, and their sum in increasing order from 0.0."""
+        alone = {n: reference_profile(mono, [u] * n, mesh) for n, mono in orders.items()}
+        total = 0.0
+        for n in sorted(alone):
+            total = total + alone[n]
+        return alone, total
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_trie_for_several_orders(self, seed):
+        rng = np.random.default_rng(seed)
+        orders = self.mixed_orders(rng)
+        for m in (3, 57, 201):
+            mesh = np.linspace(0.0, 1.0, m)
+            u = rng.standard_normal(m)
+            alone, total = self.each_order_alone(orders, u, mesh)
+            cascade = MeshCascade(orders, mesh)
+            alone_nodes = sum(
+                len(pows)
+                for n, mono in orders.items()
+                for pows, _ in MeshCascade({n: mono}, mesh).levels
+            )
+            assert sum(len(pows) for pows, _ in cascade.levels) < alone_nodes
+            profiles, ends = cascade.profiles([u] * 5), cascade.endpoints([u] * 5)
+            assert list(profiles) == list(ends) == [2, 3, 4, 5]
+            for n in orders:
+                assert np.array_equal(profiles[n], alone[n])
+                assert ends[n] == alone[n][-1]
+            assert np.array_equal(cascade.profile([u] * 5), total)
+            assert cascade.endpoint([u] * 5) == total[-1]
+
+    def test_one_trie_with_batched_factors(self):
+        rng = np.random.default_rng(7)
+        orders = self.mixed_orders(rng)
+        mesh = np.linspace(0.0, 1.0, 57)
+        u = rng.standard_normal((3, 57))
+        cascade = MeshCascade(orders, mesh)
+        prof, ends = cascade.profile([u] * 5), cascade.endpoint([u] * 5)
+        assert prof.shape == (3, 57) and ends.shape == (3,)
+        for b in range(3):
+            _, total = self.each_order_alone(orders, u[b], mesh)
+            assert np.array_equal(prof[b], total)
+            assert ends[b] == total[-1]
+
+    def test_work_arrays_are_reused_safely(self):
+        rng = np.random.default_rng(11)
+        orders = self.mixed_orders(rng)
+        mesh = np.linspace(0.0, 1.0, 57)
+        u, v = rng.standard_normal(57), rng.standard_normal(57)
+        cascade = MeshCascade(orders, mesh)
+        first, first_parts = cascade.profile([u] * 5), cascade.profiles([u] * 5)
+        kept, kept_parts = first.copy(), {n: p.copy() for n, p in first_parts.items()}
+        end = cascade.endpoint([u] * 5)
+        cascade.profile([v] * 5)
+        cascade.profile([np.stack([v, u])] * 5)  # another batch shape in between
+        assert np.array_equal(first, kept)
+        assert all(np.array_equal(first_parts[n], kept_parts[n]) for n in orders)
+        assert np.array_equal(cascade.profile([u] * 5), kept)
+        assert cascade.endpoint([u] * 5) == end
 
     def test_batched_dk_matrix_equals_columns(self, kernel_series):
         kernels = dict(kernel_series.kernels)
