@@ -63,6 +63,7 @@ from .simplex import QuadratureRule
 from .simulator import (
     SimConfig,
     SimConfigError,
+    controller_cap,
     mild_solution_residual,
     simulate,
     stability_constants,
@@ -286,15 +287,8 @@ def _cascade_kernels(
 
 
 def _controller_order(controller: str, n_max_available: int) -> int | None:
-    if controller == "open-loop":
-        return None
-    if controller == "order-2":
-        cap = 2
-    elif controller == "order-3":
-        cap = 3
-    else:
-        cap = n_max_available
-    if cap > n_max_available:
+    cap = controller_cap(controller, n_max_available)
+    if cap is not None and cap > n_max_available:
         raise ConfigError(
             f"controller {controller!r} needs kernels up to order {cap}, "
             f"but only {n_max_available} are available"

@@ -121,7 +121,6 @@ def invert_with_info(
     w: GridFunction,
     series: VolterraKernelSeries,
     config: InversionConfig,
-    rule: QuadratureRule | None = None,
 ) -> InversionResult:
     """Solve u - K[u] = w by Picard iteration, keeping diagnostics.
 
@@ -132,7 +131,7 @@ def invert_with_info(
         raise InversionDomainError(
             f"target norm^2 {w.l2_norm()**2:.4g} is not below rho_L {config.rho_L:.4g}"
         )
-    terms = series_terms(series, w.mesh, rule)
+    terms = series_terms(series, w.mesh)
     u = w
     residuals: list[float] = []
     converged = False
@@ -149,13 +148,10 @@ def invert_with_info(
 
 
 def invert(
-    w: GridFunction,
-    series: VolterraKernelSeries,
-    config: InversionConfig,
-    rule: QuadratureRule | None = None,
+    w: GridFunction, series: VolterraKernelSeries, config: InversionConfig
 ) -> GridFunction:
     """Solve u - K[u] = w on the certified ball; see invert_with_info."""
-    return invert_with_info(w, series, config, rule).u
+    return invert_with_info(w, series, config).u
 
 
 def frechet_dk(
@@ -179,22 +175,18 @@ def frechet_dk(
     return total
 
 
-def dk_matrix(
-    series: VolterraKernelSeries, u: GridFunction, rule: QuadratureRule | None = None
-) -> np.ndarray:
+def dk_matrix(series: VolterraKernelSeries, u: GridFunction) -> np.ndarray:
     """Dense mesh matrix of h -> DK[u] h (columns are basis responses).
 
     One batched linearized profile of all basis vectors at once (rows of
-    the identity, memory O(M^2) per cascade trie node or quadrature
-    node); non-polynomial kernels need ``rule``.
+    the identity, memory O(M^2) per cascade trie node).
     """
-    return np.ascontiguousarray(linearized_values(series, u, np.eye(u.size), rule).T)
+    return np.ascontiguousarray(linearized_values(series, u, np.eye(u.size)).T)
 
 
 def neumann_norm_estimate(
     series: VolterraKernelSeries,
     u: GridFunction,
-    rule: QuadratureRule | None = None,
     iters: int = 60,
     seed: int = 0,
 ) -> float:
@@ -205,7 +197,7 @@ def neumann_norm_estimate(
     product.
     """
     m = u.size
-    a = np.eye(m) - dk_matrix(series, u, rule)
+    a = np.eye(m) - dk_matrix(series, u)
     wts = np.full(m, u.dx)
     wts[0] *= 0.5
     wts[-1] *= 0.5
@@ -246,7 +238,6 @@ def lipschitz_check(
     mesh_points: int = 201,
     seed: int = 0,
     tol: float = 1e-6,
-    rule: QuadratureRule | None = None,
 ) -> LipschitzReport:
     """Sample ||K[u] - K[v]|| / ||u - v|| against sqrt(ell(s)).
 
@@ -256,7 +247,7 @@ def lipschitz_check(
     """
     rng = np.random.default_rng(seed)
     mesh = np.linspace(0.0, 1.0, mesh_points)
-    terms = series_terms(series, mesh, rule)
+    terms = series_terms(series, mesh)
     threshold = math.sqrt(gain_ell(gains, s))
     worst = 0.0
     for _ in range(trials):

@@ -9,11 +9,11 @@ value at every stage so the scheme stays consistent with the
 time-varying boundary condition.
 
 The controller, and any plant other than the builtin quadratic one, is
-evaluated by one :class:`~volback.volterra.SeriesTerms` built per run:
-a single mesh cascade for all polynomial orders, simplex quadrature for
-every other kernel, which needs an explicit ``rule``.  The builtin
-plant keeps its closed form (int_0^x u)^2 / 2, its running integral a
-one-node mesh cascade.
+evaluated by one :class:`~volback.volterra.SeriesTerms` built per run: a
+single mesh cascade for all orders, which refuses a kernel without
+monomials before the first step.  The builtin plant keeps its closed
+form (int_0^x u)^2 / 2, its running integral one cumulative trapezoid
+sum.
 
 Also here: the target semigroup (pure left transport with zero inflow,
 which annihilates any profile in finite time 1), the closed-loop
@@ -32,10 +32,8 @@ from typing import Callable, Dict, Mapping, Sequence
 import numpy as np
 
 from .charkernels import is_pdae_plant
-from .simplex import QuadratureRule
 from .volterra import (
     GridFunction,
-    MeshCascade,
     SeriesTerms,
     VolterraKernelSeries,
     series_terms,
@@ -58,8 +56,7 @@ CONTROLLERS = ("open-loop", "order-2", "order-3", "full-N_max")
 # a tenth of the budget.  `simulate` refuses a costlier run before it
 # builds its mesh, so a mistyped cfl, t_end or mesh_points, or a
 # high-order controller on a fine mesh, fails at once instead of
-# running for hours or running out of memory.  Quadrature terms of
-# kernels without monomials are not counted.
+# running for hours or running out of memory.
 STEP_COST = 2500
 MAX_GRID_UPDATES = 2 * 10**9
 
@@ -177,32 +174,24 @@ def _advection(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _normalize_kernels(kernels) -> Dict[int, Callable]:
-    if kernels is None:
-        return {}
-    if isinstance(kernels, VolterraKernelSeries):
-        return dict(kernels.kernels)
-    if isinstance(kernels, Mapping):
-        return {int(n): k for n, k in kernels.items()}
-    return {node.order: node for node in kernels}
+def _normalize_kernels(kernels: Mapping[int, Callable] | None) -> Dict[int, Callable]:
+    """The kernel table ``{order: kernel}``, empty for None."""
+    return {} if kernels is None else {int(n): k for n, k in kernels.items()}
 
 
 def controller_terms(
-    kernels, order_cap: int, mesh: np.ndarray, rule: QuadratureRule | None = None
+    kernels: Mapping[int, Callable], order_cap: int, mesh: np.ndarray
 ) -> SeriesTerms:
-    """The evaluator of the controller's orders 2..order_cap on ``mesh``.
-
-    One mesh cascade for the polynomial kernels, simplex quadrature with
-    ``rule`` (required then) for every other kernel; see
-    :class:`~volback.volterra.SeriesTerms`.  Every order up to the cap
-    must be present in ``kernels`` (pass the zero kernel explicitly if
-    an order genuinely vanishes).
+    """The evaluator of the controller's orders 2..order_cap on ``mesh``:
+    one mesh cascade, see :class:`~volback.volterra.SeriesTerms`.  Every
+    order up to the cap must be present in ``kernels`` (pass the zero
+    kernel explicitly if an order genuinely vanishes).
     """
     table = _normalize_kernels(kernels)
     for n in range(2, order_cap + 1):
         if n not in table:
             raise MissingKernelError(f"feedback needs the order-{n} kernel")
-    return SeriesTerms({n: table[n] for n in range(2, order_cap + 1)}, mesh, rule)
+    return SeriesTerms({n: table[n] for n in range(2, order_cap + 1)}, mesh)
 
 
 def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
@@ -212,32 +201,34 @@ def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
     return controller.endpoint(values)
 
 
-def _controller_cap(controller: str, table: Dict[int, Callable]) -> int | None:
+def controller_cap(controller: str, n_max: int | None) -> int | None:
+    """The highest kernel order the named controller feeds back when
+    kernels up to order ``n_max`` are at hand: None for the open loop,
+    2 or 3 for ``order-2`` and ``order-3``, else ``n_max``."""
     if controller == "open-loop":
         return None
     if controller == "order-2":
         return 2
     if controller == "order-3":
         return 3
-    return max(table) if table else None
+    return n_max
 
 
 def simulate(
     cfg: SimConfig,
     plant: VolterraKernelSeries | None,
-    kernels=None,
-    rule: QuadratureRule | None = None,
+    kernels: Mapping[int, Callable] | None = None,
 ) -> SimulationRecord:
     """Run the closed loop and record the trajectory.
 
     ``plant`` may be None (pure transport, the target system) or a
     kernel series; the quadratic integral example is recognised and uses
     its closed-form nonlinearity.  ``kernels`` supplies the controller
-    kernels for the non-open-loop controllers; ``rule`` is the quadrature
-    rule for non-polynomial kernels (without one they are rejected before
-    the first step).  A run whose cost estimate (see ``MAX_GRID_UPDATES``)
-    exceeds that budget is a :class:`SimConfigError`, also raised before
-    the first step.  Halts early when the sup norm passes the blow-up
+    kernels ``{order: kernel}`` for the non-open-loop controllers.  A
+    kernel without monomials is a
+    :class:`~volback.volterra.SeriesDefinitionError`, and a run whose cost
+    estimate (see ``MAX_GRID_UPDATES``) exceeds that budget a
+    :class:`SimConfigError`, both raised before the first step.  Halts early when the sup norm passes the blow-up
     threshold or any value goes non-finite, and records that time.
     """
     m = cfg.mesh_points
@@ -245,7 +236,7 @@ def simulate(
     dt = cfg.cfl * dx
     steps = cfg.t_end / dt
     table = _normalize_kernels(kernels)
-    cap = _controller_cap(cfg.controller, table)
+    cap = controller_cap(cfg.controller, max(table, default=None))
     nodes = _plant_trie_nodes(plant) + sum(
         trie_nodes(k) for n, k in table.items() if n <= (cap or 1)
     )
@@ -261,8 +252,8 @@ def simulate(
         raise MissingKernelError(f"controller {cfg.controller!r} needs kernels")
 
     mesh = np.linspace(0.0, 1.0, m)
-    nonlinearity = _plant_nonlinearity(plant, rule, mesh)
-    controller = None if cap is None else controller_terms(table, cap, mesh, rule)
+    nonlinearity = _plant_nonlinearity(plant, mesh)
+    controller = None if cap is None else controller_terms(table, cap, mesh)
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = _advection(values, dx)
@@ -349,8 +340,8 @@ def _sup(values: np.ndarray) -> float:
 
 
 def _plant_trie_nodes(plant: VolterraKernelSeries | None) -> int:
-    """Suffix-trie nodes of the plant's mesh cascades (one for the
-    builtin plant's running integral)."""
+    """Suffix-trie nodes of the plant's mesh cascade (the builtin plant's
+    running integral is charged one)."""
     if plant is None or plant.is_zero():
         return 0
     if is_pdae_plant(plant):
@@ -359,19 +350,24 @@ def _plant_trie_nodes(plant: VolterraKernelSeries | None) -> int:
 
 
 def _plant_nonlinearity(
-    plant: VolterraKernelSeries | None, rule: QuadratureRule | None, mesh: np.ndarray
+    plant: VolterraKernelSeries | None, mesh: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray] | None:
     if plant is None or plant.is_zero():
         return None
     if is_pdae_plant(plant):
-        running = MeshCascade({1: {(0, (0,)): 1}}, mesh)  # v(x) = int_0^x u
+        dx = mesh[1] - mesh[0]
 
         def quadratic(values: np.ndarray) -> np.ndarray:
-            return 0.5 * running.profile([values]) ** 2
+            # v(x) = int_0^x u by the cumulative trapezoid rule, rounded
+            # as the mesh cascade rounds it: dx * (u[i+1] + u[i]) * 0.5.
+            running = np.empty_like(values)
+            running[0] = 0.0
+            np.cumsum((values[1:] + values[:-1]) * dx * 0.5, out=running[1:])
+            return 0.5 * running**2
 
         return quadratic
 
-    return series_terms(plant, mesh, rule).profile
+    return series_terms(plant, mesh).profile
 
 
 def target_semigroup(w0: GridFunction, t: float) -> GridFunction:
@@ -411,9 +407,8 @@ def stability_constants(
 
 def mild_solution_residual(
     record: SimulationRecord,
-    kernels,
+    kernels: Mapping[int, Callable],
     sample_times: Sequence[float],
-    rule: QuadratureRule | None = None,
 ) -> float:
     """Max L2 distance between w = u - K[u] and the target flow of w0.
 
@@ -426,7 +421,7 @@ def mild_solution_residual(
         )
     table = _normalize_kernels(kernels)
     series = VolterraKernelSeries(table)
-    terms = series_terms(series, record.mesh, rule)
+    terms = series_terms(series, record.mesh)
     u0 = GridFunction(record.snapshots[0])
     w0 = u0 - GridFunction(terms.profile(u0.values))
     worst = 0.0

@@ -8,25 +8,21 @@ with the order-n kernel f_n defined on the ordered simplex T_n(x).  The
 same shape describes the plant nonlinearity, the state transformation,
 and its inverse, so one module serves all three.
 
-Each multilinear term is evaluated on a mesh by one of two evaluators
-with the same interface (``profile`` for the whole mesh, ``endpoint``
-for x = 1 only; factors may carry leading batch axes), chosen by
-:func:`term_evaluator`.  Polynomial kernels get a :class:`MeshCascade`,
-cumulative trapezoid sums (each nested integral is one pass over the
-mesh) that share the inner passes between monomials with equal trailing
-exponents.  Every other kernel gets a :class:`QuadratureTerm`: simplex
-quadrature at each mesh node with an explicit rule, the factors
-interpolated linearly; without a rule such a kernel is a
-:class:`SeriesDefinitionError`.
+Each multilinear term is evaluated on a mesh by one evaluator, the
+:class:`MeshCascade`: cumulative trapezoid sums (each nested integral
+is one pass over the mesh) that share the inner passes between
+monomials with equal trailing exponents.  It integrates polynomial
+kernels only, so every mesh evaluator refuses a kernel without
+monomials with a :class:`SeriesDefinitionError` naming its order.
 
 Where every slot carries the same state (series profiles, the Picard
 and Lipschitz loops, the simulator's plant and controller),
-:class:`SeriesTerms` evaluates all orders at once: one cascade for all
-polynomial orders, whose trie shares suffixes between orders, and a
-quadrature term for each other order.  The derivative and the
-derivative matrix put a different factor in one slot, so they keep one
-evaluator per order.  :func:`eval_series` and the point derivative use
-the single-x :class:`QuadratureNode` directly.
+:class:`SeriesTerms` evaluates all orders with one cascade, whose trie
+shares suffixes between orders.  The derivative and the derivative
+matrix put a different factor in one slot, so they keep one cascade per
+order.  :func:`eval_series` and the point derivative integrate any
+kernel at a single x by simplex quadrature (:class:`QuadratureNode`);
+they serve as pointwise references.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, Mapping, Sequence
 
 import numpy as np
@@ -257,31 +252,6 @@ class QuadratureNode:
         return np.dot(self.kvals * prod, self.weights)
 
 
-class QuadratureTerm:
-    """Per-node simplex quadrature of one multilinear term on a mesh.
-
-    The evaluator for kernels without monomials: one
-    :class:`QuadratureNode` per mesh node, built on first use, so
-    ``endpoint`` evaluates the kernel at x = 1 only.
-    """
-
-    def __init__(
-        self, kern: Callable, n: int, mesh: np.ndarray, rule: QuadratureRule
-    ) -> None:
-        self.size = mesh.size
-        self.node = lru_cache(maxsize=None)(
-            lambda j: QuadratureNode(kern, n, float(mesh[j]), rule, mesh)
-        )
-
-    def profile(self, factors: Sequence[np.ndarray]) -> np.ndarray:
-        """The term on the whole mesh, shape (..., M)."""
-        return np.stack([self.node(j).value(factors) for j in range(self.size)], axis=-1)
-
-    def endpoint(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
-        """The term at x = 1 only."""
-        return self.node(self.size - 1).value(factors)
-
-
 def _sum_from_zero(terms: np.ndarray, axis: int) -> np.ndarray:
     """0.0 + t_0 + t_1 + ... along ``axis``, left to right; ``terms`` is
     overwritten with its running sums.
@@ -468,116 +438,79 @@ def trie_nodes(kern: Callable) -> int:
     return len({alphas[i:] for _, alphas in mono for i in range(len(alphas))})
 
 
-def term_evaluator(
-    kern: Callable, n: int, mesh: np.ndarray, rule: QuadratureRule | None = None
-) -> MeshCascade | QuadratureTerm:
-    """The mesh evaluator of one order-n term: the cascade if ``kern``
-    is polynomial, else per-node quadrature with ``rule``."""
-    mono = _monomial_map(kern)
-    if mono is not None:
-        return MeshCascade({n: mono}, mesh)
-    if rule is None:
-        raise SeriesDefinitionError(
-            f"order-{n} kernel is not polynomial; evaluating it needs a quadrature rule"
-        )
-    return QuadratureTerm(kern, n, mesh, rule)
+def _mesh_cascade(kernels: Mapping[int, Callable], mesh: np.ndarray) -> MeshCascade:
+    """The :class:`MeshCascade` of the orders in ``kernels``; a kernel
+    without monomials is a :class:`SeriesDefinitionError` naming its order."""
+    orders = {n: _monomial_map(kern) for n, kern in kernels.items()}
+    for n, mono in orders.items():
+        if mono is None:
+            raise SeriesDefinitionError(
+                f"order-{n} kernel has no monomials; mesh evaluation needs a "
+                "polynomial kernel"
+            )
+    return MeshCascade(orders, mesh)
 
 
 class SeriesTerms:
     """Every order of a kernel series on one mesh, at one state.
 
-    The polynomial orders share one :class:`MeshCascade`, so a suffix
-    common to several orders is integrated once; every other order is a
-    :class:`QuadratureTerm` with ``rule`` (required then).  ``profile``
-    and ``endpoint`` add the orders in increasing order, each formed as
-    its own evaluator forms it, so they round as a loop over per-order
-    evaluators would.
+    One :class:`MeshCascade` of all orders, fed the same state in every
+    slot, so a suffix common to several orders is integrated once.
+    ``profile`` and ``endpoint`` add the orders in increasing order, each
+    formed as its own cascade forms it, so they round as a loop over
+    per-order cascades would.
     """
 
-    def __init__(
-        self,
-        kernels: Mapping[int, Callable],
-        mesh: np.ndarray,
-        rule: QuadratureRule | None = None,
-    ) -> None:
-        self.size = mesh.size
-        polynomial: Dict[int, Mapping] = {}
-        self.quadrature: Dict[int, QuadratureTerm] = {}
-        for n, kern in kernels.items():
-            mono = _monomial_map(kern)
-            if mono is not None:
-                polynomial[n] = mono
-            else:
-                self.quadrature[n] = term_evaluator(kern, n, mesh, rule)
-        self.cascade = MeshCascade(polynomial, mesh)
-
-    def _parts(self, values: np.ndarray, at_end: bool) -> Dict[int, np.ndarray]:
-        factors = [values] * len(self.cascade.levels)
-        parts = (self.cascade.endpoints if at_end else self.cascade.profiles)(factors)
-        for n, term in self.quadrature.items():
-            parts[n] = 0.0 + (term.endpoint if at_end else term.profile)([values] * n)
-        return parts
+    def __init__(self, kernels: Mapping[int, Callable], mesh: np.ndarray) -> None:
+        self.cascade = _mesh_cascade(kernels, mesh)
 
     def profile(self, values: np.ndarray) -> np.ndarray:
         """F[u] on the whole mesh at the mesh samples ``values`` of u."""
-        parts = self._parts(values, at_end=False)
-        return _in_order(parts) if parts else np.zeros(self.size)
+        return self.cascade.profile([values] * len(self.cascade.levels))
 
     def endpoint(self, values: np.ndarray) -> float:
         """F[u](1) at the mesh samples ``values`` of u."""
-        parts = self._parts(values, at_end=True)
-        return float(_in_order(parts)) if parts else 0.0
+        return float(self.cascade.endpoint([values] * len(self.cascade.levels)))
 
 
-def series_terms(
-    series: VolterraKernelSeries, mesh: np.ndarray, rule: QuadratureRule | None = None
-) -> SeriesTerms:
+def series_terms(series: VolterraKernelSeries, mesh: np.ndarray) -> SeriesTerms:
     """The :class:`SeriesTerms` of every order of ``series``."""
-    return SeriesTerms(series.kernels, mesh, rule)
+    return SeriesTerms(series.kernels, mesh)
 
 
-def series_profile(
-    series: VolterraKernelSeries,
-    u: GridFunction,
-    rule: QuadratureRule | None = None,
-) -> GridFunction:
+def series_profile(series: VolterraKernelSeries, u: GridFunction) -> GridFunction:
     """The full profile x -> F[u](x) on the mesh of ``u``.
 
-    The evaluators are built for this call (a cascade's set-up cost does
-    not depend on the mesh size); non-polynomial kernels need ``rule``.
+    The cascade is built for this call (its set-up cost does not depend
+    on the mesh size).
     """
-    return GridFunction(series_terms(series, u.mesh, rule).profile(u.values))
+    return GridFunction(series_terms(series, u.mesh).profile(u.values))
 
 
 def linearized_values(
-    series: VolterraKernelSeries,
-    u: GridFunction,
-    h: np.ndarray,
-    rule: QuadratureRule | None = None,
+    series: VolterraKernelSeries, u: GridFunction, h: np.ndarray
 ) -> np.ndarray:
     """The derivative of F at ``u`` applied to the mesh samples ``h``.
 
     The derivative of an order-n term replaces one ``u`` factor by ``h``
-    in each of the n slots and sums the results.  ``h`` may carry
-    leading batch axes (the result then has them too).
+    in each of the n slots and sums the results, so each order gets its
+    own cascade.  ``h`` may carry leading batch axes (the result then
+    has them too).
     """
     out = np.zeros(h.shape[:-1] + (u.size,))
     for n, kern in series.kernels.items():
-        term = term_evaluator(kern, n, u.mesh, rule)
+        term = _mesh_cascade({n: kern}, u.mesh)
         for slot in range(n):
             out += term.profile([h if i == slot else u.values for i in range(n)])
     return out
 
 
 def linearized_profile(
-    series: VolterraKernelSeries,
-    u: GridFunction,
-    h: GridFunction,
-    rule: QuadratureRule | None = None,
+    series: VolterraKernelSeries, u: GridFunction, h: GridFunction
 ) -> GridFunction:
     """Profile of the derivative of F at ``u`` applied to ``h``."""
     u._check_mesh(h)
-    return GridFunction(linearized_values(series, u, h.values, rule))
+    return GridFunction(linearized_values(series, u, h.values))
 
 
 def kernel_l2_sq(series: VolterraKernelSeries, n: int, rule: QuadratureRule) -> float:

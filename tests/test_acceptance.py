@@ -147,7 +147,7 @@ def test_criterion_4_simulation_reproduction(capsys, plant, kernel_table):
     assert ok
 
 
-def test_criterion_5_contraction_inverse(capsys, kernel_series, gl8):
+def test_criterion_5_contraction_inverse(capsys, kernel_series):
     budget = 120.0
     t0 = time.perf_counter()
     gains = build_gains(kernel_series, rule=QuadratureRule.gauss(12))
@@ -160,8 +160,8 @@ def test_criterion_5_contraction_inverse(capsys, kernel_series, gl8):
     worst_ratio = 0.0
     for _ in range(50):
         u = _smooth(rng, mesh, rng.uniform(0.1, 1.0) * 0.5 * math.sqrt(config.s))
-        w = u - series_profile(kernel_series, u, gl8)
-        res = invert_with_info(w, kernel_series, config, gl8)
+        w = u - series_profile(kernel_series, u)
+        res = invert_with_info(w, kernel_series, config)
         worst_round_trip = max(worst_round_trip, (res.u - u).l2_norm())
         steps = res.residuals
         for a, b in zip(steps, steps[1:]):
@@ -179,7 +179,7 @@ def test_criterion_5_contraction_inverse(capsys, kernel_series, gl8):
     assert ok
 
 
-def test_criterion_6_frechet_derivative(capsys, kernel_series, gl8):
+def test_criterion_6_frechet_derivative(capsys, kernel_series):
     budget = 120.0
     t0 = time.perf_counter()
     mesh = np.linspace(0.0, 1.0, 201)
@@ -189,9 +189,9 @@ def test_criterion_6_frechet_derivative(capsys, kernel_series, gl8):
     for _ in range(20):
         u = _smooth(rng, mesh, rng.uniform(0.05, 0.4))
         h = _smooth(rng, mesh, rng.uniform(0.05, 0.4))
-        lin = linearized_profile(kernel_series, u, h, gl8)
-        plus = series_profile(kernel_series, u + h.scale(eps), gl8)
-        minus = series_profile(kernel_series, u - h.scale(eps), gl8)
+        lin = linearized_profile(kernel_series, u, h)
+        plus = series_profile(kernel_series, u + h.scale(eps))
+        minus = series_profile(kernel_series, u - h.scale(eps))
         fd = (plus - minus).scale(1.0 / (2.0 * eps))
         rel = (lin - fd).l2_norm() / max(lin.l2_norm(), 1e-30)
         worst = max(worst, rel)

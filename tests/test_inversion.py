@@ -84,16 +84,16 @@ class TestChooseRadius:
 
 
 class TestInvert:
-    def test_round_trip(self, kernel_series, config, mesh, gl8):
+    def test_round_trip(self, kernel_series, config, mesh):
         rng = np.random.default_rng(7)
         w = smooth_profile(rng, mesh, 0.5 * math.sqrt(config.rho_L))
-        u = invert(w, kernel_series, config, gl8)
-        back = u - series_profile(kernel_series, u, gl8)
+        u = invert(w, kernel_series, config)
+        back = u - series_profile(kernel_series, u)
         assert (back - w).l2_norm() < 1e-8
 
-    def test_zero_is_fixed(self, kernel_series, config, gl8):
+    def test_zero_is_fixed(self, kernel_series, config):
         w = GridFunction(np.zeros(101))
-        res = invert_with_info(w, kernel_series, config, gl8)
+        res = invert_with_info(w, kernel_series, config)
         assert res.u.l2_norm() == 0.0
         assert res.converged
 
@@ -102,12 +102,12 @@ class TestInvert:
         with pytest.raises(InversionDomainError):
             invert(big, kernel_series, config)
 
-    def test_contraction_ratios_bounded(self, kernel_series, gains, config, mesh, gl8):
+    def test_contraction_ratios_bounded(self, kernel_series, gains, config, mesh):
         bound = math.sqrt(gain_ell(gains, config.s))
         rng = np.random.default_rng(3)
         for _ in range(5):
             w = smooth_profile(rng, mesh, 0.6 * math.sqrt(config.rho_L))
-            res = invert_with_info(w, kernel_series, config, gl8)
+            res = invert_with_info(w, kernel_series, config)
             assert res.converged
             # ignore the last ratio: it is noise at the tolerance floor
             for ratio in res.contraction_ratios[:-1]:
@@ -119,22 +119,22 @@ class TestDerivative:
         rng = np.random.default_rng(11)
         u = smooth_profile(rng, mesh, 0.3)
         h = smooth_profile(rng, mesh, 0.2)
-        prof = linearized_profile(kernel_series, u, h, gl8)
+        prof = linearized_profile(kernel_series, u, h)
         # trapezoid cascade vs interpolated quadrature: both O(dx^2)
         for x in (0.25, 0.5, 1.0):
             direct = frechet_dk(kernel_series, u, h, x, gl8)
             idx = int(round(x * (mesh.size - 1)))
             assert direct == pytest.approx(prof.values[idx], abs=5e-5)
 
-    def test_against_central_difference(self, kernel_series, mesh, gl8):
+    def test_against_central_difference(self, kernel_series, mesh):
         rng = np.random.default_rng(13)
         eps = 1e-5
         for _ in range(5):
             u = smooth_profile(rng, mesh, 0.3)
             h = smooth_profile(rng, mesh, 0.25)
-            lin = linearized_profile(kernel_series, u, h, gl8)
-            plus = series_profile(kernel_series, u + h.scale(eps), gl8)
-            minus = series_profile(kernel_series, u - h.scale(eps), gl8)
+            lin = linearized_profile(kernel_series, u, h)
+            plus = series_profile(kernel_series, u + h.scale(eps))
+            minus = series_profile(kernel_series, u - h.scale(eps))
             fd = (plus - minus).scale(1.0 / (2.0 * eps))
             rel = (lin - fd).l2_norm() / max(lin.l2_norm(), 1e-30)
             assert rel < 1e-4
@@ -150,27 +150,27 @@ class TestDerivative:
         with pytest.raises(InversionDomainError):
             frechet_dk(kernel_series, u, u, 1.5, gl8)
 
-    def test_matrix_columns_are_basis_responses(self, kernel_series, gl8):
+    def test_matrix_columns_are_basis_responses(self, kernel_series):
         coarse = np.linspace(0.0, 1.0, 21)
         u = GridFunction(0.2 * np.sin(math.pi * coarse))
-        mat = dk_matrix(kernel_series, u, gl8)
+        mat = dk_matrix(kernel_series, u)
         e = np.zeros(21)
         e[10] = 1.0
-        col = linearized_profile(kernel_series, u, GridFunction(e), gl8)
+        col = linearized_profile(kernel_series, u, GridFunction(e))
         assert mat[:, 10] == pytest.approx(col.values)
 
 
 class TestNeumannEstimate:
-    def test_bounded_by_geometric_series(self, kernel_series, gains, config, gl8):
+    def test_bounded_by_geometric_series(self, kernel_series, gains, config):
         coarse = np.linspace(0.0, 1.0, 41)
         u = GridFunction(0.5 * math.sqrt(config.s) * np.sin(math.pi * coarse))
-        est = neumann_norm_estimate(kernel_series, u, gl8)
+        est = neumann_norm_estimate(kernel_series, u)
         bound = 1.0 / (1.0 - math.sqrt(gain_ell(gains, config.s)))
         assert 1.0 <= est <= bound + 1e-6
 
-    def test_zero_state_gives_identity(self, kernel_series, gl8):
+    def test_zero_state_gives_identity(self, kernel_series):
         u = GridFunction(np.zeros(31))
-        est = neumann_norm_estimate(kernel_series, u, gl8)
+        est = neumann_norm_estimate(kernel_series, u)
         assert est == pytest.approx(1.0, abs=1e-9)
 
     @staticmethod
@@ -203,9 +203,9 @@ class TestNeumannEstimate:
 
 
 class TestLipschitzSampling:
-    def test_report_passes_on_certified_ball(self, kernel_series, gains, config, gl8):
+    def test_report_passes_on_certified_ball(self, kernel_series, gains, config):
         report = lipschitz_check(
-            kernel_series, gains, config.s, trials=10, mesh_points=101, rule=gl8
+            kernel_series, gains, config.s, trials=10, mesh_points=101
         )
         assert report.passed
         assert report.worst_ratio <= report.threshold + 1e-6

@@ -13,16 +13,21 @@ import pytest
 import volback
 from volback.charkernels import pdae_plant
 from volback.harness import build_kernel_table, load_plant
-from volback.inversion import dk_matrix
+from volback.inversion import (
+    InversionConfig,
+    dk_matrix,
+    invert_with_info,
+    lipschitz_check,
+)
 from volback.polynomial import pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
+from volback.simulator import SimConfig, controller_terms, mild_solution_residual, simulate
 from conftest import reference_profile
 from volback.volterra import (
     GainFunctions,
     GridFunction,
     MeshCascade,
     QuadratureNode,
-    QuadratureTerm,
     SeriesDefinitionError,
     VolterraKernelSeries,
     build_gains,
@@ -403,38 +408,27 @@ class TestQuadratureTerm:
                     want = np.dot(kern(x, pts) * np.prod(np.stack(vals, axis=1), axis=1), w)
                     assert node.value(factors) == want
 
-    def test_batched_profile_and_endpoint(self):
-        mesh = np.linspace(0.0, 1.0, 21)
-        term = QuadratureTerm(opaque_series().kernel(3), 3, mesh, GL8)
-        rng = np.random.default_rng(5)
-        batch = rng.standard_normal((3, mesh.size))
-        u = np.sin(mesh)
-        prof = term.profile([u, batch, u])
-        assert prof.shape == (3, mesh.size) and prof[:, 0].tolist() == [0.0] * 3
-        for b in range(3):
-            row = term.profile([u, batch[b], u])
-            assert np.allclose(prof[b], row, rtol=1e-12, atol=1e-15)
-            assert term.endpoint([u, batch[b], u]) == row[-1]
-
     def test_opaque_kernels_need_a_rule(self):
-        series = opaque_series()
-        u = GridFunction(np.ones(11))
-        with pytest.raises(SeriesDefinitionError):
-            series_profile(series, u)
-        with pytest.raises(SeriesDefinitionError):
-            linearized_profile(series, u, u)
-        with pytest.raises(SeriesDefinitionError):
-            dk_matrix(series, u)
-
-    def test_dk_matrix_equals_columns(self):
-        series = opaque_series()
-        m = 21
-        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, m)) + 0.1)
-        columns = [
-            linearized_profile(series, u, GridFunction(e), GL8).values for e in np.eye(m)
-        ]
-        assert np.allclose(dk_matrix(series, u, GL8), np.column_stack(columns),
-                           rtol=1e-12, atol=1e-15)
+        """Every mesh evaluator refuses a kernel without monomials and
+        names its order, also after a polynomial order."""
+        u = GridFunction(np.full(11, 0.1))
+        record = simulate(SimConfig(t_end=0.1, mesh_points=11), None)
+        gains = GainFunctions((2, 3), (0.1, 0.1))
+        opaque = opaque_series()
+        mixed = VolterraKernelSeries({2: pdae_k2(), 3: opaque.kernel(3)})
+        for series, order in ((opaque, 2), (mixed, 3)):
+            calls = [
+                lambda: series_profile(series, u),
+                lambda: linearized_profile(series, u, u),
+                lambda: dk_matrix(series, u),
+                lambda: invert_with_info(u, series, InversionConfig(s=1.0, rho_L=1.0)),
+                lambda: lipschitz_check(series, gains, 1.0, trials=1, mesh_points=11),
+                lambda: mild_solution_residual(record, series.kernels, [0.05]),
+                lambda: controller_terms(series.kernels, 3, u.mesh),
+            ]
+            for call in calls:
+                with pytest.raises(SeriesDefinitionError, match=f"order-{order} kernel"):
+                    call()
 
 
 def test_import_leaves_scipy_out():
