@@ -5,7 +5,7 @@ The package is organised around the objects that appear in the control
 design:
 
 ``simplex``
-    ordered simplex domains, gap coordinates, and quadrature rules,
+    ordered simplex domains and their Gauss-Legendre quadrature,
 ``polynomial``
     exact rational polynomials in one variable and polynomial kernels
     on simplices,
@@ -34,11 +34,8 @@ from .simplex import (
     QuadratureRule,
     SimplexDomainError,
     SimplexPoint,
-    from_gap_coords,
     integrate_simplex,
     simplex_contains,
-    simplex_volume,
-    to_gap_coords,
 )
 from .volterra import (
     GainFunctions,
@@ -91,11 +88,8 @@ __all__ = [
     "QuadratureRule",
     "SimplexDomainError",
     "SimplexPoint",
-    "from_gap_coords",
     "integrate_simplex",
     "simplex_contains",
-    "simplex_volume",
-    "to_gap_coords",
     "GainFunctions",
     "GridFunction",
     "VolterraKernelSeries",

@@ -23,22 +23,23 @@ where (A, B) runs over all order-preserving distributions of the
 trailing coordinates (xi_j, ..., xi_n) into a k-block of size p - j and
 an f-block of size m, enumerated by :func:`volback.simplex.ordered_splits`.
 
-The plant kernels must be polynomial
-(:class:`~volback.polynomial.SimplexPolyKernel`), and then every step
-is exact rational integration of monomials.  In B[n, m] the variables
-of k_p and f_m are renamed into (x, xi_1, ..., xi_n, s), and since
+The plant kernels are exact polynomials
+(:class:`~volback.polynomial.SimplexPolyKernel`; a
+:class:`~volback.volterra.VolterraKernelSeries` holds nothing else), so
+every step is exact rational integration of monomials.  In B[n, m] the
+variables of k_p and f_m are renamed into (x, xi_1, ..., xi_n, s), and since
 both bounds of the s-integral are single variables, evaluating its
 antiderivative is another rename.  The characteristic integral expands
 each monomial of I binomially in t.  The kernels therefore equal the
 gap cascade's polynomials coefficient for coefficient, which is how
-:func:`volback.harness.build_kernel_table` cross-checks the two.
+:func:`volback.verification.compare_constructions` cross-checks the two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping
 
 import numpy as np
 
@@ -75,8 +76,6 @@ class KernelNode:
     single :class:`~volback.simplex.SimplexPoint`.
     """
 
-    vectorized = True
-
     def __init__(self, polynomial: SimplexPolyKernel, provenance: str) -> None:
         if provenance not in PROVENANCES:
             raise KernelConfigError(f"unknown provenance {provenance!r}")
@@ -101,14 +100,10 @@ class KernelNode:
         return f"KernelNode(order={self.order}, provenance={self.provenance!r})"
 
 
-def _monomials(kern: Callable, what: str) -> list[tuple[Exps, Fraction]]:
+def _monomials(kern: SimplexPolyKernel | KernelNode) -> list[tuple[Exps, Fraction]]:
     """The flattened monomials (e, a_1, ..., a_n) -> c of a polynomial
     kernel or a kernel node."""
     poly = kern.polynomial if isinstance(kern, KernelNode) else kern
-    if not isinstance(poly, SimplexPolyKernel):
-        raise KernelConfigError(
-            f"{what} has no monomials; the recursion integrates polynomial kernels"
-        )
     return [((e, *alphas), c) for (e, alphas), c in poly.monomials.items()]
 
 
@@ -121,7 +116,10 @@ def _kernel(n: int, terms: Mapping[Exps, Fraction]) -> SimplexPolyKernel:
 
 
 def coupling_polynomial(
-    n: int, m: int, k_lower: KernelNode | Callable | None, f_m: Callable
+    n: int,
+    m: int,
+    k_lower: SimplexPolyKernel | KernelNode | None,
+    f_m: SimplexPolyKernel,
 ) -> SimplexPolyKernel:
     """The coupling operator B[n, m] as an exact order-n polynomial.
 
@@ -136,11 +134,10 @@ def coupling_polynomial(
     if k_lower is None:
         raise KernelConfigError("coupling needs the lower kernel for m < n")
     p = n - m + 1
-    order = getattr(k_lower, "order", None)
-    if order is not None and order != p:
-        raise KernelConfigError(f"lower kernel has order {order}, expected {p}")
-    k_terms = _monomials(k_lower, f"order-{p} lower kernel")
-    f_terms = _monomials(f_m, f"order-{m} plant kernel")
+    if k_lower.order != p:
+        raise KernelConfigError(f"lower kernel has order {k_lower.order}, expected {p}")
+    k_terms = _monomials(k_lower)
+    f_terms = _monomials(f_m)
     s = n + 1  # the slot of the integration variable
     out: Dict[Exps, Fraction] = {}
     for j in range(1, p + 1):
@@ -189,13 +186,15 @@ def _characteristic(n: int, forcing: Mapping[Exps, Fraction]) -> SimplexPolyKern
 
 
 def _recursion_kernel(
-    n: int, plant_kernels: Mapping[int, Callable], lower: Mapping[int, Callable]
+    n: int,
+    plant_kernels: Mapping[int, SimplexPolyKernel],
+    lower: Mapping[int, SimplexPolyKernel | KernelNode],
 ) -> SimplexPolyKernel:
     """The order-n kernel from the plant and the lower kernels it couples to."""
     forcing: Dict[Exps, Fraction] = {}
     f_n = plant_kernels.get(n)
     if f_n is not None:
-        for e, c in _monomials(f_n, f"order-{n} plant kernel"):
+        for e, c in _monomials(f_n):
             _add(forcing, e, c)
     for m in range(2, n):
         f_m = plant_kernels.get(m)
@@ -214,16 +213,15 @@ def _recursion_kernel(
 def eval_B(
     n: int,
     m: int,
-    k_lower: KernelNode | Callable | None,
-    f_m: Callable,
+    k_lower: SimplexPolyKernel | KernelNode | None,
+    f_m: SimplexPolyKernel,
     point: SimplexPoint,
 ) -> float:
     """Value of the coupling operator B[n, m] at one simplex point.
 
     Requires 2 <= m <= n and a lower kernel of order n - m + 1.  The
     m = n case pairs with the identically-zero first-order kernel and
-    returns 0 without touching ``k_lower``.  Both kernels must be
-    polynomial (a :class:`SimplexPolyKernel` or a :class:`KernelNode`).
+    returns 0 without touching ``k_lower``.
     """
     if point.order != n:
         raise KernelConfigError(f"point has {point.order} coordinates, expected {n}")
@@ -256,8 +254,7 @@ def build_controller_kernels(
     """Build the kernel hierarchy for orders 2..n_max by the recursion.
 
     If the plant carries growth metadata, it is sampled first and a
-    failing check aborts the build.  A plant kernel without monomials
-    raises :class:`KernelConfigError`.
+    failing check aborts the build.
     """
     if n_max < 2:
         raise KernelConfigError(f"n_max must be at least 2, got {n_max}")
@@ -287,8 +284,7 @@ def is_pdae_plant(plant: VolterraKernelSeries) -> bool:
     """Recognise the quadratic integral plant by its monomials."""
     if plant.orders != (2,):
         return False
-    mono = getattr(plant.kernels[2], "monomials", None)
-    return mono == {(0, (0, 0)): 1}
+    return plant.kernels[2].monomials == {(0, (0, 0)): 1}
 
 
 def pdae_closed_forms() -> Dict[int, SimplexPolyKernel]:

@@ -71,7 +71,7 @@ from .simulator import (
     write_series_csv,
     write_snapshots_csv,
 )
-from .verification import run_all
+from .verification import compare_constructions, run_all
 from .volterra import (
     GridFunction,
     SeriesDefinitionError,
@@ -85,7 +85,7 @@ from .volterra import (
 PRESETS = ("fig1a", "fig1b", "fig1c", "kernels", "gains", "invert-demo", "verify-all")
 PRESET_CONTROLLER = {"fig1a": "open-loop", "fig1b": "order-2", "fig1c": "order-3"}
 DEFAULT_SEED = 0
-GAIN_RULE = QuadratureRule.gauss(12)
+GAIN_RULE = QuadratureRule(12)
 
 
 class ConfigError(ValueError):
@@ -343,25 +343,20 @@ def _kernel_cross_check(
     plant: ParsedPlant, gap: Dict[int, KernelNode], points: int = 200
 ) -> Dict:
     """The recursion against the cascade-built table ``gap`` (orders
-    2..n_max).  Passes when every order has the same monomials; the
-    largest difference of their float values at random points, which
-    can only be rounding then, is reported alongside."""
-    n_max = max(gap)
-    rng = np.random.default_rng(DEFAULT_SEED)
-    rec = build_kernel_table(plant, n_max, route="recursion")
-    worst = 0.0
-    for n in range(2, n_max + 1):
-        pts = np.sort(rng.uniform(0.0, 1.0, size=(points, n)), axis=1)[:, ::-1]
-        diff = np.max(np.abs(rec[n](1.0, pts) - gap[n](1.0, pts)))
-        worst = max(worst, float(diff))
-    equal = all(rec[n].polynomial.monomials == gap[n].polynomial.monomials for n in rec)
+    2..n_max), compared by
+    :func:`~volback.verification.compare_constructions`: passes when
+    every order has the same monomials."""
+    rec = build_kernel_table(plant, max(gap), route="recursion")
+    equal, worst = compare_constructions(
+        VolterraKernelSeries(rec), VolterraKernelSeries(gap), DEFAULT_SEED, points
+    )
     return {"max_abs_difference": worst, "points": points, "passed": equal}
 
 
 def _pdae_gain_data():
     plant = load_plant("pdae")
     kernels = build_kernel_table(plant, 3)
-    series = VolterraKernelSeries({n: k for n, k in kernels.items()})
+    series = VolterraKernelSeries(kernels)
     gains = build_gains(series, GAIN_RULE)
     icfg = choose_radius(gains)
     return plant, kernels, series, gains, icfg
@@ -580,8 +575,7 @@ def cmd_kernels(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    with open(args.input, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(_read_lines(Path(args.input), "input")))
     if not rows or len(rows) < 3:
         raise ConfigError(f"input {args.input} has too few rows")
     header = rows[0]
@@ -665,7 +659,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, SimConfigError, InversionDomainError, PlantAssumptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # e.g. an output path that is a file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

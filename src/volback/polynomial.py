@@ -11,9 +11,10 @@ Two representations live here:
 ``SimplexPolyKernel``
     a polynomial kernel on an ordered simplex, stored as a monomial map
     ``(e, (a_1, ..., a_n)) -> Fraction`` meaning
-    ``coeff * x**e * xi_1**a_1 * ... * xi_n**a_n``.  Evaluation is
-    vectorized over point arrays; the monomial list is also what the
-    fast mesh cascades in :mod:`volback.volterra` consume.
+    ``coeff * x**e * xi_1**a_1 * ... * xi_n**a_n``.  Every kernel of
+    the package is one.  Evaluation works on point arrays; the monomial
+    list is also what the mesh cascades in :mod:`volback.volterra`
+    consume.
 """
 
 from __future__ import annotations
@@ -157,14 +158,12 @@ class SimplexPolyKernel:
 
     ``monomials`` maps ``(e, alphas)`` to a Fraction coefficient, where
     ``e`` is the power of the upper limit and ``alphas`` the coordinate
-    powers.  Instances are valid vectorized integrands: calling with a
-    scalar or array upper limit and an (N, n) coordinate array returns N
-    kernel values.
+    powers.  Calling an instance with a scalar or array upper limit and
+    an (N, n) coordinate array returns N kernel values.
     """
 
     order: int
     monomials: Dict[Monomial, Fraction] = field(default_factory=dict)
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         clean: Dict[Monomial, Fraction] = {}

@@ -10,43 +10,29 @@ coordinates of a point are the consecutive differences
 
     gaps = (x - xi_1, xi_1 - xi_2, ..., xi_{n-1} - xi_n),
 
-which together with ``x`` determine the point (the innermost coordinate
-is ``x - sum(gaps)``).  Gap coordinates are the natural variables for the
-divided-power calculus in :mod:`volback.gapcascade`.
+the natural variables for the divided-power calculus in
+:mod:`volback.gapcascade`.
 
 Two cached enumerators serve the kernel constructions: the
 order-preserving splits of trailing positions into two blocks
 (:func:`ordered_splits`) and the multi-indices of a given weight
 (:func:`compositions`).
 
-Three quadrature rules are provided, all returning nodes strictly inside
-the simplex description:
-
-``nested-trapezoid-on-mesh``
-    composite trapezoid applied axis by axis in stick-breaking
-    coordinates, ``resolution`` points per axis,
-``tensor-gauss-legendre-on-gaps``
-    Gauss-Legendre applied axis by axis in the same stick-breaking
-    coordinates (exact for polynomial integrands of per-axis degree
-    below roughly twice the node count),
-``monte-carlo``
-    sorted uniform samples with the volume as aggregate weight,
-    seeded through :class:`QuadratureRule`.
+The one quadrature rule is Gauss-Legendre applied axis by axis in
+stick-breaking coordinates, ``resolution`` nodes per axis, all strictly
+inside the simplex.  It is exact for polynomial integrands of per-axis
+degree below roughly twice the node count, which is what the kernel
+norms and the property checks integrate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable
 
 import numpy as np
-
-DETERMINISTIC_KINDS = ("nested-trapezoid-on-mesh", "tensor-gauss-legendre-on-gaps")
-QUADRATURE_KINDS = DETERMINISTIC_KINDS + ("monte-carlo",)
-
 
 class SimplexDomainError(ValueError):
     """A point or parameter fell outside the admissible simplex data."""
@@ -103,110 +89,26 @@ def simplex_contains(x: float, xi: Iterable[float]) -> bool:
     return all(chain[i] >= chain[i + 1] for i in range(len(chain) - 1))
 
 
-def simplex_volume(n: int, x: float) -> float:
-    """Volume of T_n(x), i.e. x**n / n!.
-
-    Raises :class:`SimplexDomainError` for n < 1 or x outside [0, 1].
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise SimplexDomainError(f"simplex order must be a positive integer, got {n!r}")
-    if not (0.0 <= x <= 1.0):
-        raise SimplexDomainError(f"upper limit must lie in [0, 1], got {x!r}")
-    return float(x) ** n / math.factorial(n)
-
-
-def to_gap_coords(point: SimplexPoint) -> tuple[tuple[float, ...], float]:
-    """Gap coordinates of a point: ``(gaps, xi_n)``.
-
-    ``gaps[r]`` is the difference between consecutive chain entries
-    (x, xi_1, ..., xi_n); the innermost coordinate is returned as well
-    so the pair is manifestly invertible.
-    """
-    return point.gaps, point.xi[-1]
-
-
-def from_gap_coords(x: float, gaps: Iterable[float]) -> SimplexPoint:
-    """Rebuild the point of T_n(x) with the given consecutive gaps.
-
-    Raises :class:`SimplexDomainError` if any gap is negative or the
-    gaps overshoot ``x`` (the innermost coordinate would be negative).
-    """
-    gs = [float(g) for g in gaps]
-    if any(g < 0.0 for g in gs):
-        raise SimplexDomainError(f"negative gap in {gs}")
-    xi = []
-    cur = float(x)
-    for g in gs:
-        cur -= g
-        xi.append(cur)
-    if xi and xi[-1] < 0.0:
-        raise SimplexDomainError(
-            f"gaps {gs} overshoot the upper limit {x} (innermost coordinate {xi[-1]})"
-        )
-    return SimplexPoint(x, tuple(xi))
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Description of a quadrature rule over an ordered simplex.
+    """Gauss-Legendre in stick-breaking coordinates over an ordered simplex,
+    ``resolution`` nodes per axis (at least 2)."""
 
-    ``resolution`` means points per axis for the deterministic kinds and
-    sample count for ``monte-carlo``.  Deterministic kinds require at
-    least 2 points per axis; a zero or negative resolution is rejected
-    outright.
-    """
-
-    kind: str = "tensor-gauss-legendre-on-gaps"
-    resolution: int = 32
-    seed: int | None = None
+    resolution: int
 
     def __post_init__(self) -> None:
-        if self.kind not in QUADRATURE_KINDS:
+        if self.resolution < 2:
             raise QuadratureConfigError(
-                f"unknown quadrature kind {self.kind!r}; expected one of {QUADRATURE_KINDS}"
+                f"quadrature rules need resolution >= 2, got {self.resolution}"
             )
-        if self.resolution <= 0:
-            raise QuadratureConfigError(
-                f"quadrature resolution must be positive, got {self.resolution}"
-            )
-        if self.kind in DETERMINISTIC_KINDS and self.resolution < 2:
-            raise QuadratureConfigError(
-                f"deterministic rules need resolution >= 2, got {self.resolution}"
-            )
-
-    @staticmethod
-    def trapezoid(resolution: int = 64) -> "QuadratureRule":
-        return QuadratureRule("nested-trapezoid-on-mesh", resolution)
-
-    @staticmethod
-    def gauss(resolution: int = 16) -> "QuadratureRule":
-        return QuadratureRule("tensor-gauss-legendre-on-gaps", resolution)
-
-    @staticmethod
-    def monte_carlo(samples: int, seed: int = 0) -> "QuadratureRule":
-        return QuadratureRule("monte-carlo", samples, seed)
-
-
-def _axis_nodes(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis nodes and weights on [0, 1] for the deterministic kinds."""
-    k = rule.resolution
-    if rule.kind == "nested-trapezoid-on-mesh":
-        t = np.linspace(0.0, 1.0, k)
-        w = np.full(k, 1.0 / (k - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return t, w
-    t, w = np.polynomial.legendre.leggauss(k)
-    return 0.5 * (t + 1.0), 0.5 * w
 
 
 def simplex_nodes(n: int, x: float, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights for T_n(x).
 
     Returns ``(points, weights)`` with ``points`` of shape (N, n), rows
-    descending, and ``weights`` of shape (N,) summing to the simplex
-    volume (exactly for the deterministic kinds, in expectation for
-    monte-carlo).
+    descending, and ``weights`` of shape (N,).  The weights sum to the
+    simplex volume x**n / n! (up to rounding) when 2 * resolution >= n.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise SimplexDomainError(f"simplex order must be a positive integer, got {n!r}")
@@ -215,14 +117,8 @@ def simplex_nodes(n: int, x: float, rule: QuadratureRule) -> tuple[np.ndarray, n
     if x == 0.0:
         return np.zeros((0, n)), np.zeros(0)
 
-    if rule.kind == "monte-carlo":
-        rng = np.random.default_rng(rule.seed)
-        pts = rng.uniform(0.0, x, size=(rule.resolution, n))
-        pts = -np.sort(-pts, axis=1)
-        w = np.full(rule.resolution, simplex_volume(n, x) / rule.resolution)
-        return pts, w
-
-    t, tw = _axis_nodes(rule)
+    t, tw = np.polynomial.legendre.leggauss(rule.resolution)
+    t, tw = 0.5 * (t + 1.0), 0.5 * tw
     # Stick breaking: xi_i = xi_{i-1} * t, starting from xi_0 = x.  Each
     # axis contributes weight (upper limit) * tw since the inner integral
     # runs over [0, upper limit].
@@ -247,21 +143,14 @@ def integrate_simplex(
 ) -> float:
     """Integrate a scalar function over T_n(x) with the given rule.
 
-    ``integrand`` is either a function of a single :class:`SimplexPoint`
-    or, when it carries a truthy ``vectorized`` attribute (all kernel
-    evaluators in this package do), a function ``f(x, points)`` mapping
-    the scalar upper limit and an (N, n) coordinate array to N values.
-
+    ``integrand(x, points)`` maps the scalar upper limit and an (N, n)
+    coordinate array to N values, as the kernels of this package do.
     ``x == 0`` returns 0.0 without evaluating the integrand.
     """
     pts, w = simplex_nodes(n, x, rule)
     if len(w) == 0:
         return 0.0
-    if getattr(integrand, "vectorized", False):
-        vals = np.asarray(integrand(x, pts), dtype=float)
-    else:
-        vals = np.array([integrand(SimplexPoint(x, tuple(row))) for row in pts])
-    return float(np.dot(vals, w))
+    return float(np.dot(np.asarray(integrand(x, pts), dtype=float), w))
 
 
 @lru_cache(maxsize=None)

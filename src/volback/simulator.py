@@ -10,10 +10,11 @@ time-varying boundary condition.
 
 The controller, and any plant other than the builtin quadratic one, is
 evaluated by one :class:`~volback.volterra.SeriesTerms` built per run: a
-single mesh cascade for all orders, which refuses a kernel without
-monomials before the first step.  The builtin plant keeps its closed
-form (int_0^x u)^2 / 2, its running integral one cumulative trapezoid
-sum.
+single mesh cascade for all orders.  The controller's kernel table
+becomes a :class:`~volback.volterra.VolterraKernelSeries` first, so a
+kernel that is not an exact polynomial of its order is refused before
+the first step.  The builtin plant keeps its closed form
+(int_0^x u)^2 / 2, its running integral one cumulative trapezoid sum.
 
 Also here: the target semigroup (pure left transport with zero inflow,
 which annihilates any profile in finite time 1), the closed-loop
@@ -179,25 +180,31 @@ def _normalize_kernels(kernels: Mapping[int, Callable] | None) -> Dict[int, Call
     return {} if kernels is None else {int(n): k for n, k in kernels.items()}
 
 
+def _controller_series(
+    table: Mapping[int, Callable], order_cap: int
+) -> VolterraKernelSeries:
+    """The controller's orders 2..order_cap as a series.  Every order up
+    to the cap must be present in ``table`` (pass the zero kernel
+    explicitly if an order genuinely vanishes)."""
+    for n in range(2, order_cap + 1):
+        if n not in table:
+            raise MissingKernelError(f"feedback needs the order-{n} kernel")
+    return VolterraKernelSeries({n: table[n] for n in range(2, order_cap + 1)})
+
+
 def controller_terms(
     kernels: Mapping[int, Callable], order_cap: int, mesh: np.ndarray
 ) -> SeriesTerms:
     """The evaluator of the controller's orders 2..order_cap on ``mesh``:
-    one mesh cascade, see :class:`~volback.volterra.SeriesTerms`.  Every
-    order up to the cap must be present in ``kernels`` (pass the zero
-    kernel explicitly if an order genuinely vanishes).
-    """
-    table = _normalize_kernels(kernels)
-    for n in range(2, order_cap + 1):
-        if n not in table:
-            raise MissingKernelError(f"feedback needs the order-{n} kernel")
-    return SeriesTerms({n: table[n] for n in range(2, order_cap + 1)}, mesh)
+    one mesh cascade, see :class:`~volback.volterra.SeriesTerms`."""
+    return series_terms(_controller_series(_normalize_kernels(kernels), order_cap), mesh)
 
 
 def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
     """Boundary value K[u](1) of the state sampled at ``values``, from
-    the prebuilt :func:`controller_terms` (``simulate`` builds it once
-    per run): each order's x = 1 endpoint, added in increasing order."""
+    the prebuilt controller evaluator (:func:`controller_terms`;
+    ``simulate`` builds one per run): each order's x = 1 endpoint, added
+    in increasing order."""
     return controller.endpoint(values)
 
 
@@ -225,21 +232,25 @@ def simulate(
     kernel series; the quadratic integral example is recognised and uses
     its closed-form nonlinearity.  ``kernels`` supplies the controller
     kernels ``{order: kernel}`` for the non-open-loop controllers.  A
-    kernel without monomials is a
+    kernel that is not an exact polynomial of its order is a
     :class:`~volback.volterra.SeriesDefinitionError`, and a run whose cost
     estimate (see ``MAX_GRID_UPDATES``) exceeds that budget a
-    :class:`SimConfigError`, both raised before the first step.  Halts early when the sup norm passes the blow-up
-    threshold or any value goes non-finite, and records that time.
+    :class:`SimConfigError`, both raised before the first step.  Halts
+    early when the sup norm passes the blow-up threshold or any value
+    goes non-finite, and records that time.
     """
     m = cfg.mesh_points
     dx = 1.0 / (m - 1)
     dt = cfg.cfl * dx
     steps = cfg.t_end / dt
     table = _normalize_kernels(kernels)
+    if cfg.controller != "open-loop" and not table:
+        raise MissingKernelError(f"controller {cfg.controller!r} needs kernels")
     cap = controller_cap(cfg.controller, max(table, default=None))
-    nodes = _plant_trie_nodes(plant) + sum(
-        trie_nodes(k) for n, k in table.items() if n <= (cap or 1)
-    )
+    control_series = None if cap is None else _controller_series(table, cap)
+    nodes = _plant_trie_nodes(plant)
+    if control_series is not None:
+        nodes += sum(map(trie_nodes, control_series.kernels.values()))
     cost = steps * (STEP_COST + m * (1 + nodes))
     if not cost <= MAX_GRID_UPDATES:  # also refuses a NaN or infinite estimate
         raise SimConfigError(
@@ -248,12 +259,10 @@ def simulate(
             f"MAX_GRID_UPDATES = {MAX_GRID_UPDATES:.0e}; raise cfl or lower t_end, "
             "mesh_points or the controller order"
         )
-    if cfg.controller != "open-loop" and not table:
-        raise MissingKernelError(f"controller {cfg.controller!r} needs kernels")
 
     mesh = np.linspace(0.0, 1.0, m)
     nonlinearity = _plant_nonlinearity(plant, mesh)
-    controller = None if cap is None else controller_terms(table, cap, mesh)
+    controller = None if control_series is None else series_terms(control_series, mesh)
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = _advection(values, dx)
@@ -419,9 +428,7 @@ def mild_solution_residual(
         raise NotApplicableError(
             "mild-solution residual is undefined for a blow-up record"
         )
-    table = _normalize_kernels(kernels)
-    series = VolterraKernelSeries(table)
-    terms = series_terms(series, record.mesh)
+    terms = series_terms(VolterraKernelSeries(kernels), record.mesh)
     u0 = GridFunction(record.snapshots[0])
     w0 = u0 - GridFunction(terms.profile(u0.values))
     worst = 0.0

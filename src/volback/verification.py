@@ -79,17 +79,12 @@ def check_coupling_bound(seed: int = 0) -> CheckResult:
     nodes = build_controller_kernels(plant, 3)
     table = {nd.order: nd for nd in nodes}
     series = VolterraKernelSeries({nd.order: nd for nd in nodes})
-    rule = QuadratureRule.gauss(8)
+    rule = QuadratureRule(8)
     details = []
     all_ok = True
     for n, m in ((3, 2), (4, 2)):
         b = coupling_polynomial(n, m, table[n - m + 1], plant.kernel(m))
-
-        def b_sq(x, xi, _b=b):
-            return _b(x, xi) ** 2
-
-        b_sq.vectorized = True
-        b_norm = math.sqrt(integrate_simplex(n, 1.0, b_sq, rule))
+        b_norm = math.sqrt(integrate_simplex(n, 1.0, lambda x, xi: b(x, xi) ** 2, rule))
         k_norm = math.sqrt(kernel_l2_sq(series, n - m + 1, rule))
         report = coupling_bound_check(n, m, k_norm, 1.0, b_norm)
         all_ok = all_ok and report.passed
@@ -102,7 +97,7 @@ def check_lipschitz(seed: int = 0) -> CheckResult:
     plant = pdae_plant()
     nodes = build_controller_kernels(plant, 3)
     series = VolterraKernelSeries({nd.order: nd for nd in nodes})
-    gains = build_gains(series, QuadratureRule.gauss(12))
+    gains = build_gains(series, QuadratureRule(12))
     cfg = choose_radius(gains)
     report = lipschitz_check(series, gains, cfg.s, trials=20, seed=seed)
     return CheckResult(
@@ -284,20 +279,36 @@ def check_support_sparsity() -> CheckResult:
     )
 
 
+def compare_constructions(
+    recursion: VolterraKernelSeries,
+    gap: VolterraKernelSeries,
+    seed: int = 0,
+    points: int = 200,
+) -> tuple[bool, float]:
+    """Whether the kernels built by the recursion and by the gap cascade
+    have the same monomials, order by order, and the largest difference
+    of their float values at ``points`` random points of T_n(1) per
+    order, drawn from ``seed`` (only rounding when the monomials agree)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n, kern in recursion.kernels.items():
+        pts = _random_simplex_points(rng, n, points)
+        worst = max(worst, float(np.max(np.abs(kern(1.0, pts) - gap.kernel(n)(1.0, pts)))))
+    equal = all(k.monomials == gap.kernel(n).monomials for n, k in recursion.kernels.items())
+    return equal, worst
+
+
 def check_dual_construction(seed: int = 0, points: int = 200) -> CheckResult:
     """Both kernel constructions give the same monomials; the detail
     reports their largest float difference on random simplex points."""
-    plant = pdae_plant()
-    nodes = build_controller_kernels(plant, 3)
+    nodes = build_controller_kernels(pdae_plant(), 3)
     a = cascade(pdae_b_family(), 3)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    passed = True
-    for node in nodes:
-        poly = assemble_kernel_polynomial(a, node.order)
-        passed = passed and node.polynomial.monomials == poly.monomials
-        pts = _random_simplex_points(rng, node.order, points)
-        worst = max(worst, float(np.max(np.abs(node(1.0, pts) - poly(1.0, pts)))))
+    passed, worst = compare_constructions(
+        VolterraKernelSeries({nd.order: nd for nd in nodes}),
+        VolterraKernelSeries({n: assemble_kernel_polynomial(a, n) for n in (2, 3)}),
+        seed,
+        points,
+    )
     return CheckResult(
         "dual-construction",
         passed,

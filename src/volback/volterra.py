@@ -8,21 +8,28 @@ with the order-n kernel f_n defined on the ordered simplex T_n(x).  The
 same shape describes the plant nonlinearity, the state transformation,
 and its inverse, so one module serves all three.
 
+Every kernel is an exact polynomial (a
+:class:`~volback.polynomial.SimplexPolyKernel`), and
+:class:`VolterraKernelSeries` is the one place that decides so: it
+unwraps kernel nodes to their polynomials and refuses anything else,
+and a kernel whose order differs from its key, with a
+:class:`SeriesDefinitionError` naming the order.  The mesh
+evaluators, the gains and the simulator take a series, or build one
+from a kernel table, and so inherit that check.
+
 Each multilinear term is evaluated on a mesh by one evaluator, the
 :class:`MeshCascade`: cumulative trapezoid sums (each nested integral
 is one pass over the mesh) that share the inner passes between
-monomials with equal trailing exponents.  It integrates polynomial
-kernels only, so every mesh evaluator refuses a kernel without
-monomials with a :class:`SeriesDefinitionError` naming its order.
+monomials with equal trailing exponents.
 
 Where every slot carries the same state (series profiles, the Picard
 and Lipschitz loops, the simulator's plant and controller),
 :class:`SeriesTerms` evaluates all orders with one cascade, whose trie
 shares suffixes between orders.  The derivative and the derivative
 matrix put a different factor in one slot, so they keep one cascade per
-order.  :func:`eval_series` and the point derivative integrate any
-kernel at a single x by simplex quadrature (:class:`QuadratureNode`);
-they serve as pointwise references.
+order.  :func:`eval_series` and the point derivative integrate the
+kernels at a single x by Gauss quadrature on the simplex
+(:class:`QuadratureNode`); they serve as pointwise references.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -47,7 +54,6 @@ from .polynomial import SimplexPolyKernel
 from .simplex import (
     QuadratureRule,
     SimplexDomainError,
-    SimplexPoint,
     simplex_nodes,
 )
 
@@ -115,51 +121,43 @@ class GridFunction:
         return GridFunction(np.asarray(func(x), dtype=float))
 
 
-def _wrap_pointwise(func: Callable) -> Callable:
-    """Adapt a SimplexPoint-based kernel to the array calling convention."""
-
-    def wrapped(x, xi: np.ndarray) -> np.ndarray:
-        xi = np.atleast_2d(xi)
-        xs = np.broadcast_to(np.asarray(x, dtype=float), (xi.shape[0],))
-        return np.array(
-            [func(SimplexPoint(float(xv), tuple(row))) for xv, row in zip(xs, xi)]
-        )
-
-    wrapped.vectorized = True  # type: ignore[attr-defined]
-    return wrapped
-
-
 @dataclass
 class VolterraKernelSeries:
     """A truncated Volterra kernel family {f_n}, orders starting at 2.
 
-    ``kernels`` maps the order n to an evaluator.  Evaluators are either
-    array-aware callables ``f(x, xi)`` (marked with a ``vectorized``
-    attribute; :class:`SimplexPolyKernel` and kernel nodes qualify) or
-    plain functions of a :class:`~volback.simplex.SimplexPoint`, which
-    get wrapped.  ``growth`` optionally carries the (D, rho) pair of the
-    plant growth assumption.
+    ``kernels`` maps the order n to its exact polynomial, a
+    :class:`SimplexPolyKernel` of order n; a kernel node (anything with
+    such a polynomial as its ``polynomial``) is unwrapped to it.  This is
+    the one place that decides what a kernel is: anything else, or a
+    kernel whose order differs from its key, is a
+    :class:`SeriesDefinitionError` naming the order.  ``growth``
+    optionally carries the (D, rho) pair of the plant growth assumption.
     """
 
-    kernels: Dict[int, Callable]
+    kernels: Dict[int, SimplexPolyKernel]
     growth: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        norm: Dict[int, Callable] = {}
+        polys: Dict[int, SimplexPolyKernel] = {}
         for n, kern in self.kernels.items():
             n = int(n)
             if n < 2:
                 raise SeriesDefinitionError(
                     f"series orders start at 2, got an order-{n} kernel"
                 )
-            if not getattr(kern, "vectorized", False):
-                kern = _wrap_pointwise(kern)
-            norm[n] = kern
-        if norm and min(norm) != 2:
+            poly = getattr(kern, "polynomial", kern)
+            if not isinstance(poly, SimplexPolyKernel):
+                raise SeriesDefinitionError(
+                    f"order-{n} kernel is a {type(kern).__name__}, not a polynomial kernel"
+                )
+            if poly.order != n:
+                raise SeriesDefinitionError(f"order-{n} kernel has order {poly.order}")
+            polys[n] = poly
+        if polys and min(polys) != 2:
             raise SeriesDefinitionError(
-                f"lowest order present must be 2, got {min(norm)}"
+                f"lowest order present must be 2, got {min(polys)}"
             )
-        self.kernels = dict(sorted(norm.items()))
+        self.kernels = dict(sorted(polys.items()))
         if self.growth is not None:
             d, rho = self.growth
             if d <= 0 or rho <= 0:
@@ -174,7 +172,7 @@ class VolterraKernelSeries:
     def n_max(self) -> int:
         return max(self.kernels) if self.kernels else 1
 
-    def kernel(self, n: int) -> Callable:
+    def kernel(self, n: int) -> SimplexPolyKernel:
         try:
             return self.kernels[n]
         except KeyError:
@@ -187,19 +185,6 @@ class VolterraKernelSeries:
 
     def is_zero(self) -> bool:
         return not self.kernels
-
-
-def _monomial_map(kern: Callable):
-    """Extract the exact monomial dict if the kernel is polynomial."""
-    mono = getattr(kern, "monomials", None)
-    if isinstance(mono, dict):
-        return mono
-    inner = getattr(kern, "polynomial", None)
-    if inner is not None:
-        mono = getattr(inner, "monomials", None)
-        if isinstance(mono, dict):
-            return mono
-    return None
 
 
 def eval_series(
@@ -238,9 +223,10 @@ class QuadratureNode:
     ) -> None:
         pts, self.weights = simplex_nodes(n, x, rule)
         self.kvals = np.asarray(kern(x, pts), dtype=float) if len(pts) else np.zeros(0)
-        lo = np.clip(np.searchsorted(mesh, pts, side="right") - 1, 0, mesh.size - 1)
-        hi = np.minimum(lo + 1, mesh.size - 1)
-        span = np.where(hi > lo, mesh[hi] - mesh[lo], 1.0)  # the last node: its sample
+        # Gauss nodes lie inside [0, x), so each has a mesh cell [lo, lo + 1].
+        lo = np.searchsorted(mesh, pts, side="right") - 1
+        hi = lo + 1
+        span = mesh[hi] - mesh[lo]
         offset = pts - mesh[lo]
         self.cells = [(lo[:, i], hi[:, i], span[:, i], offset[:, i]) for i in range(n)]
 
@@ -429,26 +415,12 @@ def _in_order(parts: Mapping[int, np.ndarray]):
     return total
 
 
-def trie_nodes(kern: Callable) -> int:
+def trie_nodes(kern: SimplexPolyKernel) -> int:
     """Nodes of the suffix trie a :class:`MeshCascade` of ``kern`` alone
-    builds (its distinct trailing exponent tuples); 0 for a kernel
-    without monomials.  A cascade of several orders shares suffixes
-    between them, so it has at most the sum over its orders."""
-    mono = _monomial_map(kern) or {}
-    return len({alphas[i:] for _, alphas in mono for i in range(len(alphas))})
-
-
-def _mesh_cascade(kernels: Mapping[int, Callable], mesh: np.ndarray) -> MeshCascade:
-    """The :class:`MeshCascade` of the orders in ``kernels``; a kernel
-    without monomials is a :class:`SeriesDefinitionError` naming its order."""
-    orders = {n: _monomial_map(kern) for n, kern in kernels.items()}
-    for n, mono in orders.items():
-        if mono is None:
-            raise SeriesDefinitionError(
-                f"order-{n} kernel has no monomials; mesh evaluation needs a "
-                "polynomial kernel"
-            )
-    return MeshCascade(orders, mesh)
+    builds (its distinct trailing exponent tuples).  A cascade of several
+    orders shares suffixes between them, so it has at most the sum over
+    its orders."""
+    return len({alphas[i:] for _, alphas in kern.monomials for i in range(len(alphas))})
 
 
 class SeriesTerms:
@@ -461,8 +433,8 @@ class SeriesTerms:
     per-order cascades would.
     """
 
-    def __init__(self, kernels: Mapping[int, Callable], mesh: np.ndarray) -> None:
-        self.cascade = _mesh_cascade(kernels, mesh)
+    def __init__(self, kernels: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
+        self.cascade = MeshCascade({n: k.monomials for n, k in kernels.items()}, mesh)
 
     def profile(self, values: np.ndarray) -> np.ndarray:
         """F[u] on the whole mesh at the mesh samples ``values`` of u."""
@@ -499,7 +471,7 @@ def linearized_values(
     """
     out = np.zeros(h.shape[:-1] + (u.size,))
     for n, kern in series.kernels.items():
-        term = _mesh_cascade({n: kern}, u.mesh)
+        term = MeshCascade({n: kern.monomials}, u.mesh)
         for slot in range(n):
             out += term.profile([h if i == slot else u.values for i in range(n)])
     return out
@@ -523,17 +495,11 @@ def kernel_l2_sq(series: VolterraKernelSeries, n: int, rule: QuadratureRule) -> 
 
 @dataclass
 class GainFunctions:
-    """Cached kernel norms plus optional tail-bound constants.
-
-    ``norms_sq[i]`` is the squared L2 norm of the kernel of order
-    ``orders[i]``.  ``tail_constants`` is an optional (C, D, Upsilon)
-    triple for the norm bound norm_sq[n] <= n! D^2 C^(2(n-1)) e^(2 Upsilon),
-    enabling tail estimates past the stored truncation.
-    """
+    """Cached kernel norms: ``norms_sq[i]`` is the squared L2 norm of the
+    kernel of order ``orders[i]``."""
 
     orders: tuple[int, ...]
     norms_sq: tuple[float, ...]
-    tail_constants: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         self.orders = tuple(int(n) for n in self.orders)
@@ -570,42 +536,11 @@ class GainFunctions:
             return math.inf
         return 1.0 / max(rates)
 
-    def tail_k(self, s: float) -> float | None:
-        """Upper bound on the k(s) tail past the stored orders, if known."""
-        return self._tail(s, power=2, shift=0)
 
-    def tail_ell(self, s: float) -> float | None:
-        return self._tail(s, power=5, shift=1)
-
-    def _tail(self, s: float, power: int, shift: int) -> float | None:
-        if self.tail_constants is None:
-            return None
-        if s < 0:
-            raise ValueError(f"gain argument must be nonnegative, got {s}")
-        c, d, ups = self.tail_constants
-        if c * c * s >= 1.0:
-            return math.inf
-        total = 0.0
-        n = (max(self.orders) if self.orders else 1) + 1
-        scale = 2.0 * d * d * math.exp(2.0 * ups)
-        while n < 10000:
-            term = scale * n**power * c ** (2 * (n - 1)) * s ** (n - shift)
-            total += term
-            if term <= 1e-18 * max(total, 1.0):
-                break
-            n += 1
-        return total
-
-
-def build_gains(
-    series: VolterraKernelSeries,
-    rule: QuadratureRule,
-    tail_constants: tuple[float, float, float] | None = None,
-) -> GainFunctions:
+def build_gains(series: VolterraKernelSeries, rule: QuadratureRule) -> GainFunctions:
     """Compute kernel norms for every stored order and package them."""
     orders = series.orders
-    norms = tuple(kernel_l2_sq(series, n, rule) for n in orders)
-    return GainFunctions(orders, norms, tail_constants)
+    return GainFunctions(orders, tuple(kernel_l2_sq(series, n, rule) for n in orders))
 
 
 def gain_k(gains: GainFunctions, s: float) -> float:

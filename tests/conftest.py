@@ -41,7 +41,7 @@ def kernel_series(closed_forms):
 
 @pytest.fixture(scope="session")
 def gl8():
-    return QuadratureRule.gauss(8)
+    return QuadratureRule(8)
 
 
 def random_simplex_points(rng, n, count, x=1.0):

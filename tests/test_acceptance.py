@@ -150,7 +150,7 @@ def test_criterion_4_simulation_reproduction(capsys, plant, kernel_table):
 def test_criterion_5_contraction_inverse(capsys, kernel_series):
     budget = 120.0
     t0 = time.perf_counter()
-    gains = build_gains(kernel_series, rule=QuadratureRule.gauss(12))
+    gains = build_gains(kernel_series, rule=QuadratureRule(12))
     config = choose_radius(gains)
     ratio_cap = math.sqrt(gain_ell(gains, config.s)) + 0.05
 

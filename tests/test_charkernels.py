@@ -21,7 +21,7 @@ from volback.gapcascade import assemble_kernel_polynomial, cascade, pdae_b_famil
 from volback.harness import parse_plant
 from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
 from volback.simplex import SimplexDomainError, SimplexPoint, ordered_splits
-from volback.volterra import VolterraKernelSeries
+from volback.volterra import SeriesDefinitionError, VolterraKernelSeries
 
 from conftest import random_simplex_points
 
@@ -90,8 +90,10 @@ class TestEvalB:
             eval_B(3, 2, pdae_k3(), plant.kernel(2), SimplexPoint(1.0, (0.5, 0.25, 0.1)))
 
     def test_opaque_forcing_rejected(self):
-        with pytest.raises(KernelConfigError, match="order-2 plant kernel"):
-            eval_B(3, 2, pdae_k2(), lambda x, xi: np.ones(len(xi)), SimplexPoint(1.0, (0.5, 0.25, 0.1)))
+        # Plant kernels reach the recursion through a series, which holds
+        # polynomials only.
+        with pytest.raises(SeriesDefinitionError, match="order-2 kernel"):
+            VolterraKernelSeries({2: lambda x, xi: np.ones(len(xi))})
 
     def test_m_out_of_range_rejected(self, plant):
         with pytest.raises(KernelConfigError):
@@ -231,14 +233,12 @@ class TestDegreeRule:
 
     @pytest.mark.parametrize("opaque_order", [2, 3])
     def test_opaque_plant_kernel_rejected(self, opaque_order):
+        # The plant is refused when its series is built, before any
+        # recursion can run on it.
         kernels = {2: pdae_k2(), 3: pdae_k3()}
         kernels[opaque_order] = lambda pt: 1.0
-        series = VolterraKernelSeries(kernels)
-        with pytest.raises(KernelConfigError, match=f"order-{opaque_order} plant kernel"):
-            build_controller_kernels(series, 3)
-        pt = SimplexPoint(1.0, (0.5, 0.25, 0.2)[:opaque_order])
-        with pytest.raises(KernelConfigError, match=f"order-{opaque_order} plant kernel"):
-            kernel_characteristic(opaque_order, series, {2: pdae_k2()}, pt)
+        with pytest.raises(SeriesDefinitionError, match=f"order-{opaque_order} kernel"):
+            VolterraKernelSeries(kernels)
 
 
 class TestKernelNode:

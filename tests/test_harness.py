@@ -280,6 +280,31 @@ class TestMain:
         assert (chosen / "gains" / "gains.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
+    @pytest.mark.parametrize(
+        "case",
+        ["input-dir", "input-not-utf8", "output-file", "output-under-file", "config-output-file"],
+    )
+    def test_unusable_path_exits_2(self, out_root, tmp_path, capsys, case):
+        """An input that cannot be read as text, or an output directory that
+        cannot be made, is a usage error: exit 2, one error line, no traceback."""
+        out_root.mkdir()
+        taken = out_root / "taken"
+        taken.write_text("")
+        binary = tmp_path / "target.csv"
+        binary.write_bytes(b"x,w\n0,0\n0.5,\xff\n1,0\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("controller = order-2\nmesh_points = 21\noutput_dir = taken\n")
+        argv = {
+            "input-dir": ["invert", "--input", str(tmp_path)],
+            "input-not-utf8": ["invert", "--input", str(binary)],
+            "output-file": ["--output", str(taken), "run", "gains"],
+            "output-under-file": ["--output", str(taken / "sub"), "run", "gains"],
+            "config-output-file": ["simulate", "--config", str(cfg)],
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestCascadeOncePerCommand:
     """A kernels command runs the coefficient cascade once and cross-checks

@@ -31,7 +31,7 @@ from volback.volterra import (
 
 @pytest.fixture(scope="module")
 def gains(kernel_series):
-    return build_gains(kernel_series, rule=QuadratureRule.gauss(12))
+    return build_gains(kernel_series, rule=QuadratureRule(12))
 
 
 @pytest.fixture(scope="module")

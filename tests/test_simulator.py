@@ -74,7 +74,7 @@ class TestConfig:
         # update costs 1 + the order-3 controller's trie nodes + the
         # plant's one.
         kernels = build_kernel_table(load_plant("pdae"), 3)
-        nodes = sum(map(volterra.trie_nodes, kernels.values()))
+        nodes = sum(volterra.trie_nodes(k.polynomial) for k in kernels.values())
         assert nodes == 16
         assert 9 * 6400 * (STEP_COST + 1601 * (1 + nodes + 1)) < MAX_GRID_UPDATES
 
@@ -87,10 +87,10 @@ class TestConfig:
         orders = {n: kern.polynomial.monomials for n, kern in kernels.items()}
         for n, kern in kernels.items():
             levels = volterra.MeshCascade({n: orders[n]}, mesh).levels
-            assert volterra.trie_nodes(kern) == sum(len(pows) for pows, _ in levels)
+            assert volterra.trie_nodes(kern.polynomial) == sum(len(p) for p, _ in levels)
         merged = volterra.MeshCascade(orders, mesh).levels
         assert sum(len(pows) for pows, _ in merged) == 72
-        assert sum(map(volterra.trie_nodes, kernels.values())) == 88
+        assert sum(volterra.trie_nodes(k.polynomial) for k in kernels.values()) == 88
 
     def test_controller_cost_counts_in_the_budget(self, plant, monkeypatch):
         # The blow-up threshold stops the order-3 run after its first step.
@@ -103,7 +103,7 @@ class TestConfig:
         def no_evaluators(*args):
             raise AssertionError("the refused run built its evaluators")
 
-        monkeypatch.setattr(simulator, "controller_terms", no_evaluators)
+        monkeypatch.setattr(simulator, "series_terms", no_evaluators)
         with pytest.raises(
             SimConfigError, match=r"\(1 \+ 570 suffix-trie nodes\)\) = 5\.9e\+09 grid updates"
         ):
@@ -187,8 +187,11 @@ class TestFeedback:
         return {n: (lambda x, pts, _k=kernel_table[n]: _k(x, pts)) for n in orders}
 
     def test_opaque_kernel_needs_rule(self, plant, kernel_table, monkeypatch):
+        # A table kernel that is not a polynomial is refused when the
+        # table becomes a series: by controller_terms, and by simulate
+        # before its first step.
         opaque = self.opaque(kernel_table, (2, 3))
-        with pytest.raises(SeriesDefinitionError):
+        with pytest.raises(SeriesDefinitionError, match="order-2"):
             controller_terms(opaque, 3, np.linspace(0.0, 1.0, 51))
 
         def no_step(values, dx):
@@ -198,9 +201,10 @@ class TestFeedback:
         cfg = SimConfig(controller="order-3", t_end=0.1, mesh_points=51)
         with pytest.raises(SeriesDefinitionError, match="order-2"):
             simulate(cfg, plant, opaque)
-        opaque_plant = VolterraKernelSeries({2: lambda p: 1.0})
+        with pytest.raises(SeriesDefinitionError, match="order-3"):
+            simulate(cfg, plant, {**kernel_table, **self.opaque(kernel_table, (3,))})
         with pytest.raises(SeriesDefinitionError, match="order-2"):
-            simulate(cfg, opaque_plant, kernel_table)
+            VolterraKernelSeries({2: lambda p: 1.0})
 
     def test_file_plant_builds_each_cascade_once(self, tmp_path, monkeypatch):
         # One cascade for the plant's orders and one for the controller's.

@@ -13,12 +13,7 @@ import pytest
 import volback
 from volback.charkernels import pdae_plant
 from volback.harness import build_kernel_table, load_plant
-from volback.inversion import (
-    InversionConfig,
-    dk_matrix,
-    invert_with_info,
-    lipschitz_check,
-)
+from volback.inversion import dk_matrix
 from volback.polynomial import pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
 from volback.simulator import SimConfig, controller_terms, mild_solution_residual, simulate
@@ -41,7 +36,7 @@ from volback.volterra import (
     series_profile,
 )
 
-GL8 = QuadratureRule.gauss(8)
+GL8 = QuadratureRule(8)
 
 
 class TestGridFunction:
@@ -82,6 +77,20 @@ class TestSeriesValidation:
     def test_min_order_must_be_two(self):
         with pytest.raises(SeriesDefinitionError):
             VolterraKernelSeries({3: pdae_k3()})
+
+    def test_kernel_order_must_match_its_key(self):
+        # Accepted, this series failed later: series_profile with a bare
+        # KeyError, build_gains with an IndexError.
+        with pytest.raises(SeriesDefinitionError, match="order-2 kernel has order 3"):
+            VolterraKernelSeries({2: pdae_k3()})
+        node = build_kernel_table(load_plant("pdae"), 2)[2]
+        with pytest.raises(SeriesDefinitionError, match="order-3 kernel has order 2"):
+            VolterraKernelSeries({2: pdae_k2(), 3: node})
+
+    def test_kernel_nodes_are_unwrapped(self):
+        table = build_kernel_table(load_plant("pdae"), 3)
+        series = VolterraKernelSeries(table)
+        assert series.kernels == {n: node.polynomial for n, node in table.items()}
 
     def test_missing_order_raises(self, plant):
         with pytest.raises(SeriesDefinitionError):
@@ -151,11 +160,11 @@ class TestProfiles:
 class TestKernelNorms:
     def test_order2_norm(self):
         series = VolterraKernelSeries({2: pdae_k2()})
-        val = kernel_l2_sq(series, 2, QuadratureRule.gauss(16))
+        val = kernel_l2_sq(series, 2, QuadratureRule(16))
         assert val == pytest.approx(1.0 / 12.0, rel=1e-10)
 
     def test_order3_norm(self, kernel_series):
-        val = kernel_l2_sq(kernel_series, 3, QuadratureRule.gauss(12))
+        val = kernel_l2_sq(kernel_series, 3, QuadratureRule(12))
         assert val == pytest.approx(3.0 / 2240.0, rel=1e-9)
 
 
@@ -166,7 +175,7 @@ class TestGains:
         assert gains.ell_coefficient(2) == pytest.approx(8.0 / 3.0)
 
     def test_series_values(self, kernel_series):
-        gains = build_gains(kernel_series, QuadratureRule.gauss(12))
+        gains = build_gains(kernel_series, QuadratureRule(12))
         s = 3.0 / 16.0
         assert gain_k(gains, s) == pytest.approx(s**2 / 3 + 9 * s**3 / 2240, rel=1e-8)
         assert gain_ell(gains, s) == pytest.approx(
@@ -174,7 +183,7 @@ class TestGains:
         )
 
     def test_zero_at_origin_and_monotone(self, kernel_series):
-        gains = build_gains(kernel_series, QuadratureRule.gauss(10))
+        gains = build_gains(kernel_series, QuadratureRule(10))
         assert gain_k(gains, 0.0) == 0.0
         assert gain_ell(gains, 0.0) == 0.0
         grid = np.linspace(0.0, 1.0, 20)
@@ -187,21 +196,6 @@ class TestGains:
         gains = GainFunctions(orders=(2,), norms_sq=(1.0,))
         with pytest.raises(ValueError):
             gain_k(gains, -0.1)
-
-    def test_tail_bound_behavior(self):
-        gains = GainFunctions(
-            orders=(2, 3), norms_sq=(1.0 / 12.0, 3.0 / 2240.0),
-            tail_constants=(1.0, 1.0, 0.0),
-        )
-        assert gains.tail_k(2.0) == math.inf
-        small = gains.tail_k(0.1)
-        smaller = gains.tail_k(0.05)
-        assert 0 < smaller < small < math.inf
-        assert gains.tail_ell(0.1) > 0
-
-    def test_tail_none_without_constants(self):
-        gains = GainFunctions(orders=(2,), norms_sq=(1.0,))
-        assert gains.tail_k(0.1) is None
 
     def test_rho_estimate(self):
         gains = GainFunctions(orders=(2,), norms_sq=(1.0 / 12.0,))
@@ -377,19 +371,9 @@ class TestMeshCascade:
         assert np.array_equal(dk_matrix(series, u), np.column_stack(columns))
 
 
-def opaque_series():
-    """The builtin order-2 and order-3 kernels behind plain callables (no monomials)."""
-    kernels = {}
-    for n, poly in ((2, pdae_k2()), (3, pdae_k3())):
-        kernels[n] = lambda x, pts, _p=poly: _p(x, pts)
-        kernels[n].vectorized = True
-    return VolterraKernelSeries(kernels)
-
-
 class TestQuadratureTerm:
     def test_node_is_interp_quadrature(self):
-        """A node equals np.interp factors, np.prod and np.dot bit for bit,
-        also with quadrature points on the last mesh node (trapezoid rule)."""
+        """A node equals np.interp factors, np.prod and np.dot bit for bit."""
         mesh = np.linspace(0.0, 1.0, 21)
         rng = np.random.default_rng(3)
         a, b = rng.standard_normal((2, mesh.size))
@@ -398,7 +382,7 @@ class TestQuadratureTerm:
         def kern(x, pts):
             return np.cos(x + pts @ [1.0, 2.0, 3.0])
 
-        for rule in (GL8, QuadratureRule.trapezoid(5)):
+        for rule in (GL8, QuadratureRule(5)):
             for x in (0.3, 1.0):
                 pts, w = simplex_nodes(3, x, rule)
                 node = QuadratureNode(kern, 3, x, rule, mesh)
@@ -409,22 +393,21 @@ class TestQuadratureTerm:
                     assert node.value(factors) == want
 
     def test_opaque_kernels_need_a_rule(self):
-        """Every mesh evaluator refuses a kernel without monomials and
-        names its order, also after a polynomial order."""
-        u = GridFunction(np.full(11, 0.1))
+        """A kernel that is not a polynomial is refused when its series is
+        built, naming its order, also after a polynomial order; kernel
+        tables become series, so the simulator's entry points refuse it
+        too."""
         record = simulate(SimConfig(t_end=0.1, mesh_points=11), None)
-        gains = GainFunctions((2, 3), (0.1, 0.1))
-        opaque = opaque_series()
-        mixed = VolterraKernelSeries({2: pdae_k2(), 3: opaque.kernel(3)})
-        for series, order in ((opaque, 2), (mixed, 3)):
+        opaque = {
+            n: (lambda x, pts, _p=poly: _p(x, pts))
+            for n, poly in ((2, pdae_k2()), (3, pdae_k3()))
+        }
+        mixed = {2: pdae_k2(), 3: opaque[3]}
+        for kernels, order in ((opaque, 2), (mixed, 3)):
             calls = [
-                lambda: series_profile(series, u),
-                lambda: linearized_profile(series, u, u),
-                lambda: dk_matrix(series, u),
-                lambda: invert_with_info(u, series, InversionConfig(s=1.0, rho_L=1.0)),
-                lambda: lipschitz_check(series, gains, 1.0, trials=1, mesh_points=11),
-                lambda: mild_solution_residual(record, series.kernels, [0.05]),
-                lambda: controller_terms(series.kernels, 3, u.mesh),
+                lambda: VolterraKernelSeries(kernels),
+                lambda: mild_solution_residual(record, kernels, [0.05]),
+                lambda: controller_terms(kernels, 3, record.mesh),
             ]
             for call in calls:
                 with pytest.raises(SeriesDefinitionError, match=f"order-{order} kernel"):
