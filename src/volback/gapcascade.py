@@ -498,9 +498,8 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
     """sum_P c_P(x) Phi_P as monomials, where c_P(x) is a_P(x) - a_P(x - xi_n)
     when ``shifted`` and the family's coefficient otherwise.
 
-    Sums integers over L = lcm of denominator(coefficient) * P! and drops
-    a key whose running sum reaches zero, as ``SimplexPolyKernel.add_term``
-    would: keys, values and insertion order equal the Fraction expansion's.
+    Sums integers over L = lcm of denominator(coefficient) * P! and
+    drops the monomials that cancel; the kernel's constructor orders them.
     """
     entries = family.at_order(n)
     pfact = {P: math.prod(map(math.factorial, P)) for P in entries}
@@ -519,12 +518,8 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
             for scale, de, dxi in parts:
                 for vec, c in phi.items():
                     key = (vec[0] + de,) + vec[1:-1] + (vec[-1] + dxi,)
-                    cur = acc.get(key, 0) + scale * c
-                    if cur:
-                        acc[key] = cur
-                    else:
-                        del acc[key]
-    return SimplexPolyKernel(n, {(v[0], v[1:]): Fraction(c, den) for v, c in acc.items()})
+                    acc[key] = acc.get(key, 0) + scale * c
+    return SimplexPolyKernel(n, {(v[0], v[1:]): Fraction(c, den) for v, c in acc.items() if c})
 
 
 def family_plant_kernel(family: GapCoefficientFamily, n: int) -> SimplexPolyKernel:

@@ -86,6 +86,8 @@ PRESETS = ("fig1a", "fig1b", "fig1c", "kernels", "gains", "invert-demo", "verify
 PRESET_CONTROLLER = {"fig1a": "open-loop", "fig1b": "order-2", "fig1c": "order-3"}
 DEFAULT_SEED = 0
 GAIN_RULE = QuadratureRule(12)
+BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,  # in any case
+            "0": False, "false": False, "no": False, "off": False}
 
 
 class ConfigError(ValueError):
@@ -130,6 +132,15 @@ def output_root(explicit: str | None = None) -> Path:
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _check_output_dir(out_dir: Path) -> None:
+    """Refuse an output directory under a file before computing; creates nothing."""
+    existing = out_dir
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out_dir} cannot be made: {existing} is a file")
 
 
 def parse_plant(path: str | Path) -> ParsedPlant:
@@ -298,6 +309,7 @@ def _controller_order(controller: str, n_max_available: int) -> int | None:
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     """Simulate one spec, write artifacts, return the metadata dict."""
+    _check_output_dir(out_dir)
     plant = load_plant(spec.plant)
     cfg = spec.sim_config()
     kernel_cap = _controller_order(spec.controller, max(plant.n_max, 3))
@@ -373,18 +385,16 @@ def _write_kernels(
     consistency.json; returns the consistency report."""
     _check_order_cap(n_max)
     _check_cross_check_order(n_max)
+    _check_output_dir(out_dir)
     a_family = cascade(plant.family, n_max)
     gap = _cascade_kernels(a_family, n_max)
     report = _kernel_cross_check(plant, gap)
     if closed_forms:
-        rng = np.random.default_rng(DEFAULT_SEED)
-        worst_closed = 0.0
-        for n, poly in closed_forms.items():
-            pts = np.sort(rng.uniform(0.0, 1.0, size=(200, n)), axis=1)[:, ::-1]
-            diff = np.max(np.abs(poly(1.0, pts) - gap[n](1.0, pts)))
-            worst_closed = max(worst_closed, float(diff))
+        equal, worst_closed = compare_constructions(
+            VolterraKernelSeries(closed_forms), VolterraKernelSeries(gap), DEFAULT_SEED
+        )
         report["max_abs_vs_closed_form"] = worst_closed
-        report["passed"] = report["passed"] and worst_closed < 1e-10
+        report["passed"] = report["passed"] and equal
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "a_family.json").write_text(family_to_json(a_family))
     _write_kernel_samples(gap, out_dir / "samples.csv")
@@ -541,7 +551,9 @@ def parse_config(path: str | Path) -> ExperimentSpec:
             if key in text_keys:
                 setattr(spec, key, value)
             elif key in bool_keys:
-                setattr(spec, key, value.lower() in ("1", "true", "yes", "on"))
+                if value.lower() not in BOOLEANS:
+                    raise ValueError(f"{value!r} is not one of {sorted(BOOLEANS)}")
+                setattr(spec, key, BOOLEANS[value.lower()])
             elif key in float_keys:
                 overrides[key] = float(Fraction(value))
             else:

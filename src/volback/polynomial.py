@@ -14,7 +14,7 @@ Two representations live here:
     ``coeff * x**e * xi_1**a_1 * ... * xi_n**a_n``.  Every kernel of
     the package is one.  Evaluation works on point arrays; the monomial
     list is also what the mesh cascades in :mod:`volback.volterra`
-    consume.
+    consume, in one canonical order (sorted by key) whatever built them.
 """
 
 from __future__ import annotations
@@ -160,6 +160,10 @@ class SimplexPolyKernel:
     ``e`` is the power of the upper limit and ``alphas`` the coordinate
     powers.  Calling an instance with a scalar or array upper limit and
     an (N, n) coordinate array returns N kernel values.
+
+    The constructor sums equal keys, drops zeros and sorts the monomials
+    by ``(e, alphas)``, so equal kernels sum them in the same order and
+    give the same floats.  A kernel is not mutated after construction.
     """
 
     order: int
@@ -168,17 +172,15 @@ class SimplexPolyKernel:
     def __post_init__(self) -> None:
         clean: Dict[Monomial, Fraction] = {}
         for (e, alphas), c in self.monomials.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
             alphas = tuple(int(a) for a in alphas)
             if len(alphas) != self.order:
                 raise ValueError(
                     f"monomial {alphas} has {len(alphas)} coordinate powers, kernel order is {self.order}"
                 )
             key = (int(e), alphas)
-            clean[key] = clean.get(key, Fraction(0)) + c
-        self.monomials = {k: v for k, v in clean.items() if v != 0}
+            c = Fraction(c)
+            clean[key] = clean[key] + c if key in clean else c
+        self.monomials = {k: clean[k] for k in sorted(clean) if clean[k]}
 
     def __call__(self, x, xi: np.ndarray) -> np.ndarray:
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
@@ -205,14 +207,6 @@ class SimplexPolyKernel:
             acc += term
         return acc
 
-    def add_term(self, coeff, e: int, alphas: Tuple[int, ...]) -> None:
-        key = (int(e), tuple(int(a) for a in alphas))
-        cur = self.monomials.get(key, Fraction(0)) + Fraction(coeff)
-        if cur == 0:
-            self.monomials.pop(key, None)
-        else:
-            self.monomials[key] = cur
-
     def scale(self, c) -> "SimplexPolyKernel":
         c = Fraction(c)
         return SimplexPolyKernel(
@@ -223,10 +217,9 @@ class SimplexPolyKernel:
         if self.order != other.order:
             raise ValueError("cannot add kernels of different orders")
         out = dict(self.monomials)
-        merged = SimplexPolyKernel(self.order, out)
-        for (e, alphas), c in other.monomials.items():
-            merged.add_term(c, e, alphas)
-        return merged
+        for key, c in other.monomials.items():
+            out[key] = out.get(key, 0) + c
+        return SimplexPolyKernel(self.order, out)
 
     def is_zero(self) -> bool:
         return not self.monomials
@@ -249,16 +242,13 @@ def pdae_k3() -> SimplexPolyKernel:
     Expanded monomial form of
     -xi_3 * ((x - xi_1)(xi_1 + xi_2) + (xi_1^2 - xi_2^2)/2 - xi_3 (x - xi_2)/2).
     """
-    k = SimplexPolyKernel(3, {})
-    # -(x - xi_1)(xi_1 + xi_2) xi_3
-    k.add_term(Fraction(-1), 1, (1, 0, 1))
-    k.add_term(Fraction(-1), 1, (0, 1, 1))
-    k.add_term(Fraction(1), 0, (2, 0, 1))
-    k.add_term(Fraction(1), 0, (1, 1, 1))
-    # -(xi_1^2 - xi_2^2)/2 xi_3
-    k.add_term(Fraction(-1, 2), 0, (2, 0, 1))
-    k.add_term(Fraction(1, 2), 0, (0, 2, 1))
-    # + xi_3^2 (x - xi_2)/2
-    k.add_term(Fraction(1, 2), 1, (0, 0, 2))
-    k.add_term(Fraction(-1, 2), 0, (0, 1, 2))
-    return k
+    return (
+        # -(x - xi_1)(xi_1 + xi_2) xi_3
+        SimplexPolyKernel(
+            3, {(1, (1, 0, 1)): -1, (1, (0, 1, 1)): -1, (0, (2, 0, 1)): 1, (0, (1, 1, 1)): 1}
+        )
+        # -(xi_1^2 - xi_2^2)/2 xi_3
+        + SimplexPolyKernel(3, {(0, (2, 0, 1)): Fraction(-1, 2), (0, (0, 2, 1)): Fraction(1, 2)})
+        # + xi_3^2 (x - xi_2)/2
+        + SimplexPolyKernel(3, {(1, (0, 0, 2)): Fraction(1, 2), (0, (0, 1, 2)): Fraction(-1, 2)})
+    )

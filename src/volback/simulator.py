@@ -240,9 +240,6 @@ def simulate(
     goes non-finite, and records that time.
     """
     m = cfg.mesh_points
-    dx = 1.0 / (m - 1)
-    dt = cfg.cfl * dx
-    steps = cfg.t_end / dt
     table = _normalize_kernels(kernels)
     if cfg.controller != "open-loop" and not table:
         raise MissingKernelError(f"controller {cfg.controller!r} needs kernels")
@@ -251,7 +248,12 @@ def simulate(
     nodes = _plant_trie_nodes(plant)
     if control_series is not None:
         nodes += sum(map(trie_nodes, control_series.kernels.values()))
-    cost = steps * (STEP_COST + m * (1 + nodes))
+    try:
+        dx = 1.0 / (m - 1)
+        steps = max(1.0, cfg.t_end / (cfg.cfl * dx))  # the loop takes at least one
+        cost = steps * (STEP_COST + m * (1 + nodes))
+    except (OverflowError, ZeroDivisionError):  # a mesh or a step beyond the float range
+        steps = cost = math.inf
     if not cost <= MAX_GRID_UPDATES:  # also refuses a NaN or infinite estimate
         raise SimConfigError(
             f"the run needs about {steps:.1e} steps x ({STEP_COST} + {m} mesh points x "
@@ -260,6 +262,7 @@ def simulate(
             "mesh_points or the controller order"
         )
 
+    dt = cfg.cfl * dx
     mesh = np.linspace(0.0, 1.0, m)
     nonlinearity = _plant_nonlinearity(plant, mesh)
     controller = None if control_series is None else series_terms(control_series, mesh)
@@ -271,61 +274,57 @@ def simulate(
         return out
 
     def boundary(values: np.ndarray) -> float:
-        if controller is None:
-            return 0.0
-        if not np.isfinite(values).all():  # the blow-up check stops the run
-            return math.nan
-        return feedback(values, controller)
+        return 0.0 if controller is None else feedback(values, controller)
 
     n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-12)))
     frame_ids = _frame_ids(n_steps, cfg.snapshot_count)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is recorded as blow-up
+        u = cfg.initial_values(mesh).astype(float)
+        u[-1] = boundary(u)
 
-    u = cfg.initial_values(mesh).astype(float)
-    u[-1] = boundary(u)
+        times = [0.0]
+        l2 = [_l2(u, dx)]
+        sup = [_sup(u)]
+        controls = [u[-1]]
+        snap_times = [0.0]
+        snaps = [u.copy()]
+        blow_up: float | None = None
 
-    times = [0.0]
-    l2 = [_l2(u, dx)]
-    sup = [_sup(u)]
-    controls = [u[-1]]
-    snap_times = [0.0]
-    snaps = [u.copy()]
-    blow_up: float | None = None
+        t = 0.0
+        for k in range(1, n_steps + 1):
+            step = min(dt, cfg.t_end - t)
+            f1 = rhs(u)
+            pred = u + step * f1
+            pred[-1] = boundary(pred)
+            f2 = rhs(pred)
+            nxt = u + 0.5 * step * (f1 + f2)
+            nxt[-1] = boundary(nxt)
+            t += step
+            u = nxt
+            peak = _sup(u)  # nan or inf exactly when some value is not finite
+            if not math.isfinite(peak) or peak > cfg.blow_up_threshold:
+                blow_up = t
+                break
+            times.append(t)
+            l2.append(_l2(u, dx))
+            sup.append(peak)
+            controls.append(u[-1])
+            if k in frame_ids:
+                snap_times.append(t)
+                snaps.append(u.copy())
 
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        step = min(dt, cfg.t_end - t)
-        f1 = rhs(u)
-        pred = u + step * f1
-        pred[-1] = boundary(pred)
-        f2 = rhs(pred)
-        nxt = u + 0.5 * step * (f1 + f2)
-        nxt[-1] = boundary(nxt)
-        t += step
-        u = nxt
-        peak = _sup(u)  # nan or inf exactly when some value is not finite
-        if not math.isfinite(peak) or peak > cfg.blow_up_threshold:
-            blow_up = t
-            break
-        times.append(t)
-        l2.append(_l2(u, dx))
-        sup.append(peak)
-        controls.append(u[-1])
-        if k in frame_ids:
-            snap_times.append(t)
-            snaps.append(u.copy())
-
-    return SimulationRecord(
-        times=np.asarray(times),
-        l2_norms=np.asarray(l2),
-        sup_norms=np.asarray(sup),
-        controls=np.asarray(controls),
-        snapshot_times=np.asarray(snap_times),
-        snapshots=np.asarray(snaps),
-        blow_up=blow_up,
-        final_l2=l2[-1] if blow_up is None else None,
-        max_abs=float(np.max(sup)),
-        config=cfg.describe(),
-    )
+        return SimulationRecord(
+            times=np.asarray(times),
+            l2_norms=np.asarray(l2),
+            sup_norms=np.asarray(sup),
+            controls=np.asarray(controls),
+            snapshot_times=np.asarray(snap_times),
+            snapshots=np.asarray(snaps),
+            blow_up=blow_up,
+            final_l2=l2[-1] if blow_up is None else None,
+            max_abs=float(np.max(sup)),
+            config=cfg.describe(),
+        )
 
 
 def _frame_ids(n_steps: int, count: int) -> set[int]:

@@ -285,10 +285,11 @@ def compare_constructions(
     seed: int = 0,
     points: int = 200,
 ) -> tuple[bool, float]:
-    """Whether the kernels built by the recursion and by the gap cascade
-    have the same monomials, order by order, and the largest difference
-    of their float values at ``points`` random points of T_n(1) per
-    order, drawn from ``seed`` (only rounding when the monomials agree)."""
+    """Whether the kernels built by the recursion (or closed forms) and by
+    the gap cascade have the same monomials, order by order, and the
+    largest difference of their float values at ``points`` random points
+    of T_n(1) per order, drawn from ``seed`` (exactly 0 when the
+    monomials agree, as equal kernels sum them in the same order)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n, kern in recursion.kernels.items():

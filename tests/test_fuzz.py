@@ -7,8 +7,10 @@ CLI contract: the exit code is 0, 1 or 2, and no exception escapes.
 
 Numeric values are drawn from small ranges (mesh_points <= 41,
 t_end <= 0.3, a few fixed CFL numbers) so that each example runs in
-milliseconds; run-time limits on large but valid settings are not what
-these tests check.
+milliseconds.  The large but valid values drawn besides (mesh_points =
+3e9 or 10**401, beyond the float range; t_end = 1e9 or 1e300; cfl =
+1e-12 or 1e-320) are ones the run budget refuses before the first step
+whatever the other lines say, so they stay as fast.
 """
 
 import string
@@ -64,15 +66,16 @@ def test_plant_files_keep_the_exit_contract(tmp_path, lines):
 CONFIG_VALUES = {
     "plant": st.sampled_from(["pdae", "zero", "none", "no-such-plant", ".", ""]),
     "controller": st.sampled_from(["open-loop", "order-2", "order-3", "full-N_max", "warp"]),
-    "mesh_points": st.integers(-5, 41).map(str),
+    "mesh_points": st.integers(-5, 41).map(str)
+    | st.sampled_from(["3000000000", "10" + "0" * 400]),
     "snapshot_count": st.integers(-2, 8).map(str),
-    "cfl": st.sampled_from(["1/2", "0.25", "1", "0", "-1", "2", "1e400"]),
-    "t_end": st.sampled_from(["0.1", "1/4", "0.3", "0", "-1", "1e400", "1/0"]),
+    "cfl": st.sampled_from(["1/2", "0.25", "1", "0", "-1", "2", "1e400", "1e-12", "1e-320"]),
+    "t_end": st.sampled_from(["0.1", "1/4", "0.3", "0", "-1", "1e400", "1/0", "1e9", "1e300"]),
     "initial_scale": rational,
     "blow_up_threshold": rational | st.just("1e7"),
     "output_dir": st.sampled_from(["", "a", "run-1"]),
-    "check_kernels": st.sampled_from(["true", "false", "1", "maybe"]),
-    "check_mild_solution": st.sampled_from(["true", "false", "yes", "0"]),
+    "check_kernels": st.sampled_from(["true", "false", "1", "Off", "maybe"]),
+    "check_mild_solution": st.sampled_from(["true", "false", "YES", "0", "2"]),
 }
 config_line = (
     st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
@@ -91,6 +94,8 @@ config_line = (
 @example(lines=["initial_scale = 1e200"])  # state overflows inside a step
 # Refused by the run budget before any mesh array is built.
 @example(lines=["plant = pdae", "controller = order-2", "mesh_points = 10000000000"])
+# Less than one step on a huge mesh: the budget charges the one step it runs.
+@example(lines=["mesh_points = 3000000000", "t_end = 1e-300"])
 # Far more frames than steps: every step is a frame.
 @example(lines=["plant = pdae", "controller = order-2", "snapshot_count = 1000000000"])
 def test_config_files_keep_the_exit_contract(tmp_path, lines):

@@ -19,7 +19,6 @@ from volback.harness import (
     run_experiment,
     run_preset,
 )
-from volback.simplex import SimplexPoint
 
 
 @pytest.fixture()
@@ -99,14 +98,10 @@ class TestKernelRoutes:
         plant = load_plant("pdae")
         by_cascade = build_kernel_table(plant, 3, route="cascade")
         by_recursion = build_kernel_table(plant, 3, route="recursion")
-        rng = np.random.default_rng(0)
         for n in (2, 3):
-            for _ in range(20):
-                xi = tuple(sorted(rng.uniform(0, 1, n), reverse=True))
-                pt = SimplexPoint(1.0, xi)
-                a = by_cascade[n].eval_point(pt)
-                b = by_recursion[n].eval_point(pt)
-                assert a == pytest.approx(b, abs=1e-6)
+            # Same monomials, coefficients and order: the float values agree bit for bit.
+            got = list(by_cascade[n].polynomial.monomials.items())
+            assert got == list(by_recursion[n].polynomial.monomials.items())
 
     def test_unknown_route(self):
         with pytest.raises(ConfigError):
@@ -142,6 +137,24 @@ class TestParseConfig:
         f = tmp_path / "run.cfg"
         f.write_text("mesh_points = many\n")
         with pytest.raises(ConfigError, match="mesh_points"):
+            parse_config(f)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("1", True), ("True", True), ("YES", True), ("on", True),
+         ("0", False), ("false", False), ("No", False), ("OFF", False)],
+    )
+    def test_boolean_spellings(self, tmp_path, value, expected):
+        f = tmp_path / "run.cfg"
+        f.write_text(f"check_kernels = {value}\ncheck_mild_solution = {value}\n")
+        spec = parse_config(f)
+        assert spec.check_kernels is expected and spec.check_mild_solution is expected
+
+    @pytest.mark.parametrize("value", ["maybe", "", "2", "y"])
+    def test_other_boolean_values_name_the_line(self, tmp_path, value):
+        f = tmp_path / "run.cfg"
+        f.write_text(f"plant = pdae\ncheck_kernels = {value}\n")
+        with pytest.raises(ConfigError, match="line 2: bad value for check_kernels"):
             parse_config(f)
 
 
@@ -282,28 +295,58 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "case",
-        ["input-dir", "input-not-utf8", "output-file", "output-under-file", "config-output-file"],
+        [
+            "input-dir",
+            "input-not-utf8",
+            "output-file",
+            "output-under-file",
+            "config-output-file",
+            "config-output-under-file",
+            "kernels-output-file",
+        ],
     )
-    def test_unusable_path_exits_2(self, out_root, tmp_path, capsys, case):
+    def test_unusable_path_exits_2(self, out_root, tmp_path, capsys, monkeypatch, case):
         """An input that cannot be read as text, or an output directory that
-        cannot be made, is a usage error: exit 2, one error line, no traceback."""
+        cannot be made, is a usage error: exit 2, one error line, no traceback,
+        and found before any simulation or cascade runs."""
+        calls = []
+        monkeypatch.setattr(harness, "simulate", lambda *a: calls.append("simulate"))
+        monkeypatch.setattr(harness, "cascade", lambda *a: calls.append("cascade"))
         out_root.mkdir()
         taken = out_root / "taken"
         taken.write_text("")
+        (out_root / "kernels").write_text("")
         binary = tmp_path / "target.csv"
         binary.write_bytes(b"x,w\n0,0\n0.5,\xff\n1,0\n")
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("controller = order-2\nmesh_points = 21\noutput_dir = taken\n")
+        under = tmp_path / "under.cfg"
+        under.write_text("controller = order-3\noutput_dir = taken/run\n")
         argv = {
             "input-dir": ["invert", "--input", str(tmp_path)],
             "input-not-utf8": ["invert", "--input", str(binary)],
             "output-file": ["--output", str(taken), "run", "gains"],
             "output-under-file": ["--output", str(taken / "sub"), "run", "gains"],
             "config-output-file": ["simulate", "--config", str(cfg)],
+            "config-output-under-file": ["simulate", "--config", str(under)],
+            "kernels-output-file": ["kernels", "--plant", "pdae", "--order", "6"],
         }[case]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert calls == []
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_run_is_a_quiet_blow_up(self, out_root, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "plant = pdae\ncontroller = order-3\nmesh_points = 51\ninitial_scale = 1e200\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        meta = json.loads((out_root / "simulate" / "metadata.json").read_text())
+        assert meta["blow_up"] is not None
 
 
 class TestCascadeOncePerCommand:

@@ -114,6 +114,18 @@ class TestConfig:
         with pytest.raises(SimConfigError, match="MAX_GRID_UPDATES"):
             simulate(SimConfig(t_end=t_end, mesh_points=21), None)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mesh_points": 10**15, "t_end": 1e-300},  # below one step: one step is charged
+            {"mesh_points": 10**400},  # beyond the float range
+            {"mesh_points": 10**10, "cfl": 1e-320},  # the time step underflows to 0
+        ],
+    )
+    def test_extreme_runs_refused_before_the_mesh(self, kwargs):
+        with pytest.raises(SimConfigError, match="MAX_GRID_UPDATES"):
+            simulate(SimConfig(**kwargs), None)
+
     def test_describe_round_trips_through_json(self):
         doc = json.dumps(SimConfig().describe())
         assert json.loads(doc)["controller"] == "open-loop"
@@ -354,6 +366,19 @@ class TestSimulate:
         assert rec.snapshots.shape == (10, 101)
         assert rec.snapshot_times[0] == 0.0
         assert rec.snapshot_times[-1] == pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_kernel_routes_give_identical_closed_loops(self, plant, order):
+        """The cascade and the recursion build equal kernels, and equal
+        kernels reproduce the closed loop bit for bit."""
+        pdae = load_plant("pdae")
+        cfg = SimConfig(controller="full-N_max", t_end=1.0, mesh_points=101)
+        by_route = [
+            simulate(cfg, plant, build_kernel_table(pdae, order, route=route))
+            for route in ("cascade", "recursion")
+        ]
+        assert np.array_equal(by_route[0].controls, by_route[1].controls)
+        assert by_route[0].final_l2 == by_route[1].final_l2
 
 
 class TestTargetFlow:
