@@ -47,13 +47,15 @@ CONTROLLERS = ("open-loop", "order-2", "order-3", "full-N_max")
 # each one does: n_steps * (STEP_COST + mesh_points * (1 + the
 # suffix-trie nodes of each kernel order alone)).  The controller's one
 # cascade shares suffixes between orders, so that count bounds its nodes
-# from above.  STEP_COST is the fixed work of a time step in the same
-# units: on a 2-core x86-64 VM an open-loop step takes 50-110 us for
-# every M up to 800 (the VM's speed swings about 2x), and a trie node
-# 0.02 us (order 5) to 0.05 us (order 3) per mesh point.  The builtin
-# plant's order-3 controller is charged 16 nodes (it has 14; order 4:
-# 88 for 72, order 5: 569 for 481) and the plant itself 1, so the
-# order-3 run at M = 1601, t_end = 2, CFL 0.5 (6400 steps) costs 2.0e8,
+# from above, and the boundary feedback does not integrate the deepest
+# level at all (see MeshCascade.endpoints).  STEP_COST is the fixed work
+# of a time step in the same units: on a 2-core x86-64 VM an open-loop
+# step takes 18 us at M = 201 and 25 us at M = 801, and a charged trie
+# node 0.005 us (order 5) to 0.026 us (order 3) per mesh point (whole
+# runs at t_end = 2, best of three; the VM's speed swings about 2x).
+# The builtin plant's order-3 controller is charged 16 nodes (it has 14;
+# order 4: 88 for 72, order 5: 569 for 481) and the plant itself 1, so
+# the order-3 run at M = 1601, t_end = 2, CFL 0.5 (6400 steps) costs 2.0e8,
 # a tenth of the budget.  `simulate` refuses a costlier run before it
 # builds its mesh, so a mistyped cfl, t_end or mesh_points, or a
 # high-order controller on a fine mesh, fails at once instead of
@@ -203,8 +205,11 @@ def controller_terms(
 def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
     """Boundary value K[u](1) of the state sampled at ``values``, from
     the prebuilt controller evaluator (:func:`controller_terms`;
-    ``simulate`` builds one per run): each order's x = 1 endpoint, added
-    in increasing order."""
+    ``simulate`` builds one per run): each order's x = 1 value, its
+    outermost integral one weighted sum (see
+    :meth:`~volback.volterra.MeshCascade.endpoints`), added in increasing
+    order.  It agrees with the last value of K[u]'s profile to within
+    rounding."""
     return controller.endpoint(values)
 
 
@@ -237,7 +242,8 @@ def simulate(
     estimate (see ``MAX_GRID_UPDATES``) exceeds that budget a
     :class:`SimConfigError`, both raised before the first step.  Halts
     early when the sup norm passes the blow-up threshold or any value
-    goes non-finite, and records that time.
+    goes non-finite, and records that time; an initial state that does so
+    is a blow-up at t = 0, and no step is taken.
     """
     m = cfg.mesh_points
     table = _normalize_kernels(kernels)
@@ -282,16 +288,21 @@ def simulate(
         u = cfg.initial_values(mesh).astype(float)
         u[-1] = boundary(u)
 
+        def diverged(peak: float) -> bool:
+            # The sup norm is nan or inf exactly when some value is not finite.
+            return not math.isfinite(peak) or peak > cfg.blow_up_threshold
+
         times = [0.0]
         l2 = [_l2(u, dx)]
         sup = [_sup(u)]
         controls = [u[-1]]
         snap_times = [0.0]
         snaps = [u.copy()]
-        blow_up: float | None = None
+        # An initial state past the threshold is a blow-up at t = 0: no step is taken.
+        blow_up: float | None = 0.0 if diverged(sup[0]) else None
 
         t = 0.0
-        for k in range(1, n_steps + 1):
+        for k in range(1, n_steps + 1 if blow_up is None else 1):
             step = min(dt, cfg.t_end - t)
             f1 = rhs(u)
             pred = u + step * f1
@@ -301,8 +312,8 @@ def simulate(
             nxt[-1] = boundary(nxt)
             t += step
             u = nxt
-            peak = _sup(u)  # nan or inf exactly when some value is not finite
-            if not math.isfinite(peak) or peak > cfg.blow_up_threshold:
+            peak = _sup(u)
+            if diverged(peak):
                 blow_up = t
                 break
             times.append(t)
@@ -472,4 +483,16 @@ def write_metadata_json(record: SimulationRecord, path: str, extra: Dict | None 
     if extra:
         doc.update(extra)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=float)
+        json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False, default=float)
+
+
+def _finite_or_null(value):
+    """``value`` with every NaN or infinite number replaced by None (JSON
+    has no such numbers) and numpy floats made Python floats."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    return value

@@ -20,7 +20,8 @@ from a kernel table, and so inherit that check.
 Each multilinear term is evaluated on a mesh by one evaluator, the
 :class:`MeshCascade`: cumulative trapezoid sums (each nested integral
 is one pass over the mesh) that share the inner passes between
-monomials with equal trailing exponents.
+monomials with equal trailing exponents.  At x = 1 alone the outermost
+pass is one weighted sum instead.
 
 Where every slot carries the same state (series profiles, the Picard
 and Lipschitz loops, the simulator's plant and controller),
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Mapping, Sequence
 
 import numpy as np
@@ -263,7 +265,15 @@ class MeshCascade:
     equal trailing exponents share their inner passes: the exponent
     tuples of all orders form one suffix trie, level j holding the
     length-(j+1) suffixes, and each level is one batched ``cumsum`` over
-    its nodes.  Order n reads its sums at level n - 1.
+    its nodes.  Order n reads its sums at level n - 1, so its profile is
+    bit for bit the nested trapezoid rule of each monomial alone.
+
+    At x = 1 only, the outermost integral of order n is one weighted sum
+    over the integrals of level n - 2, with the coefficients, x**alphas[0]
+    and the trapezoid weights folded into one row per node (``folds``,
+    ``endpoints``).  That value is the same trapezoid rule summed in
+    another order: it agrees with the profile's last value to within
+    rounding, not bit for bit.
 
     ``factors`` has one mesh sample per level, outermost first; level j
     reads ``factors[-1 - j]``, so for a single order ``factors[i]`` is
@@ -279,6 +289,8 @@ class MeshCascade:
         self.dx = mesh[1] - mesh[0]
         self.size = mesh.size
         orders = {n: orders[n] for n in sorted(orders) if orders[n]}
+        if orders and min(orders) < 2:
+            raise SeriesDefinitionError(f"mesh cascades start at order 2, got {min(orders)}")
         keys = [key for mono in orders.values() for key in mono]
         exps = {e for e, _ in keys}.union(*(alphas for _, alphas in keys))
         pw = {a: mesh**a for a in exps}
@@ -308,6 +320,27 @@ class MeshCascade:
         self._work: list[tuple[np.ndarray, ...]] = []
         self._terms: Dict[int, np.ndarray] = {}
         self._totals: list[np.ndarray] = []
+
+    @cached_property
+    def folds(self) -> Dict[int, np.ndarray]:
+        """Per order n, the weight rows of its x = 1 value (see
+        ``endpoints``), shape (nodes at level n - 2, M): row p is the
+        trapezoid weights (dx/2, dx, ..., dx, dx/2) times the sum of
+        c x**alphas[0] over the monomials whose inner suffix alphas[1:] is
+        node p (x**e is 1 at x = 1).  Built on first use, so cascades
+        read only as profiles never pay for it."""
+        weights = np.full(self.size, self.dx)
+        weights[[0, -1]] *= 0.5
+        folds = {}
+        for n, (ids, coef, _) in self.reads.items():
+            # A monomial's node at level n - 1 holds x**alphas[0], and its
+            # parent is the node of alphas[1:].  Rows add up in monomial
+            # order, from 0.
+            pows, parent = self.levels[n - 1]
+            fold = np.zeros((len(self.levels[n - 2][0]), self.size))
+            np.add.at(fold, parent[ids], coef[:, None] * pows[ids])
+            folds[n] = fold * weights
+        return folds
 
     def _buffers(self, factors: Sequence[np.ndarray]) -> list:
         """Per level, for the batch shapes of ``factors``: the integrals
@@ -351,23 +384,24 @@ class MeshCascade:
         self._totals = [w[0] for w in self._work]
         return self._work
 
-    def _integrals(self, factors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Every level's cumulative integrals, shape (..., nodes, M)."""
+    def _integrals(self, factors: Sequence[np.ndarray], depth: int) -> list[np.ndarray]:
+        """The cumulative integrals of levels 0..depth-1, shape (..., nodes, M)."""
         work = self._buffers(factors)
+        half_dx = 0.5 * self.dx
         prev = None
         for (pows, parent), f, (total, gathered, flat, sums, g, flat_g) in zip(
-            self.levels, reversed(factors), work
+            self.levels[:depth], reversed(factors), work
         ):
             np.multiply(f[..., None, :], pows, out=g)
             if prev is not None:
                 g *= prev.take(parent, -2, gathered, "clip")
             # dx * (g[1:] + g[:-1]) / 2.0 per node: stored outputs are pinned
-            # to its rounding (halving by * 0.5 rounds as / 2.0 does).  Formed
+            # to its rounding (halving is exact outside the subnormal range,
+            # so one product with dx / 2 rounds as the two steps do).  Formed
             # over the flat arrays, so each node's first column holds a term
             # mixing two nodes; it is reset to the integral from 0 to 0.
             np.add(flat_g[1:], flat_g[:-1], out=flat)
-            flat *= self.dx
-            flat *= 0.5
+            flat *= half_dx
             total[..., 0] = 0.0
             sums.cumsum(-1, out=sums)
             prev = total
@@ -375,7 +409,7 @@ class MeshCascade:
 
     def profiles(self, factors: Sequence[np.ndarray]) -> Dict[int, np.ndarray]:
         """Each order's term on the whole mesh, shape (..., M)."""
-        totals = self._integrals(factors)
+        totals = self._integrals(factors, len(self.levels))
         out = {}
         for n, (ids, coef, e_pows) in self.reads.items():
             terms = totals[n - 1].take(ids, -2, self._terms[n], "clip")
@@ -385,12 +419,22 @@ class MeshCascade:
         return out
 
     def endpoints(self, factors: Sequence[np.ndarray]) -> Dict[int, np.ndarray]:
-        """Each order's term at x = 1 only; equals its profile's last value
-        bit for bit (x**e is 1 there, and multiplying by 1 is exact)."""
-        totals = self._integrals(factors)
+        """Each order's term at x = 1 only, shape (...).
+
+        Order n's term is sum_{p,i} fold[p, i] f_i T[p, i], with T the
+        integrals of level n - 2 and f the outermost factor: its outermost
+        integral is this one weighted sum, and the deepest level is not
+        integrated at all.  It agrees with the profile's last value to
+        within rounding, not bit for bit.
+        """
+        totals = self._integrals(factors, len(self.levels) - 1)
         return {
-            n: _sum_from_zero(coef * totals[n - 1][..., -1].take(ids, -1), -1)
-            for n, (ids, coef, _) in self.reads.items()
+            n: np.einsum(
+                "...i,...i->...",
+                np.einsum("...pi,pi->...i", totals[n - 2], fold),
+                factors[-n],
+            )
+            for n, fold in self.folds.items()
         }
 
     def profile(self, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -406,9 +450,9 @@ class MeshCascade:
 
 def _in_order(parts: Mapping[int, np.ndarray]):
     """The parts added in increasing order of their keys, as a loop over
-    per-order evaluators adds them to 0.0.  Each part is a sum from 0.0,
-    so none is -0.0, and starting from the first part instead of 0.0
-    changes no bit."""
+    per-order evaluators adds them to 0.0.  A profile's part is a sum from
+    0.0, so it is never -0.0, and starting from the first part instead of
+    0.0 changes no bit."""
     total = None
     for n in sorted(parts):
         total = parts[n] if total is None else total + parts[n]
@@ -428,9 +472,11 @@ class SeriesTerms:
 
     One :class:`MeshCascade` of all orders, fed the same state in every
     slot, so a suffix common to several orders is integrated once.
-    ``profile`` and ``endpoint`` add the orders in increasing order, each
-    formed as its own cascade forms it, so they round as a loop over
-    per-order cascades would.
+    ``profile`` adds the orders in increasing order, each formed as its
+    own cascade forms it, so it rounds bit for bit as a loop over
+    per-order cascades would.  ``endpoint`` adds the orders' folded x = 1
+    values (see :meth:`MeshCascade.endpoints`), which agree with the
+    profile's last value to within rounding.
     """
 
     def __init__(self, kernels: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:

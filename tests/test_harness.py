@@ -348,6 +348,23 @@ class TestMain:
         meta = json.loads((out_root / "simulate" / "metadata.json").read_text())
         assert meta["blow_up"] is not None
 
+    def test_initial_overflow_is_a_blow_up_at_zero_in_strict_json(self, out_root, tmp_path):
+        # The initial boundary value overflows to NaN: the run is dated
+        # 0.0, and metadata.json holds null where the number is not finite.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "plant = pdae\ncontroller = order-3\nmesh_points = 51\ninitial_scale = 1e200\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"metadata.json holds {constant}, which is not JSON")
+
+        text = (out_root / "simulate" / "metadata.json").read_text()
+        meta = json.loads(text, parse_constant=reject)
+        assert meta["blow_up"] == 0.0
+        assert meta["max_abs"] is None and meta["final_l2"] is None
+
 
 class TestCascadeOncePerCommand:
     """A kernels command runs the coefficient cascade once and cross-checks

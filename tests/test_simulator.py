@@ -302,17 +302,20 @@ class TestFrames:
 
 
 class TestAgainstReferenceLoop:
-    """simulate's records equal, bit for bit, those of the step loop that
-    evaluates every order alone."""
+    """simulate's records agree with those of the step loop that evaluates
+    every order alone to within 1e-12 of each record's largest magnitude.
+    The profiles agree bit for bit, but the boundary feedback folds its
+    outermost integral (``MeshCascade.endpoints``) where the loop reads
+    the profile's last value, so the two round differently."""
 
     @staticmethod
     def check(cfg, plant, kernels, cap):
         rec = simulate(cfg, plant, kernels)
         assert rec.blow_up is None
         controls, l2, snaps = reference_run(cfg, plant, kernels, cap)
-        assert np.array_equal(rec.controls, controls)
-        assert np.array_equal(rec.l2_norms, l2)
-        assert np.array_equal(rec.snapshots, snaps)
+        for got, want in ((rec.controls, controls), (rec.l2_norms, l2), (rec.snapshots, snaps)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_pdae_controllers(self, order):
@@ -338,6 +341,18 @@ class TestSimulate:
         # the diverged state itself is not stored; blow_up is one step past
         dt = cfg.cfl / (cfg.mesh_points - 1)
         assert 0.0 <= rec.blow_up - rec.times[-1] <= dt + 1e-12
+
+    def test_initial_blow_up_takes_no_step(self, plant, kernel_table, monkeypatch):
+        def no_step(values, dx):
+            raise AssertionError("simulate stepped from a diverged initial state")
+
+        monkeypatch.setattr(simulator, "_advection", no_step)
+        for scale, nan in ((1e7, False), (1e200, True)):  # past the threshold; overflowing
+            cfg = SimConfig(controller="order-3", mesh_points=51, initial_scale=scale)
+            rec = simulate(cfg, plant, kernel_table)
+            assert rec.blow_up == 0.0 and rec.final_l2 is None
+            assert list(rec.times) == [0.0] and len(rec.snapshots) == 1
+            assert math.isnan(rec.max_abs) == nan
 
     def test_controller_without_kernels_rejected(self, plant):
         cfg = SimConfig(controller="order-2", mesh_points=51)
@@ -511,3 +526,26 @@ class TestWriters:
         assert doc["blow_up"] is None
         assert "version" in doc
         assert "timestamp" not in doc
+
+    def test_metadata_json_writes_non_finite_numbers_as_null(self, tmp_path):
+        rec = SimulationRecord(
+            times=np.array([0.0]),
+            l2_norms=np.array([np.inf]),
+            sup_norms=np.array([np.nan]),
+            controls=np.array([np.nan]),
+            snapshot_times=np.array([0.0]),
+            snapshots=np.full((1, 3), np.nan),
+            blow_up=0.0,
+            final_l2=None,
+            max_abs=math.nan,
+            config={"t_end": 1.0},
+        )
+        path = tmp_path / "meta.json"
+        write_metadata_json(rec, str(path), extra={"checks": {"value": [np.float64(-np.inf), 2.5]}})
+
+        def reject(constant):
+            raise AssertionError(f"wrote {constant}, which is not JSON")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["max_abs"] is None and doc["blow_up"] == 0.0
+        assert doc["checks"] == {"value": [None, 2.5]}

@@ -17,7 +17,7 @@ from volback.inversion import dk_matrix
 from volback.polynomial import pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
 from volback.simulator import SimConfig, controller_terms, mild_solution_residual, simulate
-from conftest import reference_profile
+from conftest import assert_endpoint_within_rounding, reference_profile
 from volback.volterra import (
     GainFunctions,
     GridFunction,
@@ -241,6 +241,10 @@ def random_monomials(rng, n, count):
 
 
 class TestMeshCascade:
+    """Profiles equal the reference loop bit for bit; the x = 1 endpoints,
+    whose outermost integral is folded into weight rows, agree with the
+    exactly summed reference to within the rounding bound."""
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical_to_reference_loop(self, n, seed):
@@ -254,7 +258,7 @@ class TestMeshCascade:
             want = reference_profile(mono, factors, mesh)
             cascade = MeshCascade({n: mono}, mesh)
             assert np.array_equal(cascade.profile(factors), want)
-            assert cascade.endpoint(factors) == want[-1]
+            assert_endpoint_within_rounding(cascade.endpoint(factors), {n: mono}, factors, mesh)
 
     def test_builtin_order4_kernel(self):
         mono = build_kernel_table(load_plant("pdae"), 4)[4].polynomial.monomials
@@ -263,7 +267,7 @@ class TestMeshCascade:
         cascade = MeshCascade({4: mono}, mesh)
         want = reference_profile(mono, [u] * 4, mesh)
         assert np.array_equal(cascade.profile([u] * 4), want)
-        assert cascade.endpoint([u] * 4) == want[-1]
+        assert_endpoint_within_rounding(cascade.endpoint([u] * 4), {4: mono}, [u] * 4, mesh)
 
     @pytest.mark.parametrize("slots", [(0,), (2,), (0, 1, 2)])
     def test_batched_factor(self, slots):
@@ -280,9 +284,8 @@ class TestMeshCascade:
         assert prof.shape == (4, 41) and ends.shape == (4,)
         for b in range(4):
             row = [f[b] if f.ndim == 2 else f for f in factors]
-            want = reference_profile(mono, row, mesh)
-            assert np.array_equal(prof[b], want)
-            assert ends[b] == want[-1]
+            assert np.array_equal(prof[b], reference_profile(mono, row, mesh))
+            assert_endpoint_within_rounding(ends[b], {3: mono}, row, mesh)
 
     def test_zero_kernel(self):
         mesh = np.linspace(0.0, 1.0, 11)
@@ -326,9 +329,9 @@ class TestMeshCascade:
             assert list(profiles) == list(ends) == [2, 3, 4, 5]
             for n in orders:
                 assert np.array_equal(profiles[n], alone[n])
-                assert ends[n] == alone[n][-1]
+                assert_endpoint_within_rounding(ends[n], {n: orders[n]}, [u] * 5, mesh)
             assert np.array_equal(cascade.profile([u] * 5), total)
-            assert cascade.endpoint([u] * 5) == total[-1]
+            assert_endpoint_within_rounding(cascade.endpoint([u] * 5), orders, [u] * 5, mesh)
 
     def test_one_trie_with_batched_factors(self):
         rng = np.random.default_rng(7)
@@ -341,7 +344,81 @@ class TestMeshCascade:
         for b in range(3):
             _, total = self.each_order_alone(orders, u[b], mesh)
             assert np.array_equal(prof[b], total)
-            assert ends[b] == total[-1]
+            assert_endpoint_within_rounding(ends[b], orders, [u[b]] * 5, mesh)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fold_on_the_coarsest_meshes(self, m):
+        # M = 2: both weights are dx/2; M = 3: dx/2, dx, dx/2.
+        rng = np.random.default_rng(13)
+        orders = self.mixed_orders(rng)
+        mesh = np.linspace(0.0, 1.0, m)
+        weights = np.full(m, 1.0 / (m - 1))
+        weights[[0, -1]] /= 2.0
+        unit = MeshCascade({2: {(0, (0, 0)): 1}}, mesh)
+        assert np.array_equal(unit.folds[2], weights[None, :])
+        cascade = MeshCascade(orders, mesh)
+        for _ in range(5):
+            factors = [rng.standard_normal(m) for _ in range(5)]
+            ends = cascade.endpoints(factors)
+            for n, mono in orders.items():
+                assert_endpoint_within_rounding(ends[n], {n: mono}, factors, mesh)
+            assert_endpoint_within_rounding(cascade.endpoint(factors), orders, factors, mesh)
+
+    def test_order_two_alone_skips_its_outer_level(self, monkeypatch):
+        depths = []
+        integrals = MeshCascade._integrals
+
+        def recording(self, factors, depth):
+            depths.append(depth)
+            return integrals(self, factors, depth)
+
+        monkeypatch.setattr(MeshCascade, "_integrals", recording)
+        rng = np.random.default_rng(17)
+        mono = random_monomials(rng, 2, 8)
+        mesh = np.linspace(0.0, 1.0, 57)
+        factors = [rng.standard_normal(57) for _ in range(2)]
+        cascade = MeshCascade({2: mono}, mesh)
+        assert list(cascade.folds) == [2] and cascade.folds[2].shape[0] == len(
+            cascade.levels[0][0]
+        )
+        assert_endpoint_within_rounding(cascade.endpoint(factors), {2: mono}, factors, mesh)
+        assert np.array_equal(cascade.profile(factors), reference_profile(mono, factors, mesh))
+        assert depths == [1, 2]  # the endpoint integrates level 0 only
+
+    def test_zero_order_among_others(self):
+        rng = np.random.default_rng(19)
+        orders = {2: random_monomials(rng, 2, 6), 3: {}, 4: random_monomials(rng, 4, 6)}
+        nonzero = {n: mono for n, mono in orders.items() if mono}
+        mesh = np.linspace(0.0, 1.0, 41)
+        u = rng.standard_normal(41)
+        cascade = MeshCascade(orders, mesh)
+        ends, profiles = cascade.endpoints([u] * 4), cascade.profiles([u] * 4)
+        assert list(ends) == list(profiles) == [2, 4]
+        for n, mono in nonzero.items():
+            assert np.array_equal(profiles[n], reference_profile(mono, [u] * n, mesh))
+            assert_endpoint_within_rounding(ends[n], {n: mono}, [u] * 4, mesh)
+        assert_endpoint_within_rounding(cascade.endpoint([u] * 4), nonzero, [u] * 4, mesh)
+
+    def test_batched_outermost_factor(self):
+        # Slot 0 is the outermost factor of order 3 only; order 2 reads
+        # slots 1 and 2, so its endpoint keeps no batch axis.
+        rng = np.random.default_rng(23)
+        orders = {2: random_monomials(rng, 2, 8), 3: random_monomials(rng, 3, 8)}
+        mesh = np.linspace(0.0, 1.0, 41)
+        factors = [rng.standard_normal((4, 41)), rng.standard_normal(41), rng.standard_normal(41)]
+        cascade = MeshCascade(orders, mesh)
+        ends, total = cascade.endpoints(factors), cascade.endpoint(factors)
+        assert ends[2].shape == () and ends[3].shape == total.shape == (4,)
+        for b in range(4):
+            row = [factors[0][b]] + factors[1:]
+            assert_endpoint_within_rounding(ends[3][b], {3: orders[3]}, row, mesh)
+            assert_endpoint_within_rounding(total[b], orders, row, mesh)
+        assert_endpoint_within_rounding(ends[2], {2: orders[2]}, factors[1:], mesh)
+
+    def test_order_one_refused(self):
+        # Its x = 1 value would need a level below the innermost.
+        with pytest.raises(SeriesDefinitionError, match="start at order 2, got 1"):
+            MeshCascade({1: {(0, (0,)): 1}, 2: {(0, (0, 0)): 1}}, np.linspace(0.0, 1.0, 5))
 
     def test_work_arrays_are_reused_safely(self):
         rng = np.random.default_rng(11)
