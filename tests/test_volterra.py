@@ -415,11 +415,6 @@ class TestMeshCascade:
             assert_endpoint_within_rounding(total[b], orders, row, mesh)
         assert_endpoint_within_rounding(ends[2], {2: orders[2]}, factors[1:], mesh)
 
-    def test_order_one_refused(self):
-        # Its x = 1 value would need a level below the innermost.
-        with pytest.raises(SeriesDefinitionError, match="start at order 2, got 1"):
-            MeshCascade({1: {(0, (0,)): 1}, 2: {(0, (0, 0)): 1}}, np.linspace(0.0, 1.0, 5))
-
     def test_work_arrays_are_reused_safely(self):
         rng = np.random.default_rng(11)
         orders = self.mixed_orders(rng)
