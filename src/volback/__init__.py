@@ -52,8 +52,6 @@ from .volterra import (
 from .charkernels import (
     KernelNode,
     build_controller_kernels,
-    eval_B,
-    kernel_characteristic,
     pdae_closed_forms,
 )
 from .gapcascade import (
@@ -102,8 +100,6 @@ __all__ = [
     "series_profile",
     "KernelNode",
     "build_controller_kernels",
-    "eval_B",
-    "kernel_characteristic",
     "pdae_closed_forms",
     "GammaKey",
     "GapCoefficientFamily",

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 import numpy as np
 
 from .polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
-from .simplex import SimplexPoint, ordered_splits
-from .volterra import VolterraKernelSeries, check_growth_assumption
+from .simplex import ordered_splits
+from .volterra import VolterraKernelSeries
 
 PROVENANCES = ("characteristic-recursion", "gap-cascade")
 
@@ -63,17 +63,12 @@ class KernelConfigError(ValueError):
     """The kernel recursion was asked to run with missing ingredients."""
 
 
-class PlantAssumptionError(ValueError):
-    """The plant failed its growth-assumption sampling check."""
-
-
 class KernelNode:
     """One kernel of the controller hierarchy: its exact polynomial and
     the construction that produced it.
 
     Nodes are callable in the package-wide array convention
-    ``node(x, xi)`` and additionally offer :meth:`eval_point` for a
-    single :class:`~volback.simplex.SimplexPoint`.
+    ``node(x, xi)``.
     """
 
     def __init__(self, polynomial: SimplexPolyKernel, provenance: str) -> None:
@@ -92,9 +87,6 @@ class KernelNode:
                 f"order-{self.order} kernel got points with {xi.shape[1]} coordinates"
             )
         return self.polynomial(x, xi)
-
-    def eval_point(self, point: SimplexPoint) -> float:
-        return float(self(point.x, np.asarray(point.xi)[None, :])[0])
 
     def __repr__(self) -> str:
         return f"KernelNode(order={self.order}, provenance={self.provenance!r})"
@@ -188,9 +180,10 @@ def _characteristic(n: int, forcing: Mapping[Exps, Fraction]) -> SimplexPolyKern
 def _recursion_kernel(
     n: int,
     plant_kernels: Mapping[int, SimplexPolyKernel],
-    lower: Mapping[int, SimplexPolyKernel | KernelNode],
+    lower: Mapping[int, SimplexPolyKernel],
 ) -> SimplexPolyKernel:
-    """The order-n kernel from the plant and the lower kernels it couples to."""
+    """The order-n kernel from the plant and the lower kernels of orders
+    2..n-1."""
     forcing: Dict[Exps, Fraction] = {}
     f_n = plant_kernels.get(n)
     if f_n is not None:
@@ -200,70 +193,17 @@ def _recursion_kernel(
         f_m = plant_kernels.get(m)
         if f_m is None:
             continue
-        p = n - m + 1
-        if p not in lower:
-            raise KernelConfigError(
-                f"order-{n} kernel needs the order-{p} kernel for its m={m} coupling"
-            )
-        for (e, alphas), c in coupling_polynomial(n, m, lower[p], f_m).monomials.items():
+        for (e, alphas), c in coupling_polynomial(n, m, lower[n - m + 1], f_m).monomials.items():
             _add(forcing, (e, *alphas), -c)
     return _characteristic(n, forcing)
-
-
-def eval_B(
-    n: int,
-    m: int,
-    k_lower: SimplexPolyKernel | KernelNode | None,
-    f_m: SimplexPolyKernel,
-    point: SimplexPoint,
-) -> float:
-    """Value of the coupling operator B[n, m] at one simplex point.
-
-    Requires 2 <= m <= n and a lower kernel of order n - m + 1.  The
-    m = n case pairs with the identically-zero first-order kernel and
-    returns 0 without touching ``k_lower``.
-    """
-    if point.order != n:
-        raise KernelConfigError(f"point has {point.order} coordinates, expected {n}")
-    b = coupling_polynomial(n, m, k_lower, f_m)
-    return float(b(point.x, np.asarray(point.xi, dtype=float)[None, :])[0])
-
-
-def kernel_characteristic(
-    n: int,
-    plant: VolterraKernelSeries,
-    lower: Iterable[KernelNode] | Mapping[int, KernelNode],
-    point: SimplexPoint,
-) -> float:
-    """Order-n kernel value from the characteristic integral at one point.
-
-    ``lower`` must contain the kernels of orders 2..n-1 that the plant's
-    coupling terms require (none for n = 2).  Returns exactly 0 when the
-    innermost coordinate is 0.
-    """
-    if point.order != n:
-        raise KernelConfigError(f"point has {point.order} coordinates, expected {n}")
-    lower_map = lower if isinstance(lower, Mapping) else {nd.order: nd for nd in lower}
-    k_n = _recursion_kernel(n, plant.kernels, lower_map)
-    return float(k_n(point.x, np.asarray(point.xi, dtype=float)[None, :])[0])
 
 
 def build_controller_kernels(
     plant: VolterraKernelSeries, n_max: int
 ) -> list[KernelNode]:
-    """Build the kernel hierarchy for orders 2..n_max by the recursion.
-
-    If the plant carries growth metadata, it is sampled first and a
-    failing check aborts the build.
-    """
+    """Build the kernel hierarchy for orders 2..n_max by the recursion."""
     if n_max < 2:
         raise KernelConfigError(f"n_max must be at least 2, got {n_max}")
-    if plant.growth is not None and plant.kernels:
-        report = check_growth_assumption(plant)
-        if not report.passed:
-            raise PlantAssumptionError(
-                f"plant growth check failed with worst ratio {report.worst_ratio:.3g}"
-            )
     lower: Dict[int, SimplexPolyKernel] = {}
     for n in range(2, n_max + 1):
         lower[n] = _recursion_kernel(n, plant.kernels, lower)

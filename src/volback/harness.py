@@ -44,7 +44,6 @@ import numpy as np
 from . import __version__
 from .charkernels import (
     KernelNode,
-    PlantAssumptionError,
     build_controller_kernels,
     pdae_closed_forms,
     pdae_plant,
@@ -77,6 +76,7 @@ from .volterra import (
     SeriesDefinitionError,
     VolterraKernelSeries,
     build_gains,
+    check_growth_assumption,
     gain_ell,
     gain_k,
     series_profile,
@@ -96,6 +96,10 @@ class ConfigError(ValueError):
 
 class PlantParseError(ConfigError):
     """A plant file entry is malformed; the message names the line."""
+
+
+class PlantAssumptionError(ConfigError):
+    """A plant file's kernels fail the growth assumption its D and rho state."""
 
 
 @dataclass
@@ -151,7 +155,10 @@ def parse_plant(path: str | Path) -> ParsedPlant:
     multi-index P (n integers), and the coefficient polynomial in x as
     space-separated exact rationals, constant term first.  ``#`` starts
     a comment.  An empty table is the zero plant.  Orders below 2 are
-    rejected with the offending line number.
+    rejected with the offending line number.  A plant whose kernels fail
+    the growth assumption that its D and rho state is refused here, so
+    every command that reads the file refuses it before computing
+    anything, whichever route would build its kernels.
     """
     path = Path(path)
     entries: Dict[tuple[int, tuple[int, ...]], RationalPoly] = {}
@@ -204,6 +211,13 @@ def parse_plant(path: str | Path) -> ParsedPlant:
         series = _family_series(family, metadata)
     except SeriesDefinitionError as exc:
         raise ConfigError(f"plant file {path}: {exc}") from None
+    if series.growth is not None:
+        report = check_growth_assumption(series)
+        if not report.passed:
+            raise PlantAssumptionError(
+                f"plant file {path}: plant growth check failed with worst ratio "
+                f"{report.worst_ratio:.3g}"
+            )
     return ParsedPlant(family, series, str(path))
 
 
@@ -297,22 +311,12 @@ def _cascade_kernels(
     return nodes
 
 
-def _controller_order(controller: str, n_max_available: int) -> int | None:
-    cap = controller_cap(controller, n_max_available)
-    if cap is not None and cap > n_max_available:
-        raise ConfigError(
-            f"controller {controller!r} needs kernels up to order {cap}, "
-            f"but only {n_max_available} are available"
-        )
-    return cap
-
-
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     """Simulate one spec, write artifacts, return the metadata dict."""
     _check_output_dir(out_dir)
     plant = load_plant(spec.plant)
     cfg = spec.sim_config()
-    kernel_cap = _controller_order(spec.controller, max(plant.n_max, 3))
+    kernel_cap = controller_cap(spec.controller, max(plant.n_max, 3))
     if spec.check_kernels:
         _check_cross_check_order(kernel_cap or 3)
     kernels = None
@@ -668,7 +672,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "invert":
             return cmd_invert(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, SimConfigError, InversionDomainError, PlantAssumptionError) as exc:
+    except (ConfigError, SimConfigError, InversionDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # e.g. an output path that is a file

@@ -48,7 +48,7 @@ CONTROLLERS = ("open-loop", "order-2", "order-3", "full-N_max")
 # suffix-trie nodes of each kernel order alone)).  The controller's one
 # cascade shares suffixes between orders, so that count bounds its nodes
 # from above, and the boundary feedback does not integrate the deepest
-# level at all (see MeshCascade.endpoints).  STEP_COST is the fixed work
+# level at all (see MeshCascade.endpoint).  STEP_COST is the fixed work
 # of a time step in the same units: on a 2-core x86-64 VM an open-loop
 # step takes 18 us at M = 201 and 25 us at M = 801, and a charged trie
 # node 0.005 us (order 5) to 0.026 us (order 3) per mesh point (whole
@@ -207,7 +207,7 @@ def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
     the prebuilt controller evaluator (:func:`controller_terms`;
     ``simulate`` builds one per run): each order's x = 1 value, its
     outermost integral one weighted sum (see
-    :meth:`~volback.volterra.MeshCascade.endpoints`), added in increasing
+    :meth:`~volback.volterra.MeshCascade.endpoint`), added in increasing
     order.  It agrees with the last value of K[u]'s profile to within
     rounding."""
     return controller.endpoint(values)

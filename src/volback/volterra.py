@@ -20,8 +20,10 @@ from a kernel table, and so inherit that check.
 Each multilinear term is evaluated on a mesh by one evaluator, the
 :class:`MeshCascade`: cumulative trapezoid sums (each nested integral
 is one pass over the mesh) that share the inner passes between
-monomials with equal trailing exponents.  At x = 1 alone the outermost
-pass is one weighted sum instead.
+monomials with equal trailing exponents.  Each order is read from them
+as one weighted sum over its nodes, on the whole mesh or, skipping the
+outermost pass, at x = 1 alone; either agrees with the nested
+trapezoid rule of each monomial alone to within rounding.
 
 Where every slot carries the same state (series profiles, the Picard
 and Lipschitz loops, the simulator's plant and controller),
@@ -240,23 +242,12 @@ class QuadratureNode:
         return np.dot(self.kvals * prod, self.weights)
 
 
-def _sum_from_zero(terms: np.ndarray, axis: int) -> np.ndarray:
-    """0.0 + t_0 + t_1 + ... along ``axis``, left to right; ``terms`` is
-    overwritten with its running sums.
-
-    cumsum adds sequentially.  Starting it from 0.0 would change only the
-    sign of partial sums that are zero, which the final ``0.0 +`` clears,
-    so the bits equal those of a loop that starts from 0.0.
-    """
-    return 0.0 + terms.cumsum(axis, out=terms).take(-1, axis)
-
-
 class MeshCascade:
     """Nested trapezoid sums of polynomial multilinear terms on a mesh.
 
     Built once from the monomials of one or several orders
-    ``{n: {(e, alphas): c}}`` and the uniform mesh, it evaluates for
-    every order n
+    ``{n: {(e, alphas): c}}`` and the uniform mesh, it evaluates the sum
+    over every order n of
 
         sum c x**e int_0^x xi_1**a_1 f_1(xi_1) int_0^xi_1 ... f_n(xi_n) dxi
 
@@ -265,18 +256,18 @@ class MeshCascade:
     equal trailing exponents share their inner passes: the exponent
     tuples of all orders form one suffix trie, level j holding the
     length-(j+1) suffixes, and each level is one batched ``cumsum`` over
-    its nodes.  Order n reads its sums at level n - 1, so its profile is
-    bit for bit the nested trapezoid rule of each monomial alone (outside
-    the subnormal range, see ``_integrals``).  Orders start at 2, as in
-    every ``VolterraKernelSeries``: the x = 1 value of order n reads
-    level n - 2.
+    its nodes.  Orders start at 2, as in every ``VolterraKernelSeries``.
 
-    At x = 1 only, the outermost integral of order n is one weighted sum
-    over the integrals of level n - 2, with the coefficients, x**alphas[0]
-    and the trapezoid weights folded into one row per node (``folds``,
-    ``endpoints``).  That value is the same trapezoid rule summed in
-    another order: it agrees with the profile's last value to within
-    rounding, not bit for bit.
+    Each order is read one way: a block of weight rows over a prefix of
+    one trie level, contracted over the nodes.  The trie inserts orders
+    in increasing order, so order n's own nodes are the first of level
+    n - 1, and its profile reads them with rows of c x**e (``rows``).  At
+    x = 1 only, its outermost integral is one weighted sum over level
+    n - 2 instead, with c x**alphas[0] and the trapezoid weights in the
+    rows (``folds``), so the deepest level is not integrated at all.
+    Both are the nested trapezoid rule summed in another order than one
+    monomial at a time: they agree with it, and the x = 1 value with the
+    profile's last value, to within rounding, not bit for bit.
 
     ``factors`` has one mesh sample per level, outermost first; level j
     reads ``factors[-1 - j]``, so for a single order ``factors[i]`` is
@@ -298,7 +289,7 @@ class MeshCascade:
         # Trie levels, innermost slot first: (x**alpha per node, parent node per node).
         self.levels: list[tuple[np.ndarray, np.ndarray | None]] = []
         # Per order: its monomials' nodes at level n - 1, their
-        # coefficients and x**e on the mesh.
+        # coefficients and x**e on the mesh, from which the rows are built.
         self.reads: Dict[int, tuple[np.ndarray, ...]] = {}
         index: Dict[tuple, int] = {}
         for j in range(max(orders, default=0)):
@@ -319,28 +310,35 @@ class MeshCascade:
         self._batch: list | None = None
         self._block = np.empty(0)
         self._work: list[tuple[np.ndarray, ...]] = []
-        self._terms: Dict[int, np.ndarray] = {}
         self._totals: list[np.ndarray] = []
 
     @cached_property
+    def rows(self) -> Dict[int, np.ndarray]:
+        """Per order n, the weight rows of its profile over the first nodes
+        of level n - 1: row p is the sum of c x**e over the monomials whose
+        alphas is node p.  Built on first use, so cascades read only at
+        x = 1 never pay for it."""
+        return {
+            n: _rows(ids, coef[:, None] * e_pows)
+            for n, (ids, coef, e_pows) in self.reads.items()
+        }
+
+    @cached_property
     def folds(self) -> Dict[int, np.ndarray]:
-        """Per order n, the weight rows of its x = 1 value (see
-        ``endpoints``), shape (nodes at level n - 2, M): row p is the
-        trapezoid weights (dx/2, dx, ..., dx, dx/2) times the sum of
-        c x**alphas[0] over the monomials whose inner suffix alphas[1:] is
-        node p (x**e is 1 at x = 1).  Built on first use, so cascades
-        read only as profiles never pay for it."""
+        """Per order n, the weight rows of its x = 1 value over the first
+        nodes of level n - 2, up to the last parent of an order-n monomial:
+        row p is the trapezoid weights (dx/2, dx, ..., dx, dx/2) times the
+        sum of c x**alphas[0] over the monomials whose inner suffix
+        alphas[1:] is node p (x**e is 1 at x = 1).  Built on first use, so
+        cascades read only as profiles never pay for it."""
         weights = np.full(self.size, self.dx)
         weights[[0, -1]] *= 0.5
         folds = {}
         for n, (ids, coef, _) in self.reads.items():
             # A monomial's node at level n - 1 holds x**alphas[0], and its
-            # parent is the node of alphas[1:].  Rows add up in monomial
-            # order, from 0.
+            # parent is the node of alphas[1:].
             pows, parent = self.levels[n - 1]
-            fold = np.zeros((len(self.levels[n - 2][0]), self.size))
-            np.add.at(fold, parent[ids], coef[:, None] * pows[ids])
-            folds[n] = fold * weights
+            folds[n] = _rows(parent[ids], coef[:, None] * pows[ids]) * weights
         return folds
 
     def _buffers(self, factors: Sequence[np.ndarray]) -> list:
@@ -348,8 +346,7 @@ class MeshCascade:
         (..., nodes, M) with views of their flat memory (the gathered
         parent integrals at its start, the trapezoid terms from its
         second slot on) and of their columns past the first, and g, a
-        view of a scratch area that the levels share.  Per order, a view
-        of the same scratch area for its monomial terms.
+        view of a scratch area that the levels share.
 
         All of it lies in one block, sized as if every level carried the
         batch axes of all factors, so the calls of a linearization,
@@ -363,7 +360,7 @@ class MeshCascade:
             prev, shape = shape, np.broadcast_shapes(shape, f.shape[:-1])
             shapes.append((prev + pows.shape, shape + pows.shape))
         rows = [len(pows) for pows, _ in self.levels]
-        scratch_rows = max(rows + [len(e) for _, _, e in self.reads.values()], default=0)
+        scratch_rows = max(rows, default=0)
         width = math.prod(shape) * self.size  # one row with every batch axis
         if self._block.size != width * (scratch_rows + sum(rows)):
             self._block = np.empty(width * (scratch_rows + sum(rows)))
@@ -378,10 +375,6 @@ class MeshCascade:
             g = scratch[:size].reshape(level_shape)
             gathered = flat[: math.prod(gathered_shape)].reshape(gathered_shape)
             self._work.append((total, gathered, flat[1:], total[..., 1:], g, g.reshape(-1)))
-        self._terms = {}
-        for n, (_, _, e_pows) in self.reads.items():
-            terms_shape = shapes[n - 1][1][:-2] + e_pows.shape
-            self._terms[n] = scratch[: math.prod(terms_shape)].reshape(terms_shape)
         self._totals = [w[0] for w in self._work]
         return self._work
 
@@ -408,56 +401,35 @@ class MeshCascade:
             prev = total
         return self._totals
 
-    def profiles(self, factors: Sequence[np.ndarray]) -> Dict[int, np.ndarray]:
-        """Each order's term on the whole mesh, shape (..., M)."""
-        totals = self._integrals(factors, len(self.levels))
-        out = {}
-        for n, (ids, coef, e_pows) in self.reads.items():
-            terms = totals[n - 1].take(ids, -2, self._terms[n], "clip")
-            terms *= coef[:, None]
-            terms *= e_pows
-            out[n] = _sum_from_zero(terms, -2)
-        return out
-
-    def endpoints(self, factors: Sequence[np.ndarray]) -> Dict[int, np.ndarray]:
-        """Each order's term at x = 1 only, shape (...).
-
-        Order n's term is sum_{p,i} fold[p, i] f_i T[p, i], with T the
-        integrals of level n - 2 and f the outermost factor: its outermost
-        integral is this one weighted sum, and the deepest level is not
-        integrated at all.  It agrees with the profile's last value to
-        within rounding, not bit for bit.
-        """
-        totals = self._integrals(factors, len(self.levels) - 1)
-        return {
-            n: np.einsum(
-                "...i,...i->...",
-                np.einsum("...pi,pi->...i", totals[n - 2], fold),
-                factors[-n],
-            )
-            for n, fold in self.folds.items()
-        }
-
     def profile(self, factors: Sequence[np.ndarray]) -> np.ndarray:
         """The sum of the orders on the whole mesh, shape (..., M)."""
-        parts = self.profiles(factors)
-        return _in_order(parts) if parts else np.zeros(self.size)
+        totals = self._integrals(factors, len(self.levels))
+        parts = (_contract(totals[n - 1], rows) for n, rows in self.rows.items())
+        return sum(parts, np.zeros(self.size))
 
     def endpoint(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
-        """The sum of the orders at x = 1 only."""
-        parts = self.endpoints(factors)
-        return _in_order(parts) if parts else 0.0
+        """The sum of the orders at x = 1 only, shape (...): order n's term
+        is sum_{p,i} fold[p, i] f_i T[p, i], with T the integrals of level
+        n - 2 and f the outermost factor."""
+        totals = self._integrals(factors, len(self.levels) - 1)
+        parts = (
+            np.einsum("...i,...i->...", _contract(totals[n - 2], fold), factors[-n])
+            for n, fold in self.folds.items()
+        )
+        return sum(parts, 0.0)
 
 
-def _in_order(parts: Mapping[int, np.ndarray]):
-    """The parts added in increasing order of their keys, as a loop over
-    per-order evaluators adds them to 0.0.  A profile's part is a sum from
-    0.0, so it is never -0.0, and starting from the first part instead of
-    0.0 changes no bit."""
-    total = None
-    for n in sorted(parts):
-        total = parts[n] if total is None else total + parts[n]
-    return total
+def _rows(ids: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Weight rows: row p is the sum, from 0 in the order given, of the
+    ``terms`` whose id is p, for p up to the largest id."""
+    rows = np.zeros((ids.max() + 1, terms.shape[-1]))
+    np.add.at(rows, ids, terms)
+    return rows
+
+
+def _contract(totals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_p rows[p, i] totals[..., p, i] over the first len(rows) nodes."""
+    return np.einsum("...pi,pi->...i", totals[..., : len(rows), :], rows)
 
 
 def trie_nodes(kern: SimplexPolyKernel) -> int:
@@ -473,11 +445,9 @@ class SeriesTerms:
 
     One :class:`MeshCascade` of all orders, fed the same state in every
     slot, so a suffix common to several orders is integrated once.
-    ``profile`` adds the orders in increasing order, each formed as its
-    own cascade forms it, so it rounds bit for bit as a loop over
-    per-order cascades would.  ``endpoint`` adds the orders' folded x = 1
-    values (see :meth:`MeshCascade.endpoints`), which agree with the
-    profile's last value to within rounding.
+    ``profile`` and ``endpoint`` add the orders in increasing order; both
+    agree with a loop over per-order cascades, and ``endpoint`` with the
+    profile's last value, to within rounding.
     """
 
     def __init__(self, kernels: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
@@ -635,7 +605,11 @@ def check_growth_assumption(
         xs = rng.uniform(0.0, 1.0, size=samples)
         pts = -np.sort(-rng.uniform(0.0, 1.0, size=(samples, n)), axis=1) * xs[:, None]
         vals = np.abs(np.asarray(kern(xs, pts), dtype=float))
-        ratio = float(np.max(vals)) * rho ** (n - 1) / (math.factorial(n) * d)
+        peak = float(np.max(vals))
+        try:
+            ratio = peak * rho ** (n - 1) / (math.factorial(n) * d)
+        except OverflowError:  # rho ** (n - 1) beyond the float range
+            ratio = math.inf if peak else 0.0
         per_order[n] = ratio
         worst = max(worst, ratio)
     return GrowthReport(worst, worst <= 1.0, per_order, samples, seed)

@@ -77,6 +77,46 @@ def reference_profile(monomials, factors, mesh):
     return out
 
 
+def _rounding_bound(k, magnitude):
+    """gamma_k = k u / (1 - k u), u = 2**-53, times the terms' magnitudes;
+    the factor 1.01 covers the second-order terms of gamma_k and the
+    rounding of the magnitudes themselves."""
+    return 1.01 * k * 2.0**-53 * magnitude
+
+
+def assert_profile_within_rounding(value, orders, factors, mesh):
+    """At every mesh node, |value - ref| <= gamma_k * (sum of the terms'
+    magnitudes), with ref the ``math.fsum`` of the terms c x**e inner of
+    every monomial, inner its nested trapezoid rule (``_inner_integral``)
+    and order n reading the last n factors.
+
+    Rounding-error analysis of sums and products (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 4.2): a term that
+    passes through k rounded operations carries a relative error of at
+    most gamma_k, whatever the order of the additions.  ``MeshCascade``
+    forms the inner integrals as the reference does, bit for bit, and in
+    ``MeshCascade.profile`` a term then passes through one product
+    c * x**e, at most N - 1 additions into its weight row, the product by
+    the integral, at most P - 1 additions over the row's nodes and O - 1
+    over the orders: at most 2N + O operations, with N the monomials of
+    all O orders (N bounds the nodes P).  The reference rounds each term
+    in two products and the sum once, three more.
+    """
+    terms = np.array(
+        [
+            float(c) * _inner_integral(alphas, factors[-n:], mesh, 0) * mesh**e
+            for n, monomials in orders.items()
+            for (e, alphas), c in monomials.items()
+        ]
+    ).reshape(-1, mesh.size)
+    want = np.array([math.fsum(col) for col in terms.T])
+    magnitude = np.array([math.fsum(col) for col in np.abs(terms).T])
+    k = 2 * len(terms) + len(orders) + 3
+    bound = _rounding_bound(k, magnitude)
+    excess = np.abs(value - want) - bound
+    assert value.shape == want.shape and np.all(excess <= 0), (np.max(excess), value, want)
+
+
 def reference_endpoint(orders, factors, mesh):
     """The nested trapezoid rule at x = 1 with its outermost integral
     written as one exactly rounded sum.
@@ -108,18 +148,17 @@ def assert_endpoint_within_rounding(value, orders, factors, mesh):
     Stability of Numerical Algorithms*, 2nd ed., section 4.2): a term that
     passes through k rounded operations carries a relative error of at
     most gamma_k = k u / (1 - k u), u = 2**-53, whatever the order of the
-    additions.  In ``MeshCascade.endpoints`` a term of order n passes
+    additions.  In ``MeshCascade.endpoint`` a term of order n passes
     through one product c * x**alphas[0], at most N - 1 additions into its
     weight row, the products by w, by the inner integral and by f, at most
     P - 1 additions over the row's nodes, M - 1 over the mesh and O - 1
     over the orders: at most 2N + M + O operations, with N the monomials
     of all O orders (N bounds the nodes P) and M the mesh size.  The
     reference rounds each term in four products and the sum once, five
-    more.  The factor 1.01 covers the second-order terms of gamma_k and
-    of the magnitudes' own rounding.
+    more.
     """
     want, magnitude = reference_endpoint(orders, factors, mesh)
     monomials = sum(len(m) for m in orders.values())
     k = 2 * monomials + mesh.size + len(orders) + 5
-    bound = 1.01 * k * 2.0**-53 * magnitude
+    bound = _rounding_bound(k, magnitude)
     assert abs(value - want) <= bound, (value, want, bound)

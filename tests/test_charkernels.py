@@ -9,18 +9,16 @@ import pytest
 from volback.charkernels import (
     KernelConfigError,
     KernelNode,
-    PlantAssumptionError,
     build_controller_kernels,
-    eval_B,
+    coupling_polynomial,
     is_pdae_plant,
-    kernel_characteristic,
     pdae_closed_forms,
     pdae_plant,
 )
 from volback.gapcascade import assemble_kernel_polynomial, cascade, pdae_b_family
 from volback.harness import parse_plant
 from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
-from volback.simplex import SimplexDomainError, SimplexPoint, ordered_splits
+from volback.simplex import SimplexDomainError, ordered_splits
 from volback.volterra import SeriesDefinitionError, VolterraKernelSeries
 
 from conftest import random_simplex_points
@@ -67,27 +65,28 @@ class TestShuffles:
 
 
 class TestEvalB:
+    """B[n, m] evaluated as its exact polynomial, coupling_polynomial(...)(x, xi)."""
+
     def test_diagonal_term_vanishes(self, plant):
-        pt = SimplexPoint(1.0, (0.5, 0.25))
-        assert eval_B(2, 2, None, plant.kernel(2), pt) == 0.0
+        b = coupling_polynomial(2, 2, None, plant.kernel(2))
+        assert b(1.0, np.array([[0.5, 0.25]]))[0] == 0.0
 
     def test_closed_form_value(self, plant):
-        pt = SimplexPoint(1.0, (0.5, 0.25, 0.0))
-        val = eval_B(3, 2, pdae_k2(), plant.kernel(2), pt)
-        assert val == pytest.approx(-0.46875, abs=1e-10)
+        b = coupling_polynomial(3, 2, pdae_k2(), plant.kernel(2))
+        assert b(1.0, np.array([[0.5, 0.25, 0.0]]))[0] == pytest.approx(-0.46875, abs=1e-10)
 
     def test_closed_form_everywhere(self, plant):
         k2n = KernelNode(pdae_k2(), "gap-cascade")
         rng = np.random.default_rng(11)
-        for row in random_simplex_points(rng, 3, 20):
-            x1, x2, x3 = row
-            want = -(1.0 - x1) * (x1 + x2 + x3) - 0.5 * (x1**2 - x2**2)
-            got = eval_B(3, 2, k2n, plant.kernel(2), SimplexPoint(1.0, tuple(row)))
-            assert got == pytest.approx(want, abs=1e-9)
+        pts = random_simplex_points(rng, 3, 20)
+        x1, x2, x3 = pts.T
+        want = -(1.0 - x1) * (x1 + x2 + x3) - 0.5 * (x1**2 - x2**2)
+        got = coupling_polynomial(3, 2, k2n, plant.kernel(2))(1.0, pts)
+        assert got == pytest.approx(want, abs=1e-9)
 
     def test_order_mismatch_rejected(self, plant):
         with pytest.raises(KernelConfigError):
-            eval_B(3, 2, pdae_k3(), plant.kernel(2), SimplexPoint(1.0, (0.5, 0.25, 0.1)))
+            coupling_polynomial(3, 2, pdae_k3(), plant.kernel(2))
 
     def test_opaque_forcing_rejected(self):
         # Plant kernels reach the recursion through a series, which holds
@@ -97,40 +96,30 @@ class TestEvalB:
 
     def test_m_out_of_range_rejected(self, plant):
         with pytest.raises(KernelConfigError):
-            eval_B(3, 4, None, plant.kernel(2), SimplexPoint(1.0, (0.5, 0.25, 0.1)))
+            coupling_polynomial(3, 4, None, plant.kernel(2))
 
 
 class TestCharacteristicRecursion:
     def test_order2_matches_closed_form(self, plant):
         rng = np.random.default_rng(2)
-        for row in random_simplex_points(rng, 2, 30):
-            pt = SimplexPoint(1.0, tuple(row))
-            val = kernel_characteristic(2, plant, {}, pt)
-            assert val == pytest.approx(-row[1], abs=1e-10)
+        pts = random_simplex_points(rng, 2, 30)
+        (k2,) = build_controller_kernels(plant, 2)
+        assert k2(1.0, pts) == pytest.approx(-pts[:, 1], abs=1e-10)
 
     def test_zero_tail_is_exact_zero(self, plant):
-        pt = SimplexPoint(1.0, (0.5, 0.25, 0.0))
-        nodes = build_controller_kernels(plant, 3)
-        table = {nd.order: nd for nd in nodes}
-        val = kernel_characteristic(3, plant, table, pt)
-        assert val == 0.0
+        k3 = build_controller_kernels(plant, 3)[1]
+        assert k3(1.0, np.array([[0.5, 0.25, 0.0]]))[0] == 0.0
 
     def test_order3_frozen_point(self, plant):
-        nodes = build_controller_kernels(plant, 3)
-        table = {nd.order: nd for nd in nodes}
-        pt = SimplexPoint(1.0, (0.5, 0.25, 0.2))
-        val = kernel_characteristic(3, plant, table, pt)
+        k3 = build_controller_kernels(plant, 3)[1]
+        val = k3(1.0, np.array([[0.5, 0.25, 0.2]]))[0]
         assert val == pytest.approx(-63.0 / 800.0, abs=1e-9)
-
-    def test_missing_lower_order_rejected(self, plant):
-        pt = SimplexPoint(1.0, (0.5, 0.25, 0.2))
-        with pytest.raises(KernelConfigError):
-            kernel_characteristic(3, plant, {}, pt)
 
     def test_transport_residual_matches_coupling(self, plant):
         # directional derivative of k3 along (1,1,1,1) equals the
         # order-(3,2) coupling term when the order-3 forcing vanishes
         k3 = pdae_k3()
+        b32 = coupling_polynomial(3, 2, pdae_k2(), plant.kernel(2))
         rng = np.random.default_rng(5)
         h = 1e-5
         count = 0
@@ -144,8 +133,7 @@ class TestCharacteristicRecursion:
             up = k3(x + h, np.array([xi + h]))[0]
             dn = k3(x - h, np.array([xi - h]))[0]
             fd = (up - dn) / (2 * h)
-            b = eval_B(3, 2, pdae_k2(), plant.kernel(2), SimplexPoint(x, tuple(xi)))
-            assert fd == pytest.approx(b, abs=1e-6)
+            assert fd == pytest.approx(b32(x, np.array([xi]))[0], abs=1e-6)
 
 
 class TestBuildControllerKernels:
@@ -177,11 +165,6 @@ class TestBuildControllerKernels:
     def test_cap_below_two_rejected(self, plant):
         with pytest.raises(KernelConfigError):
             build_controller_kernels(plant, 1)
-
-    def test_growth_violation_rejected(self):
-        bad = VolterraKernelSeries({2: pdae_k2().scale(10)}, growth=(0.1, 1.0))
-        with pytest.raises(PlantAssumptionError):
-            build_controller_kernels(bad, 2)
 
 
 class TestDegreeRule:
@@ -250,10 +233,6 @@ class TestKernelNode:
     def test_provenance_validated(self):
         with pytest.raises(KernelConfigError):
             KernelNode(pdae_k2(), "guesswork")
-
-    def test_eval_point_api(self):
-        node = KernelNode(pdae_k2(), "gap-cascade")
-        assert node.eval_point(SimplexPoint(1.0, (0.6, 0.3))) == pytest.approx(-0.3)
 
 
 class TestPlantHelpers:

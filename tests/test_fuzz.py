@@ -56,6 +56,7 @@ plant_line = plant_entry() | metadata_line | junk | st.just("# comment")
 @example(lines=["2 0,0 1e400"])  # coefficient beyond the float range
 @example(lines=["D = 1e400", "2 0,0 1"])  # metadata beyond the float range
 @example(lines=["2 0,0 1e200"])  # kernel coefficients beyond the float range
+@example(lines=["D = 1", "rho = 1e200", "2 0,0 1", "3 0,0,0 1"])  # rho**2 past float range
 def test_plant_files_keep_the_exit_contract(tmp_path, lines):
     path = tmp_path / "plant.txt"
     path.write_text("\n".join(lines) + "\n")

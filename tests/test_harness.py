@@ -247,6 +247,24 @@ class TestMain:
         assert "plant growth check failed" in capsys.readouterr().err
         assert not (out_root / "kernels").exists()
 
+    @pytest.mark.parametrize(
+        "lines",
+        ["controller = order-3", "controller = open-loop\ncheck_kernels = yes"],
+        ids=["order-3", "open-loop-checked"],
+    )
+    def test_simulate_refuses_failing_growth_before_writing(
+        self, out_root, tmp_path, capsys, lines
+    ):
+        # Either route builds kernels from this plant: the controller's by
+        # the cascade, the cross-check's by the recursion as well.
+        plant = tmp_path / "plant.txt"
+        plant.write_text("D = 0.1\nrho = 1\n2 0,0 10\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"plant = {plant}\nmesh_points = 21\nt_end = 0.1\n{lines}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "plant growth check failed" in capsys.readouterr().err
+        assert not any(out_root.rglob("*"))  # the root is made, nothing in it
+
     @pytest.mark.parametrize("cell", ["abc", "nan"])
     def test_invert_non_numeric_w_exits_2(self, out_root, tmp_path, capsys, cell):
         target = tmp_path / "target.csv"

@@ -304,9 +304,10 @@ class TestFrames:
 class TestAgainstReferenceLoop:
     """simulate's records agree with those of the step loop that evaluates
     every order alone to within 1e-12 of each record's largest magnitude.
-    The profiles agree bit for bit, but the boundary feedback folds its
-    outermost integral (``MeshCascade.endpoints``) where the loop reads
-    the profile's last value, so the two round differently."""
+    The cascade reads each order as one weighted sum over its nodes, and
+    the boundary feedback folds its outermost integral
+    (``MeshCascade.endpoint``) where the loop reads the profile's last
+    value, so the two round differently."""
 
     @staticmethod
     def check(cfg, plant, kernels, cap):
@@ -322,6 +323,17 @@ class TestAgainstReferenceLoop:
         kernels = build_kernel_table(load_plant("pdae"), order)
         cfg = SimConfig(controller="full-N_max", mesh_points=41, t_end=0.3, snapshot_count=7)
         self.check(cfg, pdae_plant(), kernels, order)
+
+    def test_feedback_builds_no_profile_rows(self, monkeypatch):
+        # The builtin plant's nonlinearity is its closed form, so the one
+        # cascade of the run is the controller's, read at x = 1 only.
+        def refused(cascade):
+            raise AssertionError("the closed loop built profile rows")
+
+        monkeypatch.setattr(volterra.MeshCascade, "rows", property(refused))
+        kernels = build_kernel_table(load_plant("pdae"), 4)
+        cfg = SimConfig(controller="full-N_max", mesh_points=41, t_end=0.3)
+        assert simulate(cfg, pdae_plant(), kernels).blow_up is None
 
     def test_file_plant(self, tmp_path):
         path = tmp_path / "plant.txt"

@@ -17,7 +17,11 @@ from volback.inversion import dk_matrix
 from volback.polynomial import pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
 from volback.simulator import SimConfig, controller_terms, mild_solution_residual, simulate
-from conftest import assert_endpoint_within_rounding, reference_profile
+from conftest import (
+    _inner_integral,
+    assert_endpoint_within_rounding,
+    assert_profile_within_rounding,
+)
 from volback.volterra import (
     GainFunctions,
     GridFunction,
@@ -241,9 +245,10 @@ def random_monomials(rng, n, count):
 
 
 class TestMeshCascade:
-    """Profiles equal the reference loop bit for bit; the x = 1 endpoints,
-    whose outermost integral is folded into weight rows, agree with the
-    exactly summed reference to within the rounding bound."""
+    """The trapezoid passes equal the reference loop's bit for bit; the
+    profiles and the x = 1 values, each order read as one weighted sum
+    over its nodes, agree with the exactly summed reference to within the
+    rounding bound."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -255,9 +260,12 @@ class TestMeshCascade:
         for m in (3, 57, 201):
             mesh = np.linspace(0.0, 1.0, m)
             factors = [rng.standard_normal(m) for _ in range(n)]
-            want = reference_profile(mono, factors, mesh)
             cascade = MeshCascade({n: mono}, mesh)
-            assert np.array_equal(cascade.profile(factors), want)
+            ids = cascade.reads[n][0]
+            passes = cascade._integrals(factors, n)[n - 1]
+            for node, (_, alphas) in zip(ids, mono):
+                assert np.array_equal(passes[node], _inner_integral(alphas, factors, mesh, 0))
+            assert_profile_within_rounding(cascade.profile(factors), {n: mono}, factors, mesh)
             assert_endpoint_within_rounding(cascade.endpoint(factors), {n: mono}, factors, mesh)
 
     def test_builtin_order4_kernel(self):
@@ -265,8 +273,7 @@ class TestMeshCascade:
         mesh = np.linspace(0.0, 1.0, 101)
         u = 0.7 * np.sin(math.pi * mesh) + mesh
         cascade = MeshCascade({4: mono}, mesh)
-        want = reference_profile(mono, [u] * 4, mesh)
-        assert np.array_equal(cascade.profile([u] * 4), want)
+        assert_profile_within_rounding(cascade.profile([u] * 4), {4: mono}, [u] * 4, mesh)
         assert_endpoint_within_rounding(cascade.endpoint([u] * 4), {4: mono}, [u] * 4, mesh)
 
     @pytest.mark.parametrize("slots", [(0,), (2,), (0, 1, 2)])
@@ -284,7 +291,7 @@ class TestMeshCascade:
         assert prof.shape == (4, 41) and ends.shape == (4,)
         for b in range(4):
             row = [f[b] if f.ndim == 2 else f for f in factors]
-            assert np.array_equal(prof[b], reference_profile(mono, row, mesh))
+            assert_profile_within_rounding(prof[b], {3: mono}, row, mesh)
             assert_endpoint_within_rounding(ends[b], {3: mono}, row, mesh)
 
     def test_zero_kernel(self):
@@ -301,15 +308,6 @@ class TestMeshCascade:
         assert len(set().union(*suffixes)) < sum(map(len, suffixes))
         return orders
 
-    @staticmethod
-    def each_order_alone(orders, u, mesh):
-        """Each order's reference profile, and their sum in increasing order from 0.0."""
-        alone = {n: reference_profile(mono, [u] * n, mesh) for n, mono in orders.items()}
-        total = 0.0
-        for n in sorted(alone):
-            total = total + alone[n]
-        return alone, total
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_one_trie_for_several_orders(self, seed):
         rng = np.random.default_rng(seed)
@@ -317,20 +315,15 @@ class TestMeshCascade:
         for m in (3, 57, 201):
             mesh = np.linspace(0.0, 1.0, m)
             u = rng.standard_normal(m)
-            alone, total = self.each_order_alone(orders, u, mesh)
             cascade = MeshCascade(orders, mesh)
-            alone_nodes = sum(
-                len(pows)
-                for n, mono in orders.items()
-                for pows, _ in MeshCascade({n: mono}, mesh).levels
-            )
+            alone = {n: MeshCascade({n: mono}, mesh) for n, mono in orders.items()}
+            alone_nodes = sum(len(pows) for c in alone.values() for pows, _ in c.levels)
             assert sum(len(pows) for pows, _ in cascade.levels) < alone_nodes
-            profiles, ends = cascade.profiles([u] * 5), cascade.endpoints([u] * 5)
-            assert list(profiles) == list(ends) == [2, 3, 4, 5]
-            for n in orders:
-                assert np.array_equal(profiles[n], alone[n])
-                assert_endpoint_within_rounding(ends[n], {n: orders[n]}, [u] * 5, mesh)
-            assert np.array_equal(cascade.profile([u] * 5), total)
+            for n, mono in orders.items():
+                slots = [u] * n
+                assert_profile_within_rounding(alone[n].profile(slots), {n: mono}, slots, mesh)
+                assert_endpoint_within_rounding(alone[n].endpoint(slots), {n: mono}, slots, mesh)
+            assert_profile_within_rounding(cascade.profile([u] * 5), orders, [u] * 5, mesh)
             assert_endpoint_within_rounding(cascade.endpoint([u] * 5), orders, [u] * 5, mesh)
 
     def test_one_trie_with_batched_factors(self):
@@ -342,9 +335,28 @@ class TestMeshCascade:
         prof, ends = cascade.profile([u] * 5), cascade.endpoint([u] * 5)
         assert prof.shape == (3, 57) and ends.shape == (3,)
         for b in range(3):
-            _, total = self.each_order_alone(orders, u[b], mesh)
-            assert np.array_equal(prof[b], total)
+            assert_profile_within_rounding(prof[b], orders, [u[b]] * 5, mesh)
             assert_endpoint_within_rounding(ends[b], orders, [u[b]] * 5, mesh)
+
+    def test_rows_are_level_prefixes(self):
+        # Order n's profile rows are its distinct alphas, the first nodes of
+        # level n - 1; its fold ends at its last parent node, a row that
+        # is not zero.  For the builtin plant no fold row is zero.
+        rng = np.random.default_rng(29)
+        orders = self.mixed_orders(rng)
+        builtin = {
+            n: k.polynomial.monomials
+            for n, k in build_kernel_table(load_plant("pdae"), 5).items()
+        }
+        mesh = np.linspace(0.0, 1.0, 21)
+        for table in (orders, builtin):
+            cascade = MeshCascade(table, mesh)
+            for n, mono in table.items():
+                assert len(cascade.rows[n]) == len({a for _, a in mono})
+                assert np.any(cascade.folds[n][-1])
+        folds = MeshCascade(builtin, mesh).folds.values()
+        assert all(np.all(np.any(fold, axis=1)) for fold in folds)
+        assert [len(fold) for fold in folds] == [1, 5, 23, 137]
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_fold_on_the_coarsest_meshes(self, m):
@@ -357,11 +369,12 @@ class TestMeshCascade:
         unit = MeshCascade({2: {(0, (0, 0)): 1}}, mesh)
         assert np.array_equal(unit.folds[2], weights[None, :])
         cascade = MeshCascade(orders, mesh)
+        alone = {n: MeshCascade({n: mono}, mesh) for n, mono in orders.items()}
         for _ in range(5):
             factors = [rng.standard_normal(m) for _ in range(5)]
-            ends = cascade.endpoints(factors)
             for n, mono in orders.items():
-                assert_endpoint_within_rounding(ends[n], {n: mono}, factors, mesh)
+                end = alone[n].endpoint(factors[-n:])
+                assert_endpoint_within_rounding(end, {n: mono}, factors, mesh)
             assert_endpoint_within_rounding(cascade.endpoint(factors), orders, factors, mesh)
 
     def test_order_two_alone_skips_its_outer_level(self, monkeypatch):
@@ -382,8 +395,19 @@ class TestMeshCascade:
             cascade.levels[0][0]
         )
         assert_endpoint_within_rounding(cascade.endpoint(factors), {2: mono}, factors, mesh)
-        assert np.array_equal(cascade.profile(factors), reference_profile(mono, factors, mesh))
+        assert_profile_within_rounding(cascade.profile(factors), {2: mono}, factors, mesh)
         assert depths == [1, 2]  # the endpoint integrates level 0 only
+
+    def test_each_read_builds_only_its_own_rows(self):
+        rng = np.random.default_rng(31)
+        orders = self.mixed_orders(rng)
+        mesh = np.linspace(0.0, 1.0, 21)
+        u = rng.standard_normal(21)
+        at_one, on_mesh = MeshCascade(orders, mesh), MeshCascade(orders, mesh)
+        at_one.endpoint([u] * 5)
+        on_mesh.profile([u] * 5)
+        assert "folds" in vars(at_one) and "rows" not in vars(at_one)
+        assert "rows" in vars(on_mesh) and "folds" not in vars(on_mesh)
 
     def test_zero_order_among_others(self):
         rng = np.random.default_rng(19)
@@ -392,11 +416,12 @@ class TestMeshCascade:
         mesh = np.linspace(0.0, 1.0, 41)
         u = rng.standard_normal(41)
         cascade = MeshCascade(orders, mesh)
-        ends, profiles = cascade.endpoints([u] * 4), cascade.profiles([u] * 4)
-        assert list(ends) == list(profiles) == [2, 4]
+        assert list(cascade.rows) == list(cascade.folds) == [2, 4]
         for n, mono in nonzero.items():
-            assert np.array_equal(profiles[n], reference_profile(mono, [u] * n, mesh))
-            assert_endpoint_within_rounding(ends[n], {n: mono}, [u] * 4, mesh)
+            alone = MeshCascade({n: mono}, mesh)
+            assert_profile_within_rounding(alone.profile([u] * n), {n: mono}, [u] * n, mesh)
+            assert_endpoint_within_rounding(alone.endpoint([u] * n), {n: mono}, [u] * n, mesh)
+        assert_profile_within_rounding(cascade.profile([u] * 4), nonzero, [u] * 4, mesh)
         assert_endpoint_within_rounding(cascade.endpoint([u] * 4), nonzero, [u] * 4, mesh)
 
     def test_batched_outermost_factor(self):
@@ -407,13 +432,15 @@ class TestMeshCascade:
         mesh = np.linspace(0.0, 1.0, 41)
         factors = [rng.standard_normal((4, 41)), rng.standard_normal(41), rng.standard_normal(41)]
         cascade = MeshCascade(orders, mesh)
-        ends, total = cascade.endpoints(factors), cascade.endpoint(factors)
-        assert ends[2].shape == () and ends[3].shape == total.shape == (4,)
+        total = cascade.endpoint(factors)
+        third = MeshCascade({3: orders[3]}, mesh).endpoint(factors)
+        second = MeshCascade({2: orders[2]}, mesh).endpoint(factors[1:])
+        assert second.shape == () and third.shape == total.shape == (4,)
         for b in range(4):
             row = [factors[0][b]] + factors[1:]
-            assert_endpoint_within_rounding(ends[3][b], {3: orders[3]}, row, mesh)
+            assert_endpoint_within_rounding(third[b], {3: orders[3]}, row, mesh)
             assert_endpoint_within_rounding(total[b], orders, row, mesh)
-        assert_endpoint_within_rounding(ends[2], {2: orders[2]}, factors[1:], mesh)
+        assert_endpoint_within_rounding(second, {2: orders[2]}, factors[1:], mesh)
 
     def test_work_arrays_are_reused_safely(self):
         rng = np.random.default_rng(11)
@@ -421,13 +448,12 @@ class TestMeshCascade:
         mesh = np.linspace(0.0, 1.0, 57)
         u, v = rng.standard_normal(57), rng.standard_normal(57)
         cascade = MeshCascade(orders, mesh)
-        first, first_parts = cascade.profile([u] * 5), cascade.profiles([u] * 5)
-        kept, kept_parts = first.copy(), {n: p.copy() for n, p in first_parts.items()}
+        first = cascade.profile([u] * 5)
+        kept = first.copy()
         end = cascade.endpoint([u] * 5)
         cascade.profile([v] * 5)
         cascade.profile([np.stack([v, u])] * 5)  # another batch shape in between
         assert np.array_equal(first, kept)
-        assert all(np.array_equal(first_parts[n], kept_parts[n]) for n in orders)
         assert np.array_equal(cascade.profile([u] * 5), kept)
         assert cascade.endpoint([u] * 5) == end
 
