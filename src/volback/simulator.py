@@ -24,7 +24,6 @@ well the transformed state w = u - K[u] follows the target flow.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -50,9 +49,10 @@ CONTROLLERS = ("open-loop", "order-2", "order-3", "full-N_max")
 # from above, and the boundary feedback does not integrate the deepest
 # level at all (see MeshCascade.endpoint).  STEP_COST is the fixed work
 # of a time step in the same units: on a 2-core x86-64 VM an open-loop
-# step takes 18 us at M = 201 and 25 us at M = 801, and a charged trie
-# node 0.005 us (order 5) to 0.026 us (order 3) per mesh point (whole
-# runs at t_end = 2, best of three; the VM's speed swings about 2x).
+# step takes 41 us at M = 201 and 57 us at M = 801, and a charged trie
+# node 0.007 us (order 5) to 0.025-0.030 us (order 3) per mesh point
+# (whole runs at t_end = 2, best of three, in three runs; the VM's speed
+# swings about 2x).
 # The builtin plant's order-3 controller is charged 16 nodes (it has 14;
 # order 4: 88 for 72, order 5: 569 for 481) and the plant itself 1, so
 # the order-3 run at M = 1601, t_end = 2, CFL 0.5 (6400 steps) costs 2.0e8,
@@ -101,19 +101,19 @@ class SimConfig:
     snapshot_count: int = 50
 
     def __post_init__(self) -> None:
-        if self.mesh_points < 3:
+        if not (self.mesh_points >= 3):  # the negated checks also refuse NaN
             raise SimConfigError(f"need at least 3 mesh points, got {self.mesh_points}")
         if not (0.0 < self.cfl <= 1.0):
             raise SimConfigError(f"CFL must lie in (0, 1], got {self.cfl}")
-        if self.blow_up_threshold <= 0:
+        if not (self.blow_up_threshold > 0):
             raise SimConfigError("blow-up threshold must be positive")
-        if self.t_end <= 0:
+        if not (self.t_end > 0):
             raise SimConfigError("horizon must be positive")
         if self.controller not in CONTROLLERS:
             raise SimConfigError(
                 f"unknown controller {self.controller!r}; expected one of {CONTROLLERS}"
             )
-        if self.snapshot_count < 2:
+        if not (self.snapshot_count >= 2):
             raise SimConfigError("need at least 2 snapshot frames")
 
     def initial_values(self, mesh: np.ndarray) -> np.ndarray:
@@ -205,11 +205,12 @@ def controller_terms(
 def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
     """Boundary value K[u](1) of the state sampled at ``values``, from
     the prebuilt controller evaluator (:func:`controller_terms`;
-    ``simulate`` builds one per run): each order's x = 1 value, its
-    outermost integral one weighted sum (see
-    :meth:`~volback.volterra.MeshCascade.endpoint`), added in increasing
-    order.  It agrees with the last value of K[u]'s profile to within
-    rounding."""
+    ``simulate`` builds one per run): each order's x = 1 value, added in
+    increasing order.  A lower order reads the last column of its own
+    trie level; only the highest order's outermost integral is folded
+    into one weighted sum (see
+    :meth:`~volback.volterra.MeshCascade.endpoint`).  It agrees with the
+    last value of K[u]'s profile to within rounding."""
     return controller.endpoint(values)
 
 
@@ -452,22 +453,30 @@ def mild_solution_residual(
 
 def write_series_csv(record: SimulationRecord, path: str) -> None:
     """Per-step series: time, L2 norm, control value, sup norm."""
+    columns = (record.times, record.l2_norms, record.controls, record.sup_norms)
+    row = _csv_row("%.12g", 3)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "l2_norm", "control", "sup_norm"])
-        for row in zip(
-            record.times, record.l2_norms, record.controls, record.sup_norms
-        ):
-            writer.writerow([f"{v:.12g}" for v in row])
+        fh.write("t,l2_norm,control,sup_norm\r\n")
+        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def write_snapshots_csv(record: SimulationRecord, path: str) -> None:
     """Decimated state frames; first column is time, then one per node."""
+    m = record.snapshots.shape[1]
+    row = _csv_row("%.12g", m)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"{x:.12g}" for x in record.mesh])
-        for t, row in zip(record.snapshot_times, record.snapshots):
-            writer.writerow([f"{t:.12g}"] + [f"{v:.12g}" for v in row])
+        fh.write(_csv_row("t", m) % tuple(record.mesh.tolist()))
+        fh.writelines(
+            row % (t, *frame.tolist())
+            for t, frame in zip(record.snapshot_times.tolist(), record.snapshots)
+        )
+
+
+def _csv_row(first: str, count: int) -> str:
+    """The format of one CSV line: ``first``, then ``count`` numbers as
+    ``%.12g``, comma-separated and ended by CRLF, the bytes ``csv.writer``
+    writes for such a row (no number needs quoting)."""
+    return first + ",%.12g" * count + "\r\n"
 
 
 def write_metadata_json(record: SimulationRecord, path: str, extra: Dict | None = None) -> None:

@@ -319,7 +319,9 @@ def check_dual_construction(seed: int = 0, points: int = 200) -> CheckResult:
 
 
 def check_stability_arithmetic() -> CheckResult:
-    """Closed-loop constants match the worked values and monotonicity."""
+    """Closed-loop constants of the worked example (s = 3/16, ell = 1/2,
+    rho_L = 21/256, lambda = 1) match its values, and the overshoot grows
+    with ell.  These are not the gains that ``run gains`` certifies."""
     c1, c2 = stability_constants(3.0 / 16.0, 0.5, 21.0 / 256.0, 1.0)
     ok = abs(c1 - 0.1678) < 5e-4 and abs(c2 - 15.84) < 5e-2
     last = 0.0
@@ -328,7 +330,10 @@ def check_stability_arithmetic() -> CheckResult:
         ok = ok and c2i > last
         last = c2i
     return CheckResult(
-        "stability-constants", ok, f"C1 {c1:.4f}, C2 {c2:.2f}, overshoot increasing"
+        "stability-constants",
+        ok,
+        "worked example s = 3/16, ell = 1/2, rho_L = 21/256, lambda = 1: "
+        f"C1 {c1:.4f}, C2 {c2:.2f}, overshoot increasing",
     )
 
 

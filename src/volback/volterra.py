@@ -21,9 +21,10 @@ Each multilinear term is evaluated on a mesh by one evaluator, the
 :class:`MeshCascade`: cumulative trapezoid sums (each nested integral
 is one pass over the mesh) that share the inner passes between
 monomials with equal trailing exponents.  Each order is read from them
-as one weighted sum over its nodes, on the whole mesh or, skipping the
-outermost pass, at x = 1 alone; either agrees with the nested
-trapezoid rule of each monomial alone to within rounding.
+as one weighted sum over its nodes, on the whole mesh or at x = 1
+alone, where only the highest order skips its outermost pass; either
+agrees with the nested trapezoid rule of each monomial alone to within
+rounding.
 
 Where every slot carries the same state (series profiles, the Picard
 and Lipschitz loops, the simulator's plant and controller),
@@ -258,16 +259,18 @@ class MeshCascade:
     length-(j+1) suffixes, and each level is one batched ``cumsum`` over
     its nodes.  Orders start at 2, as in every ``VolterraKernelSeries``.
 
-    Each order is read one way: a block of weight rows over a prefix of
-    one trie level, contracted over the nodes.  The trie inserts orders
-    in increasing order, so order n's own nodes are the first of level
-    n - 1, and its profile reads them with rows of c x**e (``rows``).  At
-    x = 1 only, its outermost integral is one weighted sum over level
-    n - 2 instead, with c x**alphas[0] and the trapezoid weights in the
-    rows (``folds``), so the deepest level is not integrated at all.
-    Both are the nested trapezoid rule summed in another order than one
-    monomial at a time: they agree with it, and the x = 1 value with the
-    profile's last value, to within rounding, not bit for bit.
+    Each order is read as weights over a prefix of one trie level,
+    contracted over the nodes.  The trie inserts orders in increasing
+    order, so order n's own nodes are the first of level n - 1, and its
+    profile reads them with rows of c x**e (``rows``).  At x = 1
+    (``folds``) an order below the highest reads the last column of that
+    level, with the sum of c per node; only the highest order's
+    outermost integral is one weighted sum over level n - 2 instead, with
+    c x**alphas[0] and the trapezoid weights in the rows, so the deepest
+    level is not integrated at all.  Both reads are the nested trapezoid
+    rule summed in another order than one monomial at a time: they agree
+    with it, and the x = 1 value with the profile's last value, to within
+    rounding, not bit for bit.
 
     ``factors`` has one mesh sample per level, outermost first; level j
     reads ``factors[-1 - j]``, so for a single order ``factors[i]`` is
@@ -325,20 +328,25 @@ class MeshCascade:
 
     @cached_property
     def folds(self) -> Dict[int, np.ndarray]:
-        """Per order n, the weight rows of its x = 1 value over the first
-        nodes of level n - 2, up to the last parent of an order-n monomial:
-        row p is the trapezoid weights (dx/2, dx, ..., dx, dx/2) times the
-        sum of c x**alphas[0] over the monomials whose inner suffix
-        alphas[1:] is node p (x**e is 1 at x = 1).  Built on first use, so
-        cascades read only as profiles never pay for it."""
-        weights = np.full(self.size, self.dx)
-        weights[[0, -1]] *= 0.5
-        folds = {}
-        for n, (ids, coef, _) in self.reads.items():
-            # A monomial's node at level n - 1 holds x**alphas[0], and its
+        """Per order n, its weights at x = 1 (where x**e is 1).  An order
+        below the highest has a vector over the first nodes of level n - 1,
+        whose last column it reads: weight p is the sum of c over the
+        monomials whose alphas is node p.  The highest order has the one
+        fold, a block of rows over the first nodes of level n - 2, up to the
+        last parent of one of its monomials: row p is the trapezoid weights
+        (dx/2, dx, ..., dx, dx/2) times the sum of c x**alphas[0] over the
+        monomials whose inner suffix alphas[1:] is node p.  Built on first
+        use, so cascades read only as profiles never pay for it."""
+        top = len(self.levels)  # the highest order
+        folds = {n: _rows(ids, coef) for n, (ids, coef, _) in self.reads.items() if n < top}
+        if top:
+            ids, coef, _ = self.reads[top]
+            # A monomial's node at level top - 1 holds x**alphas[0], and its
             # parent is the node of alphas[1:].
-            pows, parent = self.levels[n - 1]
-            folds[n] = _rows(parent[ids], coef[:, None] * pows[ids]) * weights
+            pows, parent = self.levels[top - 1]
+            weights = np.full(self.size, self.dx)
+            weights[[0, -1]] *= 0.5
+            folds[top] = _rows(parent[ids], coef[:, None] * pows[ids]) * weights
         return folds
 
     def _buffers(self, factors: Sequence[np.ndarray]) -> list:
@@ -408,21 +416,27 @@ class MeshCascade:
         return sum(parts, np.zeros(self.size))
 
     def endpoint(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
-        """The sum of the orders at x = 1 only, shape (...): order n's term
-        is sum_{p,i} fold[p, i] f_i T[p, i], with T the integrals of level
-        n - 2 and f the outermost factor."""
-        totals = self._integrals(factors, len(self.levels) - 1)
+        """The sum of the orders at x = 1 only, shape (...).  An order n
+        below the highest is sum_p w[p] T[p, -1], with T the integrals of
+        its own level n - 1; the highest order is sum_{p,i} fold[p, i]
+        T[p, i] f_i, with T those of level n - 2 and f its outermost factor
+        (see ``folds``), which only it reads."""
+        top = len(self.levels)
+        totals = self._integrals(factors, top - 1)
         parts = (
-            np.einsum("...i,...i->...", _contract(totals[n - 2], fold), factors[-n])
-            for n, fold in self.folds.items()
+            totals[n - 1][..., : len(w), -1] @ w
+            if n < top
+            else np.vecdot(totals[n - 2][..., : len(w), :] * w, factors[-n][..., None, :]).sum(-1)
+            for n, w in self.folds.items()
         )
         return sum(parts, 0.0)
 
 
 def _rows(ids: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Weight rows: row p is the sum, from 0 in the order given, of the
-    ``terms`` whose id is p, for p up to the largest id."""
-    rows = np.zeros((ids.max() + 1, terms.shape[-1]))
+    ``terms`` whose id is p, for p up to the largest id (a weight per id
+    when ``terms`` is a vector)."""
+    rows = np.zeros((ids.max() + 1,) + terms.shape[1:])
     np.add.at(rows, ids, terms)
     return rows
 
@@ -445,9 +459,11 @@ class SeriesTerms:
 
     One :class:`MeshCascade` of all orders, fed the same state in every
     slot, so a suffix common to several orders is integrated once.
-    ``profile`` and ``endpoint`` add the orders in increasing order; both
-    agree with a loop over per-order cascades, and ``endpoint`` with the
-    profile's last value, to within rounding.
+    ``profile`` and ``endpoint`` add the orders in increasing order; at
+    x = 1 an order below the highest reads the last column of its own
+    level and only the highest is folded.  Both agree with a loop over
+    per-order cascades, and ``endpoint`` with the profile's last value,
+    to within rounding.
     """
 
     def __init__(self, kernels: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:

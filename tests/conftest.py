@@ -148,14 +148,19 @@ def assert_endpoint_within_rounding(value, orders, factors, mesh):
     Stability of Numerical Algorithms*, 2nd ed., section 4.2): a term that
     passes through k rounded operations carries a relative error of at
     most gamma_k = k u / (1 - k u), u = 2**-53, whatever the order of the
-    additions.  In ``MeshCascade.endpoint`` a term of order n passes
-    through one product c * x**alphas[0], at most N - 1 additions into its
-    weight row, the products by w, by the inner integral and by f, at most
-    P - 1 additions over the row's nodes, M - 1 over the mesh and O - 1
-    over the orders: at most 2N + M + O operations, with N the monomials
-    of all O orders (N bounds the nodes P) and M the mesh size.  The
-    reference rounds each term in four products and the sum once, five
-    more.
+    additions.  In ``MeshCascade.endpoint`` a term of the highest order
+    passes through one product c * x**alphas[0], at most N - 1 additions
+    into its fold row, the products by w, by the inner integral and by f,
+    at most M - 1 additions over the mesh, P - 1 over the row's nodes and
+    O - 1 over the orders.  A term of a lower order, read from the last
+    column of its own level, passes through the products by f, by the
+    inner integral and by dx/2, the addition of the trapezoid's two ends,
+    at most M - 2 additions of the cumulative sum, the product by its
+    node's weight (at most N - 1 additions of c), at most P - 1 additions
+    over the nodes and O - 1 over the orders.  Either is at most
+    2N + M + O operations, with N the monomials of all O orders (N bounds
+    the nodes P) and M the mesh size.  The reference rounds each term in
+    four products and the sum once, five more.
     """
     want, magnitude = reference_endpoint(orders, factors, mesh)
     monomials = sum(len(m) for m in orders.values())

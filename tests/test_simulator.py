@@ -53,6 +53,8 @@ class TestConfig:
             {"controller": "order-9"},
             {"blow_up_threshold": 0.0},
             {"snapshot_count": 1},
+            {"t_end": math.nan},  # would reach math.ceil in simulate
+            {"blow_up_threshold": math.nan},  # would date a blow-up only at overflow
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -504,7 +506,62 @@ class TestMildResidual:
         assert res == pytest.approx(w.l2_norm(), rel=1e-12)
 
 
+def oracle_series_csv(record, path):
+    """The reference writers: one value at a time through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "l2_norm", "control", "sup_norm"])
+        for row in zip(record.times, record.l2_norms, record.controls, record.sup_norms):
+            writer.writerow([f"{v:.12g}" for v in row])
+
+
+def oracle_snapshots_csv(record, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"{x:.12g}" for x in record.mesh])
+        for t, row in zip(record.snapshot_times, record.snapshots):
+            writer.writerow([f"{t:.12g}"] + [f"{v:.12g}" for v in row])
+
+
 class TestWriters:
+    @staticmethod
+    def assert_writers_match_oracle(record, tmp_path):
+        for write, oracle in (
+            (write_series_csv, oracle_series_csv),
+            (write_snapshots_csv, oracle_snapshots_csv),
+        ):
+            write(record, str(tmp_path / "new.csv"))
+            oracle(record, str(tmp_path / "old.csv"))
+            new, old = (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
+            assert new == old and old.count(b"\r\n") > 1
+
+    def test_byte_identical_on_a_run(self, tmp_path, plant, kernel_table):
+        cfg = SimConfig(controller="order-3", t_end=0.5, mesh_points=41, snapshot_count=7)
+        self.assert_writers_match_oracle(simulate(cfg, plant, kernel_table), tmp_path)
+
+    def test_byte_identical_on_edge_values(self, tmp_path):
+        edge = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 0.12345678901234567, -1.7976931348623157e308]
+        values = np.array(edge)
+        rec = SimulationRecord(
+            times=np.linspace(0.0, 1.0, values.size),
+            l2_norms=np.abs(values),
+            sup_norms=np.abs(values[::-1]),
+            controls=values,
+            snapshot_times=np.array([0.0, 0.1 + 0.2]),
+            snapshots=np.stack([values, values[::-1]]),
+            blow_up=None,
+            final_l2=None,
+            max_abs=1e300,
+            config={"t_end": 1.0},
+        )
+        self.assert_writers_match_oracle(rec, tmp_path)
+
+    def test_byte_identical_on_an_overflowing_run(self, tmp_path, plant, kernel_table):
+        cfg = SimConfig(controller="order-3", mesh_points=51, initial_scale=1e200)
+        rec = simulate(cfg, plant, kernel_table)
+        assert not np.all(np.isfinite(rec.snapshots)) and not np.all(np.isfinite(rec.controls))
+        self.assert_writers_match_oracle(rec, tmp_path)
+
     def test_series_csv(self, tmp_path, plant, kernel_table):
         cfg = SimConfig(controller="order-2", t_end=0.2, mesh_points=51)
         rec = simulate(cfg, plant, kernel_table)

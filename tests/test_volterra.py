@@ -340,7 +340,9 @@ class TestMeshCascade:
 
     def test_rows_are_level_prefixes(self):
         # Order n's profile rows are its distinct alphas, the first nodes of
-        # level n - 1; its fold ends at its last parent node, a row that
+        # level n - 1.  Below the highest order its x = 1 weights span the
+        # same prefix and are the rows' last column (x**e is 1 at x = 1);
+        # the highest order's fold ends at its last parent node, a row that
         # is not zero.  For the builtin plant no fold row is zero.
         rng = np.random.default_rng(29)
         orders = self.mixed_orders(rng)
@@ -351,12 +353,29 @@ class TestMeshCascade:
         mesh = np.linspace(0.0, 1.0, 21)
         for table in (orders, builtin):
             cascade = MeshCascade(table, mesh)
+            *lower, top = table
             for n, mono in table.items():
-                assert len(cascade.rows[n]) == len({a for _, a in mono})
-                assert np.any(cascade.folds[n][-1])
-        folds = MeshCascade(builtin, mesh).folds.values()
-        assert all(np.all(np.any(fold, axis=1)) for fold in folds)
-        assert [len(fold) for fold in folds] == [1, 5, 23, 137]
+                nodes = len({a for _, a in mono})
+                assert len(cascade.rows[n]) == nodes
+                assert set(cascade.reads[n][0]) == set(range(nodes))
+            for n in lower:
+                assert np.array_equal(cascade.folds[n], cascade.rows[n][:, -1])
+            assert cascade.folds[top].ndim == 2 and np.any(cascade.folds[top][-1])
+        folds = MeshCascade(builtin, mesh).folds
+        assert np.all(np.any(folds[5], axis=1))
+        assert [len(w) for w in folds.values()] == [1, 7, 38, 137]
+
+    def test_one_fold_block(self):
+        # Orders 2 and 3 read their own levels at x = 1; only order 4 folds.
+        rng = np.random.default_rng(37)
+        orders = {n: random_monomials(rng, n, 10) for n in (2, 3, 4)}
+        mesh = np.linspace(0.0, 1.0, 41)
+        u = rng.standard_normal(41)
+        cascade = MeshCascade(orders, mesh)
+        value = cascade.endpoint([u] * 4)
+        assert [w.ndim for w in cascade.folds.values()] == [1, 1, 2]
+        assert cascade.folds[4].shape[1] == 41
+        assert_endpoint_within_rounding(value, orders, [u] * 4, mesh)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_fold_on_the_coarsest_meshes(self, m):
