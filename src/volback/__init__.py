@@ -5,13 +5,15 @@ The package is organised around the objects that appear in the control
 design:
 
 ``simplex``
-    ordered simplex domains and their Gauss-Legendre quadrature,
+    ordered simplex domains and their Gauss-Legendre quadrature (used
+    only for kernel norms),
 ``polynomial``
     exact rational polynomials in one variable and polynomial kernels
     on simplices,
 ``volterra``
-    grid functions, Volterra kernel series, series evaluation, and the
-    gain functions built from kernel norms,
+    grid functions, Volterra kernel series, their evaluation on the mesh
+    by one trapezoid cascade, and the gain functions built from kernel
+    norms,
 ``charkernels``
     the characteristic-line recursion that produces the controller
     kernels order by order, in exact rational arithmetic,
@@ -19,8 +21,8 @@ design:
     the divided-power (gap polynomial) representation and the scalar
     ODE cascade that produces the same kernels symbolically,
 ``inversion``
-    Picard inversion of the state transformation and its Frechet
-    derivative,
+    Picard inversion of the state transformation, its Frechet
+    derivative on the mesh, and the sampled Lipschitz ratios,
 ``simulator``
     a finite-difference simulator for the closed loop, the target
     semigroup, and stability constants,
@@ -43,7 +45,6 @@ from .volterra import (
     VolterraKernelSeries,
     check_growth_assumption,
     coupling_bound_check,
-    eval_series,
     gain_ell,
     gain_k,
     kernel_l2_sq,
@@ -57,7 +58,6 @@ from .charkernels import (
 from .gapcascade import (
     GammaKey,
     GapCoefficientFamily,
-    assemble_kernel,
     assemble_kernel_polynomial,
     cascade,
     coupling_c,
@@ -68,8 +68,6 @@ from .gapcascade import (
 from .inversion import (
     InversionConfig,
     choose_radius,
-    frechet_dk,
-    invert,
     lipschitz_check,
 )
 from .simulator import (
@@ -93,7 +91,6 @@ __all__ = [
     "VolterraKernelSeries",
     "check_growth_assumption",
     "coupling_bound_check",
-    "eval_series",
     "gain_ell",
     "gain_k",
     "kernel_l2_sq",
@@ -103,7 +100,6 @@ __all__ = [
     "pdae_closed_forms",
     "GammaKey",
     "GapCoefficientFamily",
-    "assemble_kernel",
     "assemble_kernel_polynomial",
     "cascade",
     "coupling_c",
@@ -112,8 +108,6 @@ __all__ = [
     "phi_eval",
     "InversionConfig",
     "choose_radius",
-    "frechet_dk",
-    "invert",
     "lipschitz_check",
     "SimConfig",
     "SimulationRecord",

@@ -133,9 +133,6 @@ class GapCoefficientFamily:
     def support(self, n: int) -> tuple[MultiIndex, ...]:
         return tuple(sorted(P for (m, P) in self.entries if m == n))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
 
 class GammaKey(NamedTuple):
     """Index of one structure constant of the coupling assembly."""
@@ -451,32 +448,6 @@ def cascade(b_family: GapCoefficientFamily, n_max: int) -> GapCoefficientFamily:
     return GapCoefficientFamily(a_entries, "cascade-a", metadata=b_family.metadata)
 
 
-def assemble_kernel(a_family: GapCoefficientFamily, n: int, point: SimplexPoint) -> float:
-    """Kernel value from the ansatz: sum_P [a_P(x) - a_P(x - xi_n)] Phi_P.
-
-    Exact rational arithmetic on the (binary) rational coordinates, cast
-    to float at the end.  Vanishes identically at xi_n = 0.
-    """
-    if point.order != n:
-        raise FamilyConfigError(
-            f"point has order {point.order}, expected {n}"
-        )
-    x = Fraction(point.x)
-    xi_n = Fraction(point.xi[-1])
-    gaps = [Fraction(a) - Fraction(b) for a, b in zip((point.x,) + point.xi, point.xi)]
-    total = Fraction(0)
-    for P, poly in a_family.at_order(n).items():
-        diff = poly.eval_exact(x) - poly.eval_exact(x - xi_n)
-        if diff == 0:
-            continue
-        phi = Fraction(1)
-        for g, pw in zip(gaps, P):
-            if pw:
-                phi *= g**pw / math.factorial(pw)
-        total += diff * phi
-    return float(total)
-
-
 def _phi_monomials(P: MultiIndex) -> Dict[MultiIndex, int]:
     """P! Phi_P = prod_r Delta_r**P_r as integer monomials over (x, xi_1..xi_n)."""
     # Chain index 0 is x, index i >= 1 is xi_i; gap r = chain_r - chain_{r+1}.
@@ -638,11 +609,3 @@ def family_to_json(family: GapCoefficientFamily) -> str:
         doc["metadata"] = family.metadata
     return json.dumps(doc, indent=2)
 
-
-def family_from_json(text: str) -> GapCoefficientFamily:
-    doc = json.loads(text)
-    entries: Dict[tuple[int, MultiIndex], RationalPoly] = {}
-    for item in doc["entries"]:
-        poly = RationalPoly([Fraction(c) for c in item["coeffs"]])
-        entries[(int(item["n"]), tuple(item["P"]))] = poly
-    return GapCoefficientFamily(entries, doc["role"], metadata=doc.get("metadata"))

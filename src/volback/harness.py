@@ -56,7 +56,7 @@ from .gapcascade import (
     family_to_json,
     pdae_b_family,
 )
-from .inversion import InversionDomainError, choose_radius, invert_with_info
+from .inversion import InversionDomainError, InversionResult, choose_radius, invert_with_info
 from .polynomial import RationalPoly, SimplexPolyKernel
 from .simplex import QuadratureRule
 from .simulator import (
@@ -85,6 +85,7 @@ from .volterra import (
 PRESETS = ("fig1a", "fig1b", "fig1c", "kernels", "gains", "invert-demo", "verify-all")
 PRESET_CONTROLLER = {"fig1a": "open-loop", "fig1b": "order-2", "fig1c": "order-3"}
 DEFAULT_SEED = 0
+METADATA_KEYS = ("D", "rho", "mu", "nu")
 GAIN_RULE = QuadratureRule(12)
 BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,  # in any case
             "0": False, "false": False, "no": False, "off": False}
@@ -154,23 +155,37 @@ def parse_plant(path: str | Path) -> ParsedPlant:
     then one entry per line: the order n, the comma-separated gap
     multi-index P (n integers), and the coefficient polynomial in x as
     space-separated exact rationals, constant term first.  ``#`` starts
-    a comment.  An empty table is the zero plant.  Orders below 2 are
-    rejected with the offending line number.  A plant whose kernels fail
-    the growth assumption that its D and rho state is refused here, so
-    every command that reads the file refuses it before computing
-    anything, whichever route would build its kernels.
+    a comment.  An empty table is the zero plant.  Orders below 2, a
+    metadata key outside D, rho, mu and nu, a repeated key, and D
+    without rho or rho without D are rejected with the offending line
+    number.  A plant whose kernels fail the growth assumption that its D
+    and rho state is refused here, so every command that reads the file
+    refuses it before computing anything, whichever route would build
+    its kernels.
     """
     path = Path(path)
     entries: Dict[tuple[int, tuple[int, ...]], RationalPoly] = {}
     metadata: Dict[str, float] = {}
+    key_lines: Dict[str, int] = {}
     for lineno, raw in enumerate(_read_lines(path, "plant file"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" in line:
             key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in METADATA_KEYS:
+                raise PlantParseError(
+                    f"line {lineno}: unknown metadata key {key!r}; "
+                    f"expected one of {', '.join(METADATA_KEYS)}"
+                )
+            if key in key_lines:
+                raise PlantParseError(
+                    f"line {lineno}: metadata key {key!r} repeats line {key_lines[key]}"
+                )
+            key_lines[key] = lineno
             try:
-                metadata[key.strip()] = float(Fraction(value.strip()))
+                metadata[key] = float(Fraction(value.strip()))
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise PlantParseError(f"line {lineno}: bad metadata value: {exc}")
             continue
@@ -206,6 +221,12 @@ def parse_plant(path: str | Path) -> ParsedPlant:
             continue
         key = (n, p_vec)
         entries[key] = entries[key] + poly if key in entries else poly
+    for given, needed in (("D", "rho"), ("rho", "D")):
+        if given in key_lines and needed not in key_lines:
+            raise PlantParseError(
+                f"line {key_lines[given]}: {given} without {needed}; the growth "
+                "assumption needs both"
+            )
     family = GapCoefficientFamily(entries, "plant-b", metadata=metadata or None)
     try:
         series = _family_series(family, metadata)
@@ -370,12 +391,11 @@ def _kernel_cross_check(
 
 
 def _pdae_gain_data():
-    plant = load_plant("pdae")
-    kernels = build_kernel_table(plant, 3)
-    series = VolterraKernelSeries(kernels)
+    """The builtin plant's order-3 controller series, its gains and the
+    balanced radius."""
+    series = VolterraKernelSeries(build_kernel_table(load_plant("pdae"), 3))
     gains = build_gains(series, GAIN_RULE)
-    icfg = choose_radius(gains)
-    return plant, kernels, series, gains, icfg
+    return series, gains, choose_radius(gains)
 
 
 def _write_kernels(
@@ -428,7 +448,7 @@ def _write_kernel_samples(table: Dict[int, KernelNode], path: Path) -> None:
 
 
 def preset_gains(out_dir: Path) -> int:
-    _, _, _, gains, icfg = _pdae_gain_data()
+    _, gains, icfg = _pdae_gain_data()
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "gains.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -455,30 +475,41 @@ def preset_gains(out_dir: Path) -> int:
 
 
 def preset_invert_demo(out_dir: Path) -> int:
-    _, _, series, gains, icfg = _pdae_gain_data()
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh = np.linspace(0.0, 1.0, 201)
     w = GridFunction(0.05 * np.sin(math.pi * mesh))
     _write_profile_csv(out_dir / "input.csv", mesh, {"w": w.values})
+    result, residual = _write_inversion(w, out_dir, diagnostics=True)
+    print(f"inversion round trip residual {residual:.3e} in {result.iterations} iterations")
+    return 0 if result.converged and residual < 1e-8 else 1
+
+
+def _write_inversion(
+    w: GridFunction, out_dir: Path, diagnostics: bool
+) -> tuple[InversionResult, float]:
+    """Invert ``w`` for the builtin plant's order-3 controller; write
+    result.csv (u and w_back = u - K[u] on the mesh of ``w``) and
+    metadata.json (iterations, convergence, the round-trip residual
+    ||w_back - w|| and, with ``diagnostics``, the contraction bound, the
+    largest observed ratio and the radii).  Returns the result and the
+    residual."""
+    series, gains, icfg = _pdae_gain_data()
     result = invert_with_info(w, series, icfg)
     back = result.u - series_profile(series, result.u)
     residual = (back - w).l2_norm()
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_profile_csv(
-        out_dir / "result.csv", mesh, {"u": result.u.values, "w_back": back.values}
+        out_dir / "result.csv", w.mesh, {"u": result.u.values, "w_back": back.values}
     )
-    doc = {
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "residual": residual,
-        "contraction_bound": math.sqrt(gain_ell(gains, icfg.s)),
-        "observed_ratios_max": max(result.contraction_ratios, default=0.0),
-        "s": icfg.s,
-        "rho_L": icfg.rho_L,
-        "version": __version__,
-    }
+    doc = {"iterations": result.iterations, "converged": result.converged, "residual": residual}
+    if diagnostics:
+        doc["contraction_bound"] = math.sqrt(gain_ell(gains, icfg.s))
+        doc["observed_ratios_max"] = max(result.contraction_ratios, default=0.0)
+        doc["s"] = icfg.s
+        doc["rho_L"] = icfg.rho_L
+    doc["version"] = __version__
     (out_dir / "metadata.json").write_text(json.dumps(doc, indent=2))
-    print(f"inversion round trip residual {residual:.3e} in {result.iterations} iterations")
-    return 0 if result.converged and residual < 1e-8 else 1
+    return result, residual
 
 
 def _write_profile_csv(path: Path, mesh: np.ndarray, columns: Dict[str, np.ndarray]) -> None:
@@ -604,22 +635,7 @@ def cmd_invert(args) -> int:
             raise ConfigError(
                 f"input {args.input}: the x column is not the uniform mesh on [0, 1]"
             )
-    _, _, series, gains, icfg = _pdae_gain_data()
-    result = invert_with_info(w, series, icfg)
-    out_dir = output_root(args.output) / "invert"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    back = result.u - series_profile(series, result.u)
-    _write_profile_csv(
-        out_dir / "result.csv", w.mesh, {"u": result.u.values, "w_back": back.values}
-    )
-    residual = (back - w).l2_norm()
-    doc = {
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "residual": residual,
-        "version": __version__,
-    }
-    (out_dir / "metadata.json").write_text(json.dumps(doc, indent=2))
+    result, residual = _write_inversion(w, output_root(args.output) / "invert", diagnostics=False)
     print(f"invert: residual {residual:.3e} in {result.iterations} iterations")
     return 0 if result.converged else 1
 

@@ -24,16 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import QuadratureRule
 from .volterra import (
     GainFunctions,
     GridFunction,
-    QuadratureNode,
+    SeriesTerms,
     VolterraKernelSeries,
     gain_ell,
     gain_k,
     linearized_values,
-    series_terms,
 )
 
 
@@ -127,11 +125,13 @@ def invert_with_info(
     Requires ||w||^2 < rho_L.  Iterates u <- w + K[u] until successive
     iterates differ by less than ``tol`` in L2 or the cap is reached.
     """
-    if w.l2_norm() ** 2 >= config.rho_L:
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
+        norm_sq = w.l2_norm() ** 2
+    if norm_sq >= config.rho_L:
         raise InversionDomainError(
-            f"target norm^2 {w.l2_norm()**2:.4g} is not below rho_L {config.rho_L:.4g}"
+            f"target norm^2 {norm_sq:.4g} is not below rho_L {config.rho_L:.4g}"
         )
-    terms = series_terms(series, w.mesh)
+    terms = SeriesTerms(series, w.mesh)
     u = w
     residuals: list[float] = []
     converged = False
@@ -145,34 +145,6 @@ def invert_with_info(
             converged = True
             break
     return InversionResult(u, iterations, residuals, converged)
-
-
-def invert(
-    w: GridFunction, series: VolterraKernelSeries, config: InversionConfig
-) -> GridFunction:
-    """Solve u - K[u] = w on the certified ball; see invert_with_info."""
-    return invert_with_info(w, series, config).u
-
-
-def frechet_dk(
-    series: VolterraKernelSeries,
-    u: GridFunction,
-    h: GridFunction,
-    x: float,
-    rule: QuadratureRule,
-) -> float:
-    """(DK[u] h)(x) by direct quadrature at a single point."""
-    if not (0.0 <= x <= 1.0):
-        raise InversionDomainError(f"evaluation point must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    u._check_mesh(h)
-    total = 0.0
-    for n, kern in series.kernels.items():
-        node = QuadratureNode(kern, n, x, rule, u.mesh)
-        for slot in range(n):
-            total += float(node.value([h.values if i == slot else u.values for i in range(n)]))
-    return total
 
 
 def dk_matrix(series: VolterraKernelSeries, u: GridFunction) -> np.ndarray:
@@ -247,7 +219,7 @@ def lipschitz_check(
     """
     rng = np.random.default_rng(seed)
     mesh = np.linspace(0.0, 1.0, mesh_points)
-    terms = series_terms(series, mesh)
+    terms = SeriesTerms(series, mesh)
     threshold = math.sqrt(gain_ell(gains, s))
     worst = 0.0
     for _ in range(trials):

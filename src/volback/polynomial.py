@@ -47,10 +47,6 @@ class RationalPoly:
     def constant(c) -> "RationalPoly":
         return RationalPoly([Fraction(c)])
 
-    @staticmethod
-    def monomial(c, power: int) -> "RationalPoly":
-        return RationalPoly([Fraction(0)] * power + [Fraction(c)])
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
@@ -58,9 +54,6 @@ class RationalPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPoly):
@@ -113,22 +106,6 @@ class RationalPoly:
         return RationalPoly(
             [Fraction(0)] + [c / Fraction(i + 1) for i, c in enumerate(self.coeffs)]
         )
-
-    def shift(self, delta) -> "RationalPoly":
-        """The polynomial t -> p(t + delta), exact for rational delta."""
-        delta = Fraction(delta)
-        out = RationalPoly()
-        # Horner in the shifted variable keeps this O(deg^2) and exact.
-        for c in reversed(self.coeffs):
-            out = out * RationalPoly([delta, Fraction(1)]) + RationalPoly.constant(c)
-        return out
-
-    def eval_exact(self, t) -> Fraction:
-        t = Fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
 
     def __call__(self, t):
         """Float (or array) evaluation via Horner."""
@@ -196,23 +173,6 @@ class SimplexPolyKernel:
             out += term
         return out
 
-    def eval_exact(self, x, xi: Iterable) -> Fraction:
-        x = Fraction(x)
-        xs = [Fraction(v) for v in xi]
-        acc = Fraction(0)
-        for (e, alphas), c in self.monomials.items():
-            term = c * x**e
-            for v, a in zip(xs, alphas):
-                term *= v**a
-            acc += term
-        return acc
-
-    def scale(self, c) -> "SimplexPolyKernel":
-        c = Fraction(c)
-        return SimplexPolyKernel(
-            self.order, {k: c * v for k, v in self.monomials.items()}
-        )
-
     def __add__(self, other: "SimplexPolyKernel") -> "SimplexPolyKernel":
         if self.order != other.order:
             raise ValueError("cannot add kernels of different orders")
@@ -220,15 +180,6 @@ class SimplexPolyKernel:
         for key, c in other.monomials.items():
             out[key] = out.get(key, 0) + c
         return SimplexPolyKernel(self.order, out)
-
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def max_degree(self) -> int:
-        """Largest total degree over all monomials (0 for the zero kernel)."""
-        if not self.monomials:
-            return 0
-        return max(e + sum(alphas) for (e, alphas) in self.monomials)
 
 
 def pdae_k2() -> SimplexPolyKernel:

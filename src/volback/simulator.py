@@ -36,7 +36,6 @@ from .volterra import (
     GridFunction,
     SeriesTerms,
     VolterraKernelSeries,
-    series_terms,
     trie_nodes,
 )
 
@@ -177,11 +176,6 @@ def _advection(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _normalize_kernels(kernels: Mapping[int, Callable] | None) -> Dict[int, Callable]:
-    """The kernel table ``{order: kernel}``, empty for None."""
-    return {} if kernels is None else {int(n): k for n, k in kernels.items()}
-
-
 def _controller_series(
     table: Mapping[int, Callable], order_cap: int
 ) -> VolterraKernelSeries:
@@ -194,21 +188,13 @@ def _controller_series(
     return VolterraKernelSeries({n: table[n] for n in range(2, order_cap + 1)})
 
 
-def controller_terms(
-    kernels: Mapping[int, Callable], order_cap: int, mesh: np.ndarray
-) -> SeriesTerms:
-    """The evaluator of the controller's orders 2..order_cap on ``mesh``:
-    one mesh cascade, see :class:`~volback.volterra.SeriesTerms`."""
-    return series_terms(_controller_series(_normalize_kernels(kernels), order_cap), mesh)
-
-
 def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
     """Boundary value K[u](1) of the state sampled at ``values``, from
-    the prebuilt controller evaluator (:func:`controller_terms`;
-    ``simulate`` builds one per run): each order's x = 1 value, added in
-    increasing order.  A lower order reads the last column of its own
-    trie level; only the highest order's outermost integral is folded
-    into one weighted sum (see
+    the prebuilt controller evaluator (a
+    :class:`~volback.volterra.SeriesTerms`; ``simulate`` builds one per
+    run): each order's x = 1 value, added in increasing order.  A lower
+    order reads the last column of its own trie level; only the highest
+    order's outermost integral is folded into one weighted sum (see
     :meth:`~volback.volterra.MeshCascade.endpoint`).  It agrees with the
     last value of K[u]'s profile to within rounding."""
     return controller.endpoint(values)
@@ -247,7 +233,7 @@ def simulate(
     is a blow-up at t = 0, and no step is taken.
     """
     m = cfg.mesh_points
-    table = _normalize_kernels(kernels)
+    table = {} if kernels is None else {int(n): k for n, k in kernels.items()}
     if cfg.controller != "open-loop" and not table:
         raise MissingKernelError(f"controller {cfg.controller!r} needs kernels")
     cap = controller_cap(cfg.controller, max(table, default=None))
@@ -272,7 +258,7 @@ def simulate(
     dt = cfg.cfl * dx
     mesh = np.linspace(0.0, 1.0, m)
     nonlinearity = _plant_nonlinearity(plant, mesh)
-    controller = None if control_series is None else series_terms(control_series, mesh)
+    controller = None if control_series is None else SeriesTerms(control_series, mesh)
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = _advection(values, dx)
@@ -387,7 +373,7 @@ def _plant_nonlinearity(
 
         return quadratic
 
-    return series_terms(plant, mesh).profile
+    return SeriesTerms(plant, mesh).profile
 
 
 def target_semigroup(w0: GridFunction, t: float) -> GridFunction:
@@ -439,7 +425,7 @@ def mild_solution_residual(
         raise NotApplicableError(
             "mild-solution residual is undefined for a blow-up record"
         )
-    terms = series_terms(VolterraKernelSeries(kernels), record.mesh)
+    terms = SeriesTerms(VolterraKernelSeries(kernels), record.mesh)
     u0 = GridFunction(record.snapshots[0])
     w0 = u0 - GridFunction(terms.profile(u0.values))
     worst = 0.0

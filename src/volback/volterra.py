@@ -31,9 +31,9 @@ and Lipschitz loops, the simulator's plant and controller),
 :class:`SeriesTerms` evaluates all orders with one cascade, whose trie
 shares suffixes between orders.  The derivative and the derivative
 matrix put a different factor in one slot, so they keep one cascade per
-order.  :func:`eval_series` and the point derivative integrate the
-kernels at a single x by Gauss quadrature on the simplex
-(:class:`QuadratureNode`); they serve as pointwise references.
+order.  Gauss quadrature on the simplex remains only for the kernel
+norms (:func:`kernel_l2_sq`), behind the gains and the coupling-bound
+check; no term is evaluated pointwise.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -51,16 +51,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
 from .polynomial import SimplexPolyKernel
-from .simplex import (
-    QuadratureRule,
-    SimplexDomainError,
-    simplex_nodes,
-)
+from .simplex import QuadratureRule, simplex_nodes
 
 
 class SeriesDefinitionError(ValueError):
@@ -95,12 +91,6 @@ class GridFunction:
     def l2_norm(self) -> float:
         return float(np.sqrt(np.trapezoid(self.values**2, dx=self.dx)))
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def interp(self, xq) -> np.ndarray:
-        return np.interp(xq, self.mesh, self.values)
-
     def scale(self, c: float) -> "GridFunction":
         return GridFunction(self.values * c)
 
@@ -115,15 +105,6 @@ class GridFunction:
     def _check_mesh(self, other: "GridFunction") -> None:
         if self.size != other.size:
             raise ValueError(f"mesh mismatch: {self.size} vs {other.size}")
-
-    @staticmethod
-    def zeros(m: int) -> "GridFunction":
-        return GridFunction(np.zeros(m))
-
-    @staticmethod
-    def from_callable(func: Callable[[np.ndarray], np.ndarray], m: int) -> "GridFunction":
-        x = np.linspace(0.0, 1.0, m)
-        return GridFunction(np.asarray(func(x), dtype=float))
 
 
 @dataclass
@@ -173,74 +154,14 @@ class VolterraKernelSeries:
     def orders(self) -> tuple[int, ...]:
         return tuple(self.kernels)
 
-    @property
-    def n_max(self) -> int:
-        return max(self.kernels) if self.kernels else 1
-
     def kernel(self, n: int) -> SimplexPolyKernel:
         try:
             return self.kernels[n]
         except KeyError:
             raise SeriesDefinitionError(f"series has no order-{n} kernel") from None
 
-    def truncated(self, n_cap: int) -> "VolterraKernelSeries":
-        return VolterraKernelSeries(
-            {n: k for n, k in self.kernels.items() if n <= n_cap}, self.growth
-        )
-
     def is_zero(self) -> bool:
         return not self.kernels
-
-
-def eval_series(
-    series: VolterraKernelSeries,
-    u: GridFunction,
-    x: float,
-    rule: QuadratureRule,
-) -> float:
-    """Evaluate F[u](x) by quadrature, interpolating ``u`` linearly.
-
-    Each order contributes ``int_{T_n(x)} f_n(x, xi) prod u(xi_i)``.
-    ``x`` must lie in [0, 1]; ``x == 0`` contributes nothing.
-    """
-    if not (0.0 <= x <= 1.0):
-        raise SimplexDomainError(f"evaluation point must lie in [0, 1], got {x}")
-    if x == 0.0 or series.is_zero():
-        return 0.0
-    return sum(
-        float(QuadratureNode(kern, n, x, rule, u.mesh).value([u.values] * n))
-        for n, kern in series.kernels.items()
-    )
-
-
-class QuadratureNode:
-    """One multilinear term at a single upper limit ``x``, by simplex quadrature.
-
-    ``value(factors)`` is int_{T_n(x)} kern(x, xi) prod_i factors[i](xi_i) dxi
-    over the nodes of ``rule``, each factor a mesh sample interpolated
-    linearly exactly as ``np.interp`` does.  The nodes, weights, kernel
-    values and bracketing mesh cells are computed once; factors may
-    carry leading batch axes.
-    """
-
-    def __init__(
-        self, kern: Callable, n: int, x: float, rule: QuadratureRule, mesh: np.ndarray
-    ) -> None:
-        pts, self.weights = simplex_nodes(n, x, rule)
-        self.kvals = np.asarray(kern(x, pts), dtype=float) if len(pts) else np.zeros(0)
-        # Gauss nodes lie inside [0, x), so each has a mesh cell [lo, lo + 1].
-        lo = np.searchsorted(mesh, pts, side="right") - 1
-        hi = lo + 1
-        span = mesh[hi] - mesh[lo]
-        offset = pts - mesh[lo]
-        self.cells = [(lo[:, i], hi[:, i], span[:, i], offset[:, i]) for i in range(n)]
-
-    def value(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
-        prod = 1.0
-        for f, (lo, hi, span, offset) in zip(factors, self.cells):
-            low = f[..., lo]
-            prod = prod * ((f[..., hi] - low) / span * offset + low)
-        return np.dot(self.kvals * prod, self.weights)
 
 
 class MeshCascade:
@@ -466,8 +387,8 @@ class SeriesTerms:
     to within rounding.
     """
 
-    def __init__(self, kernels: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
-        self.cascade = MeshCascade({n: k.monomials for n, k in kernels.items()}, mesh)
+    def __init__(self, series: VolterraKernelSeries, mesh: np.ndarray) -> None:
+        self.cascade = MeshCascade({n: k.monomials for n, k in series.kernels.items()}, mesh)
 
     def profile(self, values: np.ndarray) -> np.ndarray:
         """F[u] on the whole mesh at the mesh samples ``values`` of u."""
@@ -478,18 +399,13 @@ class SeriesTerms:
         return float(self.cascade.endpoint([values] * len(self.cascade.levels)))
 
 
-def series_terms(series: VolterraKernelSeries, mesh: np.ndarray) -> SeriesTerms:
-    """The :class:`SeriesTerms` of every order of ``series``."""
-    return SeriesTerms(series.kernels, mesh)
-
-
 def series_profile(series: VolterraKernelSeries, u: GridFunction) -> GridFunction:
     """The full profile x -> F[u](x) on the mesh of ``u``.
 
     The cascade is built for this call (its set-up cost does not depend
     on the mesh size).
     """
-    return GridFunction(series_terms(series, u.mesh).profile(u.values))
+    return GridFunction(SeriesTerms(series, u.mesh).profile(u.values))
 
 
 def linearized_values(

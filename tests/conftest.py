@@ -1,15 +1,21 @@
 """Shared fixtures: the quadratic-integral example plant and its kernels,
-and the reference evaluations of polynomial Volterra terms on a mesh."""
+the reference evaluations of polynomial Volterra terms on a mesh, and
+the pointwise references: exact rational evaluation of polynomials and
+kernels, and Gauss quadrature of the series and of its derivative at a
+single upper limit."""
 
 import math
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import pytest
 
 from volback.charkernels import pdae_closed_forms, pdae_plant
 from volback.gapcascade import cascade, pdae_b_family
-from volback.simplex import QuadratureRule
-from volback.volterra import VolterraKernelSeries
+from volback.inversion import InversionDomainError
+from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
+from volback.volterra import GridFunction, VolterraKernelSeries
 
 
 @pytest.fixture(scope="session")
@@ -167,3 +173,98 @@ def assert_endpoint_within_rounding(value, orders, factors, mesh):
     k = 2 * monomials + mesh.size + len(orders) + 5
     bound = _rounding_bound(k, magnitude)
     assert abs(value - want) <= bound, (value, want, bound)
+
+
+def poly_eval_exact(poly, t) -> Fraction:
+    """A ``RationalPoly`` at the rational ``t``, by Horner in Fractions."""
+    t = Fraction(t)
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def kernel_eval_exact(kern, x, xi: Iterable) -> Fraction:
+    """A ``SimplexPolyKernel`` at the rational point (x, xi), monomial by
+    monomial in Fractions."""
+    x = Fraction(x)
+    xs = [Fraction(v) for v in xi]
+    acc = Fraction(0)
+    for (e, alphas), c in kern.monomials.items():
+        term = c * x**e
+        for v, a in zip(xs, alphas):
+            term *= v**a
+        acc += term
+    return acc
+
+
+class QuadratureNode:
+    """One multilinear term at a single upper limit ``x``, by simplex quadrature.
+
+    ``value(factors)`` is int_{T_n(x)} kern(x, xi) prod_i factors[i](xi_i) dxi
+    over the nodes of ``rule``, each factor a mesh sample interpolated
+    linearly exactly as ``np.interp`` does.  The nodes, weights, kernel
+    values and bracketing mesh cells are computed once; factors may
+    carry leading batch axes.
+    """
+
+    def __init__(
+        self, kern: Callable, n: int, x: float, rule: QuadratureRule, mesh: np.ndarray
+    ) -> None:
+        pts, self.weights = simplex_nodes(n, x, rule)
+        self.kvals = np.asarray(kern(x, pts), dtype=float) if len(pts) else np.zeros(0)
+        # Gauss nodes lie inside [0, x), so each has a mesh cell [lo, lo + 1].
+        lo = np.searchsorted(mesh, pts, side="right") - 1
+        hi = lo + 1
+        span = mesh[hi] - mesh[lo]
+        offset = pts - mesh[lo]
+        self.cells = [(lo[:, i], hi[:, i], span[:, i], offset[:, i]) for i in range(n)]
+
+    def value(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
+        prod = 1.0
+        for f, (lo, hi, span, offset) in zip(factors, self.cells):
+            low = f[..., lo]
+            prod = prod * ((f[..., hi] - low) / span * offset + low)
+        return np.dot(self.kvals * prod, self.weights)
+
+
+def eval_series(
+    series: VolterraKernelSeries,
+    u: GridFunction,
+    x: float,
+    rule: QuadratureRule,
+) -> float:
+    """Evaluate F[u](x) by quadrature, interpolating ``u`` linearly.
+
+    Each order contributes ``int_{T_n(x)} f_n(x, xi) prod u(xi_i)``.
+    ``x`` must lie in [0, 1]; ``x == 0`` contributes nothing.
+    """
+    if not (0.0 <= x <= 1.0):
+        raise SimplexDomainError(f"evaluation point must lie in [0, 1], got {x}")
+    if x == 0.0 or series.is_zero():
+        return 0.0
+    return sum(
+        float(QuadratureNode(kern, n, x, rule, u.mesh).value([u.values] * n))
+        for n, kern in series.kernels.items()
+    )
+
+
+def frechet_dk(
+    series: VolterraKernelSeries,
+    u: GridFunction,
+    h: GridFunction,
+    x: float,
+    rule: QuadratureRule,
+) -> float:
+    """(DK[u] h)(x) by direct quadrature at a single point."""
+    if not (0.0 <= x <= 1.0):
+        raise InversionDomainError(f"evaluation point must lie in [0, 1], got {x}")
+    if x == 0.0:
+        return 0.0
+    u._check_mesh(h)
+    total = 0.0
+    for n, kern in series.kernels.items():
+        node = QuadratureNode(kern, n, x, rule, u.mesh)
+        for slot in range(n):
+            total += float(node.value([h.values if i == slot else u.values for i in range(n)]))
+    return total

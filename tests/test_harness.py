@@ -46,7 +46,7 @@ class TestParsePlant:
         f = tmp_path / "empty.txt"
         f.write_text("# nothing here\n\n")
         plant = parse_plant(f)
-        assert plant.family.is_zero()
+        assert plant.family.entries == {}
 
     def test_low_order_names_line(self, tmp_path):
         f = tmp_path / "bad.txt"
@@ -77,6 +77,24 @@ class TestParsePlant:
         with pytest.raises(ConfigError):
             parse_plant(tmp_path / "nope.txt")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("D = 0.1\nRho = 1\n2 0,0 10\n", r"line 2: unknown metadata key 'Rho'"),
+            ("D = 1\nrho = 1\nD = 2\n2 0,0 1\n", r"line 3: metadata key 'D' repeats line 1"),
+            ("D = 0.1\n2 0,0 10\n", r"line 1: D without rho"),
+            ("mu = 1\nrho = 1\n2 0,0 1\n", r"line 2: rho without D"),
+        ],
+        ids=["misspelt", "repeated", "D-alone", "rho-alone"],
+    )
+    def test_metadata_that_would_skip_the_growth_check(self, tmp_path, text, message):
+        # Read as given, each file would skip its growth check; spelt
+        # `rho`, the first fails it (worst ratio 50).
+        f = tmp_path / "plant.txt"
+        f.write_text(text)
+        with pytest.raises(PlantParseError, match=message):
+            parse_plant(f)
+
 
 class TestLoadPlant:
     def test_builtin_pdae(self):
@@ -86,7 +104,7 @@ class TestLoadPlant:
 
     def test_builtin_zero(self):
         plant = load_plant("zero")
-        assert plant.family.is_zero()
+        assert plant.family.entries == {}
 
     def test_unknown_descriptor(self):
         with pytest.raises(ConfigError):
@@ -303,6 +321,15 @@ class TestMain:
         target.write_text("x,w\n0,0\n0.5,5\n1,0\n")
         assert main(["invert", "--input", str(target)]) == 2
         assert "is not below rho_L" in capsys.readouterr().err
+
+    def test_invert_overflowing_target_prints_one_error_line(self, out_root, tmp_path, capsys):
+        # The target's squared norm overflows: refused as outside the ball,
+        # with no numpy warning before the error line.
+        target = tmp_path / "target.csv"
+        target.write_text("w\n1e200\n1e200\n")
+        assert main(["invert", "--input", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_explicit_output_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VOLBACK_OUTPUT_ROOT", str(tmp_path / "ignored"))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import frechet_dk
 from volback import inversion
 from volback.inversion import (
     InversionConfig,
@@ -12,8 +13,6 @@ from volback.inversion import (
     NoContractionError,
     choose_radius,
     dk_matrix,
-    frechet_dk,
-    invert,
     invert_with_info,
     lipschitz_check,
     neumann_norm_estimate,
@@ -87,7 +86,7 @@ class TestInvert:
     def test_round_trip(self, kernel_series, config, mesh):
         rng = np.random.default_rng(7)
         w = smooth_profile(rng, mesh, 0.5 * math.sqrt(config.rho_L))
-        u = invert(w, kernel_series, config)
+        u = invert_with_info(w, kernel_series, config).u
         back = u - series_profile(kernel_series, u)
         assert (back - w).l2_norm() < 1e-8
 
@@ -100,7 +99,7 @@ class TestInvert:
     def test_target_outside_ball_rejected(self, kernel_series, config, mesh):
         big = GridFunction(np.full(mesh.size, 2.0))
         with pytest.raises(InversionDomainError):
-            invert(big, kernel_series, config)
+            invert_with_info(big, kernel_series, config)
 
     def test_contraction_ratios_bounded(self, kernel_series, gains, config, mesh):
         bound = math.sqrt(gain_ell(gains, config.s))
@@ -218,13 +217,13 @@ class TestEvaluatorsBuiltOnce:
     @pytest.fixture()
     def builds(self, monkeypatch):
         calls = []
-        original = inversion.series_terms
+        original = inversion.SeriesTerms
 
         def counting(*args, **kwargs):
             calls.append(args[1].size)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(inversion, "series_terms", counting)
+        monkeypatch.setattr(inversion, "SeriesTerms", counting)
         return calls
 
     def test_picard_matches_per_iteration_profiles(self, kernel_series, config, mesh, builds):

@@ -21,9 +21,9 @@ from volback.simulator import (
     SimConfigError,
     SimulationRecord,
     _advection,
+    _controller_series,
     _frame_ids,
     _plant_nonlinearity,
-    controller_terms,
     cubic_pulse,
     feedback,
     mild_solution_residual,
@@ -34,7 +34,7 @@ from volback.simulator import (
     write_series_csv,
     write_snapshots_csv,
 )
-from volback.volterra import GridFunction, SeriesDefinitionError, VolterraKernelSeries
+from volback.volterra import GridFunction, SeriesDefinitionError, SeriesTerms, VolterraKernelSeries
 
 
 class TestConfig:
@@ -105,7 +105,7 @@ class TestConfig:
         def no_evaluators(*args):
             raise AssertionError("the refused run built its evaluators")
 
-        monkeypatch.setattr(simulator, "series_terms", no_evaluators)
+        monkeypatch.setattr(simulator, "SeriesTerms", no_evaluators)
         with pytest.raises(
             SimConfigError, match=r"\(1 \+ 570 suffix-trie nodes\)\) = 5\.9e\+09 grid updates"
         ):
@@ -177,7 +177,7 @@ class TestFeedback:
     @staticmethod
     def boundary(kernels, cap, values):
         mesh = np.linspace(0.0, 1.0, values.size)
-        return feedback(values, controller_terms(kernels, cap, mesh))
+        return feedback(values, SeriesTerms(_controller_series(kernels, cap), mesh))
 
     def test_order2_constant_state(self, kernel_table):
         val = self.boundary(kernel_table, 2, np.ones(201))
@@ -190,7 +190,7 @@ class TestFeedback:
     def test_missing_order_raises(self, kernel_table, plant):
         only3 = {3: kernel_table[3]}
         with pytest.raises(MissingKernelError):
-            controller_terms(only3, 3, np.linspace(0.0, 1.0, 51))
+            _controller_series(only3, 3)
         cfg = SimConfig(controller="order-3", t_end=0.1, mesh_points=51)
         with pytest.raises(MissingKernelError):
             simulate(cfg, plant, only3)
@@ -202,11 +202,11 @@ class TestFeedback:
 
     def test_opaque_kernel_needs_rule(self, plant, kernel_table, monkeypatch):
         # A table kernel that is not a polynomial is refused when the
-        # table becomes a series: by controller_terms, and by simulate
+        # table becomes a series: by _controller_series, and by simulate
         # before its first step.
         opaque = self.opaque(kernel_table, (2, 3))
         with pytest.raises(SeriesDefinitionError, match="order-2"):
-            controller_terms(opaque, 3, np.linspace(0.0, 1.0, 51))
+            _controller_series(opaque, 3)
 
         def no_step(values, dx):
             raise AssertionError("simulate stepped before rejecting the kernel")
@@ -482,13 +482,13 @@ class TestMildResidual:
         )
         rec = simulate(cfg, plant, kernel_table)
         builds = []
-        original = simulator.series_terms
+        original = simulator.SeriesTerms
 
         def counting(*args, **kwargs):
             builds.append(args[1].size)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "series_terms", counting)
+        monkeypatch.setattr(simulator, "SeriesTerms", counting)
         mild_solution_residual(rec, kernel_table, [0.25, 0.5, 0.75])
         assert builds == [51]
 

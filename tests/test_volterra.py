@@ -16,23 +16,24 @@ from volback.harness import build_kernel_table, load_plant
 from volback.inversion import dk_matrix
 from volback.polynomial import pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
-from volback.simulator import SimConfig, controller_terms, mild_solution_residual, simulate
+from volback.simulator import SimConfig, _controller_series, mild_solution_residual, simulate
 from conftest import (
+    QuadratureNode,
     _inner_integral,
     assert_endpoint_within_rounding,
     assert_profile_within_rounding,
+    eval_series,
 )
 from volback.volterra import (
     GainFunctions,
     GridFunction,
     MeshCascade,
-    QuadratureNode,
     SeriesDefinitionError,
+    SeriesTerms,
     VolterraKernelSeries,
     build_gains,
     check_growth_assumption,
     coupling_bound_check,
-    eval_series,
     gain_ell,
     gain_k,
     kernel_l2_sq,
@@ -45,20 +46,15 @@ GL8 = QuadratureRule(8)
 
 class TestGridFunction:
     def test_norms(self):
-        u = GridFunction.from_callable(lambda x: np.ones_like(x), 101)
+        u = GridFunction(np.ones(101))
         assert u.l2_norm() == pytest.approx(1.0)
-        assert u.sup_norm() == 1.0
 
     def test_sine_l2(self):
-        u = GridFunction.from_callable(lambda x: np.sin(np.pi * x), 401)
+        u = GridFunction(np.sin(np.pi * np.linspace(0.0, 1.0, 401)))
         assert u.l2_norm() == pytest.approx(math.sqrt(0.5), rel=1e-4)
 
-    def test_interp(self):
-        u = GridFunction.from_callable(lambda x: x, 11)
-        assert u.interp(0.55) == pytest.approx(0.55)
-
     def test_arithmetic(self):
-        u = GridFunction.from_callable(lambda x: x, 21)
+        u = GridFunction(np.linspace(0.0, 1.0, 21))
         v = u - u
         assert v.l2_norm() == 0.0
         w = u + u
@@ -100,10 +96,6 @@ class TestSeriesValidation:
         with pytest.raises(SeriesDefinitionError):
             plant.kernel(5)
 
-    def test_truncated(self):
-        s = VolterraKernelSeries({2: pdae_k2(), 3: pdae_k3()})
-        assert s.truncated(2).orders == (2,)
-
     def test_empty_is_zero(self):
         assert VolterraKernelSeries({}).is_zero()
 
@@ -114,24 +106,24 @@ class TestSeriesValidation:
 
 class TestEvalSeries:
     def test_constant_input(self, plant):
-        u = GridFunction.from_callable(lambda x: np.ones_like(x), 201)
+        u = GridFunction(np.ones(201))
         assert eval_series(plant, u, 1.0, GL8) == pytest.approx(0.5, rel=1e-9)
 
     def test_linear_input(self, plant):
-        u = GridFunction.from_callable(lambda x: x, 201)
+        u = GridFunction(np.linspace(0.0, 1.0, 201))
         assert eval_series(plant, u, 1.0, GL8) == pytest.approx(0.125, rel=1e-6)
 
     def test_x_zero(self, plant):
-        u = GridFunction.from_callable(lambda x: np.ones_like(x), 51)
+        u = GridFunction(np.ones(51))
         assert eval_series(plant, u, 0.0, GL8) == 0.0
 
     def test_x_outside_domain(self, plant):
-        u = GridFunction.from_callable(lambda x: np.ones_like(x), 51)
+        u = GridFunction(np.ones(51))
         with pytest.raises(SimplexDomainError):
             eval_series(plant, u, 1.2, GL8)
 
     def test_order2_homogeneity(self, plant):
-        u = GridFunction.from_callable(lambda x: np.cos(x), 201)
+        u = GridFunction(np.cos(np.linspace(0.0, 1.0, 201)))
         base = eval_series(plant, u, 0.8, GL8)
         scaled = eval_series(plant, u.scale(3.0), 0.8, GL8)
         assert scaled == pytest.approx(9.0 * base, rel=1e-9)
@@ -139,20 +131,21 @@ class TestEvalSeries:
 
 class TestProfiles:
     def test_polynomial_profile_closed_form(self, plant):
-        u = GridFunction.from_callable(lambda x: np.ones_like(x), 201)
+        u = GridFunction(np.ones(201))
         prof = series_profile(plant, u)
         assert prof.values == pytest.approx(0.5 * u.mesh**2, abs=2e-5)
 
     def test_profile_matches_pointwise_eval(self, kernel_series):
-        u = GridFunction.from_callable(lambda x: np.sin(x), 101)
+        u = GridFunction(np.sin(np.linspace(0.0, 1.0, 101)))
         prof = series_profile(kernel_series, u)
         for xq in (0.25, 0.5, 1.0):
             want = eval_series(kernel_series, u, xq, GL8)
-            assert prof.interp(xq) == pytest.approx(want, abs=5e-5)
+            assert np.interp(xq, prof.mesh, prof.values) == pytest.approx(want, abs=5e-5)
 
     def test_linearized_profile_matches_fd(self, kernel_series):
-        u = GridFunction.from_callable(lambda x: 0.3 * np.sin(np.pi * x), 201)
-        h = GridFunction.from_callable(lambda x: 0.2 * x * (1 - x), 201)
+        x = np.linspace(0.0, 1.0, 201)
+        u = GridFunction(0.3 * np.sin(np.pi * x))
+        h = GridFunction(0.2 * x * (1 - x))
         lin = linearized_profile(kernel_series, u, h)
         eps = 1e-5
         plus = series_profile(kernel_series, u + h.scale(eps))
@@ -524,7 +517,7 @@ class TestQuadratureTerm:
             calls = [
                 lambda: VolterraKernelSeries(kernels),
                 lambda: mild_solution_residual(record, kernels, [0.05]),
-                lambda: controller_terms(kernels, 3, record.mesh),
+                lambda: SeriesTerms(_controller_series(kernels, 3), record.mesh),
             ]
             for call in calls:
                 with pytest.raises(SeriesDefinitionError, match=f"order-{order} kernel"):
