@@ -507,9 +507,7 @@ def assemble_kernel_polynomial(a_family: GapCoefficientFamily, n: int) -> Simple
     return _expand_kernel(a_family, n, shifted=True)
 
 
-def dp_norm(
-    family: GapCoefficientFamily, r: float, R: float, n: int | None = None
-) -> float:
+def dp_norm(family: GapCoefficientFamily, r: float, R: float) -> float:
     """The weighted coefficient norm of a finite family.
 
     sup over x in [0, 1] (sampled on a 1001-point grid, hence a lower
@@ -523,9 +521,7 @@ def dp_norm(
         raise ValueError(f"norm weights must be positive, got r={r}, R={R}")
     grid = np.linspace(0.0, 1.0, 1001)
     acc = np.zeros_like(grid)
-    for (order, P), poly in family.entries.items():
-        if n is not None and order != n:
-            continue
+    for (_, P), poly in family.entries.items():
         pfact = 1.0
         for pw in P:
             pfact *= math.factorial(pw)

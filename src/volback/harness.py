@@ -56,12 +56,19 @@ from .gapcascade import (
     family_to_json,
     pdae_b_family,
 )
-from .inversion import InversionDomainError, InversionResult, choose_radius, invert_with_info
+from .inversion import (
+    GAIN_RULE,
+    TARGET_ELL,
+    InversionDomainError,
+    InversionResult,
+    builtin_design,
+    invert_with_info,
+)
 from .polynomial import RationalPoly, SimplexPolyKernel
-from .simplex import QuadratureRule
 from .simulator import (
     SimConfig,
     SimConfigError,
+    _csv_row,
     controller_cap,
     mild_solution_residual,
     simulate,
@@ -70,12 +77,11 @@ from .simulator import (
     write_series_csv,
     write_snapshots_csv,
 )
-from .verification import compare_constructions, run_all
+from .verification import COMPARE_POINTS, compare_constructions, run_all
 from .volterra import (
     GridFunction,
     SeriesDefinitionError,
     VolterraKernelSeries,
-    build_gains,
     check_growth_assumption,
     gain_ell,
     gain_k,
@@ -85,8 +91,7 @@ from .volterra import (
 PRESETS = ("fig1a", "fig1b", "fig1c", "kernels", "gains", "invert-demo", "verify-all")
 PRESET_CONTROLLER = {"fig1a": "open-loop", "fig1b": "order-2", "fig1c": "order-3"}
 DEFAULT_SEED = 0
-METADATA_KEYS = ("D", "rho", "mu", "nu")
-GAIN_RULE = QuadratureRule(12)
+METADATA_KEYS = ("D", "rho")
 BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,  # in any case
             "0": False, "false": False, "no": False, "off": False}
 
@@ -151,17 +156,17 @@ def _check_output_dir(out_dir: Path) -> None:
 def parse_plant(path: str | Path) -> ParsedPlant:
     """Read a plant coefficient table.
 
-    Format: optional ``key = value`` metadata lines (D, rho, mu, nu),
+    Format: optional ``key = value`` metadata lines (D and rho),
     then one entry per line: the order n, the comma-separated gap
     multi-index P (n integers), and the coefficient polynomial in x as
     space-separated exact rationals, constant term first.  ``#`` starts
-    a comment.  An empty table is the zero plant.  Orders below 2, a
-    metadata key outside D, rho, mu and nu, a repeated key, and D
-    without rho or rho without D are rejected with the offending line
-    number.  A plant whose kernels fail the growth assumption that its D
-    and rho state is refused here, so every command that reads the file
-    refuses it before computing anything, whichever route would build
-    its kernels.
+    a comment.  An empty table is the zero plant; its lowest order may
+    lie above 2.  Orders below 2, a metadata key other than D and rho,
+    a repeated key, and D without rho or rho without D are rejected with
+    the offending line number.  A plant whose kernels fail the growth
+    assumption that its D and rho state is refused here, so every
+    command that reads the file refuses it before computing anything,
+    whichever route would build its kernels.
     """
     path = Path(path)
     entries: Dict[tuple[int, tuple[int, ...]], RationalPoly] = {}
@@ -376,26 +381,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     return meta
 
 
-def _kernel_cross_check(
-    plant: ParsedPlant, gap: Dict[int, KernelNode], points: int = 200
-) -> Dict:
+def _kernel_cross_check(plant: ParsedPlant, gap: Dict[int, KernelNode]) -> Dict:
     """The recursion against the cascade-built table ``gap`` (orders
     2..n_max), compared by
     :func:`~volback.verification.compare_constructions`: passes when
     every order has the same monomials."""
     rec = build_kernel_table(plant, max(gap), route="recursion")
     equal, worst = compare_constructions(
-        VolterraKernelSeries(rec), VolterraKernelSeries(gap), DEFAULT_SEED, points
+        VolterraKernelSeries(rec), VolterraKernelSeries(gap), DEFAULT_SEED
     )
-    return {"max_abs_difference": worst, "points": points, "passed": equal}
-
-
-def _pdae_gain_data():
-    """The builtin plant's order-3 controller series, its gains and the
-    balanced radius."""
-    series = VolterraKernelSeries(build_kernel_table(load_plant("pdae"), 3))
-    gains = build_gains(series, GAIN_RULE)
-    return series, gains, choose_radius(gains)
+    return {"max_abs_difference": worst, "points": COMPARE_POINTS, "passed": equal}
 
 
 def _write_kernels(
@@ -448,16 +443,15 @@ def _write_kernel_samples(table: Dict[int, KernelNode], path: Path) -> None:
 
 
 def preset_gains(out_dir: Path) -> int:
-    _, gains, icfg = _pdae_gain_data()
+    _, gains, icfg = builtin_design()
     out_dir.mkdir(parents=True, exist_ok=True)
+    row = _csv_row("%.12g", 2)
     with open(out_dir / "gains.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "k", "ell"])
-        for s in np.linspace(0.0, 0.5, 51):
-            writer.writerow(
-                [f"{s:.12g}", f"{gain_k(gains, s):.12g}", f"{gain_ell(gains, s):.12g}"]
-            )
-    c1, c2 = stability_constants(icfg.s, 0.5, icfg.rho_L, 1.0)
+        fh.write("s,k,ell\r\n")
+        fh.writelines(
+            row % (s, gain_k(gains, s), gain_ell(gains, s)) for s in np.linspace(0.0, 0.5, 51)
+        )
+    c1, c2 = stability_constants(icfg.s, TARGET_ELL, icfg.rho_L)
     doc = {
         "s": icfg.s,
         "rho_L": icfg.rho_L,
@@ -493,7 +487,7 @@ def _write_inversion(
     ||w_back - w|| and, with ``diagnostics``, the contraction bound, the
     largest observed ratio and the radii).  Returns the result and the
     residual."""
-    series, gains, icfg = _pdae_gain_data()
+    series, gains, icfg = builtin_design()
     result = invert_with_info(w, series, icfg)
     back = result.u - series_profile(series, result.u)
     residual = (back - w).l2_norm()
@@ -513,13 +507,10 @@ def _write_inversion(
 
 
 def _write_profile_csv(path: Path, mesh: np.ndarray, columns: Dict[str, np.ndarray]) -> None:
+    row = _csv_row("%.12g", len(columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + list(columns))
-        for i, x in enumerate(mesh):
-            writer.writerow(
-                [f"{x:.12g}"] + [f"{vals[i]:.12g}" for vals in columns.values()]
-            )
+        fh.write(",".join(["x", *columns]) + "\r\n")
+        fh.writelines(row % values for values in zip(mesh, *columns.values()))
 
 
 def preset_verify_all(out_dir: Path) -> int:

@@ -24,15 +24,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charkernels import build_controller_kernels, pdae_plant
+from .simplex import QuadratureRule
 from .volterra import (
     GainFunctions,
     GridFunction,
     SeriesTerms,
     VolterraKernelSeries,
+    build_gains,
     gain_ell,
     gain_k,
     linearized_values,
 )
+
+GAIN_RULE = QuadratureRule(12)  # the kernel norms behind the gains
+TARGET_ELL = 0.5  # the value of ell at the balanced radius s
+S_CAP = 1e6
+PICARD_TOL = 1e-10
+PICARD_MAX_ITERS = 200
+LIPSCHITZ_TRIALS = 20
+LIPSCHITZ_MESH_POINTS = 201
+LIPSCHITZ_TOL = 1e-6
+NEUMANN_ITERS = 60
+NEUMANN_SEED = 0
 
 
 class NoContractionError(ValueError):
@@ -53,40 +67,32 @@ class InversionConfig:
 
     s: float
     rho_L: float
-    tol: float = 1e-10
-    max_iters: int = 200
 
     def __post_init__(self) -> None:
         if self.s <= 0 or self.rho_L <= 0:
             raise InversionDomainError("radii must be positive")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise InversionDomainError("tolerance and iteration cap must be positive")
 
 
-def choose_radius(
-    gains: GainFunctions, target_ell: float = 0.5, s_cap: float = 1e6
-) -> InversionConfig:
-    """Balance the Lipschitz gain: find s with ell(s) = target_ell.
+def choose_radius(gains: GainFunctions) -> InversionConfig:
+    """Balance the Lipschitz gain: find s with ell(s) = TARGET_ELL.
 
-    Bisection on [0, s_cap]; ell is increasing in s.  The certified
+    Bisection on [0, S_CAP]; ell is increasing in s.  The certified
     target radius is then rho_L = (s - 2 k(s)) / 2, which saturates the
     budget 2 rho_L + 2 k(s) <= s.  A series with all-zero norms has
     ell = 0 everywhere; s = 1 is returned with rho_L = s/2.  If even
     tiny s gives ell >= 1 there is no contraction ball at all.
     """
-    if not (0 < target_ell < 1):
-        raise InversionDomainError("target_ell must lie in (0, 1)")
-    if gain_ell(gains, s_cap) <= target_ell:
-        s = s_cap if any(v > 0 for v in gains.norms_sq) else 1.0
+    if gain_ell(gains, S_CAP) <= TARGET_ELL:
+        s = S_CAP if any(v > 0 for v in gains.norms_sq) else 1.0
         return InversionConfig(s=s, rho_L=(s - 2 * gain_k(gains, s)) / 2)
     if gain_ell(gains, 1e-12) >= 1.0:
         raise NoContractionError("ell(s) >= 1 for every representable s")
-    lo, hi = 0.0, s_cap
-    while gain_ell(gains, hi) < target_ell:
+    lo, hi = 0.0, S_CAP
+    while gain_ell(gains, hi) < TARGET_ELL:
         hi *= 2
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if gain_ell(gains, mid) < target_ell:
+        if gain_ell(gains, mid) < TARGET_ELL:
             lo = mid
         else:
             hi = mid
@@ -97,6 +103,16 @@ def choose_radius(
             f"balanced radius s={s:.4g} leaves no target ball (k(s) too large)"
         )
     return InversionConfig(s=s, rho_L=rho_l)
+
+
+def builtin_design() -> tuple[VolterraKernelSeries, GainFunctions, InversionConfig]:
+    """The builtin plant's order-3 controller series, its gains under
+    ``GAIN_RULE`` and the balanced radius (:func:`choose_radius`)."""
+    series = VolterraKernelSeries(
+        {node.order: node for node in build_controller_kernels(pdae_plant(), 3)}
+    )
+    gains = build_gains(series, GAIN_RULE)
+    return series, gains, choose_radius(gains)
 
 
 @dataclass
@@ -123,7 +139,8 @@ def invert_with_info(
     """Solve u - K[u] = w by Picard iteration, keeping diagnostics.
 
     Requires ||w||^2 < rho_L.  Iterates u <- w + K[u] until successive
-    iterates differ by less than ``tol`` in L2 or the cap is reached.
+    iterates differ by less than ``PICARD_TOL`` in L2, at most
+    ``PICARD_MAX_ITERS`` times.
     """
     with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
         norm_sq = w.l2_norm() ** 2
@@ -136,12 +153,12 @@ def invert_with_info(
     residuals: list[float] = []
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, PICARD_MAX_ITERS + 1):
         nxt = w + GridFunction(terms.profile(u.values))
         step = (nxt - u).l2_norm()
         residuals.append(step)
         u = nxt
-        if step < config.tol:
+        if step < PICARD_TOL:
             converged = True
             break
     return InversionResult(u, iterations, residuals, converged)
@@ -156,17 +173,12 @@ def dk_matrix(series: VolterraKernelSeries, u: GridFunction) -> np.ndarray:
     return np.ascontiguousarray(linearized_values(series, u, np.eye(u.size)).T)
 
 
-def neumann_norm_estimate(
-    series: VolterraKernelSeries,
-    u: GridFunction,
-    iters: int = 60,
-    seed: int = 0,
-) -> float:
+def neumann_norm_estimate(series: VolterraKernelSeries, u: GridFunction) -> float:
     """L2 operator norm of (I - DK[u])^{-1}, estimated on the mesh.
 
     Builds the dense derivative matrix, inverts it once, then runs power
-    iteration on the symmetrized inverse in the trapezoid-weighted inner
-    product.
+    iteration (``NEUMANN_ITERS`` steps from a seeded random start) on
+    the symmetrized inverse in the trapezoid-weighted inner product.
     """
     m = u.size
     a = np.eye(m) - dk_matrix(series, u)
@@ -177,11 +189,11 @@ def neumann_norm_estimate(
     # Similarity transform makes the weighted norm the euclidean norm.
     a_w = sq[:, None] * a / sq[None, :]
     inv = np.linalg.inv(a_w)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(NEUMANN_SEED)
     v = rng.standard_normal(m)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(NEUMANN_ITERS):
         z = inv.T @ (inv @ v)
         nz = np.linalg.norm(z)
         if nz == 0:
@@ -198,7 +210,6 @@ class LipschitzReport:
     worst_ratio: float
     threshold: float
     passed: bool
-    trials: int
     seed: int
 
 
@@ -206,23 +217,21 @@ def lipschitz_check(
     series: VolterraKernelSeries,
     gains: GainFunctions,
     s: float,
-    trials: int = 30,
-    mesh_points: int = 201,
     seed: int = 0,
-    tol: float = 1e-6,
 ) -> LipschitzReport:
     """Sample ||K[u] - K[v]|| / ||u - v|| against sqrt(ell(s)).
 
-    Draws random pairs with L2 norms at most sqrt(s) (smooth random
+    Draws ``LIPSCHITZ_TRIALS`` random pairs on the uniform mesh of
+    ``LIPSCHITZ_MESH_POINTS`` with L2 norms at most sqrt(s) (smooth random
     profiles, rescaled) and reports the worst observed ratio; passes
-    iff it stays below sqrt(ell(s)) + tol.
+    iff it stays below sqrt(ell(s)) + ``LIPSCHITZ_TOL``.
     """
     rng = np.random.default_rng(seed)
-    mesh = np.linspace(0.0, 1.0, mesh_points)
+    mesh = np.linspace(0.0, 1.0, LIPSCHITZ_MESH_POINTS)
     terms = SeriesTerms(series, mesh)
     threshold = math.sqrt(gain_ell(gains, s))
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(LIPSCHITZ_TRIALS):
         pair = []
         for _ in range(2):
             coeffs = rng.standard_normal(4)
@@ -241,4 +250,4 @@ def lipschitz_check(
             continue
         dk = GridFunction(terms.profile(u.values) - terms.profile(v.values)).l2_norm()
         worst = max(worst, dk / du)
-    return LipschitzReport(worst, threshold, worst <= threshold + tol, trials, seed)
+    return LipschitzReport(worst, threshold, worst <= threshold + LIPSCHITZ_TOL, seed)

@@ -62,6 +62,8 @@ CONTROLLERS = ("open-loop", "order-2", "order-3", "full-N_max")
 STEP_COST = 2500
 MAX_GRID_UPDATES = 2 * 10**9
 
+DECAY_RATE = 1.0  # lambda of the closed-loop decay estimate
+
 
 class SimConfigError(ValueError):
     """A simulation configuration failed validation."""
@@ -84,10 +86,9 @@ def cubic_pulse(x: np.ndarray) -> np.ndarray:
 class SimConfig:
     """Protocol knobs of one simulation run.
 
-    ``initial`` is either the name of a builtin profile (currently
-    ``cubic-pulse``) or a callable mapping mesh coordinates to values;
-    ``initial_scale`` multiplies it.  ``controller`` selects how many
-    kernel orders feed the boundary value.
+    The initial state is the cubic pulse times ``initial_scale``.
+    ``controller`` selects how many kernel orders feed the boundary
+    value.
     """
 
     mesh_points: int = 201
@@ -95,7 +96,6 @@ class SimConfig:
     t_end: float = 2.0
     controller: str = "open-loop"
     blow_up_threshold: float = 1e6
-    initial: str | Callable[[np.ndarray], np.ndarray] = "cubic-pulse"
     initial_scale: float = 1.0
     snapshot_count: int = 50
 
@@ -116,13 +116,7 @@ class SimConfig:
             raise SimConfigError("need at least 2 snapshot frames")
 
     def initial_values(self, mesh: np.ndarray) -> np.ndarray:
-        if callable(self.initial):
-            vals = np.asarray(self.initial(mesh), dtype=float)
-        elif self.initial == "cubic-pulse":
-            vals = cubic_pulse(mesh)
-        else:
-            raise SimConfigError(f"unknown initial profile {self.initial!r}")
-        return self.initial_scale * vals
+        return self.initial_scale * cubic_pulse(mesh)
 
     def describe(self) -> Dict:
         return {
@@ -131,7 +125,7 @@ class SimConfig:
             "t_end": self.t_end,
             "controller": self.controller,
             "blow_up_threshold": self.blow_up_threshold,
-            "initial": self.initial if isinstance(self.initial, str) else "custom",
+            "initial": "cubic-pulse",
             "initial_scale": self.initial_scale,
             "snapshot_count": self.snapshot_count,
         }
@@ -391,23 +385,20 @@ def target_semigroup(w0: GridFunction, t: float) -> GridFunction:
     return GridFunction(vals)
 
 
-def stability_constants(
-    s: float, ell_s: float, rho_l: float, lam: float
-) -> tuple[float, float]:
+def stability_constants(s: float, ell_s: float, rho_l: float) -> tuple[float, float]:
     """Closed-loop decay constants (C1, C2) from the gain data.
 
     C1 bounds the admissible initial norm, C2 the overshoot:
-    ||u(t)|| <= C2 exp(-lam t) ||u0|| whenever ||u0|| < C1.
+    ||u(t)|| <= C2 exp(-lambda t) ||u0|| whenever ||u0|| < C1, with
+    lambda = ``DECAY_RATE``.
     """
     if not (0.0 <= ell_s < 1.0):
         raise SimConfigError(f"ell_s must lie in [0, 1), got {ell_s}")
-    if lam <= 0:
-        raise SimConfigError(f"decay rate must be positive, got {lam}")
     if s < 0 or rho_l < 0:
         raise SimConfigError("radii cannot be negative")
     root = math.sqrt(ell_s)
     c1 = min(math.sqrt(s), math.sqrt(rho_l) / (1.0 + root))
-    c2 = math.exp(lam) * (1.0 + root) / (1.0 - root)
+    c2 = math.exp(DECAY_RATE) * (1.0 + root) / (1.0 - root)
     return c1, c2
 
 

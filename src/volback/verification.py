@@ -34,12 +34,12 @@ from .gapcascade import (
     phi_eval,
     split_gap_integration,
 )
-from .inversion import choose_radius, lipschitz_check
+from .inversion import builtin_design, lipschitz_check
 from .polynomial import RationalPoly
 from .simplex import QuadratureRule, SimplexPoint, compositions, integrate_simplex
 from .volterra import (
+    GROWTH_SAMPLES,
     VolterraKernelSeries,
-    build_gains,
     check_growth_assumption,
     coupling_bound_check,
     kernel_l2_sq,
@@ -47,6 +47,9 @@ from .volterra import (
 from .simulator import stability_constants
 
 MultiIndex = tuple[int, ...]
+
+COMPARE_POINTS = 200  # random points of T_n(1) per order in compare_constructions
+DP_TRIALS = 20  # random families or pairs per divided-power norm check
 
 
 @dataclass
@@ -60,10 +63,8 @@ class CheckResult:
         return f"[{tag}] {self.name}: {self.detail}"
 
 
-def _random_simplex_points(
-    rng: np.random.Generator, n: int, count: int, x: float = 1.0
-) -> np.ndarray:
-    pts = np.sort(rng.uniform(0.0, x, size=(count, n)), axis=1)[:, ::-1]
+def _random_simplex_points(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    pts = np.sort(rng.uniform(0.0, 1.0, size=(count, n)), axis=1)[:, ::-1]
     return np.ascontiguousarray(pts)
 
 
@@ -76,14 +77,12 @@ def check_coupling_bound(seed: int = 0) -> CheckResult:
     (4, 2), the two orders with a nonzero operator.
     """
     plant = pdae_plant()
-    nodes = build_controller_kernels(plant, 3)
-    table = {nd.order: nd for nd in nodes}
-    series = VolterraKernelSeries({nd.order: nd for nd in nodes})
+    series, _, _ = builtin_design()
     rule = QuadratureRule(8)
     details = []
     all_ok = True
     for n, m in ((3, 2), (4, 2)):
-        b = coupling_polynomial(n, m, table[n - m + 1], plant.kernel(m))
+        b = coupling_polynomial(n, m, series.kernel(n - m + 1), plant.kernel(m))
         b_norm = math.sqrt(integrate_simplex(n, 1.0, lambda x, xi: b(x, xi) ** 2, rule))
         k_norm = math.sqrt(kernel_l2_sq(series, n - m + 1, rule))
         report = coupling_bound_check(n, m, k_norm, 1.0, b_norm)
@@ -94,12 +93,8 @@ def check_coupling_bound(seed: int = 0) -> CheckResult:
 
 def check_lipschitz(seed: int = 0) -> CheckResult:
     """Series operator Lipschitz constant at the balanced radius."""
-    plant = pdae_plant()
-    nodes = build_controller_kernels(plant, 3)
-    series = VolterraKernelSeries({nd.order: nd for nd in nodes})
-    gains = build_gains(series, QuadratureRule(12))
-    cfg = choose_radius(gains)
-    report = lipschitz_check(series, gains, cfg.s, trials=20, seed=seed)
+    series, gains, cfg = builtin_design()
+    report = lipschitz_check(series, gains, cfg.s, seed=seed)
     return CheckResult(
         "lipschitz-gain",
         report.passed,
@@ -160,7 +155,7 @@ def _random_family(rng: np.random.Generator, n: int) -> Dict[MultiIndex, Rationa
     return entries
 
 
-def check_dp_submultiplicative(seed: int = 0, trials: int = 20) -> CheckResult:
+def check_dp_submultiplicative(seed: int = 0) -> CheckResult:
     """Divided-power product norm is bounded by the product of norms.
 
     Every norm is :func:`dp_norm`'s sampled sup, a lower bound of the true
@@ -169,7 +164,7 @@ def check_dp_submultiplicative(seed: int = 0, trials: int = 20) -> CheckResult:
     rng = np.random.default_rng(seed)
     r, big_r = 0.9, 1.7
     worst_margin = -math.inf
-    for _ in range(trials):
+    for _ in range(DP_TRIALS):
         n = int(rng.integers(2, 5))
         a_raw = _random_family(rng, n)
         b_raw = _random_family(rng, n)
@@ -185,11 +180,11 @@ def check_dp_submultiplicative(seed: int = 0, trials: int = 20) -> CheckResult:
         "dp-product-norm",
         passed,
         "sampled sup (lower bound): "
-        f"worst excess {worst_margin:.3e} over {trials} random pairs",
+        f"worst excess {worst_margin:.3e} over {DP_TRIALS} random pairs",
     )
 
 
-def check_split_gap_bound(seed: int = 0, trials: int = 20) -> CheckResult:
+def check_split_gap_bound(seed: int = 0) -> CheckResult:
     """Split-gap integration contracts the norm by a factor r.
 
     Compares sampled sups (lower bounds), as :func:`check_dp_submultiplicative`.
@@ -197,7 +192,7 @@ def check_split_gap_bound(seed: int = 0, trials: int = 20) -> CheckResult:
     rng = np.random.default_rng(seed)
     r, big_r = 0.9, 1.7
     worst_margin = -math.inf
-    for _ in range(trials):
+    for _ in range(DP_TRIALS):
         n_out = int(rng.integers(2, 4))
         raw = _random_family(rng, n_out + 1)
         d = int(rng.integers(0, n_out))
@@ -223,17 +218,17 @@ def check_split_gap_bound(seed: int = 0, trials: int = 20) -> CheckResult:
         "split-gap-integration-norm",
         passed,
         "sampled sup (lower bound): "
-        f"worst excess {worst_margin:.3e} over {trials} random families",
+        f"worst excess {worst_margin:.3e} over {DP_TRIALS} random families",
     )
 
 
 def check_growth_sampling(seed: int = 0) -> CheckResult:
     """Plant kernels stay below the factorial growth envelope."""
-    report = check_growth_assumption(pdae_plant(), samples=200, seed=seed)
+    report = check_growth_assumption(pdae_plant(), seed=seed)
     return CheckResult(
         "growth-envelope",
         report.passed,
-        f"worst ratio {report.worst_ratio:.4f} over {report.samples} samples",
+        f"worst ratio {report.worst_ratio:.4f} over {GROWTH_SAMPLES} samples",
     )
 
 
@@ -283,23 +278,22 @@ def compare_constructions(
     recursion: VolterraKernelSeries,
     gap: VolterraKernelSeries,
     seed: int = 0,
-    points: int = 200,
 ) -> tuple[bool, float]:
     """Whether the kernels built by the recursion (or closed forms) and by
     the gap cascade have the same monomials, order by order, and the
-    largest difference of their float values at ``points`` random points
-    of T_n(1) per order, drawn from ``seed`` (exactly 0 when the
+    largest difference of their float values at ``COMPARE_POINTS`` random
+    points of T_n(1) per order, drawn from ``seed`` (exactly 0 when the
     monomials agree, as equal kernels sum them in the same order)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n, kern in recursion.kernels.items():
-        pts = _random_simplex_points(rng, n, points)
+        pts = _random_simplex_points(rng, n, COMPARE_POINTS)
         worst = max(worst, float(np.max(np.abs(kern(1.0, pts) - gap.kernel(n)(1.0, pts)))))
     equal = all(k.monomials == gap.kernel(n).monomials for n, k in recursion.kernels.items())
     return equal, worst
 
 
-def check_dual_construction(seed: int = 0, points: int = 200) -> CheckResult:
+def check_dual_construction(seed: int = 0) -> CheckResult:
     """Both kernel constructions give the same monomials; the detail
     reports their largest float difference on random simplex points."""
     nodes = build_controller_kernels(pdae_plant(), 3)
@@ -308,7 +302,6 @@ def check_dual_construction(seed: int = 0, points: int = 200) -> CheckResult:
         VolterraKernelSeries({nd.order: nd for nd in nodes}),
         VolterraKernelSeries({n: assemble_kernel_polynomial(a, n) for n in (2, 3)}),
         seed,
-        points,
     )
     return CheckResult(
         "dual-construction",
@@ -322,11 +315,11 @@ def check_stability_arithmetic() -> CheckResult:
     """Closed-loop constants of the worked example (s = 3/16, ell = 1/2,
     rho_L = 21/256, lambda = 1) match its values, and the overshoot grows
     with ell.  These are not the gains that ``run gains`` certifies."""
-    c1, c2 = stability_constants(3.0 / 16.0, 0.5, 21.0 / 256.0, 1.0)
+    c1, c2 = stability_constants(3.0 / 16.0, 0.5, 21.0 / 256.0)
     ok = abs(c1 - 0.1678) < 5e-4 and abs(c2 - 15.84) < 5e-2
     last = 0.0
     for ell in (0.1, 0.3, 0.5, 0.7, 0.9):
-        _, c2i = stability_constants(3.0 / 16.0, ell, 21.0 / 256.0, 1.0)
+        _, c2i = stability_constants(3.0 / 16.0, ell, 21.0 / 256.0)
         ok = ok and c2i > last
         last = c2i
     return CheckResult(

@@ -58,6 +58,9 @@ import numpy as np
 from .polynomial import SimplexPolyKernel
 from .simplex import QuadratureRule, simplex_nodes
 
+GROWTH_SAMPLES = 200  # random points per order of check_growth_assumption
+COUPLING_TOL = 1e-9  # slack of coupling_bound_check's squared norms
+
 
 class SeriesDefinitionError(ValueError):
     """A kernel series was assembled with inconsistent orders or data."""
@@ -109,14 +112,15 @@ class GridFunction:
 
 @dataclass
 class VolterraKernelSeries:
-    """A truncated Volterra kernel family {f_n}, orders starting at 2.
+    """A truncated Volterra kernel family {f_n} of orders 2 and above.
 
     ``kernels`` maps the order n to its exact polynomial, a
     :class:`SimplexPolyKernel` of order n; a kernel node (anything with
     such a polynomial as its ``polynomial``) is unwrapped to it.  This is
     the one place that decides what a kernel is: anything else, or a
     kernel whose order differs from its key, is a
-    :class:`SeriesDefinitionError` naming the order.  ``growth``
+    :class:`SeriesDefinitionError` naming the order.  An absent order is
+    zero, so the lowest order present may lie above 2.  ``growth``
     optionally carries the (D, rho) pair of the plant growth assumption.
     """
 
@@ -139,10 +143,6 @@ class VolterraKernelSeries:
             if poly.order != n:
                 raise SeriesDefinitionError(f"order-{n} kernel has order {poly.order}")
             polys[n] = poly
-        if polys and min(polys) != 2:
-            raise SeriesDefinitionError(
-                f"lowest order present must be 2, got {min(polys)}"
-            )
         self.kernels = dict(sorted(polys.items()))
         if self.growth is not None:
             d, rho = self.growth
@@ -178,7 +178,7 @@ class MeshCascade:
     equal trailing exponents share their inner passes: the exponent
     tuples of all orders form one suffix trie, level j holding the
     length-(j+1) suffixes, and each level is one batched ``cumsum`` over
-    its nodes.  Orders start at 2, as in every ``VolterraKernelSeries``.
+    its nodes.  No order is below 2, as in every ``VolterraKernelSeries``.
 
     Each order is read as weights over a prefix of one trie level,
     contracted over the nodes.  The trie inserts orders in increasing
@@ -513,19 +513,16 @@ class GrowthReport:
     worst_ratio: float
     passed: bool
     per_order: Dict[int, float]
-    samples: int
     seed: int
 
 
-def check_growth_assumption(
-    series: VolterraKernelSeries, samples: int = 200, seed: int = 0
-) -> GrowthReport:
+def check_growth_assumption(series: VolterraKernelSeries, seed: int = 0) -> GrowthReport:
     """Sample |f_n(x, xi)| rho^(n-1) / (n! D) over random points.
 
     The series must carry growth metadata (D, rho).  For each order the
     upper limit x is drawn uniformly from [0, 1] and the coordinates
-    uniformly from T_n(x); the report passes iff the worst observed
-    ratio is at most 1.
+    uniformly from T_n(x), at ``GROWTH_SAMPLES`` points; the report
+    passes iff the worst observed ratio is at most 1.
     """
     if series.growth is None:
         raise SeriesDefinitionError("series has no growth metadata (D, rho)")
@@ -534,8 +531,8 @@ def check_growth_assumption(
     per_order: Dict[int, float] = {}
     worst = 0.0
     for n, kern in series.kernels.items():
-        xs = rng.uniform(0.0, 1.0, size=samples)
-        pts = -np.sort(-rng.uniform(0.0, 1.0, size=(samples, n)), axis=1) * xs[:, None]
+        xs = rng.uniform(0.0, 1.0, size=GROWTH_SAMPLES)
+        pts = -np.sort(-rng.uniform(0.0, 1.0, size=(GROWTH_SAMPLES, n)), axis=1) * xs[:, None]
         vals = np.abs(np.asarray(kern(xs, pts), dtype=float))
         peak = float(np.max(vals))
         try:
@@ -544,7 +541,7 @@ def check_growth_assumption(
             ratio = math.inf if peak else 0.0
         per_order[n] = ratio
         worst = max(worst, ratio)
-    return GrowthReport(worst, worst <= 1.0, per_order, samples, seed)
+    return GrowthReport(worst, worst <= 1.0, per_order, seed)
 
 
 @dataclass
@@ -553,7 +550,6 @@ class CouplingBoundReport:
 
     n: int
     m: int
-    x: float
     coefficient: float
     lhs_sq: float
     rhs_sq: float
@@ -566,10 +562,8 @@ def coupling_bound_check(
     k_lower_norm: float,
     f_m_sup: float,
     b_norm_estimate: float,
-    x: float = 1.0,
-    tol: float = 1e-9,
 ) -> CouplingBoundReport:
-    """Check the L2 bound on the order-(n, m) coupling term.
+    """Check the L2 bound on the order-(n, m) coupling term at x = 1.
 
     The bound reads
 
@@ -577,7 +571,8 @@ def coupling_bound_check(
                    * (x^m sup|f_m|^2 / m!) * ||k_{n-m+1}||^2,
 
     e.g. combinatorial coefficient 8 and overall factor 4 for
-    (n, m, x) = (3, 2, 1) with a unit kernel bound.
+    (n, m) = (3, 2) with a unit kernel bound; it passes within
+    ``COUPLING_TOL``.
     """
     if not (2 <= m <= n):
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
@@ -586,6 +581,6 @@ def coupling_bound_check(
         * (n - m + 1)
         / (math.factorial(m + 1) * math.factorial(n - m))
     )
-    rhs = coeff * (x**m * f_m_sup**2 / math.factorial(m)) * k_lower_norm**2
+    rhs = coeff * (f_m_sup**2 / math.factorial(m)) * k_lower_norm**2
     lhs = b_norm_estimate**2
-    return CouplingBoundReport(n, m, x, coeff, lhs, rhs, lhs <= rhs + tol)
+    return CouplingBoundReport(n, m, coeff, lhs, rhs, lhs <= rhs + COUPLING_TOL)

@@ -83,7 +83,7 @@ class TestParsePlant:
             ("D = 0.1\nRho = 1\n2 0,0 10\n", r"line 2: unknown metadata key 'Rho'"),
             ("D = 1\nrho = 1\nD = 2\n2 0,0 1\n", r"line 3: metadata key 'D' repeats line 1"),
             ("D = 0.1\n2 0,0 10\n", r"line 1: D without rho"),
-            ("mu = 1\nrho = 1\n2 0,0 1\n", r"line 2: rho without D"),
+            ("rho = 1\n2 0,0 1\n", r"line 1: rho without D"),
         ],
         ids=["misspelt", "repeated", "D-alone", "rho-alone"],
     )
@@ -94,6 +94,14 @@ class TestParsePlant:
         f.write_text(text)
         with pytest.raises(PlantParseError, match=message):
             parse_plant(f)
+
+    @pytest.mark.parametrize("key", ["mu", "nu"])
+    def test_unread_metadata_key_exits_2_naming_line(self, out_root, tmp_path, capsys, key):
+        # No command reads mu or nu from a plant file, so neither is accepted.
+        f = tmp_path / "plant.txt"
+        f.write_text(f"D = 1\nrho = 1\n{key} = 1\n2 0,0 1\n")
+        assert main(["kernels", "--plant", str(f)]) == 2
+        assert f"line 3: unknown metadata key '{key}'" in capsys.readouterr().err
 
 
 class TestLoadPlant:
@@ -243,11 +251,23 @@ class TestMain:
         plant.write_text("2 0,0 1\n")
         assert main(["kernels", "--plant", str(plant), "--order", "3"]) == 0
 
-    def test_plant_without_order_2_exits_2(self, out_root, tmp_path, capsys):
+    def test_cubic_plant_cross_check_passes(self, out_root, tmp_path):
+        # No order needs f_2: a missing order is zero in both constructions.
         plant = tmp_path / "plant.txt"
-        plant.write_text("3 0,0,0 1\n")
-        assert main(["kernels", "--plant", str(plant), "--order", "3"]) == 2
-        assert "lowest order present must be 2" in capsys.readouterr().err
+        plant.write_text("D = 1\nrho = 1\n3 0,0,0 1\n")
+        assert main(["kernels", "--plant", str(plant), "--order", "5"]) == 0
+        doc = json.loads((out_root / "kernels" / "consistency.json").read_text())
+        assert doc["consistency"]["passed"]
+        assert doc["consistency"]["max_abs_difference"] == 0.0
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"plant = {plant}\ncontroller = full-N_max\nmesh_points = 51\n"
+            "initial_scale = 0.3\ncheck_kernels = yes\ncheck_mild_solution = yes\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        meta = json.loads((out_root / "simulate" / "metadata.json").read_text())
+        assert meta["blow_up"] is None
+        assert meta["checks"]["kernel_cross_check"]["passed"]
 
     def test_kernels_order_4_cross_check_passes(self, out_root):
         assert main(["kernels", "--plant", "pdae", "--order", "4"]) == 0

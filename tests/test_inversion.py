@@ -10,6 +10,7 @@ from volback import inversion
 from volback.inversion import (
     InversionConfig,
     InversionDomainError,
+    LIPSCHITZ_MESH_POINTS,
     NoContractionError,
     choose_radius,
     dk_matrix,
@@ -71,15 +72,9 @@ class TestChooseRadius:
         assert cfg.s == 1.0
         assert cfg.rho_L == 0.5
 
-    def test_bad_target_rejected(self, gains):
-        with pytest.raises(InversionDomainError):
-            choose_radius(gains, target_ell=1.0)
-
     def test_config_validation(self):
         with pytest.raises(InversionDomainError):
             InversionConfig(s=-1.0, rho_L=0.1)
-        with pytest.raises(InversionDomainError):
-            InversionConfig(s=0.1, rho_L=0.1, tol=0.0)
 
 
 class TestInvert:
@@ -203,9 +198,7 @@ class TestNeumannEstimate:
 
 class TestLipschitzSampling:
     def test_report_passes_on_certified_ball(self, kernel_series, gains, config):
-        report = lipschitz_check(
-            kernel_series, gains, config.s, trials=10, mesh_points=101
-        )
+        report = lipschitz_check(kernel_series, gains, config.s)
         assert report.passed
         assert report.worst_ratio <= report.threshold + 1e-6
         assert report.threshold == pytest.approx(math.sqrt(0.5), abs=1e-6)
@@ -237,6 +230,6 @@ class TestEvaluatorsBuiltOnce:
         assert np.array_equal(u.values, res.u.values)
 
     def test_lipschitz_pairs_share_evaluators(self, kernel_series, gains, config, builds):
-        report = lipschitz_check(kernel_series, gains, config.s, trials=4, mesh_points=51)
+        report = lipschitz_check(kernel_series, gains, config.s)
         assert report.passed
-        assert builds == [51]
+        assert builds == [LIPSCHITZ_MESH_POINTS]

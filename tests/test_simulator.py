@@ -66,11 +66,6 @@ class TestConfig:
         cfg = SimConfig(initial_scale=2.0)
         assert cfg.initial_values(mesh) == pytest.approx(2.0 * cubic_pulse(mesh))
 
-    def test_callable_initial(self):
-        mesh = np.linspace(0.0, 1.0, 11)
-        cfg = SimConfig(initial=lambda x: x**2)
-        assert cfg.initial_values(mesh) == pytest.approx(mesh**2)
-
     def test_grid_budget_admits_the_finest_protocol_mesh(self):
         # M = 1601 at t_end = 2 and CFL 0.5 takes 6400 steps; each grid
         # update costs 1 + the order-3 controller's trie nodes + the
@@ -445,7 +440,7 @@ class TestTargetFlow:
 class TestStabilityConstants:
     def test_frozen_quadratic_only_values(self):
         s, rho_l, ell_s = 3.0 / 16.0, 21.0 / 256.0, 0.5
-        c1, c2 = stability_constants(s, ell_s, rho_l, lam=1.0)
+        c1, c2 = stability_constants(s, ell_s, rho_l)
         assert c1 == pytest.approx(math.sqrt(rho_l) / (1 + math.sqrt(0.5)), rel=1e-12)
         assert c1 == pytest.approx(0.1678, abs=5e-4)
         assert c2 == pytest.approx(math.e * (1 + math.sqrt(0.5)) / (1 - math.sqrt(0.5)))
@@ -453,10 +448,10 @@ class TestStabilityConstants:
 
     def test_ell_must_stay_below_one(self):
         with pytest.raises(SimConfigError):
-            stability_constants(0.1, 1.0, 0.05, lam=1.0)
+            stability_constants(0.1, 1.0, 0.05)
 
     def test_overshoot_grows_with_ell(self):
-        vals = [stability_constants(0.1, e, 0.05, lam=1.0)[1] for e in (0.1, 0.5, 0.9)]
+        vals = [stability_constants(0.1, e, 0.05)[1] for e in (0.1, 0.5, 0.9)]
         assert vals == sorted(vals)
 
 

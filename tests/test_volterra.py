@@ -74,9 +74,9 @@ class TestSeriesValidation:
         with pytest.raises(SeriesDefinitionError):
             VolterraKernelSeries({1: pdae_k2()})
 
-    def test_min_order_must_be_two(self):
-        with pytest.raises(SeriesDefinitionError):
-            VolterraKernelSeries({3: pdae_k3()})
+    def test_lowest_order_may_exceed_two(self):
+        # An absent order is zero: a purely cubic series is a series.
+        assert VolterraKernelSeries({3: pdae_k3()}).orders == (3,)
 
     def test_kernel_order_must_match_its_key(self):
         # Accepted, this series failed later: series_profile with a bare
@@ -202,7 +202,7 @@ class TestGains:
 
 class TestGrowthSampling:
     def test_quadratic_example_passes(self, plant):
-        report = check_growth_assumption(plant, samples=100, seed=3)
+        report = check_growth_assumption(plant, seed=3)
         assert report.passed
         assert report.worst_ratio == pytest.approx(0.5)
 
