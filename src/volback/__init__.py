@@ -31,89 +31,3 @@ design:
 """
 
 __version__ = "0.1.0"
-
-from .simplex import (
-    QuadratureRule,
-    SimplexDomainError,
-    SimplexPoint,
-    integrate_simplex,
-    simplex_contains,
-)
-from .volterra import (
-    GainFunctions,
-    GridFunction,
-    VolterraKernelSeries,
-    check_growth_assumption,
-    coupling_bound_check,
-    gain_ell,
-    gain_k,
-    kernel_l2_sq,
-    series_profile,
-)
-from .charkernels import (
-    KernelNode,
-    build_controller_kernels,
-    pdae_closed_forms,
-)
-from .gapcascade import (
-    GammaKey,
-    GapCoefficientFamily,
-    assemble_kernel_polynomial,
-    cascade,
-    coupling_c,
-    dp_norm,
-    gamma_table,
-    phi_eval,
-)
-from .inversion import (
-    InversionConfig,
-    choose_radius,
-    lipschitz_check,
-)
-from .simulator import (
-    SimConfig,
-    SimulationRecord,
-    feedback,
-    mild_solution_residual,
-    simulate,
-    stability_constants,
-    target_semigroup,
-)
-
-__all__ = [
-    "QuadratureRule",
-    "SimplexDomainError",
-    "SimplexPoint",
-    "integrate_simplex",
-    "simplex_contains",
-    "GainFunctions",
-    "GridFunction",
-    "VolterraKernelSeries",
-    "check_growth_assumption",
-    "coupling_bound_check",
-    "gain_ell",
-    "gain_k",
-    "kernel_l2_sq",
-    "series_profile",
-    "KernelNode",
-    "build_controller_kernels",
-    "pdae_closed_forms",
-    "GammaKey",
-    "GapCoefficientFamily",
-    "assemble_kernel_polynomial",
-    "cascade",
-    "coupling_c",
-    "dp_norm",
-    "gamma_table",
-    "phi_eval",
-    "InversionConfig",
-    "choose_radius",
-    "lipschitz_check",
-    "SimConfig",
-    "SimulationRecord",
-    "feedback",
-    "mild_solution_residual",
-    "simulate",
-    "stability_constants",
-    "target_semigroup",
-]

@@ -30,7 +30,7 @@ every step is exact rational integration of monomials.  In B[n, m] the
 variables of k_p and f_m are renamed into (x, xi_1, ..., xi_n, s), and since
 both bounds of the s-integral are single variables, evaluating its
 antiderivative is another rename.  The characteristic integral expands
-each monomial of I binomially in t.  The kernels therefore equal the
+I binomially in t, one variable at a time.  The kernels therefore equal the
 gap cascade's polynomials coefficient for coefficient, which is how
 :func:`volback.verification.compare_constructions` cross-checks the two.
 """
@@ -38,7 +38,7 @@ gap cascade's polynomials coefficient for coefficient, which is how
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Dict, Mapping
 
 import numpy as np
@@ -158,23 +158,34 @@ def coupling_polynomial(
 
 def _characteristic(n: int, forcing: Mapping[Exps, Fraction]) -> SimplexPolyKernel:
     """k_n(x, xi) = -int_{-xi_n}^0 I(x + t, xi_1 + t, ..., xi_n + t) dt
-    for the forcing I given by its monomials."""
-    out: Dict[Exps, Fraction] = {}
-    for e, c in forcing.items():
-        # prod_v (v + t)^{e_v} = sum_k prod_v C(e_v, k_v) v^{e_v - k_v} t^{k_v}
-        expansion: list[tuple[Exps, int, int]] = [((), 1, 0)]
-        for a in e:
-            expansion = [
-                (rest + (a - k,), weight * comb(a, k), power + k)
-                for rest, weight, power in expansion
-                for k in range(a + 1)
-            ]
-        # -int_{-xi_n}^0 t^K dt = (-1)^(K+1) xi_n^(K+1) / (K + 1)
-        for rest, weight, power in expansion:
-            key = rest[:n] + (rest[n] + power + 1,)
-            sign = -1 if power % 2 == 0 else 1
-            _add(out, key, c * Fraction(sign * weight, power + 1))
-    return _kernel(n, out)
+    for the forcing I given by its monomials.
+
+    Substitutes v -> v + t one variable at a time and sums equal terms
+    after each pass, in integers over the forcing's common denominator.
+    """
+    den = lcm(1, *(c.denominator for c in forcing.values()))
+    # Exponents of (x, xi_1, ..., xi_n, t).
+    terms: Dict[Exps, int] = {
+        (*e, 0): c.numerator * (den // c.denominator) for e, c in forcing.items() if c
+    }
+    for v in range(n + 1):
+        # (v + t)^a = sum_k C(a, k) v^(a - k) t^k
+        shifted: Dict[Exps, int] = {}
+        for e, c in terms.items():
+            a = e[v]
+            for k in range(a + 1):
+                key = (*e[:v], a - k, *e[v + 1 : -1], e[-1] + k)
+                shifted[key] = shifted.get(key, 0) + c * comb(a, k)
+        terms = shifted
+    # -int_{-xi_n}^0 t^K dt = (-1)^(K+1) xi_n^(K+1) / (K + 1)
+    scale = lcm(1, *(e[-1] + 1 for e in terms))
+    out: Dict[Exps, int] = {}
+    for e, c in terms.items():
+        power = e[-1]
+        key = (*e[:n], e[n] + power + 1)
+        sign = -1 if power % 2 == 0 else 1
+        out[key] = out.get(key, 0) + sign * c * (scale // (power + 1))
+    return _kernel(n, {e: Fraction(c, den * scale) for e, c in out.items()})
 
 
 def _recursion_kernel(

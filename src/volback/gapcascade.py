@@ -60,7 +60,7 @@ from typing import Dict, Iterator, Mapping, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .polynomial import RationalPoly, SimplexPolyKernel
-from .simplex import SimplexPoint, compositions, ordered_splits
+from .simplex import compositions, ordered_splits
 
 MultiIndex = Tuple[int, ...]
 
@@ -145,20 +145,6 @@ class GammaKey(NamedTuple):
     sigma: int
     tau: int
     alpha: MultiIndex
-
-
-def phi_eval(P: Sequence[int], point: SimplexPoint) -> float:
-    """Phi_P at a simplex point: product of gap powers over factorials."""
-    gaps = point.gaps
-    if len(P) != len(gaps):
-        raise FamilyConfigError(
-            f"multi-index length {len(P)} does not match point order {point.order}"
-        )
-    val = 1.0
-    for g, p in zip(gaps, P):
-        if p:
-            val *= g ** int(p) / math.factorial(int(p))
-    return val
 
 
 def _dp_mul_gap(a: Dict[MultiIndex, int], b: Dict[MultiIndex, int]) -> Dict[MultiIndex, int]:
@@ -507,8 +493,8 @@ def assemble_kernel_polynomial(a_family: GapCoefficientFamily, n: int) -> Simple
     return _expand_kernel(a_family, n, shifted=True)
 
 
-def dp_norm(family: GapCoefficientFamily, r: float, R: float) -> float:
-    """The weighted coefficient norm of a finite family.
+def dp_norm(entries: Mapping[MultiIndex, RationalPoly], r: float, R: float) -> float:
+    """The weighted coefficient norm of one order's coefficients ``{P: poly}``.
 
     sup over x in [0, 1] (sampled on a 1001-point grid, hence a lower
     bound of the true sup) of
@@ -521,7 +507,7 @@ def dp_norm(family: GapCoefficientFamily, r: float, R: float) -> float:
         raise ValueError(f"norm weights must be positive, got r={r}, R={R}")
     grid = np.linspace(0.0, 1.0, 1001)
     acc = np.zeros_like(grid)
-    for (_, P), poly in family.entries.items():
+    for P, poly in entries.items():
         pfact = 1.0
         for pw in P:
             pfact *= math.factorial(pw)
@@ -531,7 +517,7 @@ def dp_norm(family: GapCoefficientFamily, r: float, R: float) -> float:
             if dp.is_zero():
                 break
             acc += np.abs(dp(grid)) * weight * R**sigma / math.factorial(sigma)
-    return float(np.max(acc)) if family.entries else 0.0
+    return float(np.max(acc)) if entries else 0.0
 
 
 def dp_family_product(

@@ -305,8 +305,8 @@ def _check_order_cap(n_max: int) -> None:
 
 # The cross-check builds every order by the cascade and by the exact
 # recursion.  For pdae on a 2-core x86-64 VM the cascade plus assembly
-# take about 0.2 s to order 5, 3.7 s to order 6 and over 80 s to order
-# 7; the recursion 0.2 s, 1.7 s and 30 s.
+# take about 0.15 s to order 5, 3 s to order 6 and 80 s to order 7; the
+# recursion 0.04 s, 0.4 s and 2.9 s.
 CROSS_CHECK_MAX_ORDER = 6
 
 

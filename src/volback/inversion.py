@@ -105,12 +105,17 @@ def choose_radius(gains: GainFunctions) -> InversionConfig:
     return InversionConfig(s=s, rho_L=rho_l)
 
 
+def builtin_series() -> VolterraKernelSeries:
+    """The builtin plant's order-3 controller series, by the recursion."""
+    return VolterraKernelSeries(
+        {node.order: node for node in build_controller_kernels(pdae_plant(), 3)}
+    )
+
+
 def builtin_design() -> tuple[VolterraKernelSeries, GainFunctions, InversionConfig]:
     """The builtin plant's order-3 controller series, its gains under
     ``GAIN_RULE`` and the balanced radius (:func:`choose_radius`)."""
-    series = VolterraKernelSeries(
-        {node.order: node for node in build_controller_kernels(pdae_plant(), 3)}
-    )
+    series = builtin_series()
     gains = build_gains(series, GAIN_RULE)
     return series, gains, choose_radius(gains)
 

@@ -4,14 +4,9 @@ The integration domains throughout the package are the ordered simplices
 
     T_n(x) = { (xi_1, ..., xi_n) : 0 <= xi_n <= ... <= xi_1 <= x },
 
-with volume x**n / n!.  Points carry the upper limit ``x`` alongside the
-coordinates because every kernel evaluation needs it.  The gap
-coordinates of a point are the consecutive differences
-
-    gaps = (x - xi_1, xi_1 - xi_2, ..., xi_{n-1} - xi_n),
-
-the natural variables for the divided-power calculus in
-:mod:`volback.gapcascade`.
+with volume x**n / n!.  A set of N points of T_n(x) is an (N, n) array
+of descending rows, evaluated together with the upper limit ``x`` as
+kernels are, ``kern(x, xi)``.
 
 Two cached enumerators serve the kernel constructions: the
 order-preserving splits of trailing positions into two blocks
@@ -22,7 +17,7 @@ The one quadrature rule is Gauss-Legendre applied axis by axis in
 stick-breaking coordinates, ``resolution`` nodes per axis, all strictly
 inside the simplex.  It is exact for polynomial integrands of per-axis
 degree below roughly twice the node count, which is what the kernel
-norms and the property checks integrate.
+norms integrate.
 """
 
 from __future__ import annotations
@@ -30,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Iterable
 
 import numpy as np
+
 
 class SimplexDomainError(ValueError):
     """A point or parameter fell outside the admissible simplex data."""
@@ -40,53 +35,6 @@ class SimplexDomainError(ValueError):
 
 class QuadratureConfigError(ValueError):
     """A quadrature rule was configured with unusable parameters."""
-
-
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A point of T_n(x): upper limit ``x`` plus descending coordinates.
-
-    Construction validates membership exactly (no tolerance): the
-    coordinates must satisfy 0 <= xi[n-1] <= ... <= xi[0] <= x <= 1.
-    """
-
-    x: float
-    xi: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        xi = tuple(float(v) for v in self.xi)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "x", float(self.x))
-        if len(xi) == 0:
-            raise SimplexDomainError("simplex points need at least one coordinate")
-        if not simplex_contains(self.x, xi):
-            raise SimplexDomainError(
-                f"point xi={xi} is not in T_{len(xi)}({self.x})"
-            )
-
-    @property
-    def order(self) -> int:
-        return len(self.xi)
-
-    @property
-    def gaps(self) -> tuple[float, ...]:
-        chain = (self.x,) + self.xi
-        return tuple(chain[i] - chain[i + 1] for i in range(len(self.xi)))
-
-
-def simplex_contains(x: float, xi: Iterable[float]) -> bool:
-    """Exact membership test for T_n(x).
-
-    Accepts precisely the tuples with 0 <= xi_n <= ... <= xi_1 <= x and
-    0 <= x <= 1; boundary points belong to the simplex.
-    """
-    xs = list(xi)
-    if not xs:
-        return False
-    if not (0.0 <= x <= 1.0):
-        return False
-    chain = [x] + xs + [0.0]
-    return all(chain[i] >= chain[i + 1] for i in range(len(chain) - 1))
 
 
 @dataclass(frozen=True)
@@ -133,24 +81,6 @@ def simplex_nodes(n: int, x: float, rule: QuadratureRule) -> tuple[np.ndarray, n
         upper = pts_axis.ravel()
         weights = w_axis.ravel()
     return np.stack(cols, axis=1), weights
-
-
-def integrate_simplex(
-    n: int,
-    x: float,
-    integrand: Callable,
-    rule: QuadratureRule,
-) -> float:
-    """Integrate a scalar function over T_n(x) with the given rule.
-
-    ``integrand(x, points)`` maps the scalar upper limit and an (N, n)
-    coordinate array to N values, as the kernels of this package do.
-    ``x == 0`` returns 0.0 without evaluating the integrand.
-    """
-    pts, w = simplex_nodes(n, x, rule)
-    if len(w) == 0:
-        return 0.0
-    return float(np.dot(np.asarray(integrand(x, pts), dtype=float), w))
 
 
 @lru_cache(maxsize=None)

@@ -434,10 +434,9 @@ def linearized_profile(
     return GridFunction(linearized_values(series, u, h.values))
 
 
-def kernel_l2_sq(series: VolterraKernelSeries, n: int, rule: QuadratureRule) -> float:
-    """Squared L2 norm of the order-n kernel over T_n(1)."""
-    kern = series.kernel(n)
-    pts, w = simplex_nodes(n, 1.0, rule)
+def kernel_l2_sq(kern: SimplexPolyKernel, rule: QuadratureRule) -> float:
+    """Squared L2 norm of a kernel over T_n(1), n its order."""
+    pts, w = simplex_nodes(kern.order, 1.0, rule)
     vals = np.asarray(kern(1.0, pts), dtype=float)
     return float(np.dot(vals * vals, w))
 
@@ -489,7 +488,7 @@ class GainFunctions:
 def build_gains(series: VolterraKernelSeries, rule: QuadratureRule) -> GainFunctions:
     """Compute kernel norms for every stored order and package them."""
     orders = series.orders
-    return GainFunctions(orders, tuple(kernel_l2_sq(series, n, rule) for n in orders))
+    return GainFunctions(orders, tuple(kernel_l2_sq(series.kernel(n), rule) for n in orders))
 
 
 def gain_k(gains: GainFunctions, s: float) -> float:

@@ -19,7 +19,7 @@ from volback.gapcascade import (
 )
 from volback.inversion import choose_radius, invert_with_info
 from volback.polynomial import pdae_k2, pdae_k3
-from volback.simplex import QuadratureRule, SimplexPoint
+from volback.simplex import QuadratureRule
 from volback.simulator import (
     SimConfig,
     mild_solution_residual,

@@ -195,7 +195,11 @@ class TestDegreeRule:
         parsed = parse_plant(path)
         self.assert_equal_to_cascade(parsed.series, parsed.family, 3)
 
-    @pytest.mark.parametrize("text, n_max", [(KS_SHAPED, 4), (MIXED, 3)], ids=["ks-shaped", "mixed"])
+    @pytest.mark.parametrize(
+        "text, n_max",
+        [(KS_SHAPED, 4), (MIXED, 3), ("2 20,0 1\n", 3)],
+        ids=["ks-shaped", "mixed", "degree-20"],
+    )
     def test_more_file_plants_match_cascade(self, tmp_path, text, n_max):
         path = tmp_path / "plant.txt"
         path.write_text(text)

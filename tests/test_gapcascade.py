@@ -24,28 +24,26 @@ from volback.gapcascade import (
     family_to_json,
     gamma_table,
     pdae_b_family,
-    phi_eval,
     split_gap_integration,
 )
 from volback.polynomial import RationalPoly, SimplexPolyKernel, pdae_k2, pdae_k3
-from volback.simplex import SimplexPoint
+from volback.verification import _phi
 
 from conftest import poly_eval_exact, random_simplex_points
 
 
-def assemble_kernel(a_family: GapCoefficientFamily, n: int, point: SimplexPoint) -> float:
-    """Kernel value from the ansatz: sum_P [a_P(x) - a_P(x - xi_n)] Phi_P.
+def assemble_kernel(a_family: GapCoefficientFamily, n: int, x: float, xi) -> float:
+    """Kernel value from the ansatz, sum_P [a_P(x) - a_P(x - xi_n)] Phi_P,
+    at one point ``xi`` of T_n(x).
 
     Exact rational arithmetic on the (binary) rational coordinates, cast
     to float at the end.  Vanishes identically at xi_n = 0.
     """
-    if point.order != n:
-        raise FamilyConfigError(
-            f"point has order {point.order}, expected {n}"
-        )
-    x = Fr(point.x)
-    xi_n = Fr(point.xi[-1])
-    gaps = [Fr(a) - Fr(b) for a, b in zip((point.x,) + point.xi, point.xi)]
+    chain = [Fr(float(v)) for v in (x, *xi)]
+    if len(chain) != n + 1:
+        raise FamilyConfigError(f"point has order {len(chain) - 1}, expected {n}")
+    x, xi_n = chain[0], chain[-1]
+    gaps = [a - b for a, b in zip(chain, chain[1:])]
     total = Fr(0)
     for P, poly in a_family.at_order(n).items():
         diff = poly_eval_exact(poly, x) - poly_eval_exact(poly, x - xi_n)
@@ -71,24 +69,22 @@ def family_from_json(text: str) -> GapCoefficientFamily:
 
 
 class TestPhi:
+    """Phi_P at chain rows (x, xi_1, ..., xi_n), as the transport-invariance
+    check evaluates it."""
+
     def test_frozen_value(self):
-        pt = SimplexPoint(1.0, (0.8, 0.3, 0.1))
-        assert phi_eval((0, 2, 0), pt) == pytest.approx(0.125)
+        chain = np.array([[1.0, 0.8, 0.3, 0.1]])
+        assert _phi((0, 2, 0), chain) == pytest.approx([0.125])
 
     def test_weight_zero_is_one(self):
-        pt = SimplexPoint(0.7, (0.5, 0.2))
-        assert phi_eval((0, 0), pt) == 1.0
+        chain = np.array([[0.7, 0.5, 0.2], [0.9, 0.4, 0.1]])
+        assert list(_phi((0, 0), chain)) == [1.0, 1.0]
 
     def test_diagonal_shift_invariance(self):
         p = (1, 0, 2)
         h = 0.04
-        base = phi_eval(p, SimplexPoint(0.8, (0.5, 0.3, 0.1)))
-        moved = phi_eval(p, SimplexPoint(0.8 + h, (0.5 + h, 0.3 + h, 0.1 + h)))
-        assert moved == pytest.approx(base, abs=1e-14)
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(FamilyConfigError):
-            phi_eval((1, 0), SimplexPoint(1.0, (0.5, 0.3, 0.1)))
+        chain = np.array([[0.8, 0.5, 0.3, 0.1]])
+        assert _phi(p, chain + h) == pytest.approx(_phi(p, chain), abs=1e-14)
 
 
 class TestFamilyValidation:
@@ -269,12 +265,10 @@ class TestCascade:
 
 class TestAssembly:
     def test_frozen_point(self, a_family):
-        pt = SimplexPoint(1.0, (0.5, 0.25, 0.2))
-        assert assemble_kernel(a_family, 3, pt) == pytest.approx(-63.0 / 800.0)
+        assert assemble_kernel(a_family, 3, 1.0, (0.5, 0.25, 0.2)) == pytest.approx(-63.0 / 800.0)
 
     def test_zero_tail(self, a_family):
-        pt = SimplexPoint(1.0, (0.5, 0.25, 0.0))
-        assert assemble_kernel(a_family, 3, pt) == 0.0
+        assert assemble_kernel(a_family, 3, 1.0, (0.5, 0.25, 0.0)) == 0.0
 
     def test_polynomial_forms_match_closed_forms(self, a_family):
         assert assemble_kernel_polynomial(a_family, 2).monomials == pdae_k2().monomials
@@ -285,7 +279,7 @@ class TestAssembly:
         rng = np.random.default_rng(4)
         pts = random_simplex_points(rng, 3, 50)
         vals = poly(1.0, pts)
-        want = [assemble_kernel(a_family, 3, SimplexPoint(1.0, tuple(r))) for r in pts]
+        want = [assemble_kernel(a_family, 3, 1.0, r) for r in pts]
         assert vals == pytest.approx(want, abs=1e-13)
 
     def test_plant_kernel_assembly(self, b_family):
@@ -398,22 +392,19 @@ class TestIntegerExpansion:
 
 class TestNorms:
     def test_plant_family_norm(self, b_family):
-        assert dp_norm(b_family, 3.0, 2.0) == pytest.approx(1.0)
+        assert dp_norm(b_family.at_order(2), 3.0, 2.0) == pytest.approx(1.0)
 
     def test_linear_entry_norm(self):
-        fam = GapCoefficientFamily(
-            {(2, (0, 0)): RationalPoly([0, -1])}, "cascade-a"
-        )
-        assert dp_norm(fam, 1.0, 3.0) == pytest.approx(4.0)
+        assert dp_norm({(0, 0): RationalPoly([0, -1])}, 1.0, 3.0) == pytest.approx(4.0)
 
     def test_zero_family_norm(self):
-        assert dp_norm(GapCoefficientFamily({}, "plant-b"), 1.0, 1.0) == 0.0
+        assert dp_norm({}, 1.0, 1.0) == 0.0
 
     def test_domain_errors(self, b_family):
         with pytest.raises(ValueError):
-            dp_norm(b_family, 0.0, 1.0)
+            dp_norm(b_family.at_order(2), 0.0, 1.0)
         with pytest.raises(ValueError):
-            dp_norm(b_family, 1.0, -2.0)
+            dp_norm(b_family.at_order(2), 1.0, -2.0)
 
 
 class TestRawOperations:

@@ -156,12 +156,11 @@ class TestProfiles:
 
 class TestKernelNorms:
     def test_order2_norm(self):
-        series = VolterraKernelSeries({2: pdae_k2()})
-        val = kernel_l2_sq(series, 2, QuadratureRule(16))
+        val = kernel_l2_sq(pdae_k2(), QuadratureRule(16))
         assert val == pytest.approx(1.0 / 12.0, rel=1e-10)
 
     def test_order3_norm(self, kernel_series):
-        val = kernel_l2_sq(kernel_series, 3, QuadratureRule(12))
+        val = kernel_l2_sq(kernel_series.kernel(3), QuadratureRule(12))
         assert val == pytest.approx(3.0 / 2240.0, rel=1e-9)
 
 
