@@ -26,8 +26,9 @@ an f-block of size m, enumerated by :func:`volback.simplex.ordered_splits`.
 The plant kernels are exact polynomials
 (:class:`~volback.polynomial.SimplexPolyKernel`; a
 :class:`~volback.volterra.VolterraKernelSeries` holds nothing else), so
-every step is exact rational integration of monomials.  In B[n, m] the
-variables of k_p and f_m are renamed into (x, xi_1, ..., xi_n, s), and since
+every step is exact integration of monomials, in integer numerators
+over one common denominator.  In B[n, m] the variables of k_p and f_m
+are renamed into (x, xi_1, ..., xi_n, s), and since
 both bounds of the s-integral are single variables, evaluating its
 antiderivative is another rename.  The characteristic integral expands
 I binomially in t, one variable at a time.  The kernels therefore equal the
@@ -37,7 +38,6 @@ gap cascade's polynomials coefficient for coefficient, which is how
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, lcm
 from typing import Dict, Mapping
 
@@ -50,9 +50,9 @@ from .volterra import VolterraKernelSeries
 PROVENANCES = ("characteristic-recursion", "gap-cascade")
 
 # Read only by the benchmark tracer (perfbench/tracer.py), which counts
-# memo hits of kernel nodes without a polynomial.  Every node has one
-# now, so the count stays 0; the constant goes when the benchmark drops
-# its memo counters.
+# memo hits of kernel nodes without a polynomial.  No program path builds
+# a node, so the count stays 0; the constant goes when the benchmark
+# drops its memo counters.
 _MEMO_BATCH_LIMIT = 1024
 
 # Exponents of (x, xi_1, ..., xi_n), with s appended inside B[n, m].
@@ -64,11 +64,11 @@ class KernelConfigError(ValueError):
 
 
 class KernelNode:
-    """One kernel of the controller hierarchy: its exact polynomial and
-    the construction that produced it.
+    """A kernel's exact polynomial and the construction that produced it.
 
-    Nodes are callable in the package-wide array convention
-    ``node(x, xi)``.
+    No program path builds a node: kernel tables hold the polynomials.
+    The class stays only because the benchmark tracer (perfbench/tracer.py)
+    patches ``KernelNode.__call__``.
     """
 
     def __init__(self, polynomial: SimplexPolyKernel, provenance: str) -> None:
@@ -92,32 +92,31 @@ class KernelNode:
         return f"KernelNode(order={self.order}, provenance={self.provenance!r})"
 
 
-def _monomials(kern: SimplexPolyKernel | KernelNode) -> list[tuple[Exps, Fraction]]:
-    """The flattened monomials (e, a_1, ..., a_n) -> c of a polynomial
-    kernel or a kernel node."""
-    poly = kern.polynomial if isinstance(kern, KernelNode) else kern
-    return [((e, *alphas), c) for (e, alphas), c in poly.monomials.items()]
+def _monomials(kern: SimplexPolyKernel) -> list[tuple[Exps, int]]:
+    """The flattened numerators (e, a_1, ..., a_n) -> c of a kernel."""
+    return [((e, *alphas), c) for (e, alphas), c in kern.monomials.items()]
 
 
-def _add(acc: Dict[Exps, Fraction], key: Exps, c: Fraction) -> None:
+def _add(acc: Dict[Exps, int], key: Exps, c: int) -> None:
     acc[key] = acc.get(key, 0) + c
 
 
-def _kernel(n: int, terms: Mapping[Exps, Fraction]) -> SimplexPolyKernel:
-    return SimplexPolyKernel(n, {(e[0], e[1:]): c for e, c in terms.items()})
+def _kernel(n: int, terms: Mapping[Exps, int], den: int) -> SimplexPolyKernel:
+    return SimplexPolyKernel(n, {(e[0], e[1:]): c for e, c in terms.items()}, den)
 
 
 def coupling_polynomial(
     n: int,
     m: int,
-    k_lower: SimplexPolyKernel | KernelNode | None,
+    k_lower: SimplexPolyKernel | None,
     f_m: SimplexPolyKernel,
 ) -> SimplexPolyKernel:
     """The coupling operator B[n, m] as an exact order-n polynomial.
 
-    Requires 2 <= m <= n and, for m < n, a polynomial lower kernel of
-    order n - m + 1.  B[n, n] pairs with the identically-zero
-    first-order kernel and is the zero polynomial.
+    Requires 2 <= m <= n and, for m < n, a lower kernel of order
+    n - m + 1.  B[n, n] pairs with the identically-zero first-order
+    kernel and is the zero polynomial.  Multiplies the numerators of
+    k_p and f_m and integrates each s**q over the lcm of the q + 1.
     """
     if not (2 <= m <= n):
         raise KernelConfigError(f"need 2 <= m <= n, got n={n}, m={m}")
@@ -131,9 +130,9 @@ def coupling_polynomial(
     k_terms = _monomials(k_lower)
     f_terms = _monomials(f_m)
     s = n + 1  # the slot of the integration variable
-    out: Dict[Exps, Fraction] = {}
+    legs: list[tuple[int, Dict[Exps, int]]] = []
     for j in range(1, p + 1):
-        leg: Dict[Exps, Fraction] = {}
+        leg: Dict[Exps, int] = {}
         for k_idx, f_idx in ordered_splits(n - j + 1, p - j):
             # Where each variable of k_p and of f_m lands in (x, xi, s).
             k_slots = (0, *range(1, j), s, *(j + i for i in k_idx))
@@ -146,28 +145,29 @@ def coupling_polynomial(
                     for slot, a in zip(f_slots, fe):
                         e[slot] += a
                     _add(leg, tuple(e), kc * fc)
-        # int_{xi_j}^{xi_{j-1}} s^q ds = (xi_{j-1}^{q+1} - xi_j^{q+1}) / (q + 1)
+        legs.append((j, leg))
+    # int_{xi_j}^{xi_{j-1}} s^q ds = (xi_{j-1}^{q+1} - xi_j^{q+1}) / (q + 1)
+    scale = lcm(1, *(e[s] + 1 for _, leg in legs for e in leg))
+    out: Dict[Exps, int] = {}
+    for j, leg in legs:
         for e, c in leg.items():
             q = e[s] + 1
             for slot, sign in ((j - 1, 1), (j, -1)):
                 key = list(e[:s])
                 key[slot] += q
-                _add(out, tuple(key), sign * c / q)
-    return _kernel(n, out)
+                _add(out, tuple(key), sign * c * (scale // q))
+    return _kernel(n, out, k_lower.den * f_m.den * scale)
 
 
-def _characteristic(n: int, forcing: Mapping[Exps, Fraction]) -> SimplexPolyKernel:
+def _characteristic(n: int, forcing: Mapping[Exps, int], den: int) -> SimplexPolyKernel:
     """k_n(x, xi) = -int_{-xi_n}^0 I(x + t, xi_1 + t, ..., xi_n + t) dt
-    for the forcing I given by its monomials.
+    for the forcing I given by its numerators over ``den``.
 
     Substitutes v -> v + t one variable at a time and sums equal terms
-    after each pass, in integers over the forcing's common denominator.
+    after each pass, in integers.
     """
-    den = lcm(1, *(c.denominator for c in forcing.values()))
     # Exponents of (x, xi_1, ..., xi_n, t).
-    terms: Dict[Exps, int] = {
-        (*e, 0): c.numerator * (den // c.denominator) for e, c in forcing.items() if c
-    }
+    terms: Dict[Exps, int] = {(*e, 0): c for e, c in forcing.items() if c}
     for v in range(n + 1):
         # (v + t)^a = sum_k C(a, k) v^(a - k) t^k
         shifted: Dict[Exps, int] = {}
@@ -185,7 +185,7 @@ def _characteristic(n: int, forcing: Mapping[Exps, Fraction]) -> SimplexPolyKern
         key = (*e[:n], e[n] + power + 1)
         sign = -1 if power % 2 == 0 else 1
         out[key] = out.get(key, 0) + sign * c * (scale // (power + 1))
-    return _kernel(n, {e: Fraction(c, den * scale) for e, c in out.items()})
+    return _kernel(n, out, den * scale)
 
 
 def _recursion_kernel(
@@ -194,31 +194,32 @@ def _recursion_kernel(
     lower: Mapping[int, SimplexPolyKernel],
 ) -> SimplexPolyKernel:
     """The order-n kernel from the plant and the lower kernels of orders
-    2..n-1."""
-    forcing: Dict[Exps, Fraction] = {}
-    f_n = plant_kernels.get(n)
-    if f_n is not None:
-        for e, c in _monomials(f_n):
-            _add(forcing, e, c)
+    2..n-1: the forcing f_n - sum_m B[n, m] sums in integers over the lcm
+    of their denominators."""
+    parts = [(1, plant_kernels[n])] if n in plant_kernels else []
     for m in range(2, n):
-        f_m = plant_kernels.get(m)
-        if f_m is None:
-            continue
-        for (e, alphas), c in coupling_polynomial(n, m, lower[n - m + 1], f_m).monomials.items():
-            _add(forcing, (e, *alphas), -c)
-    return _characteristic(n, forcing)
+        if m in plant_kernels:
+            parts.append((-1, coupling_polynomial(n, m, lower[n - m + 1], plant_kernels[m])))
+    den = lcm(1, *(kern.den for _, kern in parts))
+    forcing: Dict[Exps, int] = {}
+    for sign, kern in parts:
+        unit = sign * (den // kern.den)
+        for e, c in _monomials(kern):
+            _add(forcing, e, unit * c)
+    return _characteristic(n, forcing, den)
 
 
 def build_controller_kernels(
     plant: VolterraKernelSeries, n_max: int
-) -> list[KernelNode]:
-    """Build the kernel hierarchy for orders 2..n_max by the recursion."""
+) -> Dict[int, SimplexPolyKernel]:
+    """Build the kernel hierarchy ``{n: kernel}`` for orders 2..n_max by
+    the recursion."""
     if n_max < 2:
         raise KernelConfigError(f"n_max must be at least 2, got {n_max}")
-    lower: Dict[int, SimplexPolyKernel] = {}
+    kernels: Dict[int, SimplexPolyKernel] = {}
     for n in range(2, n_max + 1):
-        lower[n] = _recursion_kernel(n, plant.kernels, lower)
-    return [KernelNode(poly, "characteristic-recursion") for poly in lower.values()]
+        kernels[n] = _recursion_kernel(n, plant.kernels, kernels)
+    return kernels
 
 
 def pdae_plant() -> VolterraKernelSeries:
@@ -232,10 +233,8 @@ def pdae_plant() -> VolterraKernelSeries:
 
 
 def is_pdae_plant(plant: VolterraKernelSeries) -> bool:
-    """Recognise the quadratic integral plant by its monomials."""
-    if plant.orders != (2,):
-        return False
-    return plant.kernels[2].monomials == {(0, (0, 0)): 1}
+    """Recognise the quadratic integral plant by its kernels."""
+    return plant.kernels == pdae_plant().kernels
 
 
 def pdae_closed_forms() -> Dict[int, SimplexPolyKernel]:

@@ -455,8 +455,9 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
     """sum_P c_P(x) Phi_P as monomials, where c_P(x) is a_P(x) - a_P(x - xi_n)
     when ``shifted`` and the family's coefficient otherwise.
 
-    Sums integers over L = lcm of denominator(coefficient) * P! and
-    drops the monomials that cancel; the kernel's constructor orders them.
+    Sums integers over L = lcm of denominator(coefficient) * P!; the
+    kernel's constructor drops the monomials that cancel, reduces and
+    orders them.
     """
     entries = family.at_order(n)
     pfact = {P: math.prod(map(math.factorial, P)) for P in entries}
@@ -476,7 +477,7 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
                 for vec, c in phi.items():
                     key = (vec[0] + de,) + vec[1:-1] + (vec[-1] + dxi,)
                     acc[key] = acc.get(key, 0) + scale * c
-    return SimplexPolyKernel(n, {(v[0], v[1:]): Fraction(c, den) for v, c in acc.items() if c})
+    return SimplexPolyKernel(n, {(v[0], v[1:]): c for v, c in acc.items()}, den)
 
 
 def family_plant_kernel(family: GapCoefficientFamily, n: int) -> SimplexPolyKernel:

@@ -43,7 +43,6 @@ import numpy as np
 
 from . import __version__
 from .charkernels import (
-    KernelNode,
     build_controller_kernels,
     pdae_closed_forms,
     pdae_plant,
@@ -65,6 +64,7 @@ from .inversion import (
     invert_with_info,
 )
 from .polynomial import RationalPoly, SimplexPolyKernel
+from .simplex import random_simplex_points
 from .simulator import (
     SimConfig,
     SimConfigError,
@@ -94,6 +94,7 @@ DEFAULT_SEED = 0
 METADATA_KEYS = ("D", "rho")
 BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,  # in any case
             "0": False, "false": False, "no": False, "off": False}
+KernelTable = Dict[int, SimplexPolyKernel]  # {order: kernel}
 
 
 class ConfigError(ValueError):
@@ -280,19 +281,17 @@ def load_plant(descriptor: str) -> ParsedPlant:
     )
 
 
-def build_kernel_table(
-    plant: ParsedPlant, n_max: int, route: str = "cascade"
-) -> Dict[int, KernelNode]:
-    """Controller kernels for every order 2..n_max.
+def build_kernel_table(plant: ParsedPlant, n_max: int, route: str = "cascade") -> KernelTable:
+    """Controller kernels ``{n: kernel}`` for every order 2..n_max.
 
     ``cascade`` assembles exact polynomials from the coefficient-family
     recursion (available whenever the plant is a finite gap table);
     ``recursion`` integrates the characteristic representation instead.
-    Both give exact polynomials, equal monomial for monomial.
+    Both give exact polynomials, equal kernel for kernel.
     """
     _check_order_cap(n_max)
     if route == "recursion":
-        return {node.order: node for node in build_controller_kernels(plant.series, n_max)}
+        return _evaluable(build_controller_kernels(plant.series, n_max))
     if route != "cascade":
         raise ConfigError(f"unknown kernel route {route!r}")
     return _cascade_kernels(cascade(plant.family, n_max), n_max)
@@ -305,8 +304,8 @@ def _check_order_cap(n_max: int) -> None:
 
 # The cross-check builds every order by the cascade and by the exact
 # recursion.  For pdae on a 2-core x86-64 VM the cascade plus assembly
-# take about 0.15 s to order 5, 3 s to order 6 and 80 s to order 7; the
-# recursion 0.04 s, 0.4 s and 2.9 s.
+# take about 0.12 s to order 5, 2.8 s to order 6 and 80 s to order 7; the
+# recursion 0.02 s, 0.18 s and 1.7 s.
 CROSS_CHECK_MAX_ORDER = 6
 
 
@@ -319,22 +318,23 @@ def _check_cross_check_order(n_max: int) -> None:
         )
 
 
-def _cascade_kernels(
-    a_family: GapCoefficientFamily, n_max: int
-) -> Dict[int, KernelNode]:
-    """Kernel nodes of orders 2..n_max assembled from a cascade family."""
-    nodes = {}
-    for n in range(2, n_max + 1):
-        poly = assemble_kernel_polynomial(a_family, n)
+def _cascade_kernels(a_family: GapCoefficientFamily, n_max: int) -> KernelTable:
+    """Kernels of orders 2..n_max assembled from a cascade family."""
+    return _evaluable({n: assemble_kernel_polynomial(a_family, n) for n in range(2, n_max + 1)})
+
+
+def _evaluable(table: KernelTable) -> KernelTable:
+    """``table``, refused if a coefficient lies past the float range (the
+    kernels are evaluated in floating point)."""
+    for n, poly in table.items():
         try:
             for c in poly.monomials.values():
-                float(c)  # the kernels are evaluated in floating point
+                c / poly.den  # raises OverflowError past the float range
         except OverflowError:
             raise ConfigError(
                 f"the order-{n} kernel has coefficients beyond the floating-point range"
             ) from None
-        nodes[n] = KernelNode(poly, "gap-cascade")
-    return nodes
+    return table
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
@@ -345,9 +345,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     kernel_cap = controller_cap(spec.controller, max(plant.n_max, 3))
     if spec.check_kernels:
         _check_cross_check_order(kernel_cap or 3)
-    kernels = None
+    kernels = {}
     if kernel_cap is not None:
-        kernels = build_kernel_table(plant, kernel_cap)
+        kernels = build_kernel_table(plant, kernel_cap, route="recursion")
     record = simulate(cfg, plant.series if not plant.series.is_zero() else None, kernels)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(record, str(out_dir / "series.csv"))
@@ -360,15 +360,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     }
     checks: Dict[str, Dict] = {}
     failures = []
-    if spec.check_mild_solution and kernels is not None:
+    if spec.check_mild_solution:
         if record.blow_up is None:
             res = mild_solution_residual(record, kernels, [0.25, 0.5, 0.75, 1.0])
             checks["mild_solution_residual"] = {"value": res}
         else:
             checks["mild_solution_residual"] = {"skipped": "blow-up record"}
     if spec.check_kernels:
-        gap = kernels if kernels is not None else build_kernel_table(plant, 3)
-        checks["kernel_cross_check"] = _kernel_cross_check(plant, gap)
+        rec = kernels or build_kernel_table(plant, 3, route="recursion")
+        gap = build_kernel_table(plant, max(rec))
+        checks["kernel_cross_check"] = _kernel_cross_check(rec, gap)
         if not checks["kernel_cross_check"]["passed"]:
             failures.append("kernel_cross_check")
     if checks:
@@ -381,12 +382,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     return meta
 
 
-def _kernel_cross_check(plant: ParsedPlant, gap: Dict[int, KernelNode]) -> Dict:
-    """The recursion against the cascade-built table ``gap`` (orders
-    2..n_max), compared by
+def _kernel_cross_check(rec: KernelTable, gap: KernelTable) -> Dict:
+    """The recursion's table ``rec`` against the cascade's table ``gap``
+    (orders 2..n_max), compared by
     :func:`~volback.verification.compare_constructions`: passes when
-    every order has the same monomials."""
-    rec = build_kernel_table(plant, max(gap), route="recursion")
+    every order has the same kernel."""
     equal, worst = compare_constructions(
         VolterraKernelSeries(rec), VolterraKernelSeries(gap), DEFAULT_SEED
     )
@@ -397,7 +397,7 @@ def _write_kernels(
     plant: ParsedPlant,
     n_max: int,
     out_dir: Path,
-    closed_forms: Dict[int, SimplexPolyKernel] | None = None,
+    closed_forms: KernelTable | None = None,
 ) -> Dict:
     """Run the cascade once, cross-check the recursion (and any closed
     forms) against its kernels, and write a_family.json, samples.csv and
@@ -407,7 +407,7 @@ def _write_kernels(
     _check_output_dir(out_dir)
     a_family = cascade(plant.family, n_max)
     gap = _cascade_kernels(a_family, n_max)
-    report = _kernel_cross_check(plant, gap)
+    report = _kernel_cross_check(build_kernel_table(plant, n_max, route="recursion"), gap)
     if closed_forms:
         equal, worst_closed = compare_constructions(
             VolterraKernelSeries(closed_forms), VolterraKernelSeries(gap), DEFAULT_SEED
@@ -428,13 +428,13 @@ def preset_kernels(out_dir: Path) -> int:
     return 0 if report["passed"] else 1
 
 
-def _write_kernel_samples(table: Dict[int, KernelNode], path: Path) -> None:
+def _write_kernel_samples(table: KernelTable, path: Path) -> None:
     rng = np.random.default_rng(DEFAULT_SEED)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["order", "x", "xi", "value"])
         for n in sorted(table):
-            pts = np.sort(rng.uniform(0.0, 1.0, size=(50, n)), axis=1)[:, ::-1]
+            pts = random_simplex_points(rng, n, 50)
             vals = table[n](1.0, pts)
             for row, v in zip(pts, vals):
                 writer.writerow(

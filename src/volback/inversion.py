@@ -107,9 +107,7 @@ def choose_radius(gains: GainFunctions) -> InversionConfig:
 
 def builtin_series() -> VolterraKernelSeries:
     """The builtin plant's order-3 controller series, by the recursion."""
-    return VolterraKernelSeries(
-        {node.order: node for node in build_controller_kernels(pdae_plant(), 3)}
-    )
+    return VolterraKernelSeries(build_controller_kernels(pdae_plant(), 3))
 
 
 def builtin_design() -> tuple[VolterraKernelSeries, GainFunctions, InversionConfig]:

@@ -9,16 +9,19 @@ Two representations live here:
     cascade, so exactness matters more than speed.
 
 ``SimplexPolyKernel``
-    a polynomial kernel on an ordered simplex, stored as a monomial map
-    ``(e, (a_1, ..., a_n)) -> Fraction`` meaning
-    ``coeff * x**e * xi_1**a_1 * ... * xi_n**a_n``.  Every kernel of
-    the package is one.  Evaluation works on point arrays; the monomial
-    list is also what the mesh cascades in :mod:`volback.volterra`
-    consume, in one canonical order (sorted by key) whatever built them.
+    a polynomial kernel on an ordered simplex, stored as integer
+    numerators ``(e, (a_1, ..., a_n)) -> c`` over one denominator
+    ``den``, meaning ``c / den * x**e * xi_1**a_1 * ... * xi_n**a_n``.
+    Every kernel of the package is one.  Evaluation works on point
+    arrays; the monomial list is also what the mesh cascades in
+    :mod:`volback.volterra` consume, in one canonical order (sorted by
+    key) whatever built them.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
@@ -133,21 +136,27 @@ class RationalPoly:
 class SimplexPolyKernel:
     """Polynomial kernel on T_n(x), exact monomial storage.
 
-    ``monomials`` maps ``(e, alphas)`` to a Fraction coefficient, where
-    ``e`` is the power of the upper limit and ``alphas`` the coordinate
-    powers.  Calling an instance with a scalar or array upper limit and
-    an (N, n) coordinate array returns N kernel values.
+    ``monomials`` maps ``(e, alphas)`` to an integer numerator over
+    ``den``, ``e`` the power of the upper limit and ``alphas`` the
+    coordinate powers.  Calling an instance with a scalar or array upper
+    limit and an (N, n) coordinate array returns N kernel values.
 
-    The constructor sums equal keys, drops zeros and sorts the monomials
-    by ``(e, alphas)``, so equal kernels sum them in the same order and
-    give the same floats.  A kernel is not mutated after construction.
+    The constructor sums equal keys, drops zeros, divides the numerators
+    and ``den`` by their gcd and sorts the monomials by ``(e, alphas)``:
+    two kernels are equal exactly when their values are, and then sum the
+    same floats in the same order.  It refuses a non-integer coefficient
+    and ``den < 1``.  A kernel is not mutated after construction.
     """
 
     order: int
-    monomials: Dict[Monomial, Fraction] = field(default_factory=dict)
+    monomials: Dict[Monomial, int] = field(default_factory=dict)
+    den: int = 1
 
     def __post_init__(self) -> None:
-        clean: Dict[Monomial, Fraction] = {}
+        den = operator.index(self.den)
+        if den < 1:
+            raise ValueError(f"kernel denominator must be a positive integer, got {den}")
+        clean: Dict[Monomial, int] = {}
         for (e, alphas), c in self.monomials.items():
             alphas = tuple(int(a) for a in alphas)
             if len(alphas) != self.order:
@@ -155,16 +164,17 @@ class SimplexPolyKernel:
                     f"monomial {alphas} has {len(alphas)} coordinate powers, kernel order is {self.order}"
                 )
             key = (int(e), alphas)
-            c = Fraction(c)
-            clean[key] = clean[key] + c if key in clean else c
-        self.monomials = {k: clean[k] for k in sorted(clean) if clean[k]}
+            clean[key] = clean.get(key, 0) + operator.index(c)
+        g = math.gcd(den, *clean.values())
+        self.monomials = {k: clean[k] // g for k in sorted(clean) if clean[k]}
+        self.den = den // g
 
     def __call__(self, x, xi: np.ndarray) -> np.ndarray:
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
         xs = np.asarray(x, dtype=float)
         out = np.zeros(xi.shape[0])
         for (e, alphas), c in self.monomials.items():
-            term = np.full(xi.shape[0], float(c))
+            term = np.full(xi.shape[0], c / self.den)
             if e:
                 term = term * xs**e
             for i, a in enumerate(alphas):
@@ -173,18 +183,10 @@ class SimplexPolyKernel:
             out += term
         return out
 
-    def __add__(self, other: "SimplexPolyKernel") -> "SimplexPolyKernel":
-        if self.order != other.order:
-            raise ValueError("cannot add kernels of different orders")
-        out = dict(self.monomials)
-        for key, c in other.monomials.items():
-            out[key] = out.get(key, 0) + c
-        return SimplexPolyKernel(self.order, out)
-
 
 def pdae_k2() -> SimplexPolyKernel:
     """Second-order controller kernel for the quadratic integral plant: -xi_2."""
-    return SimplexPolyKernel(2, {(0, (0, 1)): Fraction(-1)})
+    return SimplexPolyKernel(2, {(0, (0, 1)): -1})
 
 
 def pdae_k3() -> SimplexPolyKernel:
@@ -193,13 +195,8 @@ def pdae_k3() -> SimplexPolyKernel:
     Expanded monomial form of
     -xi_3 * ((x - xi_1)(xi_1 + xi_2) + (xi_1^2 - xi_2^2)/2 - xi_3 (x - xi_2)/2).
     """
-    return (
-        # -(x - xi_1)(xi_1 + xi_2) xi_3
-        SimplexPolyKernel(
-            3, {(1, (1, 0, 1)): -1, (1, (0, 1, 1)): -1, (0, (2, 0, 1)): 1, (0, (1, 1, 1)): 1}
-        )
-        # -(xi_1^2 - xi_2^2)/2 xi_3
-        + SimplexPolyKernel(3, {(0, (2, 0, 1)): Fraction(-1, 2), (0, (0, 2, 1)): Fraction(1, 2)})
-        # + xi_3^2 (x - xi_2)/2
-        + SimplexPolyKernel(3, {(1, (0, 0, 2)): Fraction(1, 2), (0, (0, 1, 2)): Fraction(-1, 2)})
-    )
+    # Twice the kernel: -2 (x - xi_1)(xi_1 + xi_2) xi_3 - (xi_1^2 - xi_2^2) xi_3
+    # + xi_3^2 (x - xi_2).
+    twice = {(1, (1, 0, 1)): -2, (1, (0, 1, 1)): -2, (0, (2, 0, 1)): 1, (0, (1, 1, 1)): 2}
+    twice.update({(0, (0, 2, 1)): 1, (1, (0, 0, 2)): 1, (0, (0, 1, 2)): -1})
+    return SimplexPolyKernel(3, twice, den=2)

@@ -83,6 +83,12 @@ def simplex_nodes(n: int, x: float, rule: QuadratureRule) -> tuple[np.ndarray, n
     return np.stack(cols, axis=1), weights
 
 
+def random_simplex_points(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` random points of T_n(1), from ``rng``: sorted uniform draws."""
+    pts = np.sort(rng.uniform(0.0, 1.0, size=(count, n)), axis=1)[:, ::-1]
+    return np.ascontiguousarray(pts)
+
+
 @lru_cache(maxsize=None)
 def ordered_splits(
     total: int, first_size: int

@@ -32,6 +32,7 @@ from typing import Callable, Dict, Mapping, Sequence
 import numpy as np
 
 from .charkernels import is_pdae_plant
+from .polynomial import SimplexPolyKernel
 from .volterra import (
     GridFunction,
     SeriesTerms,
@@ -171,7 +172,7 @@ def _advection(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _controller_series(
-    table: Mapping[int, Callable], order_cap: int
+    table: Mapping[int, SimplexPolyKernel], order_cap: int
 ) -> VolterraKernelSeries:
     """The controller's orders 2..order_cap as a series.  Every order up
     to the cap must be present in ``table`` (pass the zero kernel
@@ -210,7 +211,7 @@ def controller_cap(controller: str, n_max: int | None) -> int | None:
 def simulate(
     cfg: SimConfig,
     plant: VolterraKernelSeries | None,
-    kernels: Mapping[int, Callable] | None = None,
+    kernels: Mapping[int, SimplexPolyKernel] | None = None,
 ) -> SimulationRecord:
     """Run the closed loop and record the trajectory.
 
@@ -404,7 +405,7 @@ def stability_constants(s: float, ell_s: float, rho_l: float) -> tuple[float, fl
 
 def mild_solution_residual(
     record: SimulationRecord,
-    kernels: Mapping[int, Callable],
+    kernels: Mapping[int, SimplexPolyKernel],
     sample_times: Sequence[float],
 ) -> float:
     """Max L2 distance between w = u - K[u] and the target flow of w0.

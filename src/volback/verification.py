@@ -34,7 +34,7 @@ from .gapcascade import (
 )
 from .inversion import builtin_design, builtin_series, lipschitz_check
 from .polynomial import RationalPoly
-from .simplex import QuadratureRule, compositions
+from .simplex import QuadratureRule, compositions, random_simplex_points
 from .volterra import (
     GROWTH_SAMPLES,
     VolterraKernelSeries,
@@ -59,11 +59,6 @@ class CheckResult:
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.name}: {self.detail}"
-
-
-def _random_simplex_points(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    pts = np.sort(rng.uniform(0.0, 1.0, size=(count, n)), axis=1)[:, ::-1]
-    return np.ascontiguousarray(pts)
 
 
 def check_coupling_bound(seed: int = 0) -> CheckResult:
@@ -232,7 +227,7 @@ def check_sup_bound(seed: int = 0) -> CheckResult:
     worst = -math.inf
     for n in family.orders():
         kern = family_plant_kernel(family, n)
-        pts = _random_simplex_points(rng, n, 100)
+        pts = random_simplex_points(rng, n, 100)
         vals = np.abs(kern(1.0, pts))
         bound = d_const * rho ** (-(n - 1)) * math.exp(1.0 / mu)
         worst = max(worst, float(np.max(vals)) - bound)
@@ -269,26 +264,25 @@ def compare_constructions(
     seed: int = 0,
 ) -> tuple[bool, float]:
     """Whether the kernels built by the recursion (or closed forms) and by
-    the gap cascade have the same monomials, order by order, and the
-    largest difference of their float values at ``COMPARE_POINTS`` random
-    points of T_n(1) per order, drawn from ``seed`` (exactly 0 when the
-    monomials agree, as equal kernels sum them in the same order)."""
+    the gap cascade are equal, order by order, and the largest difference
+    of their float values at ``COMPARE_POINTS`` random points of T_n(1)
+    per order, drawn from ``seed`` (exactly 0 when the kernels are equal,
+    as equal kernels sum the same floats in the same order)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n, kern in recursion.kernels.items():
-        pts = _random_simplex_points(rng, n, COMPARE_POINTS)
+        pts = random_simplex_points(rng, n, COMPARE_POINTS)
         worst = max(worst, float(np.max(np.abs(kern(1.0, pts) - gap.kernel(n)(1.0, pts)))))
-    equal = all(k.monomials == gap.kernel(n).monomials for n, k in recursion.kernels.items())
+    equal = all(k == gap.kernel(n) for n, k in recursion.kernels.items())
     return equal, worst
 
 
 def check_dual_construction(seed: int = 0) -> CheckResult:
-    """Both kernel constructions give the same monomials; the detail
+    """Both kernel constructions give the same kernels; the detail
     reports their largest float difference on random simplex points."""
-    nodes = build_controller_kernels(pdae_plant(), 3)
     a = cascade(pdae_b_family(), 3)
     passed, worst = compare_constructions(
-        VolterraKernelSeries({nd.order: nd for nd in nodes}),
+        VolterraKernelSeries(build_controller_kernels(pdae_plant(), 3)),
         VolterraKernelSeries({n: assemble_kernel_polynomial(a, n) for n in (2, 3)}),
         seed,
     )

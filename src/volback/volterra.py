@@ -11,9 +11,8 @@ and its inverse, so one module serves all three.
 Every kernel is an exact polynomial (a
 :class:`~volback.polynomial.SimplexPolyKernel`), and
 :class:`VolterraKernelSeries` is the one place that decides so: it
-unwraps kernel nodes to their polynomials and refuses anything else,
-and a kernel whose order differs from its key, with a
-:class:`SeriesDefinitionError` naming the order.  The mesh
+refuses anything else, and a kernel whose order differs from its key,
+with a :class:`SeriesDefinitionError` naming the order.  The mesh
 evaluators, the gains and the simulator take a series, or build one
 from a kernel table, and so inherit that check.
 
@@ -115,10 +114,9 @@ class VolterraKernelSeries:
     """A truncated Volterra kernel family {f_n} of orders 2 and above.
 
     ``kernels`` maps the order n to its exact polynomial, a
-    :class:`SimplexPolyKernel` of order n; a kernel node (anything with
-    such a polynomial as its ``polynomial``) is unwrapped to it.  This is
-    the one place that decides what a kernel is: anything else, or a
-    kernel whose order differs from its key, is a
+    :class:`SimplexPolyKernel` of order n.  This is the one place that
+    decides what a kernel is: anything else, or a kernel whose order
+    differs from its key, is a
     :class:`SeriesDefinitionError` naming the order.  An absent order is
     zero, so the lowest order present may lie above 2.  ``growth``
     optionally carries the (D, rho) pair of the plant growth assumption.
@@ -135,14 +133,13 @@ class VolterraKernelSeries:
                 raise SeriesDefinitionError(
                     f"series orders start at 2, got an order-{n} kernel"
                 )
-            poly = getattr(kern, "polynomial", kern)
-            if not isinstance(poly, SimplexPolyKernel):
+            if not isinstance(kern, SimplexPolyKernel):
                 raise SeriesDefinitionError(
                     f"order-{n} kernel is a {type(kern).__name__}, not a polynomial kernel"
                 )
-            if poly.order != n:
-                raise SeriesDefinitionError(f"order-{n} kernel has order {poly.order}")
-            polys[n] = poly
+            if kern.order != n:
+                raise SeriesDefinitionError(f"order-{n} kernel has order {kern.order}")
+            polys[n] = kern
         self.kernels = dict(sorted(polys.items()))
         if self.growth is not None:
             d, rho = self.growth
@@ -167,14 +164,14 @@ class VolterraKernelSeries:
 class MeshCascade:
     """Nested trapezoid sums of polynomial multilinear terms on a mesh.
 
-    Built once from the monomials of one or several orders
-    ``{n: {(e, alphas): c}}`` and the uniform mesh, it evaluates the sum
-    over every order n of
+    Built once from the kernels of one or several orders ``{n: kernel}``
+    and the uniform mesh, it evaluates the sum over every order n of
 
         sum c x**e int_0^x xi_1**a_1 f_1(xi_1) int_0^xi_1 ... f_n(xi_n) dxi
 
-    innermost slot first, each level one cumulative trapezoid pass
-    (exactly the mesh-aligned nested trapezoid rule).  Monomials with
+    over its monomials, c the float of numerator / den, innermost slot
+    first, each level one cumulative trapezoid pass (exactly the
+    mesh-aligned nested trapezoid rule).  Monomials with
     equal trailing exponents share their inner passes: the exponent
     tuples of all orders form one suffix trie, level j holding the
     length-(j+1) suffixes, and each level is one batched ``cumsum`` over
@@ -203,11 +200,11 @@ class MeshCascade:
     result aliases them.
     """
 
-    def __init__(self, orders: Mapping[int, Mapping], mesh: np.ndarray) -> None:
+    def __init__(self, orders: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
         self.dx = mesh[1] - mesh[0]
         self.size = mesh.size
-        orders = {n: orders[n] for n in sorted(orders) if orders[n]}
-        keys = [key for mono in orders.values() for key in mono]
+        orders = {n: orders[n] for n in sorted(orders) if orders[n].monomials}
+        keys = [key for kern in orders.values() for key in kern.monomials]
         exps = {e for e, _ in keys}.union(*(alphas for _, alphas in keys))
         pw = {a: mesh**a for a in exps}
         # Trie levels, innermost slot first: (x**alpha per node, parent node per node).
@@ -225,11 +222,11 @@ class MeshCascade:
             self.levels.append((np.array([pw[s[0]] for s in nodes]), parent))
             index = nodes
             if j + 1 in orders:
-                mono = orders[j + 1]
+                kern = orders[j + 1]
                 self.reads[j + 1] = (
-                    np.array([nodes[a] for _, a in mono], dtype=int),
-                    np.array([float(c) for c in mono.values()]),
-                    np.array([pw[e] for e, _ in mono]),
+                    np.array([nodes[a] for _, a in kern.monomials], dtype=int),
+                    np.array([c / kern.den for c in kern.monomials.values()]),
+                    np.array([pw[e] for e, _ in kern.monomials]),
                 )
         self._batch: list | None = None
         self._block = np.empty(0)
@@ -388,7 +385,7 @@ class SeriesTerms:
     """
 
     def __init__(self, series: VolterraKernelSeries, mesh: np.ndarray) -> None:
-        self.cascade = MeshCascade({n: k.monomials for n, k in series.kernels.items()}, mesh)
+        self.cascade = MeshCascade(series.kernels, mesh)
 
     def profile(self, values: np.ndarray) -> np.ndarray:
         """F[u] on the whole mesh at the mesh samples ``values`` of u."""
@@ -420,7 +417,7 @@ def linearized_values(
     """
     out = np.zeros(h.shape[:-1] + (u.size,))
     for n, kern in series.kernels.items():
-        term = MeshCascade({n: kern.monomials}, u.mesh)
+        term = MeshCascade({n: kern}, u.mesh)
         for slot in range(n):
             out += term.profile([h if i == slot else u.values for i in range(n)])
     return out

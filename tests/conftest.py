@@ -1,6 +1,7 @@
 """Shared fixtures: the quadratic-integral example plant and its kernels,
-the reference evaluations of polynomial Volterra terms on a mesh, and
-the pointwise references: exact rational evaluation of polynomials and
+kernels built from rational coefficients and read back as them, the
+reference evaluations of polynomial Volterra terms on a mesh, and the
+pointwise references: exact rational evaluation of polynomials and
 kernels, and Gauss quadrature of the series and of its derivative at a
 single upper limit."""
 
@@ -14,6 +15,7 @@ import pytest
 from volback.charkernels import pdae_closed_forms, pdae_plant
 from volback.gapcascade import cascade, pdae_b_family
 from volback.inversion import InversionDomainError
+from volback.polynomial import SimplexPolyKernel
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
 from volback.volterra import GridFunction, VolterraKernelSeries
 
@@ -51,6 +53,20 @@ def kernel_series(closed_forms):
 @pytest.fixture(scope="session")
 def gl8():
     return QuadratureRule(8)
+
+
+def exact_kernel(n, monomials) -> SimplexPolyKernel:
+    """The order-n kernel with the rational coefficients
+    ``{(e, alphas): c}``: integer numerators over the lcm of their
+    denominators."""
+    coeffs = {key: Fraction(c) for key, c in monomials.items()}
+    den = math.lcm(1, *(c.denominator for c in coeffs.values()))
+    return SimplexPolyKernel(n, {key: int(c * den) for key, c in coeffs.items()}, den)
+
+
+def kernel_fractions(kern) -> dict:
+    """The rational coefficients ``{(e, alphas): Fraction}`` of a kernel."""
+    return {key: Fraction(c, kern.den) for key, c in kern.monomials.items()}
 
 
 def random_simplex_points(rng, n, count, x=1.0):
@@ -93,8 +109,9 @@ def _rounding_bound(k, magnitude):
 def assert_profile_within_rounding(value, orders, factors, mesh):
     """At every mesh node, |value - ref| <= gamma_k * (sum of the terms'
     magnitudes), with ref the ``math.fsum`` of the terms c x**e inner of
-    every monomial, inner its nested trapezoid rule (``_inner_integral``)
-    and order n reading the last n factors.
+    every monomial of the kernels ``orders`` ``{n: kernel}``, c its
+    rational coefficient, inner its nested trapezoid rule
+    (``_inner_integral``) and order n reading the last n factors.
 
     Rounding-error analysis of sums and products (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., section 4.2): a term that
@@ -111,8 +128,8 @@ def assert_profile_within_rounding(value, orders, factors, mesh):
     terms = np.array(
         [
             float(c) * _inner_integral(alphas, factors[-n:], mesh, 0) * mesh**e
-            for n, monomials in orders.items()
-            for (e, alphas), c in monomials.items()
+            for n, kern in orders.items()
+            for (e, alphas), c in kernel_fractions(kern).items()
         ]
     ).reshape(-1, mesh.size)
     want = np.array([math.fsum(col) for col in terms.T])
@@ -127,7 +144,7 @@ def reference_endpoint(orders, factors, mesh):
     """The nested trapezoid rule at x = 1 with its outermost integral
     written as one exactly rounded sum.
 
-    ``orders`` maps n to the order-n monomials; order n reads the last n
+    ``orders`` maps n to the order-n kernel; order n reads the last n
     factors.  The inner slots are integrated as ``reference_profile``
     integrates them; then ``math.fsum`` adds, over every monomial and mesh
     node i, the term c * x_i**alphas[0] * w_i * f_i * inner_i, with w the
@@ -138,9 +155,9 @@ def reference_endpoint(orders, factors, mesh):
     weights = np.full(mesh.size, dx)
     weights[[0, -1]] /= 2.0
     terms = [np.zeros(0)]
-    for n, monomials in orders.items():
+    for n, kern in orders.items():
         slots = factors[-n:]
-        for (_, alphas), c in monomials.items():
+        for (_, alphas), c in kernel_fractions(kern).items():
             inner = _inner_integral(alphas, slots, mesh, 1)
             terms.append(float(c) * mesh ** alphas[0] * weights * slots[0] * inner)
     terms = np.concatenate(terms)
@@ -169,7 +186,7 @@ def assert_endpoint_within_rounding(value, orders, factors, mesh):
     four products and the sum once, five more.
     """
     want, magnitude = reference_endpoint(orders, factors, mesh)
-    monomials = sum(len(m) for m in orders.values())
+    monomials = sum(len(kern.monomials) for kern in orders.values())
     k = 2 * monomials + mesh.size + len(orders) + 5
     bound = _rounding_bound(k, magnitude)
     assert abs(value - want) <= bound, (value, want, bound)
@@ -190,7 +207,7 @@ def kernel_eval_exact(kern, x, xi: Iterable) -> Fraction:
     x = Fraction(x)
     xs = [Fraction(v) for v in xi]
     acc = Fraction(0)
-    for (e, alphas), c in kern.monomials.items():
+    for (e, alphas), c in kernel_fractions(kern).items():
         term = c * x**e
         for v, a in zip(xs, alphas):
             term *= v**a

@@ -45,8 +45,7 @@ def _emit(capsys, num, ok, detail, elapsed, budget):
 
 
 def _recursion_kernels(n_max):
-    nodes = build_controller_kernels(pdae_plant(), n_max)
-    return {node.order: node for node in nodes}
+    return build_controller_kernels(pdae_plant(), n_max)
 
 
 def _smooth(rng, mesh, norm):

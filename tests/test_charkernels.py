@@ -21,7 +21,7 @@ from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
 from volback.simplex import SimplexDomainError, ordered_splits
 from volback.volterra import SeriesDefinitionError, VolterraKernelSeries
 
-from conftest import random_simplex_points
+from conftest import exact_kernel, random_simplex_points
 
 
 class TestShuffles:
@@ -76,12 +76,11 @@ class TestEvalB:
         assert b(1.0, np.array([[0.5, 0.25, 0.0]]))[0] == pytest.approx(-0.46875, abs=1e-10)
 
     def test_closed_form_everywhere(self, plant):
-        k2n = KernelNode(pdae_k2(), "gap-cascade")
         rng = np.random.default_rng(11)
         pts = random_simplex_points(rng, 3, 20)
         x1, x2, x3 = pts.T
         want = -(1.0 - x1) * (x1 + x2 + x3) - 0.5 * (x1**2 - x2**2)
-        got = coupling_polynomial(3, 2, k2n, plant.kernel(2))(1.0, pts)
+        got = coupling_polynomial(3, 2, pdae_k2(), plant.kernel(2))(1.0, pts)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_order_mismatch_rejected(self, plant):
@@ -103,15 +102,15 @@ class TestCharacteristicRecursion:
     def test_order2_matches_closed_form(self, plant):
         rng = np.random.default_rng(2)
         pts = random_simplex_points(rng, 2, 30)
-        (k2,) = build_controller_kernels(plant, 2)
+        (k2,) = build_controller_kernels(plant, 2).values()
         assert k2(1.0, pts) == pytest.approx(-pts[:, 1], abs=1e-10)
 
     def test_zero_tail_is_exact_zero(self, plant):
-        k3 = build_controller_kernels(plant, 3)[1]
+        k3 = build_controller_kernels(plant, 3)[3]
         assert k3(1.0, np.array([[0.5, 0.25, 0.0]]))[0] == 0.0
 
     def test_order3_frozen_point(self, plant):
-        k3 = build_controller_kernels(plant, 3)[1]
+        k3 = build_controller_kernels(plant, 3)[3]
         val = k3(1.0, np.array([[0.5, 0.25, 0.2]]))[0]
         assert val == pytest.approx(-63.0 / 800.0, abs=1e-9)
 
@@ -138,29 +137,28 @@ class TestCharacteristicRecursion:
 
 class TestBuildControllerKernels:
     def test_recursion_route(self, plant, closed_forms):
-        nodes = build_controller_kernels(plant, 3)
-        assert [nd.order for nd in nodes] == [2, 3]
-        assert all(nd.provenance == "characteristic-recursion" for nd in nodes)
-        for nd in nodes:
-            assert nd.polynomial.monomials == closed_forms[nd.order].monomials
+        kernels = build_controller_kernels(plant, 3)
+        assert list(kernels) == [2, 3]
+        assert all(isinstance(k, SimplexPolyKernel) and k.order == n for n, k in kernels.items())
+        assert kernels == closed_forms
 
     def test_zero_plant_gives_zero_kernels(self):
         zero = VolterraKernelSeries({})
-        nodes = build_controller_kernels(zero, 3)
-        assert [nd.order for nd in nodes] == [2, 3]
+        kernels = build_controller_kernels(zero, 3)
+        assert list(kernels) == [2, 3]
         rng = np.random.default_rng(0)
-        for nd in nodes:
-            assert nd.polynomial.monomials == {}
-            pts = random_simplex_points(rng, nd.order, 10)
-            assert np.max(np.abs(nd(1.0, pts))) == 0.0
+        for n, kern in kernels.items():
+            assert kern == SimplexPolyKernel(n, {})
+            pts = random_simplex_points(rng, n, 10)
+            assert np.max(np.abs(kern(1.0, pts))) == 0.0
 
     def test_inflow_condition(self, plant):
-        nodes = build_controller_kernels(plant, 5)
+        kernels = build_controller_kernels(plant, 5)
         rng = np.random.default_rng(9)
-        for nd in nodes:
-            pts = random_simplex_points(rng, nd.order, 20)
+        for n, kern in kernels.items():
+            pts = random_simplex_points(rng, n, 20)
             pts[:, -1] = 0.0
-            assert np.max(np.abs(nd(1.0, pts))) == 0.0
+            assert np.max(np.abs(kern(1.0, pts))) == 0.0
 
     def test_cap_below_two_rejected(self, plant):
         with pytest.raises(KernelConfigError):
@@ -168,8 +166,7 @@ class TestBuildControllerKernels:
 
 
 class TestDegreeRule:
-    """The recursion's polynomials, degrees included, equal the cascade's
-    monomial for monomial."""
+    """The recursion's kernels, degrees included, equal the cascade's."""
 
     PLANT = "2 0,0 3/2 1/2\n2 1,0 -1/3 0 2\n3 1,0,0 1/2 -2/3\n3 0,1,1 -3/4 1\n"
     # Shaped like the kernel-synthesis benchmark's plants.
@@ -178,12 +175,11 @@ class TestDegreeRule:
 
     @staticmethod
     def assert_equal_to_cascade(series, b_family, n_max):
-        nodes = build_controller_kernels(series, n_max)
+        kernels = build_controller_kernels(series, n_max)
         a_family = cascade(b_family, n_max)
-        assert [nd.order for nd in nodes] == list(range(2, n_max + 1))
-        for node in nodes:
-            want = assemble_kernel_polynomial(a_family, node.order).monomials
-            assert node.polynomial.monomials == want, f"order {node.order}"
+        assert list(kernels) == list(range(2, n_max + 1))
+        for n, kern in kernels.items():
+            assert kern == assemble_kernel_polynomial(a_family, n), f"order {n}"
 
     @pytest.mark.parametrize("n_max", [2, 3, 4, 5])
     def test_pdae_recursion_matches_cascade(self, plant, n_max):
@@ -207,17 +203,19 @@ class TestDegreeRule:
         self.assert_equal_to_cascade(parsed.series, parsed.family, n_max)
 
     def test_degree_bound_is_the_pdae_degree(self, plant):
-        nodes = build_controller_kernels(plant, 5)
-        degrees = [max(e + sum(alphas) for e, alphas in nd.polynomial.monomials) for nd in nodes]
+        kernels = build_controller_kernels(plant, 5)
+        degrees = [max(e + sum(alphas) for e, alphas in k.monomials) for k in kernels.values()]
         assert degrees == [1, 3, 5, 7]
 
     def test_rule_exact_for_forcing_that_moves_along_characteristics(self):
         # x^2 + xi_2^2 is not constant along (1, 1, 1), unlike the gap
         # monomials: k_2 = -(x^3 - (x - xi_2)^3 + xi_2^3) / 3.
         f2 = SimplexPolyKernel(2, {(2, (0, 0)): 1, (0, (0, 2)): 1})
-        (node,) = build_controller_kernels(VolterraKernelSeries({2: f2}), 2)
+        (kern,) = build_controller_kernels(VolterraKernelSeries({2: f2}), 2).values()
         want = {(2, (0, 1)): -1, (1, (0, 2)): 1, (0, (0, 3)): Fraction(-2, 3)}
-        assert node.polynomial.monomials == want
+        assert kern == exact_kernel(2, want)
+        assert kern.monomials == {(2, (0, 1)): -3, (1, (0, 2)): 3, (0, (0, 3)): -2}
+        assert kern.den == 3
 
     @pytest.mark.parametrize("opaque_order", [2, 3])
     def test_opaque_plant_kernel_rejected(self, opaque_order):
@@ -246,6 +244,16 @@ class TestPlantHelpers:
 
     def test_other_series_not_recognized(self):
         assert not is_pdae_plant(VolterraKernelSeries({2: pdae_k2()}))
+
+    def test_half_the_pdae_kernel_not_recognized(self, tmp_path):
+        # Numerator 1 over den 2: the pdae plant's numerators, another value.
+        path = tmp_path / "plant.txt"
+        path.write_text("2 0,0 1/2\n")
+        series = parse_plant(path).series
+        assert series.kernel(2).monomials == {(0, (0, 0)): 1} and series.kernel(2).den == 2
+        assert not is_pdae_plant(series)
+        path.write_text("2 0,0 1\n")
+        assert is_pdae_plant(parse_plant(path).series)
 
     def test_closed_form_registry(self, closed_forms):
         assert sorted(closed_forms) == [2, 3]

@@ -26,10 +26,10 @@ from volback.gapcascade import (
     pdae_b_family,
     split_gap_integration,
 )
-from volback.polynomial import RationalPoly, SimplexPolyKernel, pdae_k2, pdae_k3
+from volback.polynomial import RationalPoly, pdae_k2, pdae_k3
 from volback.verification import _phi
 
-from conftest import poly_eval_exact, random_simplex_points
+from conftest import exact_kernel, poly_eval_exact, random_simplex_points
 
 
 def assemble_kernel(a_family: GapCoefficientFamily, n: int, x: float, xi) -> float:
@@ -271,8 +271,8 @@ class TestAssembly:
         assert assemble_kernel(a_family, 3, 1.0, (0.5, 0.25, 0.0)) == 0.0
 
     def test_polynomial_forms_match_closed_forms(self, a_family):
-        assert assemble_kernel_polynomial(a_family, 2).monomials == pdae_k2().monomials
-        assert assemble_kernel_polynomial(a_family, 3).monomials == pdae_k3().monomials
+        assert assemble_kernel_polynomial(a_family, 2) == pdae_k2()
+        assert assemble_kernel_polynomial(a_family, 3) == pdae_k3()
 
     def test_polynomial_matches_pointwise(self, a_family):
         poly = assemble_kernel_polynomial(a_family, 3)
@@ -334,7 +334,7 @@ def fraction_phi_monomials(P):
 
 def fraction_expansion(family, n, shifted):
     """Reference kernel: sum_P c_P(x) Phi_P summed term by term in
-    Fractions and built through the constructor, with
+    Fractions and turned into a kernel (``exact_kernel``), with
     c_P(x) = a_P(x) - a_P(x - xi_n) when ``shifted``."""
     out = {}
 
@@ -355,7 +355,7 @@ def fraction_expansion(family, n, shifted):
                 for (e, alphas), c in phi.items():
                     al2 = alphas[:-1] + (alphas[-1] + k - i,)
                     add(-ck * bcoeff * c, e + i, al2)
-    return SimplexPolyKernel(n, out)
+    return exact_kernel(n, out)
 
 
 EXPANSION_CASES = (
@@ -367,27 +367,33 @@ EXPANSION_CASES = (
 
 class TestIntegerExpansion:
     """The integer expander reproduces the Fraction expansion exactly:
-    same keys, same values, and the same (canonical) monomial order."""
+    the same kernel, integer numerators over the same denominator, in the
+    same (canonical) monomial order."""
+
+    @staticmethod
+    def assert_same_kernel(got, want):
+        assert got == want
+        assert list(got.monomials) == list(want.monomials)
+        assert all(type(v) is int for v in got.monomials.values()) and type(got.den) is int
 
     @pytest.mark.parametrize("plant, n", EXPANSION_CASES)
     def test_assembly_matches_fraction_expansion(self, plant, n):
         a = cascade_of(plant, n)
-        got = list(assemble_kernel_polynomial(a, n).monomials.items())
-        assert got == list(fraction_expansion(a, n, shifted=True).monomials.items())
-        assert all(type(v) is Fr for _, v in got)
+        want = fraction_expansion(a, n, shifted=True)
+        self.assert_same_kernel(assemble_kernel_polynomial(a, n), want)
 
     @pytest.mark.parametrize("plant", sorted(PLANTS))
     def test_plant_kernel_matches_fraction_expansion(self, plant):
         b = PLANTS[plant]()
         for n in b.orders():
-            got = list(family_plant_kernel(b, n).monomials.items())
-            assert got == list(fraction_expansion(b, n, shifted=False).monomials.items())
+            want = fraction_expansion(b, n, shifted=False)
+            self.assert_same_kernel(family_plant_kernel(b, n), want)
 
     @pytest.mark.parametrize("plant, n", [("pdae", 4), ("ks-shaped", 3), ("mixed", 3)])
     def test_unshifted_expansion_of_cascade_family(self, plant, n):
         a = cascade_of(plant, n)
-        got = list(family_plant_kernel(a, n).monomials.items())
-        assert got == list(fraction_expansion(a, n, shifted=False).monomials.items())
+        want = fraction_expansion(a, n, shifted=False)
+        self.assert_same_kernel(family_plant_kernel(a, n), want)
 
 
 class TestNorms:

@@ -9,6 +9,7 @@ from volback import harness
 from volback.gapcascade import pdae_b_family
 from volback.harness import (
     ExperimentSpec,
+    CROSS_CHECK_MAX_ORDER,
     ConfigError,
     PlantParseError,
     build_kernel_table,
@@ -125,9 +126,17 @@ class TestKernelRoutes:
         by_cascade = build_kernel_table(plant, 3, route="cascade")
         by_recursion = build_kernel_table(plant, 3, route="recursion")
         for n in (2, 3):
-            # Same monomials, coefficients and order: the float values agree bit for bit.
-            got = list(by_cascade[n].polynomial.monomials.items())
-            assert got == list(by_recursion[n].polynomial.monomials.items())
+            # Same monomials, numerators, den and order: the float values agree bit for bit.
+            got = list(by_cascade[n].monomials.items())
+            assert got == list(by_recursion[n].monomials.items())
+            assert by_cascade[n].den == by_recursion[n].den
+
+    def test_routes_give_equal_tables_to_the_cross_check_order(self):
+        plant = load_plant("pdae")
+        by_cascade = build_kernel_table(plant, CROSS_CHECK_MAX_ORDER, route="cascade")
+        by_recursion = build_kernel_table(plant, CROSS_CHECK_MAX_ORDER, route="recursion")
+        assert list(by_cascade) == list(range(2, CROSS_CHECK_MAX_ORDER + 1))
+        assert by_cascade == by_recursion
 
     def test_unknown_route(self):
         with pytest.raises(ConfigError):
@@ -268,6 +277,41 @@ class TestMain:
         meta = json.loads((out_root / "simulate" / "metadata.json").read_text())
         assert meta["blow_up"] is None
         assert meta["checks"]["kernel_cross_check"]["passed"]
+
+    def test_open_loop_mild_solution_check_is_recorded(self, out_root, tmp_path):
+        # With no controller K = 0, so w = u is compared with the target flow.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "controller = open-loop\nmesh_points = 21\nt_end = 0.5\ncheck_mild_solution = yes\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        meta = json.loads((out_root / "simulate" / "metadata.json").read_text())
+        assert meta["checks"]["mild_solution_residual"]["value"] == pytest.approx(9.785, abs=1e-3)
+
+    @pytest.mark.parametrize("controller", ["open-loop", "order-3"])
+    def test_blow_up_skips_the_mild_solution_check(self, out_root, tmp_path, controller):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"controller = {controller}\nmesh_points = 21\nblow_up_threshold = 1e-9\n"
+            "check_mild_solution = yes\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        meta = json.loads((out_root / "simulate" / "metadata.json").read_text())
+        assert meta["blow_up"] == 0.0
+        assert meta["checks"] == {"mild_solution_residual": {"skipped": "blow-up record"}}
+
+    @pytest.mark.parametrize("command", ["kernels", "simulate"])
+    def test_kernels_past_the_float_range_exit_2(self, out_root, tmp_path, capsys, command):
+        # The plant's coefficient is a float; k_3's squares it past the range.
+        plant = tmp_path / "plant.txt"
+        plant.write_text("2 0,0 1e200\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"plant = {plant}\ncontroller = order-3\nmesh_points = 21\n")
+        args = {"kernels": ["--plant", str(plant)], "simulate": ["--config", str(cfg)]}
+        assert main([command, *args[command]]) == 2
+        err = capsys.readouterr().err
+        assert "order-3 kernel has coefficients beyond the floating-point range" in err
+        assert not out_root.exists() or not any(out_root.iterdir())
 
     def test_kernels_order_4_cross_check_passes(self, out_root):
         assert main(["kernels", "--plant", "pdae", "--order", "4"]) == 0
@@ -432,7 +476,9 @@ class TestMain:
 
 class TestCascadeOncePerCommand:
     """A kernels command runs the coefficient cascade once and cross-checks
-    the recursion against the table built from it."""
+    the recursion against the table built from it.  A simulation builds
+    its controller by the recursion and runs the cascade only for its
+    kernel check."""
 
     @pytest.fixture()
     def cascades(self, monkeypatch):
@@ -473,6 +519,14 @@ class TestCascadeOncePerCommand:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "at order 7; it supports orders up to 6" in capsys.readouterr().err
         assert not (out_root / "high").exists()
+        assert cascades == []
+
+    def test_experiment_without_kernel_check_runs_no_cascade(self, tmp_path, cascades):
+        spec = ExperimentSpec(
+            controller="full-N_max", overrides={"mesh_points": 21, "t_end": 0.1}
+        )
+        meta = run_experiment(spec, tmp_path / "run")
+        assert meta["blow_up"] is None and "checks" not in meta
         assert cascades == []
 
     def test_experiment_kernel_check(self, tmp_path, cascades):

@@ -42,12 +42,40 @@ class TestRationalPoly:
 
 class TestSimplexPolyKernel:
     def test_canonicalizes_and_drops_zeros(self):
-        k = SimplexPolyKernel(2, {(0, (0, 1)): Fr(1), (1, (0, 0)): Fr(0)})
-        assert (1, (0, 0)) not in k.monomials
+        k = SimplexPolyKernel(2, {(1, (0, 0)): 0, (0, (0, 1)): 4, (0, (1, 0)): -6}, den=8)
+        assert k.monomials == {(0, (0, 1)): 2, (0, (1, 0)): -3} and k.den == 4
+        assert list(k.monomials) == sorted(k.monomials)
+        assert SimplexPolyKernel(2, {(0, (0, 1)): 0}, den=6).den == 1
+
+    def test_equal_values_with_different_den_compare_equal(self):
+        half = SimplexPolyKernel(2, {(0, (0, 1)): 1, (1, (0, 0)): 3}, den=2)
+        same = SimplexPolyKernel(2, {(1, (0, 0)): 9, (0, (0, 1)): 3}, den=6)
+        assert half == same and half.den == same.den == 2
+        assert half != SimplexPolyKernel(2, {(0, (0, 1)): 1, (1, (0, 0)): 3}, den=4)
+        pts = np.array([[0.7, 0.3], [0.4, 0.1]])
+        assert np.array_equal(half(0.9, pts), same(0.9, pts))
+
+    def test_coefficient_floats_are_the_fractions_floats(self):
+        # Past 2**53 neither the numerator nor den is an exact float; c / den
+        # still rounds once, as float(Fraction) does.
+        den = 3 * 10**29
+        for c in (1, 10**30 + 1, -(2**80) - 7):
+            k = SimplexPolyKernel(1, {(0, (0,)): c}, den=den)
+            assert k(1.0, np.array([[0.5]]))[0] == float(Fr(c, den))
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_nonpositive_den_rejected(self, den):
+        with pytest.raises(ValueError, match="denominator"):
+            SimplexPolyKernel(2, {(0, (0, 1)): 1}, den=den)
+
+    @pytest.mark.parametrize("coeff", [Fr(1, 2), Fr(2), 0.5])
+    def test_non_integer_coefficient_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            SimplexPolyKernel(2, {(0, (0, 1)): coeff})
 
     def test_mismatched_index_length_rejected(self):
         with pytest.raises(ValueError):
-            SimplexPolyKernel(2, {(0, (0, 1, 0)): Fr(1)})
+            SimplexPolyKernel(2, {(0, (0, 1, 0)): 1})
 
     def test_quadratic_example_order2(self):
         k2 = pdae_k2()
@@ -74,9 +102,3 @@ class TestSimplexPolyKernel:
         xs = np.array([1.0, 0.8])
         pts = np.array([[0.5, 0.2], [0.5, 0.2]])
         assert k2(xs, pts) == pytest.approx([-0.2, -0.2])
-
-    def test_add_and_scale(self):
-        k = pdae_k2() + pdae_k2()
-        assert k.monomials == {(0, (0, 1)): Fr(-2)}
-        back = k + SimplexPolyKernel(2, {(0, (0, 1)): Fr(2)})
-        assert back.monomials == {}

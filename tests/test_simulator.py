@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_profile
+from conftest import kernel_fractions, reference_profile
 from volback import simulator, volterra
 from volback.charkernels import is_pdae_plant, pdae_plant
 from volback.harness import build_kernel_table, load_plant
@@ -71,7 +71,7 @@ class TestConfig:
         # update costs 1 + the order-3 controller's trie nodes + the
         # plant's one.
         kernels = build_kernel_table(load_plant("pdae"), 3)
-        nodes = sum(volterra.trie_nodes(k.polynomial) for k in kernels.values())
+        nodes = sum(map(volterra.trie_nodes, kernels.values()))
         assert nodes == 16
         assert 9 * 6400 * (STEP_COST + 1601 * (1 + nodes + 1)) < MAX_GRID_UPDATES
 
@@ -81,13 +81,12 @@ class TestConfig:
         # that the budget charges bounds it.
         mesh = np.linspace(0.0, 1.0, 11)
         kernels = build_kernel_table(load_plant("pdae"), 4)
-        orders = {n: kern.polynomial.monomials for n, kern in kernels.items()}
         for n, kern in kernels.items():
-            levels = volterra.MeshCascade({n: orders[n]}, mesh).levels
-            assert volterra.trie_nodes(kern.polynomial) == sum(len(p) for p, _ in levels)
-        merged = volterra.MeshCascade(orders, mesh).levels
+            levels = volterra.MeshCascade({n: kern}, mesh).levels
+            assert volterra.trie_nodes(kern) == sum(len(p) for p, _ in levels)
+        merged = volterra.MeshCascade(kernels, mesh).levels
         assert sum(len(pows) for pows, _ in merged) == 72
-        assert sum(volterra.trie_nodes(k.polynomial) for k in kernels.values()) == 88
+        assert sum(map(volterra.trie_nodes, kernels.values())) == 88
 
     def test_controller_cost_counts_in_the_budget(self, plant, monkeypatch):
         # The blow-up threshold stops the order-3 run after its first step.
@@ -245,8 +244,7 @@ def reference_run(cfg, plant, kernels, cap):
     dt = cfg.cfl * dx
 
     def term(kern, n, values):
-        mono = getattr(kern, "polynomial", kern).monomials
-        return reference_profile(mono, [values] * n, mesh)
+        return reference_profile(kernel_fractions(kern), [values] * n, mesh)
 
     def rhs(values):
         out = np.empty_like(values)

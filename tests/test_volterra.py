@@ -14,7 +14,7 @@ import volback
 from volback.charkernels import pdae_plant
 from volback.harness import build_kernel_table, load_plant
 from volback.inversion import dk_matrix
-from volback.polynomial import pdae_k2, pdae_k3
+from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
 from volback.simulator import SimConfig, _controller_series, mild_solution_residual, simulate
 from conftest import (
@@ -23,6 +23,7 @@ from conftest import (
     assert_endpoint_within_rounding,
     assert_profile_within_rounding,
     eval_series,
+    exact_kernel,
 )
 from volback.volterra import (
     GainFunctions,
@@ -87,10 +88,11 @@ class TestSeriesValidation:
         with pytest.raises(SeriesDefinitionError, match="order-3 kernel has order 2"):
             VolterraKernelSeries({2: pdae_k2(), 3: node})
 
-    def test_kernel_nodes_are_unwrapped(self):
+    def test_kernel_table_is_stored_as_given(self):
         table = build_kernel_table(load_plant("pdae"), 3)
         series = VolterraKernelSeries(table)
-        assert series.kernels == {n: node.polynomial for n, node in table.items()}
+        assert series.kernels == table
+        assert all(series.kernel(n) is kern for n, kern in table.items())
 
     def test_missing_order_raises(self, plant):
         with pytest.raises(SeriesDefinitionError):
@@ -227,13 +229,13 @@ class TestCouplingBound:
             coupling_bound_check(2, 3, 1.0, 1.0, 1.0)
 
 
-def random_monomials(rng, n, count):
+def random_kernel(rng, n, count):
     """Small exponents, so many monomials share trailing exponents."""
     mono = {}
     for _ in range(count):
         key = (int(rng.integers(0, 4)), tuple(int(a) for a in rng.integers(0, 3, n)))
         mono[key] = Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 7)))
-    return mono
+    return exact_kernel(n, mono)
 
 
 class TestMeshCascade:
@@ -246,57 +248,60 @@ class TestMeshCascade:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical_to_reference_loop(self, n, seed):
         rng = np.random.default_rng(seed)
-        mono = random_monomials(rng, n, 12)
-        assert any(e > 0 for e, _ in mono)
-        assert len({a[1:] for _, a in mono}) < len(mono)  # some suffix is shared
+        kern = random_kernel(rng, n, 12)
+        keys = kern.monomials
+        assert any(e > 0 for e, _ in keys)
+        assert len({a[1:] for _, a in keys}) < len(keys)  # some suffix is shared
         for m in (3, 57, 201):
             mesh = np.linspace(0.0, 1.0, m)
             factors = [rng.standard_normal(m) for _ in range(n)]
-            cascade = MeshCascade({n: mono}, mesh)
+            cascade = MeshCascade({n: kern}, mesh)
             ids = cascade.reads[n][0]
             passes = cascade._integrals(factors, n)[n - 1]
-            for node, (_, alphas) in zip(ids, mono):
+            for node, (_, alphas) in zip(ids, keys):
                 assert np.array_equal(passes[node], _inner_integral(alphas, factors, mesh, 0))
-            assert_profile_within_rounding(cascade.profile(factors), {n: mono}, factors, mesh)
-            assert_endpoint_within_rounding(cascade.endpoint(factors), {n: mono}, factors, mesh)
+            assert_profile_within_rounding(cascade.profile(factors), {n: kern}, factors, mesh)
+            assert_endpoint_within_rounding(cascade.endpoint(factors), {n: kern}, factors, mesh)
 
     def test_builtin_order4_kernel(self):
-        mono = build_kernel_table(load_plant("pdae"), 4)[4].polynomial.monomials
+        kern = build_kernel_table(load_plant("pdae"), 4)[4]
         mesh = np.linspace(0.0, 1.0, 101)
         u = 0.7 * np.sin(math.pi * mesh) + mesh
-        cascade = MeshCascade({4: mono}, mesh)
-        assert_profile_within_rounding(cascade.profile([u] * 4), {4: mono}, [u] * 4, mesh)
-        assert_endpoint_within_rounding(cascade.endpoint([u] * 4), {4: mono}, [u] * 4, mesh)
+        cascade = MeshCascade({4: kern}, mesh)
+        assert_profile_within_rounding(cascade.profile([u] * 4), {4: kern}, [u] * 4, mesh)
+        assert_endpoint_within_rounding(cascade.endpoint([u] * 4), {4: kern}, [u] * 4, mesh)
 
     @pytest.mark.parametrize("slots", [(0,), (2,), (0, 1, 2)])
     def test_batched_factor(self, slots):
         rng = np.random.default_rng(5)
-        mono = random_monomials(rng, 3, 10)
+        kern = random_kernel(rng, 3, 10)
         mesh = np.linspace(0.0, 1.0, 41)
         factors = [
             rng.standard_normal((4, 41)) if i in slots else rng.standard_normal(41)
             for i in range(3)
         ]
-        cascade = MeshCascade({3: mono}, mesh)
+        cascade = MeshCascade({3: kern}, mesh)
         prof = cascade.profile(factors)
         ends = cascade.endpoint(factors)
         assert prof.shape == (4, 41) and ends.shape == (4,)
         for b in range(4):
             row = [f[b] if f.ndim == 2 else f for f in factors]
-            assert_profile_within_rounding(prof[b], {3: mono}, row, mesh)
-            assert_endpoint_within_rounding(ends[b], {3: mono}, row, mesh)
+            assert_profile_within_rounding(prof[b], {3: kern}, row, mesh)
+            assert_endpoint_within_rounding(ends[b], {3: kern}, row, mesh)
 
     def test_zero_kernel(self):
         mesh = np.linspace(0.0, 1.0, 11)
-        cascade = MeshCascade({2: {}}, mesh)
+        cascade = MeshCascade({2: SimplexPolyKernel(2, {})}, mesh)
         assert np.array_equal(cascade.profile([mesh, mesh]), np.zeros(11))
         assert cascade.endpoint([mesh, mesh]) == 0.0
 
     @staticmethod
     def mixed_orders(rng):
         """Orders 2 to 5 whose suffixes overlap across orders."""
-        orders = {n: random_monomials(rng, n, 10) for n in (2, 3, 4, 5)}
-        suffixes = [{a[i:] for _, a in mono for i in range(n)} for n, mono in orders.items()]
+        orders = {n: random_kernel(rng, n, 10) for n in (2, 3, 4, 5)}
+        suffixes = [
+            {a[i:] for _, a in kern.monomials for i in range(n)} for n, kern in orders.items()
+        ]
         assert len(set().union(*suffixes)) < sum(map(len, suffixes))
         return orders
 
@@ -308,13 +313,13 @@ class TestMeshCascade:
             mesh = np.linspace(0.0, 1.0, m)
             u = rng.standard_normal(m)
             cascade = MeshCascade(orders, mesh)
-            alone = {n: MeshCascade({n: mono}, mesh) for n, mono in orders.items()}
+            alone = {n: MeshCascade({n: kern}, mesh) for n, kern in orders.items()}
             alone_nodes = sum(len(pows) for c in alone.values() for pows, _ in c.levels)
             assert sum(len(pows) for pows, _ in cascade.levels) < alone_nodes
-            for n, mono in orders.items():
+            for n, kern in orders.items():
                 slots = [u] * n
-                assert_profile_within_rounding(alone[n].profile(slots), {n: mono}, slots, mesh)
-                assert_endpoint_within_rounding(alone[n].endpoint(slots), {n: mono}, slots, mesh)
+                assert_profile_within_rounding(alone[n].profile(slots), {n: kern}, slots, mesh)
+                assert_endpoint_within_rounding(alone[n].endpoint(slots), {n: kern}, slots, mesh)
             assert_profile_within_rounding(cascade.profile([u] * 5), orders, [u] * 5, mesh)
             assert_endpoint_within_rounding(cascade.endpoint([u] * 5), orders, [u] * 5, mesh)
 
@@ -338,16 +343,13 @@ class TestMeshCascade:
         # is not zero.  For the builtin plant no fold row is zero.
         rng = np.random.default_rng(29)
         orders = self.mixed_orders(rng)
-        builtin = {
-            n: k.polynomial.monomials
-            for n, k in build_kernel_table(load_plant("pdae"), 5).items()
-        }
+        builtin = build_kernel_table(load_plant("pdae"), 5)
         mesh = np.linspace(0.0, 1.0, 21)
         for table in (orders, builtin):
             cascade = MeshCascade(table, mesh)
             *lower, top = table
-            for n, mono in table.items():
-                nodes = len({a for _, a in mono})
+            for n, kern in table.items():
+                nodes = len({a for _, a in kern.monomials})
                 assert len(cascade.rows[n]) == nodes
                 assert set(cascade.reads[n][0]) == set(range(nodes))
             for n in lower:
@@ -360,7 +362,7 @@ class TestMeshCascade:
     def test_one_fold_block(self):
         # Orders 2 and 3 read their own levels at x = 1; only order 4 folds.
         rng = np.random.default_rng(37)
-        orders = {n: random_monomials(rng, n, 10) for n in (2, 3, 4)}
+        orders = {n: random_kernel(rng, n, 10) for n in (2, 3, 4)}
         mesh = np.linspace(0.0, 1.0, 41)
         u = rng.standard_normal(41)
         cascade = MeshCascade(orders, mesh)
@@ -377,15 +379,15 @@ class TestMeshCascade:
         mesh = np.linspace(0.0, 1.0, m)
         weights = np.full(m, 1.0 / (m - 1))
         weights[[0, -1]] /= 2.0
-        unit = MeshCascade({2: {(0, (0, 0)): 1}}, mesh)
+        unit = MeshCascade({2: SimplexPolyKernel(2, {(0, (0, 0)): 1})}, mesh)
         assert np.array_equal(unit.folds[2], weights[None, :])
         cascade = MeshCascade(orders, mesh)
-        alone = {n: MeshCascade({n: mono}, mesh) for n, mono in orders.items()}
+        alone = {n: MeshCascade({n: kern}, mesh) for n, kern in orders.items()}
         for _ in range(5):
             factors = [rng.standard_normal(m) for _ in range(5)]
-            for n, mono in orders.items():
+            for n, kern in orders.items():
                 end = alone[n].endpoint(factors[-n:])
-                assert_endpoint_within_rounding(end, {n: mono}, factors, mesh)
+                assert_endpoint_within_rounding(end, {n: kern}, factors, mesh)
             assert_endpoint_within_rounding(cascade.endpoint(factors), orders, factors, mesh)
 
     def test_order_two_alone_skips_its_outer_level(self, monkeypatch):
@@ -398,15 +400,15 @@ class TestMeshCascade:
 
         monkeypatch.setattr(MeshCascade, "_integrals", recording)
         rng = np.random.default_rng(17)
-        mono = random_monomials(rng, 2, 8)
+        kern = random_kernel(rng, 2, 8)
         mesh = np.linspace(0.0, 1.0, 57)
         factors = [rng.standard_normal(57) for _ in range(2)]
-        cascade = MeshCascade({2: mono}, mesh)
+        cascade = MeshCascade({2: kern}, mesh)
         assert list(cascade.folds) == [2] and cascade.folds[2].shape[0] == len(
             cascade.levels[0][0]
         )
-        assert_endpoint_within_rounding(cascade.endpoint(factors), {2: mono}, factors, mesh)
-        assert_profile_within_rounding(cascade.profile(factors), {2: mono}, factors, mesh)
+        assert_endpoint_within_rounding(cascade.endpoint(factors), {2: kern}, factors, mesh)
+        assert_profile_within_rounding(cascade.profile(factors), {2: kern}, factors, mesh)
         assert depths == [1, 2]  # the endpoint integrates level 0 only
 
     def test_each_read_builds_only_its_own_rows(self):
@@ -422,16 +424,20 @@ class TestMeshCascade:
 
     def test_zero_order_among_others(self):
         rng = np.random.default_rng(19)
-        orders = {2: random_monomials(rng, 2, 6), 3: {}, 4: random_monomials(rng, 4, 6)}
-        nonzero = {n: mono for n, mono in orders.items() if mono}
+        orders = {
+            2: random_kernel(rng, 2, 6),
+            3: SimplexPolyKernel(3, {}),
+            4: random_kernel(rng, 4, 6),
+        }
+        nonzero = {n: kern for n, kern in orders.items() if kern.monomials}
         mesh = np.linspace(0.0, 1.0, 41)
         u = rng.standard_normal(41)
         cascade = MeshCascade(orders, mesh)
         assert list(cascade.rows) == list(cascade.folds) == [2, 4]
-        for n, mono in nonzero.items():
-            alone = MeshCascade({n: mono}, mesh)
-            assert_profile_within_rounding(alone.profile([u] * n), {n: mono}, [u] * n, mesh)
-            assert_endpoint_within_rounding(alone.endpoint([u] * n), {n: mono}, [u] * n, mesh)
+        for n, kern in nonzero.items():
+            alone = MeshCascade({n: kern}, mesh)
+            assert_profile_within_rounding(alone.profile([u] * n), {n: kern}, [u] * n, mesh)
+            assert_endpoint_within_rounding(alone.endpoint([u] * n), {n: kern}, [u] * n, mesh)
         assert_profile_within_rounding(cascade.profile([u] * 4), nonzero, [u] * 4, mesh)
         assert_endpoint_within_rounding(cascade.endpoint([u] * 4), nonzero, [u] * 4, mesh)
 
@@ -439,7 +445,7 @@ class TestMeshCascade:
         # Slot 0 is the outermost factor of order 3 only; order 2 reads
         # slots 1 and 2, so its endpoint keeps no batch axis.
         rng = np.random.default_rng(23)
-        orders = {2: random_monomials(rng, 2, 8), 3: random_monomials(rng, 3, 8)}
+        orders = {2: random_kernel(rng, 2, 8), 3: random_kernel(rng, 3, 8)}
         mesh = np.linspace(0.0, 1.0, 41)
         factors = [rng.standard_normal((4, 41)), rng.standard_normal(41), rng.standard_normal(41)]
         cascade = MeshCascade(orders, mesh)
