@@ -37,6 +37,12 @@ product d^tau a_q * d^sigma b_q' once.  No table is kept.
 :func:`gamma_table` runs the same walk over every multi-index up to
 given caps and is the reference the tests compare against.
 
+Kernels are assembled from a family by nested gap sums
+(:func:`_expand_kernel`): each c_P sits at the leaf P of the prefix
+trie of the support, and for r = n-1 down to 0 every node is multiplied
+by Delta_r**P_r and added into its parent, so a gap is expanded once
+per distinct prefix rather than once per P and per shift term.
+
 The expansion substitutes the ansatz for the lower kernel into the
 coupling operator, Taylor-expands the coefficient functions at x
 (finite for polynomials), rewrites every appearance of the integration
@@ -434,50 +440,47 @@ def cascade(b_family: GapCoefficientFamily, n_max: int) -> GapCoefficientFamily:
     return GapCoefficientFamily(a_entries, "cascade-a", metadata=b_family.metadata)
 
 
-def _phi_monomials(P: MultiIndex) -> Dict[MultiIndex, int]:
-    """P! Phi_P = prod_r Delta_r**P_r as integer monomials over (x, xi_1..xi_n)."""
-    # Chain index 0 is x, index i >= 1 is xi_i; gap r = chain_r - chain_{r+1}.
-    terms: Dict[MultiIndex, int] = {(0,) * (len(P) + 1): 1}
-    for r, pw in enumerate(P):
-        if pw == 0:
-            continue
-        new: Dict[MultiIndex, int] = {}
-        for i in range(pw + 1):
-            coeff = math.comb(pw, i) * (-1) ** (pw - i)
-            for vec, c in terms.items():
-                key = vec[:r] + (vec[r] + i, vec[r + 1] + pw - i) + vec[r + 2 :]
-                new[key] = new.get(key, 0) + c * coeff
-        terms = {k: v for k, v in new.items() if v}
-    return terms
-
-
 def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> SimplexPolyKernel:
     """sum_P c_P(x) Phi_P as monomials, where c_P(x) is a_P(x) - a_P(x - xi_n)
     when ``shifted`` and the family's coefficient otherwise.
 
-    Sums integers over L = lcm of denominator(coefficient) * P!; the
-    kernel's constructor drops the monomials that cancel, reduces and
-    orders them.
+    Nested gap sums in integers over L = lcm of denominator(coefficient) * P!.
+    Leaf P holds c_P(x, xi_n) / P!; shifted, x**k - (x - xi_n)**k keeps the
+    i < k terms of -(x - xi_n)**k.  For r = n-1 down to 0 each node is
+    multiplied by (c_r - c_{r+1})**P_r (c_0 = x, c_i = xi_i) and added into
+    its parent P_0..P_{r-1}, where siblings merge.  The kernel's constructor
+    drops the monomials that cancel, reduces and orders them.
     """
     entries = family.at_order(n)
     pfact = {P: math.prod(map(math.factorial, P)) for P in entries}
     den = math.lcm(1, *(c.denominator * pfact[P] for P, p in entries.items() for c in p.coeffs))
-    acc: Dict[MultiIndex, int] = {}
+    # Each trie node maps exponent vectors over (x, xi_1..xi_n) to integers.
+    nodes: Dict[MultiIndex, Dict[MultiIndex, int]] = {}
     for P, poly in entries.items():
-        phi = _phi_monomials(P)
+        leaf = nodes[P] = {}
         for k, ck in enumerate(poly.coeffs):
             if ck == 0:
                 continue
             unit = ck.numerator * (den // (ck.denominator * pfact[P]))
-            # + ck x^k Phi_P, then (shifted) - ck (x - xi_n)^k Phi_P binomially.
-            parts = [(unit, k, 0)]
-            for i in range(k + 1) if shifted else ():
-                parts.append((-unit * math.comb(k, i) * (-1) ** (k - i), i, k - i))
-            for scale, de, dxi in parts:
-                for vec, c in phi.items():
-                    key = (vec[0] + de,) + vec[1:-1] + (vec[-1] + dxi,)
-                    acc[key] = acc.get(key, 0) + scale * c
-    return SimplexPolyKernel(n, {(v[0], v[1:]): c for v, c in acc.items()}, den)
+            if shifted:
+                terms = [(i, k - i, -unit * math.comb(k, i) * (-1) ** (k - i)) for i in range(k)]
+            else:
+                terms = [(k, 0, unit)]
+            for i, d, c in terms:  # x**i xi_n**d, one key per (k, i)
+                leaf[(i,) + (0,) * (n - 1) + (d,)] = c
+    for r in range(n - 1, -1, -1):
+        parents: Dict[MultiIndex, Dict[MultiIndex, int]] = {}
+        for prefix, poly in nodes.items():
+            pw = prefix[r]
+            acc = parents.setdefault(prefix[:r], {})
+            for i in range(pw + 1):
+                b = math.comb(pw, i) * (-1) ** (pw - i)
+                for vec, c in poly.items():
+                    key = vec[:r] + (vec[r] + i, vec[r + 1] + pw - i) + vec[r + 2 :] if pw else vec
+                    acc[key] = acc.get(key, 0) + b * c
+        nodes = parents
+    root = nodes.get((), {})
+    return SimplexPolyKernel(n, {(v[0], v[1:]): c for v, c in root.items()}, den)
 
 
 def family_plant_kernel(family: GapCoefficientFamily, n: int) -> SimplexPolyKernel:
@@ -486,11 +489,8 @@ def family_plant_kernel(family: GapCoefficientFamily, n: int) -> SimplexPolyKern
 
 
 def assemble_kernel_polynomial(a_family: GapCoefficientFamily, n: int) -> SimplexPolyKernel:
-    """The assembled order-n kernel as an explicit polynomial in (x, xi).
-
-    Expands sum_P [a_P(x) - a_P(x - xi_n)] Phi_P exactly, in integers over
-    one common denominator.  The result is what the mesh cascades consume.
-    """
+    """The assembled order-n kernel sum_P [a_P(x) - a_P(x - xi_n)] Phi_P as
+    an exact polynomial in (x, xi), the form the mesh cascades consume."""
     return _expand_kernel(a_family, n, shifted=True)
 
 

@@ -655,7 +655,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("preset", choices=PRESETS)
     p_sim = sub.add_parser("simulate", help="simulate from a config file")
     p_sim.add_argument("--config", required=True)
-    p_ker = sub.add_parser("kernels", help="build kernels for a plant file")
+    p_ker = sub.add_parser(
+        "kernels",
+        help="build kernels for a plant file into <output root>/kernels, as 'run kernels' does",
+        description="Build and cross-check kernels for a plant into <output root>/kernels. "
+        "The 'run kernels' preset writes the same directory, so the second of the two run "
+        "into one output root silently replaces the first; give each its own --output.",
+    )
     p_ker.add_argument("--plant", required=True)
     p_ker.add_argument("--order", type=int, default=3)
     sub.add_parser("gains", help="gain table for the builtin plant")

@@ -9,6 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from volback import gapcascade
 from volback.gapcascade import (
@@ -365,6 +367,34 @@ EXPANSION_CASES = (
 )
 
 
+coefficient = st.builds(Fr, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def random_family(draw):
+    """A family of orders 2-5 with small random supports (zeros inside P
+    included) and polynomials of degree <= 3 whose coefficients have mixed
+    denominators and may be zero anywhere; ``cascade-a`` families get a
+    zero constant term."""
+    role = draw(st.sampled_from(["plant-b", "cascade-a"]))
+    entries = {}
+    for n in draw(st.sets(st.integers(2, 5), min_size=1, max_size=2)):
+        support = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+        for P in draw(st.lists(support, min_size=1, max_size=3, unique=True)):
+            coeffs = draw(st.lists(coefficient, min_size=1, max_size=4))
+            if role == "cascade-a":
+                coeffs[0] = Fr(0)
+            entries[(n, P)] = RationalPoly(coeffs)
+    return GapCoefficientFamily(entries, role)
+
+
+def family_of(role, entries):
+    """A family from ``{P: coefficient strings}``."""
+    return GapCoefficientFamily(
+        {(len(P), P): RationalPoly(map(Fr, cs)) for P, cs in entries.items()}, role
+    )
+
+
 class TestIntegerExpansion:
     """The integer expander reproduces the Fraction expansion exactly:
     the same kernel, integer numerators over the same denominator, in the
@@ -394,6 +424,17 @@ class TestIntegerExpansion:
         a = cascade_of(plant, n)
         want = fraction_expansion(a, n, shifted=False)
         self.assert_same_kernel(family_plant_kernel(a, n), want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fam=random_family())
+    @example(fam=family_of("plant-b", {(1, 0, 2): ["1/3", "0", "-5/7"], (0, 0, 0, 1): ["2/9"]}))
+    @example(fam=family_of("cascade-a", {(2, 0, 1): ["0", "3/4", "0", "-1/6"], (0, 1): ["0", "1/5"]}))
+    @example(fam=family_of("cascade-a", {(0, 0, 0, 0, 2): ["0", "0", "7/10"], (1, 0, 0, 1, 0): ["0", "1"]}))
+    def test_random_families_match_fraction_expansion(self, fam):
+        for n in fam.orders():
+            for shifted, expand in ((True, assemble_kernel_polynomial), (False, family_plant_kernel)):
+                self.assert_same_kernel(expand(fam, n), fraction_expansion(fam, n, shifted))
 
 
 class TestNorms:
