@@ -31,11 +31,14 @@ symbolic expansion, and the cascade integrates the scalar ODEs order by
 order (:func:`cascade`).  The expansion is demand-driven:
 :func:`coupling_c` walks only the keys its families can use (q in
 supp a, tau <= deg a_q, q' in supp b, sigma <= deg b_q'; derivatives
-past those degrees vanish), sums the Gamma of keys that share
-(P, q, tau, q', sigma, tau-|alpha|) as integers, and so forms each
-product d^tau a_q * d^sigma b_q' once.  No table is kept.
-:func:`gamma_table` runs the same walk over every multi-index up to
-given caps and is the reference the tests compare against.
+past those degrees vanish).  Its walk (:func:`_summed_walk`) never lists
+alpha: the Gamma summed over |alpha| = w come from one divided-power
+product with the w-th power of a sum of gaps, taken after merging the
+two gaps next to the integration variable when both lie in its range,
+so each product d^tau a_q * d^sigma b_q' is formed once and no table is
+kept.  :func:`gamma_table` keeps the alpha-resolved walk
+(:func:`_gamma_walk`) over every multi-index up to given caps; it is the
+reference the tests compare against.
 
 Kernels are assembled from a family by nested gap sums
 (:func:`_expand_kernel`): each c_P sits at the leaf P of the prefix
@@ -167,22 +170,16 @@ def _dp_mul_gap(a: Dict[MultiIndex, int], b: Dict[MultiIndex, int]) -> Dict[Mult
     return {k: v for k, v in out.items() if v}
 
 
-def _segment_sum_power(
-    n_gaps: int, segment: Sequence[int], power: int
-) -> Dict[MultiIndex, int]:
-    """(sum of the listed gaps)**power / power! in divided powers.
-
-    In the divided-power basis the multinomial coefficients cancel, so
-    every composition of ``power`` over the segment appears with
-    coefficient exactly 1.
-    """
+def _dp_times_sum(terms: Dict[MultiIndex, int], gaps: range, w: int) -> Dict[MultiIndex, int]:
+    """``terms`` times the sum S of the listed gaps, over ``w``, in divided
+    powers (Delta^[g] Delta_i = (g_i + 1) Delta^[g + e_i]): T S^[w-1] -> T S^[w]."""
     out: Dict[MultiIndex, int] = {}
-    for comp in compositions(power, len(segment)):
-        vec = [0] * n_gaps
-        for g, p in zip(segment, comp):
-            vec[g] = p
-        out[tuple(vec)] = 1
-    return out
+    for g, c in terms.items():
+        for i in gaps:
+            gi = g[i] + 1
+            v = g[:i] + (gi,) + g[i + 1 :]
+            out[v] = out.get(v, 0) + c * gi
+    return {v: c // w for v, c in out.items()}
 
 
 def _chain_expansion(
@@ -192,22 +189,19 @@ def _chain_expansion(
 
     ``positions`` are the extended-chain indices of the sub-chain
     entries (upper limit first); gap r of the sub-chain is the sum of
-    the extended gaps between consecutive positions.
+    the extended gaps between consecutive positions, and its power q_r
+    is that sum's divided power, built one factor at a time.
     """
-    result: Dict[MultiIndex, int] = {tuple([0] * n_gaps): 1}
+    result: Dict[MultiIndex, int] = {(0,) * n_gaps: 1}
     for r, qr in enumerate(q):
-        if qr == 0:
-            continue
-        segment = list(range(positions[r], positions[r + 1]))
-        factor = _segment_sum_power(n_gaps, segment, qr)
-        result = _dp_mul_gap(result, factor)
+        for k in range(1, qr + 1):
+            result = _dp_times_sum(result, range(positions[r], positions[r + 1]), k)
     return result
 
 
-def _collapse(vec: MultiIndex, j: int) -> MultiIndex:
-    """Merge the split pair (j-1, j) of an extended gap vector."""
-    out = list(vec[: j - 1]) + [vec[j - 1] + vec[j]] + list(vec[j + 1 :])
-    return tuple(out)
+def _collapse(vec: MultiIndex, j: int, lift: int = 0) -> MultiIndex:
+    """Merge the split pair (j-1, j) of an extended gap vector, adding ``lift``."""
+    return vec[: j - 1] + (vec[j - 1] + vec[j] + lift,) + vec[j + 1 :]
 
 
 _GAMMA_CACHE: Dict[tuple[int, int, int, int], Dict[GammaKey, int]] = {}
@@ -269,7 +263,6 @@ def _gamma_walk(
         # entries g and g+1; gaps j-1 and j flank s and merge into the
         # original gap j-1 once s is integrated out.
         trailing = tuple(range(j, n + 1))
-        sigma_upper = list(range(j))
         for a_pos_rel, b_pos_rel in ordered_splits(len(trailing), p - j):
             a_positions = [trailing[i] + 1 for i in a_pos_rel]
             b_positions = [trailing[i] + 1 for i in b_pos_rel]
@@ -288,8 +281,7 @@ def _gamma_walk(
                         if sigma == 0:
                             base = base_qq
                         else:
-                            factor = _segment_sum_power(n_ext, sigma_upper, sigma)
-                            base = _dp_mul_gap(base_qq, factor)
+                            base = _dp_mul_gap(base_qq, _chain_expansion(n_ext, [0, j], (sigma,)))
                         sigma_sign = -1 if sigma % 2 else 1
                         deg_base = deg_qq + sigma
                         for w in range(min(tau_max, limit - deg_base) + 1):
@@ -298,8 +290,7 @@ def _gamma_walk(
                             placements = _alpha_placements(n_ext, eta_last_pos, j, w)
                             for gvec, cbase in base.items():
                                 # P = collapse(gvec + alpha_hat) + e_{j-1}
-                                lifted = list(_collapse(gvec, j))
-                                lifted[j - 1] += 1
+                                lifted = _collapse(gvec, j, 1)
                                 signed = sign * cbase
                                 for nonzero, alpha in placements:
                                     coeff = signed
@@ -351,6 +342,68 @@ def gamma_table(
     return table
 
 
+def _summed_walk(n: int, m: int, q_taus, qp_sigmas) -> Iterator[tuple[MultiIndex, Dict]]:
+    """:func:`_gamma_walk` summed over alpha, one q at a time (only one q's
+    sums are held): yields ``(q, sums)``, where ``sums[(q', sigma)][w][P]``
+    adds its terms at (P, alpha) over |alpha| = w and all legs and splits.
+
+    The alpha sum over extended gaps 0..upper-1 is the product with S^[w],
+    S their sum, built as T_w = T_{w-1} S / w.  If the lower kernel has
+    arguments after s, both gaps next to s lie in that range and, as
+    sum_{a+b=c} comb(g+a, a) comb(g'+b, b) = comb(g+g'+1+c, c), the merge
+    of the s-integral (power g + g' + 1) commutes with the product: terms
+    are merged first, summed over the legs with the same upper, and
+    multiplied by the sum of merged gaps 0..upper-2.  If s is the lower
+    kernel's last argument, gap j is outside the range: the product runs in
+    extended gaps, per j, and merges per w.
+    """
+    p, n_ext = n - m + 1, n + 1
+    unit = {(0,) * n_ext: 1}
+    legs = []
+    for j in range(1, p + 1):
+        trailing = tuple(range(j, n + 1))
+        for a_pos_rel, b_pos_rel in ordered_splits(len(trailing), p - j):
+            k_chain = list(range(j + 1)) + [trailing[i] + 1 for i in a_pos_rel]
+            f_chain = [j] + [trailing[i] + 1 for i in b_pos_rel]
+            plant = []  # (q', sigma, phi_q' S^[sigma] with S: gaps 0..j-1, None for 1)
+            for qp, sigma_max in qp_sigmas:
+                factor = _chain_expansion(n_ext, f_chain, qp)
+                for sigma in range(sigma_max + 1):
+                    if sigma:
+                        factor = _dp_times_sum(factor, range(j), sigma)
+                    plant.append((qp, sigma, None if factor == unit else factor))
+            legs.append((j, k_chain, plant))
+    for q, tau_max in q_taus:
+        groups: Dict[tuple, Dict[MultiIndex, int]] = {}  # (q', sigma, upper, merged)
+        for j, k_chain, plant in legs:
+            phi_q = _chain_expansion(n_ext, k_chain, q)
+            upper = k_chain[-1]
+            for qp, sigma, factor in plant:
+                group = groups.setdefault((qp, sigma, upper, upper > j), {})
+                for g, c in (phi_q if factor is None else _dp_mul_gap(phi_q, factor)).items():
+                    g = _collapse(g, j, 1) if upper > j else g
+                    group[g] = group.get(g, 0) + c
+        sums: Dict[tuple[MultiIndex, int], Dict[int, Dict[MultiIndex, int]]] = {}
+        for (qp, sigma, upper, merged), terms in groups.items():
+            by_w = sums.setdefault((qp, sigma), {})
+            sign = -1 if sigma % 2 else 1
+            for w in range(tau_max + 1):
+                if w:
+                    terms = _dp_times_sum(terms, range(upper - 1 if merged else upper), w)
+                    sign = -sign
+                bucket = by_w.setdefault(w, {})
+                for g, c in terms.items():
+                    g = g if merged else _collapse(g, upper, 1)
+                    bucket[g] = bucket.get(g, 0) + sign * c
+        yield q, sums
+
+
+def _numerators(poly: RationalPoly, den: int) -> list[list[int]]:
+    """Numerators over ``den`` of d^k poly, k = 0..deg poly."""
+    return [[c.numerator * (den // c.denominator) for c in poly.derivative(k).coeffs]
+            for k in range(poly.degree + 1)]
+
+
 def coupling_c(
     n: int, a_family: GapCoefficientFamily, b_family: GapCoefficientFamily
 ) -> GapCoefficientFamily:
@@ -361,9 +414,8 @@ def coupling_c(
     identically zero.  The structure constants are walked only for the
     keys the families use: q in supp a_{n-m+1} with tau <= deg a_q, and
     q' in supp b_m with sigma <= deg b_q' (higher derivatives vanish).
-    Keys that share (P, q, tau, q', sigma, tau - |alpha|) are summed as
-    integers first, so each product d^tau a_q * d^sigma b_q' is formed
-    once and no table is kept.
+    The walk sums them over alpha (:func:`_summed_walk`), so each product
+    d^tau a_q * d^sigma b_q' is formed once and no table is kept.
     """
     a_all = a_family.entries.values()
     b_all = b_family.entries.values()
@@ -372,8 +424,9 @@ def coupling_c(
     # so c_P sums in integers over one denominator, reduced once per entry.
     lcm_a = math.lcm(1, *(c.denominator for poly in a_all for c in poly.coeffs))
     lcm_b = math.lcm(1, *(c.denominator for poly in b_all for c in poly.coeffs))
-    scale = lcm_a * lcm_b
-    fact_top = math.factorial(max((poly.degree for poly in a_all), default=0))
+    deg_a = max((poly.degree for poly in a_all), default=0)
+    width = deg_a + max((poly.degree for poly in b_all), default=0) + 1
+    fact_top = math.factorial(deg_a)
     acc: Dict[MultiIndex, list[int]] = {}
     for m in range(2, n - 1 + 1):
         a_entries = a_family.at_order(n - m + 1)
@@ -382,31 +435,24 @@ def coupling_c(
             continue
         q_taus = [(q, poly.degree) for q, poly in sorted(a_entries.items())]
         qp_sigmas = [(qp, poly.degree) for qp, poly in sorted(b_entries.items())]
-        # sums[(q, q', sigma)][|alpha|][P]: Gamma summed over alpha and
-        # over the walk's legs and splits, before the tau sign.
-        sums: Dict[tuple, Dict[int, Dict[MultiIndex, int]]] = {}
-        for q, qp, sigma, w, terms in _gamma_walk(n, m, q_taus, qp_sigmas):
-            bucket = sums.setdefault((q, qp, sigma), {}).setdefault(w, {})
-            for (P, _), coeff in terms.items():
-                bucket[P] = bucket.get(P, 0) + coeff
-        for (q, qp, sigma), by_w in sums.items():
-            db = b_entries[qp].derivative(sigma)
-            for tau in range(1, a_entries[q].degree + 1):
-                prod = a_entries[q].derivative(tau) * db
-                coeffs = [c.numerator * (scale // c.denominator) for c in prod.coeffs]
-                for w in range(tau + 1):
-                    xpow = tau - w
-                    unit = fact_top // math.factorial(xpow)
-                    if tau % 2 == 0:
-                        unit = -unit
-                    for P, gamma in by_w.get(w, {}).items():
-                        row = acc.setdefault(P, [])
-                        if len(row) < xpow + len(coeffs):
-                            row.extend([0] * (xpow + len(coeffs) - len(row)))
-                        weight = unit * gamma
-                        for k, c in enumerate(coeffs, start=xpow):
-                            row[k] += weight * c
-    den = scale * fact_top
+        da = {q: _numerators(poly, lcm_a) for q, poly in a_entries.items()}
+        db = {qp: _numerators(poly, lcm_b) for qp, poly in b_entries.items()}
+        for q, sums in _summed_walk(n, m, q_taus, qp_sigmas):
+            for (qp, sigma), by_w in sums.items():
+                for w, gammas in by_w.items():
+                    # sum over tau of (-1)**(tau+1) x**(tau-w)/(tau-w)! d^tau a_q d^sigma b_q'
+                    poly = [0] * width
+                    for tau in range(max(w, 1), len(da[q])):
+                        unit = fact_top // math.factorial(tau - w) * (1 if tau % 2 else -1)
+                        for i, u in enumerate(da[q][tau], start=tau - w):
+                            for k, v in enumerate(db[qp][sigma], start=i):
+                                poly[k] += unit * u * v
+                    terms = [(k, c) for k, c in enumerate(poly) if c]
+                    for P, gamma in gammas.items():
+                        row = acc.setdefault(P, [0] * width)
+                        for k, c in terms:
+                            row[k] += gamma * c
+    den = lcm_a * lcm_b * fact_top
     return GapCoefficientFamily(
         {(n, P): RationalPoly(Fraction(v, den) for v in row) for P, row in acc.items()},
         "coupling-c",

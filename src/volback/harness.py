@@ -304,8 +304,8 @@ def _check_order_cap(n_max: int) -> None:
 
 # The cross-check builds every order by the cascade and by the exact
 # recursion.  For pdae on a 2-core x86-64 VM the cascade plus assembly
-# take about 0.12 s to order 5, 2.8 s to order 6 and 80 s to order 7; the
-# recursion 0.02 s, 0.18 s and 1.7 s.
+# take about 0.04 s to order 5, 0.5-0.8 s to order 6 and 13-14 s to
+# order 7; the recursion 0.01-0.02 s, 0.1 s and 1.1-1.4 s.
 CROSS_CHECK_MAX_ORDER = 6
 
 

@@ -224,18 +224,95 @@ class TestCouplingOracle:
         monkeypatch.setattr(gapcascade, "gamma_table", refuse)
         assert cascade(ks_shaped_family(), 4).at_order(4)
 
+    def test_cascade_runs_no_alpha_resolved_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cascade must not run the alpha-resolved walk")
+
+        monkeypatch.setattr(gapcascade, "_gamma_walk", refuse)
+        assert cascade(mixed_denominator_family(), 4).at_order(4)
+
     @pytest.mark.parametrize(
         "plant, n, digest",
         [
             ("pdae", 4, "df0adcd0ba5c324e81441f2a00227bdb8471d9b12bd365371289fdd150627bc2"),
             ("pdae", 5, "5d46b8e751b4a3ae745a4fd32309e5ec57506540653d9cd7a95a86a8218dd1cf"),
             ("ks-shaped", 4, "fad0ead8aa57106b07878e5630d6227375cfd3c4b51c1723b8176a62ae4c586c"),
+            # sigma = 1 at m = 2, and denominators 3, 5, 6, 7, 9
+            ("mixed", 4, "f9f5aa558facd543cf99b8ffeff7be1bddf2e45a73d1d1a548f4a0c21d1ca2cd"),
         ],
     )
     def test_cascade_snapshot(self, plant, n, digest):
-        b = pdae_b_family() if plant == "pdae" else ks_shaped_family()
-        text = family_to_json(cascade(b, n))
+        text = family_to_json(cascade(PLANTS[plant](), n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def alpha_summed_reference(n, m, q_taus, qp_sigmas):
+    """``_gamma_walk``'s terms summed over alpha and over its legs and
+    splits: {(q, q', sigma, w): {P: int}}, zeros dropped."""
+    out = defaultdict(lambda: defaultdict(int))
+    for q, qp, sigma, w, terms in gapcascade._gamma_walk(n, m, q_taus, qp_sigmas):
+        for (P, _), coeff in terms.items():
+            out[(q, qp, sigma, w)][P] += coeff
+    return {key: {P: v for P, v in by_P.items() if v} for key, by_P in out.items()}
+
+
+def summed_walk(n, m, q_taus, qp_sigmas):
+    """``_summed_walk`` in the reference's layout."""
+    return {
+        (q, qp, sigma, w): {P: v for P, v in by_P.items() if v}
+        for q, sums in gapcascade._summed_walk(n, m, q_taus, qp_sigmas)
+        for (qp, sigma), by_w in sums.items()
+        for w, by_P in by_w.items()
+    }
+
+
+@st.composite
+def walk_case(draw):
+    """(n, m, q_taus, qp_sigmas): n = 3..5, 2 <= m <= n-1, a few lower
+    and plant indices with |q|, |q'| <= 2 and tau, sigma bounds 0..3."""
+    n = draw(st.integers(3, 5))
+    m = draw(st.integers(2, n - 1))
+    bound = st.integers(0, 3)
+
+    def indexed(slots):
+        indices = gapcascade._multi_indices_up_to(slots, 2)
+        chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=3, unique=True))
+        return [(idx, draw(bound)) for idx in sorted(chosen)]
+
+    return n, m, indexed(n - m + 1), indexed(m)
+
+
+class TestSummedWalk:
+    """The alpha-summed walk of ``coupling_c`` against the alpha-resolved
+    ``_gamma_walk`` of ``gamma_table``, key by key."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=walk_case())
+    @example(case=(5, 2, [((0, 1, 0, 1), 3), ((2, 0, 0, 0), 2)], [((1, 0), 3)]))
+    @example(case=(4, 3, [((0, 0), 3)], [((0, 1, 1), 2), ((0, 0, 0), 0)]))
+    def test_matches_alpha_resolved_walk(self, case):
+        want = alpha_summed_reference(*case)
+        assert want
+        assert summed_walk(*case) == want
+
+    @pytest.mark.parametrize("branch", ["merged", "unmerged"])
+    @pytest.mark.parametrize("n, m", [(4, 2), (5, 2), (5, 3)])
+    def test_each_branch_alone(self, monkeypatch, branch, n, m):
+        # Keep only the splits that give the lower kernel arguments after s
+        # (merged: j < p) or none (unmerged: j = p, s is its last argument).
+        splits = gapcascade.ordered_splits
+
+        def only(total, first_size):
+            keep = first_size > 0 if branch == "merged" else first_size == 0
+            return splits(total, first_size) if keep else ()
+
+        monkeypatch.setattr(gapcascade, "ordered_splits", only)
+        q_taus = [(q, 3) for q in gapcascade._multi_indices_up_to(n - m + 1, 1)]
+        qp_sigmas = [(qp, 2) for qp in gapcascade._multi_indices_up_to(m, 1)]
+        want = alpha_summed_reference(n, m, q_taus, qp_sigmas)
+        assert any(want.values())
+        assert summed_walk(n, m, q_taus, qp_sigmas) == want
 
 
 class TestCascade:
