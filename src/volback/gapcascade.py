@@ -20,8 +20,13 @@ coefficients satisfy
     a_P'(x) = -b_P(x) + c_P(x),      a_P(0) = 0,
 
 where c_P collects the lower-order kernels' contribution through the
-coupling operators.  For polynomial plant data everything here is exact
-rational arithmetic: c_P assembles as
+coupling operators.  For polynomial plant data everything here is exact:
+every coefficient a_P, b_P, c_P is a polynomial in x with integer
+numerators over one denominator, an order-0 :class:`SimplexPolyKernel`
+(keys ``(k, ())``), and the few operations the cascade needs on them
+(:func:`poly_sum`, :func:`poly_neg`, :func:`poly_product`,
+:func:`poly_derivative`, :func:`poly_integral`) work in integers.  c_P
+assembles as
 
     c_P(x) = sum_m sum_keys Gamma * x**(tau-|alpha|)/(tau-|alpha|)!
              * d^tau/dx^tau a_q(x) * d^sigma/dx^sigma b_q'(x)
@@ -61,14 +66,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from typing import Dict, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .polynomial import RationalPoly, SimplexPolyKernel
+from .polynomial import SimplexPolyKernel
 from .simplex import compositions, ordered_splits
 
 MultiIndex = Tuple[int, ...]
@@ -93,37 +97,96 @@ def _multi_indices_up_to(slots: int, cap: int) -> tuple[MultiIndex, ...]:
     return tuple(out)
 
 
+def x_poly(numerators: Sequence[int], den: int = 1) -> SimplexPolyKernel:
+    """The polynomial sum_k numerators[k] x**k / den, as the order-0 kernel
+    with keys (k, ()): the exact type of every family coefficient."""
+    return SimplexPolyKernel(0, {(k, ()): c for k, c in enumerate(numerators)}, den)
+
+
+def poly_degree(poly: SimplexPolyKernel) -> int:
+    """Degree of a polynomial in x, -1 for zero."""
+    return max((k for k, _ in poly.monomials), default=-1)
+
+
+def poly_numerators(poly: SimplexPolyKernel, den: int) -> list[int]:
+    """Numerators over ``den`` (a multiple of ``poly.den``) of the dense
+    coefficients of a polynomial in x, constant term first, up to its degree."""
+    row = [0] * (poly_degree(poly) + 1)
+    for (k, _), c in poly.monomials.items():
+        row[k] = c * (den // poly.den)
+    return row
+
+
+def poly_sum(p: SimplexPolyKernel, q: SimplexPolyKernel) -> SimplexPolyKernel:
+    den = math.lcm(p.den, q.den)
+    out: Dict[tuple[int, tuple], int] = {}
+    for poly in (p, q):
+        for key, c in poly.monomials.items():
+            out[key] = out.get(key, 0) + c * (den // poly.den)
+    return SimplexPolyKernel(0, out, den)
+
+
+def poly_neg(p: SimplexPolyKernel) -> SimplexPolyKernel:
+    return SimplexPolyKernel(0, {key: -c for key, c in p.monomials.items()}, p.den)
+
+
+def poly_product(p: SimplexPolyKernel, q: SimplexPolyKernel, scale: int = 1) -> SimplexPolyKernel:
+    """``scale`` times the product of two polynomials in x."""
+    out: Dict[tuple[int, tuple], int] = {}
+    for (i, _), a in p.monomials.items():
+        for (j, _), b in q.monomials.items():
+            out[(i + j, ())] = out.get((i + j, ()), 0) + scale * a * b
+    return SimplexPolyKernel(0, out, p.den * q.den)
+
+
+def poly_derivative(p: SimplexPolyKernel, order: int = 1) -> SimplexPolyKernel:
+    """d^order/dx^order of a polynomial in x."""
+    out = {(k - order, ()): c * math.perm(k, order)
+           for (k, _), c in p.monomials.items() if k >= order}
+    return SimplexPolyKernel(0, out, p.den)
+
+
+def poly_integral(p: SimplexPolyKernel) -> SimplexPolyKernel:
+    """The antiderivative of a polynomial in x that vanishes at x = 0."""
+    top = math.lcm(1, *(k + 1 for k, _ in p.monomials))
+    out = {(k + 1, ()): c * (top // (k + 1)) for (k, _), c in p.monomials.items()}
+    return SimplexPolyKernel(0, out, p.den * top)
+
+
 @dataclass
 class GapCoefficientFamily:
     """Scalar coefficient functions of a gap-basis expansion.
 
-    ``entries`` maps (n, P) with P of length n to the exact polynomial
-    coefficient of Phi_P at order n.  ``role`` is one of ``plant-b``
-    (the b family of a plant), ``cascade-a`` (the ansatz coefficients;
-    these must vanish at x = 0), and ``coupling-c``.  ``metadata``
-    optionally carries the growth constants (D, rho, mu, nu).
+    ``entries`` maps (n, P) with P of length n to the coefficient of Phi_P
+    at order n, a polynomial in x with integer numerators over one
+    denominator (an order-0 :class:`SimplexPolyKernel`, see
+    :func:`x_poly`).  ``role`` is one of ``plant-b`` (the b family of a
+    plant), ``cascade-a`` (the ansatz coefficients; these must vanish at
+    x = 0), and ``coupling-c``.  ``metadata`` optionally carries the
+    growth constants (D, rho, mu, nu).
     """
 
-    entries: Dict[tuple[int, MultiIndex], RationalPoly]
+    entries: Dict[tuple[int, MultiIndex], SimplexPolyKernel]
     role: str
     metadata: Dict[str, float] | None = None
 
     def __post_init__(self) -> None:
         if self.role not in FAMILY_ROLES:
             raise FamilyConfigError(f"unknown family role {self.role!r}")
-        clean: Dict[tuple[int, MultiIndex], RationalPoly] = {}
+        clean: Dict[tuple[int, MultiIndex], SimplexPolyKernel] = {}
         for (n, P), poly in self.entries.items():
-            if not isinstance(poly, RationalPoly):
+            if not isinstance(poly, SimplexPolyKernel) or poly.order != 0:
                 raise FamilyConfigError(
-                    "family coefficients must be exact polynomials (RationalPoly)"
+                    f"family coefficient [{n}, {P}] must be a polynomial in x "
+                    "(an order-0 SimplexPolyKernel)"
                 )
             n = int(n)
             P = tuple(int(v) for v in P)
             if len(P) != n:
                 raise FamilyConfigError(f"multi-index {P} has length != order {n}")
-            if poly.is_zero():
+            if not poly.monomials:
                 continue
-            if self.role == "cascade-a" and poly.coeffs[0] != 0:
+            if self.role == "cascade-a" and (0, ()) in poly.monomials:
                 raise FamilyConfigError(
                     f"cascade coefficient a[{n}, {P}] must vanish at x = 0"
                 )
@@ -133,11 +196,11 @@ class GapCoefficientFamily:
     def orders(self) -> tuple[int, ...]:
         return tuple(sorted({n for n, _ in self.entries}))
 
-    def at_order(self, n: int) -> Dict[MultiIndex, RationalPoly]:
+    def at_order(self, n: int) -> Dict[MultiIndex, SimplexPolyKernel]:
         return {P: poly for (m, P), poly in self.entries.items() if m == n}
 
-    def get(self, n: int, P: MultiIndex) -> RationalPoly:
-        return self.entries.get((n, tuple(P)), RationalPoly())
+    def get(self, n: int, P: MultiIndex) -> SimplexPolyKernel:
+        return self.entries.get((n, tuple(P)), x_poly(()))
 
     def support(self, n: int) -> tuple[MultiIndex, ...]:
         return tuple(sorted(P for (m, P) in self.entries if m == n))
@@ -398,12 +461,6 @@ def _summed_walk(n: int, m: int, q_taus, qp_sigmas) -> Iterator[tuple[MultiIndex
         yield q, sums
 
 
-def _numerators(poly: RationalPoly, den: int) -> list[list[int]]:
-    """Numerators over ``den`` of d^k poly, k = 0..deg poly."""
-    return [[c.numerator * (den // c.denominator) for c in poly.derivative(k).coeffs]
-            for k in range(poly.degree + 1)]
-
-
 def coupling_c(
     n: int, a_family: GapCoefficientFamily, b_family: GapCoefficientFamily
 ) -> GapCoefficientFamily:
@@ -422,21 +479,27 @@ def coupling_c(
     # Every product d^tau a_q * d^sigma b_q' has coefficients in
     # (1/(lcm_a*lcm_b)) Z, and x**(tau-w)/(tau-w)! in (1/(max deg a)!) Z[x],
     # so c_P sums in integers over one denominator, reduced once per entry.
-    lcm_a = math.lcm(1, *(c.denominator for poly in a_all for c in poly.coeffs))
-    lcm_b = math.lcm(1, *(c.denominator for poly in b_all for c in poly.coeffs))
-    deg_a = max((poly.degree for poly in a_all), default=0)
-    width = deg_a + max((poly.degree for poly in b_all), default=0) + 1
+    lcm_a = math.lcm(1, *(poly.den for poly in a_all))
+    lcm_b = math.lcm(1, *(poly.den for poly in b_all))
+    deg_a = max(map(poly_degree, a_all), default=0)
+    width = deg_a + max(map(poly_degree, b_all), default=0) + 1
     fact_top = math.factorial(deg_a)
+
+    def derivatives(poly: SimplexPolyKernel, den: int) -> list[list[int]]:
+        """Numerators over ``den`` of d^k poly, k = 0..deg poly."""
+        return [poly_numerators(poly_derivative(poly, k), den)
+                for k in range(poly_degree(poly) + 1)]
+
     acc: Dict[MultiIndex, list[int]] = {}
     for m in range(2, n - 1 + 1):
         a_entries = a_family.at_order(n - m + 1)
         b_entries = b_family.at_order(m)
         if not b_entries or not a_entries:
             continue
-        q_taus = [(q, poly.degree) for q, poly in sorted(a_entries.items())]
-        qp_sigmas = [(qp, poly.degree) for qp, poly in sorted(b_entries.items())]
-        da = {q: _numerators(poly, lcm_a) for q, poly in a_entries.items()}
-        db = {qp: _numerators(poly, lcm_b) for qp, poly in b_entries.items()}
+        q_taus = [(q, poly_degree(poly)) for q, poly in sorted(a_entries.items())]
+        qp_sigmas = [(qp, poly_degree(poly)) for qp, poly in sorted(b_entries.items())]
+        da = {q: derivatives(poly, lcm_a) for q, poly in a_entries.items()}
+        db = {qp: derivatives(poly, lcm_b) for qp, poly in b_entries.items()}
         for q, sums in _summed_walk(n, m, q_taus, qp_sigmas):
             for (qp, sigma), by_w in sums.items():
                 for w, gammas in by_w.items():
@@ -453,10 +516,7 @@ def coupling_c(
                         for k, c in terms:
                             row[k] += gamma * c
     den = lcm_a * lcm_b * fact_top
-    return GapCoefficientFamily(
-        {(n, P): RationalPoly(Fraction(v, den) for v in row) for P, row in acc.items()},
-        "coupling-c",
-    )
+    return GapCoefficientFamily({(n, P): x_poly(row, den) for P, row in acc.items()}, "coupling-c")
 
 
 def cascade(b_family: GapCoefficientFamily, n_max: int) -> GapCoefficientFamily:
@@ -473,15 +533,14 @@ def cascade(b_family: GapCoefficientFamily, n_max: int) -> GapCoefficientFamily:
         raise FamilyConfigError(
             f"cascade consumes a plant-b family, got role {b_family.role!r}"
         )
-    a_entries: Dict[tuple[int, MultiIndex], RationalPoly] = {}
+    a_entries: Dict[tuple[int, MultiIndex], SimplexPolyKernel] = {}
     for n in range(2, n_max + 1):
         a_sofar = GapCoefficientFamily(dict(a_entries), "cascade-a")
         c_fam = coupling_c(n, a_sofar, b_family)
         slots = set(b_family.support(n)) | set(c_fam.support(n))
         for P in slots:
-            rhs = (-b_family.get(n, P)) + c_fam.get(n, P)
-            poly = rhs.integral()
-            if not poly.is_zero():
+            poly = poly_integral(poly_sum(poly_neg(b_family.get(n, P)), c_fam.get(n, P)))
+            if poly.monomials:
                 a_entries[(n, P)] = poly
     return GapCoefficientFamily(a_entries, "cascade-a", metadata=b_family.metadata)
 
@@ -490,7 +549,7 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
     """sum_P c_P(x) Phi_P as monomials, where c_P(x) is a_P(x) - a_P(x - xi_n)
     when ``shifted`` and the family's coefficient otherwise.
 
-    Nested gap sums in integers over L = lcm of denominator(coefficient) * P!.
+    Nested gap sums in integers over L = lcm over P of den(c_P) * P!.
     Leaf P holds c_P(x, xi_n) / P!; shifted, x**k - (x - xi_n)**k keeps the
     i < k terms of -(x - xi_n)**k.  For r = n-1 down to 0 each node is
     multiplied by (c_r - c_{r+1})**P_r (c_0 = x, c_i = xi_i) and added into
@@ -499,15 +558,14 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
     """
     entries = family.at_order(n)
     pfact = {P: math.prod(map(math.factorial, P)) for P in entries}
-    den = math.lcm(1, *(c.denominator * pfact[P] for P, p in entries.items() for c in p.coeffs))
+    den = math.lcm(1, *(poly.den * pfact[P] for P, poly in entries.items()))
     # Each trie node maps exponent vectors over (x, xi_1..xi_n) to integers.
     nodes: Dict[MultiIndex, Dict[MultiIndex, int]] = {}
     for P, poly in entries.items():
         leaf = nodes[P] = {}
-        for k, ck in enumerate(poly.coeffs):
-            if ck == 0:
-                continue
-            unit = ck.numerator * (den // (ck.denominator * pfact[P]))
+        scale = den // (poly.den * pfact[P])
+        for (k, _), ck in poly.monomials.items():
+            unit = ck * scale
             if shifted:
                 terms = [(i, k - i, -unit * math.comb(k, i) * (-1) ** (k - i)) for i in range(k)]
             else:
@@ -540,7 +598,7 @@ def assemble_kernel_polynomial(a_family: GapCoefficientFamily, n: int) -> Simple
     return _expand_kernel(a_family, n, shifted=True)
 
 
-def dp_norm(entries: Mapping[MultiIndex, RationalPoly], r: float, R: float) -> float:
+def dp_norm(entries: Mapping[MultiIndex, SimplexPolyKernel], r: float, R: float) -> float:
     """The weighted coefficient norm of one order's coefficients ``{P: poly}``.
 
     sup over x in [0, 1] (sampled on a 1001-point grid, hence a lower
@@ -559,40 +617,40 @@ def dp_norm(entries: Mapping[MultiIndex, RationalPoly], r: float, R: float) -> f
         for pw in P:
             pfact *= math.factorial(pw)
         weight = r ** sum(P) / pfact
-        for sigma in range(poly.degree + 1):
-            dp = poly.derivative(sigma)
-            if dp.is_zero():
-                break
-            acc += np.abs(dp(grid)) * weight * R**sigma / math.factorial(sigma)
+        for sigma in range(poly_degree(poly) + 1):
+            dp = poly_derivative(poly, sigma)
+            vals = np.zeros_like(grid)
+            for c in reversed(poly_numerators(dp, dp.den)):  # Horner
+                vals = vals * grid + c / dp.den
+            acc += np.abs(vals) * weight * R**sigma / math.factorial(sigma)
     return float(np.max(acc)) if entries else 0.0
 
 
 def dp_family_product(
-    a_entries: Mapping[MultiIndex, RationalPoly],
-    b_entries: Mapping[MultiIndex, RationalPoly],
-) -> Dict[MultiIndex, RationalPoly]:
+    a_entries: Mapping[MultiIndex, SimplexPolyKernel],
+    b_entries: Mapping[MultiIndex, SimplexPolyKernel],
+) -> Dict[MultiIndex, SimplexPolyKernel]:
     """Coefficient family of the product of two gap-basis expansions.
 
     In divided powers the product rule is a binomial convolution:
     d_P = sum_{u + v = P} prod_r comb(P_r, u_r) a_u b_v.
     """
-    out: Dict[MultiIndex, RationalPoly] = {}
+    out: Dict[MultiIndex, SimplexPolyKernel] = {}
     for u, pa in a_entries.items():
         for v, pb in b_entries.items():
             P = tuple(a + b for a, b in zip(u, v))
             coeff = 1
             for a, b in zip(u, v):
                 coeff *= math.comb(a + b, a)
-            term = (pa * pb).scale(coeff)
-            if term.is_zero():
-                continue
-            out[P] = out.get(P, RationalPoly()) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            term = poly_product(pa, pb, coeff)
+            if term.monomials:
+                out[P] = poly_sum(out[P], term) if P in out else term
+    return {k: v for k, v in out.items() if v.monomials}
 
 
 def split_gap_integration(
-    entries: Mapping[MultiIndex, RationalPoly], d: int
-) -> Dict[MultiIndex, RationalPoly]:
+    entries: Mapping[MultiIndex, SimplexPolyKernel], d: int
+) -> Dict[MultiIndex, SimplexPolyKernel]:
     """Integrate out a split of gap ``d`` into two adjacent gaps.
 
     Input indices have length N+1 (gaps d and d+1 are the split pair);
@@ -602,35 +660,41 @@ def split_gap_integration(
 
         (I H)_P = sum_{a + b = P_d - 1} h_{(..., a, b, ...)}.
     """
-    out: Dict[MultiIndex, RationalPoly] = {}
+    out: Dict[MultiIndex, SimplexPolyKernel] = {}
     for vec, poly in entries.items():
         if d < 0 or d + 1 >= len(vec):
             raise FamilyConfigError(
                 f"split index {d} out of range for length-{len(vec)} multi-index"
             )
         merged = vec[:d] + (vec[d] + vec[d + 1] + 1,) + vec[d + 2 :]
-        out[merged] = out.get(merged, RationalPoly()) + poly
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        out[merged] = poly_sum(out[merged], poly) if merged in out else poly
+    return {k: v for k, v in out.items() if v.monomials}
 
 
 def pdae_b_family() -> GapCoefficientFamily:
     """Plant family of the quadratic integral example: b at order 2 is 1."""
     return GapCoefficientFamily(
-        {(2, (0, 0)): RationalPoly.constant(1)},
+        {(2, (0, 0)): x_poly([1])},
         "plant-b",
         metadata={"D": 1.0, "rho": 1.0, "mu": 1.0, "nu": 1.0},
     )
 
 
 def family_to_json(family: GapCoefficientFamily) -> str:
-    """Serialize a family with exact numerator/denominator strings."""
+    """Serialize a family with exact numerator/denominator strings: each
+    coefficient from the constant term to the degree, reduced, zeros as 0/1."""
+
+    def rational(c: int, den: int) -> str:
+        g = math.gcd(c, den)
+        return f"{c // g}/{den // g}"
+
     entries = []
     for (n, P), poly in sorted(family.entries.items()):
         entries.append(
             {
                 "n": n,
                 "P": list(P),
-                "coeffs": [f"{c.numerator}/{c.denominator}" for c in poly.coeffs],
+                "coeffs": [rational(c, poly.den) for c in poly_numerators(poly, poly.den)],
             }
         )
     doc = {"role": family.role, "entries": entries}

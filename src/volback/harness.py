@@ -54,6 +54,8 @@ from .gapcascade import (
     family_plant_kernel,
     family_to_json,
     pdae_b_family,
+    poly_sum,
+    x_poly,
 )
 from .inversion import (
     GAIN_RULE,
@@ -63,7 +65,7 @@ from .inversion import (
     builtin_design,
     invert_with_info,
 )
-from .polynomial import RationalPoly, SimplexPolyKernel
+from .polynomial import SimplexPolyKernel
 from .simplex import random_simplex_points
 from .simulator import (
     SimConfig,
@@ -170,7 +172,7 @@ def parse_plant(path: str | Path) -> ParsedPlant:
     whichever route would build its kernels.
     """
     path = Path(path)
-    entries: Dict[tuple[int, tuple[int, ...]], RationalPoly] = {}
+    entries: Dict[tuple[int, tuple[int, ...]], SimplexPolyKernel] = {}
     metadata: Dict[str, float] = {}
     key_lines: Dict[str, int] = {}
     for lineno, raw in enumerate(_read_lines(path, "plant file"), start=1):
@@ -222,11 +224,12 @@ def parse_plant(path: str | Path) -> ParsedPlant:
                 float(c)  # the kernels are evaluated in floating point
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise PlantParseError(f"line {lineno}: bad coefficient: {exc}")
-        poly = RationalPoly(coeffs)
-        if poly.is_zero():
+        den = math.lcm(*(c.denominator for c in coeffs))
+        poly = x_poly([c.numerator * (den // c.denominator) for c in coeffs], den)
+        if not poly.monomials:
             continue
         key = (n, p_vec)
-        entries[key] = entries[key] + poly if key in entries else poly
+        entries[key] = poly_sum(entries[key], poly) if key in entries else poly
     for given, needed in (("D", "rho"), ("rho", "D")):
         if given in key_lines and needed not in key_lines:
             raise PlantParseError(
@@ -305,16 +308,19 @@ def _check_order_cap(n_max: int) -> None:
 # The cross-check builds every order by the cascade and by the exact
 # recursion.  For pdae on a 2-core x86-64 VM the cascade plus assembly
 # take about 0.04 s to order 5, 0.5-0.8 s to order 6 and 13-14 s to
-# order 7; the recursion 0.01-0.02 s, 0.1 s and 1.1-1.4 s.
+# order 7; the recursion 0.01-0.02 s, 0.1 s and 1.1-1.4 s.  The cascade's
+# cost grows with the plant's support, not with the order alone: for the
+# three-entry plant 2 0,0 1/3; 2 1,0 2/7 1/5; 3 0,1,0 -5/6 1/9 it takes
+# 4-5 s to order 5 and 407 s to order 6.
 CROSS_CHECK_MAX_ORDER = 6
 
 
 def _check_cross_check_order(n_max: int) -> None:
     if n_max > CROSS_CHECK_MAX_ORDER:
         raise ConfigError(
-            f"the kernel cross-check builds both constructions, which take "
-            f"minutes at order {n_max}; it supports orders up to "
-            f"{CROSS_CHECK_MAX_ORDER}"
+            f"the kernel cross-check supports orders up to {CROSS_CHECK_MAX_ORDER}, "
+            f"got order {n_max}: past the cap the cascade's cost depends on the "
+            "plant's support and is not estimated yet"
         )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -31,9 +30,10 @@ from .gapcascade import (
     family_plant_kernel,
     pdae_b_family,
     split_gap_integration,
+    x_poly,
 )
 from .inversion import builtin_design, builtin_series, lipschitz_check
-from .polynomial import RationalPoly
+from .polynomial import SimplexPolyKernel
 from .simplex import QuadratureRule, compositions, random_simplex_points
 from .volterra import (
     GROWTH_SAMPLES,
@@ -140,20 +140,23 @@ def check_transport_invariance(seed: int = 0) -> CheckResult:
     )
 
 
-def _random_family(rng: np.random.Generator, n: int) -> Dict[MultiIndex, RationalPoly]:
-    entries: Dict[MultiIndex, RationalPoly] = {}
+def _random_family(rng: np.random.Generator, n: int) -> Dict[MultiIndex, SimplexPolyKernel]:
+    """One to three entries of order n, P in {0, 1, 2}^n, each a polynomial
+    of degree < 3 with coefficients num/den, num in -3..3, den in 1..4."""
+    entries: Dict[MultiIndex, SimplexPolyKernel] = {}
     count = rng.integers(1, 4)
     for _ in range(count):
         P = tuple(int(v) for v in rng.integers(0, 3, size=n))
-        coeffs = [
-            Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+        draws = [
+            (int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
             for _ in range(int(rng.integers(1, 4)))
         ]
-        poly = RationalPoly(coeffs)
-        if not poly.is_zero():
+        den = math.lcm(*(d for _, d in draws))
+        poly = x_poly([num * (den // d) for num, d in draws], den)
+        if poly.monomials:
             entries[P] = poly
     if not entries:
-        entries[(0,) * n] = RationalPoly.constant(1)
+        entries[(0,) * n] = x_poly([1])
     return entries
 
 

@@ -69,6 +69,19 @@ def kernel_fractions(kern) -> dict:
     return {key: Fraction(c, kern.den) for key, c in kern.monomials.items()}
 
 
+def rational_poly(coeffs) -> SimplexPolyKernel:
+    """The polynomial in x with the rational coefficients ``coeffs``,
+    constant term first, as the order-0 kernel a gap family holds."""
+    return exact_kernel(0, {(k, ()): c for k, c in enumerate(coeffs)})
+
+
+def poly_coefficients(poly) -> tuple:
+    """The rational coefficients of a polynomial in x (an order-0 kernel),
+    constant term first, up to its degree; () for zero."""
+    fractions = {k: c for (k, _), c in kernel_fractions(poly).items()}
+    return tuple(fractions.get(k, Fraction(0)) for k in range(max(fractions, default=-1) + 1))
+
+
 def random_simplex_points(rng, n, count, x=1.0):
     """Descending-sorted uniform tuples inside T_n(x)."""
     pts = np.sort(rng.uniform(0.0, x, size=(count, n)), axis=1)[:, ::-1]
@@ -193,10 +206,11 @@ def assert_endpoint_within_rounding(value, orders, factors, mesh):
 
 
 def poly_eval_exact(poly, t) -> Fraction:
-    """A ``RationalPoly`` at the rational ``t``, by Horner in Fractions."""
+    """A polynomial in x (an order-0 kernel) at the rational ``t``, by
+    Horner in Fractions."""
     t = Fraction(t)
     acc = Fraction(0)
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly_coefficients(poly)):
         acc = acc * t + c
     return acc
 

@@ -35,7 +35,7 @@ from volback.volterra import (
     series_profile,
 )
 
-from conftest import random_simplex_points
+from conftest import poly_coefficients, random_simplex_points
 
 
 def _emit(capsys, num, ok, detail, elapsed, budget):
@@ -79,7 +79,7 @@ def test_criterion_2_exact_cascade(capsys):
     t0 = time.perf_counter()
     a = cascade(pdae_b_family(), 3)
 
-    ok2 = {P: a.get(2, P).coeffs for P in a.support(2)} == {(0, 0): (Fr(0), Fr(-1))}
+    ok2 = {P: poly_coefficients(a.get(2, P)) for P in a.support(2)} == {(0, 0): (Fr(0), Fr(-1))}
     want3 = {
         (0, 1, 0): (Fr(0), Fr(0), Fr(-1, 2)),
         (0, 2, 0): (Fr(0), Fr(1)),
@@ -88,7 +88,7 @@ def test_criterion_2_exact_cascade(capsys):
         (1, 1, 0): (Fr(0), Fr(3)),
         (2, 0, 0): (Fr(0), Fr(6)),
     }
-    got3 = {P: a.get(3, P).coeffs for P in a.support(3)}
+    got3 = {P: poly_coefficients(a.get(3, P)) for P in a.support(3)}
     ok3 = got3 == want3
     no_extra = set(a.orders()) == {2, 3}
 

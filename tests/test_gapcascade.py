@@ -26,12 +26,23 @@ from volback.gapcascade import (
     family_to_json,
     gamma_table,
     pdae_b_family,
+    poly_degree,
+    poly_derivative,
+    poly_product,
+    poly_sum,
     split_gap_integration,
+    x_poly,
 )
-from volback.polynomial import RationalPoly, pdae_k2, pdae_k3
+from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
 from volback.verification import _phi
 
-from conftest import exact_kernel, poly_eval_exact, random_simplex_points
+from conftest import (
+    exact_kernel,
+    poly_coefficients,
+    poly_eval_exact,
+    random_simplex_points,
+    rational_poly,
+)
 
 
 def assemble_kernel(a_family: GapCoefficientFamily, n: int, x: float, xi) -> float:
@@ -65,7 +76,7 @@ def family_from_json(text: str) -> GapCoefficientFamily:
     doc = json.loads(text)
     entries = {}
     for item in doc["entries"]:
-        poly = RationalPoly([Fr(c) for c in item["coeffs"]])
+        poly = rational_poly([Fr(c) for c in item["coeffs"]])
         entries[(int(item["n"]), tuple(item["P"]))] = poly
     return GapCoefficientFamily(entries, doc["role"], metadata=doc.get("metadata"))
 
@@ -96,17 +107,26 @@ class TestFamilyValidation:
 
     def test_index_length_checked(self):
         with pytest.raises(FamilyConfigError):
-            GapCoefficientFamily({(2, (0, 0, 0)): RationalPoly.constant(1)}, "plant-b")
+            GapCoefficientFamily({(2, (0, 0, 0)): x_poly([1])}, "plant-b")
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [Fr(1), (Fr(1),), SimplexPolyKernel(1, {(0, (1,)): 1})],
+        ids=["fraction", "tuple", "order-1-kernel"],
+    )
+    def test_entry_must_be_order0_kernel(self, coeff):
+        with pytest.raises(FamilyConfigError, match=r"\[2, \(0, 0\)\] must be a polynomial in x"):
+            GapCoefficientFamily({(2, (0, 0)): coeff}, "plant-b")
 
     def test_cascade_entries_vanish_at_zero(self):
-        with pytest.raises(FamilyConfigError):
+        with pytest.raises(FamilyConfigError, match=r"a\[3, \(1, 0, 2\)\] must vanish at x = 0"):
             GapCoefficientFamily(
-                {(2, (0, 0)): RationalPoly.constant(1)}, "cascade-a"
+                {(2, (0, 0)): x_poly([0, 1]), (3, (1, 0, 2)): x_poly([1, 0, 1], 3)}, "cascade-a"
             )
 
     def test_zero_entries_dropped(self):
         fam = GapCoefficientFamily(
-            {(2, (0, 0)): RationalPoly([0])}, "plant-b"
+            {(2, (0, 0)): x_poly([0]), (2, (1, 0)): x_poly([0, 0], 7)}, "plant-b"
         )
         assert fam.entries == {}
 
@@ -156,7 +176,7 @@ class TestCoupling:
             (1, 0, 1): (Fr(1),),
             (0, 2, 0): (Fr(1),),
         }
-        got = {P: c3.get(3, P).coeffs for P in c3.support(3)}
+        got = {P: poly_coefficients(c3.get(3, P)) for P in c3.support(3)}
         assert got == want
 
 
@@ -165,10 +185,10 @@ def ks_shaped_family():
     order-2 entries and two degree-1 order-3 entries, |P| <= 1."""
     return GapCoefficientFamily(
         {
-            (2, (0, 0)): RationalPoly([Fr(-3, 2)]),
-            (2, (0, 1)): RationalPoly([Fr(1, 2)]),
-            (3, (1, 0, 0)): RationalPoly([Fr(1), Fr(-1, 4)]),
-            (3, (0, 0, 1)): RationalPoly([Fr(-4, 3), Fr(-3, 2)]),
+            (2, (0, 0)): rational_poly([Fr(-3, 2)]),
+            (2, (0, 1)): rational_poly([Fr(1, 2)]),
+            (3, (1, 0, 0)): rational_poly([Fr(1), Fr(-1, 4)]),
+            (3, (0, 0, 1)): rational_poly([Fr(-4, 3), Fr(-3, 2)]),
         },
         "plant-b",
     )
@@ -183,26 +203,25 @@ def coupling_from_full_table(n, a_family, b_family):
         b_entries = b_family.at_order(m)
         if not a_entries or not b_entries:
             continue
-        tau_cap = max(poly.degree for poly in a_entries.values())
+        tau_cap = max(map(poly_degree, a_entries.values()))
         p_cap = (
             1
             + max(sum(q) for q in a_entries)
             + max(sum(qp) for qp in b_entries)
-            + max(poly.degree for poly in b_entries.values())
+            + max(map(poly_degree, b_entries.values()))
             + tau_cap
         )
         for key, gamma in gamma_table(n, m, p_cap, tau_cap).items():
             if key.q not in a_entries or key.qp not in b_entries:
                 continue
             xpow = key.tau - sum(key.alpha)
-            lead = RationalPoly([0] * xpow + [Fr(gamma, math.factorial(xpow))])
-            term = (
-                lead
-                * a_entries[key.q].derivative(key.tau)
-                * b_entries[key.qp].derivative(key.sigma)
+            lead = rational_poly([0] * xpow + [Fr(gamma, math.factorial(xpow))])
+            term = poly_product(
+                poly_product(lead, poly_derivative(a_entries[key.q], key.tau)),
+                poly_derivative(b_entries[key.qp], key.sigma),
             )
-            out[(n, key.P)] = out.get((n, key.P), RationalPoly()) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            out[(n, key.P)] = poly_sum(out.get((n, key.P), x_poly(())), term)
+    return {k: v for k, v in out.items() if v.monomials}
 
 
 class TestCouplingOracle:
@@ -239,6 +258,8 @@ class TestCouplingOracle:
             ("ks-shaped", 4, "fad0ead8aa57106b07878e5630d6227375cfd3c4b51c1723b8176a62ae4c586c"),
             # sigma = 1 at m = 2, and denominators 3, 5, 6, 7, 9
             ("mixed", 4, "f9f5aa558facd543cf99b8ffeff7be1bddf2e45a73d1d1a548f4a0c21d1ca2cd"),
+            ("pdae", 6, "cfd1b9202c2599a9ff6099dfaf44e36db5f2f6f444c3cbb07c35ca65fe977097"),
+            ("bench-seed1", 4, "d2cf55c5286c2b2e02e174a669165f07ab0d7b5e1b9703cfd405d82c5110096d"),
         ],
     )
     def test_cascade_snapshot(self, plant, n, digest):
@@ -317,7 +338,7 @@ class TestSummedWalk:
 
 class TestCascade:
     def test_exact_order2(self, a_family):
-        assert a_family.get(2, (0, 0)).coeffs == (Fr(0), Fr(-1))
+        assert poly_coefficients(a_family.get(2, (0, 0))) == (Fr(0), Fr(-1))
 
     def test_exact_order3(self, a_family):
         want = {
@@ -328,7 +349,7 @@ class TestCascade:
             (0, 2, 0): (Fr(0), Fr(1)),
             (0, 1, 0): (Fr(0), Fr(0), Fr(-1, 2)),
         }
-        got = {P: a_family.get(3, P).coeffs for P in a_family.support(3)}
+        got = {P: poly_coefficients(a_family.get(3, P)) for P in a_family.support(3)}
         assert got == want
 
     def test_support_is_exactly_seven(self, a_family):
@@ -372,15 +393,34 @@ def mixed_denominator_family():
     expansion's common denominator is a nontrivial lcm."""
     return GapCoefficientFamily(
         {
-            (2, (0, 0)): RationalPoly([Fr(1, 3)]),
-            (2, (1, 0)): RationalPoly([Fr(2, 7), Fr(1, 5)]),
-            (3, (0, 1, 0)): RationalPoly([Fr(-5, 6), Fr(1, 9)]),
+            (2, (0, 0)): rational_poly([Fr(1, 3)]),
+            (2, (1, 0)): rational_poly([Fr(2, 7), Fr(1, 5)]),
+            (3, (0, 1, 0)): rational_poly([Fr(-5, 6), Fr(1, 9)]),
         },
         "plant-b",
     )
 
 
-PLANTS = {"pdae": pdae_b_family, "ks-shaped": ks_shaped_family, "mixed": mixed_denominator_family}
+def bench_seed1_family():
+    """The kernel-synthesis benchmark's seed-1 plant: 2 0,0 -2/3; 2 0,1 -1;
+    3 1,0,0 1/2 1/2; 3 0,0,1 1 -1."""
+    return GapCoefficientFamily(
+        {
+            (2, (0, 0)): rational_poly([Fr(-2, 3)]),
+            (2, (0, 1)): rational_poly([-1]),
+            (3, (1, 0, 0)): rational_poly([Fr(1, 2), Fr(1, 2)]),
+            (3, (0, 0, 1)): rational_poly([1, -1]),
+        },
+        "plant-b",
+    )
+
+
+PLANTS = {
+    "pdae": pdae_b_family,
+    "ks-shaped": ks_shaped_family,
+    "mixed": mixed_denominator_family,
+    "bench-seed1": bench_seed1_family,
+}
 
 
 @lru_cache(maxsize=None)
@@ -422,7 +462,7 @@ def fraction_expansion(family, n, shifted):
 
     for P, poly in family.at_order(n).items():
         phi = fraction_phi_monomials(P)
-        for k, ck in enumerate(poly.coeffs):
+        for k, ck in enumerate(poly_coefficients(poly)):
             if ck == 0:
                 continue
             for (e, alphas), c in phi.items():
@@ -461,14 +501,14 @@ def random_family(draw):
             coeffs = draw(st.lists(coefficient, min_size=1, max_size=4))
             if role == "cascade-a":
                 coeffs[0] = Fr(0)
-            entries[(n, P)] = RationalPoly(coeffs)
+            entries[(n, P)] = rational_poly(coeffs)
     return GapCoefficientFamily(entries, role)
 
 
 def family_of(role, entries):
     """A family from ``{P: coefficient strings}``."""
     return GapCoefficientFamily(
-        {(len(P), P): RationalPoly(map(Fr, cs)) for P, cs in entries.items()}, role
+        {(len(P), P): rational_poly(map(Fr, cs)) for P, cs in entries.items()}, role
     )
 
 
@@ -519,7 +559,7 @@ class TestNorms:
         assert dp_norm(b_family.at_order(2), 3.0, 2.0) == pytest.approx(1.0)
 
     def test_linear_entry_norm(self):
-        assert dp_norm({(0, 0): RationalPoly([0, -1])}, 1.0, 3.0) == pytest.approx(4.0)
+        assert dp_norm({(0, 0): x_poly([0, -1])}, 1.0, 3.0) == pytest.approx(4.0)
 
     def test_zero_family_norm(self):
         assert dp_norm({}, 1.0, 1.0) == 0.0
@@ -533,22 +573,22 @@ class TestNorms:
 
 class TestRawOperations:
     def test_product_divided_power_rule(self):
-        one = RationalPoly.constant(1)
+        one = x_poly([1])
         prod = dp_family_product({(1, 0): one}, {(1, 0): one})
         assert set(prod) == {(2, 0)}
-        assert prod[(2, 0)].coeffs == (Fr(2),)
+        assert poly_coefficients(prod[(2, 0)]) == (Fr(2),)
 
     def test_split_gap_beta_identity(self):
-        one = RationalPoly.constant(1)
+        one = x_poly([1])
         merged = split_gap_integration({(0, 0, 0): one}, 0)
         assert set(merged) == {(1, 0)}
-        assert merged[(1, 0)].coeffs == (Fr(1),)
+        assert poly_coefficients(merged[(1, 0)]) == (Fr(1),)
 
     def test_split_gap_collects_pairs(self):
-        one = RationalPoly.constant(1)
+        one = x_poly([1])
         entries = {(1, 0, 0): one, (0, 1, 0): one}
         merged = split_gap_integration(entries, 0)
-        assert merged[(2, 0)].coeffs == (Fr(2),)
+        assert poly_coefficients(merged[(2, 0)]) == (Fr(2),)
 
 
 class TestSerialization:

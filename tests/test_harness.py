@@ -1,6 +1,7 @@
 """CLI harness: plant files, experiment configs, presets, exit codes."""
 
 import json
+from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from volback.harness import (
     run_experiment,
     run_preset,
 )
+
+from conftest import rational_poly
 
 
 @pytest.fixture()
@@ -71,8 +74,18 @@ class TestParsePlant:
         f = tmp_path / "dup.txt"
         f.write_text("2 0,0 1\n2 0,0 1/2\n")
         plant = parse_plant(f)
-        poly = plant.family.get(2, (0, 0))
-        assert poly(0.3) == pytest.approx(1.5)
+        assert plant.family.get(2, (0, 0)) == rational_poly([Fr(3, 2)])
+
+    @pytest.mark.parametrize(
+        "text, same",
+        [("2 0,0 2/4\n", "2 0,0 1/2\n"), ("2 0,0 1/3\n2 0,0 1/3\n", "2 0,0 2/3\n")],
+        ids=["unreduced", "repeated-key"],
+    )
+    def test_equal_values_give_equal_families(self, tmp_path, text, same):
+        f, g = tmp_path / "f.txt", tmp_path / "g.txt"
+        f.write_text(text)
+        g.write_text(same)
+        assert parse_plant(f).family == parse_plant(g).family
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -502,7 +515,10 @@ class TestCascadeOncePerCommand:
 
     def test_kernels_above_cross_check_order_exit_2(self, out_root, cascades, capsys):
         assert main(["kernels", "--plant", "pdae", "--order", "7"]) == 2
-        assert "supports orders up to 6" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "supports orders up to 6, got order 7" in err
+        assert "depends on the plant's support and is not estimated yet" in err
+        assert "minutes" not in err
         assert not (out_root / "kernels").exists()
         assert cascades == []
 
@@ -517,7 +533,7 @@ class TestCascadeOncePerCommand:
             "check_kernels = true\noutput_dir = high\n"
         )
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert "at order 7; it supports orders up to 6" in capsys.readouterr().err
+        assert "supports orders up to 6, got order 7" in capsys.readouterr().err
         assert not (out_root / "high").exists()
         assert cascades == []
 

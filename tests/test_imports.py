@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and only the
+plant and config parser imports ``fractions``."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,22 @@ def test_walk_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that ``source`` imports from."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fractions_only_in_harness(path):
+    # Exact values are integer numerators over one denominator
+    # (SimplexPolyKernel); harness parses rationals from plant and config text.
+    if path.name != "harness.py":
+        assert "fractions" not in imported_modules(path.read_text())

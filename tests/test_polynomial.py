@@ -1,41 +1,71 @@
-"""Exact rational polynomial helpers behind the closed-form kernels."""
+"""The exact polynomial type: kernels on simplices, and polynomials in x
+alone (order-0 kernels) with the integer operations of the gap cascade."""
 
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
-from conftest import kernel_eval_exact, poly_eval_exact
-from volback.polynomial import RationalPoly, SimplexPolyKernel, pdae_k2, pdae_k3
+from conftest import kernel_eval_exact, poly_coefficients, poly_eval_exact, rational_poly
+from volback.gapcascade import (
+    poly_degree,
+    poly_derivative,
+    poly_integral,
+    poly_neg,
+    poly_product,
+    poly_sum,
+    x_poly,
+)
+from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
+
+POINTS = [Fr(0), Fr(1, 3), Fr(-2, 5), Fr(7, 4)]
 
 
 class TestRationalPoly:
+    """Polynomials in x with rational coefficients, held as order-0
+    kernels, against Fraction references (``rational_poly``,
+    ``poly_coefficients``, ``poly_eval_exact``)."""
+
     def test_degree_and_zero(self):
-        assert RationalPoly([0]).is_zero()
-        assert RationalPoly([0]).degree == -1
-        assert RationalPoly([1, 0, Fr(2, 3)]).degree == 2
+        zero = rational_poly([0])
+        assert zero.monomials == {} and zero.den == 1 and zero == x_poly(())
+        assert poly_degree(zero) == -1 and poly_coefficients(zero) == ()
+        assert poly_degree(rational_poly([1, 0, Fr(2, 3)])) == 2
+        assert x_poly([2, 0, -4], 6) == rational_poly([Fr(1, 3), 0, Fr(-2, 3)])
 
     def test_arithmetic_exact(self):
-        p = RationalPoly([Fr(1, 2), 1])
-        q = RationalPoly([0, Fr(1, 3)])
-        assert (p + q).coeffs == (Fr(1, 2), Fr(4, 3))
-        assert (p - p).is_zero()
-        assert (p * q).coeffs == (Fr(0), Fr(1, 6), Fr(1, 3))
+        p = rational_poly([Fr(1, 2), 1])
+        q = rational_poly([0, Fr(1, 3)])
+        assert poly_coefficients(poly_sum(p, q)) == (Fr(1, 2), Fr(4, 3))
+        assert poly_sum(p, poly_neg(p)) == x_poly(())
+        assert poly_coefficients(poly_product(p, q)) == (Fr(0), Fr(1, 6), Fr(1, 3))
+        assert poly_product(p, q, 6) == x_poly([0, 1, 2])
+        for t in POINTS:
+            a, b = poly_eval_exact(p, t), poly_eval_exact(q, t)
+            assert poly_eval_exact(poly_sum(p, q), t) == a + b
+            assert poly_eval_exact(poly_neg(q), t) == -b
+            assert poly_eval_exact(poly_product(p, q, -3), t) == -3 * a * b
 
     def test_derivative_and_integral(self):
-        p = RationalPoly([0, 0, Fr(3)])  # 3 x^2
-        assert p.derivative().coeffs == (Fr(0), Fr(6))
-        assert p.derivative(2).coeffs == (Fr(6),)
-        assert p.integral().coeffs == (Fr(0), Fr(0), Fr(0), Fr(1))
+        p = rational_poly([0, 0, Fr(3)])  # 3 x^2
+        assert poly_coefficients(poly_derivative(p)) == (Fr(0), Fr(6))
+        assert poly_coefficients(poly_derivative(p, 2)) == (Fr(6),)
+        assert poly_derivative(p, 3) == x_poly(())
+        assert poly_coefficients(poly_integral(p)) == (Fr(0), Fr(0), Fr(0), Fr(1))
+        r = rational_poly([Fr(1, 3), Fr(-2), 0, Fr(5, 7)])
+        assert poly_derivative(poly_integral(r)) == r
 
     def test_integral_vanishes_at_zero(self):
-        p = RationalPoly([Fr(5), Fr(-2)])
-        assert poly_eval_exact(p.integral(), Fr(0)) == 0
+        p = rational_poly([Fr(5), Fr(-2)])
+        assert poly_eval_exact(poly_integral(p), Fr(0)) == 0
+        # the integral of 5 - 2x from 0 to t is 5t - t^2
+        for t in POINTS:
+            assert poly_eval_exact(poly_integral(p), t) == 5 * t - t * t
 
     def test_call_matches_eval_exact(self):
-        p = RationalPoly([Fr(1, 3), Fr(-2), Fr(1, 7)])
+        p = rational_poly([Fr(1, 3), Fr(-2), Fr(1, 7)])
         xs = np.linspace(0, 1, 11)
-        vals = p(xs)
+        vals = p(xs, np.empty((xs.size, 0)))
         want = [float(poly_eval_exact(p, Fr(x).limit_denominator(10**9))) for x in xs]
         assert vals == pytest.approx(want, abs=1e-12)
 
