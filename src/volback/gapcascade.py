@@ -23,9 +23,11 @@ where c_P collects the lower-order kernels' contribution through the
 coupling operators.  For polynomial plant data everything here is exact:
 every coefficient a_P, b_P, c_P is a polynomial in x with integer
 numerators over one denominator, an order-0 :class:`SimplexPolyKernel`
-(keys ``(k, ())``), and the few operations the cascade needs on them
-(:func:`poly_sum`, :func:`poly_neg`, :func:`poly_product`,
-:func:`poly_derivative`, :func:`poly_integral`) work in integers.  c_P
+(keys ``(k, ())``), and the few operations the families need on them
+(:func:`poly_sum`, :func:`poly_product`, :func:`poly_derivative`,
+:func:`poly_integral`) work in integers.  :func:`coupling_c` returns
+c_P as dense integer numerators over one denominator, and the cascade
+forms each a_P = int (c_P - b_P) from them as one kernel.  c_P
 assembles as
 
     c_P(x) = sum_m sum_keys Gamma * x**(tau-|alpha|)/(tau-|alpha|)!
@@ -43,7 +45,12 @@ two gaps next to the integration variable when both lie in its range,
 so each product d^tau a_q * d^sigma b_q' is formed once and no table is
 kept.  :func:`gamma_table` keeps the alpha-resolved walk
 (:func:`_gamma_walk`) over every multi-index up to given caps; it is the
-reference the tests compare against.
+reference the tests compare against.  Both walks expand the basis
+factors in closed form (in divided powers a power of a sum of gaps is
+the sum of its compositions, each with coefficient 1;
+:func:`_chain_expansion`) and hold gap vectors as ints packed in
+fixed-width slots (:func:`_slot_width`), so adding a unit vector is one
+addition and merging the gaps next to s is a few shifts.
 
 Kernels are assembled from a family by nested gap sums
 (:func:`_expand_kernel`): each c_P sits at the leaf P of the prefix
@@ -67,7 +74,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from itertools import product, zip_longest
 from typing import Dict, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +84,7 @@ from .simplex import compositions, ordered_splits
 
 MultiIndex = Tuple[int, ...]
 
-FAMILY_ROLES = ("plant-b", "cascade-a", "coupling-c")
+FAMILY_ROLES = ("plant-b", "cascade-a")
 
 
 class GammaCapError(ValueError):
@@ -126,10 +133,6 @@ def poly_sum(p: SimplexPolyKernel, q: SimplexPolyKernel) -> SimplexPolyKernel:
     return SimplexPolyKernel(0, out, den)
 
 
-def poly_neg(p: SimplexPolyKernel) -> SimplexPolyKernel:
-    return SimplexPolyKernel(0, {key: -c for key, c in p.monomials.items()}, p.den)
-
-
 def poly_product(p: SimplexPolyKernel, q: SimplexPolyKernel, scale: int = 1) -> SimplexPolyKernel:
     """``scale`` times the product of two polynomials in x."""
     out: Dict[tuple[int, tuple], int] = {}
@@ -146,11 +149,12 @@ def poly_derivative(p: SimplexPolyKernel, order: int = 1) -> SimplexPolyKernel:
     return SimplexPolyKernel(0, out, p.den)
 
 
-def poly_integral(p: SimplexPolyKernel) -> SimplexPolyKernel:
-    """The antiderivative of a polynomial in x that vanishes at x = 0."""
-    top = math.lcm(1, *(k + 1 for k, _ in p.monomials))
-    out = {(k + 1, ()): c * (top // (k + 1)) for (k, _), c in p.monomials.items()}
-    return SimplexPolyKernel(0, out, p.den * top)
+def poly_integral(numerators: Sequence[int], den: int = 1) -> SimplexPolyKernel:
+    """The antiderivative that vanishes at x = 0 of the polynomial
+    sum_k numerators[k] x**k / den (as :func:`x_poly` reads them)."""
+    top = math.lcm(1, *range(1, len(numerators) + 1))
+    out = {(k + 1, ()): c * (top // (k + 1)) for k, c in enumerate(numerators)}
+    return SimplexPolyKernel(0, out, den * top)
 
 
 @dataclass
@@ -160,10 +164,10 @@ class GapCoefficientFamily:
     ``entries`` maps (n, P) with P of length n to the coefficient of Phi_P
     at order n, a polynomial in x with integer numerators over one
     denominator (an order-0 :class:`SimplexPolyKernel`, see
-    :func:`x_poly`).  ``role`` is one of ``plant-b`` (the b family of a
-    plant), ``cascade-a`` (the ansatz coefficients; these must vanish at
-    x = 0), and ``coupling-c``.  ``metadata`` optionally carries the
-    growth constants (D, rho, mu, nu).
+    :func:`x_poly`).  ``role`` is ``plant-b`` (the b family of a plant)
+    or ``cascade-a`` (the ansatz coefficients; these must vanish at
+    x = 0).  ``metadata`` optionally carries the growth constants (D, rho,
+    mu, nu).
     """
 
     entries: Dict[tuple[int, MultiIndex], SimplexPolyKernel]
@@ -199,9 +203,6 @@ class GapCoefficientFamily:
     def at_order(self, n: int) -> Dict[MultiIndex, SimplexPolyKernel]:
         return {P: poly for (m, P), poly in self.entries.items() if m == n}
 
-    def get(self, n: int, P: MultiIndex) -> SimplexPolyKernel:
-        return self.entries.get((n, tuple(P)), x_poly(()))
-
     def support(self, n: int) -> tuple[MultiIndex, ...]:
         return tuple(sorted(P for (m, P) in self.entries if m == n))
 
@@ -219,52 +220,93 @@ class GammaKey(NamedTuple):
     alpha: MultiIndex
 
 
-def _dp_mul_gap(a: Dict[MultiIndex, int], b: Dict[MultiIndex, int]) -> Dict[MultiIndex, int]:
-    """Divided-power product of two pure-gap term dicts (integer coeffs)."""
-    out: Dict[MultiIndex, int] = {}
-    for g1, c1 in a.items():
-        for g2, c2 in b.items():
-            coeff = c1 * c2
-            for u, v in zip(g1, g2):
-                if u and v:
-                    coeff *= math.comb(u + v, u)
-            gv = tuple(u + v for u, v in zip(g1, g2))
-            out[gv] = out.get(gv, 0) + coeff
-    return {k: v for k, v in out.items() if v}
+# The walks store a gap vector as one int, slot i at bits i*width and up
+# (see _slot_width): adding e_i is one addition, a product of two vectors
+# is their sum, and merging a split pair is a few shifts.
 
 
-def _dp_times_sum(terms: Dict[MultiIndex, int], gaps: range, w: int) -> Dict[MultiIndex, int]:
-    """``terms`` times the sum S of the listed gaps, over ``w``, in divided
-    powers (Delta^[g] Delta_i = (g_i + 1) Delta^[g + e_i]): T S^[w-1] -> T S^[w]."""
-    out: Dict[MultiIndex, int] = {}
-    for g, c in terms.items():
-        for i in gaps:
-            gi = g[i] + 1
-            v = g[:i] + (gi,) + g[i + 1 :]
-            out[v] = out.get(v, 0) + c * gi
-    return {v: c // w for v, c in out.items()}
+def _slot_width(
+    q_taus: Sequence[tuple[MultiIndex, int]], qp_sigmas: Sequence[tuple[MultiIndex, int]]
+) -> int:
+    """Bits per slot of the packed gap vectors of a walk over these indices.
+
+    A vector of the walk has total power at most |q| + tau + |q'| + sigma
+    + 1 (the 1 from the s-integral), and no slot exceeds the total, so no
+    slot of a vector the walk reaches can carry into the next.
+    """
+    top = max(sum(q) + t for q, t in q_taus) + max(sum(qp) + s for qp, s in qp_sigmas) + 1
+    return top.bit_length()
 
 
-def _chain_expansion(
-    n_gaps: int, positions: Sequence[int], q: MultiIndex
-) -> Dict[MultiIndex, int]:
-    """Divided-power expansion of Phi_q along a sub-chain.
+def _pack(vec: Sequence[int], width: int) -> int:
+    return sum(v << (i * width) for i, v in enumerate(vec))
+
+
+def _unpack(packed: int, width: int, length: int) -> MultiIndex:
+    mask = (1 << width) - 1
+    return tuple(packed >> (i * width) & mask for i in range(length))
+
+
+def _collapse(packed: int, j: int, width: int, lift: int = 0) -> int:
+    """Merge the split pair (j-1, j) of a packed extended gap vector into
+    slot j-1, adding ``lift``; the slots above move down by one."""
+    low = (j - 1) * width
+    rest = packed >> low
+    mask = (1 << width) - 1
+    merged = (rest & mask) + (rest >> width & mask) + lift
+    return packed & ((1 << low) - 1) | (merged + (rest >> (2 * width) << width)) << low
+
+
+@lru_cache(maxsize=None)
+def _packed_compositions(total: int, slots: int, first: int, width: int) -> tuple[int, ...]:
+    """The compositions of ``total`` over slots first..first+slots-1, packed."""
+    return tuple(_pack(vec, width) << (first * width) for vec in compositions(total, slots))
+
+
+def _chain_expansion(positions: Sequence[int], q: MultiIndex, width: int) -> list[int]:
+    """Divided-power expansion of Phi_q along a sub-chain, as packed gap vectors.
 
     ``positions`` are the extended-chain indices of the sub-chain
-    entries (upper limit first); gap r of the sub-chain is the sum of
-    the extended gaps between consecutive positions, and its power q_r
-    is that sum's divided power, built one factor at a time.
+    entries (upper limit first, increasing); gap r of the sub-chain is
+    the sum S_r of the extended gaps between positions r and r+1.  By the
+    multinomial theorem S_r^[q_r] = sum_{|beta| = q_r} Delta^[beta], and
+    the ranges are disjoint, so every vector of the expansion carries
+    coefficient 1: the vectors are the concatenated compositions of each
+    q_r over its range.
     """
-    result: Dict[MultiIndex, int] = {(0,) * n_gaps: 1}
-    for r, qr in enumerate(q):
-        for k in range(1, qr + 1):
-            result = _dp_times_sum(result, range(positions[r], positions[r + 1]), k)
-    return result
+    parts = [_packed_compositions(qr, hi - lo, lo, width)
+             for qr, lo, hi in zip(q, positions, positions[1:])]
+    return [sum(combo) for combo in product(*parts)]
 
 
-def _collapse(vec: MultiIndex, j: int, lift: int = 0) -> MultiIndex:
-    """Merge the split pair (j-1, j) of an extended gap vector, adding ``lift``."""
-    return vec[: j - 1] + (vec[j - 1] + vec[j] + lift,) + vec[j + 1 :]
+def _dp_mul_gap(a: Sequence[int], b: Sequence[int], width: int) -> Dict[int, int]:
+    """Divided-power product of two sums of coefficient-1 packed gap vectors:
+    Delta^[u] Delta^[v] = prod_i comb(u_i + v_i, u_i) Delta^[u + v]."""
+    mask = (1 << width) - 1
+    out: Dict[int, int] = {}
+    for g1 in a:
+        slots = [(sh, u) for sh in range(0, g1.bit_length(), width) if (u := g1 >> sh & mask)]
+        for g2 in b:
+            coeff = 1
+            for sh, u in slots:
+                v = g2 >> sh & mask
+                if v:
+                    coeff *= math.comb(u + v, u)
+            out[g1 + g2] = out.get(g1 + g2, 0) + coeff
+    return out
+
+
+def _dp_times_sum(terms: Dict[int, int], gaps: range, w: int, width: int) -> Dict[int, int]:
+    """``terms`` times the sum S of the listed gaps, over ``w``, in divided
+    powers (Delta^[g] Delta_i = (g_i + 1) Delta^[g + e_i]): T S^[w-1] -> T S^[w]."""
+    mask = (1 << width) - 1
+    units = [(i * width, 1 << (i * width)) for i in gaps]
+    out: Dict[int, int] = {}
+    for g, c in terms.items():
+        for sh, unit in units:
+            v = g + unit
+            out[v] = out.get(v, 0) + c * ((g >> sh & mask) + 1)
+    return {v: c // w for v, c in out.items()}
 
 
 _GAMMA_CACHE: Dict[tuple[int, int, int, int], Dict[GammaKey, int]] = {}
@@ -272,18 +314,17 @@ _GAMMA_CACHE: Dict[tuple[int, int, int, int], Dict[GammaKey, int]] = {}
 
 @lru_cache(maxsize=None)
 def _alpha_placements(
-    n_ext: int, upper: int, j: int, w: int
-) -> tuple[tuple[tuple[tuple[int, int], ...], MultiIndex], ...]:
+    upper: int, j: int, w: int, width: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
     """The |alpha| = w powers over extended gaps 0..upper-1.
 
-    Each entry is (the nonzero (gap, power) pairs, alpha collapsed at
-    the split pair (j-1, j)).
+    Each entry is (the nonzero (slot shift, power) pairs, alpha collapsed
+    at the split pair (j-1, j), packed).
     """
     out = []
     for alpha_hat in compositions(w, upper):
-        avec = tuple(alpha_hat) + (0,) * (n_ext - upper)
-        nonzero = tuple((g, pw) for g, pw in enumerate(alpha_hat) if pw)
-        out.append((nonzero, _collapse(avec, j)))
+        nonzero = tuple((g * width, pw) for g, pw in enumerate(alpha_hat) if pw)
+        out.append((nonzero, _collapse(_pack(alpha_hat, width), j, width)))
     return tuple(out)
 
 
@@ -319,7 +360,9 @@ def _gamma_walk(
     """
     limit = math.inf if weight_cap is None else weight_cap
     p = n - m + 1
-    n_ext = n + 1
+    width = _slot_width(q_taus, qp_sigmas)
+    mask = (1 << width) - 1
+    unpack = lru_cache(maxsize=None)(lambda packed: _unpack(packed, width, n))  # for this walk
     for j in range(1, p + 1):
         # Extended chain: x @ 0, xi_1..xi_{j-1} @ 1..j-1, s @ j,
         # xi_j..xi_n @ j+1..n+1.  Extended gap g sits between chain
@@ -329,39 +372,40 @@ def _gamma_walk(
         for a_pos_rel, b_pos_rel in ordered_splits(len(trailing), p - j):
             a_positions = [trailing[i] + 1 for i in a_pos_rel]
             b_positions = [trailing[i] + 1 for i in b_pos_rel]
-            k_chain = [0] + list(range(1, j)) + [j] + a_positions
-            f_chain = [j] + b_positions
+            k_chain = list(range(j + 1)) + a_positions
+            # The plant factor Phi_q' times (x - s)^[sigma], x - s the sum
+            # of gaps 0..j-1: one chain from x through s and the b-positions.
+            f_chain = [0, j] + b_positions
             eta_last_pos = k_chain[-1]
             for q, tau_max in q_taus:
                 deg_q = sum(q)
-                phi_q = _chain_expansion(n_ext, k_chain, q)
+                phi_q = _chain_expansion(k_chain, q, width)
                 for qp, sigma_max in qp_sigmas:
                     deg_qq = deg_q + sum(qp)
                     if deg_qq > limit:
                         continue
-                    base_qq = _dp_mul_gap(phi_q, _chain_expansion(n_ext, f_chain, qp))
                     for sigma in range(min(sigma_max, limit - deg_qq) + 1):
-                        if sigma == 0:
-                            base = base_qq
-                        else:
-                            base = _dp_mul_gap(base_qq, _chain_expansion(n_ext, [0, j], (sigma,)))
+                        plant = _chain_expansion(f_chain, (sigma,) + qp, width)
+                        base = _dp_mul_gap(phi_q, plant, width)
                         sigma_sign = -1 if sigma % 2 else 1
                         deg_base = deg_qq + sigma
                         for w in range(min(tau_max, limit - deg_base) + 1):
                             sign = -sigma_sign if w % 2 else sigma_sign
-                            terms: Dict[tuple[MultiIndex, MultiIndex], int] = {}
-                            placements = _alpha_placements(n_ext, eta_last_pos, j, w)
+                            terms: Dict[tuple[int, int], int] = {}
+                            placements = _alpha_placements(eta_last_pos, j, w, width)
                             for gvec, cbase in base.items():
                                 # P = collapse(gvec + alpha_hat) + e_{j-1}
-                                lifted = _collapse(gvec, j, 1)
+                                lifted = _collapse(gvec, j, width, 1)
                                 signed = sign * cbase
                                 for nonzero, alpha in placements:
                                     coeff = signed
-                                    for g_idx, av in nonzero:
-                                        coeff *= math.comb(gvec[g_idx] + av, av)
-                                    slot = (tuple(map(add, lifted, alpha)), alpha)
+                                    for shift, av in nonzero:
+                                        coeff *= math.comb((gvec >> shift & mask) + av, av)
+                                    slot = (lifted + alpha, alpha)
                                     terms[slot] = terms.get(slot, 0) + coeff
-                            yield q, qp, sigma, w, terms
+                            yield q, qp, sigma, w, {
+                                (unpack(P), unpack(alpha)): c for (P, alpha), c in terms.items()
+                            }
 
 
 def gamma_table(
@@ -405,10 +449,14 @@ def gamma_table(
     return table
 
 
-def _summed_walk(n: int, m: int, q_taus, qp_sigmas) -> Iterator[tuple[MultiIndex, Dict]]:
+def _summed_walk(
+    n: int, m: int, q_taus, qp_sigmas, width: int
+) -> Iterator[tuple[MultiIndex, Dict]]:
     """:func:`_gamma_walk` summed over alpha, one q at a time (only one q's
     sums are held): yields ``(q, sums)``, where ``sums[(q', sigma)][w][P]``
     adds its terms at (P, alpha) over |alpha| = w and all legs and splits.
+    P is packed in slots of ``width`` bits, at least
+    :func:`_slot_width` of the indices.
 
     The alpha sum over extended gaps 0..upper-1 is the product with S^[w],
     S their sum, built as T_w = T_{w-1} S / w.  If the lower kernel has
@@ -420,51 +468,54 @@ def _summed_walk(n: int, m: int, q_taus, qp_sigmas) -> Iterator[tuple[MultiIndex
     kernel's last argument, gap j is outside the range: the product runs in
     extended gaps, per j, and merges per w.
     """
-    p, n_ext = n - m + 1, n + 1
-    unit = {(0,) * n_ext: 1}
+    p = n - m + 1
     legs = []
     for j in range(1, p + 1):
         trailing = tuple(range(j, n + 1))
         for a_pos_rel, b_pos_rel in ordered_splits(len(trailing), p - j):
             k_chain = list(range(j + 1)) + [trailing[i] + 1 for i in a_pos_rel]
-            f_chain = [j] + [trailing[i] + 1 for i in b_pos_rel]
-            plant = []  # (q', sigma, phi_q' S^[sigma] with S: gaps 0..j-1, None for 1)
+            f_chain = [0, j] + [trailing[i] + 1 for i in b_pos_rel]
+            plant = []  # (q', sigma, Phi_q' (x - s)^[sigma], None for 1)
             for qp, sigma_max in qp_sigmas:
-                factor = _chain_expansion(n_ext, f_chain, qp)
                 for sigma in range(sigma_max + 1):
-                    if sigma:
-                        factor = _dp_times_sum(factor, range(j), sigma)
-                    plant.append((qp, sigma, None if factor == unit else factor))
+                    factor = _chain_expansion(f_chain, (sigma,) + qp, width)
+                    plant.append((qp, sigma, None if factor == [0] else factor))
             legs.append((j, k_chain, plant))
     for q, tau_max in q_taus:
-        groups: Dict[tuple, Dict[MultiIndex, int]] = {}  # (q', sigma, upper, merged)
+        groups: Dict[tuple, Dict[int, int]] = {}  # (q', sigma, upper, merged)
         for j, k_chain, plant in legs:
-            phi_q = _chain_expansion(n_ext, k_chain, q)
+            phi_q = _chain_expansion(k_chain, q, width)
             upper = k_chain[-1]
             for qp, sigma, factor in plant:
                 group = groups.setdefault((qp, sigma, upper, upper > j), {})
-                for g, c in (phi_q if factor is None else _dp_mul_gap(phi_q, factor)).items():
-                    g = _collapse(g, j, 1) if upper > j else g
+                if factor is None:
+                    terms = dict.fromkeys(phi_q, 1)
+                else:
+                    terms = _dp_mul_gap(phi_q, factor, width)
+                for g, c in terms.items():
+                    g = _collapse(g, j, width, 1) if upper > j else g
                     group[g] = group.get(g, 0) + c
-        sums: Dict[tuple[MultiIndex, int], Dict[int, Dict[MultiIndex, int]]] = {}
+        sums: Dict[tuple[MultiIndex, int], Dict[int, Dict[int, int]]] = {}
         for (qp, sigma, upper, merged), terms in groups.items():
             by_w = sums.setdefault((qp, sigma), {})
             sign = -1 if sigma % 2 else 1
             for w in range(tau_max + 1):
                 if w:
-                    terms = _dp_times_sum(terms, range(upper - 1 if merged else upper), w)
+                    terms = _dp_times_sum(terms, range(upper - 1 if merged else upper), w, width)
                     sign = -sign
                 bucket = by_w.setdefault(w, {})
                 for g, c in terms.items():
-                    g = g if merged else _collapse(g, upper, 1)
+                    g = g if merged else _collapse(g, upper, width, 1)
                     bucket[g] = bucket.get(g, 0) + sign * c
         yield q, sums
 
 
 def coupling_c(
     n: int, a_family: GapCoefficientFamily, b_family: GapCoefficientFamily
-) -> GapCoefficientFamily:
-    """The coupling coefficients c_P at order n, as an exact family.
+) -> tuple[Dict[MultiIndex, list[int]], int]:
+    """The coupling coefficients c_P at order n, as integer numerators
+    ``{P: [c_0, c_1, ...]}`` (constant term first, nonzero rows only, P
+    ascending) over one denominator: returns ``(rows, den)``.
 
     Sums the contributions of every plant order m = 2..n-1 whose lower
     cascade family (order n-m+1) is present.  For n = 2 the result is
@@ -482,13 +533,13 @@ def coupling_c(
     lcm_a = math.lcm(1, *(poly.den for poly in a_all))
     lcm_b = math.lcm(1, *(poly.den for poly in b_all))
     deg_a = max(map(poly_degree, a_all), default=0)
-    width = deg_a + max(map(poly_degree, b_all), default=0) + 1
+    size = deg_a + max(map(poly_degree, b_all), default=0) + 1
     fact_top = math.factorial(deg_a)
 
     def derivatives(poly: SimplexPolyKernel, den: int) -> list[list[int]]:
         """Numerators over ``den`` of d^k poly, k = 0..deg poly."""
-        return [poly_numerators(poly_derivative(poly, k), den)
-                for k in range(poly_degree(poly) + 1)]
+        row = poly_numerators(poly, den)
+        return [[c * math.perm(i, k) for i, c in enumerate(row[k:], start=k)] for k in range(len(row))]
 
     acc: Dict[MultiIndex, list[int]] = {}
     for m in range(2, n - 1 + 1):
@@ -500,11 +551,13 @@ def coupling_c(
         qp_sigmas = [(qp, poly_degree(poly)) for qp, poly in sorted(b_entries.items())]
         da = {q: derivatives(poly, lcm_a) for q, poly in a_entries.items()}
         db = {qp: derivatives(poly, lcm_b) for qp, poly in b_entries.items()}
-        for q, sums in _summed_walk(n, m, q_taus, qp_sigmas):
+        width = _slot_width(q_taus, qp_sigmas)
+        packed: Dict[int, list[int]] = {}
+        for q, sums in _summed_walk(n, m, q_taus, qp_sigmas, width):
             for (qp, sigma), by_w in sums.items():
                 for w, gammas in by_w.items():
                     # sum over tau of (-1)**(tau+1) x**(tau-w)/(tau-w)! d^tau a_q d^sigma b_q'
-                    poly = [0] * width
+                    poly = [0] * size
                     for tau in range(max(w, 1), len(da[q])):
                         unit = fact_top // math.factorial(tau - w) * (1 if tau % 2 else -1)
                         for i, u in enumerate(da[q][tau], start=tau - w):
@@ -512,11 +565,15 @@ def coupling_c(
                                 poly[k] += unit * u * v
                     terms = [(k, c) for k, c in enumerate(poly) if c]
                     for P, gamma in gammas.items():
-                        row = acc.setdefault(P, [0] * width)
+                        row = packed.setdefault(P, [0] * size)
                         for k, c in terms:
                             row[k] += gamma * c
-    den = lcm_a * lcm_b * fact_top
-    return GapCoefficientFamily({(n, P): x_poly(row, den) for P, row in acc.items()}, "coupling-c")
+        for P, row in packed.items():
+            total = acc.setdefault(_unpack(P, width, n), [0] * size)
+            for k, c in enumerate(row):
+                total[k] += c
+    rows = {P: acc[P] for P in sorted(acc) if any(acc[P])}
+    return rows, lcm_a * lcm_b * fact_top
 
 
 def cascade(b_family: GapCoefficientFamily, n_max: int) -> GapCoefficientFamily:
@@ -524,8 +581,9 @@ def cascade(b_family: GapCoefficientFamily, n_max: int) -> GapCoefficientFamily:
 
     Triangular in the order: a at order n needs only the plant family
     and the already-computed a entries of orders below n.  Every
-    coefficient is the exact antiderivative of -b_P + c_P, so it
-    vanishes at x = 0 by construction.
+    coefficient is the exact antiderivative of -b_P + c_P, formed in
+    integers over one denominator, so it vanishes at x = 0 by
+    construction.
     """
     if n_max < 2:
         raise FamilyConfigError(f"n_max must be at least 2, got {n_max}")
@@ -533,16 +591,22 @@ def cascade(b_family: GapCoefficientFamily, n_max: int) -> GapCoefficientFamily:
         raise FamilyConfigError(
             f"cascade consumes a plant-b family, got role {b_family.role!r}"
         )
-    a_entries: Dict[tuple[int, MultiIndex], SimplexPolyKernel] = {}
+    # One family, filled order by order: coupling_c at order n reads the
+    # orders below n, and every entry added is a nonzero antiderivative.
+    a_family = GapCoefficientFamily({}, "cascade-a", metadata=b_family.metadata)
     for n in range(2, n_max + 1):
-        a_sofar = GapCoefficientFamily(dict(a_entries), "cascade-a")
-        c_fam = coupling_c(n, a_sofar, b_family)
-        slots = set(b_family.support(n)) | set(c_fam.support(n))
-        for P in slots:
-            poly = poly_integral(poly_sum(poly_neg(b_family.get(n, P)), c_fam.get(n, P)))
+        rows, den_c = coupling_c(n, a_family, b_family)
+        b_entries = b_family.at_order(n)
+        for P in set(b_family.support(n)) | set(rows):
+            b_poly = b_entries.get(P)
+            den = den_c if b_poly is None else math.lcm(den_c, b_poly.den)
+            c_row = [c * (den // den_c) for c in rows.get(P, ())]
+            b_row = [] if b_poly is None else poly_numerators(b_poly, den)
+            row = [c - b for c, b in zip_longest(c_row, b_row, fillvalue=0)]
+            poly = poly_integral(row, den)  # a_P = int_0^x (c_P - b_P)
             if poly.monomials:
-                a_entries[(n, P)] = poly
-    return GapCoefficientFamily(a_entries, "cascade-a", metadata=b_family.metadata)
+                a_family.entries[(n, P)] = poly
+    return a_family
 
 
 def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> SimplexPolyKernel:

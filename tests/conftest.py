@@ -1,6 +1,7 @@
 """Shared fixtures: the quadratic-integral example plant and its kernels,
 kernels built from rational coefficients and read back as them, the
-reference evaluations of polynomial Volterra terms on a mesh, and the
+iterated divided-power expansion of a gap chain, the reference
+evaluations of polynomial Volterra terms on a mesh, and the
 pointwise references: exact rational evaluation of polynomials and
 kernels, and Gauss quadrature of the series and of its derivative at a
 single upper limit."""
@@ -80,6 +81,24 @@ def poly_coefficients(poly) -> tuple:
     constant term first, up to its degree; () for zero."""
     fractions = {k: c for (k, _), c in kernel_fractions(poly).items()}
     return tuple(fractions.get(k, Fraction(0)) for k in range(max(fractions, default=-1) + 1))
+
+
+def iterated_chain_expansion(n_gaps, positions, q) -> dict:
+    """Divided-power expansion of Phi_q along a sub-chain, built one factor
+    at a time: gap r of the sub-chain is the sum S of the extended gaps
+    positions[r]..positions[r+1]-1, and T S^[k-1] -> T S^[k] multiplies by
+    S and divides by k, with Delta^[g] Delta_i = (g_i + 1) Delta^[g + e_i].
+    Returns ``{gap vector: integer coefficient}``."""
+    result = {(0,) * n_gaps: 1}
+    for r, qr in enumerate(q):
+        for k in range(1, qr + 1):
+            out = {}
+            for g, c in result.items():
+                for i in range(positions[r], positions[r + 1]):
+                    v = g[:i] + (g[i] + 1,) + g[i + 1 :]
+                    out[v] = out.get(v, 0) + c * (g[i] + 1)
+            result = {v: c // k for v, c in out.items()}
+    return result
 
 
 def random_simplex_points(rng, n, count, x=1.0):

@@ -38,6 +38,7 @@ from volback.verification import _phi
 
 from conftest import (
     exact_kernel,
+    iterated_chain_expansion,
     poly_coefficients,
     poly_eval_exact,
     random_simplex_points,
@@ -160,14 +161,19 @@ class TestGammaTable:
         assert sums[((0, 2, 0), 1)] == -1
 
 
+def coupling_entries(n, a_family, b_family):
+    """``coupling_c``'s numerator rows as ``{(n, P): polynomial}``."""
+    rows, den = coupling_c(n, a_family, b_family)
+    return {(n, P): x_poly(row, den) for P, row in rows.items()}
+
+
 class TestCoupling:
     def test_order2_has_no_coupling(self, b_family):
         a2 = cascade(b_family, 2)
-        c2 = coupling_c(2, a2, b_family)
-        assert c2.entries == {}
+        assert coupling_entries(2, a2, b_family) == {}
 
     def test_quadratic_example_coupling(self, b_family, a_family):
-        c3 = coupling_c(3, a_family, b_family)
+        c3 = coupling_entries(3, a_family, b_family)
         want = {
             (1, 0, 0): (Fr(0), Fr(-3)),
             (0, 1, 0): (Fr(0), Fr(-1)),
@@ -176,7 +182,7 @@ class TestCoupling:
             (1, 0, 1): (Fr(1),),
             (0, 2, 0): (Fr(1),),
         }
-        got = {P: poly_coefficients(c3.get(3, P)) for P in c3.support(3)}
+        got = {P: poly_coefficients(poly) for (_, P), poly in c3.items()}
         assert got == want
 
 
@@ -234,7 +240,7 @@ class TestCouplingOracle:
         a = cascade(b, n - 1)
         want = coupling_from_full_table(n, a, b)
         assert want
-        assert coupling_c(n, a, b).entries == want
+        assert coupling_entries(n, a, b) == want
 
     def test_cascade_builds_no_table(self, monkeypatch):
         def refuse(*args):
@@ -278,10 +284,11 @@ def alpha_summed_reference(n, m, q_taus, qp_sigmas):
 
 
 def summed_walk(n, m, q_taus, qp_sigmas):
-    """``_summed_walk`` in the reference's layout."""
+    """``_summed_walk`` in the reference's layout, P unpacked."""
+    width = gapcascade._slot_width(q_taus, qp_sigmas)
     return {
-        (q, qp, sigma, w): {P: v for P, v in by_P.items() if v}
-        for q, sums in gapcascade._summed_walk(n, m, q_taus, qp_sigmas)
+        (q, qp, sigma, w): {gapcascade._unpack(P, width, n): v for P, v in by_P.items() if v}
+        for q, sums in gapcascade._summed_walk(n, m, q_taus, qp_sigmas, width)
         for (qp, sigma), by_w in sums.items()
         for w, by_P in by_w.items()
     }
@@ -336,9 +343,111 @@ class TestSummedWalk:
         assert summed_walk(n, m, q_taus, qp_sigmas) == want
 
 
+@st.composite
+def chain_case(draw):
+    """(n_gaps, positions, q): n_gaps = 1..8, increasing positions in
+    0..n_gaps, and q_r = 0..4 for each range between them."""
+    n_gaps = draw(st.integers(1, 8))
+    positions = sorted(draw(st.sets(st.integers(0, n_gaps), min_size=2, max_size=n_gaps + 1)))
+    q = draw(st.lists(st.integers(0, 4), min_size=len(positions) - 1, max_size=len(positions) - 1))
+    return n_gaps, tuple(positions), tuple(q)
+
+
+@st.composite
+def chain_pair(draw):
+    """Two chain cases over the same number of gaps."""
+    n_gaps, positions, q = draw(chain_case())
+    other = sorted(draw(st.sets(st.integers(0, n_gaps), min_size=2, max_size=n_gaps + 1)))
+    q2 = draw(st.lists(st.integers(0, 4), min_size=len(other) - 1, max_size=len(other) - 1))
+    return n_gaps, (positions, q), (tuple(other), tuple(q2))
+
+
+@st.composite
+def packed_case(draw):
+    """(width, vector): slots of 1..5 bits and a vector of 1..9 powers that
+    fit them, the largest power 2**width - 1 included."""
+    width = draw(st.integers(1, 5))
+    vec = draw(st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=9))
+    return width, tuple(vec)
+
+
+class TestPackedGaps:
+    """The closed-form chain expansion and the packed gap vectors of both
+    walks against the tuple forms."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(case=chain_case())
+    @example(case=(8, (0, 3, 8), (0, 0)))  # all-zero q
+    @example(case=(8, (2, 3, 7), (4, 3)))  # a large q_r on a length-1 range
+    @example(case=(1, (0, 1), (4,)))
+    def test_closed_form_matches_iterated_product(self, case):
+        n_gaps, positions, q = case
+        want = iterated_chain_expansion(n_gaps, positions, q)
+        assert set(want.values()) == {1}
+        width = 3  # q_r <= 4 < 2**3
+        got = [gapcascade._unpack(v, width, n_gaps)
+               for v in gapcascade._chain_expansion(positions, q, width)]
+        assert len(got) == len(set(got))
+        assert dict.fromkeys(got, 1) == want
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(case=chain_pair())
+    @example(case=(4, ((0, 4), (4,)), ((0, 2, 4), (3, 2))))
+    def test_product_matches_ordinary_powers(self, case):
+        # Delta^[u] = Delta^u / u!: multiply in ordinary powers, read back.
+        n_gaps, first, second = case
+        width = 4  # a slot holds at most 4 + 4 < 2**4
+        a, b = (gapcascade._chain_expansion(pos, q, width) for pos, q in (first, second))
+        ordinary = defaultdict(Fr)
+        for u in (gapcascade._unpack(g, width, n_gaps) for g in a):
+            for v in (gapcascade._unpack(g, width, n_gaps) for g in b):
+                key = tuple(x + y for x, y in zip(u, v))
+                ordinary[key] += Fr(1, math.prod(map(math.factorial, u + v)))
+        want = {key: c * math.prod(map(math.factorial, key)) for key, c in ordinary.items()}
+        got = gapcascade._dp_mul_gap(a, b, width)
+        assert {gapcascade._unpack(g, width, n_gaps): c for g, c in got.items()} == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=packed_case())
+    @example(case=(3, (7, 7, 7, 7, 7, 7, 7, 7, 7)))
+    @example(case=(1, (1, 0, 1)))
+    def test_pack_round_trip(self, case):
+        width, vec = case
+        packed = gapcascade._pack(vec, width)
+        assert gapcascade._unpack(packed, width, len(vec)) == vec
+        assert packed < 1 << (width * len(vec))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=packed_case(), lift=st.integers(0, 1))
+    @example(case=(3, (7, 7, 0, 7, 7)), lift=1)  # merged powers reach 2**3 - 1
+    def test_collapse_at_every_j_matches_tuple_form(self, case, lift):
+        width, vec = case
+        vec = tuple(v // 2 for v in vec) + (0,)  # any pair plus lift fits a slot
+        for j in range(1, len(vec)):
+            want = vec[: j - 1] + (vec[j - 1] + vec[j] + lift,) + vec[j + 1 :]
+            got = gapcascade._collapse(gapcascade._pack(vec, width), j, width, lift)
+            assert gapcascade._unpack(got, width, len(vec) - 1) == want
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (3, 2, [((0, 0), 2)], [((2, 0), 2)]),
+            (4, 2, [((0, 0, 0), 1)], [((0, 0), 1)]),
+        ],
+    )
+    def test_power_at_the_slot_width_limit(self, case):
+        # The walk reaches a power of 2**width - 1 in one slot, the most the
+        # slots hold; the packed walk still matches the tuple reference.
+        n, m, q_taus, qp_sigmas = case
+        width = gapcascade._slot_width(q_taus, qp_sigmas)
+        want = alpha_summed_reference(*case)
+        assert max(max(P) for by_P in want.values() for P in by_P) == 2**width - 1
+        assert summed_walk(*case) == want
+
+
 class TestCascade:
     def test_exact_order2(self, a_family):
-        assert poly_coefficients(a_family.get(2, (0, 0))) == (Fr(0), Fr(-1))
+        assert poly_coefficients(a_family.entries[(2, (0, 0))]) == (Fr(0), Fr(-1))
 
     def test_exact_order3(self, a_family):
         want = {
@@ -349,7 +458,7 @@ class TestCascade:
             (0, 2, 0): (Fr(0), Fr(1)),
             (0, 1, 0): (Fr(0), Fr(0), Fr(-1, 2)),
         }
-        got = {P: poly_coefficients(a_family.get(3, P)) for P in a_family.support(3)}
+        got = {P: poly_coefficients(poly) for P, poly in a_family.at_order(3).items()}
         assert got == want
 
     def test_support_is_exactly_seven(self, a_family):

@@ -74,7 +74,7 @@ class TestParsePlant:
         f = tmp_path / "dup.txt"
         f.write_text("2 0,0 1\n2 0,0 1/2\n")
         plant = parse_plant(f)
-        assert plant.family.get(2, (0, 0)) == rational_poly([Fr(3, 2)])
+        assert plant.family.entries[(2, (0, 0))] == rational_poly([Fr(3, 2)])
 
     @pytest.mark.parametrize(
         "text, same",
