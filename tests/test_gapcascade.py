@@ -343,23 +343,26 @@ class TestSummedWalk:
         assert summed_walk(n, m, q_taus, qp_sigmas) == want
 
 
-@st.composite
-def chain_case(draw):
-    """(n_gaps, positions, q): n_gaps = 1..8, increasing positions in
-    0..n_gaps, and q_r = 0..4 for each range between them."""
-    n_gaps = draw(st.integers(1, 8))
+def draw_chain(draw, n_gaps):
+    """Increasing positions in 0..n_gaps and q_r = 0..4 for each range
+    between them."""
     positions = sorted(draw(st.sets(st.integers(0, n_gaps), min_size=2, max_size=n_gaps + 1)))
     q = draw(st.lists(st.integers(0, 4), min_size=len(positions) - 1, max_size=len(positions) - 1))
-    return n_gaps, tuple(positions), tuple(q)
+    return tuple(positions), tuple(q)
+
+
+@st.composite
+def chain_case(draw):
+    """(n_gaps, positions, q) with n_gaps = 1..8."""
+    n_gaps = draw(st.integers(1, 8))
+    return (n_gaps, *draw_chain(draw, n_gaps))
 
 
 @st.composite
 def chain_pair(draw):
-    """Two chain cases over the same number of gaps."""
-    n_gaps, positions, q = draw(chain_case())
-    other = sorted(draw(st.sets(st.integers(0, n_gaps), min_size=2, max_size=n_gaps + 1)))
-    q2 = draw(st.lists(st.integers(0, 4), min_size=len(other) - 1, max_size=len(other) - 1))
-    return n_gaps, (positions, q), (tuple(other), tuple(q2))
+    """Two chains over the same number of gaps, 1..8."""
+    n_gaps = draw(st.integers(1, 8))
+    return n_gaps, draw_chain(draw, n_gaps), draw_chain(draw, n_gaps)
 
 
 @st.composite
