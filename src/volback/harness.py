@@ -187,11 +187,7 @@ def parse_plant(path: str | Path) -> ParsedPlant:
                     f"line {lineno}: unknown metadata key {key!r}; "
                     f"expected one of {', '.join(METADATA_KEYS)}"
                 )
-            if key in key_lines:
-                raise PlantParseError(
-                    f"line {lineno}: metadata key {key!r} repeats line {key_lines[key]}"
-                )
-            key_lines[key] = lineno
+            _first_setting(key_lines, key, lineno, "metadata key", PlantParseError)
             try:
                 metadata[key] = float(Fraction(value.strip()))
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -242,13 +238,26 @@ def parse_plant(path: str | Path) -> ParsedPlant:
     except SeriesDefinitionError as exc:
         raise ConfigError(f"plant file {path}: {exc}") from None
     if series.growth is not None:
-        report = check_growth_assumption(series)
-        if not report.passed:
+        worst = check_growth_assumption(series)
+        if not worst <= 1.0:
             raise PlantAssumptionError(
-                f"plant file {path}: plant growth check failed with worst ratio "
-                f"{report.worst_ratio:.3g}"
+                f"plant file {path}: plant growth check failed with worst ratio {worst:.3g}"
             )
     return ParsedPlant(family, series, str(path))
+
+
+def _first_setting(
+    key_lines: Dict[str, int],
+    key: str,
+    lineno: int,
+    what: str = "key",
+    error: type[ConfigError] = ConfigError,
+) -> None:
+    """Record that line ``lineno`` sets ``key``; a second setting is refused,
+    naming both lines."""
+    if key in key_lines:
+        raise error(f"line {lineno}: {what} {key!r} repeats line {key_lines[key]}")
+    key_lines[key] = lineno
 
 
 def _read_lines(path: Path, what: str) -> List[str]:
@@ -560,10 +569,15 @@ def run_preset(name: str, out_root: Path | None = None) -> int:
 
 
 def parse_config(path: str | Path) -> ExperimentSpec:
-    """Read a key = value experiment config."""
+    """Read a key = value experiment config.
+
+    An unknown key, a key set twice, a bad value and an empty
+    ``output_dir`` are refused with the offending line number.
+    """
     path = Path(path)
     spec = ExperimentSpec()
     overrides: Dict = {}
+    key_lines: Dict[str, int] = {}
     text_keys = {"plant", "controller", "output_dir"}
     bool_keys = {"check_kernels", "check_mild_solution"}
     float_keys = {"cfl", "t_end", "blow_up_threshold", "initial_scale"}
@@ -579,7 +593,10 @@ def parse_config(path: str | Path) -> ExperimentSpec:
         value = value.strip()
         if key not in text_keys | bool_keys | float_keys | int_keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        _first_setting(key_lines, key, lineno)
         try:
+            if key == "output_dir" and not value:
+                raise ValueError("empty; name a directory or leave the key out")
             if key in text_keys:
                 setattr(spec, key, value)
             elif key in bool_keys:

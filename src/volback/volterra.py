@@ -43,6 +43,12 @@ over T_n(1), the series
 bound the transformation and its Lipschitz modulus on the ball of
 squared radius ``s``.  Note ``ell``'s coefficient for s**(n-1) is n**3
 times ``k``'s coefficient for s**n.
+
+Two of the checked inequalities are stated here as numbers:
+:func:`check_growth_assumption` returns the worst sampled ratio to the
+growth envelope, and :func:`coupling_bound_sq` the right-hand side of
+the coupling-term bound.  :mod:`volback.verification` and the plant
+parser compare them with their limits.
 """
 
 from __future__ import annotations
@@ -58,7 +64,6 @@ from .polynomial import SimplexPolyKernel
 from .simplex import QuadratureRule, simplex_nodes
 
 GROWTH_SAMPLES = 200  # random points per order of check_growth_assumption
-COUPLING_TOL = 1e-9  # slack of coupling_bound_check's squared norms
 
 
 class SeriesDefinitionError(ValueError):
@@ -502,29 +507,18 @@ def gain_ell(gains: GainFunctions, s: float) -> float:
     return sum(gains.ell_coefficient(n) * s ** (n - 1) for n in gains.orders)
 
 
-@dataclass
-class GrowthReport:
-    """Outcome of sampling the plant growth assumption."""
+def check_growth_assumption(series: VolterraKernelSeries, seed: int = 0) -> float:
+    """The worst sampled ratio |f_n(x, xi)| rho^(n-1) / (n! D).
 
-    worst_ratio: float
-    passed: bool
-    per_order: Dict[int, float]
-    seed: int
-
-
-def check_growth_assumption(series: VolterraKernelSeries, seed: int = 0) -> GrowthReport:
-    """Sample |f_n(x, xi)| rho^(n-1) / (n! D) over random points.
-
-    The series must carry growth metadata (D, rho).  For each order the
-    upper limit x is drawn uniformly from [0, 1] and the coordinates
-    uniformly from T_n(x), at ``GROWTH_SAMPLES`` points; the report
-    passes iff the worst observed ratio is at most 1.
+    The series must carry growth metadata (D, rho); the assumption holds
+    on the samples iff the ratio is at most 1.  For each order the upper
+    limit x is drawn uniformly from [0, 1] and the coordinates uniformly
+    from T_n(x), at ``GROWTH_SAMPLES`` points.
     """
     if series.growth is None:
         raise SeriesDefinitionError("series has no growth metadata (D, rho)")
     d, rho = series.growth
     rng = np.random.default_rng(seed)
-    per_order: Dict[int, float] = {}
     worst = 0.0
     for n, kern in series.kernels.items():
         xs = rng.uniform(0.0, 1.0, size=GROWTH_SAMPLES)
@@ -535,40 +529,17 @@ def check_growth_assumption(series: VolterraKernelSeries, seed: int = 0) -> Grow
             ratio = peak * rho ** (n - 1) / (math.factorial(n) * d)
         except OverflowError:  # rho ** (n - 1) beyond the float range
             ratio = math.inf if peak else 0.0
-        per_order[n] = ratio
         worst = max(worst, ratio)
-    return GrowthReport(worst, worst <= 1.0, per_order, seed)
+    return worst
 
 
-@dataclass
-class CouplingBoundReport:
-    """One instance of the coupling-term norm bound."""
+def coupling_bound_sq(n: int, m: int, k_lower_norm: float, f_m_sup: float) -> float:
+    """The bound on ||B||^2 of the order-(n, m) coupling term at x = 1:
 
-    n: int
-    m: int
-    coefficient: float
-    lhs_sq: float
-    rhs_sq: float
-    passed: bool
+        [(n+1)! (n-m+1) / ((m+1)! (n-m)!)] * (x^m sup|f_m|^2 / m!) * ||k_{n-m+1}||^2,
 
-
-def coupling_bound_check(
-    n: int,
-    m: int,
-    k_lower_norm: float,
-    f_m_sup: float,
-    b_norm_estimate: float,
-) -> CouplingBoundReport:
-    """Check the L2 bound on the order-(n, m) coupling term at x = 1.
-
-    The bound reads
-
-        ||B||^2 <= [(n+1)! (n-m+1) / ((m+1)! (n-m)!)]
-                   * (x^m sup|f_m|^2 / m!) * ||k_{n-m+1}||^2,
-
-    e.g. combinatorial coefficient 8 and overall factor 4 for
-    (n, m) = (3, 2) with a unit kernel bound; it passes within
-    ``COUPLING_TOL``.
+    e.g. combinatorial coefficient 8 and bound 4 for (n, m) = (3, 2)
+    with unit norms.
     """
     if not (2 <= m <= n):
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
@@ -577,6 +548,4 @@ def coupling_bound_check(
         * (n - m + 1)
         / (math.factorial(m + 1) * math.factorial(n - m))
     )
-    rhs = coeff * (f_m_sup**2 / math.factorial(m)) * k_lower_norm**2
-    lhs = b_norm_estimate**2
-    return CouplingBoundReport(n, m, coeff, lhs, rhs, lhs <= rhs + COUPLING_TOL)
+    return coeff * (f_m_sup**2 / math.factorial(m)) * k_lower_norm**2

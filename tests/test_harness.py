@@ -198,6 +198,25 @@ class TestParseConfig:
         spec = parse_config(f)
         assert spec.check_kernels is expected and spec.check_mild_solution is expected
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("plant = pdae\ncontroller = order-3\ncontroller = open-loop\n",
+             r"line 3: key 'controller' repeats line 2"),
+            ("plant = pdae\nmesh_points = 21\nplant = zero\n", r"line 3: key 'plant' repeats line 1"),
+            ("mesh_points = 21\noutput_dir =\n", r"line 2: bad value for output_dir: empty"),
+        ],
+        ids=["controller", "plant", "empty-output-dir"],
+    )
+    def test_repeated_key_or_empty_output_dir_refused(self, tmp_path, out_root, capsys, text, message):
+        f = tmp_path / "run.cfg"
+        f.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f)
+        assert main(["simulate", "--config", str(f)]) == 2
+        assert capsys.readouterr().err.count("error: ") == 1
+        assert not out_root.exists()
+
     @pytest.mark.parametrize("value", ["maybe", "", "2", "y"])
     def test_other_boolean_values_name_the_line(self, tmp_path, value):
         f = tmp_path / "run.cfg"

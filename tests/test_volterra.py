@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import volback
+from volback import verification
 from volback.charkernels import pdae_plant
 from volback.harness import build_kernel_table, load_plant
 from volback.inversion import dk_matrix
 from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
 from volback.simulator import SimConfig, _controller_series, mild_solution_residual, simulate
+from volback.verification import ALL_CHECKS, COUPLING_TOL
 from conftest import (
     QuadratureNode,
     _inner_integral,
@@ -34,7 +36,7 @@ from volback.volterra import (
     VolterraKernelSeries,
     build_gains,
     check_growth_assumption,
-    coupling_bound_check,
+    coupling_bound_sq,
     gain_ell,
     gain_k,
     kernel_l2_sq,
@@ -203,9 +205,9 @@ class TestGains:
 
 class TestGrowthSampling:
     def test_quadratic_example_passes(self, plant):
-        report = check_growth_assumption(plant, seed=3)
-        assert report.passed
-        assert report.worst_ratio == pytest.approx(0.5)
+        worst = check_growth_assumption(plant, seed=3)
+        assert worst <= 1.0
+        assert worst == pytest.approx(0.5)
 
     def test_needs_metadata(self):
         series = VolterraKernelSeries({2: pdae_k2()})
@@ -215,18 +217,20 @@ class TestGrowthSampling:
 
 class TestCouplingBound:
     def test_worked_coefficient(self):
-        report = coupling_bound_check(3, 2, 1.0, 1.0, 0.5)
-        assert report.coefficient == pytest.approx(8.0)
-        assert report.rhs_sq == pytest.approx(4.0)
-        assert report.passed
+        # Combinatorial coefficient 8 times sup|f_2|^2 / 2! at unit norms.
+        bound = coupling_bound_sq(3, 2, 1.0, 1.0)
+        assert bound == pytest.approx(4.0)
+        assert 0.5**2 <= bound + COUPLING_TOL
 
-    def test_violation_detected(self):
-        report = coupling_bound_check(3, 2, 0.1, 1.0, 10.0)
-        assert not report.passed
+    def test_violation_detected(self, monkeypatch):
+        assert 10.0**2 > coupling_bound_sq(3, 2, 0.1, 1.0) + COUPLING_TOL
+        assert ALL_CHECKS["coupling-bound"](0).passed
+        monkeypatch.setattr(verification, "coupling_bound_sq", lambda *args: 0.0)
+        assert not ALL_CHECKS["coupling-bound"](0).passed
 
     def test_bad_orders_rejected(self):
         with pytest.raises(ValueError):
-            coupling_bound_check(2, 3, 1.0, 1.0, 1.0)
+            coupling_bound_sq(2, 3, 1.0, 1.0)
 
 
 def random_kernel(rng, n, count):
