@@ -66,7 +66,7 @@ class KernelConfigError(ValueError):
 class KernelNode:
     """A kernel's exact polynomial and the construction that produced it.
 
-    No program path builds a node: kernel tables hold the polynomials.
+    No program path builds a node: kernel series hold the polynomials.
     The class stays only because the benchmark tracer (perfbench/tracer.py)
     patches ``KernelNode.__call__``.
     """
@@ -209,17 +209,14 @@ def _recursion_kernel(
     return _characteristic(n, forcing, den)
 
 
-def build_controller_kernels(
-    plant: VolterraKernelSeries, n_max: int
-) -> Dict[int, SimplexPolyKernel]:
-    """Build the kernel hierarchy ``{n: kernel}`` for orders 2..n_max by
-    the recursion."""
+def build_controller_kernels(plant: VolterraKernelSeries, n_max: int) -> VolterraKernelSeries:
+    """The kernel series of orders 2..n_max by the recursion."""
     if n_max < 2:
         raise KernelConfigError(f"n_max must be at least 2, got {n_max}")
     kernels: Dict[int, SimplexPolyKernel] = {}
     for n in range(2, n_max + 1):
-        kernels[n] = _recursion_kernel(n, plant.kernels, kernels)
-    return kernels
+        kernels[n] = _recursion_kernel(n, plant, kernels)
+    return VolterraKernelSeries(kernels)
 
 
 def pdae_plant() -> VolterraKernelSeries:
@@ -234,10 +231,10 @@ def pdae_plant() -> VolterraKernelSeries:
 
 def is_pdae_plant(plant: VolterraKernelSeries) -> bool:
     """Recognise the quadratic integral plant by its kernels."""
-    return plant.kernels == pdae_plant().kernels
+    return plant == pdae_plant()
 
 
-def pdae_closed_forms() -> Dict[int, SimplexPolyKernel]:
+def pdae_closed_forms() -> VolterraKernelSeries:
     """Known closed-form kernels for the quadratic integral plant, the
     reference the recursion and the cascade are checked against."""
-    return {2: pdae_k2(), 3: pdae_k3()}
+    return VolterraKernelSeries({2: pdae_k2(), 3: pdae_k3()})

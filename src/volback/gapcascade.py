@@ -56,7 +56,9 @@ Kernels are assembled from a family by nested gap sums
 (:func:`_expand_kernel`): each c_P sits at the leaf P of the prefix
 trie of the support, and for r = n-1 down to 0 every node is multiplied
 by Delta_r**P_r and added into its parent, so a gap is expanded once
-per distinct prefix rather than once per P and per shift term.
+per distinct prefix rather than once per P and per shift term;
+:func:`assemble_kernels` returns the orders 2..n_max as a
+:class:`~volback.volterra.VolterraKernelSeries`.
 
 The expansion substitutes the ansatz for the lower kernel into the
 coupling operator, Taylor-expands the coefficient functions at x
@@ -81,6 +83,7 @@ import numpy as np
 
 from .polynomial import SimplexPolyKernel
 from .simplex import compositions, ordered_splits
+from .volterra import VolterraKernelSeries
 
 MultiIndex = Tuple[int, ...]
 
@@ -660,6 +663,14 @@ def assemble_kernel_polynomial(a_family: GapCoefficientFamily, n: int) -> Simple
     """The assembled order-n kernel sum_P [a_P(x) - a_P(x - xi_n)] Phi_P as
     an exact polynomial in (x, xi), the form the mesh cascades consume."""
     return _expand_kernel(a_family, n, shifted=True)
+
+
+def assemble_kernels(a_family: GapCoefficientFamily, n_max: int) -> VolterraKernelSeries:
+    """The controller kernels of orders 2..n_max assembled from a cascade
+    family, as a series (which refuses coefficients past the float range)."""
+    return VolterraKernelSeries(
+        {n: assemble_kernel_polynomial(a_family, n) for n in range(2, n_max + 1)}
+    )
 
 
 def dp_norm(entries: Mapping[MultiIndex, SimplexPolyKernel], r: float, R: float) -> float:

@@ -20,7 +20,9 @@ Subcommands
 
 All artifacts land under the output root (``--output`` flag, else the
 ``VOLBACK_OUTPUT_ROOT`` environment variable, else ``./volback-out``).
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error
+(a kernel series refused when built, e.g. with coefficients past the
+float range, included).
 Metadata records carry the config echo, seeds, resolutions, and the
 package version so a run can be reproduced bit-identically; nothing
 time- or host-dependent is written.
@@ -49,7 +51,7 @@ from .charkernels import (
 )
 from .gapcascade import (
     GapCoefficientFamily,
-    assemble_kernel_polynomial,
+    assemble_kernels,
     cascade,
     family_plant_kernel,
     family_to_json,
@@ -96,7 +98,6 @@ DEFAULT_SEED = 0
 METADATA_KEYS = ("D", "rho")
 BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,  # in any case
             "0": False, "false": False, "no": False, "off": False}
-KernelTable = Dict[int, SimplexPolyKernel]  # {order: kernel}
 
 
 class ConfigError(ValueError):
@@ -293,8 +294,10 @@ def load_plant(descriptor: str) -> ParsedPlant:
     )
 
 
-def build_kernel_table(plant: ParsedPlant, n_max: int, route: str = "cascade") -> KernelTable:
-    """Controller kernels ``{n: kernel}`` for every order 2..n_max.
+def build_kernel_table(
+    plant: ParsedPlant, n_max: int, route: str = "cascade"
+) -> VolterraKernelSeries:
+    """The controller kernel series of every order 2..n_max.
 
     ``cascade`` assembles exact polynomials from the coefficient-family
     recursion (available whenever the plant is a finite gap table);
@@ -303,10 +306,10 @@ def build_kernel_table(plant: ParsedPlant, n_max: int, route: str = "cascade") -
     """
     _check_order_cap(n_max)
     if route == "recursion":
-        return _evaluable(build_controller_kernels(plant.series, n_max))
+        return build_controller_kernels(plant.series, n_max)
     if route != "cascade":
         raise ConfigError(f"unknown kernel route {route!r}")
-    return _cascade_kernels(cascade(plant.family, n_max), n_max)
+    return assemble_kernels(cascade(plant.family, n_max), n_max)
 
 
 def _check_order_cap(n_max: int) -> None:
@@ -333,25 +336,6 @@ def _check_cross_check_order(n_max: int) -> None:
         )
 
 
-def _cascade_kernels(a_family: GapCoefficientFamily, n_max: int) -> KernelTable:
-    """Kernels of orders 2..n_max assembled from a cascade family."""
-    return _evaluable({n: assemble_kernel_polynomial(a_family, n) for n in range(2, n_max + 1)})
-
-
-def _evaluable(table: KernelTable) -> KernelTable:
-    """``table``, refused if a coefficient lies past the float range (the
-    kernels are evaluated in floating point)."""
-    for n, poly in table.items():
-        try:
-            for c in poly.monomials.values():
-                c / poly.den  # raises OverflowError past the float range
-        except OverflowError:
-            raise ConfigError(
-                f"the order-{n} kernel has coefficients beyond the floating-point range"
-            ) from None
-    return table
-
-
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     """Simulate one spec, write artifacts, return the metadata dict."""
     _check_output_dir(out_dir)
@@ -360,10 +344,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     kernel_cap = controller_cap(spec.controller, max(plant.n_max, 3))
     if spec.check_kernels:
         _check_cross_check_order(kernel_cap or 3)
-    kernels = {}
+    kernels = VolterraKernelSeries({})
     if kernel_cap is not None:
         kernels = build_kernel_table(plant, kernel_cap, route="recursion")
-    record = simulate(cfg, plant.series if not plant.series.is_zero() else None, kernels)
+    record = simulate(cfg, plant.series, kernels)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(record, str(out_dir / "series.csv"))
     write_snapshots_csv(record, str(out_dir / "snapshots.csv"))
@@ -397,14 +381,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> Dict:
     return meta
 
 
-def _kernel_cross_check(rec: KernelTable, gap: KernelTable) -> Dict:
-    """The recursion's table ``rec`` against the cascade's table ``gap``
+def _kernel_cross_check(rec: VolterraKernelSeries, gap: VolterraKernelSeries) -> Dict:
+    """The recursion's series ``rec`` against the cascade's series ``gap``
     (orders 2..n_max), compared by
     :func:`~volback.verification.compare_constructions`: passes when
     every order has the same kernel."""
-    equal, worst = compare_constructions(
-        VolterraKernelSeries(rec), VolterraKernelSeries(gap), DEFAULT_SEED
-    )
+    equal, worst = compare_constructions(rec, gap, DEFAULT_SEED)
     return {"max_abs_difference": worst, "points": COMPARE_POINTS, "passed": equal}
 
 
@@ -412,7 +394,7 @@ def _write_kernels(
     plant: ParsedPlant,
     n_max: int,
     out_dir: Path,
-    closed_forms: KernelTable | None = None,
+    closed_forms: VolterraKernelSeries | None = None,
 ) -> Dict:
     """Run the cascade once, cross-check the recursion (and any closed
     forms) against its kernels, and write a_family.json, samples.csv and
@@ -421,12 +403,10 @@ def _write_kernels(
     _check_cross_check_order(n_max)
     _check_output_dir(out_dir)
     a_family = cascade(plant.family, n_max)
-    gap = _cascade_kernels(a_family, n_max)
+    gap = assemble_kernels(a_family, n_max)
     report = _kernel_cross_check(build_kernel_table(plant, n_max, route="recursion"), gap)
     if closed_forms:
-        equal, worst_closed = compare_constructions(
-            VolterraKernelSeries(closed_forms), VolterraKernelSeries(gap), DEFAULT_SEED
-        )
+        equal, worst_closed = compare_constructions(closed_forms, gap, DEFAULT_SEED)
         report["max_abs_vs_closed_form"] = worst_closed
         report["passed"] = report["passed"] and equal
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -443,14 +423,14 @@ def preset_kernels(out_dir: Path) -> int:
     return 0 if report["passed"] else 1
 
 
-def _write_kernel_samples(table: KernelTable, path: Path) -> None:
+def _write_kernel_samples(series: VolterraKernelSeries, path: Path) -> None:
     rng = np.random.default_rng(DEFAULT_SEED)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["order", "x", "xi", "value"])
-        for n in sorted(table):
+        for n, kern in series.items():
             pts = random_simplex_points(rng, n, 50)
-            vals = table[n](1.0, pts)
+            vals = kern(1.0, pts)
             for row, v in zip(pts, vals):
                 writer.writerow(
                     [n, "1", ";".join(f"{c:.12g}" for c in row), f"{v:.12g}"]
@@ -571,8 +551,8 @@ def run_preset(name: str, out_root: Path | None = None) -> int:
 def parse_config(path: str | Path) -> ExperimentSpec:
     """Read a key = value experiment config.
 
-    An unknown key, a key set twice, a bad value and an empty
-    ``output_dir`` are refused with the offending line number.
+    An unknown key, a key set twice, a bad value and an empty ``plant``
+    or ``output_dir`` are refused with the offending line number.
     """
     path = Path(path)
     spec = ExperimentSpec()
@@ -595,8 +575,8 @@ def parse_config(path: str | Path) -> ExperimentSpec:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         _first_setting(key_lines, key, lineno)
         try:
-            if key == "output_dir" and not value:
-                raise ValueError("empty; name a directory or leave the key out")
+            if key in ("plant", "output_dir") and not value:
+                raise ValueError("empty; give a value or leave the key out")
             if key in text_keys:
                 setattr(spec, key, value)
             elif key in bool_keys:
@@ -708,7 +688,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "invert":
             return cmd_invert(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, SimConfigError, InversionDomainError) as exc:
+    except (ConfigError, SimConfigError, InversionDomainError, SeriesDefinitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # e.g. an output path that is a file

@@ -28,6 +28,11 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
+# numpy imports numpy.random lazily, on first use; importing it with the
+# package puts its one-time cost (about 14 ms) into start-up instead of
+# into whichever command or check draws the first random number.
+from numpy.random import Generator
+
 
 class SimplexDomainError(ValueError):
     """A point or parameter fell outside the admissible simplex data."""
@@ -83,7 +88,7 @@ def simplex_nodes(n: int, x: float, rule: QuadratureRule) -> tuple[np.ndarray, n
     return np.stack(cols, axis=1), weights
 
 
-def random_simplex_points(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+def random_simplex_points(rng: Generator, n: int, count: int) -> np.ndarray:
     """``count`` random points of T_n(1), from ``rng``: sorted uniform draws."""
     pts = np.sort(rng.uniform(0.0, 1.0, size=(count, n)), axis=1)[:, ::-1]
     return np.ascontiguousarray(pts)

@@ -10,10 +10,9 @@ time-varying boundary condition.
 
 The controller, and any plant other than the builtin quadratic one, is
 evaluated by one :class:`~volback.volterra.SeriesTerms` built per run: a
-single mesh cascade for all orders.  The controller's kernel table
-becomes a :class:`~volback.volterra.VolterraKernelSeries` first, so a
-kernel that is not an exact polynomial of its order is refused before
-the first step.  The builtin plant keeps its closed form
+single mesh cascade for all orders.  Both come as a
+:class:`~volback.volterra.VolterraKernelSeries`, so every kernel was
+checked when its series was built.  The builtin plant keeps its closed form
 (int_0^x u)^2 / 2, its running integral one cumulative trapezoid sum.
 
 Also here: the target semigroup (pure left transport with zero inflow,
@@ -27,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -171,16 +170,16 @@ def _advection(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _controller_series(
-    table: Mapping[int, SimplexPolyKernel], order_cap: int
-) -> VolterraKernelSeries:
-    """The controller's orders 2..order_cap as a series.  Every order up
-    to the cap must be present in ``table`` (pass the zero kernel
+def _controller_kernels(
+    kernels: VolterraKernelSeries, order_cap: int
+) -> Dict[int, SimplexPolyKernel]:
+    """The controller's kernels of orders 2..order_cap.  Every order up
+    to the cap must be present in ``kernels`` (pass the zero kernel
     explicitly if an order genuinely vanishes)."""
     for n in range(2, order_cap + 1):
-        if n not in table:
+        if n not in kernels:
             raise MissingKernelError(f"feedback needs the order-{n} kernel")
-    return VolterraKernelSeries({n: table[n] for n in range(2, order_cap + 1)})
+    return {n: kernels[n] for n in range(2, order_cap + 1)}
 
 
 def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
@@ -195,7 +194,7 @@ def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
     return controller.endpoint(values)
 
 
-def controller_cap(controller: str, n_max: int | None) -> int | None:
+def controller_cap(controller: str, n_max: int) -> int | None:
     """The highest kernel order the named controller feeds back when
     kernels up to order ``n_max`` are at hand: None for the open loop,
     2 or 3 for ``order-2`` and ``order-3``, else ``n_max``."""
@@ -211,16 +210,15 @@ def controller_cap(controller: str, n_max: int | None) -> int | None:
 def simulate(
     cfg: SimConfig,
     plant: VolterraKernelSeries | None,
-    kernels: Mapping[int, SimplexPolyKernel] | None = None,
+    kernels: VolterraKernelSeries | None = None,
 ) -> SimulationRecord:
     """Run the closed loop and record the trajectory.
 
     ``plant`` may be None (pure transport, the target system) or a
     kernel series; the quadratic integral example is recognised and uses
-    its closed-form nonlinearity.  ``kernels`` supplies the controller
-    kernels ``{order: kernel}`` for the non-open-loop controllers.  A
-    kernel that is not an exact polynomial of its order is a
-    :class:`~volback.volterra.SeriesDefinitionError`, and a run whose cost
+    its closed-form nonlinearity.  ``kernels`` is the controller's kernel
+    series for the non-open-loop controllers.  A controller order missing
+    from it is a :class:`MissingKernelError`, and a run whose cost
     estimate (see ``MAX_GRID_UPDATES``) exceeds that budget a
     :class:`SimConfigError`, both raised before the first step.  Halts
     early when the sup norm passes the blow-up threshold or any value
@@ -228,14 +226,14 @@ def simulate(
     is a blow-up at t = 0, and no step is taken.
     """
     m = cfg.mesh_points
-    table = {} if kernels is None else {int(n): k for n, k in kernels.items()}
-    if cfg.controller != "open-loop" and not table:
-        raise MissingKernelError(f"controller {cfg.controller!r} needs kernels")
-    cap = controller_cap(cfg.controller, max(table, default=None))
-    control_series = None if cap is None else _controller_series(table, cap)
+    control = None
+    if cfg.controller != "open-loop":
+        if not kernels:
+            raise MissingKernelError(f"controller {cfg.controller!r} needs kernels")
+        control = _controller_kernels(kernels, controller_cap(cfg.controller, max(kernels)))
     nodes = _plant_trie_nodes(plant)
-    if control_series is not None:
-        nodes += sum(map(trie_nodes, control_series.kernels.values()))
+    if control is not None:
+        nodes += sum(map(trie_nodes, control.values()))
     try:
         dx = 1.0 / (m - 1)
         steps = max(1.0, cfg.t_end / (cfg.cfl * dx))  # the loop takes at least one
@@ -253,7 +251,7 @@ def simulate(
     dt = cfg.cfl * dx
     mesh = np.linspace(0.0, 1.0, m)
     nonlinearity = _plant_nonlinearity(plant, mesh)
-    controller = None if control_series is None else SeriesTerms(control_series, mesh)
+    controller = None if control is None else SeriesTerms(control, mesh)
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = _advection(values, dx)
@@ -343,17 +341,17 @@ def _sup(values: np.ndarray) -> float:
 def _plant_trie_nodes(plant: VolterraKernelSeries | None) -> int:
     """Suffix-trie nodes of the plant's mesh cascade (the builtin plant's
     running integral is charged one)."""
-    if plant is None or plant.is_zero():
+    if not plant:
         return 0
     if is_pdae_plant(plant):
         return 1
-    return sum(map(trie_nodes, plant.kernels.values()))
+    return sum(map(trie_nodes, plant.values()))
 
 
 def _plant_nonlinearity(
     plant: VolterraKernelSeries | None, mesh: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray] | None:
-    if plant is None or plant.is_zero():
+    if not plant:
         return None
     if is_pdae_plant(plant):
         dx = mesh[1] - mesh[0]
@@ -405,7 +403,7 @@ def stability_constants(s: float, ell_s: float, rho_l: float) -> tuple[float, fl
 
 def mild_solution_residual(
     record: SimulationRecord,
-    kernels: Mapping[int, SimplexPolyKernel],
+    kernels: VolterraKernelSeries,
     sample_times: Sequence[float],
 ) -> float:
     """Max L2 distance between w = u - K[u] and the target flow of w0.
@@ -417,7 +415,7 @@ def mild_solution_residual(
         raise NotApplicableError(
             "mild-solution residual is undefined for a blow-up record"
         )
-    terms = SeriesTerms(VolterraKernelSeries(kernels), record.mesh)
+    terms = SeriesTerms(kernels, record.mesh)
     u0 = GridFunction(record.snapshots[0])
     w0 = u0 - GridFunction(terms.profile(u0.values))
     worst = 0.0

@@ -27,8 +27,8 @@ import numpy as np
 
 from .charkernels import build_controller_kernels, coupling_polynomial, pdae_plant
 from .gapcascade import (
+    assemble_kernels,
     cascade,
-    assemble_kernel_polynomial,
     dp_family_product,
     dp_norm,
     family_plant_kernel,
@@ -83,9 +83,9 @@ def check_coupling_bound(seed: int = 0) -> CheckResult:
     details = []
     all_ok = True
     for n, m in ((3, 2), (4, 2)):
-        b = coupling_polynomial(n, m, series.kernel(n - m + 1), plant.kernel(m))
+        b = coupling_polynomial(n, m, series[n - m + 1], plant[m])
         b_norm = math.sqrt(kernel_l2_sq(b, rule))
-        k_norm = math.sqrt(kernel_l2_sq(series.kernel(n - m + 1), rule))
+        k_norm = math.sqrt(kernel_l2_sq(series[n - m + 1], rule))
         bound = coupling_bound_sq(n, m, k_norm, 1.0)
         all_ok = all_ok and b_norm**2 <= bound + COUPLING_TOL
         details.append(f"(n={n},m={m}) {b_norm**2:.5f} <= {bound:.5f}")
@@ -279,23 +279,22 @@ def compare_constructions(
     difference is exactly 0.0 and nothing is evaluated.  Otherwise the
     difference is the largest at ``COMPARE_POINTS`` random points of
     T_n(1) per order, drawn from ``seed``."""
-    if all(k == gap.kernel(n) for n, k in recursion.kernels.items()):
+    if all(k == gap[n] for n, k in recursion.items()):
         return True, 0.0
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, kern in recursion.kernels.items():
+    for n, kern in recursion.items():
         pts = random_simplex_points(rng, n, COMPARE_POINTS)
-        worst = max(worst, float(np.max(np.abs(kern(1.0, pts) - gap.kernel(n)(1.0, pts)))))
+        worst = max(worst, float(np.max(np.abs(kern(1.0, pts) - gap[n](1.0, pts)))))
     return False, worst
 
 
 def check_dual_construction(seed: int = 0) -> CheckResult:
     """Both kernel constructions give the same kernels; the detail
     reports their largest float difference on random simplex points."""
-    a = cascade(pdae_b_family(), 3)
     passed, worst = compare_constructions(
-        VolterraKernelSeries(build_controller_kernels(pdae_plant(), 3)),
-        VolterraKernelSeries({n: assemble_kernel_polynomial(a, n) for n in (2, 3)}),
+        build_controller_kernels(pdae_plant(), 3),
+        assemble_kernels(cascade(pdae_b_family(), 3), 3),
         seed,
     )
     return CheckResult(

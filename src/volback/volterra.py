@@ -9,12 +9,13 @@ same shape describes the plant nonlinearity, the state transformation,
 and its inverse, so one module serves all three.
 
 Every kernel is an exact polynomial (a
-:class:`~volback.polynomial.SimplexPolyKernel`), and
-:class:`VolterraKernelSeries` is the one place that decides so: it
-refuses anything else, and a kernel whose order differs from its key,
-with a :class:`SeriesDefinitionError` naming the order.  The mesh
-evaluators, the gains and the simulator take a series, or build one
-from a kernel table, and so inherit that check.
+:class:`~volback.polynomial.SimplexPolyKernel`) with coefficients in
+the floating-point range, and :class:`VolterraKernelSeries`, the
+mapping {n: kernel}, is the one place that decides so: it refuses
+anything else, and a kernel whose order differs from its key, with a
+:class:`SeriesDefinitionError` naming the order.  Every kernel table is
+a series: both kernel constructions return one, and the mesh
+evaluators, the gains and the simulator take one.
 
 Each multilinear term is evaluated on a mesh by one evaluator, the
 :class:`MeshCascade`: cumulative trapezoid sums (each nested integral
@@ -54,9 +55,10 @@ parser compare them with their limits.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -114,25 +116,28 @@ class GridFunction:
             raise ValueError(f"mesh mismatch: {self.size} vs {other.size}")
 
 
-@dataclass
-class VolterraKernelSeries:
-    """A truncated Volterra kernel family {f_n} of orders 2 and above.
+class VolterraKernelSeries(Mapping[int, SimplexPolyKernel]):
+    """A truncated Volterra kernel family {f_n} of orders 2 and above: the
+    read-only mapping {n: kernel}, in increasing order.
 
-    ``kernels`` maps the order n to its exact polynomial, a
-    :class:`SimplexPolyKernel` of order n.  This is the one place that
-    decides what a kernel is: anything else, or a kernel whose order
-    differs from its key, is a
+    Every kernel table is one, so it is checked once, when it is built.
+    This is the one place that decides what a kernel is: an exact
+    polynomial (a :class:`SimplexPolyKernel`) of its key's order whose
+    coefficients lie within the floating-point range, since kernels are
+    evaluated in floats.  Anything else is a
     :class:`SeriesDefinitionError` naming the order.  An absent order is
-    zero, so the lowest order present may lie above 2.  ``growth``
-    optionally carries the (D, rho) pair of the plant growth assumption.
+    zero, so the lowest order present may lie above 2, and an empty
+    series is the zero series.  ``growth`` optionally carries the
+    (D, rho) pair of the plant growth assumption.
     """
 
-    kernels: Dict[int, SimplexPolyKernel]
-    growth: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        kernels: Mapping[int, SimplexPolyKernel],
+        growth: tuple[float, float] | None = None,
+    ) -> None:
         polys: Dict[int, SimplexPolyKernel] = {}
-        for n, kern in self.kernels.items():
+        for n, kern in kernels.items():
             n = int(n)
             if n < 2:
                 raise SeriesDefinitionError(
@@ -144,26 +149,33 @@ class VolterraKernelSeries:
                 )
             if kern.order != n:
                 raise SeriesDefinitionError(f"order-{n} kernel has order {kern.order}")
+            try:
+                for c in kern.monomials.values():
+                    c / kern.den  # raises OverflowError past the float range
+            except OverflowError:
+                raise SeriesDefinitionError(
+                    f"order-{n} kernel has coefficients beyond the floating-point range"
+                ) from None
             polys[n] = kern
-        self.kernels = dict(sorted(polys.items()))
-        if self.growth is not None:
-            d, rho = self.growth
+        self._kernels = dict(sorted(polys.items()))
+        if growth is not None:
+            d, rho = growth
             if d <= 0 or rho <= 0:
                 raise SeriesDefinitionError("growth constants must be positive")
-            self.growth = (float(d), float(rho))
+            growth = (float(d), float(rho))
+        self.growth = growth
 
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(self.kernels)
+    def __getitem__(self, n: int) -> SimplexPolyKernel:
+        return self._kernels[n]
 
-    def kernel(self, n: int) -> SimplexPolyKernel:
-        try:
-            return self.kernels[n]
-        except KeyError:
-            raise SeriesDefinitionError(f"series has no order-{n} kernel") from None
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._kernels)
 
-    def is_zero(self) -> bool:
-        return not self.kernels
+    def __len__(self) -> int:
+        return len(self._kernels)
+
+    def __repr__(self) -> str:
+        return f"VolterraKernelSeries({self._kernels!r}, growth={self.growth!r})"
 
 
 class MeshCascade:
@@ -378,7 +390,8 @@ def trie_nodes(kern: SimplexPolyKernel) -> int:
 
 
 class SeriesTerms:
-    """Every order of a kernel series on one mesh, at one state.
+    """Every order of a kernel series (or of the kernels of some of its
+    orders, as the simulator's controller takes) on one mesh, at one state.
 
     One :class:`MeshCascade` of all orders, fed the same state in every
     slot, so a suffix common to several orders is integrated once.
@@ -389,8 +402,8 @@ class SeriesTerms:
     to within rounding.
     """
 
-    def __init__(self, series: VolterraKernelSeries, mesh: np.ndarray) -> None:
-        self.cascade = MeshCascade(series.kernels, mesh)
+    def __init__(self, series: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
+        self.cascade = MeshCascade(series, mesh)
 
     def profile(self, values: np.ndarray) -> np.ndarray:
         """F[u] on the whole mesh at the mesh samples ``values`` of u."""
@@ -421,7 +434,7 @@ def linearized_values(
     has them too).
     """
     out = np.zeros(h.shape[:-1] + (u.size,))
-    for n, kern in series.kernels.items():
+    for n, kern in series.items():
         term = MeshCascade({n: kern}, u.mesh)
         for slot in range(n):
             out += term.profile([h if i == slot else u.values for i in range(n)])
@@ -489,8 +502,7 @@ class GainFunctions:
 
 def build_gains(series: VolterraKernelSeries, rule: QuadratureRule) -> GainFunctions:
     """Compute kernel norms for every stored order and package them."""
-    orders = series.orders
-    return GainFunctions(orders, tuple(kernel_l2_sq(series.kernel(n), rule) for n in orders))
+    return GainFunctions(tuple(series), tuple(kernel_l2_sq(k, rule) for k in series.values()))
 
 
 def gain_k(gains: GainFunctions, s: float) -> float:
@@ -520,7 +532,7 @@ def check_growth_assumption(series: VolterraKernelSeries, seed: int = 0) -> floa
     d, rho = series.growth
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, kern in series.kernels.items():
+    for n, kern in series.items():
         xs = rng.uniform(0.0, 1.0, size=GROWTH_SAMPLES)
         pts = -np.sort(-rng.uniform(0.0, 1.0, size=(GROWTH_SAMPLES, n)), axis=1) * xs[:, None]
         vals = np.abs(np.asarray(kern(xs, pts), dtype=float))

@@ -42,13 +42,8 @@ def closed_forms():
 
 
 @pytest.fixture(scope="session")
-def kernel_table(closed_forms):
-    return dict(closed_forms)
-
-
-@pytest.fixture(scope="session")
 def kernel_series(closed_forms):
-    return VolterraKernelSeries(dict(closed_forms))
+    return closed_forms
 
 
 @pytest.fixture(scope="session")
@@ -291,11 +286,11 @@ def eval_series(
     """
     if not (0.0 <= x <= 1.0):
         raise SimplexDomainError(f"evaluation point must lie in [0, 1], got {x}")
-    if x == 0.0 or series.is_zero():
+    if x == 0.0 or not series:
         return 0.0
     return sum(
         float(QuadratureNode(kern, n, x, rule, u.mesh).value([u.values] * n))
-        for n, kern in series.kernels.items()
+        for n, kern in series.items()
     )
 
 
@@ -313,7 +308,7 @@ def frechet_dk(
         return 0.0
     u._check_mesh(h)
     total = 0.0
-    for n, kern in series.kernels.items():
+    for n, kern in series.items():
         node = QuadratureNode(kern, n, x, rule, u.mesh)
         for slot in range(n):
             total += float(node.value([h.values if i == slot else u.values for i in range(n)]))

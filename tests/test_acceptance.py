@@ -9,7 +9,6 @@ import time
 from fractions import Fraction as Fr
 
 import numpy as np
-import pytest
 
 from volback.charkernels import build_controller_kernels, pdae_plant
 from volback.gapcascade import (
@@ -18,7 +17,7 @@ from volback.gapcascade import (
     pdae_b_family,
 )
 from volback.inversion import choose_radius, invert_with_info
-from volback.polynomial import pdae_k2, pdae_k3
+from volback.polynomial import pdae_k3
 from volback.simplex import QuadratureRule
 from volback.simulator import (
     SimConfig,
@@ -116,13 +115,13 @@ def test_criterion_3_dual_construction(capsys):
     assert ok
 
 
-def test_criterion_4_simulation_reproduction(capsys, plant, kernel_table):
+def test_criterion_4_simulation_reproduction(capsys, plant, kernel_series):
     budget = 300.0
     t0 = time.perf_counter()
 
     rec_a = simulate(SimConfig(controller="open-loop", t_end=2.0), plant)
-    rec_b = simulate(SimConfig(controller="order-2", t_end=2.0), plant, kernel_table)
-    rec_c = simulate(SimConfig(controller="order-3", t_end=2.0), plant, kernel_table)
+    rec_b = simulate(SimConfig(controller="order-2", t_end=2.0), plant, kernel_series)
+    rec_c = simulate(SimConfig(controller="order-3", t_end=2.0), plant, kernel_series)
 
     blow_a = rec_a.blow_up
     blow_b = rec_b.blow_up
@@ -201,7 +200,7 @@ def test_criterion_6_frechet_derivative(capsys, kernel_series):
     assert ok
 
 
-def test_criterion_7_semigroup_and_mild_solution(capsys, plant, kernel_table):
+def test_criterion_7_semigroup_and_mild_solution(capsys, plant, kernel_series):
     budget = 300.0
     t0 = time.perf_counter()
 
@@ -216,9 +215,9 @@ def test_criterion_7_semigroup_and_mild_solution(capsys, plant, kernel_table):
         cfg = SimConfig(
             controller="order-3", t_end=1.0, mesh_points=m, initial_scale=0.1
         )
-        rec = simulate(cfg, plant, kernel_table)
+        rec = simulate(cfg, plant, kernel_series)
         residuals.append(
-            mild_solution_residual(rec, kernel_table, [0.25, 0.5, 0.75])
+            mild_solution_residual(rec, kernel_series, [0.25, 0.5, 0.75])
         )
     mono_ok = all(b <= 1.1 * a for a, b in zip(residuals, residuals[1:]))
 

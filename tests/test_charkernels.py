@@ -12,8 +12,6 @@ from volback.charkernels import (
     build_controller_kernels,
     coupling_polynomial,
     is_pdae_plant,
-    pdae_closed_forms,
-    pdae_plant,
 )
 from volback.gapcascade import assemble_kernel_polynomial, cascade, pdae_b_family
 from volback.harness import parse_plant
@@ -68,11 +66,11 @@ class TestEvalB:
     """B[n, m] evaluated as its exact polynomial, coupling_polynomial(...)(x, xi)."""
 
     def test_diagonal_term_vanishes(self, plant):
-        b = coupling_polynomial(2, 2, None, plant.kernel(2))
+        b = coupling_polynomial(2, 2, None, plant[2])
         assert b(1.0, np.array([[0.5, 0.25]]))[0] == 0.0
 
     def test_closed_form_value(self, plant):
-        b = coupling_polynomial(3, 2, pdae_k2(), plant.kernel(2))
+        b = coupling_polynomial(3, 2, pdae_k2(), plant[2])
         assert b(1.0, np.array([[0.5, 0.25, 0.0]]))[0] == pytest.approx(-0.46875, abs=1e-10)
 
     def test_closed_form_everywhere(self, plant):
@@ -80,12 +78,12 @@ class TestEvalB:
         pts = random_simplex_points(rng, 3, 20)
         x1, x2, x3 = pts.T
         want = -(1.0 - x1) * (x1 + x2 + x3) - 0.5 * (x1**2 - x2**2)
-        got = coupling_polynomial(3, 2, pdae_k2(), plant.kernel(2))(1.0, pts)
+        got = coupling_polynomial(3, 2, pdae_k2(), plant[2])(1.0, pts)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_order_mismatch_rejected(self, plant):
         with pytest.raises(KernelConfigError):
-            coupling_polynomial(3, 2, pdae_k3(), plant.kernel(2))
+            coupling_polynomial(3, 2, pdae_k3(), plant[2])
 
     def test_opaque_forcing_rejected(self):
         # Plant kernels reach the recursion through a series, which holds
@@ -95,7 +93,7 @@ class TestEvalB:
 
     def test_m_out_of_range_rejected(self, plant):
         with pytest.raises(KernelConfigError):
-            coupling_polynomial(3, 4, None, plant.kernel(2))
+            coupling_polynomial(3, 4, None, plant[2])
 
 
 class TestCharacteristicRecursion:
@@ -118,7 +116,7 @@ class TestCharacteristicRecursion:
         # directional derivative of k3 along (1,1,1,1) equals the
         # order-(3,2) coupling term when the order-3 forcing vanishes
         k3 = pdae_k3()
-        b32 = coupling_polynomial(3, 2, pdae_k2(), plant.kernel(2))
+        b32 = coupling_polynomial(3, 2, pdae_k2(), plant[2])
         rng = np.random.default_rng(5)
         h = 1e-5
         count = 0
@@ -250,7 +248,7 @@ class TestPlantHelpers:
         path = tmp_path / "plant.txt"
         path.write_text("2 0,0 1/2\n")
         series = parse_plant(path).series
-        assert series.kernel(2).monomials == {(0, (0, 0)): 1} and series.kernel(2).den == 2
+        assert series[2].monomials == {(0, (0, 0)): 1} and series[2].den == 2
         assert not is_pdae_plant(series)
         path.write_text("2 0,0 1\n")
         assert is_pdae_plant(parse_plant(path).series)

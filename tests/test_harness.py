@@ -205,8 +205,9 @@ class TestParseConfig:
              r"line 3: key 'controller' repeats line 2"),
             ("plant = pdae\nmesh_points = 21\nplant = zero\n", r"line 3: key 'plant' repeats line 1"),
             ("mesh_points = 21\noutput_dir =\n", r"line 2: bad value for output_dir: empty"),
+            ("plant =\nmesh_points = 21\n", r"line 1: bad value for plant: empty"),
         ],
-        ids=["controller", "plant", "empty-output-dir"],
+        ids=["controller", "plant", "empty-output-dir", "empty-plant"],
     )
     def test_repeated_key_or_empty_output_dir_refused(self, tmp_path, out_root, capsys, text, message):
         f = tmp_path / "run.cfg"

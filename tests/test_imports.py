@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and only the
-plant and config parser imports ``fractions``."""
+"""No module of the package or of its tests imports a name it never
+uses, and only the plant and config parser imports ``fractions``."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 import volback
 
 MODULES = sorted(Path(volback.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +30,7 @@ def test_walk_finds_unused_imports():
     assert unused_imports(source) == ["d", "math"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

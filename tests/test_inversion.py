@@ -11,7 +11,6 @@ from volback.inversion import (
     InversionConfig,
     InversionDomainError,
     LIPSCHITZ_MESH_POINTS,
-    NoContractionError,
     choose_radius,
     dk_matrix,
     invert_with_info,
@@ -168,9 +167,15 @@ class TestNeumannEstimate:
         est = neumann_norm_estimate(kernel_series, u)
         assert est == pytest.approx(1.0, abs=1e-9)
 
+    def test_singular_operator_gives_inf(self, kernel_series, monkeypatch):
+        # DK[u] = I makes I - DK[u] zero: no inverse, no finite norm.
+        monkeypatch.setattr(inversion, "dk_matrix", lambda series, u: np.eye(u.size))
+        assert neumann_norm_estimate(kernel_series, GridFunction(np.zeros(11))) == math.inf
+
     @staticmethod
-    def solve_each_step(series, u, iters=60, seed=0):
-        """The power iteration with two linear solves per step, no inverse."""
+    def inverse_singular_value(series, u):
+        """1 / sigma_min of I - DK[u] in the trapezoid-weighted norm, from
+        a full singular value decomposition."""
         m = u.size
         a = np.eye(m) - dk_matrix(series, u)
         wts = np.full(m, u.dx)
@@ -178,22 +183,16 @@ class TestNeumannEstimate:
         wts[-1] *= 0.5
         sq = np.sqrt(wts)
         a_w = sq[:, None] * a / sq[None, :]
-        v = np.random.default_rng(seed).standard_normal(m)
-        v /= np.linalg.norm(v)
-        for _ in range(iters):
-            z = np.linalg.solve(a_w.T, np.linalg.solve(a_w, v))
-            est = math.sqrt(np.linalg.norm(z))
-            v = z / np.linalg.norm(z)
-        return est
+        return 1.0 / np.linalg.svd(a_w, compute_uv=False)[-1]
 
-    def test_inverse_once_matches_solving_each_step(self, kernel_series, config):
+    def test_matches_smallest_singular_value(self, kernel_series, config):
         mesh = np.linspace(0.0, 1.0, 61)
         rng = np.random.default_rng(3)
         for _ in range(4):
             coeffs = rng.standard_normal(3)
             vals = sum(c * np.sin((k + 1) * math.pi * mesh) for k, c in enumerate(coeffs))
             u = GridFunction(0.5 * math.sqrt(config.s) * vals / np.abs(vals).max())
-            want = self.solve_each_step(kernel_series, u)
+            want = self.inverse_singular_value(kernel_series, u)
             assert neumann_norm_estimate(kernel_series, u) == pytest.approx(want, rel=1e-12)
 
 

@@ -21,7 +21,7 @@ from volback.simulator import (
     SimConfigError,
     SimulationRecord,
     _advection,
-    _controller_series,
+    _controller_kernels,
     _frame_ids,
     _plant_nonlinearity,
     cubic_pulse,
@@ -171,46 +171,36 @@ class TestFeedback:
     @staticmethod
     def boundary(kernels, cap, values):
         mesh = np.linspace(0.0, 1.0, values.size)
-        return feedback(values, SeriesTerms(_controller_series(kernels, cap), mesh))
+        return feedback(values, SeriesTerms(_controller_kernels(kernels, cap), mesh))
 
-    def test_order2_constant_state(self, kernel_table):
-        val = self.boundary(kernel_table, 2, np.ones(201))
+    def test_order2_constant_state(self, kernel_series):
+        val = self.boundary(kernel_series, 2, np.ones(201))
         assert val == pytest.approx(-1.0 / 6.0, abs=1e-4)
 
-    def test_order3_constant_state(self, kernel_table):
-        val = self.boundary(kernel_table, 3, np.ones(201))
+    def test_order3_constant_state(self, kernel_series):
+        val = self.boundary(kernel_series, 3, np.ones(201))
         assert val == pytest.approx(-1.0 / 6.0 - 1.0 / 80.0, abs=2e-4)
 
-    def test_missing_order_raises(self, kernel_table, plant):
-        only3 = {3: kernel_table[3]}
+    def test_missing_order_raises(self, kernel_series, plant):
+        only3 = VolterraKernelSeries({3: kernel_series[3]})
         with pytest.raises(MissingKernelError):
-            _controller_series(only3, 3)
+            _controller_kernels(only3, 3)
         cfg = SimConfig(controller="order-3", t_end=0.1, mesh_points=51)
         with pytest.raises(MissingKernelError):
             simulate(cfg, plant, only3)
 
     @staticmethod
-    def opaque(kernel_table, orders):
+    def opaque(kernel_series, orders):
         """The kernels behind plain callables, so no monomials are visible."""
-        return {n: (lambda x, pts, _k=kernel_table[n]: _k(x, pts)) for n in orders}
+        return {n: (lambda x, pts, _k=kernel_series[n]: _k(x, pts)) for n in orders}
 
-    def test_opaque_kernel_needs_rule(self, plant, kernel_table, monkeypatch):
-        # A table kernel that is not a polynomial is refused when the
-        # table becomes a series: by _controller_series, and by simulate
-        # before its first step.
-        opaque = self.opaque(kernel_table, (2, 3))
-        with pytest.raises(SeriesDefinitionError, match="order-2"):
-            _controller_series(opaque, 3)
-
-        def no_step(values, dx):
-            raise AssertionError("simulate stepped before rejecting the kernel")
-
-        monkeypatch.setattr(simulator, "_advection", no_step)
-        cfg = SimConfig(controller="order-3", t_end=0.1, mesh_points=51)
-        with pytest.raises(SeriesDefinitionError, match="order-2"):
-            simulate(cfg, plant, opaque)
-        with pytest.raises(SeriesDefinitionError, match="order-3"):
-            simulate(cfg, plant, {**kernel_table, **self.opaque(kernel_table, (3,))})
+    def test_opaque_kernel_needs_rule(self, kernel_series):
+        # The controller is a series, and a kernel that is not a polynomial
+        # is refused when its series is built, naming the first such order.
+        for orders, first in (((2, 3), 2), ((3,), 3)):
+            table = {**kernel_series, **self.opaque(kernel_series, orders)}
+            with pytest.raises(SeriesDefinitionError, match=f"order-{first}"):
+                VolterraKernelSeries(table)
         with pytest.raises(SeriesDefinitionError, match="order-2"):
             VolterraKernelSeries({2: lambda p: 1.0})
 
@@ -253,7 +243,7 @@ def reference_run(cfg, plant, kernels, cap):
         if is_pdae_plant(plant):
             return out + 0.5 * reference_profile({(0, (0,)): 1}, [values], mesh) ** 2
         forcing = np.zeros(m)
-        for n, kern in plant.kernels.items():
+        for n, kern in plant.items():
             forcing += term(kern, n, values)
         return out + forcing
 
@@ -349,14 +339,14 @@ class TestSimulate:
         dt = cfg.cfl / (cfg.mesh_points - 1)
         assert 0.0 <= rec.blow_up - rec.times[-1] <= dt + 1e-12
 
-    def test_initial_blow_up_takes_no_step(self, plant, kernel_table, monkeypatch):
+    def test_initial_blow_up_takes_no_step(self, plant, kernel_series, monkeypatch):
         def no_step(values, dx):
             raise AssertionError("simulate stepped from a diverged initial state")
 
         monkeypatch.setattr(simulator, "_advection", no_step)
         for scale, nan in ((1e7, False), (1e200, True)):  # past the threshold; overflowing
             cfg = SimConfig(controller="order-3", mesh_points=51, initial_scale=scale)
-            rec = simulate(cfg, plant, kernel_table)
+            rec = simulate(cfg, plant, kernel_series)
             assert rec.blow_up == 0.0 and rec.final_l2 is None
             assert list(rec.times) == [0.0] and len(rec.snapshots) == 1
             assert math.isnan(rec.max_abs) == nan
@@ -366,25 +356,25 @@ class TestSimulate:
         with pytest.raises(MissingKernelError):
             simulate(cfg, plant)
 
-    def test_full_order_runs_to_completion(self, plant, kernel_table):
+    def test_full_order_runs_to_completion(self, plant, kernel_series):
         cfg = SimConfig(controller="full-N_max", t_end=2.0, mesh_points=101)
-        rec = simulate(cfg, plant, kernel_table)
+        rec = simulate(cfg, plant, kernel_series)
         assert rec.blow_up is None
         assert rec.final_l2 < 0.5
         assert rec.times[-1] == pytest.approx(2.0, abs=1e-8)
 
-    def test_pure_transport_clears_by_t1(self, kernel_table):
+    def test_pure_transport_clears_by_t1(self, kernel_series):
         cfg = SimConfig(controller="open-loop", t_end=1.5, mesh_points=201)
         rec = simulate(cfg, None)
         assert rec.blow_up is None
         _, frame = rec.snapshot_at(1.4)
         assert frame.l2_norm() < 5e-2
 
-    def test_snapshot_frames_cover_run(self, plant, kernel_table):
+    def test_snapshot_frames_cover_run(self, plant, kernel_series):
         cfg = SimConfig(
             controller="order-3", t_end=2.0, mesh_points=101, snapshot_count=10
         )
-        rec = simulate(cfg, plant, kernel_table)
+        rec = simulate(cfg, plant, kernel_series)
         assert rec.snapshots.shape == (10, 101)
         assert rec.snapshot_times[0] == 0.0
         assert rec.snapshot_times[-1] == pytest.approx(2.0, abs=1e-8)
@@ -454,26 +444,26 @@ class TestStabilityConstants:
 
 
 class TestMildResidual:
-    def test_blow_up_record_rejected(self, plant, kernel_table):
+    def test_blow_up_record_rejected(self, plant, kernel_series):
         cfg = SimConfig(controller="open-loop", t_end=2.0, mesh_points=101)
         rec = simulate(cfg, plant)
         with pytest.raises(NotApplicableError):
-            mild_solution_residual(rec, kernel_table, [0.5])
+            mild_solution_residual(rec, kernel_series, [0.5])
 
-    def test_small_data_residual_small(self, plant, kernel_table):
+    def test_small_data_residual_small(self, plant, kernel_series):
         cfg = SimConfig(
             controller="order-3", t_end=1.0, mesh_points=201, initial_scale=0.1
         )
-        rec = simulate(cfg, plant, kernel_table)
-        res = mild_solution_residual(rec, kernel_table, [0.25, 0.5, 0.75])
+        rec = simulate(cfg, plant, kernel_series)
+        res = mild_solution_residual(rec, kernel_series, [0.25, 0.5, 0.75])
         # dominated by the O(dx) upwind error; about 0.07 at this mesh
         assert res < 0.1
 
-    def test_evaluators_built_once(self, plant, kernel_table, monkeypatch):
+    def test_evaluators_built_once(self, plant, kernel_series, monkeypatch):
         cfg = SimConfig(
             controller="order-2", t_end=1.0, mesh_points=51, initial_scale=0.1
         )
-        rec = simulate(cfg, plant, kernel_table)
+        rec = simulate(cfg, plant, kernel_series)
         builds = []
         original = simulator.SeriesTerms
 
@@ -482,20 +472,17 @@ class TestMildResidual:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "SeriesTerms", counting)
-        mild_solution_residual(rec, kernel_table, [0.25, 0.5, 0.75])
+        mild_solution_residual(rec, kernel_series, [0.25, 0.5, 0.75])
         assert builds == [51]
 
-    def test_late_time_residual_is_state_norm(self, plant, kernel_table):
+    def test_late_time_residual_is_state_norm(self, plant, kernel_series):
         cfg = SimConfig(
             controller="order-3", t_end=1.6, mesh_points=101, initial_scale=0.1
         )
-        rec = simulate(cfg, plant, kernel_table)
-        res = mild_solution_residual(rec, kernel_table, [1.5])
+        rec = simulate(cfg, plant, kernel_series)
+        res = mild_solution_residual(rec, kernel_series, [1.5])
         t_snap, u = rec.snapshot_at(1.5)
-        from volback.volterra import VolterraKernelSeries, series_profile
-
-        series = VolterraKernelSeries(dict(kernel_table))
-        w = u - series_profile(series, u)
+        w = u - volterra.series_profile(kernel_series, u)
         assert res == pytest.approx(w.l2_norm(), rel=1e-12)
 
 
@@ -528,9 +515,9 @@ class TestWriters:
             new, old = (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
             assert new == old and old.count(b"\r\n") > 1
 
-    def test_byte_identical_on_a_run(self, tmp_path, plant, kernel_table):
+    def test_byte_identical_on_a_run(self, tmp_path, plant, kernel_series):
         cfg = SimConfig(controller="order-3", t_end=0.5, mesh_points=41, snapshot_count=7)
-        self.assert_writers_match_oracle(simulate(cfg, plant, kernel_table), tmp_path)
+        self.assert_writers_match_oracle(simulate(cfg, plant, kernel_series), tmp_path)
 
     def test_byte_identical_on_edge_values(self, tmp_path):
         edge = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 0.12345678901234567, -1.7976931348623157e308]
@@ -549,15 +536,15 @@ class TestWriters:
         )
         self.assert_writers_match_oracle(rec, tmp_path)
 
-    def test_byte_identical_on_an_overflowing_run(self, tmp_path, plant, kernel_table):
+    def test_byte_identical_on_an_overflowing_run(self, tmp_path, plant, kernel_series):
         cfg = SimConfig(controller="order-3", mesh_points=51, initial_scale=1e200)
-        rec = simulate(cfg, plant, kernel_table)
+        rec = simulate(cfg, plant, kernel_series)
         assert not np.all(np.isfinite(rec.snapshots)) and not np.all(np.isfinite(rec.controls))
         self.assert_writers_match_oracle(rec, tmp_path)
 
-    def test_series_csv(self, tmp_path, plant, kernel_table):
+    def test_series_csv(self, tmp_path, plant, kernel_series):
         cfg = SimConfig(controller="order-2", t_end=0.2, mesh_points=51)
-        rec = simulate(cfg, plant, kernel_table)
+        rec = simulate(cfg, plant, kernel_series)
         path = tmp_path / "series.csv"
         write_series_csv(rec, str(path))
         with open(path, newline="") as fh:
@@ -566,11 +553,11 @@ class TestWriters:
         assert len(rows) == len(rec.times) + 1
         assert float(rows[1][0]) == 0.0
 
-    def test_snapshot_csv_shape(self, tmp_path, plant, kernel_table):
+    def test_snapshot_csv_shape(self, tmp_path, plant, kernel_series):
         cfg = SimConfig(
             controller="order-2", t_end=0.2, mesh_points=51, snapshot_count=5
         )
-        rec = simulate(cfg, plant, kernel_table)
+        rec = simulate(cfg, plant, kernel_series)
         path = tmp_path / "frames.csv"
         write_snapshots_csv(rec, str(path))
         with open(path, newline="") as fh:
@@ -578,9 +565,9 @@ class TestWriters:
         assert len(rows) == 6
         assert len(rows[0]) == 52
 
-    def test_metadata_json(self, tmp_path, plant, kernel_table):
+    def test_metadata_json(self, tmp_path, plant, kernel_series):
         cfg = SimConfig(controller="order-2", t_end=0.2, mesh_points=51)
-        rec = simulate(cfg, plant, kernel_table)
+        rec = simulate(cfg, plant, kernel_series)
         path = tmp_path / "meta.json"
         write_metadata_json(rec, str(path), extra={"plant": "pdae"})
         doc = json.loads(path.read_text())

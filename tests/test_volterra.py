@@ -12,12 +12,10 @@ import pytest
 
 import volback
 from volback import verification
-from volback.charkernels import pdae_plant
 from volback.harness import build_kernel_table, load_plant
 from volback.inversion import dk_matrix
 from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
-from volback.simulator import SimConfig, _controller_series, mild_solution_residual, simulate
 from volback.verification import ALL_CHECKS, COUPLING_TOL
 from conftest import (
     QuadratureNode,
@@ -32,7 +30,6 @@ from volback.volterra import (
     GridFunction,
     MeshCascade,
     SeriesDefinitionError,
-    SeriesTerms,
     VolterraKernelSeries,
     build_gains,
     check_growth_assumption,
@@ -79,7 +76,7 @@ class TestSeriesValidation:
 
     def test_lowest_order_may_exceed_two(self):
         # An absent order is zero: a purely cubic series is a series.
-        assert VolterraKernelSeries({3: pdae_k3()}).orders == (3,)
+        assert list(VolterraKernelSeries({3: pdae_k3()})) == [3]
 
     def test_kernel_order_must_match_its_key(self):
         # Accepted, this series failed later: series_profile with a bare
@@ -93,15 +90,29 @@ class TestSeriesValidation:
     def test_kernel_table_is_stored_as_given(self):
         table = build_kernel_table(load_plant("pdae"), 3)
         series = VolterraKernelSeries(table)
-        assert series.kernels == table
-        assert all(series.kernel(n) is kern for n, kern in table.items())
+        assert series == table
+        assert all(series[n] is kern for n, kern in table.items())
 
     def test_missing_order_raises(self, plant):
-        with pytest.raises(SeriesDefinitionError):
-            plant.kernel(5)
+        with pytest.raises(KeyError):
+            plant[5]
+        assert 5 not in plant and plant.get(5) is None
 
     def test_empty_is_zero(self):
-        assert VolterraKernelSeries({}).is_zero()
+        assert not VolterraKernelSeries({})
+
+    def test_coefficients_past_the_float_range_refused(self):
+        # Kernels are evaluated in floats: a numerator over den past the
+        # float range is refused, naming the order, as the CLI reports it.
+        big = SimplexPolyKernel(3, {(0, (0, 0, 0)): 10**400, (1, (0, 0, 0)): 1}, 3)
+        with pytest.raises(
+            SeriesDefinitionError,
+            match="order-3 kernel has coefficients beyond the floating-point range",
+        ):
+            VolterraKernelSeries({2: pdae_k2(), 3: big})
+        # The ratio is what counts: a huge numerator over a huge den is fine.
+        ok = SimplexPolyKernel(3, {(0, (0, 0, 0)): 10**400 + 1}, 10**399)
+        assert VolterraKernelSeries({3: ok})[3](1.0, np.zeros((1, 3)))[0] == 10.0
 
     def test_growth_must_be_positive(self):
         with pytest.raises(SeriesDefinitionError):
@@ -164,7 +175,7 @@ class TestKernelNorms:
         assert val == pytest.approx(1.0 / 12.0, rel=1e-10)
 
     def test_order3_norm(self, kernel_series):
-        val = kernel_l2_sq(kernel_series.kernel(3), QuadratureRule(12))
+        val = kernel_l2_sq(kernel_series[3], QuadratureRule(12))
         assert val == pytest.approx(3.0 / 2240.0, rel=1e-9)
 
 
@@ -479,7 +490,7 @@ class TestMeshCascade:
         assert cascade.endpoint([u] * 5) == end
 
     def test_batched_dk_matrix_equals_columns(self, kernel_series):
-        kernels = dict(kernel_series.kernels)
+        kernels = dict(kernel_series)
         kernels[4] = build_kernel_table(load_plant("pdae"), 4)[4]
         series = VolterraKernelSeries(kernels)
         m = 31
@@ -513,24 +524,16 @@ class TestQuadratureTerm:
 
     def test_opaque_kernels_need_a_rule(self):
         """A kernel that is not a polynomial is refused when its series is
-        built, naming its order, also after a polynomial order; kernel
-        tables become series, so the simulator's entry points refuse it
-        too."""
-        record = simulate(SimConfig(t_end=0.1, mesh_points=11), None)
+        built, naming its order, also after a polynomial order; every
+        kernel table the evaluators and the simulator take is a series."""
         opaque = {
             n: (lambda x, pts, _p=poly: _p(x, pts))
             for n, poly in ((2, pdae_k2()), (3, pdae_k3()))
         }
         mixed = {2: pdae_k2(), 3: opaque[3]}
         for kernels, order in ((opaque, 2), (mixed, 3)):
-            calls = [
-                lambda: VolterraKernelSeries(kernels),
-                lambda: mild_solution_residual(record, kernels, [0.05]),
-                lambda: SeriesTerms(_controller_series(kernels, 3), record.mesh),
-            ]
-            for call in calls:
-                with pytest.raises(SeriesDefinitionError, match=f"order-{order} kernel"):
-                    call()
+            with pytest.raises(SeriesDefinitionError, match=f"order-{order} kernel"):
+                VolterraKernelSeries(kernels)
 
 
 def test_import_leaves_scipy_out():
