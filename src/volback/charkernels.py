@@ -34,16 +34,28 @@ antiderivative is another rename.  The characteristic integral expands
 I binomially in t, one variable at a time.  The kernels therefore equal the
 gap cascade's polynomials coefficient for coefficient, which is how
 :func:`volback.verification.compare_constructions` cross-checks the two.
+
+Inside one order's step an exponent vector over (x, xi_1, ..., xi_n),
+with s or t in slot n + 1, is one packed int
+(:func:`~volback.polynomial._pack`), every slot wide enough for the
+kernel's degree bound (the forcing's degree plus one), so each key is
+one integer add.  Renaming a variable of k_p or f_m into slot i is a
+shift by i slots: each split places the packed k- and f-terms once and a
+product's key is their sum.  Integrating out s moves e[s] + 1 into slot
+j - 1 or j, and v -> v + t moves k powers from slot v to slot t, by
+adding k times (1 << t*W) - (1 << v*W).  Only the finished kernel is
+unpacked.
 """
 
 from __future__ import annotations
 
 from math import comb, lcm
-from typing import Dict, Mapping
+from operator import lshift
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from .polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
+from .polynomial import SimplexPolyKernel, _pack, _packed_kernel, pdae_k2, pdae_k3
 from .simplex import ordered_splits
 from .volterra import VolterraKernelSeries
 
@@ -54,10 +66,6 @@ PROVENANCES = ("characteristic-recursion", "gap-cascade")
 # a node, so the count stays 0; the constant goes when the benchmark
 # drops its memo counters.
 _MEMO_BATCH_LIMIT = 1024
-
-# Exponents of (x, xi_1, ..., xi_n), with s appended inside B[n, m].
-Exps = tuple[int, ...]
-
 
 class KernelConfigError(ValueError):
     """The kernel recursion was asked to run with missing ingredients."""
@@ -92,17 +100,63 @@ class KernelNode:
         return f"KernelNode(order={self.order}, provenance={self.provenance!r})"
 
 
-def _monomials(kern: SimplexPolyKernel) -> list[tuple[Exps, int]]:
-    """The flattened numerators (e, a_1, ..., a_n) -> c of a kernel."""
+def _degree(kern: SimplexPolyKernel) -> int:
+    """Total degree of a kernel, -1 for zero."""
+    return max((e + sum(alphas) for e, alphas in kern.monomials), default=-1)
+
+
+def _width(degree: int) -> int:
+    """Bits per slot of the packed keys of kernels of at most this degree."""
+    return max(degree, 1).bit_length()
+
+
+def _flat(kern: SimplexPolyKernel) -> list[tuple[tuple[int, ...], int]]:
+    """The numerators (e, a_1, ..., a_n) -> c of a kernel."""
     return [((e, *alphas), c) for (e, alphas), c in kern.monomials.items()]
 
 
-def _add(acc: Dict[Exps, int], key: Exps, c: int) -> None:
-    acc[key] = acc.get(key, 0) + c
+def _placed(flat: Sequence[tuple[tuple[int, ...], int]], shifts: Sequence[int]) -> list[tuple[int, int]]:
+    """Flattened numerators with power i at bit ``shifts[i]``, as
+    (packed key, numerator) pairs."""
+    return [(sum(map(lshift, vec, shifts)), c) for vec, c in flat]
 
 
-def _kernel(n: int, terms: Mapping[Exps, int], den: int) -> SimplexPolyKernel:
-    return SimplexPolyKernel(n, {(e[0], e[1:]): c for e, c in terms.items()}, den)
+def _coupling_terms(
+    n: int, m: int, k_lower: SimplexPolyKernel, f_m: SimplexPolyKernel, width: int
+) -> tuple[Dict[int, int], int]:
+    """B[n, m] for m < n as packed numerators over (x, xi_1..xi_n) at
+    ``width`` bits a slot, and their denominator.  ``width`` must hold the
+    degree deg k_p + deg f_m + 1."""
+    p = n - m + 1
+    s = (n + 1) * width  # the slot of the integration variable
+    k_flat, f_flat = _flat(k_lower), _flat(f_m)
+    legs: list[tuple[int, Dict[int, int]]] = []
+    for j in range(1, p + 1):
+        leg: Dict[int, int] = {}
+        head = [i * width for i in range(j)] + [s]
+        for k_idx, f_idx in ordered_splits(n - j + 1, p - j):
+            # Where each variable of k_p and of f_m lands in (x, xi, s).
+            k_terms = _placed(k_flat, head + [(j + i) * width for i in k_idx])
+            f_terms = _placed(f_flat, [s] + [(j + i) * width for i in f_idx])
+            for kp, kc in k_terms:
+                for fp, fc in f_terms:
+                    key = kp + fp
+                    leg[key] = leg.get(key, 0) + kc * fc
+        legs.append((j, leg))
+    # int_{xi_j}^{xi_{j-1}} s^q ds = (xi_{j-1}^{q+1} - xi_j^{q+1}) / (q + 1)
+    scale = lcm(1, *((key >> s) + 1 for _, leg in legs for key in leg))
+    below_s = (1 << s) - 1
+    out: Dict[int, int] = {}
+    for j, leg in legs:
+        upper, lower = (j - 1) * width, j * width
+        for key, c in leg.items():
+            q = (key >> s) + 1
+            rest = key & below_s
+            c *= scale // q
+            up, down = rest + (q << upper), rest + (q << lower)
+            out[up] = out.get(up, 0) + c
+            out[down] = out.get(down, 0) - c
+    return out, k_lower.den * f_m.den * scale
 
 
 def coupling_polynomial(
@@ -124,68 +178,47 @@ def coupling_polynomial(
         return SimplexPolyKernel(n, {})
     if k_lower is None:
         raise KernelConfigError("coupling needs the lower kernel for m < n")
-    p = n - m + 1
-    if k_lower.order != p:
-        raise KernelConfigError(f"lower kernel has order {k_lower.order}, expected {p}")
-    k_terms = _monomials(k_lower)
-    f_terms = _monomials(f_m)
-    s = n + 1  # the slot of the integration variable
-    legs: list[tuple[int, Dict[Exps, int]]] = []
-    for j in range(1, p + 1):
-        leg: Dict[Exps, int] = {}
-        for k_idx, f_idx in ordered_splits(n - j + 1, p - j):
-            # Where each variable of k_p and of f_m lands in (x, xi, s).
-            k_slots = (0, *range(1, j), s, *(j + i for i in k_idx))
-            f_slots = (s, *(j + i for i in f_idx))
-            for ke, kc in k_terms:
-                for fe, fc in f_terms:
-                    e = [0] * (n + 2)
-                    for slot, a in zip(k_slots, ke):
-                        e[slot] += a
-                    for slot, a in zip(f_slots, fe):
-                        e[slot] += a
-                    _add(leg, tuple(e), kc * fc)
-        legs.append((j, leg))
-    # int_{xi_j}^{xi_{j-1}} s^q ds = (xi_{j-1}^{q+1} - xi_j^{q+1}) / (q + 1)
-    scale = lcm(1, *(e[s] + 1 for _, leg in legs for e in leg))
-    out: Dict[Exps, int] = {}
-    for j, leg in legs:
-        for e, c in leg.items():
-            q = e[s] + 1
-            for slot, sign in ((j - 1, 1), (j, -1)):
-                key = list(e[:s])
-                key[slot] += q
-                _add(out, tuple(key), sign * c * (scale // q))
-    return _kernel(n, out, k_lower.den * f_m.den * scale)
+    if k_lower.order != n - m + 1:
+        raise KernelConfigError(f"lower kernel has order {k_lower.order}, expected {n - m + 1}")
+    width = _width(_degree(k_lower) + _degree(f_m) + 1)
+    terms, den = _coupling_terms(n, m, k_lower, f_m, width)
+    return _packed_kernel(n, terms, den, width)
 
 
-def _characteristic(n: int, forcing: Mapping[Exps, int], den: int) -> SimplexPolyKernel:
+def _characteristic(n: int, forcing: Mapping[int, int], den: int, width: int) -> SimplexPolyKernel:
     """k_n(x, xi) = -int_{-xi_n}^0 I(x + t, xi_1 + t, ..., xi_n + t) dt
-    for the forcing I given by its numerators over ``den``.
+    for the forcing I given by its packed numerators over ``den``.
 
     Substitutes v -> v + t one variable at a time and sums equal terms
-    after each pass, in integers.
+    after each pass, in integers.  ``width`` must hold the forcing's
+    degree plus one.
     """
-    # Exponents of (x, xi_1, ..., xi_n, t).
-    terms: Dict[Exps, int] = {(*e, 0): c for e, c in forcing.items() if c}
+    t = (n + 1) * width  # the slot of t, above (x, xi_1, ..., xi_n)
+    mask = (1 << width) - 1
+    terms: Dict[int, int] = {key: c for key, c in forcing.items() if c}
+    binomials = [[comb(a, k) for k in range(a + 1)] for a in range(mask + 1)]
     for v in range(n + 1):
         # (v + t)^a = sum_k C(a, k) v^(a - k) t^k
-        shifted: Dict[Exps, int] = {}
-        for e, c in terms.items():
-            a = e[v]
-            for k in range(a + 1):
-                key = (*e[:v], a - k, *e[v + 1 : -1], e[-1] + k)
-                shifted[key] = shifted.get(key, 0) + c * comb(a, k)
+        low = v * width
+        step = (1 << t) - (1 << low)  # one power from slot v to slot t
+        moves = [k * step for k in range(mask + 1)]
+        shifted: Dict[int, int] = {}
+        for key, c in terms.items():
+            for move, b in zip(moves, binomials[key >> low & mask]):
+                moved = key + move
+                shifted[moved] = shifted.get(moved, 0) + c * b
         terms = shifted
     # -int_{-xi_n}^0 t^K dt = (-1)^(K+1) xi_n^(K+1) / (K + 1)
-    scale = lcm(1, *(e[-1] + 1 for e in terms))
-    out: Dict[Exps, int] = {}
-    for e, c in terms.items():
-        power = e[-1]
-        key = (*e[:n], e[n] + power + 1)
+    scale = lcm(1, *((key >> t) + 1 for key in terms))
+    below_t = (1 << t) - 1
+    xi_n = n * width
+    out: Dict[int, int] = {}
+    for key, c in terms.items():
+        power = key >> t
+        moved = (key & below_t) + ((power + 1) << xi_n)
         sign = -1 if power % 2 == 0 else 1
-        out[key] = out.get(key, 0) + sign * c * (scale // (power + 1))
-    return _kernel(n, out, den * scale)
+        out[moved] = out.get(moved, 0) + sign * c * (scale // (power + 1))
+    return _packed_kernel(n, out, den * scale, width)
 
 
 def _recursion_kernel(
@@ -195,18 +228,31 @@ def _recursion_kernel(
 ) -> SimplexPolyKernel:
     """The order-n kernel from the plant and the lower kernels of orders
     2..n-1: the forcing f_n - sum_m B[n, m] sums in integers over the lcm
-    of their denominators."""
-    parts = [(1, plant_kernels[n])] if n in plant_kernels else []
-    for m in range(2, n):
-        if m in plant_kernels:
-            parts.append((-1, coupling_polynomial(n, m, lower[n - m + 1], plant_kernels[m])))
-    den = lcm(1, *(kern.den for _, kern in parts))
-    forcing: Dict[Exps, int] = {}
-    for sign, kern in parts:
-        unit = sign * (den // kern.den)
-        for e, c in _monomials(kern):
-            _add(forcing, e, unit * c)
-    return _characteristic(n, forcing, den)
+    of their denominators, packed from the coupling terms to the
+    characteristic integral."""
+    couplings = [m for m in range(2, n) if m in plant_kernels]
+    # deg B[n, m] <= deg k_p + deg f_m + 1, and the kernel's degree is one
+    # more than the forcing's.
+    degree = max(
+        [_degree(plant_kernels[n]) if n in plant_kernels else -1]
+        + [_degree(lower[n - m + 1]) + _degree(plant_kernels[m]) + 1 for m in couplings]
+    )
+    width = _width(degree + 1)
+    parts: list[tuple[int, Mapping[int, int], int]] = []
+    if n in plant_kernels:
+        f_n = plant_kernels[n]
+        packed = {_pack((e, *alphas), width): c for (e, alphas), c in f_n.monomials.items()}
+        parts.append((1, packed, f_n.den))
+    for m in couplings:
+        terms, den = _coupling_terms(n, m, lower[n - m + 1], plant_kernels[m], width)
+        parts.append((-1, terms, den))
+    den = lcm(1, *(part_den for _, _, part_den in parts))
+    forcing: Dict[int, int] = {}
+    for sign, terms, part_den in parts:
+        unit = sign * (den // part_den)
+        for key, c in terms.items():
+            forcing[key] = forcing.get(key, 0) + unit * c
+    return _characteristic(n, forcing, den, width)
 
 
 def build_controller_kernels(plant: VolterraKernelSeries, n_max: int) -> VolterraKernelSeries:

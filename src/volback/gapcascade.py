@@ -81,7 +81,7 @@ from typing import Dict, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .polynomial import SimplexPolyKernel
+from .polynomial import SimplexPolyKernel, _pack, _packed_kernel, _unpack
 from .simplex import compositions, ordered_splits
 from .volterra import VolterraKernelSeries
 
@@ -223,9 +223,10 @@ class GammaKey(NamedTuple):
     alpha: MultiIndex
 
 
-# The walks store a gap vector as one int, slot i at bits i*width and up
-# (see _slot_width): adding e_i is one addition, a product of two vectors
-# is their sum, and merging a split pair is a few shifts.
+# The walks store a gap vector as one int (polynomial._pack), slot i at
+# bits i*width and up (see _slot_width): adding e_i is one addition, a
+# product of two vectors is their sum, and merging a split pair is a few
+# shifts.
 
 
 def _slot_width(
@@ -239,15 +240,6 @@ def _slot_width(
     """
     top = max(sum(q) + t for q, t in q_taus) + max(sum(qp) + s for qp, s in qp_sigmas) + 1
     return top.bit_length()
-
-
-def _pack(vec: Sequence[int], width: int) -> int:
-    return sum(v << (i * width) for i, v in enumerate(vec))
-
-
-def _unpack(packed: int, width: int, length: int) -> MultiIndex:
-    mask = (1 << width) - 1
-    return tuple(packed >> (i * width) & mask for i in range(length))
 
 
 def _collapse(packed: int, j: int, width: int, lift: int = 0) -> int:
@@ -622,36 +614,44 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
     multiplied by (c_r - c_{r+1})**P_r (c_0 = x, c_i = xi_i) and added into
     its parent P_0..P_{r-1}, where siblings merge.  The kernel's constructor
     drops the monomials that cancel, reduces and orders them.
+
+    An exponent vector over (x, xi_1..xi_n) is one packed int
+    (:func:`~volback.polynomial._pack`) whose slots hold the largest total
+    degree, max over P of |P| + deg c_P: the leaf term x**i xi_n**d is
+    ``i + (d << n*W)``, and the term i of (c_r - c_{r+1})**P_r multiplies a
+    monomial by adding ``(i << r*W) + ((P_r - i) << (r+1)*W)`` to its key.
     """
     entries = family.at_order(n)
     pfact = {P: math.prod(map(math.factorial, P)) for P in entries}
     den = math.lcm(1, *(poly.den * pfact[P] for P, poly in entries.items()))
-    # Each trie node maps exponent vectors over (x, xi_1..xi_n) to integers.
-    nodes: Dict[MultiIndex, Dict[MultiIndex, int]] = {}
+    width = max([1] + [sum(P) + poly_degree(poly) for P, poly in entries.items()]).bit_length()
+    # Each trie node maps packed exponent vectors to integers.
+    nodes: Dict[MultiIndex, Dict[int, int]] = {}
+    xi_n = n * width
     for P, poly in entries.items():
         leaf = nodes[P] = {}
         scale = den // (poly.den * pfact[P])
         for (k, _), ck in poly.monomials.items():
             unit = ck * scale
-            if shifted:
-                terms = [(i, k - i, -unit * math.comb(k, i) * (-1) ** (k - i)) for i in range(k)]
+            if shifted:  # x**i xi_n**(k-i), one key per (k, i)
+                for i in range(k):
+                    leaf[i + ((k - i) << xi_n)] = -unit * math.comb(k, i) * (-1) ** (k - i)
             else:
-                terms = [(k, 0, unit)]
-            for i, d, c in terms:  # x**i xi_n**d, one key per (k, i)
-                leaf[(i,) + (0,) * (n - 1) + (d,)] = c
+                leaf[k] = unit
     for r in range(n - 1, -1, -1):
-        parents: Dict[MultiIndex, Dict[MultiIndex, int]] = {}
+        low, high = r * width, (r + 1) * width
+        parents: Dict[MultiIndex, Dict[int, int]] = {}
         for prefix, poly in nodes.items():
             pw = prefix[r]
             acc = parents.setdefault(prefix[:r], {})
             for i in range(pw + 1):
                 b = math.comb(pw, i) * (-1) ** (pw - i)
-                for vec, c in poly.items():
-                    key = vec[:r] + (vec[r] + i, vec[r + 1] + pw - i) + vec[r + 2 :] if pw else vec
+                shift = (i << low) + ((pw - i) << high)
+                for key, c in poly.items():
+                    key += shift
                     acc[key] = acc.get(key, 0) + b * c
         nodes = parents
-    root = nodes.get((), {})
-    return SimplexPolyKernel(n, {(v[0], v[1:]): c for v, c in root.items()}, den)
+    return _packed_kernel(n, nodes.get((), {}), den, width)
 
 
 def family_plant_kernel(family: GapCoefficientFamily, n: int) -> SimplexPolyKernel:

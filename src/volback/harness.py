@@ -318,12 +318,14 @@ def _check_order_cap(n_max: int) -> None:
 
 
 # The cross-check builds every order by the cascade and by the exact
-# recursion.  For pdae on a 2-core x86-64 VM the cascade plus assembly
-# take about 0.035 s to order 5, 0.45-0.5 s to order 6 and 8-9 s to
-# order 7; the recursion 0.02 s, 0.2 s and 1.9-2.1 s.  The cascade's
-# cost grows with the plant's support, not with the order alone: for the
-# three-entry plant 2 0,0 1/3; 2 1,0 2/7 1/5; 3 0,1,0 -5/6 1/9 it takes
-# 3.7-4.2 s to order 5 and 330 s to order 6.
+# recursion.  In process on a 2-core x86-64 VM (one script, three runs
+# each), for pdae the cascade plus assembly take about 0.02 s to order 5,
+# 0.22-0.24 s to order 6 and 4.0-4.2 s to order 7; the recursion 0.005 s,
+# 0.05 s and 0.43-0.47 s.  The cascade's cost grows with the plant's
+# support, not with the order alone: for the three-entry plant
+# 2 0,0 1/3; 2 1,0 2/7 1/5; 3 0,1,0 -5/6 1/9 the cascade plus assembly
+# take 2.4-2.5 s to order 5 (the recursion 0.84-0.99 s), and the cascade
+# alone took 330-407 s to order 6 when last timed.
 CROSS_CHECK_MAX_ORDER = 6
 
 

@@ -10,6 +10,12 @@ integer operations its families need).  Evaluation works on point arrays;
 the monomial list is also what the mesh cascades in
 :mod:`volback.volterra` consume, in one canonical order (sorted by key)
 whatever built them.
+
+Both exact kernel routes and the gap cascade's walks hold an exponent
+vector as one int (:func:`_pack`): slot i at bits i*width and up, so a
+product of monomials is one addition of keys.  Exponents are
+nonnegative, so a width whose slots hold the largest total degree a
+computation reaches means no slot ever carries into the next.
 """
 
 from __future__ import annotations
@@ -17,11 +23,22 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
 Monomial = Tuple[int, Tuple[int, ...]]
+
+
+def _pack(vec: Sequence[int], width: int) -> int:
+    """The nonnegative powers ``vec`` as one int, slot i at bits i*width."""
+    return sum(v << (i * width) for i, v in enumerate(vec))
+
+
+def _unpack(packed: int, width: int, length: int) -> Tuple[int, ...]:
+    """The first ``length`` slots of a packed vector (``width`` >= 1)."""
+    mask = (1 << width) - 1
+    return tuple([packed >> shift & mask for shift in range(0, length * width, width)])
 
 
 @dataclass
@@ -37,7 +54,8 @@ class SimplexPolyKernel:
     and ``den`` by their gcd and sorts the monomials by ``(e, alphas)``:
     two kernels are equal exactly when their values are, and then sum the
     same floats in the same order.  It refuses a non-integer coefficient
-    and ``den < 1``.  A kernel is not mutated after construction.
+    and ``den < 1``, and an exponent that is not a nonnegative integer.  A
+    kernel is not mutated after construction.
     """
 
     order: int
@@ -50,12 +68,15 @@ class SimplexPolyKernel:
             raise ValueError(f"kernel denominator must be a positive integer, got {den}")
         clean: Dict[Monomial, int] = {}
         for (e, alphas), c in self.monomials.items():
-            alphas = tuple(int(a) for a in alphas)
+            e = operator.index(e)
+            alphas = tuple(map(operator.index, alphas))
             if len(alphas) != self.order:
                 raise ValueError(
                     f"monomial {alphas} has {len(alphas)} coordinate powers, kernel order is {self.order}"
                 )
-            key = (int(e), alphas)
+            if e < 0 or (alphas and min(alphas) < 0):
+                raise ValueError(f"monomial {(e, alphas)} has a negative exponent")
+            key = (e, alphas)
             clean[key] = clean.get(key, 0) + operator.index(c)
         g = math.gcd(den, *clean.values())
         self.monomials = {k: clean[k] // g for k in sorted(clean) if clean[k]}
@@ -74,6 +95,15 @@ class SimplexPolyKernel:
                     term = term * xi[:, i] ** a
             out += term
         return out
+
+
+def _packed_kernel(n: int, terms: Mapping[int, int], den: int, width: int) -> SimplexPolyKernel:
+    """The order-n kernel of the numerators ``terms`` over ``den``, each
+    keyed by its exponent vector (e, a_1, ..., a_n) packed at ``width``."""
+    mask = (1 << width) - 1
+    return SimplexPolyKernel(
+        n, {(key & mask, _unpack(key >> width, width, n)): c for key, c in terms.items()}, den
+    )
 
 
 def pdae_k2() -> SimplexPolyKernel:

@@ -1,23 +1,26 @@
 """Shared fixtures: the quadratic-integral example plant and its kernels,
 kernels built from rational coefficients and read back as them, the
-iterated divided-power expansion of a gap chain, the reference
-evaluations of polynomial Volterra terms on a mesh, and the
-pointwise references: exact rational evaluation of polynomials and
-kernels, and Gauss quadrature of the series and of its derivative at a
-single upper limit."""
+iterated divided-power expansion of a gap chain, the two tuple-keyed
+references for the exact kernel routes (the gap expansion in Fractions
+and the characteristic recursion), the reference evaluations of
+polynomial Volterra terms on a mesh, and the pointwise references: exact
+rational evaluation of polynomials and kernels, and Gauss quadrature of
+the series and of its derivative at a single upper limit."""
 
 import math
 from fractions import Fraction
+from math import comb, lcm
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from volback.charkernels import pdae_closed_forms, pdae_plant
 from volback.gapcascade import cascade, pdae_b_family
 from volback.inversion import InversionDomainError
 from volback.polynomial import SimplexPolyKernel
-from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
+from volback.simplex import QuadratureRule, SimplexDomainError, ordered_splits, simplex_nodes
 from volback.volterra import GridFunction, VolterraKernelSeries
 
 
@@ -94,6 +97,148 @@ def iterated_chain_expansion(n_gaps, positions, q) -> dict:
                     out[v] = out.get(v, 0) + c * (g[i] + 1)
             result = {v: c // k for v, c in out.items()}
     return result
+
+
+def fraction_phi_monomials(P):
+    """Phi_P over (x, xi_1..xi_n), expanded gap by gap in Fractions."""
+    n = len(P)
+    terms = {(0, (0,) * n): Fraction(1)}
+    for r, pw in enumerate(P):
+        if pw == 0:
+            continue
+        new = {}
+        for i in range(pw + 1):
+            coeff = Fraction(math.comb(pw, i) * (-1) ** (pw - i), math.factorial(pw))
+            for (e, alphas), c in terms.items():
+                al2 = list(alphas)
+                if r == 0:
+                    e += i
+                else:
+                    al2[r - 1] += i
+                al2[r] += pw - i
+                key = (e, tuple(al2))
+                new[key] = new.get(key, Fraction(0)) + c * coeff
+        terms = {k: v for k, v in new.items() if v != 0}
+    return terms
+
+
+def fraction_expansion(family, n, shifted):
+    """Reference for the gap-cascade assembly: sum_P c_P(x) Phi_P summed
+    term by term in Fractions and turned into a kernel (``exact_kernel``),
+    with c_P(x) = a_P(x) - a_P(x - xi_n) when ``shifted``."""
+    out = {}
+
+    def add(coeff, e, alphas):
+        out[(e, alphas)] = out.get((e, alphas), Fraction(0)) + coeff
+
+    for P, poly in family.at_order(n).items():
+        phi = fraction_phi_monomials(P)
+        for k, ck in enumerate(poly_coefficients(poly)):
+            if ck == 0:
+                continue
+            for (e, alphas), c in phi.items():
+                add(ck * c, e + k, alphas)
+            if not shifted:
+                continue
+            for i in range(k + 1):
+                bcoeff = math.comb(k, i) * Fraction(-1) ** (k - i)
+                for (e, alphas), c in phi.items():
+                    al2 = alphas[:-1] + (alphas[-1] + k - i,)
+                    add(-ck * bcoeff * c, e + i, al2)
+    return exact_kernel(n, out)
+
+
+def _flat_monomials(kern):
+    return [((e, *alphas), c) for (e, alphas), c in kern.monomials.items()]
+
+
+def _tuple_kernel(n, terms, den) -> SimplexPolyKernel:
+    return SimplexPolyKernel(n, {(e[0], e[1:]): c for e, c in terms.items()}, den)
+
+
+def reference_coupling(n, m, k_lower, f_m) -> SimplexPolyKernel:
+    """Reference for ``coupling_polynomial`` with m < n: exponent vectors
+    over (x, xi_1, ..., xi_n, s) as tuples, each product's vector built
+    slot by slot, and s**q integrated over the lcm of the q + 1."""
+    p = n - m + 1
+    s = n + 1  # the slot of the integration variable
+    legs = []
+    for j in range(1, p + 1):
+        leg = {}
+        for k_idx, f_idx in ordered_splits(n - j + 1, p - j):
+            k_slots = (0, *range(1, j), s, *(j + i for i in k_idx))
+            f_slots = (s, *(j + i for i in f_idx))
+            for ke, kc in _flat_monomials(k_lower):
+                for fe, fc in _flat_monomials(f_m):
+                    e = [0] * (n + 2)
+                    for slot, a in zip(k_slots, ke):
+                        e[slot] += a
+                    for slot, a in zip(f_slots, fe):
+                        e[slot] += a
+                    leg[tuple(e)] = leg.get(tuple(e), 0) + kc * fc
+        legs.append((j, leg))
+    # int_{xi_j}^{xi_{j-1}} s^q ds = (xi_{j-1}^{q+1} - xi_j^{q+1}) / (q + 1)
+    scale = lcm(1, *(e[s] + 1 for _, leg in legs for e in leg))
+    out = {}
+    for j, leg in legs:
+        for e, c in leg.items():
+            q = e[s] + 1
+            for slot, sign in ((j - 1, 1), (j, -1)):
+                key = list(e[:s])
+                key[slot] += q
+                out[tuple(key)] = out.get(tuple(key), 0) + sign * c * (scale // q)
+    return _tuple_kernel(n, out, k_lower.den * f_m.den * scale)
+
+
+def reference_characteristic(n, forcing: SimplexPolyKernel) -> SimplexPolyKernel:
+    """Reference for the characteristic integral
+    k_n(x, xi) = -int_{-xi_n}^0 I(x + t, xi_1 + t, ..., xi_n + t) dt:
+    exponent vectors over (x, xi_1, ..., xi_n, t) as tuples, v -> v + t
+    substituted one variable at a time."""
+    terms = {(*e, 0): c for e, c in _flat_monomials(forcing)}
+    for v in range(n + 1):
+        # (v + t)^a = sum_k C(a, k) v^(a - k) t^k
+        shifted = {}
+        for e, c in terms.items():
+            a = e[v]
+            for k in range(a + 1):
+                key = (*e[:v], a - k, *e[v + 1 : -1], e[-1] + k)
+                shifted[key] = shifted.get(key, 0) + c * comb(a, k)
+        terms = shifted
+    # -int_{-xi_n}^0 t^K dt = (-1)^(K+1) xi_n^(K+1) / (K + 1)
+    scale = lcm(1, *(e[-1] + 1 for e in terms))
+    out = {}
+    for e, c in terms.items():
+        power = e[-1]
+        key = (*e[:n], e[n] + power + 1)
+        sign = -1 if power % 2 == 0 else 1
+        out[key] = out.get(key, 0) + sign * c * (scale // (power + 1))
+    return _tuple_kernel(n, out, forcing.den * scale)
+
+
+def reference_recursion(plant, n_max) -> tuple[dict, dict]:
+    """Reference for ``build_controller_kernels``: the kernels ``{n: k_n}``
+    of orders 2..n_max and the coupling terms ``{(n, m): B[n, m]}``, the
+    forcing f_n - sum_m B[n, m] summed in Fractions."""
+    kernels, couplings = {}, {}
+    for n in range(2, n_max + 1):
+        forcing = dict(kernel_fractions(plant[n])) if n in plant else {}
+        for m in range(2, n):
+            if m in plant:
+                b = couplings[(n, m)] = reference_coupling(n, m, kernels[n - m + 1], plant[m])
+                for key, c in kernel_fractions(b).items():
+                    forcing[key] = forcing.get(key, 0) - c
+        kernels[n] = reference_characteristic(n, exact_kernel(n, forcing))
+    return kernels, couplings
+
+
+@st.composite
+def packed_case(draw):
+    """(width, vector): slots of 1..5 bits and a vector of 1..9 powers that
+    fit them, the largest power 2**width - 1 included."""
+    width = draw(st.integers(1, 5))
+    vec = draw(st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=9))
+    return width, tuple(vec)
 
 
 def random_simplex_points(rng, n, count, x=1.0):

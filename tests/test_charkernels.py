@@ -13,13 +13,49 @@ from volback.charkernels import (
     coupling_polynomial,
     is_pdae_plant,
 )
-from volback.gapcascade import assemble_kernel_polynomial, cascade, pdae_b_family
+from volback.gapcascade import (
+    GapCoefficientFamily,
+    assemble_kernel_polynomial,
+    cascade,
+    family_plant_kernel,
+    pdae_b_family,
+)
 from volback.harness import parse_plant
 from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
 from volback.simplex import SimplexDomainError, ordered_splits
 from volback.volterra import SeriesDefinitionError, VolterraKernelSeries
 
-from conftest import exact_kernel, random_simplex_points
+from conftest import (
+    exact_kernel,
+    fraction_expansion,
+    random_simplex_points,
+    rational_poly,
+    reference_recursion,
+)
+
+# Plant files shaped like the kernel-synthesis benchmark's plants, and the
+# benchmark's seed-1 plant itself (mixed denominators, degree-1 order-3
+# coefficients).
+KS_SHAPED = "2 0,0 -3/2\n2 0,1 1/2\n3 1,0,0 1 -1/4\n3 0,0,1 -4/3 -3/2\n"
+BENCH_SEED1 = "2 0,0 -2/3\n2 0,1 -1\n3 1,0,0 1/2 1/2\n3 0,0,1 1 -1\n"
+# sigma >= 1 at m = 2, and unrelated denominators.
+MIXED = "2 0,0 1/3\n2 1,0 2/7 1/5\n3 0,1,0 -5/6 1/9\n"
+
+
+def plant_file(tmp_path, text):
+    """The parsed plant file with the given lines."""
+    path = tmp_path / "plant.txt"
+    path.write_text(text)
+    return parse_plant(path)
+
+
+def x_power(k):
+    """Plant-file coefficients of x**k, constant term first."""
+    return " ".join(["0"] * k + ["1"])
+
+
+def largest_exponent(kernels):
+    return max(max(e, *alphas) for kern in kernels for e, alphas in kern.monomials)
 
 
 class TestShuffles:
@@ -167,9 +203,6 @@ class TestDegreeRule:
     """The recursion's kernels, degrees included, equal the cascade's."""
 
     PLANT = "2 0,0 3/2 1/2\n2 1,0 -1/3 0 2\n3 1,0,0 1/2 -2/3\n3 0,1,1 -3/4 1\n"
-    # Shaped like the kernel-synthesis benchmark's plants.
-    KS_SHAPED = "2 0,0 -3/2\n2 0,1 1/2\n3 1,0,0 1 -1/4\n3 0,0,1 -4/3 -3/2\n"
-    MIXED = "2 0,0 1/3\n2 1,0 2/7 1/5\n3 0,1,0 -5/6 1/9\n"
 
     @staticmethod
     def assert_equal_to_cascade(series, b_family, n_max):
@@ -223,6 +256,92 @@ class TestDegreeRule:
         kernels[opaque_order] = lambda pt: 1.0
         with pytest.raises(SeriesDefinitionError, match=f"order-{opaque_order} kernel"):
             VolterraKernelSeries(kernels)
+
+
+class TestRecursionOracle:
+    """The packed recursion against the tuple-keyed reference
+    (``reference_recursion``), kernel for kernel and coupling term for
+    coupling term.  Both exact routes share the packing helper, so the
+    cross-check between them would not see a packing bug they share."""
+
+    @pytest.mark.parametrize(
+        "text, n_max",
+        [(None, 5), (KS_SHAPED, 4), (MIXED, 4), (BENCH_SEED1, 4)],
+        ids=["pdae", "ks-shaped", "mixed", "bench-seed1"],
+    )
+    def test_matches_tuple_reference(self, tmp_path, plant, text, n_max):
+        series = plant if text is None else plant_file(tmp_path, text).series
+        kernels, couplings = reference_recursion(series, n_max)
+        assert dict(build_controller_kernels(series, n_max)) == kernels
+        assert couplings
+        for (n, m), want in couplings.items():
+            assert coupling_polynomial(n, m, kernels[n - m + 1], series[m]) == want, (n, m)
+
+
+class TestSlotBoundaries:
+    """Exponents that fill a packed slot (2**k - 1) or need one more bit
+    (2**k), against the tuple references: the Fraction expansion for the
+    gap assembly and the plant kernels, the tuple-keyed recursion for the
+    characteristic route."""
+
+    @pytest.mark.parametrize(
+        "text, reached",
+        [
+            ("3 0,7,0 1\n", 7),
+            ("3 8,0,0 1\n", 8),
+            ("4 0,0,0,15 1\n", 15),
+            ("4 0,16,0,0 1\n", 16),
+            (f"3 0,0,0 {x_power(15)}\n", 15),
+            (f"4 0,0,0,0 {x_power(16)}\n", 16),
+        ],
+        ids=["0,7,0", "8,0,0", "0,0,0,15", "0,16,0,0", "x^15", "x^16"],
+    )
+    def test_plant_kernel(self, tmp_path, text, reached):
+        family = plant_file(tmp_path, text).family
+        (n,) = family.orders()
+        kern = family_plant_kernel(family, n)
+        assert kern == fraction_expansion(family, n, shifted=False)
+        assert largest_exponent([kern]) == reached
+
+    @pytest.mark.parametrize(
+        "P, degree, reached",
+        [((0, 0, 14), 1, 15), ((0, 0, 15), 1, 16), ((0, 0, 0), 15, 15), ((0, 0, 0, 0), 16, 16),
+         ((0, 0, 0, 6), 1, 7), ((0, 0, 0, 7), 1, 8)],
+        ids=["0,0,14", "0,0,15", "x^15", "x^16", "0,0,0,6", "0,0,0,7"],
+    )
+    def test_assembly(self, P, degree, reached):
+        # a_P = x**degree: a_P(x) - a_P(x - xi_n) reaches xi_n**degree, and
+        # times (xi_{n-1} - xi_n)**P_{n-1} it reaches xi_n**(degree + P_{n-1}).
+        family = GapCoefficientFamily(
+            {(len(P), P): rational_poly([0] * degree + [1])}, "cascade-a"
+        )
+        kern = assemble_kernel_polynomial(family, len(P))
+        assert kern == fraction_expansion(family, len(P), shifted=True)
+        assert largest_exponent([kern]) == reached
+
+    @pytest.mark.parametrize(
+        "text, n_max, reached",
+        [
+            ("2 7,0 1\n", 4, 7),
+            ("2 8,0 1\n", 3, 8),
+            ("2 0,15 1\n", 3, 32),
+            ("2 0,16 1\n", 3, 16),
+            (f"2 0,0 {x_power(14)}\n", 3, 15),
+            (f"2 0,0 {x_power(15)}\n", 3, 16),
+        ],
+        ids=["7,0", "8,0", "0,15", "0,16", "x^14", "x^15"],
+    )
+    def test_recursion(self, tmp_path, text, n_max, reached):
+        series = plant_file(tmp_path, text).series
+        kernels, _ = reference_recursion(series, n_max)
+        got = build_controller_kernels(series, n_max)
+        assert dict(got) == kernels
+        exponents = {
+            max(e, *alphas)
+            for kern in [*series.values(), *got.values()]
+            for e, alphas in kern.monomials
+        }
+        assert reached in exponents
 
 
 class TestKernelNode:

@@ -33,12 +33,13 @@ from volback.gapcascade import (
     split_gap_integration,
     x_poly,
 )
-from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
+from volback.polynomial import SimplexPolyKernel, _pack, _unpack, pdae_k2, pdae_k3
 from volback.verification import _phi
 
 from conftest import (
-    exact_kernel,
+    fraction_expansion,
     iterated_chain_expansion,
+    packed_case,
     poly_coefficients,
     poly_eval_exact,
     random_simplex_points,
@@ -287,7 +288,7 @@ def summed_walk(n, m, q_taus, qp_sigmas):
     """``_summed_walk`` in the reference's layout, P unpacked."""
     width = gapcascade._slot_width(q_taus, qp_sigmas)
     return {
-        (q, qp, sigma, w): {gapcascade._unpack(P, width, n): v for P, v in by_P.items() if v}
+        (q, qp, sigma, w): {_unpack(P, width, n): v for P, v in by_P.items() if v}
         for q, sums in gapcascade._summed_walk(n, m, q_taus, qp_sigmas, width)
         for (qp, sigma), by_w in sums.items()
         for w, by_P in by_w.items()
@@ -365,15 +366,6 @@ def chain_pair(draw):
     return n_gaps, draw_chain(draw, n_gaps), draw_chain(draw, n_gaps)
 
 
-@st.composite
-def packed_case(draw):
-    """(width, vector): slots of 1..5 bits and a vector of 1..9 powers that
-    fit them, the largest power 2**width - 1 included."""
-    width = draw(st.integers(1, 5))
-    vec = draw(st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=9))
-    return width, tuple(vec)
-
-
 class TestPackedGaps:
     """The closed-form chain expansion and the packed gap vectors of both
     walks against the tuple forms."""
@@ -388,7 +380,7 @@ class TestPackedGaps:
         want = iterated_chain_expansion(n_gaps, positions, q)
         assert set(want.values()) == {1}
         width = 3  # q_r <= 4 < 2**3
-        got = [gapcascade._unpack(v, width, n_gaps)
+        got = [_unpack(v, width, n_gaps)
                for v in gapcascade._chain_expansion(positions, q, width)]
         assert len(got) == len(set(got))
         assert dict.fromkeys(got, 1) == want
@@ -402,23 +394,13 @@ class TestPackedGaps:
         width = 4  # a slot holds at most 4 + 4 < 2**4
         a, b = (gapcascade._chain_expansion(pos, q, width) for pos, q in (first, second))
         ordinary = defaultdict(Fr)
-        for u in (gapcascade._unpack(g, width, n_gaps) for g in a):
-            for v in (gapcascade._unpack(g, width, n_gaps) for g in b):
+        for u in (_unpack(g, width, n_gaps) for g in a):
+            for v in (_unpack(g, width, n_gaps) for g in b):
                 key = tuple(x + y for x, y in zip(u, v))
                 ordinary[key] += Fr(1, math.prod(map(math.factorial, u + v)))
         want = {key: c * math.prod(map(math.factorial, key)) for key, c in ordinary.items()}
         got = gapcascade._dp_mul_gap(a, b, width)
-        assert {gapcascade._unpack(g, width, n_gaps): c for g, c in got.items()} == want
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(case=packed_case())
-    @example(case=(3, (7, 7, 7, 7, 7, 7, 7, 7, 7)))
-    @example(case=(1, (1, 0, 1)))
-    def test_pack_round_trip(self, case):
-        width, vec = case
-        packed = gapcascade._pack(vec, width)
-        assert gapcascade._unpack(packed, width, len(vec)) == vec
-        assert packed < 1 << (width * len(vec))
+        assert {_unpack(g, width, n_gaps): c for g, c in got.items()} == want
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=packed_case(), lift=st.integers(0, 1))
@@ -428,8 +410,8 @@ class TestPackedGaps:
         vec = tuple(v // 2 for v in vec) + (0,)  # any pair plus lift fits a slot
         for j in range(1, len(vec)):
             want = vec[: j - 1] + (vec[j - 1] + vec[j] + lift,) + vec[j + 1 :]
-            got = gapcascade._collapse(gapcascade._pack(vec, width), j, width, lift)
-            assert gapcascade._unpack(got, width, len(vec) - 1) == want
+            got = gapcascade._collapse(_pack(vec, width), j, width, lift)
+            assert _unpack(got, width, len(vec) - 1) == want
 
     @pytest.mark.parametrize(
         "case",
@@ -538,55 +520,6 @@ PLANTS = {
 @lru_cache(maxsize=None)
 def cascade_of(plant, n_max):
     return cascade(PLANTS[plant](), n_max)
-
-
-def fraction_phi_monomials(P):
-    """Phi_P over (x, xi_1..xi_n), expanded gap by gap in Fractions."""
-    n = len(P)
-    terms = {(0, (0,) * n): Fr(1)}
-    for r, pw in enumerate(P):
-        if pw == 0:
-            continue
-        new = {}
-        for i in range(pw + 1):
-            coeff = Fr(math.comb(pw, i) * (-1) ** (pw - i), math.factorial(pw))
-            for (e, alphas), c in terms.items():
-                al2 = list(alphas)
-                if r == 0:
-                    e += i
-                else:
-                    al2[r - 1] += i
-                al2[r] += pw - i
-                key = (e, tuple(al2))
-                new[key] = new.get(key, Fr(0)) + c * coeff
-        terms = {k: v for k, v in new.items() if v != 0}
-    return terms
-
-
-def fraction_expansion(family, n, shifted):
-    """Reference kernel: sum_P c_P(x) Phi_P summed term by term in
-    Fractions and turned into a kernel (``exact_kernel``), with
-    c_P(x) = a_P(x) - a_P(x - xi_n) when ``shifted``."""
-    out = {}
-
-    def add(coeff, e, alphas):
-        out[(e, alphas)] = out.get((e, alphas), Fr(0)) + coeff
-
-    for P, poly in family.at_order(n).items():
-        phi = fraction_phi_monomials(P)
-        for k, ck in enumerate(poly_coefficients(poly)):
-            if ck == 0:
-                continue
-            for (e, alphas), c in phi.items():
-                add(ck * c, e + k, alphas)
-            if not shifted:
-                continue
-            for i in range(k + 1):
-                bcoeff = math.comb(k, i) * Fr(-1) ** (k - i)
-                for (e, alphas), c in phi.items():
-                    al2 = alphas[:-1] + (alphas[-1] + k - i,)
-                    add(-ck * bcoeff * c, e + i, al2)
-    return exact_kernel(n, out)
 
 
 EXPANSION_CASES = (

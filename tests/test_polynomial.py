@@ -5,8 +5,9 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import kernel_eval_exact, poly_coefficients, poly_eval_exact, rational_poly
+from conftest import kernel_eval_exact, packed_case, poly_coefficients, poly_eval_exact, rational_poly
 from volback.gapcascade import (
     poly_degree,
     poly_derivative,
@@ -16,7 +17,7 @@ from volback.gapcascade import (
     poly_sum,
     x_poly,
 )
-from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
+from volback.polynomial import SimplexPolyKernel, _pack, _unpack, pdae_k2, pdae_k3
 
 POINTS = [Fr(0), Fr(1, 3), Fr(-2, 5), Fr(7, 4)]
 
@@ -112,6 +113,24 @@ class TestSimplexPolyKernel:
         with pytest.raises(ValueError):
             SimplexPolyKernel(2, {(0, (0, 1, 0)): 1})
 
+    @pytest.mark.parametrize("key", [(0, (1.7, 0)), (1.0, (0, 1)), (0, (Fr(2), 0)), (0, (0, "1"))])
+    def test_non_integer_exponent_rejected(self, key):
+        # int() would truncate 1.7 to 1; an exponent is an integer or refused.
+        with pytest.raises(TypeError):
+            SimplexPolyKernel(2, {key: 1})
+
+    @pytest.mark.parametrize("key", [(0, (-1, 0)), (0, (2, -3)), (-1, (0, 0))])
+    def test_negative_exponent_rejected(self, key):
+        # xi_1**-1 is not a polynomial, and a packed key would borrow from
+        # the slot next to it.
+        with pytest.raises(ValueError, match="negative exponent"):
+            SimplexPolyKernel(2, {key: 1})
+
+    def test_numpy_integer_exponents_become_ints(self):
+        k = SimplexPolyKernel(2, {(np.int64(1), (np.int32(0), np.int64(2))): 3})
+        ((e, alphas),) = k.monomials
+        assert (e, alphas) == (1, (0, 2)) and all(type(v) is int for v in (e, *alphas))
+
     def test_quadratic_example_order2(self):
         k2 = pdae_k2()
         pts = np.array([[0.6, 0.3], [1.0, 0.0]])
@@ -137,3 +156,29 @@ class TestSimplexPolyKernel:
         xs = np.array([1.0, 0.8])
         pts = np.array([[0.5, 0.2], [0.5, 0.2]])
         assert k2(xs, pts) == pytest.approx([-0.2, -0.2])
+
+
+class TestPacking:
+    """Exponent vectors held as one int, slot i at bits i*width."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=packed_case())
+    @example(case=(3, (7, 7, 7, 7, 7, 7, 7, 7, 7)))
+    @example(case=(1, (1, 0, 1)))
+    def test_pack_round_trip(self, case):
+        width, vec = case
+        packed = _pack(vec, width)
+        assert _unpack(packed, width, len(vec)) == vec
+        assert packed < 1 << (width * len(vec))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(first=packed_case(), second=packed_case())
+    @example(first=(4, (8, 0, 7)), second=(4, (7, 15, 8)))  # sums reach 15, 15, 15
+    def test_sum_of_packed_is_packed_sum(self, first, second):
+        # A product of monomials is one addition of keys while no slot's
+        # sum outgrows the width.
+        width = max(first[0], second[0]) + 1
+        length = max(len(first[1]), len(second[1]))
+        u, v = (vec + (0,) * (length - len(vec)) for _, vec in (first, second))
+        want = tuple(a + b for a, b in zip(u, v))
+        assert _unpack(_pack(u, width) + _pack(v, width), width, length) == want
