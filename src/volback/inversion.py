@@ -29,12 +29,12 @@ from .simplex import QuadratureRule
 from .volterra import (
     GainFunctions,
     GridFunction,
+    MeshCascade,
     SeriesTerms,
     VolterraKernelSeries,
     build_gains,
     gain_ell,
     gain_k,
-    linearized_values,
 )
 
 GAIN_RULE = QuadratureRule(12)  # the kernel norms behind the gains
@@ -44,6 +44,8 @@ PICARD_TOL = 1e-10
 PICARD_MAX_ITERS = 200
 LIPSCHITZ_TRIALS = 20
 LIPSCHITZ_MESH_POINTS = 201
+DK_BLOCK_BYTES = 1 << 20  # the tangent work arrays of one block of dk_matrix columns
+NEUMANN_RESOLUTION = 1e-8  # the least lambda_min / lambda_max neumann_norm_estimate resolves
 
 
 class NoContractionError(ValueError):
@@ -165,10 +167,19 @@ def invert_with_info(
 def dk_matrix(series: VolterraKernelSeries, u: GridFunction) -> np.ndarray:
     """Dense mesh matrix of h -> DK[u] h (columns are basis responses).
 
-    One batched linearized profile of all basis vectors at once (rows of
-    the identity, memory O(M^2) per cascade trie node).
+    One cascade of all orders, built once, takes the identity's columns
+    through its tangent pass (:meth:`MeshCascade.tangent`) in blocks
+    whose work arrays fill at most ``DK_BLOCK_BYTES`` (one column at
+    least), so every block reuses one workspace.
     """
-    return np.ascontiguousarray(linearized_values(series, u, np.eye(u.size)).T)
+    m = u.size
+    cascade = MeshCascade(series, u.mesh)
+    width = max(1, DK_BLOCK_BYTES // max(cascade.tangent_row_bytes, 1))
+    eye = np.eye(m)
+    out = np.empty((m, m))
+    for start in range(0, m, width):
+        out[:, start : start + width] = cascade.tangent(u.values, eye[start : start + width]).T
+    return out
 
 
 def neumann_norm_estimate(series: VolterraKernelSeries, u: GridFunction) -> float:
@@ -176,19 +187,30 @@ def neumann_norm_estimate(series: VolterraKernelSeries, u: GridFunction) -> floa
 
     With A the dense matrix of I - DK[u] in the trapezoid-weighted inner
     product, the norm is 1 / sigma_min(A) = 1 / sqrt(lambda_min(A^T A)),
-    the smallest eigenvalue from a symmetric eigensolver; inf when
-    lambda_min <= 0 (A is singular to working precision).
+    the extreme eigenvalues of the Gram A^T A from a symmetric
+    eigensolver.  The Gram squares A's condition number: forming it and
+    its eigenvalues moves lambda_min by about eps * lambda_max
+    (eps = 2**-52).  So lambda_min is resolved only where it exceeds
+    ``NEUMANN_RESOLUTION`` * lambda_max, and there the estimate is within
+    about eps / (2 NEUMANN_RESOLUTION), some 1e-8, relative of 1 / sigma_min
+    from a singular value decomposition.  Otherwise, or when an entry of
+    A or of the Gram is not finite, A is singular to working precision
+    and the estimate is inf.
     """
     m = u.size
-    a = np.eye(m) - dk_matrix(series, u)
     wts = np.full(m, u.dx)
     wts[0] *= 0.5
     wts[-1] *= 0.5
     sq = np.sqrt(wts)
-    # Similarity transform makes the weighted norm the euclidean norm.
-    a_w = sq[:, None] * a / sq[None, :]
-    lam_min = np.linalg.eigvalsh(a_w.T @ a_w)[0]
-    return 1.0 / math.sqrt(lam_min) if lam_min > 0 else math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused below
+        a = np.eye(m) - dk_matrix(series, u)
+        # Similarity transform makes the weighted norm the euclidean norm.
+        a_w = sq[:, None] * a / sq[None, :]
+        gram = a_w.T @ a_w
+    if not np.all(np.isfinite(gram)):
+        return math.inf
+    lam = np.linalg.eigvalsh(gram)
+    return 1.0 / math.sqrt(lam[0]) if lam[0] > NEUMANN_RESOLUTION * lam[-1] else math.inf
 
 
 def lipschitz_check(series: VolterraKernelSeries, s: float, seed: int = 0) -> float:

@@ -29,11 +29,13 @@ rounding.
 Where every slot carries the same state (series profiles, the Picard
 and Lipschitz loops, the simulator's plant and controller),
 :class:`SeriesTerms` evaluates all orders with one cascade, whose trie
-shares suffixes between orders.  The derivative and the derivative
-matrix put a different factor in one slot, so they keep one cascade per
-order.  Gauss quadrature on the simplex remains only for the kernel
-norms (:func:`kernel_l2_sq`), behind the gains and the coupling-bound
-check; no term is evaluated pointwise.
+shares suffixes between orders.  The derivative at that state, summed
+over the slots, is one tangent pass of the same cascade
+(:meth:`MeshCascade.tangent`), so the derivative and the derivative
+matrix also use one cascade of all orders, and their cost does not grow
+with the number of slots.  Gauss quadrature on the simplex remains only
+for the kernel norms (:func:`kernel_l2_sq`), behind the gains and the
+coupling-bound check; no term is evaluated pointwise.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -214,7 +216,9 @@ class MeshCascade:
     is meant for equal factors in every slot.  Factors may carry leading
     batch axes.  The work arrays are one block, allocated again only when
     the batch axes change its size; each call overwrites them, and no
-    result aliases them.
+    result aliases them.  The tangent (``tangent``), the derivative of the
+    profile at one state in every slot, has a block of its own, sized for
+    the batch axes of its direction.
     """
 
     def __init__(self, orders: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
@@ -249,6 +253,9 @@ class MeshCascade:
         self._block = np.empty(0)
         self._work: list[tuple[np.ndarray, ...]] = []
         self._totals: list[np.ndarray] = []
+        self._tangent_batch: tuple | None = None
+        self._tangent_block = np.empty(0)
+        self._tangent_work: list[tuple[np.ndarray, ...]] = []
 
     @cached_property
     def rows(self) -> Dict[int, np.ndarray]:
@@ -292,9 +299,8 @@ class MeshCascade:
         view of a scratch area that the levels share.
 
         All of it lies in one block, sized as if every level carried the
-        batch axes of all factors, so the calls of a linearization,
-        which move the batched factor from slot to slot, reuse one block
-        instead of fragmenting the heap."""
+        batch axes of all factors, so calls that move a batched factor
+        from slot to slot reuse one block."""
         batch = [f.shape for f in factors]
         if batch == self._batch:
             return self._work
@@ -350,6 +356,78 @@ class MeshCascade:
         parts = (_contract(totals[n - 1], rows) for n, rows in self.rows.items())
         return sum(parts, np.zeros(self.size))
 
+    @property
+    def tangent_row_bytes(self) -> int:
+        """Bytes of the tangent's work arrays per row of its ``h``: three
+        areas of floats (two for the levels in turn, one for the scratch),
+        each the widest level's nodes by M."""
+        return 3 * 8 * self.size * max((len(pows) for pows, _ in self.levels), default=0)
+
+    def _tangent_buffers(self, batch: tuple[int, ...]) -> list:
+        """Per level, for the batch axes ``batch`` of a tangent: dT
+        (..., nodes, M) with views of its flat memory past the first element
+        and of its columns past the first, and g with a flat view.  Even
+        levels lie in the first area of one block, odd ones in the second,
+        and g in the third; the block is allocated again only when the batch
+        axes change."""
+        if batch == self._tangent_batch:
+            return self._tangent_work
+        area = math.prod(batch) * self.tangent_row_bytes // 24  # floats
+        if self._tangent_block.size != 3 * area:
+            self._tangent_block = np.empty(3 * area)
+        self._tangent_batch, self._tangent_work = batch, []
+        for j, (pows, _) in enumerate(self.levels):
+            shape = batch + pows.shape
+            size = math.prod(shape)
+            flat = self._tangent_block[(j % 2) * area :][:size]
+            flat_g = self._tangent_block[2 * area :][:size]
+            dt = flat.reshape(shape)
+            self._tangent_work.append((dt, flat[1:], dt[..., 1:], flat_g.reshape(shape), flat_g))
+        return self._tangent_work
+
+    def tangent(self, values: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The derivative of ``profile`` at ``values`` in every slot applied
+        to ``h``: the sum over the slots of the profile with ``h`` in that
+        slot, shape h.shape[:-1] + (M,).
+
+        Forward mode (Griewank and Walther, *Evaluating Derivatives*, 2nd
+        ed., SIAM 2008) through the trie: level j's integrals
+        T_j = I(u x**a T_{j-1}[parent]), I the trapezoid pass of
+        ``_integrals``, have the tangent
+
+            dT_j = I(x**a (h T_{j-1}[parent] + u dT_{j-1}[parent])),
+
+        with T_{-1} = 1 and dT_{-1} = 0, and each order reads dT with the
+        rows of its profile.  Each level is linear in each factor, so this
+        is the sum over the slots in exact arithmetic, and agrees with it to
+        within rounding.  The integrals of ``values`` carry no batch axis;
+        only dT carries those of ``h``.
+        """
+        out = np.zeros(h.shape[:-1] + (self.size,))
+        depth = len(self.levels)
+        totals = self._integrals([values] * depth, depth - 1)
+        work = self._tangent_buffers(h.shape[:-1])
+        half_dx = 0.5 * self.dx
+        h = h[..., None, :]
+        prev = None
+        for j, ((pows, parent), (dt, flat, sums, g, flat_g)) in enumerate(zip(self.levels, work)):
+            if prev is None:
+                np.multiply(h, pows, out=g)
+            else:
+                np.multiply(h, pows * totals[j - 1].take(parent, -2), out=g)
+                prev.take(parent, -2, dt, "clip")
+                dt *= pows * values
+                g += dt
+            # The trapezoid pass of ``_integrals``.
+            np.add(flat_g[1:], flat_g[:-1], out=flat)
+            flat *= half_dx
+            dt[..., 0] = 0.0
+            sums.cumsum(-1, out=sums)
+            if j + 1 in self.rows:
+                out += _contract(dt, self.rows[j + 1])
+            prev = dt
+        return out
+
     def endpoint(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
         """The sum of the orders at x = 1 only, shape (...).  An order n
         below the highest is sum_p w[p] T[p, -1], with T the integrals of
@@ -394,7 +472,9 @@ class SeriesTerms:
     orders, as the simulator's controller takes) on one mesh, at one state.
 
     One :class:`MeshCascade` of all orders, fed the same state in every
-    slot, so a suffix common to several orders is integrated once.
+    slot, so a suffix common to several orders is integrated once; the
+    derivative (:func:`linearized_values`) is a tangent pass of such a
+    cascade.
     ``profile`` and ``endpoint`` add the orders in increasing order; at
     x = 1 an order below the highest reads the last column of its own
     level and only the highest is folded.  Both agree with a loop over
@@ -429,16 +509,11 @@ def linearized_values(
     """The derivative of F at ``u`` applied to the mesh samples ``h``.
 
     The derivative of an order-n term replaces one ``u`` factor by ``h``
-    in each of the n slots and sums the results, so each order gets its
-    own cascade.  ``h`` may carry leading batch axes (the result then
-    has them too).
+    in each of the n slots and sums the results; one tangent pass of one
+    cascade of all orders forms that sum (:meth:`MeshCascade.tangent`).
+    ``h`` may carry leading batch axes (the result then has them too).
     """
-    out = np.zeros(h.shape[:-1] + (u.size,))
-    for n, kern in series.items():
-        term = MeshCascade({n: kern}, u.mesh)
-        for slot in range(n):
-            out += term.profile([h if i == slot else u.values for i in range(n)])
-    return out
+    return MeshCascade(series, u.mesh).tangent(u.values, h)
 
 
 def linearized_profile(

@@ -3,7 +3,8 @@ kernels built from rational coefficients and read back as them, the
 iterated divided-power expansion of a gap chain, the two tuple-keyed
 references for the exact kernel routes (the gap expansion in Fractions
 and the characteristic recursion), the reference evaluations of
-polynomial Volterra terms on a mesh, and the pointwise references: exact
+polynomial Volterra terms on a mesh and of the derivative slot by slot,
+two plant files, and the pointwise references: exact
 rational evaluation of polynomials and kernels, and Gauss quadrature of
 the series and of its derivative at a single upper limit."""
 
@@ -18,10 +19,16 @@ from hypothesis import strategies as st
 
 from volback.charkernels import pdae_closed_forms, pdae_plant
 from volback.gapcascade import cascade, pdae_b_family
+from volback.harness import parse_plant
 from volback.inversion import InversionDomainError
 from volback.polynomial import SimplexPolyKernel
 from volback.simplex import QuadratureRule, SimplexDomainError, ordered_splits, simplex_nodes
-from volback.volterra import GridFunction, VolterraKernelSeries
+from volback.volterra import GridFunction, MeshCascade, VolterraKernelSeries
+
+# A plant file shaped like the kernel-synthesis benchmark's plants, and one
+# with sigma >= 1 at m = 2 and unrelated denominators.
+KS_SHAPED = "2 0,0 -3/2\n2 0,1 1/2\n3 1,0,0 1 -1/4\n3 0,0,1 -4/3 -3/2\n"
+MIXED = "2 0,0 1/3\n2 1,0 2/7 1/5\n3 0,1,0 -5/6 1/9\n"
 
 
 @pytest.fixture(scope="session")
@@ -232,6 +239,13 @@ def reference_recursion(plant, n_max) -> tuple[dict, dict]:
     return kernels, couplings
 
 
+def plant_file(tmp_path, text):
+    """The parsed plant file with the given lines."""
+    path = tmp_path / "plant.txt"
+    path.write_text(text)
+    return parse_plant(path)
+
+
 @st.composite
 def packed_case(draw):
     """(width, vector): slots of 1..5 bits and a vector of 1..9 powers that
@@ -310,6 +324,18 @@ def assert_profile_within_rounding(value, orders, factors, mesh):
     bound = _rounding_bound(k, magnitude)
     excess = np.abs(value - want) - bound
     assert value.shape == want.shape and np.all(excess <= 0), (np.max(excess), value, want)
+
+
+def per_slot_linearized(series, u, h):
+    """Reference for ``linearized_values``: per order, one cascade of that
+    order alone, run once per slot with ``h`` in the slot and ``u`` in the
+    others, and the profiles summed."""
+    out = np.zeros(h.shape[:-1] + (u.size,))
+    for n, kern in series.items():
+        term = MeshCascade({n: kern}, u.mesh)
+        for slot in range(n):
+            out += term.profile([h if i == slot else u.values for i in range(n)])
+    return out
 
 
 def reference_endpoint(orders, factors, mesh):

@@ -26,27 +26,19 @@ from volback.simplex import SimplexDomainError, ordered_splits
 from volback.volterra import SeriesDefinitionError, VolterraKernelSeries
 
 from conftest import (
+    KS_SHAPED,
+    MIXED,
     exact_kernel,
     fraction_expansion,
+    plant_file,
     random_simplex_points,
     rational_poly,
     reference_recursion,
 )
 
-# Plant files shaped like the kernel-synthesis benchmark's plants, and the
-# benchmark's seed-1 plant itself (mixed denominators, degree-1 order-3
+# The benchmark's seed-1 plant (mixed denominators, degree-1 order-3
 # coefficients).
-KS_SHAPED = "2 0,0 -3/2\n2 0,1 1/2\n3 1,0,0 1 -1/4\n3 0,0,1 -4/3 -3/2\n"
 BENCH_SEED1 = "2 0,0 -2/3\n2 0,1 -1\n3 1,0,0 1/2 1/2\n3 0,0,1 1 -1\n"
-# sigma >= 1 at m = 2, and unrelated denominators.
-MIXED = "2 0,0 1/3\n2 1,0 2/7 1/5\n3 0,1,0 -5/6 1/9\n"
-
-
-def plant_file(tmp_path, text):
-    """The parsed plant file with the given lines."""
-    path = tmp_path / "plant.txt"
-    path.write_text(text)
-    return parse_plant(path)
 
 
 def x_power(k):

@@ -1,12 +1,14 @@
 """Transform inversion: radius selection, Picard iteration, derivative."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import frechet_dk
 from volback import inversion
+from volback.charkernels import build_controller_kernels, pdae_plant
 from volback.inversion import (
     InversionConfig,
     InversionDomainError,
@@ -22,9 +24,12 @@ from volback.verification import LIPSCHITZ_TOL
 from volback.volterra import (
     GainFunctions,
     GridFunction,
+    MeshCascade,
+    VolterraKernelSeries,
     build_gains,
     gain_ell,
     linearized_profile,
+    linearized_values,
     series_profile,
 )
 
@@ -154,6 +159,53 @@ class TestDerivative:
         assert mat[:, 10] == pytest.approx(col.values)
 
 
+class TestDkMatrixBlocks:
+    """``dk_matrix`` takes the identity through one cascade's tangent pass
+    in blocks of columns; every block edge gives the columns of the
+    unblocked tangent exactly, and the matrix is causal."""
+
+    @pytest.fixture(scope="class")
+    def series(self, kernel_series):
+        return VolterraKernelSeries({**kernel_series, 4: build_controller_kernels(pdae_plant(), 4)[4]})
+
+    # Blocks of 4 columns: less than one block, one block, exactly two and
+    # three blocks, and two and three blocks plus one column.
+    @pytest.mark.parametrize("m", [3, 4, 8, 9, 12, 13])
+    def test_block_edges(self, series, monkeypatch, m):
+        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, m)) + 0.1)
+        row_bytes = MeshCascade(series, u.mesh).tangent_row_bytes
+        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 4 * row_bytes + row_bytes // 2)
+        dk = dk_matrix(series, u)
+        assert np.array_equal(dk, linearized_values(series, u, np.eye(m)).T)
+        assert np.array_equal(np.triu(dk, 1), np.zeros((m, m)))
+
+    def test_lower_triangular_at_default_blocks(self, kernel_series):
+        mesh = np.linspace(0.0, 1.0, 201)
+        u = GridFunction(0.3 * np.sin(math.pi * mesh))
+        assert inversion.DK_BLOCK_BYTES // MeshCascade(kernel_series, mesh).tangent_row_bytes < 201
+        dk = dk_matrix(kernel_series, u)
+        assert np.array_equal(np.triu(dk, 1), np.zeros((201, 201)))
+        assert np.any(np.tril(dk))
+
+    def test_blocks_share_one_workspace(self, series, monkeypatch):
+        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 13)) + 0.1)
+        row_bytes = MeshCascade(series, u.mesh).tangent_row_bytes
+        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 4 * row_bytes)
+        calls = []
+        buffers = MeshCascade._tangent_buffers
+
+        def recording(self, batch):
+            work = buffers(self, batch)
+            calls.append((batch, self._tangent_block))
+            return work
+
+        monkeypatch.setattr(MeshCascade, "_tangent_buffers", recording)
+        dk_matrix(series, u)
+        assert [batch for batch, _ in calls] == [(4,)] * 3 + [(1,)]
+        assert all(block is calls[0][1] for _, block in calls[:3])
+        assert calls[3][1] is not calls[0][1]
+
+
 class TestNeumannEstimate:
     def test_bounded_by_geometric_series(self, kernel_series, gains, config):
         coarse = np.linspace(0.0, 1.0, 41)
@@ -194,6 +246,39 @@ class TestNeumannEstimate:
             u = GridFunction(0.5 * math.sqrt(config.s) * vals / np.abs(vals).max())
             want = self.inverse_singular_value(kernel_series, u)
             assert neumann_norm_estimate(kernel_series, u) == pytest.approx(want, rel=1e-12)
+
+
+    @pytest.mark.parametrize("m", [21, 61])
+    def test_sweep_within_resolution(self, kernel_series, m):
+        # Every finite estimate is within 1e-6 of the singular value
+        # decomposition's; the sweep ends where the Gram can no longer
+        # resolve lambda_min (cond 1.9e9 at 1e4 on M = 61), which reads inf.
+        mesh = np.linspace(0.0, 1.0, m)
+        finite = 0
+        for scale in np.geomspace(0.3, 1e4, 40):
+            u = GridFunction(scale * np.sin(math.pi * mesh))
+            est = neumann_norm_estimate(kernel_series, u)
+            if math.isfinite(est):
+                finite += 1
+                want = self.inverse_singular_value(kernel_series, u)
+                assert est == pytest.approx(want, rel=1e-6), scale
+        assert 20 <= finite < 40
+        assert est == math.inf
+
+    @pytest.mark.parametrize(
+        "m, values",
+        [
+            (61, lambda mesh: 1e4 * np.sin(math.pi * mesh)),  # cond 1.9e9: was 1352.39
+            (21, lambda mesh: np.full(mesh.size, 1e50)),  # cond 1e98: was 1.0
+            (21, lambda mesh: np.full(mesh.size, 1e100)),  # the Gram overflows: was LinAlgError
+        ],
+        ids=["sine-1e4", "ones-1e50", "ones-1e100"],
+    )
+    def test_unresolved_gives_inf(self, kernel_series, m, values):
+        u = GridFunction(values(np.linspace(0.0, 1.0, m)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert neumann_norm_estimate(kernel_series, u) == math.inf
 
 
 class TestLipschitzSampling:

@@ -12,18 +12,23 @@ import pytest
 
 import volback
 from volback import verification
+from volback.charkernels import build_controller_kernels
 from volback.harness import build_kernel_table, load_plant
 from volback.inversion import dk_matrix
 from volback.polynomial import SimplexPolyKernel, pdae_k2, pdae_k3
 from volback.simplex import QuadratureRule, SimplexDomainError, simplex_nodes
 from volback.verification import ALL_CHECKS, COUPLING_TOL
 from conftest import (
+    KS_SHAPED,
+    MIXED,
     QuadratureNode,
     _inner_integral,
     assert_endpoint_within_rounding,
     assert_profile_within_rounding,
     eval_series,
     exact_kernel,
+    per_slot_linearized,
+    plant_file,
 )
 from volback.volterra import (
     GainFunctions,
@@ -38,6 +43,7 @@ from volback.volterra import (
     gain_k,
     kernel_l2_sq,
     linearized_profile,
+    linearized_values,
     series_profile,
 )
 
@@ -499,6 +505,65 @@ class TestMeshCascade:
             linearized_profile(series, u, GridFunction(e)).values for e in np.eye(m)
         ]
         assert np.array_equal(dk_matrix(series, u), np.column_stack(columns))
+
+
+@pytest.fixture(scope="module")
+def plants(tmp_path_factory):
+    """The builtin plant and three plant files, by name."""
+    texts = {"ks-shaped": KS_SHAPED, "mixed": MIXED, "cubic": "3 0,0,0 1\n"}
+    found = {
+        name: plant_file(tmp_path_factory.mktemp(name), text).series
+        for name, text in texts.items()
+    }
+    return {"pdae": load_plant("pdae").series, **found}
+
+
+class TestTangent:
+    """``linearized_values`` is one tangent pass of one cascade of all
+    orders; it agrees with the per-slot reference (``per_slot_linearized``),
+    one cascade per order and one profile per slot, to within rounding."""
+
+    @staticmethod
+    def assert_matches_reference(series, m, seed):
+        rng = np.random.default_rng(seed)
+        mesh = np.linspace(0.0, 1.0, m)
+        u = GridFunction(0.3 * np.sin(math.pi * mesh) + 0.2 * mesh)
+        h = rng.standard_normal((3, m))
+        batched = linearized_values(series, u, h)
+        want = per_slot_linearized(series, u, h)
+        assert batched.shape == want.shape == (3, m)
+        for row, hb, ref in zip(batched, h, want):
+            alone = linearized_values(series, u, hb)
+            assert alone.shape == (m,)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(row - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(alone - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "plant, n, m",
+        [("pdae", n, m) for n in (2, 3, 4, 5) for m in (21, 101, 201)]
+        + [(p, n, m) for p in ("ks-shaped", "mixed") for n in (2, 3, 4) for m in (21, 101, 201)],
+    )
+    def test_matches_per_slot_reference(self, plants, plant, n, m):
+        series = build_controller_kernels(plants[plant], n)
+        assert all(kern.monomials for kern in series.values())
+        self.assert_matches_reference(series, m, seed=n * m)
+
+    def test_lowest_order_three(self, plants):
+        series = plants["cubic"]
+        assert list(series) == [3]
+        self.assert_matches_reference(series, 41, seed=3)
+
+    def test_zero_kernels_among_orders(self, plants):
+        series = build_controller_kernels(plants["cubic"], 5)
+        assert [n for n, kern in series.items() if not kern.monomials] == [2, 4]
+        self.assert_matches_reference(series, 41, seed=5)
+
+    def test_empty_series_gives_zeros(self):
+        h = np.random.default_rng(1).standard_normal((2, 3, 11))
+        u = GridFunction(np.linspace(0.0, 1.0, 11))
+        out = linearized_values(VolterraKernelSeries({}), u, h)
+        assert out.shape == (2, 3, 11) and not np.any(out)
 
 
 class TestQuadratureTerm:
