@@ -44,7 +44,7 @@ PICARD_TOL = 1e-10
 PICARD_MAX_ITERS = 200
 LIPSCHITZ_TRIALS = 20
 LIPSCHITZ_MESH_POINTS = 201
-DK_BLOCK_BYTES = 1 << 20  # the tangent work arrays of one block of dk_matrix columns
+DK_BLOCK_BYTES = 1 << 20  # tangent work arrays of a dk_matrix block, over its own mesh points
 NEUMANN_RESOLUTION = 1e-8  # the least lambda_min / lambda_max neumann_norm_estimate resolves
 
 
@@ -167,19 +167,15 @@ def invert_with_info(
 def dk_matrix(series: VolterraKernelSeries, u: GridFunction) -> np.ndarray:
     """Dense mesh matrix of h -> DK[u] h (columns are basis responses).
 
-    One cascade of all orders, built once, takes the identity's columns
-    through its tangent pass (:meth:`MeshCascade.tangent`) in blocks
-    whose work arrays fill at most ``DK_BLOCK_BYTES`` (one column at
-    least), so every block reuses one workspace.
+    DK[u] is causal, so the matrix is lower triangular.  One cascade of
+    all orders, built once, takes the identity's columns through its
+    tangent pass in blocks (:meth:`MeshCascade.tangent_matrix`): a block
+    of columns from c on integrates only the mesh points from c - 1 on,
+    and takes as many columns as fit those points' work arrays in
+    ``DK_BLOCK_BYTES`` (one column at least).  Every block reuses one
+    workspace and the value integrals of ``u``, formed once.
     """
-    m = u.size
-    cascade = MeshCascade(series, u.mesh)
-    width = max(1, DK_BLOCK_BYTES // max(cascade.tangent_row_bytes, 1))
-    eye = np.eye(m)
-    out = np.empty((m, m))
-    for start in range(0, m, width):
-        out[:, start : start + width] = cascade.tangent(u.values, eye[start : start + width]).T
-    return out
+    return MeshCascade(series, u.mesh).tangent_matrix(u.values, DK_BLOCK_BYTES)
 
 
 def neumann_norm_estimate(series: VolterraKernelSeries, u: GridFunction) -> float:
@@ -196,6 +192,9 @@ def neumann_norm_estimate(series: VolterraKernelSeries, u: GridFunction) -> floa
     from a singular value decomposition.  Otherwise, or when an entry of
     A or of the Gram is not finite, A is singular to working precision
     and the estimate is inf.
+
+    A is formed in the array ``dk_matrix`` returns, with the rounding of
+    I - DK[u] and of sq[:, None] * A / sq[None, :].
     """
     m = u.size
     wts = np.full(m, u.dx)
@@ -203,10 +202,13 @@ def neumann_norm_estimate(series: VolterraKernelSeries, u: GridFunction) -> floa
     wts[-1] *= 0.5
     sq = np.sqrt(wts)
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused below
-        a = np.eye(m) - dk_matrix(series, u)
+        a = dk_matrix(series, u)
+        np.subtract(0.0, a, out=a)
+        a.flat[:: m + 1] += 1.0  # 1 - d rounds as -d + 1
         # Similarity transform makes the weighted norm the euclidean norm.
-        a_w = sq[:, None] * a / sq[None, :]
-        gram = a_w.T @ a_w
+        a *= sq[:, None]
+        a /= sq[None, :]
+        gram = a.T @ a
     if not np.all(np.isfinite(gram)):
         return math.inf
     lam = np.linalg.eigvalsh(gram)
@@ -219,29 +221,25 @@ def lipschitz_check(series: VolterraKernelSeries, s: float, seed: int = 0) -> fl
 
     Draws ``LIPSCHITZ_TRIALS`` random pairs on the uniform mesh of
     ``LIPSCHITZ_MESH_POINTS`` with L2 norms at most sqrt(s) (smooth random
-    profiles, rescaled).
+    profiles, rescaled), and maps all of them with one batched profile.
     """
     rng = np.random.default_rng(seed)
     mesh = np.linspace(0.0, 1.0, LIPSCHITZ_MESH_POINTS)
-    terms = SeriesTerms(series, mesh)
+    modes = [np.sin((k + 1) * math.pi * mesh) for k in range(4)]
+    states = []
+    for _ in range(2 * LIPSCHITZ_TRIALS):
+        coeffs = rng.standard_normal(4)
+        vals = sum(c * mode for c, mode in zip(coeffs, modes)) + rng.standard_normal() * 0.3
+        g = GridFunction(vals)
+        target = math.sqrt(s) * rng.uniform(0.2, 0.999)
+        if g.l2_norm() > 0:
+            g = g.scale(target / g.l2_norm())
+        states.append(g.values)
+    images = SeriesTerms(series, mesh).profile(np.array(states))
     worst = 0.0
-    for _ in range(LIPSCHITZ_TRIALS):
-        pair = []
-        for _ in range(2):
-            coeffs = rng.standard_normal(4)
-            vals = sum(
-                c * np.sin((k + 1) * math.pi * mesh)
-                for k, c in enumerate(coeffs)
-            ) + rng.standard_normal() * 0.3
-            g = GridFunction(vals)
-            target = math.sqrt(s) * rng.uniform(0.2, 0.999)
-            if g.l2_norm() > 0:
-                g = g.scale(target / g.l2_norm())
-            pair.append(g)
-        u, v = pair
-        du = (u - v).l2_norm()
+    for u, v, ku, kv in zip(states[::2], states[1::2], images[::2], images[1::2]):
+        du = GridFunction(u - v).l2_norm()
         if du == 0:
             continue
-        dk = GridFunction(terms.profile(u.values) - terms.profile(v.values)).l2_norm()
-        worst = max(worst, dk / du)
+        worst = max(worst, GridFunction(ku - kv).l2_norm() / du)
     return worst

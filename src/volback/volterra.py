@@ -33,9 +33,12 @@ shares suffixes between orders.  The derivative at that state, summed
 over the slots, is one tangent pass of the same cascade
 (:meth:`MeshCascade.tangent`), so the derivative and the derivative
 matrix also use one cascade of all orders, and their cost does not grow
-with the number of slots.  Gauss quadrature on the simplex remains only
-for the kernel norms (:func:`kernel_l2_sq`), behind the gains and the
-coupling-bound check; no term is evaluated pointwise.
+with the number of slots.  The matrix is causal (lower triangular), and
+each block of its columns integrates only the mesh points where it can
+be nonzero (:meth:`MeshCascade.tangent_matrix`).  Gauss quadrature on
+the simplex remains only for the kernel norms (:func:`kernel_l2_sq`),
+behind the gains and the coupling-bound check; no term is evaluated
+pointwise.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -217,8 +220,10 @@ class MeshCascade:
     batch axes.  The work arrays are one block, allocated again only when
     the batch axes change its size; each call overwrites them, and no
     result aliases them.  The tangent (``tangent``), the derivative of the
-    profile at one state in every slot, has a block of its own, sized for
-    the batch axes of its direction.
+    profile at one state in every slot, has a block of its own for each
+    call, sized for the batch axes of its direction; its matrix
+    (``tangent_matrix``) takes the unit directions in column blocks that
+    share one block and skip the points where the matrix is 0.
     """
 
     def __init__(self, orders: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
@@ -253,9 +258,6 @@ class MeshCascade:
         self._block = np.empty(0)
         self._work: list[tuple[np.ndarray, ...]] = []
         self._totals: list[np.ndarray] = []
-        self._tangent_batch: tuple | None = None
-        self._tangent_block = np.empty(0)
-        self._tangent_work: list[tuple[np.ndarray, ...]] = []
 
     @cached_property
     def rows(self) -> Dict[int, np.ndarray]:
@@ -357,33 +359,80 @@ class MeshCascade:
         return sum(parts, np.zeros(self.size))
 
     @property
-    def tangent_row_bytes(self) -> int:
-        """Bytes of the tangent's work arrays per row of its ``h``: three
-        areas of floats (two for the levels in turn, one for the scratch),
-        each the widest level's nodes by M."""
-        return 3 * 8 * self.size * max((len(pows) for pows, _ in self.levels), default=0)
+    def tangent_point_bytes(self) -> int:
+        """Bytes of the tangent's work arrays per direction and mesh point:
+        two areas of floats (dT, which each level overwrites in turn, and the
+        scratch g), each as wide as the widest level."""
+        return 2 * 8 * max((len(pows) for pows, _ in self.levels), default=0)
 
-    def _tangent_buffers(self, batch: tuple[int, ...]) -> list:
-        """Per level, for the batch axes ``batch`` of a tangent: dT
-        (..., nodes, M) with views of its flat memory past the first element
-        and of its columns past the first, and g with a flat view.  Even
-        levels lie in the first area of one block, odd ones in the second,
-        and g in the third; the block is allocated again only when the batch
-        axes change."""
-        if batch == self._tangent_batch:
-            return self._tangent_work
-        area = math.prod(batch) * self.tangent_row_bytes // 24  # floats
-        if self._tangent_block.size != 3 * area:
-            self._tangent_block = np.empty(3 * area)
-        self._tangent_batch, self._tangent_work = batch, []
-        for j, (pows, _) in enumerate(self.levels):
-            shape = batch + pows.shape
+    def _tangent_factors(self, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Per level j, the factors of the tangent at ``values`` that no
+        direction changes, on the whole mesh: x**a T_{j-1}[parent], which
+        multiplies h (x**a at level 0, where T_{-1} = 1), and x**a u, which
+        multiplies dT_{j-1}[parent] (None at level 0).  The value integrals
+        T_j are formed here, once per state."""
+        depth = len(self.levels)
+        totals = self._integrals([values] * depth, depth - 1)
+        return [
+            (pows, None) if j == 0 else (pows * totals[j - 1].take(parent, -2), pows * values)
+            for j, (pows, parent) in enumerate(self.levels)
+        ]
+
+    def _tangent_buffers(self, block: np.ndarray, batch: tuple[int, ...], points: int) -> list:
+        """Per level, for the batch axes ``batch`` of a tangent over
+        ``points`` mesh points: dT (..., nodes, points) with views of its
+        flat memory past the first element and of its columns past the
+        first, and g with a flat view.  dT lies in the first half of
+        ``block`` and g in the second; level j forms its g from
+        dT_{j-1} before its own dT overwrites it."""
+        half = block[block.size // 2 :]
+        work = []
+        for pows, _ in self.levels:
+            shape = batch + (len(pows), points)
             size = math.prod(shape)
-            flat = self._tangent_block[(j % 2) * area :][:size]
-            flat_g = self._tangent_block[2 * area :][:size]
+            flat, flat_g = block[:size], half[:size]
             dt = flat.reshape(shape)
-            self._tangent_work.append((dt, flat[1:], dt[..., 1:], flat_g.reshape(shape), flat_g))
-        return self._tangent_work
+            work.append((dt, flat[1:], dt[..., 1:], flat_g.reshape(shape), flat_g))
+        return work
+
+    def _tangent_pass(
+        self,
+        factors: list,
+        work: list,
+        out: np.ndarray,
+        h: np.ndarray | None = None,
+        start: int = 0,
+        lo: int = 0,
+    ) -> None:
+        """Add the tangent over mesh points lo.. to ``out``, in the
+        directions ``h`` (..., 1, M) or, when ``h`` is None, in the unit
+        directions start, start + 1, ... (one per row of ``out``), each 1 at
+        its own point and 0 elsewhere, so the term h x**a T_{j-1}[parent]
+        is that point's factor alone.  dT is 0 at point ``lo``."""
+        half_dx = 0.5 * self.dx
+        prev = None
+        for j, ((_, parent), (inject, weight), (dt, flat, sums, g, flat_g)) in enumerate(
+            zip(self.levels, factors, work)
+        ):
+            if prev is None:
+                g.fill(0.0)
+            else:
+                prev.take(parent, -2, g, "clip")
+                g *= weight[:, lo:]
+            if h is None:
+                cols = np.arange(len(g))
+                g[cols, :, cols + (start - lo)] += inject[:, cols + start].T
+            else:
+                np.multiply(h, inject, out=dt)
+                g += dt
+            # The trapezoid pass of ``_integrals``.
+            np.add(flat_g[1:], flat_g[:-1], out=flat)
+            flat *= half_dx
+            dt[..., 0] = 0.0
+            sums.cumsum(-1, out=sums)
+            if j + 1 in self.rows:
+                out += _contract(dt, self.rows[j + 1][:, lo:])
+            prev = dt
 
     def tangent(self, values: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The derivative of ``profile`` at ``values`` in every slot applied
@@ -395,7 +444,7 @@ class MeshCascade:
         T_j = I(u x**a T_{j-1}[parent]), I the trapezoid pass of
         ``_integrals``, have the tangent
 
-            dT_j = I(x**a (h T_{j-1}[parent] + u dT_{j-1}[parent])),
+            dT_j = I(x**a u dT_{j-1}[parent] + h x**a T_{j-1}[parent]),
 
         with T_{-1} = 1 and dT_{-1} = 0, and each order reads dT with the
         rows of its profile.  Each level is linear in each factor, so this
@@ -403,29 +452,46 @@ class MeshCascade:
         within rounding.  The integrals of ``values`` carry no batch axis;
         only dT carries those of ``h``.
         """
-        out = np.zeros(h.shape[:-1] + (self.size,))
-        depth = len(self.levels)
-        totals = self._integrals([values] * depth, depth - 1)
-        work = self._tangent_buffers(h.shape[:-1])
-        half_dx = 0.5 * self.dx
-        h = h[..., None, :]
-        prev = None
-        for j, ((pows, parent), (dt, flat, sums, g, flat_g)) in enumerate(zip(self.levels, work)):
-            if prev is None:
-                np.multiply(h, pows, out=g)
-            else:
-                np.multiply(h, pows * totals[j - 1].take(parent, -2), out=g)
-                prev.take(parent, -2, dt, "clip")
-                dt *= pows * values
-                g += dt
-            # The trapezoid pass of ``_integrals``.
-            np.add(flat_g[1:], flat_g[:-1], out=flat)
-            flat *= half_dx
-            dt[..., 0] = 0.0
-            sums.cumsum(-1, out=sums)
-            if j + 1 in self.rows:
-                out += _contract(dt, self.rows[j + 1])
-            prev = dt
+        batch = h.shape[:-1]
+        out = np.zeros(batch + (self.size,))
+        block = np.empty(math.prod(batch) * self.size * self.tangent_point_bytes // 8)
+        work = self._tangent_buffers(block, batch, self.size)
+        self._tangent_pass(self._tangent_factors(values), work, out, h[..., None, :])
+        return out
+
+    def tangent_matrix(self, values: np.ndarray, block_bytes: int) -> np.ndarray:
+        """The (M, M) matrix of ``tangent`` at ``values``: column c is the
+        tangent in the direction of the c-th unit vector.
+
+        The tangent is causal: in a direction that is 0 before point c, dT
+        is 0 at every point before c, so the matrix is lower triangular.  A
+        block of columns start.. is integrated only over the points from
+        lo = max(start - 1, 0) on, with dT 0 at lo (the trapezoid term
+        between points start - 1 and start is the first that can be
+        nonzero).  The terms it skips are zeros, which add exactly 0 to each
+        sequential ``cumsum``, and every column reads the same nodes in the
+        same order, so each entry is the one ``tangent`` gives, bit for bit,
+        wherever the factors are finite.
+
+        A block takes as many columns as fit its work arrays over its own
+        points in ``block_bytes`` (one column at least), so later blocks
+        are wider.  The blocks share one workspace and the factors of
+        ``_tangent_factors``, each formed once per call.
+        """
+        m = self.size
+        point_bytes = self.tangent_point_bytes
+        blocks, start = [], 0
+        while start < m:
+            lo = max(start - 1, 0)
+            width = min(m - start, max(1, block_bytes // max(point_bytes * (m - lo), 1)))
+            blocks.append((start, width, lo))
+            start += width
+        block = np.empty(max(width * (m - lo) for _, width, lo in blocks) * point_bytes // 8)
+        factors = self._tangent_factors(values)
+        out = np.zeros((m, m))
+        for start, width, lo in blocks:
+            work = self._tangent_buffers(block, (width,), m - lo)
+            self._tangent_pass(factors, work, out[lo:, start : start + width].T, start=start, lo=lo)
         return out
 
     def endpoint(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:

@@ -13,6 +13,7 @@ from volback.inversion import (
     InversionConfig,
     InversionDomainError,
     LIPSCHITZ_MESH_POINTS,
+    LIPSCHITZ_TRIALS,
     choose_radius,
     dk_matrix,
     invert_with_info,
@@ -161,49 +162,107 @@ class TestDerivative:
 
 class TestDkMatrixBlocks:
     """``dk_matrix`` takes the identity through one cascade's tangent pass
-    in blocks of columns; every block edge gives the columns of the
-    unblocked tangent exactly, and the matrix is causal."""
+    in blocks of columns, each over the mesh points from its first column
+    less one on; every block edge gives the columns of the unblocked
+    tangent exactly, and the matrix is causal."""
 
     @pytest.fixture(scope="class")
     def series(self, kernel_series):
         return VolterraKernelSeries({**kernel_series, 4: build_controller_kernels(pdae_plant(), 4)[4]})
 
-    # Blocks of 4 columns: less than one block, one block, exactly two and
-    # three blocks, and two and three blocks plus one column.
-    @pytest.mark.parametrize("m", [3, 4, 8, 9, 12, 13])
-    def test_block_edges(self, series, monkeypatch, m):
-        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, m)) + 0.1)
-        row_bytes = MeshCascade(series, u.mesh).tangent_row_bytes
-        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 4 * row_bytes + row_bytes // 2)
-        dk = dk_matrix(series, u)
-        assert np.array_equal(dk, linearized_values(series, u, np.eye(m)).T)
-        assert np.array_equal(np.triu(dk, 1), np.zeros((m, m)))
-
-    def test_lower_triangular_at_default_blocks(self, kernel_series):
-        mesh = np.linspace(0.0, 1.0, 201)
-        u = GridFunction(0.3 * np.sin(math.pi * mesh))
-        assert inversion.DK_BLOCK_BYTES // MeshCascade(kernel_series, mesh).tangent_row_bytes < 201
-        dk = dk_matrix(kernel_series, u)
-        assert np.array_equal(np.triu(dk, 1), np.zeros((201, 201)))
-        assert np.any(np.tril(dk))
-
-    def test_blocks_share_one_workspace(self, series, monkeypatch):
-        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 13)) + 0.1)
-        row_bytes = MeshCascade(series, u.mesh).tangent_row_bytes
-        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 4 * row_bytes)
+    @staticmethod
+    def recorded_blocks(monkeypatch):
+        """Record, per block, the workspace, the batch axes, the mesh points
+        and the work arrays ``_tangent_buffers`` hands out."""
         calls = []
         buffers = MeshCascade._tangent_buffers
 
-        def recording(self, batch):
-            work = buffers(self, batch)
-            calls.append((batch, self._tangent_block))
+        def recording(self, block, batch, points):
+            work = buffers(self, block, batch, points)
+            calls.append((block, batch, points, work))
             return work
 
         monkeypatch.setattr(MeshCascade, "_tangent_buffers", recording)
+        return calls
+
+    def blocks(self, series, u, monkeypatch):
+        """The (batch, points) of each block of ``dk_matrix``, whose matrix
+        is held to the unblocked tangent exactly and to be causal."""
+        want = linearized_values(series, u, np.eye(u.size)).T
+        calls = self.recorded_blocks(monkeypatch)
+        dk = dk_matrix(series, u)
+        assert np.array_equal(dk, want)
+        assert np.array_equal(np.triu(dk, 1), np.zeros((u.size, u.size)))
+        return [(batch, points) for _, batch, points, _ in calls]
+
+    # A first block of 4 columns over all m points; later blocks, over
+    # fewer points, are wider: less than one block, one block, exactly two
+    # blocks, two blocks where the second is wider, and three blocks.
+    WIDTHS = {3: [3], 4: [4], 8: [4, 4], 9: [4, 5], 12: [4, 6, 2], 13: [4, 5, 4]}
+
+    @pytest.mark.parametrize("m", [3, 4, 8, 9, 12, 13])
+    def test_block_edges(self, series, monkeypatch, m):
+        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, m)) + 0.1)
+        point_bytes = MeshCascade(series, u.mesh).tangent_point_bytes
+        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 4 * point_bytes * m + point_bytes * m // 2)
+        widths = self.WIDTHS[m]
+        starts = np.cumsum([0] + widths[:-1])
+        assert self.blocks(series, u, monkeypatch) == [
+            ((w,), m - max(s - 1, 0)) for s, w in zip(starts, widths)
+        ]
+
+    def test_one_column_per_block(self, series, monkeypatch):
+        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 13)) + 0.1)
+        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 1)
+        assert self.blocks(series, u, monkeypatch) == [((1,), 13)] + [
+            ((1,), 13 - (s - 1)) for s in range(1, 13)
+        ]
+
+    def test_one_block_from_column_zero(self, series, monkeypatch):
+        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 41)) + 0.1)
+        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 1 << 30)
+        assert self.blocks(series, u, monkeypatch) == [((41,), 41)]
+
+    def test_lower_triangular_at_default_blocks(self, kernel_series, monkeypatch):
+        mesh = np.linspace(0.0, 1.0, 201)
+        u = GridFunction(0.3 * np.sin(math.pi * mesh))
+        calls = self.recorded_blocks(monkeypatch)
+        dk = dk_matrix(kernel_series, u)
+        assert np.array_equal(np.triu(dk, 1), np.zeros((201, 201)))
+        assert np.any(np.tril(dk))
+        widths = [batch[0] for _, batch, _, _ in calls]
+        assert len(widths) > 2 and widths[:-1] == sorted(widths[:-1])
+
+    @pytest.mark.parametrize("order, m", [(4, 201), (5, 101)])
+    def test_default_blocks_match_unblocked(self, monkeypatch, order, m):
+        series = build_controller_kernels(pdae_plant(), order)
+        u = GridFunction(0.3 * np.sin(math.pi * np.linspace(0.0, 1.0, m)))
+        assert len(self.blocks(series, u, monkeypatch)) > 1
+
+    def test_blocks_share_one_workspace(self, series, monkeypatch):
+        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 13)) + 0.1)
+        point_bytes = MeshCascade(series, u.mesh).tangent_point_bytes
+        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 4 * point_bytes * 13)
+        calls = self.recorded_blocks(monkeypatch)
         dk_matrix(series, u)
-        assert [batch for batch, _ in calls] == [(4,)] * 3 + [(1,)]
-        assert all(block is calls[0][1] for _, block in calls[:3])
-        assert calls[3][1] is not calls[0][1]
+        block = calls[0][0]
+        assert len(calls) > 1 and all(b is block for b, _, _, _ in calls)
+        assert block.nbytes <= inversion.DK_BLOCK_BYTES
+        for _, _, _, work in calls:
+            assert all(a.base is block for arrays in work for a in arrays)
+
+    def test_value_integrals_formed_once(self, series, monkeypatch):
+        u = GridFunction(0.3 * np.sin(math.pi * np.linspace(0.0, 1.0, 201)))
+        depths = []
+        integrals = MeshCascade._integrals
+
+        def recording(self, factors, depth):
+            depths.append(depth)
+            return integrals(self, factors, depth)
+
+        monkeypatch.setattr(MeshCascade, "_integrals", recording)
+        dk_matrix(series, u)  # in several blocks at the default DK_BLOCK_BYTES
+        assert depths == [3]
 
 
 class TestNeumannEstimate:
@@ -236,6 +295,18 @@ class TestNeumannEstimate:
         sq = np.sqrt(wts)
         a_w = sq[:, None] * a / sq[None, :]
         return 1.0 / np.linalg.svd(a_w, compute_uv=False)[-1]
+
+    def test_in_place_matches_formula(self, kernel_series):
+        # A = I - DK[u], weighted, formed out of place: the same floats.
+        m = 201
+        u = GridFunction(0.3 * np.sin(math.pi * np.linspace(0.0, 1.0, m)))
+        wts = np.full(m, u.dx)
+        wts[[0, -1]] *= 0.5
+        sq = np.sqrt(wts)
+        a = np.eye(m) - dk_matrix(kernel_series, u)
+        a_w = sq[:, None] * a / sq[None, :]
+        lam = np.linalg.eigvalsh(a_w.T @ a_w)
+        assert neumann_norm_estimate(kernel_series, u) == 1.0 / math.sqrt(lam[0])
 
     def test_matches_smallest_singular_value(self, kernel_series, config):
         mesh = np.linspace(0.0, 1.0, 61)
@@ -287,6 +358,25 @@ class TestLipschitzSampling:
         threshold = math.sqrt(gain_ell(gains, config.s))
         assert worst <= threshold + 1e-6
         assert threshold == pytest.approx(math.sqrt(0.5), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_per_pair_profiles(self, kernel_series, config, seed):
+        # The profiles drawn and mapped one pair at a time give the same ratio.
+        rng = np.random.default_rng(seed)
+        mesh = np.linspace(0.0, 1.0, LIPSCHITZ_MESH_POINTS)
+        worst = 0.0
+        for _ in range(LIPSCHITZ_TRIALS):
+            pair = []
+            for _ in range(2):
+                coeffs = rng.standard_normal(4)
+                vals = sum(c * np.sin((k + 1) * math.pi * mesh) for k, c in enumerate(coeffs))
+                g = GridFunction(vals + rng.standard_normal() * 0.3)
+                target = math.sqrt(config.s) * rng.uniform(0.2, 0.999)
+                pair.append(g.scale(target / g.l2_norm()))
+            u, v = pair
+            dk = series_profile(kernel_series, u) - series_profile(kernel_series, v)
+            worst = max(worst, dk.l2_norm() / (u - v).l2_norm())
+        assert lipschitz_check(kernel_series, config.s, seed) == worst
 
 
 class TestEvaluatorsBuiltOnce:
