@@ -622,6 +622,14 @@ def cmd_invert(args) -> int:
     if not rows or len(rows) < 3:
         raise ConfigError(f"input {args.input} has too few rows")
     header = rows[0]
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise ConfigError(f"input {args.input} repeats the column {repeated[0]!r}")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) > len(header):
+            raise ConfigError(
+                f"input {args.input}: line {line} has {len(row)} cells, the header {len(header)}"
+            )
     if "w" not in header:
         raise ConfigError(f"input {args.input} has no 'w' column; found {header}")
     w = GridFunction(_csv_column(rows, header.index("w"), args.input))

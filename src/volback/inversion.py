@@ -30,7 +30,6 @@ from .volterra import (
     GainFunctions,
     GridFunction,
     MeshCascade,
-    SeriesTerms,
     VolterraKernelSeries,
     build_gains,
     gain_ell,
@@ -148,7 +147,7 @@ def invert_with_info(
         raise InversionDomainError(
             f"target norm^2 {norm_sq:.4g} is not below rho_L {config.rho_L:.4g}"
         )
-    terms = SeriesTerms(series, w.mesh)
+    terms = MeshCascade(series, w.mesh)
     u = w
     residuals: list[float] = []
     converged = False
@@ -235,7 +234,7 @@ def lipschitz_check(series: VolterraKernelSeries, s: float, seed: int = 0) -> fl
         if g.l2_norm() > 0:
             g = g.scale(target / g.l2_norm())
         states.append(g.values)
-    images = SeriesTerms(series, mesh).profile(np.array(states))
+    images = MeshCascade(series, mesh).profile(np.array(states))
     worst = 0.0
     for u, v, ku, kv in zip(states[::2], states[1::2], images[::2], images[1::2]):
         du = GridFunction(u - v).l2_norm()

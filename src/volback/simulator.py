@@ -9,11 +9,12 @@ value at every stage so the scheme stays consistent with the
 time-varying boundary condition.
 
 The controller, and any plant other than the builtin quadratic one, is
-evaluated by one :class:`~volback.volterra.SeriesTerms` built per run: a
-single mesh cascade for all orders.  Both come as a
-:class:`~volback.volterra.VolterraKernelSeries`, so every kernel was
-checked when its series was built.  The builtin plant keeps its closed form
-(int_0^x u)^2 / 2, its running integral one cumulative trapezoid sum.
+evaluated by one :class:`~volback.volterra.MeshCascade` of all orders
+built per run, which takes the state once for every slot.  Both come as
+a :class:`~volback.volterra.VolterraKernelSeries`, so every kernel was
+checked when its series was built.  The builtin plant keeps its closed
+form (int_0^x u)^2 / 2, its running integral one cumulative trapezoid
+sum.
 
 Also here: the target semigroup (pure left transport with zero inflow,
 which annihilates any profile in finite time 1), the closed-loop
@@ -34,7 +35,7 @@ from .charkernels import is_pdae_plant
 from .polynomial import SimplexPolyKernel
 from .volterra import (
     GridFunction,
-    SeriesTerms,
+    MeshCascade,
     VolterraKernelSeries,
     trie_nodes,
 )
@@ -182,16 +183,15 @@ def _controller_kernels(
     return {n: kernels[n] for n in range(2, order_cap + 1)}
 
 
-def feedback(values: np.ndarray, controller: SeriesTerms) -> float:
+def feedback(values: np.ndarray, controller: MeshCascade) -> float:
     """Boundary value K[u](1) of the state sampled at ``values``, from
-    the prebuilt controller evaluator (a
-    :class:`~volback.volterra.SeriesTerms`; ``simulate`` builds one per
-    run): each order's x = 1 value, added in increasing order.  A lower
+    the prebuilt controller cascade (``simulate`` builds one per run):
+    each order's x = 1 value, added in increasing order.  A lower
     order reads the last column of its own trie level; only the highest
     order's outermost integral is folded into one weighted sum (see
     :meth:`~volback.volterra.MeshCascade.endpoint`).  It agrees with the
     last value of K[u]'s profile to within rounding."""
-    return controller.endpoint(values)
+    return float(controller.endpoint(values))
 
 
 def controller_cap(controller: str, n_max: int) -> int | None:
@@ -251,7 +251,7 @@ def simulate(
     dt = cfg.cfl * dx
     mesh = np.linspace(0.0, 1.0, m)
     nonlinearity = _plant_nonlinearity(plant, mesh)
-    controller = None if control is None else SeriesTerms(control, mesh)
+    controller = None if control is None else MeshCascade(control, mesh)
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = _advection(values, dx)
@@ -366,7 +366,7 @@ def _plant_nonlinearity(
 
         return quadratic
 
-    return SeriesTerms(plant, mesh).profile
+    return MeshCascade(plant, mesh).profile
 
 
 def target_semigroup(w0: GridFunction, t: float) -> GridFunction:
@@ -415,7 +415,7 @@ def mild_solution_residual(
         raise NotApplicableError(
             "mild-solution residual is undefined for a blow-up record"
         )
-    terms = SeriesTerms(kernels, record.mesh)
+    terms = MeshCascade(kernels, record.mesh)
     u0 = GridFunction(record.snapshots[0])
     w0 = u0 - GridFunction(terms.profile(u0.values))
     worst = 0.0

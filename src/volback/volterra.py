@@ -26,19 +26,18 @@ alone, where only the highest order skips its outermost pass; either
 agrees with the nested trapezoid rule of each monomial alone to within
 rounding.
 
-Where every slot carries the same state (series profiles, the Picard
-and Lipschitz loops, the simulator's plant and controller),
-:class:`SeriesTerms` evaluates all orders with one cascade, whose trie
-shares suffixes between orders.  The derivative at that state, summed
-over the slots, is one tangent pass of the same cascade
-(:meth:`MeshCascade.tangent`), so the derivative and the derivative
-matrix also use one cascade of all orders, and their cost does not grow
-with the number of slots.  The matrix is causal (lower triangular), and
-each block of its columns integrates only the mesh points where it can
-be nonzero (:meth:`MeshCascade.tangent_matrix`).  Gauss quadrature on
-the simplex remains only for the kernel norms (:func:`kernel_l2_sq`),
-behind the gains and the coupling-bound check; no term is evaluated
-pointwise.
+The cascade takes the state once, for every slot, and evaluates all
+orders together (series profiles, the Picard and Lipschitz loops, the
+simulator's plant and controller), its trie sharing suffixes between
+orders.  The derivative at that state, summed over the slots, is one
+tangent pass of the same cascade (:meth:`MeshCascade.tangent`), so the
+derivative and the derivative matrix also use one cascade of all
+orders, and their cost does not grow with the number of slots.  The
+matrix is causal (lower triangular), and each block of its columns
+integrates only the mesh points where it can be nonzero
+(:meth:`MeshCascade.tangent_matrix`).  Gauss quadrature on the simplex
+remains only for the kernel norms (:func:`kernel_l2_sq`), behind the
+gains and the coupling-bound check; no term is evaluated pointwise.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -63,7 +62,7 @@ import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -189,11 +188,11 @@ class MeshCascade:
     Built once from the kernels of one or several orders ``{n: kernel}``
     and the uniform mesh, it evaluates the sum over every order n of
 
-        sum c x**e int_0^x xi_1**a_1 f_1(xi_1) int_0^xi_1 ... f_n(xi_n) dxi
+        sum c x**e int_0^x xi_1**a_1 u(xi_1) int_0^xi_1 ... u(xi_n) dxi
 
-    over its monomials, c the float of numerator / den, innermost slot
-    first, each level one cumulative trapezoid pass (exactly the
-    mesh-aligned nested trapezoid rule).  Monomials with
+    over its monomials at one state u, c the float of numerator / den,
+    innermost slot first, each level one cumulative trapezoid pass
+    (exactly the mesh-aligned nested trapezoid rule).  Monomials with
     equal trailing exponents share their inner passes: the exponent
     tuples of all orders form one suffix trie, level j holding the
     length-(j+1) suffixes, and each level is one batched ``cumsum`` over
@@ -212,18 +211,14 @@ class MeshCascade:
     with it, and the x = 1 value with the profile's last value, to within
     rounding, not bit for bit.
 
-    ``factors`` has one mesh sample per level, outermost first; level j
-    reads ``factors[-1 - j]``, so for a single order ``factors[i]`` is
-    slot i, and an order below the deepest reads the last n factors.
-    Orders share a suffix only in value, so a cascade of several orders
-    is meant for equal factors in every slot.  Factors may carry leading
-    batch axes.  The work arrays are one block, allocated again only when
-    the batch axes change its size; each call overwrites them, and no
-    result aliases them.  The tangent (``tangent``), the derivative of the
-    profile at one state in every slot, has a block of its own for each
-    call, sized for the batch axes of its direction; its matrix
-    (``tangent_matrix``) takes the unit directions in column blocks that
-    share one block and skip the points where the matrix is 0.
+    ``profile`` and ``endpoint`` take the mesh samples of one state u,
+    which fills every slot, with optional leading batch axes.  Their work
+    arrays are one block, allocated again only when the batch axes
+    change; each call overwrites it, and no result aliases it.  The
+    tangent (``tangent``), the derivative of the profile at u, has a block
+    of its own for each call, sized for the batch axes of its direction;
+    its matrix (``tangent_matrix``) takes the unit directions in column
+    blocks that share one block and skip the points where the matrix is 0.
     """
 
     def __init__(self, orders: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
@@ -254,8 +249,7 @@ class MeshCascade:
                     np.array([c / kern.den for c in kern.monomials.values()]),
                     np.array([pw[e] for e, _ in kern.monomials]),
                 )
-        self._batch: list | None = None
-        self._block = np.empty(0)
+        self._batch: tuple[int, ...] | None = None
         self._work: list[tuple[np.ndarray, ...]] = []
         self._totals: list[np.ndarray] = []
 
@@ -293,68 +287,59 @@ class MeshCascade:
             folds[top] = _rows(parent[ids], coef[:, None] * pows[ids]) * weights
         return folds
 
-    def _buffers(self, factors: Sequence[np.ndarray]) -> list:
-        """Per level, for the batch shapes of ``factors``: the integrals
-        (..., nodes, M) with views of their flat memory (the gathered
-        parent integrals at its start, the trapezoid terms from its
-        second slot on) and of their columns past the first, and g, a
-        view of a scratch area that the levels share.
-
-        All of it lies in one block, sized as if every level carried the
-        batch axes of all factors, so calls that move a batched factor
-        from slot to slot reuse one block."""
-        batch = [f.shape for f in factors]
+    def _buffers(self, batch: tuple[int, ...]) -> list:
+        """Per level, for the batch axes ``batch`` of the state, the
+        integrals (..., nodes, M) and g laid out by ``_layout``: the
+        integrals of every level in one block, after a scratch area for g
+        that the levels share.  The block is allocated again only when the
+        batch axes change."""
         if batch == self._batch:
             return self._work
-        shapes, shape = [], ()
-        for (pows, _), f in zip(self.levels, reversed(factors)):
-            prev, shape = shape, np.broadcast_shapes(shape, f.shape[:-1])
-            shapes.append((prev + pows.shape, shape + pows.shape))
         rows = [len(pows) for pows, _ in self.levels]
-        scratch_rows = max(rows, default=0)
-        width = math.prod(shape) * self.size  # one row with every batch axis
-        if self._block.size != width * (scratch_rows + sum(rows)):
-            self._block = np.empty(width * (scratch_rows + sum(rows)))
-        scratch = self._block[: width * scratch_rows]
-        start = scratch.size
+        width = math.prod(batch) * self.size  # one row
+        start = width * max(rows, default=0)  # after g's scratch area
+        block = np.empty(start + width * sum(rows))
         self._batch, self._work = batch, []
-        for gathered_shape, level_shape in shapes:
-            size = math.prod(level_shape)
-            flat = self._block[start : start + size]
-            start += size
-            total = flat.reshape(level_shape)
-            g = scratch[:size].reshape(level_shape)
-            gathered = flat[: math.prod(gathered_shape)].reshape(gathered_shape)
-            self._work.append((total, gathered, flat[1:], total[..., 1:], g, g.reshape(-1)))
+        for n in rows:
+            self._work.append(_layout(block[start:], block, batch + (n, self.size)))
+            start += width * n
         self._totals = [w[0] for w in self._work]
         return self._work
 
-    def _integrals(self, factors: Sequence[np.ndarray], depth: int) -> list[np.ndarray]:
-        """The cumulative integrals of levels 0..depth-1, shape (..., nodes, M)."""
-        work = self._buffers(factors)
-        half_dx = 0.5 * self.dx
+    def _trapezoid(self, work: tuple) -> None:
+        """One cumulative trapezoid pass of a level, from its g into its
+        integrals (``_layout``'s views)."""
+        out, flat, sums, _, flat_g = work
+        # dx * (g[1:] + g[:-1]) / 2.0 per node: stored outputs are pinned
+        # to its rounding (halving is exact outside the subnormal range,
+        # so one product with dx / 2 rounds as the two steps do).  Formed
+        # over the flat arrays, so each node's first column holds a term
+        # mixing two nodes; it is reset to the integral from 0 to 0.
+        np.add(flat_g[1:], flat_g[:-1], out=flat)
+        flat *= 0.5 * self.dx
+        out[..., 0] = 0.0
+        sums.cumsum(-1, out=sums)
+
+    def _integrals(self, values: np.ndarray, depth: int) -> list[np.ndarray]:
+        """The cumulative integrals of levels 0..depth-1 at the state
+        ``values`` in every slot, shape (..., nodes, M)."""
+        work = self._buffers(values.shape[:-1])
         prev = None
-        for (pows, parent), f, (total, gathered, flat, sums, g, flat_g) in zip(
-            self.levels[:depth], reversed(factors), work
-        ):
-            np.multiply(f[..., None, :], pows, out=g)
+        for (pows, parent), level in zip(self.levels[:depth], work):
+            total, _, _, g, _ = level
+            np.multiply(values[..., None, :], pows, out=g)
             if prev is not None:
-                g *= prev.take(parent, -2, gathered, "clip")
-            # dx * (g[1:] + g[:-1]) / 2.0 per node: stored outputs are pinned
-            # to its rounding (halving is exact outside the subnormal range,
-            # so one product with dx / 2 rounds as the two steps do).  Formed
-            # over the flat arrays, so each node's first column holds a term
-            # mixing two nodes; it is reset to the integral from 0 to 0.
-            np.add(flat_g[1:], flat_g[:-1], out=flat)
-            flat *= half_dx
-            total[..., 0] = 0.0
-            sums.cumsum(-1, out=sums)
+                # The gathered parents borrow the level's own integrals,
+                # which the trapezoid pass then overwrites.
+                g *= prev.take(parent, -2, total, "clip")
+            self._trapezoid(level)
             prev = total
         return self._totals
 
-    def profile(self, factors: Sequence[np.ndarray]) -> np.ndarray:
-        """The sum of the orders on the whole mesh, shape (..., M)."""
-        totals = self._integrals(factors, len(self.levels))
+    def profile(self, values: np.ndarray) -> np.ndarray:
+        """The sum of the orders on the whole mesh at the state ``values``
+        (..., M) in every slot, shape (..., M)."""
+        totals = self._integrals(values, len(self.levels))
         parts = (_contract(totals[n - 1], rows) for n, rows in self.rows.items())
         return sum(parts, np.zeros(self.size))
 
@@ -372,7 +357,7 @@ class MeshCascade:
         multiplies dT_{j-1}[parent] (None at level 0).  The value integrals
         T_j are formed here, once per state."""
         depth = len(self.levels)
-        totals = self._integrals([values] * depth, depth - 1)
+        totals = self._integrals(values, depth - 1)
         return [
             (pows, None) if j == 0 else (pows * totals[j - 1].take(parent, -2), pows * values)
             for j, (pows, parent) in enumerate(self.levels)
@@ -380,20 +365,12 @@ class MeshCascade:
 
     def _tangent_buffers(self, block: np.ndarray, batch: tuple[int, ...], points: int) -> list:
         """Per level, for the batch axes ``batch`` of a tangent over
-        ``points`` mesh points: dT (..., nodes, points) with views of its
-        flat memory past the first element and of its columns past the
-        first, and g with a flat view.  dT lies in the first half of
-        ``block`` and g in the second; level j forms its g from
-        dT_{j-1} before its own dT overwrites it."""
+        ``points`` mesh points: dT (..., nodes, points) and g laid out by
+        ``_layout``.  dT lies in the first half of ``block`` and g in the
+        second; level j forms its g from dT_{j-1} before its own dT
+        overwrites it."""
         half = block[block.size // 2 :]
-        work = []
-        for pows, _ in self.levels:
-            shape = batch + (len(pows), points)
-            size = math.prod(shape)
-            flat, flat_g = block[:size], half[:size]
-            dt = flat.reshape(shape)
-            work.append((dt, flat[1:], dt[..., 1:], flat_g.reshape(shape), flat_g))
-        return work
+        return [_layout(block, half, batch + (len(pows), points)) for pows, _ in self.levels]
 
     def _tangent_pass(
         self,
@@ -409,11 +386,9 @@ class MeshCascade:
         directions start, start + 1, ... (one per row of ``out``), each 1 at
         its own point and 0 elsewhere, so the term h x**a T_{j-1}[parent]
         is that point's factor alone.  dT is 0 at point ``lo``."""
-        half_dx = 0.5 * self.dx
         prev = None
-        for j, ((_, parent), (inject, weight), (dt, flat, sums, g, flat_g)) in enumerate(
-            zip(self.levels, factors, work)
-        ):
+        for j, ((_, parent), (inject, weight), level) in enumerate(zip(self.levels, factors, work)):
+            dt, _, _, g, _ = level
             if prev is None:
                 g.fill(0.0)
             else:
@@ -425,11 +400,7 @@ class MeshCascade:
             else:
                 np.multiply(h, inject, out=dt)
                 g += dt
-            # The trapezoid pass of ``_integrals``.
-            np.add(flat_g[1:], flat_g[:-1], out=flat)
-            flat *= half_dx
-            dt[..., 0] = 0.0
-            sums.cumsum(-1, out=sums)
+            self._trapezoid(level)
             if j + 1 in self.rows:
                 out += _contract(dt, self.rows[j + 1][:, lo:])
             prev = dt
@@ -441,8 +412,8 @@ class MeshCascade:
 
         Forward mode (Griewank and Walther, *Evaluating Derivatives*, 2nd
         ed., SIAM 2008) through the trie: level j's integrals
-        T_j = I(u x**a T_{j-1}[parent]), I the trapezoid pass of
-        ``_integrals``, have the tangent
+        T_j = I(u x**a T_{j-1}[parent]), I the trapezoid pass
+        (``_trapezoid``), have the tangent
 
             dT_j = I(x**a u dT_{j-1}[parent] + h x**a T_{j-1}[parent]),
 
@@ -494,21 +465,32 @@ class MeshCascade:
             self._tangent_pass(factors, work, out[lo:, start : start + width].T, start=start, lo=lo)
         return out
 
-    def endpoint(self, factors: Sequence[np.ndarray]) -> np.ndarray | float:
-        """The sum of the orders at x = 1 only, shape (...).  An order n
-        below the highest is sum_p w[p] T[p, -1], with T the integrals of
-        its own level n - 1; the highest order is sum_{p,i} fold[p, i]
-        T[p, i] f_i, with T those of level n - 2 and f its outermost factor
-        (see ``folds``), which only it reads."""
+    def endpoint(self, values: np.ndarray) -> np.ndarray | float:
+        """The sum of the orders at x = 1 only at the state ``values``
+        (..., M) in every slot, shape (...).  An order n below the highest
+        is sum_p w[p] T[p, -1], with T the integrals of its own level
+        n - 1; the highest order is sum_{p,i} fold[p, i] T[p, i] u_i, with
+        T those of level n - 2 (see ``folds``)."""
         top = len(self.levels)
-        totals = self._integrals(factors, top - 1)
+        totals = self._integrals(values, top - 1)
         parts = (
             totals[n - 1][..., : len(w), -1] @ w
             if n < top
-            else np.vecdot(totals[n - 2][..., : len(w), :] * w, factors[-n][..., None, :]).sum(-1)
+            else np.vecdot(totals[n - 2][..., : len(w), :] * w, values[..., None, :]).sum(-1)
             for n, w in self.folds.items()
         )
         return sum(parts, 0.0)
+
+
+def _layout(area: np.ndarray, scratch: np.ndarray, shape: tuple[int, ...]) -> tuple:
+    """A level's work arrays of ``shape`` (..., nodes, points): its
+    integrals at the start of ``area``, with views of their flat memory
+    past the first element and of their columns past the first, and g at
+    the start of ``scratch``, with a flat view."""
+    size = math.prod(shape)
+    flat, flat_g = area[:size], scratch[:size]
+    out = flat.reshape(shape)
+    return out, flat[1:], out[..., 1:], flat_g.reshape(shape), flat_g
 
 
 def _rows(ids: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -533,40 +515,13 @@ def trie_nodes(kern: SimplexPolyKernel) -> int:
     return len({alphas[i:] for _, alphas in kern.monomials for i in range(len(alphas))})
 
 
-class SeriesTerms:
-    """Every order of a kernel series (or of the kernels of some of its
-    orders, as the simulator's controller takes) on one mesh, at one state.
-
-    One :class:`MeshCascade` of all orders, fed the same state in every
-    slot, so a suffix common to several orders is integrated once; the
-    derivative (:func:`linearized_values`) is a tangent pass of such a
-    cascade.
-    ``profile`` and ``endpoint`` add the orders in increasing order; at
-    x = 1 an order below the highest reads the last column of its own
-    level and only the highest is folded.  Both agree with a loop over
-    per-order cascades, and ``endpoint`` with the profile's last value,
-    to within rounding.
-    """
-
-    def __init__(self, series: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
-        self.cascade = MeshCascade(series, mesh)
-
-    def profile(self, values: np.ndarray) -> np.ndarray:
-        """F[u] on the whole mesh at the mesh samples ``values`` of u."""
-        return self.cascade.profile([values] * len(self.cascade.levels))
-
-    def endpoint(self, values: np.ndarray) -> float:
-        """F[u](1) at the mesh samples ``values`` of u."""
-        return float(self.cascade.endpoint([values] * len(self.cascade.levels)))
-
-
 def series_profile(series: VolterraKernelSeries, u: GridFunction) -> GridFunction:
     """The full profile x -> F[u](x) on the mesh of ``u``.
 
     The cascade is built for this call (its set-up cost does not depend
     on the mesh size).
     """
-    return GridFunction(SeriesTerms(series, u.mesh).profile(u.values))
+    return GridFunction(MeshCascade(series, u.mesh).profile(u.values))
 
 
 def linearized_values(

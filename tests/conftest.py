@@ -23,7 +23,7 @@ from volback.harness import parse_plant
 from volback.inversion import InversionDomainError
 from volback.polynomial import SimplexPolyKernel
 from volback.simplex import QuadratureRule, SimplexDomainError, ordered_splits, simplex_nodes
-from volback.volterra import GridFunction, MeshCascade, VolterraKernelSeries
+from volback.volterra import GridFunction, VolterraKernelSeries
 
 # A plant file shaped like the kernel-synthesis benchmark's plants, and one
 # with sigma >= 1 at m = 2 and unrelated denominators.
@@ -264,14 +264,17 @@ def random_simplex_points(rng, n, count, x=1.0):
 def _inner_integral(alphas, factors, mesh, stop):
     """Slots len(alphas)-1 down to ``stop`` of one monomial, innermost
     first, each a cumulative trapezoid ``dx * (g[1:] + g[:-1]) / 2.0``
-    summed from 0 (None when no slot is left)."""
+    summed from 0 along the last axis (None when no slot is left).
+    ``factors[i]`` is slot i's factor; factors may carry leading batch
+    axes."""
     dx = mesh[1] - mesh[0]
     inner = None
     for i in reversed(range(stop, len(alphas))):
         g = factors[i] * mesh ** alphas[i]
         if inner is not None:
             g = g * inner
-        inner = np.concatenate([[0.0], np.cumsum(dx * (g[1:] + g[:-1]) / 2.0)])
+        inner = np.zeros(g.shape)
+        inner[..., 1:] = np.cumsum(dx * (g[..., 1:] + g[..., :-1]) / 2.0, axis=-1)
     return inner
 
 
@@ -292,12 +295,12 @@ def _rounding_bound(k, magnitude):
     return 1.01 * k * 2.0**-53 * magnitude
 
 
-def assert_profile_within_rounding(value, orders, factors, mesh):
+def assert_profile_within_rounding(value, orders, state, mesh):
     """At every mesh node, |value - ref| <= gamma_k * (sum of the terms'
     magnitudes), with ref the ``math.fsum`` of the terms c x**e inner of
     every monomial of the kernels ``orders`` ``{n: kernel}``, c its
-    rational coefficient, inner its nested trapezoid rule
-    (``_inner_integral``) and order n reading the last n factors.
+    rational coefficient and inner its nested trapezoid rule
+    (``_inner_integral``) with ``state`` in every slot.
 
     Rounding-error analysis of sums and products (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., section 4.2): a term that
@@ -313,7 +316,7 @@ def assert_profile_within_rounding(value, orders, factors, mesh):
     """
     terms = np.array(
         [
-            float(c) * _inner_integral(alphas, factors[-n:], mesh, 0) * mesh**e
+            float(c) * _inner_integral(alphas, [state] * n, mesh, 0) * mesh**e
             for n, kern in orders.items()
             for (e, alphas), c in kernel_fractions(kern).items()
         ]
@@ -327,42 +330,44 @@ def assert_profile_within_rounding(value, orders, factors, mesh):
 
 
 def per_slot_linearized(series, u, h):
-    """Reference for ``linearized_values``: per order, one cascade of that
-    order alone, run once per slot with ``h`` in the slot and ``u`` in the
-    others, and the profiles summed."""
+    """Reference for ``linearized_values``, independent of ``MeshCascade``:
+    one monomial at a time, the nested trapezoid rule (``_inner_integral``)
+    run once per slot with ``h`` (which may carry leading batch axes) in
+    the slot and ``u`` in the others, and the terms c x**e inner summed."""
+    mesh = u.mesh
     out = np.zeros(h.shape[:-1] + (u.size,))
     for n, kern in series.items():
-        term = MeshCascade({n: kern}, u.mesh)
-        for slot in range(n):
-            out += term.profile([h if i == slot else u.values for i in range(n)])
+        for (e, alphas), c in kernel_fractions(kern).items():
+            for slot in range(n):
+                factors = [h if i == slot else u.values for i in range(n)]
+                out += float(c) * _inner_integral(alphas, factors, mesh, 0) * mesh**e
     return out
 
 
-def reference_endpoint(orders, factors, mesh):
+def reference_endpoint(orders, state, mesh):
     """The nested trapezoid rule at x = 1 with its outermost integral
     written as one exactly rounded sum.
 
-    ``orders`` maps n to the order-n kernel; order n reads the last n
-    factors.  The inner slots are integrated as ``reference_profile``
+    ``orders`` maps n to the order-n kernel, and ``state`` fills every
+    slot.  The inner slots are integrated as ``reference_profile``
     integrates them; then ``math.fsum`` adds, over every monomial and mesh
     node i, the term c * x_i**alphas[0] * w_i * f_i * inner_i, with w the
-    trapezoid weights (dx/2, dx, ..., dx, dx/2) and f the outermost factor
-    (x**e is 1).  Returns that sum and the sum of the terms' magnitudes.
+    trapezoid weights (dx/2, dx, ..., dx, dx/2) and f the state (x**e is
+    1).  Returns that sum and the sum of the terms' magnitudes.
     """
     dx = mesh[1] - mesh[0]
     weights = np.full(mesh.size, dx)
     weights[[0, -1]] /= 2.0
     terms = [np.zeros(0)]
     for n, kern in orders.items():
-        slots = factors[-n:]
         for (_, alphas), c in kernel_fractions(kern).items():
-            inner = _inner_integral(alphas, slots, mesh, 1)
-            terms.append(float(c) * mesh ** alphas[0] * weights * slots[0] * inner)
+            inner = _inner_integral(alphas, [state] * n, mesh, 1)
+            terms.append(float(c) * mesh ** alphas[0] * weights * state * inner)
     terms = np.concatenate(terms)
     return math.fsum(terms), math.fsum(np.abs(terms))
 
 
-def assert_endpoint_within_rounding(value, orders, factors, mesh):
+def assert_endpoint_within_rounding(value, orders, state, mesh):
     """|value - reference_endpoint| <= gamma_k * (sum of the terms' magnitudes).
 
     Rounding-error analysis of sums and products (Higham, *Accuracy and
@@ -371,19 +376,19 @@ def assert_endpoint_within_rounding(value, orders, factors, mesh):
     most gamma_k = k u / (1 - k u), u = 2**-53, whatever the order of the
     additions.  In ``MeshCascade.endpoint`` a term of the highest order
     passes through one product c * x**alphas[0], at most N - 1 additions
-    into its fold row, the products by w, by the inner integral and by f,
-    at most M - 1 additions over the mesh, P - 1 over the row's nodes and
-    O - 1 over the orders.  A term of a lower order, read from the last
-    column of its own level, passes through the products by f, by the
-    inner integral and by dx/2, the addition of the trapezoid's two ends,
-    at most M - 2 additions of the cumulative sum, the product by its
-    node's weight (at most N - 1 additions of c), at most P - 1 additions
-    over the nodes and O - 1 over the orders.  Either is at most
+    into its fold row, the products by w, by the inner integral and by
+    the state f, at most M - 1 additions over the mesh, P - 1 over the
+    row's nodes and O - 1 over the orders.  A term of a lower order, read
+    from the last column of its own level, passes through the products by
+    f, by the inner integral and by dx/2, the addition of the trapezoid's
+    two ends, at most M - 2 additions of the cumulative sum, the product
+    by its node's weight (at most N - 1 additions of c), at most P - 1
+    additions over the nodes and O - 1 over the orders.  Either is at most
     2N + M + O operations, with N the monomials of all O orders (N bounds
     the nodes P) and M the mesh size.  The reference rounds each term in
     four products and the sum once, five more.
     """
-    want, magnitude = reference_endpoint(orders, factors, mesh)
+    want, magnitude = reference_endpoint(orders, state, mesh)
     monomials = sum(len(kern.monomials) for kern in orders.values())
     k = 2 * monomials + mesh.size + len(orders) + 5
     bound = _rounding_bound(k, magnitude)

@@ -407,6 +407,24 @@ class TestMain:
         assert main(["invert", "--input", str(target)]) == 2
         assert "no 'w' column; found ['x', 'v']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("w,w\n0,0.3\n0,0.3\n0,0.3\n", "repeats the column 'w'"),
+            ("x,w,x\n0,0,7\n0.5,0,7\n1,0,7\n", "repeats the column 'x'"),
+            ("x,w\n0,0\n0.5,0,9\n1,0\n", "line 3 has 3 cells, the header 2"),
+        ],
+        ids=["repeated-w", "repeated-x", "long-row"],
+    )
+    def test_invert_ambiguous_columns_exit_2(self, out_root, tmp_path, capsys, text, message):
+        # Each of these was once read from the first column of its name alone.
+        target = tmp_path / "target.csv"
+        target.write_text(text)
+        assert main(["invert", "--input", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+        assert not any(out_root.rglob("*"))
+
     def test_invert_nonuniform_x_exits_2(self, out_root, tmp_path, capsys):
         target = tmp_path / "target.csv"
         target.write_text("x,w\n0,0\n0.4,0.01\n1,0\n")

@@ -256,9 +256,9 @@ class TestDkMatrixBlocks:
         depths = []
         integrals = MeshCascade._integrals
 
-        def recording(self, factors, depth):
+        def recording(self, values, depth):
             depths.append(depth)
-            return integrals(self, factors, depth)
+            return integrals(self, values, depth)
 
         monkeypatch.setattr(MeshCascade, "_integrals", recording)
         dk_matrix(series, u)  # in several blocks at the default DK_BLOCK_BYTES
@@ -385,13 +385,13 @@ class TestEvaluatorsBuiltOnce:
     @pytest.fixture()
     def builds(self, monkeypatch):
         calls = []
-        original = inversion.SeriesTerms
 
-        def counting(*args, **kwargs):
-            calls.append(args[1].size)
-            return original(*args, **kwargs)
+        class Counting(MeshCascade):
+            def __init__(self, orders, mesh):
+                calls.append(mesh.size)
+                super().__init__(orders, mesh)
 
-        monkeypatch.setattr(inversion, "SeriesTerms", counting)
+        monkeypatch.setattr(inversion, "MeshCascade", Counting)
         return calls
 
     def test_picard_matches_per_iteration_profiles(self, kernel_series, config, mesh, builds):

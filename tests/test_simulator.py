@@ -34,7 +34,7 @@ from volback.simulator import (
     write_series_csv,
     write_snapshots_csv,
 )
-from volback.volterra import GridFunction, SeriesDefinitionError, SeriesTerms, VolterraKernelSeries
+from volback.volterra import GridFunction, MeshCascade, SeriesDefinitionError, VolterraKernelSeries
 
 
 class TestConfig:
@@ -99,7 +99,7 @@ class TestConfig:
         def no_evaluators(*args):
             raise AssertionError("the refused run built its evaluators")
 
-        monkeypatch.setattr(simulator, "SeriesTerms", no_evaluators)
+        monkeypatch.setattr(simulator, "MeshCascade", no_evaluators)
         with pytest.raises(
             SimConfigError, match=r"\(1 \+ 570 suffix-trie nodes\)\) = 5\.9e\+09 grid updates"
         ):
@@ -171,7 +171,7 @@ class TestFeedback:
     @staticmethod
     def boundary(kernels, cap, values):
         mesh = np.linspace(0.0, 1.0, values.size)
-        return feedback(values, SeriesTerms(_controller_kernels(kernels, cap), mesh))
+        return feedback(values, MeshCascade(_controller_kernels(kernels, cap), mesh))
 
     def test_order2_constant_state(self, kernel_series):
         val = self.boundary(kernel_series, 2, np.ones(201))
@@ -208,12 +208,12 @@ class TestFeedback:
         # One cascade for the plant's orders and one for the controller's.
         built = []
 
-        class Counting(volterra.MeshCascade):
+        class Counting(MeshCascade):
             def __init__(self, orders, mesh):
                 built.append(sorted(orders))
                 super().__init__(orders, mesh)
 
-        monkeypatch.setattr(volterra, "MeshCascade", Counting)
+        monkeypatch.setattr(simulator, "MeshCascade", Counting)
         path = tmp_path / "plant.txt"
         path.write_text("2 0,1 1\n")
         plant = load_plant(str(path))
@@ -465,13 +465,13 @@ class TestMildResidual:
         )
         rec = simulate(cfg, plant, kernel_series)
         builds = []
-        original = simulator.SeriesTerms
 
-        def counting(*args, **kwargs):
-            builds.append(args[1].size)
-            return original(*args, **kwargs)
+        class Counting(MeshCascade):
+            def __init__(self, orders, mesh):
+                builds.append(mesh.size)
+                super().__init__(orders, mesh)
 
-        monkeypatch.setattr(simulator, "SeriesTerms", counting)
+        monkeypatch.setattr(simulator, "MeshCascade", Counting)
         mild_solution_residual(rec, kernel_series, [0.25, 0.5, 0.75])
         assert builds == [51]
 

@@ -275,46 +275,41 @@ class TestMeshCascade:
         assert len({a[1:] for _, a in keys}) < len(keys)  # some suffix is shared
         for m in (3, 57, 201):
             mesh = np.linspace(0.0, 1.0, m)
-            factors = [rng.standard_normal(m) for _ in range(n)]
+            u = rng.standard_normal(m)
             cascade = MeshCascade({n: kern}, mesh)
             ids = cascade.reads[n][0]
-            passes = cascade._integrals(factors, n)[n - 1]
+            passes = cascade._integrals(u, n)[n - 1]
             for node, (_, alphas) in zip(ids, keys):
-                assert np.array_equal(passes[node], _inner_integral(alphas, factors, mesh, 0))
-            assert_profile_within_rounding(cascade.profile(factors), {n: kern}, factors, mesh)
-            assert_endpoint_within_rounding(cascade.endpoint(factors), {n: kern}, factors, mesh)
+                assert np.array_equal(passes[node], _inner_integral(alphas, [u] * n, mesh, 0))
+            assert_profile_within_rounding(cascade.profile(u), {n: kern}, u, mesh)
+            assert_endpoint_within_rounding(cascade.endpoint(u), {n: kern}, u, mesh)
 
     def test_builtin_order4_kernel(self):
         kern = build_kernel_table(load_plant("pdae"), 4)[4]
         mesh = np.linspace(0.0, 1.0, 101)
         u = 0.7 * np.sin(math.pi * mesh) + mesh
         cascade = MeshCascade({4: kern}, mesh)
-        assert_profile_within_rounding(cascade.profile([u] * 4), {4: kern}, [u] * 4, mesh)
-        assert_endpoint_within_rounding(cascade.endpoint([u] * 4), {4: kern}, [u] * 4, mesh)
+        assert_profile_within_rounding(cascade.profile(u), {4: kern}, u, mesh)
+        assert_endpoint_within_rounding(cascade.endpoint(u), {4: kern}, u, mesh)
 
-    @pytest.mark.parametrize("slots", [(0,), (2,), (0, 1, 2)])
-    def test_batched_factor(self, slots):
+    def test_batched_state(self):
         rng = np.random.default_rng(5)
         kern = random_kernel(rng, 3, 10)
         mesh = np.linspace(0.0, 1.0, 41)
-        factors = [
-            rng.standard_normal((4, 41)) if i in slots else rng.standard_normal(41)
-            for i in range(3)
-        ]
+        u = rng.standard_normal((4, 41))
         cascade = MeshCascade({3: kern}, mesh)
-        prof = cascade.profile(factors)
-        ends = cascade.endpoint(factors)
+        prof = cascade.profile(u)
+        ends = cascade.endpoint(u)
         assert prof.shape == (4, 41) and ends.shape == (4,)
         for b in range(4):
-            row = [f[b] if f.ndim == 2 else f for f in factors]
-            assert_profile_within_rounding(prof[b], {3: kern}, row, mesh)
-            assert_endpoint_within_rounding(ends[b], {3: kern}, row, mesh)
+            assert_profile_within_rounding(prof[b], {3: kern}, u[b], mesh)
+            assert_endpoint_within_rounding(ends[b], {3: kern}, u[b], mesh)
 
     def test_zero_kernel(self):
         mesh = np.linspace(0.0, 1.0, 11)
         cascade = MeshCascade({2: SimplexPolyKernel(2, {})}, mesh)
-        assert np.array_equal(cascade.profile([mesh, mesh]), np.zeros(11))
-        assert cascade.endpoint([mesh, mesh]) == 0.0
+        assert np.array_equal(cascade.profile(mesh), np.zeros(11))
+        assert cascade.endpoint(mesh) == 0.0
 
     @staticmethod
     def mixed_orders(rng):
@@ -338,11 +333,10 @@ class TestMeshCascade:
             alone_nodes = sum(len(pows) for c in alone.values() for pows, _ in c.levels)
             assert sum(len(pows) for pows, _ in cascade.levels) < alone_nodes
             for n, kern in orders.items():
-                slots = [u] * n
-                assert_profile_within_rounding(alone[n].profile(slots), {n: kern}, slots, mesh)
-                assert_endpoint_within_rounding(alone[n].endpoint(slots), {n: kern}, slots, mesh)
-            assert_profile_within_rounding(cascade.profile([u] * 5), orders, [u] * 5, mesh)
-            assert_endpoint_within_rounding(cascade.endpoint([u] * 5), orders, [u] * 5, mesh)
+                assert_profile_within_rounding(alone[n].profile(u), {n: kern}, u, mesh)
+                assert_endpoint_within_rounding(alone[n].endpoint(u), {n: kern}, u, mesh)
+            assert_profile_within_rounding(cascade.profile(u), orders, u, mesh)
+            assert_endpoint_within_rounding(cascade.endpoint(u), orders, u, mesh)
 
     def test_one_trie_with_batched_factors(self):
         rng = np.random.default_rng(7)
@@ -350,11 +344,11 @@ class TestMeshCascade:
         mesh = np.linspace(0.0, 1.0, 57)
         u = rng.standard_normal((3, 57))
         cascade = MeshCascade(orders, mesh)
-        prof, ends = cascade.profile([u] * 5), cascade.endpoint([u] * 5)
+        prof, ends = cascade.profile(u), cascade.endpoint(u)
         assert prof.shape == (3, 57) and ends.shape == (3,)
         for b in range(3):
-            assert_profile_within_rounding(prof[b], orders, [u[b]] * 5, mesh)
-            assert_endpoint_within_rounding(ends[b], orders, [u[b]] * 5, mesh)
+            assert_profile_within_rounding(prof[b], orders, u[b], mesh)
+            assert_endpoint_within_rounding(ends[b], orders, u[b], mesh)
 
     def test_rows_are_level_prefixes(self):
         # Order n's profile rows are its distinct alphas, the first nodes of
@@ -387,10 +381,10 @@ class TestMeshCascade:
         mesh = np.linspace(0.0, 1.0, 41)
         u = rng.standard_normal(41)
         cascade = MeshCascade(orders, mesh)
-        value = cascade.endpoint([u] * 4)
+        value = cascade.endpoint(u)
         assert [w.ndim for w in cascade.folds.values()] == [1, 1, 2]
         assert cascade.folds[4].shape[1] == 41
-        assert_endpoint_within_rounding(value, orders, [u] * 4, mesh)
+        assert_endpoint_within_rounding(value, orders, u, mesh)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_fold_on_the_coarsest_meshes(self, m):
@@ -405,31 +399,30 @@ class TestMeshCascade:
         cascade = MeshCascade(orders, mesh)
         alone = {n: MeshCascade({n: kern}, mesh) for n, kern in orders.items()}
         for _ in range(5):
-            factors = [rng.standard_normal(m) for _ in range(5)]
+            u = rng.standard_normal(m)
             for n, kern in orders.items():
-                end = alone[n].endpoint(factors[-n:])
-                assert_endpoint_within_rounding(end, {n: kern}, factors, mesh)
-            assert_endpoint_within_rounding(cascade.endpoint(factors), orders, factors, mesh)
+                assert_endpoint_within_rounding(alone[n].endpoint(u), {n: kern}, u, mesh)
+            assert_endpoint_within_rounding(cascade.endpoint(u), orders, u, mesh)
 
     def test_order_two_alone_skips_its_outer_level(self, monkeypatch):
         depths = []
         integrals = MeshCascade._integrals
 
-        def recording(self, factors, depth):
+        def recording(self, values, depth):
             depths.append(depth)
-            return integrals(self, factors, depth)
+            return integrals(self, values, depth)
 
         monkeypatch.setattr(MeshCascade, "_integrals", recording)
         rng = np.random.default_rng(17)
         kern = random_kernel(rng, 2, 8)
         mesh = np.linspace(0.0, 1.0, 57)
-        factors = [rng.standard_normal(57) for _ in range(2)]
+        u = rng.standard_normal(57)
         cascade = MeshCascade({2: kern}, mesh)
         assert list(cascade.folds) == [2] and cascade.folds[2].shape[0] == len(
             cascade.levels[0][0]
         )
-        assert_endpoint_within_rounding(cascade.endpoint(factors), {2: kern}, factors, mesh)
-        assert_profile_within_rounding(cascade.profile(factors), {2: kern}, factors, mesh)
+        assert_endpoint_within_rounding(cascade.endpoint(u), {2: kern}, u, mesh)
+        assert_profile_within_rounding(cascade.profile(u), {2: kern}, u, mesh)
         assert depths == [1, 2]  # the endpoint integrates level 0 only
 
     def test_each_read_builds_only_its_own_rows(self):
@@ -438,8 +431,8 @@ class TestMeshCascade:
         mesh = np.linspace(0.0, 1.0, 21)
         u = rng.standard_normal(21)
         at_one, on_mesh = MeshCascade(orders, mesh), MeshCascade(orders, mesh)
-        at_one.endpoint([u] * 5)
-        on_mesh.profile([u] * 5)
+        at_one.endpoint(u)
+        on_mesh.profile(u)
         assert "folds" in vars(at_one) and "rows" not in vars(at_one)
         assert "rows" in vars(on_mesh) and "folds" not in vars(on_mesh)
 
@@ -457,28 +450,10 @@ class TestMeshCascade:
         assert list(cascade.rows) == list(cascade.folds) == [2, 4]
         for n, kern in nonzero.items():
             alone = MeshCascade({n: kern}, mesh)
-            assert_profile_within_rounding(alone.profile([u] * n), {n: kern}, [u] * n, mesh)
-            assert_endpoint_within_rounding(alone.endpoint([u] * n), {n: kern}, [u] * n, mesh)
-        assert_profile_within_rounding(cascade.profile([u] * 4), nonzero, [u] * 4, mesh)
-        assert_endpoint_within_rounding(cascade.endpoint([u] * 4), nonzero, [u] * 4, mesh)
-
-    def test_batched_outermost_factor(self):
-        # Slot 0 is the outermost factor of order 3 only; order 2 reads
-        # slots 1 and 2, so its endpoint keeps no batch axis.
-        rng = np.random.default_rng(23)
-        orders = {2: random_kernel(rng, 2, 8), 3: random_kernel(rng, 3, 8)}
-        mesh = np.linspace(0.0, 1.0, 41)
-        factors = [rng.standard_normal((4, 41)), rng.standard_normal(41), rng.standard_normal(41)]
-        cascade = MeshCascade(orders, mesh)
-        total = cascade.endpoint(factors)
-        third = MeshCascade({3: orders[3]}, mesh).endpoint(factors)
-        second = MeshCascade({2: orders[2]}, mesh).endpoint(factors[1:])
-        assert second.shape == () and third.shape == total.shape == (4,)
-        for b in range(4):
-            row = [factors[0][b]] + factors[1:]
-            assert_endpoint_within_rounding(third[b], {3: orders[3]}, row, mesh)
-            assert_endpoint_within_rounding(total[b], orders, row, mesh)
-        assert_endpoint_within_rounding(second, {2: orders[2]}, factors[1:], mesh)
+            assert_profile_within_rounding(alone.profile(u), {n: kern}, u, mesh)
+            assert_endpoint_within_rounding(alone.endpoint(u), {n: kern}, u, mesh)
+        assert_profile_within_rounding(cascade.profile(u), nonzero, u, mesh)
+        assert_endpoint_within_rounding(cascade.endpoint(u), nonzero, u, mesh)
 
     def test_work_arrays_are_reused_safely(self):
         rng = np.random.default_rng(11)
@@ -486,14 +461,14 @@ class TestMeshCascade:
         mesh = np.linspace(0.0, 1.0, 57)
         u, v = rng.standard_normal(57), rng.standard_normal(57)
         cascade = MeshCascade(orders, mesh)
-        first = cascade.profile([u] * 5)
+        first = cascade.profile(u)
         kept = first.copy()
-        end = cascade.endpoint([u] * 5)
-        cascade.profile([v] * 5)
-        cascade.profile([np.stack([v, u])] * 5)  # another batch shape in between
+        end = cascade.endpoint(u)
+        cascade.profile(v)
+        cascade.profile(np.stack([v, u]))  # another batch shape in between
         assert np.array_equal(first, kept)
-        assert np.array_equal(cascade.profile([u] * 5), kept)
-        assert cascade.endpoint([u] * 5) == end
+        assert np.array_equal(cascade.profile(u), kept)
+        assert cascade.endpoint(u) == end
 
     def test_batched_dk_matrix_equals_columns(self, kernel_series):
         kernels = dict(kernel_series)
@@ -521,7 +496,8 @@ def plants(tmp_path_factory):
 class TestTangent:
     """``linearized_values`` is one tangent pass of one cascade of all
     orders; it agrees with the per-slot reference (``per_slot_linearized``),
-    one cascade per order and one profile per slot, to within rounding."""
+    the nested trapezoid rule of one monomial and one slot at a time, to
+    within rounding."""
 
     @staticmethod
     def assert_matches_reference(series, m, seed):
