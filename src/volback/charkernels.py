@@ -35,16 +35,19 @@ I binomially in t, one variable at a time.  The kernels therefore equal the
 gap cascade's polynomials coefficient for coefficient, which is how
 :func:`volback.verification.compare_constructions` cross-checks the two.
 
-Inside one order's step an exponent vector over (x, xi_1, ..., xi_n),
-with s or t in slot n + 1, is one packed int
-(:func:`~volback.polynomial._pack`), every slot wide enough for the
-kernel's degree bound (the forcing's degree plus one), so each key is
-one integer add.  Renaming a variable of k_p or f_m into slot i is a
-shift by i slots: each split places the packed k- and f-terms once and a
-product's key is their sum.  Integrating out s moves e[s] + 1 into slot
-j - 1 or j, and v -> v + t moves k powers from slot v to slot t, by
-adding k times (1 << t*W) - (1 << v*W).  Only the finished kernel is
-unpacked.
+Inside one order's step an exponent vector over (x, xi_1, ..., xi_n)
+is one packed int in the kernel-key layout of :mod:`volback.polynomial`:
+x on top in slot n, xi_i in slot n - i, and s or t above them in slot
+n + 1 (:func:`~volback.polynomial._shift`), every slot wide enough for
+the kernel's degree bound (the forcing's degree plus one), so each key
+is one integer add.  Renaming a variable of k_p or f_m into variable i
+is a shift to its slot: each split places the packed k- and f-terms
+once and a product's key is their sum.  Integrating out s moves e[s] + 1
+into the slot of xi_{j-1} or xi_j, and v -> v + t moves k powers from
+the slot of v to that of t, by adding k times the difference of their
+unit keys.  The finished kernel is built from its packed keys
+(:meth:`~volback.polynomial.SimplexPolyKernel.from_packed`), whose
+integer order is the kernel's monomial order.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from .polynomial import SimplexPolyKernel, _pack, _packed_kernel, pdae_k2, pdae_k3
+from .polynomial import SimplexPolyKernel, _shift, pdae_k2, pdae_k3
 from .simplex import ordered_splits
 from .volterra import VolterraKernelSeries
 
@@ -128,16 +131,17 @@ def _coupling_terms(
     ``width`` bits a slot, and their denominator.  ``width`` must hold the
     degree deg k_p + deg f_m + 1."""
     p = n - m + 1
-    s = (n + 1) * width  # the slot of the integration variable
+    at = [_shift(n, v, width) for v in range(n + 1)]
+    s = _shift(n, -1, width)  # the integration variable, above x
     k_flat, f_flat = _flat(k_lower), _flat(f_m)
     legs: list[tuple[int, Dict[int, int]]] = []
     for j in range(1, p + 1):
         leg: Dict[int, int] = {}
-        head = [i * width for i in range(j)] + [s]
+        head = at[:j] + [s]
         for k_idx, f_idx in ordered_splits(n - j + 1, p - j):
-            # Where each variable of k_p and of f_m lands in (x, xi, s).
-            k_terms = _placed(k_flat, head + [(j + i) * width for i in k_idx])
-            f_terms = _placed(f_flat, [s] + [(j + i) * width for i in f_idx])
+            # Where each variable of k_p and of f_m lands in (s, x, xi).
+            k_terms = _placed(k_flat, head + [at[j + i] for i in k_idx])
+            f_terms = _placed(f_flat, [s] + [at[j + i] for i in f_idx])
             for kp, kc in k_terms:
                 for fp, fc in f_terms:
                     key = kp + fp
@@ -148,7 +152,7 @@ def _coupling_terms(
     below_s = (1 << s) - 1
     out: Dict[int, int] = {}
     for j, leg in legs:
-        upper, lower = (j - 1) * width, j * width
+        upper, lower = at[j - 1], at[j]
         for key, c in leg.items():
             q = (key >> s) + 1
             rest = key & below_s
@@ -182,7 +186,7 @@ def coupling_polynomial(
         raise KernelConfigError(f"lower kernel has order {k_lower.order}, expected {n - m + 1}")
     width = _width(_degree(k_lower) + _degree(f_m) + 1)
     terms, den = _coupling_terms(n, m, k_lower, f_m, width)
-    return _packed_kernel(n, terms, den, width)
+    return SimplexPolyKernel.from_packed(n, terms, den, width)
 
 
 def _characteristic(n: int, forcing: Mapping[int, int], den: int, width: int) -> SimplexPolyKernel:
@@ -193,13 +197,13 @@ def _characteristic(n: int, forcing: Mapping[int, int], den: int, width: int) ->
     after each pass, in integers.  ``width`` must hold the forcing's
     degree plus one.
     """
-    t = (n + 1) * width  # the slot of t, above (x, xi_1, ..., xi_n)
+    t = _shift(n, -1, width)  # the slot of t, above (x, xi_1, ..., xi_n)
     mask = (1 << width) - 1
     terms: Dict[int, int] = {key: c for key, c in forcing.items() if c}
     binomials = [[comb(a, k) for k in range(a + 1)] for a in range(mask + 1)]
     for v in range(n + 1):
         # (v + t)^a = sum_k C(a, k) v^(a - k) t^k
-        low = v * width
+        low = _shift(n, v, width)
         step = (1 << t) - (1 << low)  # one power from slot v to slot t
         moves = [k * step for k in range(mask + 1)]
         shifted: Dict[int, int] = {}
@@ -211,14 +215,14 @@ def _characteristic(n: int, forcing: Mapping[int, int], den: int, width: int) ->
     # -int_{-xi_n}^0 t^K dt = (-1)^(K+1) xi_n^(K+1) / (K + 1)
     scale = lcm(1, *((key >> t) + 1 for key in terms))
     below_t = (1 << t) - 1
-    xi_n = n * width
+    xi_n = _shift(n, n, width)
     out: Dict[int, int] = {}
     for key, c in terms.items():
         power = key >> t
         moved = (key & below_t) + ((power + 1) << xi_n)
         sign = -1 if power % 2 == 0 else 1
         out[moved] = out.get(moved, 0) + sign * c * (scale // (power + 1))
-    return _packed_kernel(n, out, den * scale, width)
+    return SimplexPolyKernel.from_packed(n, out, den * scale, width)
 
 
 def _recursion_kernel(
@@ -241,7 +245,7 @@ def _recursion_kernel(
     parts: list[tuple[int, Mapping[int, int], int]] = []
     if n in plant_kernels:
         f_n = plant_kernels[n]
-        packed = {_pack((e, *alphas), width): c for (e, alphas), c in f_n.monomials.items()}
+        packed = dict(_placed(_flat(f_n), [_shift(n, v, width) for v in range(n + 1)]))
         parts.append((1, packed, f_n.den))
     for m in couplings:
         terms, den = _coupling_terms(n, m, lower[n - m + 1], plant_kernels[m], width)

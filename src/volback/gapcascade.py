@@ -81,7 +81,7 @@ from typing import Dict, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .polynomial import SimplexPolyKernel, _pack, _packed_kernel, _unpack
+from .polynomial import SimplexPolyKernel, _pack, _shift, _unpack
 from .simplex import compositions, ordered_splits
 from .volterra import VolterraKernelSeries
 
@@ -612,14 +612,16 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
     Leaf P holds c_P(x, xi_n) / P!; shifted, x**k - (x - xi_n)**k keeps the
     i < k terms of -(x - xi_n)**k.  For r = n-1 down to 0 each node is
     multiplied by (c_r - c_{r+1})**P_r (c_0 = x, c_i = xi_i) and added into
-    its parent P_0..P_{r-1}, where siblings merge.  The kernel's constructor
+    its parent P_0..P_{r-1}, where siblings merge.  The packed constructor
     drops the monomials that cancel, reduces and orders them.
 
-    An exponent vector over (x, xi_1..xi_n) is one packed int
-    (:func:`~volback.polynomial._pack`) whose slots hold the largest total
+    An exponent vector over (x, xi_1..xi_n) is one kernel key of
+    :mod:`volback.polynomial` (variable v in slot n - v,
+    :func:`~volback.polynomial._shift`) whose slots hold the largest total
     degree, max over P of |P| + deg c_P: the leaf term x**i xi_n**d is
-    ``i + (d << n*W)``, and the term i of (c_r - c_{r+1})**P_r multiplies a
-    monomial by adding ``(i << r*W) + ((P_r - i) << (r+1)*W)`` to its key.
+    ``(i << n*W) + d``, and the term i of (c_r - c_{r+1})**P_r multiplies a
+    monomial by adding ``(i << (n-r)*W) + ((P_r - i) << (n-r-1)*W)`` to its
+    key.
     """
     entries = family.at_order(n)
     pfact = {P: math.prod(map(math.factorial, P)) for P in entries}
@@ -627,7 +629,7 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
     width = max([1] + [sum(P) + poly_degree(poly) for P, poly in entries.items()]).bit_length()
     # Each trie node maps packed exponent vectors to integers.
     nodes: Dict[MultiIndex, Dict[int, int]] = {}
-    xi_n = n * width
+    x, xi_n = _shift(n, 0, width), _shift(n, n, width)
     for P, poly in entries.items():
         leaf = nodes[P] = {}
         scale = den // (poly.den * pfact[P])
@@ -635,23 +637,23 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
             unit = ck * scale
             if shifted:  # x**i xi_n**(k-i), one key per (k, i)
                 for i in range(k):
-                    leaf[i + ((k - i) << xi_n)] = -unit * math.comb(k, i) * (-1) ** (k - i)
+                    leaf[(i << x) + ((k - i) << xi_n)] = -unit * math.comb(k, i) * (-1) ** (k - i)
             else:
-                leaf[k] = unit
+                leaf[k << x] = unit
     for r in range(n - 1, -1, -1):
-        low, high = r * width, (r + 1) * width
+        high, low = _shift(n, r, width), _shift(n, r + 1, width)
         parents: Dict[MultiIndex, Dict[int, int]] = {}
         for prefix, poly in nodes.items():
             pw = prefix[r]
             acc = parents.setdefault(prefix[:r], {})
             for i in range(pw + 1):
                 b = math.comb(pw, i) * (-1) ** (pw - i)
-                shift = (i << low) + ((pw - i) << high)
+                shift = (i << high) + ((pw - i) << low)
                 for key, c in poly.items():
                     key += shift
                     acc[key] = acc.get(key, 0) + b * c
         nodes = parents
-    return _packed_kernel(n, nodes.get((), {}), den, width)
+    return SimplexPolyKernel.from_packed(n, nodes.get((), {}), den, width)
 
 
 def family_plant_kernel(family: GapCoefficientFamily, n: int) -> SimplexPolyKernel:

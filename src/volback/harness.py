@@ -626,7 +626,7 @@ def cmd_invert(args) -> int:
     if repeated:
         raise ConfigError(f"input {args.input} repeats the column {repeated[0]!r}")
     for line, row in enumerate(rows[1:], start=2):
-        if len(row) > len(header):
+        if len(row) != len(header):
             raise ConfigError(
                 f"input {args.input}: line {line} has {len(row)} cells, the header {len(header)}"
             )
@@ -648,7 +648,7 @@ def _csv_column(rows: List[List[str]], col: int, path: str) -> np.ndarray:
     name = rows[0][col]
     try:
         vals = np.array([float(r[col]) for r in rows[1:]])
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"input {path}: bad {name} value: {exc}") from None
     if not np.all(np.isfinite(vals)):
         raise ConfigError(f"input {path}: bad {name} value: not finite")

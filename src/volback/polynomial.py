@@ -12,10 +12,16 @@ the monomial list is also what the mesh cascades in
 whatever built them.
 
 Both exact kernel routes and the gap cascade's walks hold an exponent
-vector as one int (:func:`_pack`): slot i at bits i*width and up, so a
-product of monomials is one addition of keys.  Exponents are
-nonnegative, so a width whose slots hold the largest total degree a
-computation reaches means no slot ever carries into the next.
+vector as one int: slot i at bits i*width and up, so a product of
+monomials is one addition of keys.  Exponents are nonnegative, so a
+width whose slots hold the largest total degree a computation reaches
+means no slot ever carries into the next.  A gap vector of the walks
+packs slot i from its entry i (:func:`_pack`).  A kernel key packs x on
+top: variable v of an order-n key, x = 0 and xi_i = i, sits in slot
+n - v (:func:`_shift`), so x is in slot n and xi_n in slot 0, and
+integer order is the canonical ``(e, alphas)`` order.  A scratch
+variable (s or t, v = -1) sits above x, in slot n + 1.
+:meth:`SimplexPolyKernel.from_packed` builds a kernel from such keys.
 """
 
 from __future__ import annotations
@@ -33,6 +39,12 @@ Monomial = Tuple[int, Tuple[int, ...]]
 def _pack(vec: Sequence[int], width: int) -> int:
     """The nonnegative powers ``vec`` as one int, slot i at bits i*width."""
     return sum(v << (i * width) for i, v in enumerate(vec))
+
+
+def _shift(n: int, v: int, width: int) -> int:
+    """The lowest bit of variable v (x = 0, xi_i = i, a scratch variable
+    -1) in an order-n kernel key at ``width`` bits a slot."""
+    return (n - v) * width
 
 
 def _unpack(packed: int, width: int, length: int) -> Tuple[int, ...]:
@@ -96,14 +108,32 @@ class SimplexPolyKernel:
             out += term
         return out
 
-
-def _packed_kernel(n: int, terms: Mapping[int, int], den: int, width: int) -> SimplexPolyKernel:
-    """The order-n kernel of the numerators ``terms`` over ``den``, each
-    keyed by its exponent vector (e, a_1, ..., a_n) packed at ``width``."""
-    mask = (1 << width) - 1
-    return SimplexPolyKernel(
-        n, {(key & mask, _unpack(key >> width, width, n)): c for key, c in terms.items()}, den
-    )
+    @classmethod
+    def from_packed(
+        cls, order: int, terms: Mapping[int, int], den: int, width: int
+    ) -> SimplexPolyKernel:
+        """The kernel of the numerators ``terms`` over ``den``, each keyed
+        by its order-``order`` kernel key at ``width`` bits a slot
+        (:func:`_shift`): the dict constructor's kernel, without its
+        per-key checks.  Refuses ``den < 1`` and a key outside the slots
+        of (x, xi_1, ..., xi_order)."""
+        den = operator.index(den)
+        if den < 1:
+            raise ValueError(f"kernel denominator must be a positive integer, got {den}")
+        keys = sorted(key for key, c in terms.items() if c)
+        if keys and (keys[0] < 0 or keys[-1] >> _shift(order, -1, width)):
+            raise ValueError(f"packed key outside the slots of an order-{order} kernel")
+        g = math.gcd(den, *(terms[key] for key in keys))
+        mask = (1 << width) - 1
+        top = _shift(order, 0, width)
+        shifts = [_shift(order, v, width) for v in range(1, order + 1)]
+        kern = cls.__new__(cls)
+        kern.order = order
+        kern.monomials = {
+            (key >> top, tuple([key >> sh & mask for sh in shifts])): terms[key] // g for key in keys
+        }
+        kern.den = den // g
+        return kern
 
 
 def pdae_k2() -> SimplexPolyKernel:

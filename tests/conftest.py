@@ -255,6 +255,19 @@ def packed_case(draw):
     return width, tuple(vec)
 
 
+@st.composite
+def packed_kernel_case(draw):
+    """(order, width, {(e, a_1, ..., a_n): numerator}, den): orders 0..4,
+    slots of 1..8 bits filled up to 2**width - 1, zero and negative
+    numerators, and a factor the numerators share with ``den``."""
+    order, width = draw(st.integers(0, 4)), draw(st.integers(1, 8))
+    powers = st.tuples(*[st.integers(0, 2**width - 1)] * (order + 1))
+    factor = draw(st.sampled_from([1, 2, 6, 35]))
+    numerators = draw(st.dictionaries(powers, st.integers(-40, 40), max_size=12))
+    den = factor * draw(st.integers(1, 30))
+    return order, width, {vec: factor * c for vec, c in numerators.items()}, den
+
+
 def random_simplex_points(rng, n, count, x=1.0):
     """Descending-sorted uniform tuples inside T_n(x)."""
     pts = np.sort(rng.uniform(0.0, x, size=(count, n)), axis=1)[:, ::-1]

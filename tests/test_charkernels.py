@@ -264,10 +264,16 @@ class TestRecursionOracle:
     def test_matches_tuple_reference(self, tmp_path, plant, text, n_max):
         series = plant if text is None else plant_file(tmp_path, text).series
         kernels, couplings = reference_recursion(series, n_max)
-        assert dict(build_controller_kernels(series, n_max)) == kernels
+        got = build_controller_kernels(series, n_max)
+        assert dict(got) == kernels
         assert couplings
+        coupled = {
+            (n, m): coupling_polynomial(n, m, kernels[n - m + 1], series[m]) for n, m in couplings
+        }
         for (n, m), want in couplings.items():
-            assert coupling_polynomial(n, m, kernels[n - m + 1], series[m]) == want, (n, m)
+            assert coupled[n, m] == want, (n, m)
+        # The mesh cascades sum in .monomials order, which == does not see.
+        assert all(list(k.monomials) == sorted(k.monomials) for k in [*got.values(), *coupled.values()])
 
 
 class TestSlotBoundaries:
@@ -328,6 +334,7 @@ class TestSlotBoundaries:
         kernels, _ = reference_recursion(series, n_max)
         got = build_controller_kernels(series, n_max)
         assert dict(got) == kernels
+        assert all(list(k.monomials) == sorted(k.monomials) for k in got.values())
         exponents = {
             max(e, *alphas)
             for kern in [*series.values(), *got.values()]

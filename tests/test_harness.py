@@ -413,11 +413,14 @@ class TestMain:
             ("w,w\n0,0.3\n0,0.3\n0,0.3\n", "repeats the column 'w'"),
             ("x,w,x\n0,0,7\n0.5,0,7\n1,0,7\n", "repeats the column 'x'"),
             ("x,w\n0,0\n0.5,0,9\n1,0\n", "line 3 has 3 cells, the header 2"),
+            ("x,w\n0,0\n0.5,0.01\n1,0\n\n", "line 5 has 0 cells, the header 2"),
+            ("x,w\n0,0\n1\n1,0\n", "line 3 has 1 cells, the header 2"),
         ],
-        ids=["repeated-w", "repeated-x", "long-row"],
+        ids=["repeated-w", "repeated-x", "long-row", "trailing-blank-line", "short-row"],
     )
     def test_invert_ambiguous_columns_exit_2(self, out_root, tmp_path, capsys, text, message):
-        # Each of these was once read from the first column of its name alone.
+        # Each of these was once read from the first column of its name alone,
+        # or, short of a cell, refused as "bad w value: list index out of range".
         target = tmp_path / "target.csv"
         target.write_text(text)
         assert main(["invert", "--input", str(target)]) == 2

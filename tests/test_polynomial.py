@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import kernel_eval_exact, packed_case, poly_coefficients, poly_eval_exact, rational_poly
+from conftest import (
+    kernel_eval_exact,
+    packed_case,
+    packed_kernel_case,
+    poly_coefficients,
+    poly_eval_exact,
+    rational_poly,
+)
 from volback.gapcascade import (
     poly_degree,
     poly_derivative,
@@ -158,8 +165,40 @@ class TestSimplexPolyKernel:
         assert k2(xs, pts) == pytest.approx([-0.2, -0.2])
 
 
+class TestFromPacked:
+    """Kernels built from packed keys, x on top (x in slot n, xi_i in slot
+    n - i), against the validating dict constructor."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=packed_kernel_case())
+    @example(case=(0, 1, {}, 4))
+    @example(case=(2, 1, {(1, 1, 1): 6, (0, 1, 1): 0, (1, 0, 0): -3}, 9))
+    @example(case=(4, 8, {(255, 0, 255, 0, 255): -70, (255, 255, 255, 255, 255): 35}, 35))
+    def test_matches_dict_constructor(self, case):
+        order, width, numerators, den = case
+        packed = {
+            sum(v << ((order - i) * width) for i, v in enumerate(vec)): c
+            for vec, c in numerators.items()
+        }
+        got = SimplexPolyKernel.from_packed(order, packed, den, width)
+        want = SimplexPolyKernel(order, {(vec[0], vec[1:]): c for vec, c in numerators.items()}, den)
+        assert list(got.monomials.items()) == list(want.monomials.items())
+        assert got.den == want.den and got == want
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_nonpositive_den_rejected(self, den):
+        with pytest.raises(ValueError, match="denominator"):
+            SimplexPolyKernel.from_packed(2, {1: 1}, den, 3)
+
+    @pytest.mark.parametrize("key", [-1, 1 << 9])
+    def test_key_outside_the_slots_rejected(self, key):
+        # Order 2 at width 3 has the slots of (x, xi_1, xi_2): bits 0..8.
+        with pytest.raises(ValueError, match="outside the slots"):
+            SimplexPolyKernel.from_packed(2, {key: 1}, 1, 3)
+
+
 class TestPacking:
-    """Exponent vectors held as one int, slot i at bits i*width."""
+    """Gap vectors held as one int, slot i at bits i*width."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=packed_case())
