@@ -58,7 +58,7 @@ from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from .polynomial import SimplexPolyKernel, _shift, pdae_k2, pdae_k3
+from .polynomial import SimplexPolyKernel, _shift, _width, pdae_k2, pdae_k3, poly_degree
 from .simplex import ordered_splits
 from .volterra import VolterraKernelSeries
 
@@ -101,16 +101,6 @@ class KernelNode:
 
     def __repr__(self) -> str:
         return f"KernelNode(order={self.order}, provenance={self.provenance!r})"
-
-
-def _degree(kern: SimplexPolyKernel) -> int:
-    """Total degree of a kernel, -1 for zero."""
-    return max((e + sum(alphas) for e, alphas in kern.monomials), default=-1)
-
-
-def _width(degree: int) -> int:
-    """Bits per slot of the packed keys of kernels of at most this degree."""
-    return max(degree, 1).bit_length()
 
 
 def _flat(kern: SimplexPolyKernel) -> list[tuple[tuple[int, ...], int]]:
@@ -184,7 +174,7 @@ def coupling_polynomial(
         raise KernelConfigError("coupling needs the lower kernel for m < n")
     if k_lower.order != n - m + 1:
         raise KernelConfigError(f"lower kernel has order {k_lower.order}, expected {n - m + 1}")
-    width = _width(_degree(k_lower) + _degree(f_m) + 1)
+    width = _width(poly_degree(k_lower) + poly_degree(f_m) + 1)
     terms, den = _coupling_terms(n, m, k_lower, f_m, width)
     return SimplexPolyKernel.from_packed(n, terms, den, width)
 
@@ -238,8 +228,8 @@ def _recursion_kernel(
     # deg B[n, m] <= deg k_p + deg f_m + 1, and the kernel's degree is one
     # more than the forcing's.
     degree = max(
-        [_degree(plant_kernels[n]) if n in plant_kernels else -1]
-        + [_degree(lower[n - m + 1]) + _degree(plant_kernels[m]) + 1 for m in couplings]
+        [poly_degree(plant_kernels[n]) if n in plant_kernels else -1]
+        + [poly_degree(lower[n - m + 1]) + poly_degree(plant_kernels[m]) + 1 for m in couplings]
     )
     width = _width(degree + 1)
     parts: list[tuple[int, Mapping[int, int], int]] = []

@@ -81,7 +81,7 @@ from typing import Dict, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .polynomial import SimplexPolyKernel, _pack, _shift, _unpack
+from .polynomial import SimplexPolyKernel, _pack, _shift, _unpack, _width, poly_degree
 from .simplex import compositions, ordered_splits
 from .volterra import VolterraKernelSeries
 
@@ -111,11 +111,6 @@ def x_poly(numerators: Sequence[int], den: int = 1) -> SimplexPolyKernel:
     """The polynomial sum_k numerators[k] x**k / den, as the order-0 kernel
     with keys (k, ()): the exact type of every family coefficient."""
     return SimplexPolyKernel(0, {(k, ()): c for k, c in enumerate(numerators)}, den)
-
-
-def poly_degree(poly: SimplexPolyKernel) -> int:
-    """Degree of a polynomial in x, -1 for zero."""
-    return max((k for k, _ in poly.monomials), default=-1)
 
 
 def poly_numerators(poly: SimplexPolyKernel, den: int) -> list[int]:
@@ -626,7 +621,7 @@ def _expand_kernel(family: GapCoefficientFamily, n: int, shifted: bool) -> Simpl
     entries = family.at_order(n)
     pfact = {P: math.prod(map(math.factorial, P)) for P in entries}
     den = math.lcm(1, *(poly.den * pfact[P] for P, poly in entries.items()))
-    width = max([1] + [sum(P) + poly_degree(poly) for P, poly in entries.items()]).bit_length()
+    width = _width(max((sum(P) + poly_degree(poly) for P, poly in entries.items()), default=0))
     # Each trie node maps packed exponent vectors to integers.
     nodes: Dict[MultiIndex, Dict[int, int]] = {}
     x, xi_n = _shift(n, 0, width), _shift(n, n, width)

@@ -43,7 +43,6 @@ PICARD_TOL = 1e-10
 PICARD_MAX_ITERS = 200
 LIPSCHITZ_TRIALS = 20
 LIPSCHITZ_MESH_POINTS = 201
-DK_BLOCK_BYTES = 1 << 20  # tangent work arrays of a dk_matrix block, over its own mesh points
 NEUMANN_RESOLUTION = 1e-8  # the least lambda_min / lambda_max neumann_norm_estimate resolves
 
 
@@ -171,10 +170,10 @@ def dk_matrix(series: VolterraKernelSeries, u: GridFunction) -> np.ndarray:
     tangent pass in blocks (:meth:`MeshCascade.tangent_matrix`): a block
     of columns from c on integrates only the mesh points from c - 1 on,
     and takes as many columns as fit those points' work arrays in
-    ``DK_BLOCK_BYTES`` (one column at least).  Every block reuses one
-    workspace and the value integrals of ``u``, formed once.
+    ``volterra.DK_BLOCK_BYTES`` (one column at least).  Every block reuses
+    one workspace and the value integrals of ``u``, formed once.
     """
-    return MeshCascade(series, u.mesh).tangent_matrix(u.values, DK_BLOCK_BYTES)
+    return MeshCascade(series, u.mesh).tangent_matrix(u.values)
 
 
 def neumann_norm_estimate(series: VolterraKernelSeries, u: GridFunction) -> float:

@@ -15,8 +15,9 @@ Both exact kernel routes and the gap cascade's walks hold an exponent
 vector as one int: slot i at bits i*width and up, so a product of
 monomials is one addition of keys.  Exponents are nonnegative, so a
 width whose slots hold the largest total degree a computation reaches
-means no slot ever carries into the next.  A gap vector of the walks
-packs slot i from its entry i (:func:`_pack`).  A kernel key packs x on
+means no slot ever carries into the next; both kernel routes take it
+from :func:`_width`, on a degree bound built from :func:`poly_degree`.
+A gap vector of the walks packs slot i from its entry i (:func:`_pack`).  A kernel key packs x on
 top: variable v of an order-n key, x = 0 and xi_i = i, sits in slot
 n - v (:func:`_shift`), so x is in slot n and xi_n in slot 0, and
 integer order is the canonical ``(e, alphas)`` order.  A scratch
@@ -51,6 +52,12 @@ def _unpack(packed: int, width: int, length: int) -> Tuple[int, ...]:
     """The first ``length`` slots of a packed vector (``width`` >= 1)."""
     mask = (1 << width) - 1
     return tuple([packed >> shift & mask for shift in range(0, length * width, width)])
+
+
+def _width(degree: int) -> int:
+    """Bits per slot of packed keys whose slots hold at most ``degree``
+    (one at least)."""
+    return max(degree, 1).bit_length()
 
 
 @dataclass
@@ -134,6 +141,12 @@ class SimplexPolyKernel:
         }
         kern.den = den // g
         return kern
+
+
+def poly_degree(kern: SimplexPolyKernel) -> int:
+    """Total degree of a kernel, -1 for zero: of a polynomial in x (an
+    order-0 kernel), its degree."""
+    return max((e + sum(alphas) for e, alphas in kern.monomials), default=-1)
 
 
 def pdae_k2() -> SimplexPolyKernel:

@@ -29,15 +29,16 @@ rounding.
 The cascade takes the state once, for every slot, and evaluates all
 orders together (series profiles, the Picard and Lipschitz loops, the
 simulator's plant and controller), its trie sharing suffixes between
-orders.  The derivative at that state, summed over the slots, is one
-tangent pass of the same cascade (:meth:`MeshCascade.tangent`), so the
-derivative and the derivative matrix also use one cascade of all
-orders, and their cost does not grow with the number of slots.  The
+orders.  The derivative at that state, summed over the slots, is formed
+only as its matrix on the mesh, by one tangent pass of the same cascade
+(:meth:`MeshCascade.tangent_matrix`), so its cost does not grow with
+the number of slots; a derivative in one direction
+(:func:`linearized_profile`) is that matrix times the direction.  The
 matrix is causal (lower triangular), and each block of its columns
-integrates only the mesh points where it can be nonzero
-(:meth:`MeshCascade.tangent_matrix`).  Gauss quadrature on the simplex
-remains only for the kernel norms (:func:`kernel_l2_sq`), behind the
-gains and the coupling-bound check; no term is evaluated pointwise.
+integrates only the mesh points where it can be nonzero.  Gauss
+quadrature on the simplex remains only for the kernel norms
+(:func:`kernel_l2_sq`), behind the gains and the coupling-bound check;
+no term is evaluated pointwise.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -70,6 +71,7 @@ from .polynomial import SimplexPolyKernel
 from .simplex import QuadratureRule, simplex_nodes
 
 GROWTH_SAMPLES = 200  # random points per order of check_growth_assumption
+DK_BLOCK_BYTES = 1 << 20  # tangent work arrays of a tangent_matrix block, over its own mesh points
 
 
 class SeriesDefinitionError(ValueError):
@@ -215,10 +217,10 @@ class MeshCascade:
     which fills every slot, with optional leading batch axes.  Their work
     arrays are one block, allocated again only when the batch axes
     change; each call overwrites it, and no result aliases it.  The
-    tangent (``tangent``), the derivative of the profile at u, has a block
-    of its own for each call, sized for the batch axes of its direction;
-    its matrix (``tangent_matrix``) takes the unit directions in column
-    blocks that share one block and skip the points where the matrix is 0.
+    derivative of the profile at u is formed as its matrix
+    (``tangent_matrix``), which takes the unit directions in column
+    blocks that share a workspace of their own and skip the points where
+    the matrix is 0.
     """
 
     def __init__(self, orders: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
@@ -363,30 +365,21 @@ class MeshCascade:
             for j, (pows, parent) in enumerate(self.levels)
         ]
 
-    def _tangent_buffers(self, block: np.ndarray, batch: tuple[int, ...], points: int) -> list:
-        """Per level, for the batch axes ``batch`` of a tangent over
-        ``points`` mesh points: dT (..., nodes, points) and g laid out by
-        ``_layout``.  dT lies in the first half of ``block`` and g in the
-        second; level j forms its g from dT_{j-1} before its own dT
-        overwrites it."""
+    def _tangent_buffers(self, block: np.ndarray, width: int, points: int) -> list:
+        """Per level, for a block of ``width`` columns over ``points`` mesh
+        points: dT (width, nodes, points) and g laid out by ``_layout``.  dT
+        lies in the first half of ``block`` and g in the second; level j
+        forms its g from dT_{j-1} before its own dT overwrites it."""
         half = block[block.size // 2 :]
-        return [_layout(block, half, batch + (len(pows), points)) for pows, _ in self.levels]
+        return [_layout(block, half, (width, len(pows), points)) for pows, _ in self.levels]
 
-    def _tangent_pass(
-        self,
-        factors: list,
-        work: list,
-        out: np.ndarray,
-        h: np.ndarray | None = None,
-        start: int = 0,
-        lo: int = 0,
-    ) -> None:
-        """Add the tangent over mesh points lo.. to ``out``, in the
-        directions ``h`` (..., 1, M) or, when ``h`` is None, in the unit
+    def _tangent_pass(self, factors: list, work: list, out: np.ndarray, start: int, lo: int) -> None:
+        """Add the tangent over mesh points lo.. to ``out`` in the unit
         directions start, start + 1, ... (one per row of ``out``), each 1 at
         its own point and 0 elsewhere, so the term h x**a T_{j-1}[parent]
         is that point's factor alone.  dT is 0 at point ``lo``."""
         prev = None
+        cols = np.arange(len(out))
         for j, ((_, parent), (inject, weight), level) in enumerate(zip(self.levels, factors, work)):
             dt, _, _, g, _ = level
             if prev is None:
@@ -394,21 +387,16 @@ class MeshCascade:
             else:
                 prev.take(parent, -2, g, "clip")
                 g *= weight[:, lo:]
-            if h is None:
-                cols = np.arange(len(g))
-                g[cols, :, cols + (start - lo)] += inject[:, cols + start].T
-            else:
-                np.multiply(h, inject, out=dt)
-                g += dt
+            g[cols, :, cols + (start - lo)] += inject[:, cols + start].T
             self._trapezoid(level)
             if j + 1 in self.rows:
                 out += _contract(dt, self.rows[j + 1][:, lo:])
             prev = dt
 
-    def tangent(self, values: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """The derivative of ``profile`` at ``values`` in every slot applied
-        to ``h``: the sum over the slots of the profile with ``h`` in that
-        slot, shape h.shape[:-1] + (M,).
+    def tangent_matrix(self, values: np.ndarray) -> np.ndarray:
+        """The (M, M) matrix of the derivative of ``profile`` at ``values``
+        in every slot: column c is the sum over the slots of the profile
+        with the c-th unit vector h in that slot.
 
         Forward mode (Griewank and Walther, *Evaluating Derivatives*, 2nd
         ed., SIAM 2008) through the trie: level j's integrals
@@ -420,19 +408,7 @@ class MeshCascade:
         with T_{-1} = 1 and dT_{-1} = 0, and each order reads dT with the
         rows of its profile.  Each level is linear in each factor, so this
         is the sum over the slots in exact arithmetic, and agrees with it to
-        within rounding.  The integrals of ``values`` carry no batch axis;
-        only dT carries those of ``h``.
-        """
-        batch = h.shape[:-1]
-        out = np.zeros(batch + (self.size,))
-        block = np.empty(math.prod(batch) * self.size * self.tangent_point_bytes // 8)
-        work = self._tangent_buffers(block, batch, self.size)
-        self._tangent_pass(self._tangent_factors(values), work, out, h[..., None, :])
-        return out
-
-    def tangent_matrix(self, values: np.ndarray, block_bytes: int) -> np.ndarray:
-        """The (M, M) matrix of ``tangent`` at ``values``: column c is the
-        tangent in the direction of the c-th unit vector.
+        within rounding.
 
         The tangent is causal: in a direction that is 0 before point c, dT
         is 0 at every point before c, so the matrix is lower triangular.  A
@@ -441,11 +417,11 @@ class MeshCascade:
         between points start - 1 and start is the first that can be
         nonzero).  The terms it skips are zeros, which add exactly 0 to each
         sequential ``cumsum``, and every column reads the same nodes in the
-        same order, so each entry is the one ``tangent`` gives, bit for bit,
-        wherever the factors are finite.
+        same order, so each entry is the one a pass over all M points gives,
+        bit for bit, wherever the factors are finite.
 
         A block takes as many columns as fit its work arrays over its own
-        points in ``block_bytes`` (one column at least), so later blocks
+        points in ``DK_BLOCK_BYTES`` (one column at least), so later blocks
         are wider.  The blocks share one workspace and the factors of
         ``_tangent_factors``, each formed once per call.
         """
@@ -454,15 +430,15 @@ class MeshCascade:
         blocks, start = [], 0
         while start < m:
             lo = max(start - 1, 0)
-            width = min(m - start, max(1, block_bytes // max(point_bytes * (m - lo), 1)))
+            width = min(m - start, max(1, DK_BLOCK_BYTES // max(point_bytes * (m - lo), 1)))
             blocks.append((start, width, lo))
             start += width
         block = np.empty(max(width * (m - lo) for _, width, lo in blocks) * point_bytes // 8)
         factors = self._tangent_factors(values)
         out = np.zeros((m, m))
         for start, width, lo in blocks:
-            work = self._tangent_buffers(block, (width,), m - lo)
-            self._tangent_pass(factors, work, out[lo:, start : start + width].T, start=start, lo=lo)
+            work = self._tangent_buffers(block, width, m - lo)
+            self._tangent_pass(factors, work, out[lo:, start : start + width].T, start, lo)
         return out
 
     def endpoint(self, values: np.ndarray) -> np.ndarray | float:
@@ -524,25 +500,17 @@ def series_profile(series: VolterraKernelSeries, u: GridFunction) -> GridFunctio
     return GridFunction(MeshCascade(series, u.mesh).profile(u.values))
 
 
-def linearized_values(
-    series: VolterraKernelSeries, u: GridFunction, h: np.ndarray
-) -> np.ndarray:
-    """The derivative of F at ``u`` applied to the mesh samples ``h``.
-
-    The derivative of an order-n term replaces one ``u`` factor by ``h``
-    in each of the n slots and sums the results; one tangent pass of one
-    cascade of all orders forms that sum (:meth:`MeshCascade.tangent`).
-    ``h`` may carry leading batch axes (the result then has them too).
-    """
-    return MeshCascade(series, u.mesh).tangent(u.values, h)
-
-
 def linearized_profile(
     series: VolterraKernelSeries, u: GridFunction, h: GridFunction
 ) -> GridFunction:
-    """Profile of the derivative of F at ``u`` applied to ``h``."""
+    """Profile of the derivative of F at ``u`` applied to ``h``: the
+    derivative matrix of one cascade of all orders
+    (:meth:`MeshCascade.tangent_matrix`) times the samples of ``h``.
+
+    The derivative of an order-n term replaces one ``u`` factor by ``h``
+    in each of the n slots and sums the results."""
     u._check_mesh(h)
-    return GridFunction(linearized_values(series, u, h.values))
+    return GridFunction(MeshCascade(series, u.mesh).tangent_matrix(u.values) @ h.values)
 
 
 def kernel_l2_sq(kern: SimplexPolyKernel, rule: QuadratureRule) -> float:

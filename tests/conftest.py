@@ -343,7 +343,9 @@ def assert_profile_within_rounding(value, orders, state, mesh):
 
 
 def per_slot_linearized(series, u, h):
-    """Reference for ``linearized_values``, independent of ``MeshCascade``:
+    """Reference for ``linearized_profile`` and ``dk_matrix`` (with the
+    identity for ``h``, its rows the matrix's columns), independent of
+    ``MeshCascade``:
     one monomial at a time, the nested trapezoid rule (``_inner_integral``)
     run once per slot with ``h`` (which may carry leading batch axes) in
     the slot and ``u`` in the others, and the terms c x**e inner summed."""

@@ -26,14 +26,13 @@ from volback.gapcascade import (
     family_to_json,
     gamma_table,
     pdae_b_family,
-    poly_degree,
     poly_derivative,
     poly_product,
     poly_sum,
     split_gap_integration,
     x_poly,
 )
-from volback.polynomial import SimplexPolyKernel, _pack, _unpack, pdae_k2, pdae_k3
+from volback.polynomial import SimplexPolyKernel, _pack, _unpack, pdae_k2, pdae_k3, poly_degree
 from volback.verification import _phi
 
 from conftest import (

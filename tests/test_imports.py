@@ -52,3 +52,58 @@ def test_fractions_only_in_harness(path):
     # (SimplexPolyKernel); harness parses rationals from plant and config text.
     if path.name != "harness.py":
         assert "fractions" not in imported_modules(path.read_text())
+
+
+PERFBENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+
+
+def defined_names(source: str) -> set[str]:
+    """The module-level functions and classes of ``source`` and the
+    methods of its classes, dunder methods aside (Python calls those)."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            out.update(
+                item.name
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+            )
+    return out
+
+
+def named_names(source: str) -> set[str]:
+    """The names that ``source`` reads, as a name, as an attribute, or as a
+    string that is an identifier (``getattr(module, "name")``)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def unreached(sources: list[str], hooks: list[str]) -> list[str]:
+    """The names ``sources`` define that neither they nor ``hooks`` name."""
+    named = set().union(*map(named_names, sources + hooks))
+    return sorted(set().union(*map(defined_names, sources)) - named)
+
+
+def test_walk_finds_unreached_names():
+    source = (
+        "class A:\n    def __init__(self): self.used()\n    def used(self): pass\n"
+        "    def orphan(self): pass\ndef helper(): return A()\ndef hooked(): pass\n"
+        "def alone(): pass\nhelper()\n"
+    )
+    assert unreached([source], ['wrap(module, "hooked")\n']) == ["alone", "orphan"]
+
+
+def test_every_name_is_reached():
+    # Every name of the package is reached by a program path or wrapped by
+    # a benchmark hook; a helper only the tests call does not count.
+    sources = [path.read_text() for path in MODULES]
+    assert unreached(sources, [path.read_text() for path in PERFBENCH]) == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import frechet_dk
-from volback import inversion
+from volback import inversion, volterra
 from volback.charkernels import build_controller_kernels, pdae_plant
 from volback.inversion import (
     InversionConfig,
@@ -30,7 +30,6 @@ from volback.volterra import (
     build_gains,
     gain_ell,
     linearized_profile,
-    linearized_values,
     series_profile,
 )
 
@@ -150,15 +149,6 @@ class TestDerivative:
         with pytest.raises(InversionDomainError):
             frechet_dk(kernel_series, u, u, 1.5, gl8)
 
-    def test_matrix_columns_are_basis_responses(self, kernel_series):
-        coarse = np.linspace(0.0, 1.0, 21)
-        u = GridFunction(0.2 * np.sin(math.pi * coarse))
-        mat = dk_matrix(kernel_series, u)
-        e = np.zeros(21)
-        e[10] = 1.0
-        col = linearized_profile(kernel_series, u, GridFunction(e))
-        assert mat[:, 10] == pytest.approx(col.values)
-
 
 class TestDkMatrixBlocks:
     """``dk_matrix`` takes the identity through one cascade's tangent pass
@@ -172,28 +162,31 @@ class TestDkMatrixBlocks:
 
     @staticmethod
     def recorded_blocks(monkeypatch):
-        """Record, per block, the workspace, the batch axes, the mesh points
-        and the work arrays ``_tangent_buffers`` hands out."""
+        """Record, per block, the workspace, the block width, the mesh
+        points and the work arrays ``_tangent_buffers`` hands out."""
         calls = []
         buffers = MeshCascade._tangent_buffers
 
-        def recording(self, block, batch, points):
-            work = buffers(self, block, batch, points)
-            calls.append((block, batch, points, work))
+        def recording(self, block, width, points):
+            work = buffers(self, block, width, points)
+            calls.append((block, width, points, work))
             return work
 
         monkeypatch.setattr(MeshCascade, "_tangent_buffers", recording)
         return calls
 
     def blocks(self, series, u, monkeypatch):
-        """The (batch, points) of each block of ``dk_matrix``, whose matrix
-        is held to the unblocked tangent exactly and to be causal."""
-        want = linearized_values(series, u, np.eye(u.size)).T
+        """The (width, points) of each block of ``dk_matrix``, whose matrix
+        is held exactly to the unblocked one (one block over every mesh
+        point) and to be causal."""
+        with monkeypatch.context() as unblocked:
+            unblocked.setattr(volterra, "DK_BLOCK_BYTES", 1 << 30)
+            want = dk_matrix(series, u)
         calls = self.recorded_blocks(monkeypatch)
         dk = dk_matrix(series, u)
         assert np.array_equal(dk, want)
         assert np.array_equal(np.triu(dk, 1), np.zeros((u.size, u.size)))
-        return [(batch, points) for _, batch, points, _ in calls]
+        return [(width, points) for _, width, points, _ in calls]
 
     # A first block of 4 columns over all m points; later blocks, over
     # fewer points, are wider: less than one block, one block, exactly two
@@ -204,24 +197,24 @@ class TestDkMatrixBlocks:
     def test_block_edges(self, series, monkeypatch, m):
         u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, m)) + 0.1)
         point_bytes = MeshCascade(series, u.mesh).tangent_point_bytes
-        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 4 * point_bytes * m + point_bytes * m // 2)
+        monkeypatch.setattr(volterra, "DK_BLOCK_BYTES", 4 * point_bytes * m + point_bytes * m // 2)
         widths = self.WIDTHS[m]
         starts = np.cumsum([0] + widths[:-1])
         assert self.blocks(series, u, monkeypatch) == [
-            ((w,), m - max(s - 1, 0)) for s, w in zip(starts, widths)
+            (w, m - max(s - 1, 0)) for s, w in zip(starts, widths)
         ]
 
     def test_one_column_per_block(self, series, monkeypatch):
         u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 13)) + 0.1)
-        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 1)
-        assert self.blocks(series, u, monkeypatch) == [((1,), 13)] + [
-            ((1,), 13 - (s - 1)) for s in range(1, 13)
+        monkeypatch.setattr(volterra, "DK_BLOCK_BYTES", 1)
+        assert self.blocks(series, u, monkeypatch) == [(1, 13)] + [
+            (1, 13 - (s - 1)) for s in range(1, 13)
         ]
 
     def test_one_block_from_column_zero(self, series, monkeypatch):
         u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 41)) + 0.1)
-        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 1 << 30)
-        assert self.blocks(series, u, monkeypatch) == [((41,), 41)]
+        monkeypatch.setattr(volterra, "DK_BLOCK_BYTES", 1 << 30)
+        assert self.blocks(series, u, monkeypatch) == [(41, 41)]
 
     def test_lower_triangular_at_default_blocks(self, kernel_series, monkeypatch):
         mesh = np.linspace(0.0, 1.0, 201)
@@ -230,7 +223,7 @@ class TestDkMatrixBlocks:
         dk = dk_matrix(kernel_series, u)
         assert np.array_equal(np.triu(dk, 1), np.zeros((201, 201)))
         assert np.any(np.tril(dk))
-        widths = [batch[0] for _, batch, _, _ in calls]
+        widths = [width for _, width, _, _ in calls]
         assert len(widths) > 2 and widths[:-1] == sorted(widths[:-1])
 
     @pytest.mark.parametrize("order, m", [(4, 201), (5, 101)])
@@ -242,12 +235,12 @@ class TestDkMatrixBlocks:
     def test_blocks_share_one_workspace(self, series, monkeypatch):
         u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 13)) + 0.1)
         point_bytes = MeshCascade(series, u.mesh).tangent_point_bytes
-        monkeypatch.setattr(inversion, "DK_BLOCK_BYTES", 4 * point_bytes * 13)
+        monkeypatch.setattr(volterra, "DK_BLOCK_BYTES", 4 * point_bytes * 13)
         calls = self.recorded_blocks(monkeypatch)
         dk_matrix(series, u)
         block = calls[0][0]
         assert len(calls) > 1 and all(b is block for b, _, _, _ in calls)
-        assert block.nbytes <= inversion.DK_BLOCK_BYTES
+        assert block.nbytes <= volterra.DK_BLOCK_BYTES
         for _, _, _, work in calls:
             assert all(a.base is block for arrays in work for a in arrays)
 

@@ -16,7 +16,6 @@ from conftest import (
     rational_poly,
 )
 from volback.gapcascade import (
-    poly_degree,
     poly_derivative,
     poly_integral,
     poly_numerators,
@@ -24,7 +23,7 @@ from volback.gapcascade import (
     poly_sum,
     x_poly,
 )
-from volback.polynomial import SimplexPolyKernel, _pack, _unpack, pdae_k2, pdae_k3
+from volback.polynomial import SimplexPolyKernel, _pack, _unpack, pdae_k2, pdae_k3, poly_degree
 
 POINTS = [Fr(0), Fr(1, 3), Fr(-2, 5), Fr(7, 4)]
 

@@ -43,7 +43,6 @@ from volback.volterra import (
     gain_k,
     kernel_l2_sq,
     linearized_profile,
-    linearized_values,
     series_profile,
 )
 
@@ -470,17 +469,6 @@ class TestMeshCascade:
         assert np.array_equal(cascade.profile(u), kept)
         assert cascade.endpoint(u) == end
 
-    def test_batched_dk_matrix_equals_columns(self, kernel_series):
-        kernels = dict(kernel_series)
-        kernels[4] = build_kernel_table(load_plant("pdae"), 4)[4]
-        series = VolterraKernelSeries(kernels)
-        m = 31
-        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, m)) + 0.1)
-        columns = [
-            linearized_profile(series, u, GridFunction(e)).values for e in np.eye(m)
-        ]
-        assert np.array_equal(dk_matrix(series, u), np.column_stack(columns))
-
 
 @pytest.fixture(scope="module")
 def plants(tmp_path_factory):
@@ -494,10 +482,11 @@ def plants(tmp_path_factory):
 
 
 class TestTangent:
-    """``linearized_values`` is one tangent pass of one cascade of all
-    orders; it agrees with the per-slot reference (``per_slot_linearized``),
-    the nested trapezoid rule of one monomial and one slot at a time, to
-    within rounding."""
+    """``linearized_profile`` and ``dk_matrix`` are one tangent pass of one
+    cascade of all orders (``MeshCascade.tangent_matrix``); they agree
+    with the per-slot reference (``per_slot_linearized``), the nested
+    trapezoid rule of one monomial and one slot at a time, to within
+    rounding."""
 
     @staticmethod
     def assert_matches_reference(series, m, seed):
@@ -505,15 +494,11 @@ class TestTangent:
         mesh = np.linspace(0.0, 1.0, m)
         u = GridFunction(0.3 * np.sin(math.pi * mesh) + 0.2 * mesh)
         h = rng.standard_normal((3, m))
-        batched = linearized_values(series, u, h)
         want = per_slot_linearized(series, u, h)
-        assert batched.shape == want.shape == (3, m)
-        for row, hb, ref in zip(batched, h, want):
-            alone = linearized_values(series, u, hb)
-            assert alone.shape == (m,)
-            scale = np.max(np.abs(ref))
-            assert np.max(np.abs(row - ref)) <= 1e-13 * scale
-            assert np.max(np.abs(alone - ref)) <= 1e-13 * scale
+        for hb, ref in zip(h, want):
+            got = linearized_profile(series, u, GridFunction(hb)).values
+            assert got.shape == (m,)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize(
         "plant, n, m",
@@ -524,6 +509,21 @@ class TestTangent:
         series = build_controller_kernels(plants[plant], n)
         assert all(kern.monomials for kern in series.values())
         self.assert_matches_reference(series, m, seed=n * m)
+
+    @pytest.mark.parametrize(
+        "plant, n, m",
+        [("pdae", n, m) for n in (2, 3, 4, 5) for m in (13, 21)]
+        + [(p, n, m) for p in ("ks-shaped", "mixed") for n in (2, 3, 4) for m in (13, 21)],
+    )
+    def test_dk_matrix_matches_per_slot_reference(self, plants, plant, n, m):
+        # Column c of the reference is the derivative in the c-th unit vector.
+        series = build_controller_kernels(plants[plant], n)
+        u = GridFunction(0.3 * np.sin(math.pi * np.linspace(0.0, 1.0, m)) + 0.1)
+        want = per_slot_linearized(series, u, np.eye(m)).T
+        got = dk_matrix(series, u)
+        assert got.shape == (m, m)
+        assert not np.any(np.triu(want, 1)) and not np.any(np.triu(got, 1))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_lowest_order_three(self, plants):
         series = plants["cubic"]
@@ -536,10 +536,15 @@ class TestTangent:
         self.assert_matches_reference(series, 41, seed=5)
 
     def test_empty_series_gives_zeros(self):
-        h = np.random.default_rng(1).standard_normal((2, 3, 11))
+        h = GridFunction(np.random.default_rng(1).standard_normal(11))
         u = GridFunction(np.linspace(0.0, 1.0, 11))
-        out = linearized_values(VolterraKernelSeries({}), u, h)
-        assert out.shape == (2, 3, 11) and not np.any(out)
+        out = linearized_profile(VolterraKernelSeries({}), u, h)
+        assert out.size == 11 and not np.any(out.values)
+
+    def test_direction_on_another_mesh_refused(self, kernel_series):
+        u = GridFunction(np.linspace(0.0, 1.0, 11))
+        with pytest.raises(ValueError, match="mesh mismatch: 11 vs 12"):
+            linearized_profile(kernel_series, u, GridFunction(np.ones(12)))
 
 
 class TestQuadratureTerm:
