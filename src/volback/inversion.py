@@ -29,7 +29,6 @@ from .simplex import QuadratureRule
 from .volterra import (
     GainFunctions,
     GridFunction,
-    MeshCascade,
     VolterraKernelSeries,
     build_gains,
     gain_ell,
@@ -138,7 +137,10 @@ def invert_with_info(
 
     Requires ||w||^2 < rho_L.  Iterates u <- w + K[u] until successive
     iterates differ by less than ``PICARD_TOL`` in L2, at most
-    ``PICARD_MAX_ITERS`` times.
+    ``PICARD_MAX_ITERS`` times, on the value arrays, by the series' cascade
+    on the mesh of ``w`` (:meth:`VolterraKernelSeries.cascade`).  A step's
+    norm is formed as :meth:`GridFunction.l2_norm` forms it, and an
+    iterate that is not finite is refused as a GridFunction refuses it.
     """
     with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
         norm_sq = w.l2_norm() ** 2
@@ -146,34 +148,40 @@ def invert_with_info(
         raise InversionDomainError(
             f"target norm^2 {norm_sq:.4g} is not below rho_L {config.rho_L:.4g}"
         )
-    terms = MeshCascade(series, w.mesh)
-    u = w
+    terms = series.cascade(w.size)
+    u = w.values
     residuals: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, PICARD_MAX_ITERS + 1):
-        nxt = w + GridFunction(terms.profile(u.values))
-        step = (nxt - u).l2_norm()
+        nxt = w.values + terms.profile(u)
+        diff = nxt - u
+        # A non-finite profile makes nxt, and so diff, non-finite: one scan
+        # refuses what GridFunction would refuse in any of the three.
+        if not np.isfinite(diff).all():
+            raise ValueError("grid function values must be finite")
+        step = float(np.sqrt(np.trapezoid(diff**2, dx=w.dx)))  # GridFunction.l2_norm
         residuals.append(step)
         u = nxt
         if step < PICARD_TOL:
             converged = True
             break
-    return InversionResult(u, iterations, residuals, converged)
+    return InversionResult(GridFunction(u), iterations, residuals, converged)
 
 
 def dk_matrix(series: VolterraKernelSeries, u: GridFunction) -> np.ndarray:
     """Dense mesh matrix of h -> DK[u] h (columns are basis responses).
 
-    DK[u] is causal, so the matrix is lower triangular.  One cascade of
-    all orders, built once, takes the identity's columns through its
+    DK[u] is causal, so the matrix is lower triangular.  The series'
+    cascade on the mesh of ``u`` (:meth:`VolterraKernelSeries.cascade`,
+    shared with its profiles) takes the identity's columns through its
     tangent pass in blocks (:meth:`MeshCascade.tangent_matrix`): a block
     of columns from c on integrates only the mesh points from c - 1 on,
     and takes as many columns as fit those points' work arrays in
     ``volterra.DK_BLOCK_BYTES`` (one column at least).  Every block reuses
     one workspace and the value integrals of ``u``, formed once.
     """
-    return MeshCascade(series, u.mesh).tangent_matrix(u.values)
+    return series.cascade(u.size).tangent_matrix(u.values)
 
 
 def neumann_norm_estimate(series: VolterraKernelSeries, u: GridFunction) -> float:
@@ -233,7 +241,7 @@ def lipschitz_check(series: VolterraKernelSeries, s: float, seed: int = 0) -> fl
         if g.l2_norm() > 0:
             g = g.scale(target / g.l2_norm())
         states.append(g.values)
-    images = MeshCascade(series, mesh).profile(np.array(states))
+    images = series.cascade(LIPSCHITZ_MESH_POINTS).profile(np.array(states))
     worst = 0.0
     for u, v, ku, kv in zip(states[::2], states[1::2], images[::2], images[1::2]):
         du = GridFunction(u - v).l2_norm()

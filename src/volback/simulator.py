@@ -9,12 +9,15 @@ value at every stage so the scheme stays consistent with the
 time-varying boundary condition.
 
 The controller, and any plant other than the builtin quadratic one, is
-evaluated by one :class:`~volback.volterra.MeshCascade` of all orders
-built per run, which takes the state once for every slot.  Both come as
-a :class:`~volback.volterra.VolterraKernelSeries`, so every kernel was
-checked when its series was built.  The builtin plant keeps its closed
-form (int_0^x u)^2 / 2, its running integral one cumulative trapezoid
-sum.
+evaluated by one :class:`~volback.volterra.MeshCascade` of all its
+orders, which takes the state once for every slot: the plant by its
+series' own cascade
+(:meth:`~volback.volterra.VolterraKernelSeries.cascade`), the
+controller, which reads orders 2 up to its cap, by one built per run.
+Both come as a :class:`~volback.volterra.VolterraKernelSeries`, so
+every kernel was checked when its series was built.  The builtin plant
+keeps its closed form (int_0^x u)^2 / 2, its running integral one
+cumulative trapezoid sum.
 
 Also here: the target semigroup (pure left transport with zero inflow,
 which annihilates any profile in finite time 1), the closed-loop
@@ -366,7 +369,7 @@ def _plant_nonlinearity(
 
         return quadratic
 
-    return MeshCascade(plant, mesh).profile
+    return plant.cascade(mesh.size).profile
 
 
 def target_semigroup(w0: GridFunction, t: float) -> GridFunction:
@@ -415,7 +418,7 @@ def mild_solution_residual(
         raise NotApplicableError(
             "mild-solution residual is undefined for a blow-up record"
         )
-    terms = MeshCascade(kernels, record.mesh)
+    terms = kernels.cascade(record.mesh.size)
     u0 = GridFunction(record.snapshots[0])
     w0 = u0 - GridFunction(terms.profile(u0.values))
     worst = 0.0

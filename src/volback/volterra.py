@@ -27,9 +27,14 @@ agrees with the nested trapezoid rule of each monomial alone to within
 rounding.
 
 The cascade takes the state once, for every slot, and evaluates all
-orders together (series profiles, the Picard and Lipschitz loops, the
-simulator's plant and controller), its trie sharing suffixes between
-orders.  The derivative at that state, summed over the slots, is formed
+orders together, its trie sharing suffixes between orders.  A series
+owns its cascade (:meth:`VolterraKernelSeries.cascade`): built on the
+first evaluation at a mesh size and kept for the most recent size, it
+serves every evaluator of that series there (series profiles, the
+Picard and Lipschitz loops, the derivative matrix, the mild-solution
+residual and the simulator's plant).  Only the simulator's controller,
+which reads orders 2 up to its cap, builds a cascade of its own, once
+per run.  The derivative at that state, summed over the slots, is formed
 only as its matrix on the mesh, by one tangent pass of the same cascade
 (:meth:`MeshCascade.tangent_matrix`), so its cost does not grow with
 the number of slots; a derivative in one direction
@@ -170,6 +175,15 @@ class VolterraKernelSeries(Mapping[int, SimplexPolyKernel]):
                 raise SeriesDefinitionError("growth constants must be positive")
             growth = (float(d), float(rho))
         self.growth = growth
+        self._cascade: MeshCascade | None = None
+
+    def cascade(self, size: int) -> "MeshCascade":
+        """The series' :class:`MeshCascade` on the uniform mesh of ``size``
+        points, built on first use.  Only the most recently asked size is
+        kept, so a series holds one cascade at most."""
+        if self._cascade is None or self._cascade.size != size:
+            self._cascade = MeshCascade(self, np.linspace(0.0, 1.0, size))
+        return self._cascade
 
     def __getitem__(self, n: int) -> SimplexPolyKernel:
         return self._kernels[n]
@@ -187,7 +201,7 @@ class VolterraKernelSeries(Mapping[int, SimplexPolyKernel]):
 class MeshCascade:
     """Nested trapezoid sums of polynomial multilinear terms on a mesh.
 
-    Built once from the kernels of one or several orders ``{n: kernel}``
+    Built from the kernels of one or several orders ``{n: kernel}``
     and the uniform mesh, it evaluates the sum over every order n of
 
         sum c x**e int_0^x xi_1**a_1 u(xi_1) int_0^xi_1 ... u(xi_n) dxi
@@ -221,6 +235,14 @@ class MeshCascade:
     (``tangent_matrix``), which takes the unit directions in column
     blocks that share a workspace of their own and skip the points where
     the matrix is 0.
+
+    A series keeps one cascade for its most recent mesh size
+    (:meth:`VolterraKernelSeries.cascade`), and every evaluator of the
+    series shares it.  That is safe: each call overwrites the work block,
+    no result aliases it, and the integrals ``_integrals`` returns are
+    read, into a new array, before the call that formed them returns, so
+    no call leaves state that the next one, from whichever evaluator,
+    could disturb or need.
     """
 
     def __init__(self, orders: Mapping[int, SimplexPolyKernel], mesh: np.ndarray) -> None:
@@ -492,25 +514,24 @@ def trie_nodes(kern: SimplexPolyKernel) -> int:
 
 
 def series_profile(series: VolterraKernelSeries, u: GridFunction) -> GridFunction:
-    """The full profile x -> F[u](x) on the mesh of ``u``.
-
-    The cascade is built for this call (its set-up cost does not depend
-    on the mesh size).
-    """
-    return GridFunction(MeshCascade(series, u.mesh).profile(u.values))
+    """The full profile x -> F[u](x) on the mesh of ``u``, by the series'
+    cascade on that mesh (:meth:`VolterraKernelSeries.cascade`), built on
+    the first call at its size and shared with the series' other
+    evaluators."""
+    return GridFunction(series.cascade(u.size).profile(u.values))
 
 
 def linearized_profile(
     series: VolterraKernelSeries, u: GridFunction, h: GridFunction
 ) -> GridFunction:
     """Profile of the derivative of F at ``u`` applied to ``h``: the
-    derivative matrix of one cascade of all orders
+    derivative matrix of the series' cascade on the mesh of ``u``
     (:meth:`MeshCascade.tangent_matrix`) times the samples of ``h``.
 
     The derivative of an order-n term replaces one ``u`` factor by ``h``
     in each of the n slots and sums the results."""
     u._check_mesh(h)
-    return GridFunction(MeshCascade(series, u.mesh).tangent_matrix(u.values) @ h.values)
+    return GridFunction(series.cascade(u.size).tangent_matrix(u.values) @ h.values)
 
 
 def kernel_l2_sq(kern: SimplexPolyKernel, rule: QuadratureRule) -> float:

@@ -20,6 +20,7 @@ from volback.inversion import (
     lipschitz_check,
     neumann_norm_estimate,
 )
+from volback.polynomial import SimplexPolyKernel
 from volback.simplex import QuadratureRule
 from volback.verification import LIPSCHITZ_TOL
 from volback.volterra import (
@@ -373,7 +374,8 @@ class TestLipschitzSampling:
 
 
 class TestEvaluatorsBuiltOnce:
-    """Loops over one mesh build the series evaluators once per call."""
+    """A series builds its cascade once per mesh size, whichever evaluators
+    read it, and keeps only the most recent size."""
 
     @pytest.fixture()
     def builds(self, monkeypatch):
@@ -384,20 +386,80 @@ class TestEvaluatorsBuiltOnce:
                 calls.append(mesh.size)
                 super().__init__(orders, mesh)
 
-        monkeypatch.setattr(inversion, "MeshCascade", Counting)
+        monkeypatch.setattr(volterra, "MeshCascade", Counting)
         return calls
 
-    def test_picard_matches_per_iteration_profiles(self, kernel_series, config, mesh, builds):
+    @pytest.fixture()
+    def series(self, kernel_series):
+        # A series of its own: the session fixture's cascade would hide builds.
+        return VolterraKernelSeries(dict(kernel_series))
+
+    def test_picard_matches_per_iteration_profiles(self, series, config, mesh, builds):
         rng = np.random.default_rng(4)
         w = smooth_profile(rng, mesh, 0.6 * math.sqrt(config.rho_L))
-        res = invert_with_info(w, kernel_series, config)
+        results = [invert_with_info(w, series, config) for _ in range(3)]
+        # The reference: each iterate, and each step's norm, a GridFunction.
+        u, residuals = w, []
+        for _ in range(results[0].iterations):
+            nxt = w + series_profile(series, u)
+            residuals.append((nxt - u).l2_norm())
+            u = nxt
         assert builds == [mesh.size]
-        u = w
-        for _ in range(res.iterations):
-            u = w + series_profile(kernel_series, u)
-        assert np.array_equal(u.values, res.u.values)
+        ratios = [b / a for a, b in zip(residuals, residuals[1:])]
+        for res in results:
+            assert np.array_equal(u.values, res.u.values)
+            assert res.residuals == residuals
+            assert res.contraction_ratios == ratios
+        series_profile(series, GridFunction(w.values[::2]))
+        assert builds == [mesh.size, (mesh.size + 1) // 2]
 
-    def test_lipschitz_pairs_share_evaluators(self, kernel_series, gains, config, builds):
-        worst = lipschitz_check(kernel_series, config.s)
+    def test_lipschitz_pairs_share_evaluators(self, series, gains, config, builds):
+        worst = lipschitz_check(series, config.s)
         assert worst <= math.sqrt(gain_ell(gains, config.s)) + LIPSCHITZ_TOL
+        assert lipschitz_check(series, config.s) == worst
         assert builds == [LIPSCHITZ_MESH_POINTS]
+
+    @pytest.mark.parametrize("coef, iteration", [(10**307, 1), (10**196, 2)])
+    def test_non_finite_iterate_raises_at_its_iteration(self, monkeypatch, coef, iteration):
+        # 10**196: the first iterate is finite, though its step's square
+        # overflows; the second is not.
+        series = VolterraKernelSeries({2: SimplexPolyKernel(2, {(0, (0, 0)): coef})})
+        w = GridFunction(50.0 * np.sin(math.pi * np.linspace(0.0, 1.0, 101)))
+        cfg = InversionConfig(s=1e4, rho_L=1e4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            monkeypatch.setattr(inversion, "PICARD_MAX_ITERS", iteration - 1)
+            assert not invert_with_info(w, series, cfg).converged
+            monkeypatch.setattr(inversion, "PICARD_MAX_ITERS", iteration)
+            with pytest.raises(ValueError, match="grid function values must be finite"):
+                invert_with_info(w, series, cfg)
+
+
+class TestSharedCascade:
+    def test_interleaved_evaluators_match_fresh_cascades(self, kernel_series, config, mesh):
+        series = VolterraKernelSeries(dict(kernel_series))
+        rng = np.random.default_rng(12)
+        u = smooth_profile(rng, mesh, 0.5 * math.sqrt(config.s))
+        w = smooth_profile(rng, mesh, 0.6 * math.sqrt(config.rho_L))
+        coarse = GridFunction(u.values[::2])
+
+        held = series_profile(series, u)
+        first = held.values.copy()
+        res = invert_with_info(w, series, config)
+        dk = dk_matrix(series, u)
+        worst = lipschitz_check(series, config.s)  # batched, on the same mesh size
+        small = series_profile(series, coarse)  # another size: a new cascade
+        again = invert_with_info(w, series, config)
+        profile = series_profile(series, u)
+
+        # Each reference on a cascade of its own, outside the series.
+        assert np.array_equal(held.values, first)
+        assert np.array_equal(held.values, MeshCascade(series, mesh).profile(u.values))
+        assert np.array_equal(profile.values, held.values)
+        assert np.array_equal(dk, MeshCascade(series, mesh).tangent_matrix(u.values))
+        picard, v = MeshCascade(series, mesh), w.values
+        for _ in range(res.iterations):
+            v = w.values + picard.profile(v)
+        assert np.array_equal(res.u.values, v)
+        assert np.array_equal(again.u.values, v) and again.residuals == res.residuals
+        assert lipschitz_check(VolterraKernelSeries(dict(kernel_series)), config.s) == worst
+        assert np.array_equal(small.values, MeshCascade(series, coarse.mesh).profile(coarse.values))

@@ -213,6 +213,9 @@ class TestFeedback:
                 built.append(sorted(orders))
                 super().__init__(orders, mesh)
 
+        # The plant's cascade is its series' own (volterra); the controller's
+        # is built by the simulator.
+        monkeypatch.setattr(volterra, "MeshCascade", Counting)
         monkeypatch.setattr(simulator, "MeshCascade", Counting)
         path = tmp_path / "plant.txt"
         path.write_text("2 0,1 1\n")
@@ -460,10 +463,14 @@ class TestMildResidual:
         assert res < 0.1
 
     def test_evaluators_built_once(self, plant, kernel_series, monkeypatch):
+        # The residual reads the series' own cascade: two residuals and a
+        # profile on one mesh build it once.  A series of its own, since the
+        # session fixture's cascade would hide builds.
+        series = VolterraKernelSeries(dict(kernel_series))
         cfg = SimConfig(
             controller="order-2", t_end=1.0, mesh_points=51, initial_scale=0.1
         )
-        rec = simulate(cfg, plant, kernel_series)
+        rec = simulate(cfg, plant, series)
         builds = []
 
         class Counting(MeshCascade):
@@ -471,8 +478,11 @@ class TestMildResidual:
                 builds.append(mesh.size)
                 super().__init__(orders, mesh)
 
-        monkeypatch.setattr(simulator, "MeshCascade", Counting)
-        mild_solution_residual(rec, kernel_series, [0.25, 0.5, 0.75])
+        monkeypatch.setattr(volterra, "MeshCascade", Counting)
+        res = mild_solution_residual(rec, series, [0.25, 0.5, 0.75])
+        assert builds == [51]
+        assert mild_solution_residual(rec, series, [0.25, 0.5, 0.75]) == res
+        volterra.series_profile(series, GridFunction(rec.snapshots[-1]))
         assert builds == [51]
 
     def test_late_time_residual_is_state_norm(self, plant, kernel_series):
