@@ -138,9 +138,9 @@ def invert_with_info(
     Requires ||w||^2 < rho_L.  Iterates u <- w + K[u] until successive
     iterates differ by less than ``PICARD_TOL`` in L2, at most
     ``PICARD_MAX_ITERS`` times, on the value arrays, by the series' cascade
-    on the mesh of ``w`` (:meth:`VolterraKernelSeries.cascade`).  A step's
-    norm is formed as :meth:`GridFunction.l2_norm` forms it, and an
-    iterate that is not finite is refused as a GridFunction refuses it.
+    on the mesh of ``w`` (:meth:`VolterraKernelSeries.cascade`).  Each
+    step is one :class:`GridFunction`, which takes its norm and refuses an
+    iterate that is not finite.
     """
     with np.errstate(over="ignore"):  # a norm that overflows is inf, refused below
         norm_sq = w.l2_norm() ** 2
@@ -155,12 +155,9 @@ def invert_with_info(
     iterations = 0
     for iterations in range(1, PICARD_MAX_ITERS + 1):
         nxt = w.values + terms.profile(u)
-        diff = nxt - u
-        # A non-finite profile makes nxt, and so diff, non-finite: one scan
-        # refuses what GridFunction would refuse in any of the three.
-        if not np.isfinite(diff).all():
-            raise ValueError("grid function values must be finite")
-        step = float(np.sqrt(np.trapezoid(diff**2, dx=w.dx)))  # GridFunction.l2_norm
+        # A non-finite profile makes nxt, and so the step, non-finite,
+        # which the step's GridFunction refuses.
+        step = GridFunction(nxt - u).l2_norm()
         residuals.append(step)
         u = nxt
         if step < PICARD_TOL:

@@ -180,7 +180,15 @@ class VolterraKernelSeries(Mapping[int, SimplexPolyKernel]):
     def cascade(self, size: int) -> "MeshCascade":
         """The series' :class:`MeshCascade` on the uniform mesh of ``size``
         points, built on first use.  Only the most recently asked size is
-        kept, so a series holds one cascade at most."""
+        kept, so a series holds one cascade at most.
+
+        The kept cascade holds, until the series is dropped or asked for
+        another size, 8 bytes per mesh point for each trie node and each
+        monomial, its rows, and the work block of its last call (8 bytes
+        per mesh point for each node and each state of that call's batch):
+        about 0.3 MiB for the builtin order-3 series at 801 points, 1.3 MiB
+        after the batched Lipschitz check, and 219 MiB for the order-5
+        controller series of a plant with orders 2 to 5 at 1601 points."""
         if self._cascade is None or self._cascade.size != size:
             self._cascade = MeshCascade(self, np.linspace(0.0, 1.0, size))
         return self._cascade
