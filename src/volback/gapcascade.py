@@ -24,7 +24,7 @@ coupling operators.  For polynomial plant data everything here is exact:
 every coefficient a_P, b_P, c_P is a polynomial in x with integer
 numerators over one denominator, an order-0 :class:`SimplexPolyKernel`
 (keys ``(k, ())``), and the few operations the families need on them
-(:func:`poly_sum`, :func:`poly_product`, :func:`poly_derivative`,
+(:func:`poly_sum`, :func:`poly_product`, :func:`derivative_numerators`,
 :func:`poly_integral`) work in integers.  :func:`coupling_c` returns
 c_P as dense integer numerators over one denominator, and the cascade
 forms each a_P = int (c_P - b_P) from them as one kernel.  c_P
@@ -140,11 +140,11 @@ def poly_product(p: SimplexPolyKernel, q: SimplexPolyKernel, scale: int = 1) -> 
     return SimplexPolyKernel(0, out, p.den * q.den)
 
 
-def poly_derivative(p: SimplexPolyKernel, order: int = 1) -> SimplexPolyKernel:
-    """d^order/dx^order of a polynomial in x."""
-    out = {(k - order, ()): c * math.perm(k, order)
-           for (k, _), c in p.monomials.items() if k >= order}
-    return SimplexPolyKernel(0, out, p.den)
+def derivative_numerators(poly: SimplexPolyKernel, den: int) -> list[list[int]]:
+    """Numerators over ``den`` (a multiple of ``poly.den``) of the dense
+    coefficients of d^k/dx^k poly, constant term first, for k = 0..deg poly."""
+    row = poly_numerators(poly, den)
+    return [[c * math.perm(i, k) for i, c in enumerate(row[k:], start=k)] for k in range(len(row))]
 
 
 def poly_integral(numerators: Sequence[int], den: int = 1) -> SimplexPolyKernel:
@@ -526,11 +526,6 @@ def coupling_c(
     size = deg_a + max(map(poly_degree, b_all), default=0) + 1
     fact_top = math.factorial(deg_a)
 
-    def derivatives(poly: SimplexPolyKernel, den: int) -> list[list[int]]:
-        """Numerators over ``den`` of d^k poly, k = 0..deg poly."""
-        row = poly_numerators(poly, den)
-        return [[c * math.perm(i, k) for i, c in enumerate(row[k:], start=k)] for k in range(len(row))]
-
     acc: Dict[MultiIndex, list[int]] = {}
     for m in range(2, n - 1 + 1):
         a_entries = a_family.at_order(n - m + 1)
@@ -539,8 +534,8 @@ def coupling_c(
             continue
         q_taus = [(q, poly_degree(poly)) for q, poly in sorted(a_entries.items())]
         qp_sigmas = [(qp, poly_degree(poly)) for qp, poly in sorted(b_entries.items())]
-        da = {q: derivatives(poly, lcm_a) for q, poly in a_entries.items()}
-        db = {qp: derivatives(poly, lcm_b) for qp, poly in b_entries.items()}
+        da = {q: derivative_numerators(poly, lcm_a) for q, poly in a_entries.items()}
+        db = {qp: derivative_numerators(poly, lcm_b) for qp, poly in b_entries.items()}
         width = _slot_width(q_taus, qp_sigmas)
         packed: Dict[int, list[int]] = {}
         for q, sums in _summed_walk(n, m, q_taus, qp_sigmas, width):
@@ -689,11 +684,10 @@ def dp_norm(entries: Mapping[MultiIndex, SimplexPolyKernel], r: float, R: float)
         for pw in P:
             pfact *= math.factorial(pw)
         weight = r ** sum(P) / pfact
-        for sigma in range(poly_degree(poly) + 1):
-            dp = poly_derivative(poly, sigma)
+        for sigma, row in enumerate(derivative_numerators(poly, poly.den)):
             vals = np.zeros_like(grid)
-            for c in reversed(poly_numerators(dp, dp.den)):  # Horner
-                vals = vals * grid + c / dp.den
+            for c in reversed(row):  # Horner
+                vals = vals * grid + c / poly.den
             acc += np.abs(vals) * weight * R**sigma / math.factorial(sigma)
     return float(np.max(acc)) if entries else 0.0
 

@@ -33,6 +33,7 @@ from .volterra import (
     build_gains,
     gain_ell,
     gain_k,
+    trapezoid_weights,
 )
 
 GAIN_RULE = QuadratureRule(12)  # the kernel norms behind the gains
@@ -200,10 +201,7 @@ def neumann_norm_estimate(series: VolterraKernelSeries, u: GridFunction) -> floa
     I - DK[u] and of sq[:, None] * A / sq[None, :].
     """
     m = u.size
-    wts = np.full(m, u.dx)
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    sq = np.sqrt(wts)
+    sq = np.sqrt(trapezoid_weights(m))
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused below
         a = dk_matrix(series, u)
         np.subtract(0.0, a, out=a)

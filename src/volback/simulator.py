@@ -8,16 +8,15 @@ with dt = CFL * dx, and the boundary node is refreshed with the feedback
 value at every stage so the scheme stays consistent with the
 time-varying boundary condition.
 
-The controller, and any plant other than the builtin quadratic one, is
-evaluated by one :class:`~volback.volterra.MeshCascade` of all its
-orders, which takes the state once for every slot: the plant by its
-series' own cascade
+The controller and the plant are each evaluated by one
+:class:`~volback.volterra.MeshCascade` of all their orders, which takes
+the state once for every slot: the plant by its series' own cascade
 (:meth:`~volback.volterra.VolterraKernelSeries.cascade`), the
 controller, which reads orders 2 up to its cap, by one built per run.
 Both come as a :class:`~volback.volterra.VolterraKernelSeries`, so
 every kernel was checked when its series was built.  The builtin plant
-keeps its closed form (int_0^x u)^2 / 2, its running integral one
-cumulative trapezoid sum.
+F[u] = (int_0^x u)^2 / 2 squares its cascade's first level, and the
+per-step norm is :func:`~volback.volterra.trapezoid_l2`.
 
 Also here: the target semigroup (pure left transport with zero inflow,
 which annihilates any profile in finite time 1), the closed-loop
@@ -40,6 +39,7 @@ from .volterra import (
     GridFunction,
     MeshCascade,
     VolterraKernelSeries,
+    trapezoid_l2,
     trie_nodes,
 )
 
@@ -218,8 +218,8 @@ def simulate(
     """Run the closed loop and record the trajectory.
 
     ``plant`` may be None (pure transport, the target system) or a
-    kernel series; the quadratic integral example is recognised and uses
-    its closed-form nonlinearity.  ``kernels`` is the controller's kernel
+    kernel series; the quadratic integral example is recognised and
+    squares its running integral.  ``kernels`` is the controller's kernel
     series for the non-open-loop controllers.  A controller order missing
     from it is a :class:`MissingKernelError`, and a run whose cost
     estimate (see ``MAX_GRID_UPDATES``) exceeds that budget a
@@ -253,7 +253,7 @@ def simulate(
 
     dt = cfg.cfl * dx
     mesh = np.linspace(0.0, 1.0, m)
-    nonlinearity = _plant_nonlinearity(plant, mesh)
+    nonlinearity = _plant_nonlinearity(plant, m)
     controller = None if control is None else MeshCascade(control, mesh)
 
     def rhs(values: np.ndarray) -> np.ndarray:
@@ -276,7 +276,7 @@ def simulate(
             return not math.isfinite(peak) or peak > cfg.blow_up_threshold
 
         times = [0.0]
-        l2 = [_l2(u, dx)]
+        l2 = [trapezoid_l2(u)]
         sup = [_sup(u)]
         controls = [u[-1]]
         snap_times = [0.0]
@@ -300,7 +300,7 @@ def simulate(
                 blow_up = t
                 break
             times.append(t)
-            l2.append(_l2(u, dx))
+            l2.append(trapezoid_l2(u))
             sup.append(peak)
             controls.append(u[-1])
             if k in frame_ids:
@@ -331,19 +331,13 @@ def _frame_ids(n_steps: int, count: int) -> set[int]:
     return set(int(i) for i in np.round(points))
 
 
-def _l2(values: np.ndarray, dx: float) -> float:
-    """sqrt(np.trapezoid(values**2, dx=dx)), the same operations inline."""
-    sq = values**2
-    return float(np.sqrt((dx * (sq[1:] + sq[:-1]) / 2.0).sum(-1)))
-
-
 def _sup(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
 def _plant_trie_nodes(plant: VolterraKernelSeries | None) -> int:
-    """Suffix-trie nodes of the plant's mesh cascade (the builtin plant's
-    running integral is charged one)."""
+    """Suffix-trie nodes of the plant's mesh cascade that a step integrates
+    (the builtin plant only the first of its two, its running integral)."""
     if not plant:
         return 0
     if is_pdae_plant(plant):
@@ -352,24 +346,16 @@ def _plant_trie_nodes(plant: VolterraKernelSeries | None) -> int:
 
 
 def _plant_nonlinearity(
-    plant: VolterraKernelSeries | None, mesh: np.ndarray
+    plant: VolterraKernelSeries | None, size: int
 ) -> Callable[[np.ndarray], np.ndarray] | None:
+    """F[u] on the mesh of ``size`` points by the plant's cascade; for the
+    builtin plant half the square of its first level, int_0^x u."""
     if not plant:
         return None
+    cascade = plant.cascade(size)
     if is_pdae_plant(plant):
-        dx = mesh[1] - mesh[0]
-
-        def quadratic(values: np.ndarray) -> np.ndarray:
-            # v(x) = int_0^x u by the cumulative trapezoid rule, rounded
-            # as the mesh cascade rounds it: dx * (u[i+1] + u[i]) * 0.5.
-            running = np.empty_like(values)
-            running[0] = 0.0
-            np.cumsum((values[1:] + values[:-1]) * dx * 0.5, out=running[1:])
-            return 0.5 * running**2
-
-        return quadratic
-
-    return plant.cascade(mesh.size).profile
+        return lambda values: 0.5 * cascade._integrals(values, 1)[0][0] ** 2
+    return cascade.profile
 
 
 def target_semigroup(w0: GridFunction, t: float) -> GridFunction:

@@ -17,7 +17,13 @@ anything else, and a kernel whose order differs from its key, with a
 a series: both kernel constructions return one, and the mesh
 evaluators, the gains and the simulator take one.
 
-Each multilinear term is evaluated on a mesh by one evaluator, the
+This module is the one place that integrates on the mesh x_i = i/(M-1),
+by the trapezoid rule in three forms: the cumulative pass
+(:meth:`MeshCascade._trapezoid`, whose terms (g_i + g_{i+1}) * (dx/2),
+summed left to right, round as dx * (g_i + g_{i+1}) / 2 unless that is
+subnormal), the weights (:func:`trapezoid_weights`) and the L2 norm
+(:func:`trapezoid_l2`, with ``np.trapezoid``'s operations).  Each
+multilinear term is evaluated by one evaluator, the
 :class:`MeshCascade`: cumulative trapezoid sums (each nested integral
 is one pass over the mesh) that share the inner passes between
 monomials with equal trailing exponents.  Each order is read from them
@@ -32,7 +38,7 @@ owns its cascade (:meth:`VolterraKernelSeries.cascade`): built on the
 first evaluation at a mesh size and kept for the most recent size, it
 serves every evaluator of that series there (series profiles, the
 Picard and Lipschitz loops, the derivative matrix, the mild-solution
-residual and the simulator's plant).  Only the simulator's controller,
+residual and every plant in the simulator).  Only the simulator's controller,
 which reads orders 2 up to its cap, builds a cascade of its own, once
 per run.  The derivative at that state, summed over the slots, is formed
 only as its matrix on the mesh, by one tangent pass of the same cascade
@@ -73,7 +79,7 @@ from typing import Dict
 import numpy as np
 
 from .polynomial import SimplexPolyKernel
-from .simplex import QuadratureRule, simplex_nodes
+from .simplex import QuadratureRule, random_simplex_points, simplex_nodes
 
 GROWTH_SAMPLES = 200  # random points per order of check_growth_assumption
 DK_BLOCK_BYTES = 1 << 20  # tangent work arrays of a tangent_matrix block, over its own mesh points
@@ -109,7 +115,7 @@ class GridFunction:
         return 1.0 / (self.values.size - 1)
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.trapezoid(self.values**2, dx=self.dx)))
+        return trapezoid_l2(self.values)
 
     def scale(self, c: float) -> "GridFunction":
         return GridFunction(self.values * c)
@@ -125,6 +131,20 @@ class GridFunction:
     def _check_mesh(self, other: "GridFunction") -> None:
         if self.size != other.size:
             raise ValueError(f"mesh mismatch: {self.size} vs {other.size}")
+
+
+def trapezoid_weights(size: int) -> np.ndarray:
+    """The trapezoid weights (dx/2, dx, ..., dx, dx/2) of the mesh of ``size`` points."""
+    weights = np.full(size, 1.0 / (size - 1))
+    weights[[0, -1]] *= 0.5
+    return weights
+
+
+def trapezoid_l2(values: np.ndarray) -> float:
+    """The trapezoid L2 norm of mesh samples, by the operations (and so the
+    float) of numpy's trapezoid of values**2 with the mesh's dx."""
+    sq, dx = values**2, 1.0 / (values.size - 1)
+    return float(np.sqrt((dx * (sq[1:] + sq[:-1]) / 2.0).sum(-1)))
 
 
 class VolterraKernelSeries(Mapping[int, SimplexPolyKernel]):
@@ -219,8 +239,8 @@ class MeshCascade:
     (exactly the mesh-aligned nested trapezoid rule).  Monomials with
     equal trailing exponents share their inner passes: the exponent
     tuples of all orders form one suffix trie, level j holding the
-    length-(j+1) suffixes, and each level is one batched ``cumsum`` over
-    its nodes.  No order is below 2, as in every ``VolterraKernelSeries``.
+    length-(j+1) suffixes, and each level is one batched pass over its
+    nodes.  No order is below 2, as in every ``VolterraKernelSeries``.
 
     Each order is read as weights over a prefix of one trie level,
     contracted over the nodes.  The trie inserts orders in increasing
@@ -314,9 +334,7 @@ class MeshCascade:
             # A monomial's node at level top - 1 holds x**alphas[0], and its
             # parent is the node of alphas[1:].
             pows, parent = self.levels[top - 1]
-            weights = np.full(self.size, self.dx)
-            weights[[0, -1]] *= 0.5
-            folds[top] = _rows(parent[ids], coef[:, None] * pows[ids]) * weights
+            folds[top] = _rows(parent[ids], coef[:, None] * pows[ids]) * trapezoid_weights(self.size)
         return folds
 
     def _buffers(self, batch: tuple[int, ...]) -> list:
@@ -340,13 +358,14 @@ class MeshCascade:
 
     def _trapezoid(self, work: tuple) -> None:
         """One cumulative trapezoid pass of a level, from its g into its
-        integrals (``_layout``'s views)."""
+        integrals (``_layout``'s views), the mesh's only cumulative
+        integral: per node, 0 and then the running sum from the left of
+        (g[i] + g[i + 1]) * (dx / 2).  Halving is exact outside the
+        subnormal range, so each term is dx * (g[i] + g[i + 1]) / 2 bit for
+        bit there, the rounding the stored outputs are pinned to."""
         out, flat, sums, _, flat_g = work
-        # dx * (g[1:] + g[:-1]) / 2.0 per node: stored outputs are pinned
-        # to its rounding (halving is exact outside the subnormal range,
-        # so one product with dx / 2 rounds as the two steps do).  Formed
-        # over the flat arrays, so each node's first column holds a term
-        # mixing two nodes; it is reset to the integral from 0 to 0.
+        # Formed over the flat arrays, so each node's first column holds a
+        # term mixing two nodes; it is reset to the integral from 0 to 0.
         np.add(flat_g[1:], flat_g[:-1], out=flat)
         flat *= 0.5 * self.dx
         out[..., 0] = 0.0
@@ -354,7 +373,8 @@ class MeshCascade:
 
     def _integrals(self, values: np.ndarray, depth: int) -> list[np.ndarray]:
         """The cumulative integrals of levels 0..depth-1 at the state
-        ``values`` in every slot, shape (..., nodes, M)."""
+        ``values`` in every slot, shape (..., nodes, M).  The simulator
+        reads level 0 of the builtin plant's cascade: int_0^x u."""
         work = self._buffers(values.shape[:-1])
         prev = None
         for (pows, parent), level in zip(self.levels[:depth], work):
@@ -446,7 +466,7 @@ class MeshCascade:
         lo = max(start - 1, 0) on, with dT 0 at lo (the trapezoid term
         between points start - 1 and start is the first that can be
         nonzero).  The terms it skips are zeros, which add exactly 0 to each
-        sequential ``cumsum``, and every column reads the same nodes in the
+        sequential running sum, and every column reads the same nodes in the
         same order, so each entry is the one a pass over all M points gives,
         bit for bit, wherever the factors are finite.
 
@@ -627,7 +647,7 @@ def check_growth_assumption(series: VolterraKernelSeries, seed: int = 0) -> floa
     worst = 0.0
     for n, kern in series.items():
         xs = rng.uniform(0.0, 1.0, size=GROWTH_SAMPLES)
-        pts = -np.sort(-rng.uniform(0.0, 1.0, size=(GROWTH_SAMPLES, n)), axis=1) * xs[:, None]
+        pts = random_simplex_points(rng, n, GROWTH_SAMPLES) * xs[:, None]
         vals = np.abs(np.asarray(kern(xs, pts), dtype=float))
         peak = float(np.max(vals))
         try:

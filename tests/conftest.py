@@ -1,5 +1,6 @@
 """Shared fixtures: the quadratic-integral example plant and its kernels,
 kernels built from rational coefficients and read back as them, the
+exact derivative of a polynomial in x, the
 iterated divided-power expansion of a gap chain, the two tuple-keyed
 references for the exact kernel routes (the gap expansion in Fractions
 and the characteristic recursion), the reference evaluations of
@@ -86,6 +87,15 @@ def poly_coefficients(poly) -> tuple:
     constant term first, up to its degree; () for zero."""
     fractions = {k: c for (k, _), c in kernel_fractions(poly).items()}
     return tuple(fractions.get(k, Fraction(0)) for k in range(max(fractions, default=-1) + 1))
+
+
+def poly_derivative(poly, order: int = 1) -> SimplexPolyKernel:
+    """d^order/dx^order of a polynomial in x (an order-0 kernel), exactly,
+    as a kernel of its own: the reference for ``derivative_numerators``
+    and for the hand assembly of c_P."""
+    out = {(k - order, ()): c * math.perm(k, order)
+           for (k, _), c in poly.monomials.items() if k >= order}
+    return SimplexPolyKernel(0, out, poly.den)
 
 
 def iterated_chain_expansion(n_gaps, positions, q) -> dict:

@@ -26,7 +26,7 @@ from volback.gapcascade import (
     family_to_json,
     gamma_table,
     pdae_b_family,
-    poly_derivative,
+    poly_numerators,
     poly_product,
     poly_sum,
     split_gap_integration,
@@ -40,6 +40,7 @@ from conftest import (
     iterated_chain_expansion,
     packed_case,
     poly_coefficients,
+    poly_derivative,
     poly_eval_exact,
     random_simplex_points,
     rational_poly,
@@ -607,6 +608,27 @@ class TestNorms:
 
     def test_zero_family_norm(self):
         assert dp_norm({}, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("plant, n_max", [("pdae", 5), ("mixed", 4)])
+    def test_derivative_table_rounds_as_reduced_derivatives(self, plant, n_max):
+        """Horner over the table's rows, each over the coefficient's own
+        denominator, is the same float as over each derivative reduced by its
+        gcd (equal rationals divide to the same float), so dp_norm is bit for
+        bit the sum over exact derivatives."""
+        grid = np.linspace(0.0, 1.0, 1001)
+        family = cascade_of(plant, n_max)
+        for n in family.orders():
+            entries = family.at_order(n)
+            acc = np.zeros_like(grid)
+            for P, poly in entries.items():
+                weight = 0.5 ** sum(P) / math.prod(map(math.factorial, P))
+                for sigma in range(poly_degree(poly) + 1):
+                    dp = poly_derivative(poly, sigma)
+                    vals = np.zeros_like(grid)
+                    for c in reversed(poly_numerators(dp, dp.den)):
+                        vals = vals * grid + c / dp.den
+                    acc += np.abs(vals) * weight * 3.0**sigma / math.factorial(sigma)
+            assert dp_norm(entries, 0.5, 3.0) == float(np.max(acc))
 
     def test_domain_errors(self, b_family):
         with pytest.raises(ValueError):

@@ -12,11 +12,12 @@ from conftest import (
     packed_case,
     packed_kernel_case,
     poly_coefficients,
+    poly_derivative,
     poly_eval_exact,
     rational_poly,
 )
 from volback.gapcascade import (
-    poly_derivative,
+    derivative_numerators,
     poly_integral,
     poly_numerators,
     poly_product,
@@ -66,6 +67,17 @@ class TestRationalPoly:
         assert poly_coefficients(integral(p)) == (Fr(0), Fr(0), Fr(0), Fr(1))
         r = rational_poly([Fr(1, 3), Fr(-2), 0, Fr(5, 7)])
         assert poly_derivative(integral(r)) == r
+
+    def test_derivative_table(self):
+        # Row k holds d^k p over the given multiple of p's denominator.
+        p = rational_poly([Fr(1, 3), Fr(-2), 0, Fr(5, 7), Fr(1, 6)])
+        for den in (p.den, 3 * p.den):
+            table = derivative_numerators(p, den)
+            assert len(table) == poly_degree(p) + 1
+            for k, row in enumerate(table):
+                want = poly_coefficients(poly_derivative(p, k))
+                assert tuple(Fr(c, den) for c in row) == want
+        assert derivative_numerators(x_poly(()), 1) == []
 
     def test_integral_vanishes_at_zero(self):
         p = rational_poly([Fr(5), Fr(-2)])

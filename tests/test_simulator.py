@@ -149,9 +149,23 @@ class TestPlantRhs:
 
     @staticmethod
     def rhs(values):
-        mesh = np.linspace(0.0, 1.0, values.size)
-        quadratic = _plant_nonlinearity(pdae_plant(), mesh)
-        return _advection(values, mesh[1]) + quadratic(values)
+        quadratic = _plant_nonlinearity(pdae_plant(), values.size)
+        return _advection(values, 1.0 / (values.size - 1)) + quadratic(values)
+
+    @pytest.mark.parametrize("m", [21, 201, 401])
+    def test_builtin_reads_its_cascade_as_the_closed_form(self, m):
+        """Half the square of the first level of the plant's cascade is the
+        closed form that ran before, its running integral rounded as
+        dx * (u[i+1] + u[i]) * 0.5, bit for bit."""
+        rng = np.random.default_rng(m)
+        mesh = np.linspace(0.0, 1.0, m)
+        dx = mesh[1] - mesh[0]
+        quadratic = _plant_nonlinearity(pdae_plant(), m)
+        for values in (cubic_pulse(mesh), *(s * rng.standard_normal(m) for s in (1e-5, 1.0, 1e5))):
+            running = np.empty_like(values)
+            running[0] = 0.0
+            np.cumsum((values[1:] + values[:-1]) * dx * 0.5, out=running[1:])
+            assert np.array_equal(quadratic(values), 0.5 * running**2)
 
     def test_constant_state(self):
         mesh = np.linspace(0.0, 1.0, 401)

@@ -31,6 +31,7 @@ from conftest import (
     plant_file,
 )
 from volback.volterra import (
+    GROWTH_SAMPLES,
     GainFunctions,
     GridFunction,
     MeshCascade,
@@ -44,6 +45,8 @@ from volback.volterra import (
     kernel_l2_sq,
     linearized_profile,
     series_profile,
+    trapezoid_l2,
+    trapezoid_weights,
 )
 
 GL8 = QuadratureRule(8)
@@ -72,6 +75,47 @@ class TestGridFunction:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             GridFunction(np.array([1.0]))
+
+
+class TestTrapezoidRule:
+    """The mesh's one trapezoid rule, in its three forms, rounds as its
+    references do, bit for bit: the stored outputs and CI's figures are
+    pinned to these roundings."""
+
+    @pytest.mark.parametrize("m", [2, 3, 201, 801])
+    def test_l2_is_np_trapezoid(self, m):
+        rng = np.random.default_rng(m)
+        dx = 1.0 / (m - 1)
+        for scale in (1e-5, 1e-2, 1.0, 1e2, 1e5):
+            v = scale * rng.standard_normal(m)
+            want = float(np.sqrt(np.trapezoid(v**2, dx=dx)))
+            assert trapezoid_l2(v) == want
+            assert GridFunction(v).l2_norm() == want
+
+    @pytest.mark.parametrize("m", [2, 3, 51, 201, 801])
+    def test_weights_are_the_folds(self, m):
+        by_hand = np.full(m, 1.0 / (m - 1))
+        by_hand[0] *= 0.5
+        by_hand[-1] *= 0.5
+        weights = trapezoid_weights(m)
+        assert np.array_equal(weights, by_hand)
+        unit = MeshCascade({2: SimplexPolyKernel(2, {(0, (0, 0)): 1})}, np.linspace(0.0, 1.0, m))
+        assert np.array_equal(unit.folds[2], weights[None, :])
+
+    @pytest.mark.parametrize("m", [2, 3, 57, 201])
+    def test_cumulative_pass_is_a_cumsum(self, m):
+        rng = np.random.default_rng(m)
+        mesh = np.linspace(0.0, 1.0, m)
+        cascade = MeshCascade({3: random_kernel(rng, 3, 10)}, mesh)
+        pows, _ = cascade.levels[0]
+        dx = mesh[1] - mesh[0]
+        for scale in (1e-5, 1.0, 1e5):
+            u = scale * rng.standard_normal(m)
+            level = cascade._integrals(u, 1)[0]
+            for node, pw in enumerate(pows):
+                g = u * pw
+                want = np.concatenate([[0.0], np.cumsum((g[1:] + g[:-1]) * (0.5 * dx))])
+                assert np.array_equal(level[node], want)
 
 
 class TestSeriesValidation:
@@ -224,6 +268,22 @@ class TestGrowthSampling:
         worst = check_growth_assumption(plant, seed=3)
         assert worst <= 1.0
         assert worst == pytest.approx(0.5)
+
+    def test_draws_as_a_descending_sort(self):
+        # The points are random_simplex_points, which take the same draws as
+        # negating, sorting and negating back, and give the same floats.
+        plant = VolterraKernelSeries(
+            {n: random_kernel(np.random.default_rng(n), n, 6) for n in (2, 3, 5)},
+            growth=(2.0, 0.5),
+        )
+        rng = np.random.default_rng(4)
+        worst = 0.0
+        for n, kern in plant.items():
+            xs = rng.uniform(0.0, 1.0, size=GROWTH_SAMPLES)
+            pts = -np.sort(-rng.uniform(0.0, 1.0, size=(GROWTH_SAMPLES, n)), axis=1) * xs[:, None]
+            peak = float(np.max(np.abs(kern(xs, pts))))
+            worst = max(worst, peak * 0.5 ** (n - 1) / (math.factorial(n) * 2.0))
+        assert check_growth_assumption(plant, seed=4) == worst
 
     def test_needs_metadata(self):
         series = VolterraKernelSeries({2: pdae_k2()})
