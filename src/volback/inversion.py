@@ -170,14 +170,14 @@ def invert_with_info(
 def dk_matrix(series: VolterraKernelSeries, u: GridFunction) -> np.ndarray:
     """Dense mesh matrix of h -> DK[u] h (columns are basis responses).
 
-    DK[u] is causal, so the matrix is lower triangular.  The series'
-    cascade on the mesh of ``u`` (:meth:`VolterraKernelSeries.cascade`,
-    shared with its profiles) takes the identity's columns through its
-    tangent pass in blocks (:meth:`MeshCascade.tangent_matrix`): a block
-    of columns from c on integrates only the mesh points from c - 1 on,
-    and takes as many columns as fit those points' work arrays in
-    ``volterra.DK_BLOCK_BYTES`` (one column at least).  Every block reuses
-    one workspace and the value integrals of ``u``, formed once.
+    DK[u] is causal, so the matrix is lower triangular.  On the mesh it is
+    lower semi-separable: the series' cascade on the mesh of ``u``
+    (:meth:`VolterraKernelSeries.cascade`, shared with its profiles) forms
+    one generator row per trie node by prefix sums over the mesh
+    (:meth:`MeshCascade.generators`), and one matrix product gives
+    tril(W^T V, -1) + diag(d) (:meth:`MeshCascade.tangent_matrix`).  The
+    value integrals of ``u`` are formed once.  Entries agree with the sum
+    of the per-slot profiles to within rounding.
     """
     return series.cascade(u.size).tangent_matrix(u.values)
 
@@ -222,7 +222,8 @@ def lipschitz_check(series: VolterraKernelSeries, s: float, seed: int = 0) -> fl
 
     Draws ``LIPSCHITZ_TRIALS`` random pairs on the uniform mesh of
     ``LIPSCHITZ_MESH_POINTS`` with L2 norms at most sqrt(s) (smooth random
-    profiles, rescaled), and maps all of them with one batched profile.
+    profiles, rescaled), and maps them four pairs at a time, one batched
+    profile of eight states each, so the cascade's work block is small.
     """
     rng = np.random.default_rng(seed)
     mesh = np.linspace(0.0, 1.0, LIPSCHITZ_MESH_POINTS)
@@ -236,7 +237,8 @@ def lipschitz_check(series: VolterraKernelSeries, s: float, seed: int = 0) -> fl
         if g.l2_norm() > 0:
             g = g.scale(target / g.l2_norm())
         states.append(g.values)
-    images = series.cascade(LIPSCHITZ_MESH_POINTS).profile(np.array(states))
+    terms = series.cascade(LIPSCHITZ_MESH_POINTS)
+    images = np.concatenate([terms.profile(np.array(states[k : k + 8])) for k in range(0, len(states), 8)])
     worst = 0.0
     for u, v, ku, kv in zip(states[::2], states[1::2], images[::2], images[1::2]):
         du = GridFunction(u - v).l2_norm()

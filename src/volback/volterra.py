@@ -40,16 +40,16 @@ serves every evaluator of that series there (series profiles, the
 Picard and Lipschitz loops, the derivative matrix, the mild-solution
 residual and every plant in the simulator).  Only the simulator's controller,
 which reads orders 2 up to its cap, builds a cascade of its own, once
-per run.  The derivative at that state, summed over the slots, is formed
-only as its matrix on the mesh, by one tangent pass of the same cascade
-(:meth:`MeshCascade.tangent_matrix`), so its cost does not grow with
-the number of slots; a derivative in one direction
-(:func:`linearized_profile`) is that matrix times the direction.  The
-matrix is causal (lower triangular), and each block of its columns
-integrates only the mesh points where it can be nonzero.  Gauss
-quadrature on the simplex remains only for the kernel norms
-(:func:`kernel_l2_sq`), behind the gains and the coupling-bound check;
-no term is evaluated pointwise.
+per run.  The derivative at that state, summed over the slots, is on
+the mesh a lower semi-separable matrix tril(W^T V, -1) + diag(d), one
+row of W and of V per trie node, from prefix sums through the same
+cascade (:meth:`MeshCascade.generators`), so its cost does not grow
+with the number of slots: its matrix is one product
+(:meth:`MeshCascade.tangent_matrix`), and a derivative in one direction
+(:func:`linearized_profile`) never forms it.  Gauss quadrature on the
+simplex remains only for the kernel norms (:func:`kernel_l2_sq`),
+behind the gains and the coupling-bound check; no term is evaluated
+pointwise.
 
 Gains: with ``norm_sq[n]`` the squared L2 norm of the order-n kernel
 over T_n(1), the series
@@ -82,7 +82,6 @@ from .polynomial import SimplexPolyKernel
 from .simplex import QuadratureRule, random_simplex_points, simplex_nodes
 
 GROWTH_SAMPLES = 200  # random points per order of check_growth_assumption
-DK_BLOCK_BYTES = 1 << 20  # tangent work arrays of a tangent_matrix block, over its own mesh points
 
 
 class SeriesDefinitionError(ValueError):
@@ -206,9 +205,10 @@ class VolterraKernelSeries(Mapping[int, SimplexPolyKernel]):
         another size, 8 bytes per mesh point for each trie node and each
         monomial, its rows, and the work block of its last call (8 bytes
         per mesh point for each node and each state of that call's batch):
-        about 0.3 MiB for the builtin order-3 series at 801 points, 1.3 MiB
-        after the batched Lipschitz check, and 219 MiB for the order-5
-        controller series of a plant with orders 2 to 5 at 1601 points."""
+        about 0.3 MiB for the builtin order-3 series at 801 points or after
+        the Lipschitz check (eight states at 201 points), and 219 MiB for
+        the order-5 controller series of a plant with orders 2 to 5 at 1601
+        points."""
         if self._cascade is None or self._cascade.size != size:
             self._cascade = MeshCascade(self, np.linspace(0.0, 1.0, size))
         return self._cascade
@@ -259,10 +259,9 @@ class MeshCascade:
     which fills every slot, with optional leading batch axes.  Their work
     arrays are one block, allocated again only when the batch axes
     change; each call overwrites it, and no result aliases it.  The
-    derivative of the profile at u is formed as its matrix
-    (``tangent_matrix``), which takes the unit directions in column
-    blocks that share a workspace of their own and skip the points where
-    the matrix is 0.
+    derivative of the profile at u is formed as the semi-separable
+    generators of its matrix (``generators``), and the matrix from them by
+    one product (``tangent_matrix``).
 
     A series keeps one cascade for its most recent mesh size
     (:meth:`VolterraKernelSeries.cascade`), and every evaluator of the
@@ -395,100 +394,96 @@ class MeshCascade:
         parts = (_contract(totals[n - 1], rows) for n, rows in self.rows.items())
         return sum(parts, np.zeros(self.size))
 
-    @property
-    def tangent_point_bytes(self) -> int:
-        """Bytes of the tangent's work arrays per direction and mesh point:
-        two areas of floats (dT, which each level overwrites in turn, and the
-        scratch g), each as wide as the widest level."""
-        return 2 * 8 * max((len(pows) for pows, _ in self.levels), default=0)
+    def generators(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The generators (W, V, d), W and V (nodes, M), of the derivative
+        of ``profile`` at ``values`` (M,) in every slot: its matrix (column
+        c from the c-th unit vector, summed over the slots) is
+        tril(W^T V, -1) + diag(d), lower semi-separable.
 
-    def _tangent_factors(self, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """Per level j, the factors of the tangent at ``values`` that no
-        direction changes, on the whole mesh: x**a T_{j-1}[parent], which
-        multiplies h (x**a at level 0, where T_{-1} = 1), and x**a u, which
-        multiplies dT_{j-1}[parent] (None at level 0).  The value integrals
-        T_j are formed here, once per state."""
-        depth = len(self.levels)
-        totals = self._integrals(values, depth - 1)
-        return [
-            (pows, None) if j == 0 else (pows * totals[j - 1].take(parent, -2), pows * values)
-            for j, (pows, parent) in enumerate(self.levels)
-        ]
+        With h = dx/2 the trapezoid pass (``_trapezoid``) is the matrix C
+        with (C y)_0 = 0 and (C y)_i = h (sum_{k<i} w_k y_k + y_i), w_0 = 1
+        and w_k = 2 after.  By the chain rule (forward mode: Griewank and
+        Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008) the integrals
+        of node p with parent q have the derivative
+        D_p = C(diag(g) D_q + diag(iota)), g = x**a u, iota = x**a T[q]
+        (x**a at level 0, where D_q = 0).  D_p is semi-separable
+        (Vandebril, Van Barel and Mastronardi, *Matrix Computations and
+        Semiseparable Matrices*, vol. 1, Johns Hopkins UP, 2008):
+        D_p[i, c] = sum_l U_p[i, l] V[a_l, c] for c < i and d_p[i] for
+        c = i, a_l the ancestor of p at level l <= j, its level (a_j = p).
+        At level 0, U = 1, V = h w x**a and d = h x**a; above, with
+        e = g d_q + iota and Q_l = cumsum(h w g U_q[:, l]),
 
-    def _tangent_buffers(self, block: np.ndarray, width: int, points: int) -> list:
-        """Per level, for a block of ``width`` columns over ``points`` mesh
-        points: dT (width, nodes, points) and g laid out by ``_layout``.  dT
-        lies in the first half of ``block`` and g in the second; level j
-        forms its g from dT_{j-1} before its own dT overwrites it."""
-        half = block[block.size // 2 :]
-        return [_layout(block, half, (width, len(pows), points)) for pows, _ in self.levels]
+            U_p[i, l] = Q_l[i - 1] + h g_i U_q[i, l] = (Q_l[i - 1] + Q_l[i]) / 2,
+            U_p[:, j] = 1,  V[p] = h w e - sum_{l<j} Q_l V[a_l],  d_p = h e,
 
-    def _tangent_pass(self, factors: list, work: list, out: np.ndarray, start: int, lo: int) -> None:
-        """Add the tangent over mesh points lo.. to ``out`` in the unit
-        directions start, start + 1, ... (one per row of ``out``), each 1 at
-        its own point and 0 elsewhere, so the term h x**a T_{j-1}[parent]
-        is that point's factor alone.  dT is 0 at point ``lo``."""
-        prev = None
-        cols = np.arange(len(out))
-        for j, ((_, parent), (inject, weight), level) in enumerate(zip(self.levels, factors, work)):
-            dt, _, _, g, _ = level
-            if prev is None:
-                g.fill(0.0)
-            else:
-                prev.take(parent, -2, g, "clip")
-                g *= weight[:, lo:]
-            g[cols, :, cols + (start - lo)] += inject[:, cols + start].T
-            self._trapezoid(level)
-            if j + 1 in self.rows:
-                out += _contract(dt, self.rows[j + 1][:, lo:])
-            prev = dt
+        U_p[0, l] = Q_l[0] and d_p[0] = 0: exact on the mesh.  Read with
+        the profile rows, W[a] sums rows[p] U_p[:, level(a)] over the read
+        nodes p at or above a, and d sums rows[p] d_p: the entries agree
+        with the sum over the slots to within rounding, not bit for bit.
+
+        A first pass over the levels forms V's first term and d; then each
+        column l of U, one level of it kept, is carried up the levels above
+        l once V[a_l] is complete.  W starts as the rows (formed here, not
+        kept in ``rows``); column l adds to level l only.  Levels go in
+        blocks of M nodes: no work array outgrows the returned matrix."""
+        m, top, h = self.size, len(self.levels) - 1, 0.5 * self.dx
+        off = np.cumsum([0] + [len(pows) for pows, _ in self.levels])
+        wt, vt, diag = np.zeros((off[-1], m)), np.empty((off[-1], m)), np.zeros(m)
+        read = [0] * len(self.levels)  # per level, the first nodes an order reads
+        for n, (ids, coef, e_pows) in self.reads.items():
+            np.add.at(wt[off[n - 1] :], ids, coef[:, None] * e_pows)
+            read[n - 1] = ids.max() + 1
+        totals, chains, d_prev = self._integrals(values, top), [], None
+        for j, (pows, parent) in enumerate(self.levels):
+            chains.append([c[parent] for c in chains[-1]] if j else [])  # rows of V[a_l]
+            chains[j].append(np.arange(off[j], off[j + 1]))
+            d_next = np.empty((len(pows), m)) if j < top else None
+            for lo in range(0, len(pows), m):
+                at = slice(lo, lo + m)
+                e = totals[j - 1].take(parent[at], 0) * pows[at] if j else pows[at].copy()
+                if j:
+                    e += d_prev.take(parent[at], 0) * pows[at] * values
+                e *= h
+                v = vt[off[j] + lo : off[j + 1]][:m]
+                v[:] = e
+                v[:, 1:] *= 2.0
+                e[:, 0] = 0.0
+                diag += _contract(e, wt[off[j] + lo : off[j] + read[j]][:m])
+                if d_next is not None:
+                    d_next[at] = e
+            d_prev = d_next
+        for l in range(top):
+            col = None  # U[:, l] on the level below, 1 on level l
+            for j in range(l + 1, top + 1):
+                pows, parent = self.levels[j]
+                nxt = np.empty((len(pows), m)) if j < top else None
+                for lo in range(0, len(pows), m):
+                    at, anc = slice(lo, lo + m), chains[j][l][lo : lo + m]
+                    q = pows[at] * values * h
+                    if col is not None:
+                        q *= col.take(parent[at], 0)
+                    q[:, 1:] *= 2.0
+                    q.cumsum(-1, out=q)
+                    vt[off[j] + lo : off[j + 1]][:m] -= vt.take(anc, 0) * q
+                    u = np.empty_like(q) if nxt is None else nxt[at]
+                    np.add(q[:, 1:], q[:, :-1], out=u[:, 1:])
+                    u[:, 1:] *= 0.5
+                    u[:, 0] = q[:, 0]
+                    rows = wt[off[j] + lo : off[j] + read[j]][:m]
+                    np.add.at(wt, anc[: len(rows)], rows * u[: len(rows)])
+                col = nxt
+        return wt, vt, diag
 
     def tangent_matrix(self, values: np.ndarray) -> np.ndarray:
-        """The (M, M) matrix of the derivative of ``profile`` at ``values``
-        in every slot: column c is the sum over the slots of the profile
-        with the c-th unit vector h in that slot.
-
-        Forward mode (Griewank and Walther, *Evaluating Derivatives*, 2nd
-        ed., SIAM 2008) through the trie: level j's integrals
-        T_j = I(u x**a T_{j-1}[parent]), I the trapezoid pass
-        (``_trapezoid``), have the tangent
-
-            dT_j = I(x**a u dT_{j-1}[parent] + h x**a T_{j-1}[parent]),
-
-        with T_{-1} = 1 and dT_{-1} = 0, and each order reads dT with the
-        rows of its profile.  Each level is linear in each factor, so this
-        is the sum over the slots in exact arithmetic, and agrees with it to
-        within rounding.
-
-        The tangent is causal: in a direction that is 0 before point c, dT
-        is 0 at every point before c, so the matrix is lower triangular.  A
-        block of columns start.. is integrated only over the points from
-        lo = max(start - 1, 0) on, with dT 0 at lo (the trapezoid term
-        between points start - 1 and start is the first that can be
-        nonzero).  The terms it skips are zeros, which add exactly 0 to each
-        sequential running sum, and every column reads the same nodes in the
-        same order, so each entry is the one a pass over all M points gives,
-        bit for bit, wherever the factors are finite.
-
-        A block takes as many columns as fit its work arrays over its own
-        points in ``DK_BLOCK_BYTES`` (one column at least), so later blocks
-        are wider.  The blocks share one workspace and the factors of
-        ``_tangent_factors``, each formed once per call.
-        """
-        m = self.size
-        point_bytes = self.tangent_point_bytes
-        blocks, start = [], 0
-        while start < m:
-            lo = max(start - 1, 0)
-            width = min(m - start, max(1, DK_BLOCK_BYTES // max(point_bytes * (m - lo), 1)))
-            blocks.append((start, width, lo))
-            start += width
-        block = np.empty(max(width * (m - lo) for _, width, lo in blocks) * point_bytes // 8)
-        factors = self._tangent_factors(values)
-        out = np.zeros((m, m))
-        for start, width, lo in blocks:
-            work = self._tangent_buffers(block, width, m - lo)
-            self._tangent_pass(factors, work, out[lo:, start : start + width].T, start, lo)
+        """The (M, M) lower triangular matrix of the derivative of ``profile``
+        at ``values``: one product of its generators (``generators``) into
+        the returned array, its upper triangle then zeroed in place."""
+        wt, vt, diag = self.generators(values)
+        out = np.matmul(wt.T, vt, out=np.empty((self.size, self.size)))
+        for i in range(self.size):
+            out[i, i:] = 0.0
+        out.flat[:: self.size + 1] = diag
         return out
 
     def endpoint(self, values: np.ndarray) -> np.ndarray | float:
@@ -552,14 +547,17 @@ def series_profile(series: VolterraKernelSeries, u: GridFunction) -> GridFunctio
 def linearized_profile(
     series: VolterraKernelSeries, u: GridFunction, h: GridFunction
 ) -> GridFunction:
-    """Profile of the derivative of F at ``u`` applied to ``h``: the
-    derivative matrix of the series' cascade on the mesh of ``u``
-    (:meth:`MeshCascade.tangent_matrix`) times the samples of ``h``.
-
-    The derivative of an order-n term replaces one ``u`` factor by ``h``
-    in each of the n slots and sums the results."""
+    """Profile of the derivative of F at ``u`` applied to ``h`` (each of an
+    order's n slots takes ``h`` in turn), from the generators of the
+    series' cascade on the mesh of ``u`` (:meth:`MeshCascade.generators`)
+    without the matrix: sum_a W[a, i] sum_{c<i} V[a, c] h_c + d_i h_i, in
+    O(M x nodes)."""
     u._check_mesh(h)
-    return GridFunction(series.cascade(u.size).tangent_matrix(u.values) @ h.values)
+    wt, vt, diag = series.cascade(u.size).generators(u.values)
+    sums = np.cumsum(vt * h.values, -1)
+    out = diag * h.values
+    out[1:] += _contract(sums[:, :-1], wt[:, 1:])
+    return GridFunction(out)
 
 
 def kernel_l2_sq(kern: SimplexPolyKernel, rule: QuadratureRule) -> float:

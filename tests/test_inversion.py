@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import frechet_dk
+from conftest import frechet_dk, per_slot_linearized
 from volback import inversion, volterra
 from volback.charkernels import build_controller_kernels, pdae_plant
 from volback.inversion import (
@@ -152,98 +152,53 @@ class TestDerivative:
 
 
 class TestDkMatrixBlocks:
-    """``dk_matrix`` takes the identity through one cascade's tangent pass
-    in blocks of columns, each over the mesh points from its first column
-    less one on; every block edge gives the columns of the unblocked
-    tangent exactly, and the matrix is causal."""
+    """``dk_matrix`` is tril(W^T V, -1) + diag(d) from the generators of one
+    cascade (``MeshCascade.generators``), whose passes take each trie level
+    in blocks of M nodes; at every block edge it agrees with the per-slot
+    reference to within rounding, and its upper triangle is exactly 0."""
 
     @pytest.fixture(scope="class")
     def series(self, kernel_series):
         return VolterraKernelSeries({**kernel_series, 4: build_controller_kernels(pdae_plant(), 4)[4]})
 
-    @staticmethod
-    def recorded_blocks(monkeypatch):
-        """Record, per block, the workspace, the block width, the mesh
-        points and the work arrays ``_tangent_buffers`` hands out."""
-        calls = []
-        buffers = MeshCascade._tangent_buffers
-
-        def recording(self, block, width, points):
-            work = buffers(self, block, width, points)
-            calls.append((block, width, points, work))
-            return work
-
-        monkeypatch.setattr(MeshCascade, "_tangent_buffers", recording)
-        return calls
-
-    def blocks(self, series, u, monkeypatch):
-        """The (width, points) of each block of ``dk_matrix``, whose matrix
-        is held exactly to the unblocked one (one block over every mesh
-        point) and to be causal."""
-        with monkeypatch.context() as unblocked:
-            unblocked.setattr(volterra, "DK_BLOCK_BYTES", 1 << 30)
-            want = dk_matrix(series, u)
-        calls = self.recorded_blocks(monkeypatch)
-        dk = dk_matrix(series, u)
-        assert np.array_equal(dk, want)
-        assert np.array_equal(np.triu(dk, 1), np.zeros((u.size, u.size)))
-        return [(width, points) for _, width, points, _ in calls]
-
-    # A first block of 4 columns over all m points; later blocks, over
-    # fewer points, are wider: less than one block, one block, exactly two
-    # blocks, two blocks where the second is wider, and three blocks.
-    WIDTHS = {3: [3], 4: [4], 8: [4, 4], 9: [4, 5], 12: [4, 6, 2], 13: [4, 5, 4]}
-
     @pytest.mark.parametrize("m", [3, 4, 8, 9, 12, 13])
-    def test_block_edges(self, series, monkeypatch, m):
+    def test_block_edges(self, series, m):
         u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, m)) + 0.1)
-        point_bytes = MeshCascade(series, u.mesh).tangent_point_bytes
-        monkeypatch.setattr(volterra, "DK_BLOCK_BYTES", 4 * point_bytes * m + point_bytes * m // 2)
-        widths = self.WIDTHS[m]
-        starts = np.cumsum([0] + widths[:-1])
-        assert self.blocks(series, u, monkeypatch) == [
-            (w, m - max(s - 1, 0)) for s, w in zip(starts, widths)
-        ]
+        sizes = [len(pows) for pows, _ in MeshCascade(series, u.mesh).levels]
+        # Several blocks on the top level, and a last block shorter than m on some level.
+        assert sizes[-1] > 2 * m and any(n % m for n in sizes)
+        want = per_slot_linearized(series, u, np.eye(m)).T
+        dk = dk_matrix(series, u)
+        assert np.array_equal(np.triu(dk, 1), np.zeros((m, m)))
+        assert np.max(np.abs(dk - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_one_column_per_block(self, series, monkeypatch):
-        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 13)) + 0.1)
-        monkeypatch.setattr(volterra, "DK_BLOCK_BYTES", 1)
-        assert self.blocks(series, u, monkeypatch) == [(1, 13)] + [
-            (1, 13 - (s - 1)) for s in range(1, 13)
-        ]
-
-    def test_one_block_from_column_zero(self, series, monkeypatch):
-        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 41)) + 0.1)
-        monkeypatch.setattr(volterra, "DK_BLOCK_BYTES", 1 << 30)
-        assert self.blocks(series, u, monkeypatch) == [(41, 41)]
-
-    def test_lower_triangular_at_default_blocks(self, kernel_series, monkeypatch):
-        mesh = np.linspace(0.0, 1.0, 201)
-        u = GridFunction(0.3 * np.sin(math.pi * mesh))
-        calls = self.recorded_blocks(monkeypatch)
+    def test_upper_triangle_is_exactly_zero(self, kernel_series):
+        u = GridFunction(0.3 * np.sin(math.pi * np.linspace(0.0, 1.0, 201)))
         dk = dk_matrix(kernel_series, u)
         assert np.array_equal(np.triu(dk, 1), np.zeros((201, 201)))
-        assert np.any(np.tril(dk))
-        widths = [width for _, width, _, _ in calls]
-        assert len(widths) > 2 and widths[:-1] == sorted(widths[:-1])
+        assert np.all(np.diag(dk)[1:]) and np.all(np.diag(dk, -1)[1:])
 
-    @pytest.mark.parametrize("order, m", [(4, 201), (5, 101)])
-    def test_default_blocks_match_unblocked(self, monkeypatch, order, m):
+    @pytest.mark.parametrize("order, nodes", [(3, 14), (6, 2891)])
+    def test_one_generator_row_per_trie_node(self, order, nodes):
         series = build_controller_kernels(pdae_plant(), order)
-        u = GridFunction(0.3 * np.sin(math.pi * np.linspace(0.0, 1.0, m)))
-        assert len(self.blocks(series, u, monkeypatch)) > 1
+        u = GridFunction(0.3 * np.sin(math.pi * np.linspace(0.0, 1.0, 5)))
+        wt, vt, diag = series.cascade(5).generators(u.values)
+        assert wt.shape == vt.shape == (nodes, 5) and diag.shape == (5,)
 
-    def test_blocks_share_one_workspace(self, series, monkeypatch):
-        u = GridFunction(0.4 * np.sin(math.pi * np.linspace(0.0, 1.0, 13)) + 0.1)
-        point_bytes = MeshCascade(series, u.mesh).tangent_point_bytes
-        monkeypatch.setattr(volterra, "DK_BLOCK_BYTES", 4 * point_bytes * 13)
-        calls = self.recorded_blocks(monkeypatch)
-        dk_matrix(series, u)
-        block = calls[0][0]
-        assert len(calls) > 1 and all(b is block for b, _, _, _ in calls)
-        assert block.nbytes <= volterra.DK_BLOCK_BYTES
-        for _, _, _, work in calls:
-            assert all(a.base is block for arrays in work for a in arrays)
+    def test_empty_series_gives_zero_matrix(self):
+        u = GridFunction(np.linspace(0.0, 1.0, 11))
+        dk = dk_matrix(VolterraKernelSeries({}), u)
+        assert dk.shape == (11, 11) and not np.any(dk)
+
+    def test_linearized_profile_matches_matrix(self, series):
+        rng = np.random.default_rng(8)
+        mesh = np.linspace(0.0, 1.0, 101)
+        u = GridFunction(0.3 * np.sin(math.pi * mesh) + 0.2 * mesh)
+        dk = dk_matrix(series, u)
+        for h in rng.standard_normal((3, 101)):
+            got = linearized_profile(series, u, GridFunction(h)).values
+            want = dk @ h
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_value_integrals_formed_once(self, series, monkeypatch):
         u = GridFunction(0.3 * np.sin(math.pi * np.linspace(0.0, 1.0, 201)))
@@ -255,7 +210,7 @@ class TestDkMatrixBlocks:
             return integrals(self, values, depth)
 
         monkeypatch.setattr(MeshCascade, "_integrals", recording)
-        dk_matrix(series, u)  # in several blocks at the default DK_BLOCK_BYTES
+        dk_matrix(series, u)
         assert depths == [3]
 
 

@@ -542,11 +542,11 @@ def plants(tmp_path_factory):
 
 
 class TestTangent:
-    """``linearized_profile`` and ``dk_matrix`` are one tangent pass of one
-    cascade of all orders (``MeshCascade.tangent_matrix``); they agree
-    with the per-slot reference (``per_slot_linearized``), the nested
-    trapezoid rule of one monomial and one slot at a time, to within
-    rounding."""
+    """``linearized_profile`` and ``dk_matrix`` read the generators of the
+    derivative of one cascade of all orders (``MeshCascade.generators``);
+    they agree with the per-slot reference (``per_slot_linearized``), the
+    nested trapezoid rule of one monomial and one slot at a time, to
+    within rounding."""
 
     @staticmethod
     def assert_matches_reference(series, m, seed):
@@ -572,8 +572,9 @@ class TestTangent:
 
     @pytest.mark.parametrize(
         "plant, n, m",
-        [("pdae", n, m) for n in (2, 3, 4, 5) for m in (13, 21)]
-        + [(p, n, m) for p in ("ks-shaped", "mixed") for n in (2, 3, 4) for m in (13, 21)],
+        [("pdae", n, m) for n in (2, 3, 4, 5) for m in (2, 3, 13, 21)]
+        + [(p, n, m) for p in ("ks-shaped", "mixed") for n in (2, 3, 4) for m in (2, 3, 13, 21)]
+        + [("pdae", 3, 101), ("pdae", 4, 101), ("ks-shaped", 3, 101)],
     )
     def test_dk_matrix_matches_per_slot_reference(self, plants, plant, n, m):
         # Column c of the reference is the derivative in the c-th unit vector.
